@@ -1,5 +1,5 @@
 //! Hot-path microbenchmarks: each one isolates a single layer the PR 4
-//! optimisations touched, so a change to the scheduler, gate arena, cache
+//! optimisations touched, so a change to the event queue, gate arena, cache
 //! directory or version manager is measured on its own rather than through
 //! a whole experiment sweep.
 //!
@@ -7,7 +7,7 @@
 //! (exercises the code, proves nothing about performance).
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use osim_engine::{SchedulerKind, Sim};
+use osim_engine::Sim;
 use osim_mem::{AccessKind, HierarchyCfg, MemSys, PageFlags};
 use osim_uarch::{OManager, OManagerCfg};
 
@@ -16,30 +16,27 @@ fn smoke() -> bool {
 }
 
 /// Pure event-dispatch throughput: many tasks ticking the clock, no gates,
-/// no memory system. Compares the calendar queue against the reference
-/// binary heap on the exact same event schedule.
+/// no memory system.
 fn executor_throughput(c: &mut Criterion) {
     let (tasks, ticks) = if smoke() { (8, 50) } else { (64, 2_000) };
     let mut g = c.benchmark_group("hotpath/executor");
     g.sample_size(10);
-    for kind in [SchedulerKind::CalendarQueue, SchedulerKind::BinaryHeap] {
-        g.bench_function(format!("sleep_storm/{}", kind.name()), |b| {
-            b.iter(|| {
-                let sim = Sim::with_scheduler(kind);
-                for t in 0..tasks {
-                    let h = sim.handle();
-                    sim.spawn(async move {
-                        // Staggered periods keep all wheel buckets busy.
-                        let period = 1 + (t % 7);
-                        for _ in 0..ticks {
-                            h.sleep(period).await;
-                        }
-                    });
-                }
-                sim.run().unwrap()
-            })
-        });
-    }
+    g.bench_function("sleep_storm", |b| {
+        b.iter(|| {
+            let sim = Sim::new();
+            for t in 0..tasks {
+                let h = sim.handle();
+                sim.spawn(async move {
+                    // Staggered periods keep all wheel buckets busy.
+                    let period = 1 + (t % 7);
+                    for _ in 0..ticks {
+                        h.sleep(period).await;
+                    }
+                });
+            }
+            sim.run().unwrap()
+        })
+    });
     g.finish();
 }
 
@@ -49,30 +46,28 @@ fn gate_wait_open(c: &mut Criterion) {
     let (waiters, rounds) = if smoke() { (4, 50) } else { (32, 2_000) };
     let mut g = c.benchmark_group("hotpath/gate");
     g.sample_size(10);
-    for kind in [SchedulerKind::CalendarQueue, SchedulerKind::BinaryHeap] {
-        g.bench_function(format!("broadcast_churn/{}", kind.name()), |b| {
-            b.iter(|| {
-                let sim = Sim::with_scheduler(kind);
-                let h = sim.handle();
-                let gate = h.gate();
-                for _ in 0..waiters {
-                    let gate = gate.clone();
-                    sim.spawn(async move {
-                        for _ in 0..rounds {
-                            gate.wait().await;
-                        }
-                    });
-                }
+    g.bench_function("broadcast_churn", |b| {
+        b.iter(|| {
+            let sim = Sim::new();
+            let h = sim.handle();
+            let gate = h.gate();
+            for _ in 0..waiters {
+                let gate = gate.clone();
                 sim.spawn(async move {
                     for _ in 0..rounds {
-                        gate.open_at(h.now() + 1);
-                        h.sleep(1).await;
+                        gate.wait().await;
                     }
                 });
-                sim.run().unwrap()
-            })
-        });
-    }
+            }
+            sim.spawn(async move {
+                for _ in 0..rounds {
+                    gate.open_at(h.now() + 1);
+                    h.sleep(1).await;
+                }
+            });
+            sim.run().unwrap()
+        })
+    });
     g.finish();
 }
 

@@ -1,12 +1,9 @@
 //! Shared configuration for the criterion benches.
 //!
-//! Every bench here drives a *simulation*; what criterion measures is the
-//! host time to simulate one configuration, which tracks the simulated
-//! cycle count closely for a fixed machine. The figures themselves are
-//! regenerated (in simulated cycles, with full validation) by
-//! `cargo run -p osim-experiments --release -- <figN>`; the benches keep
-//! the same sweeps continuously exercised and timed at a criterion-friendly
-//! size.
+//! The figures themselves are regenerated (in simulated cycles, with full
+//! validation) and timed by `cargo run -p osim-experiments --release --
+//! <figN|perf>`; the benches here isolate single layers and design-choice
+//! ablations at a criterion-friendly size.
 
 use osim_workloads::harness::DsCfg;
 

@@ -36,7 +36,7 @@ pub use capture::{CaptureCfg, DepEdge, Sample};
 pub use ctx::{wake, TaskCtx};
 pub use error::{BlameEntry, DeadlockReport, SimError, TaskFault, WaitClass, WatchdogReport};
 pub use machine::{Machine, MachineCfg, MachineState, PhaseReport, WakeupPolicy};
-pub use osim_engine::{EngineHists, EngineStats, SchedulerKind, ShakePolicy};
+pub use osim_engine::{EngineHists, EngineStats, ShakePolicy};
 pub use runtime::{task, TaskFn};
 pub use rwlock::SimRwLock;
 pub use stats::{CoreStats, CpuStats, RunHists, StallCause};

@@ -3,9 +3,7 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use osim_engine::{
-    Cycle, EngineHists, EngineStats, Gate, RunError, SchedulerKind, ShakePolicy, Sim, SimHandle,
-};
+use osim_engine::{Cycle, EngineHists, EngineStats, Gate, RunError, ShakePolicy, Sim, SimHandle};
 use osim_mem::{EventLog, Fault, FxHashMap, HierarchyCfg, MemSys};
 use osim_metrics::Histogram;
 use osim_uarch::{OManager, OManagerCfg};
@@ -59,13 +57,9 @@ pub struct MachineCfg {
     pub watchdog_cycles: Option<u64>,
     /// Gate wake-up delivery policy (default [`WakeupPolicy::Broadcast`]).
     pub wakeup: WakeupPolicy,
-    /// Event-queue implementation for the engine (default
-    /// [`SchedulerKind::CalendarQueue`]). Timing is identical under every
-    /// kind; only host speed differs.
-    pub scheduler: SchedulerKind,
-    /// Same-cycle tie-break policy (default [`ShakePolicy::Off`]). Unlike
-    /// `scheduler`, a seeded shake *does* change simulated interleavings —
-    /// deterministically per seed — and is meant for the stress harness.
+    /// Same-cycle tie-break policy (default [`ShakePolicy::Off`]). A seeded
+    /// shake changes simulated interleavings — deterministically per seed —
+    /// and is meant for the stress harness.
     pub shake: ShakePolicy,
     /// Causal-observability capture (dependency edges + interval
     /// telemetry). Default: everything off; capture is host-side
@@ -87,7 +81,6 @@ impl MachineCfg {
             malloc_instrs: 40,
             watchdog_cycles: None,
             wakeup: WakeupPolicy::default(),
-            scheduler: SchedulerKind::default(),
             shake: ShakePolicy::default(),
             capture: CaptureCfg::default(),
         }
@@ -265,7 +258,7 @@ impl Machine {
             fault: None,
         };
         Ok(Machine {
-            sim: Sim::with_policy(cfg.scheduler, cfg.shake),
+            sim: Sim::with_shake(cfg.shake),
             state: Rc::new(RefCell::new(state)),
             cfg,
             next_tid: 1,

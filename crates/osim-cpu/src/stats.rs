@@ -5,7 +5,7 @@ use osim_metrics::Histogram;
 /// The full set of latency/shape histograms one run produces, gathered
 /// across every simulator layer. All of them record **simulated-cycle**
 /// quantities (never host wall time), so their contents are deterministic
-/// and scheduler-invariant — safe to land in byte-compared reports.
+/// — safe to land in byte-compared reports.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RunHists {
     /// Cycles tasks spent parked on gates before their wakeup fired.

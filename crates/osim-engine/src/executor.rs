@@ -17,44 +17,6 @@ pub type TaskId = usize;
 
 type BoxedTask = Pin<Box<dyn Future<Output = ()>>>;
 
-/// Which event-queue implementation a [`Sim`] dispatches from.
-///
-/// Both produce the exact same dispatch order — the total order on
-/// `(cycle, tie, seq)` (see [`ShakePolicy`]) — so simulated results are
-/// bit-identical under either; the equivalence is enforced by property
-/// tests and a CLI byte-comparison. The calendar queue is the default
-/// because its push/pop are O(1) in the common case; the binary heap is
-/// kept as the reference implementation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SchedulerKind {
-    /// Hierarchical calendar queue (time wheel): near-future events live in
-    /// per-cycle buckets, far-future events in an overflow heap.
-    #[default]
-    CalendarQueue,
-    /// `BinaryHeap<Reverse<(Cycle, u64, u64, TaskId)>>` — the reference
-    /// implementation the calendar queue is checked against.
-    BinaryHeap,
-}
-
-impl SchedulerKind {
-    /// Stable lower-case name, used by CLI flags and reports.
-    pub fn name(&self) -> &'static str {
-        match self {
-            SchedulerKind::CalendarQueue => "calendar",
-            SchedulerKind::BinaryHeap => "heap",
-        }
-    }
-
-    /// Parses the names produced by [`SchedulerKind::name`].
-    pub fn parse(s: &str) -> Option<SchedulerKind> {
-        match s {
-            "calendar" => Some(SchedulerKind::CalendarQueue),
-            "heap" => Some(SchedulerKind::BinaryHeap),
-            _ => None,
-        }
-    }
-}
-
 /// How the executor breaks ties between events scheduled for the same
 /// cycle.
 ///
@@ -66,9 +28,9 @@ impl SchedulerKind {
 /// stream, which permutes same-cycle dispatch order while leaving the time
 /// order untouched. The stream is consumed once per [`Inner::schedule`]
 /// call, in schedule order, so a given seed produces one exact schedule:
-/// same seed ⇒ byte-identical run, on either [`SchedulerKind`], regardless
-/// of host parallelism. The stress harness fans many seeds to exercise
-/// invariants across interleavings; see `osim-experiments stress`.
+/// same seed ⇒ byte-identical run, regardless of host parallelism. The
+/// stress harness fans many seeds to exercise invariants across
+/// interleavings; see `osim-experiments stress`.
 ///
 /// [`Off`]: ShakePolicy::Off
 /// [`Seeded`]: ShakePolicy::Seeded
@@ -110,9 +72,9 @@ fn splitmix64(state: &mut u64) -> u64 {
 
 /// Host-side counters describing what the engine's dispatch loop did.
 ///
-/// Identical under both [`SchedulerKind`]s (the queues hold the same event
-/// multiset and pop it in the same order), so exposing these in reports
-/// keeps output byte-identical across schedulers.
+/// Functions of the simulated event order alone (a total order on
+/// `(cycle, tie, seq)`), so exposing these in reports keeps output
+/// byte-identical across runs and host worker counts.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct EngineStats {
     /// Events popped that resumed a live task (one per task poll).
@@ -126,9 +88,8 @@ pub struct EngineStats {
 /// Latency distributions recorded by the engine's wait/notify layer.
 ///
 /// Like [`EngineStats`], the contents are functions of the simulated
-/// event multiset only — park and wake cycles are identical under both
-/// [`SchedulerKind`]s — so the histograms are scheduler-invariant and safe
-/// to embed in byte-compared reports.
+/// event order only — park and wake cycles are simulated times — so the
+/// histograms are safe to embed in byte-compared reports.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct EngineHists {
     /// Simulated cycles each gate waiter spent parked before its wake.
@@ -261,7 +222,10 @@ struct Bucket {
 
 /// Hierarchical calendar queue over `(cycle, tie, seq, task)` events.
 ///
-/// Invariants that make the pop order identical to the reference heap:
+/// Pops follow the total order on `(cycle, tie, seq)` — the order a plain
+/// `BinaryHeap<Reverse<(Cycle, u64, u64, TaskId)>>` would give, which the
+/// differential proptest in this module's tests checks. The invariants
+/// that make this hold:
 ///
 /// * `epoch` only moves forward, and bucket `i` holds events for exactly
 ///   cycle `epoch * WHEEL_SLOTS + i`. Because `schedule` clamps times to
@@ -436,6 +400,11 @@ impl CalendarQueue {
         removed
     }
 
+    #[inline]
+    fn len(&self) -> usize {
+        self.len
+    }
+
     fn clear(&mut self) {
         for b in &mut self.buckets {
             b.events.clear();
@@ -445,66 +414,6 @@ impl CalendarQueue {
         self.near_len = 0;
         self.len = 0;
         self.overflow.clear();
-    }
-}
-
-/// The event store behind a [`Sim`], selected by [`SchedulerKind`]. Both
-/// variants implement the same `(cycle, tie, seq)` total order.
-enum EventQueue {
-    Heap(BinaryHeap<Reverse<(Cycle, u64, u64, TaskId)>>),
-    Calendar(CalendarQueue),
-}
-
-impl EventQueue {
-    fn new(kind: SchedulerKind, shaken: bool) -> Self {
-        match kind {
-            SchedulerKind::BinaryHeap => EventQueue::Heap(BinaryHeap::new()),
-            SchedulerKind::CalendarQueue => EventQueue::Calendar(CalendarQueue::new(shaken)),
-        }
-    }
-
-    #[inline]
-    fn push(&mut self, at: Cycle, tie: u64, seq: u64, task: TaskId) {
-        match self {
-            EventQueue::Heap(h) => h.push(Reverse((at, tie, seq, task))),
-            EventQueue::Calendar(c) => c.push(at, tie, seq, task),
-        }
-    }
-
-    #[inline]
-    fn pop(&mut self) -> Option<(Cycle, TaskId)> {
-        match self {
-            EventQueue::Heap(h) => h.pop().map(|Reverse((at, _, _, task))| (at, task)),
-            EventQueue::Calendar(c) => c.pop(),
-        }
-    }
-
-    #[inline]
-    fn len(&self) -> usize {
-        match self {
-            EventQueue::Heap(h) => h.len(),
-            EventQueue::Calendar(c) => c.len,
-        }
-    }
-
-    fn retain_live(&mut self, mut live: impl FnMut(TaskId) -> bool) -> u64 {
-        match self {
-            EventQueue::Heap(h) => {
-                let before = h.len();
-                let kept: Vec<_> = h.drain().filter(|&Reverse((_, _, _, t))| live(t)).collect();
-                let removed = (before - kept.len()) as u64;
-                *h = BinaryHeap::from(kept);
-                removed
-            }
-            EventQueue::Calendar(c) => c.retain_live(live),
-        }
-    }
-
-    fn clear(&mut self) {
-        match self {
-            EventQueue::Heap(h) => h.clear(),
-            EventQueue::Calendar(c) => c.clear(),
-        }
     }
 }
 
@@ -523,7 +432,7 @@ pub(crate) struct Inner {
     /// number makes the pop order a total order, which makes runs
     /// deterministic — including shaken runs, where the tie word comes
     /// from a seeded stream consumed in schedule order.
-    queue: EventQueue,
+    queue: CalendarQueue,
     tasks: Vec<Option<BoxedTask>>,
     live: usize,
     /// Task currently being polled; leaf futures read this to learn who they
@@ -641,26 +550,20 @@ impl Default for Sim {
 }
 
 impl Sim {
-    /// Creates an empty simulation at cycle 0 with the default scheduler.
+    /// Creates an empty simulation at cycle 0 with FIFO tie-breaks.
     pub fn new() -> Self {
-        Self::with_scheduler(SchedulerKind::default())
+        Self::with_shake(ShakePolicy::Off)
     }
 
-    /// Creates an empty simulation at cycle 0 dispatching from the given
-    /// event-queue implementation, with shaking off.
-    pub fn with_scheduler(kind: SchedulerKind) -> Self {
-        Self::with_policy(kind, ShakePolicy::Off)
-    }
-
-    /// Creates an empty simulation at cycle 0 with an explicit event-queue
-    /// implementation and same-cycle tie-break policy.
-    pub fn with_policy(kind: SchedulerKind, shake: ShakePolicy) -> Self {
+    /// Creates an empty simulation at cycle 0 with the given same-cycle
+    /// tie-break policy.
+    pub fn with_shake(shake: ShakePolicy) -> Self {
         Sim {
             inner: Rc::new(RefCell::new(Inner {
                 now: 0,
                 next_seq: 0,
                 shake_rng: shake.rng_state(),
-                queue: EventQueue::new(kind, shake != ShakePolicy::Off),
+                queue: CalendarQueue::new(shake != ShakePolicy::Off),
                 tasks: Vec::new(),
                 live: 0,
                 current: None,
@@ -980,43 +883,39 @@ mod tests {
 
     #[test]
     fn tasks_interleave_in_time_order() {
-        for kind in [SchedulerKind::CalendarQueue, SchedulerKind::BinaryHeap] {
-            let sim = Sim::with_scheduler(kind);
-            let log: Rc<RefCell<Vec<(u32, Cycle)>>> = Rc::default();
-            for (id, period) in [(0u32, 3u64), (1, 5)] {
-                let h = sim.handle();
-                let log = Rc::clone(&log);
-                sim.spawn(async move {
-                    for _ in 0..3 {
-                        h.sleep(period).await;
-                        log.borrow_mut().push((id, h.now()));
-                    }
-                });
-            }
-            sim.run().unwrap();
-            assert_eq!(
-                *log.borrow(),
-                vec![(0, 3), (1, 5), (0, 6), (0, 9), (1, 10), (1, 15)]
-            );
+        let sim = Sim::new();
+        let log: Rc<RefCell<Vec<(u32, Cycle)>>> = Rc::default();
+        for (id, period) in [(0u32, 3u64), (1, 5)] {
+            let h = sim.handle();
+            let log = Rc::clone(&log);
+            sim.spawn(async move {
+                for _ in 0..3 {
+                    h.sleep(period).await;
+                    log.borrow_mut().push((id, h.now()));
+                }
+            });
         }
+        sim.run().unwrap();
+        assert_eq!(
+            *log.borrow(),
+            vec![(0, 3), (1, 5), (0, 6), (0, 9), (1, 10), (1, 15)]
+        );
     }
 
     #[test]
     fn same_cycle_ties_break_by_schedule_order() {
-        for kind in [SchedulerKind::CalendarQueue, SchedulerKind::BinaryHeap] {
-            let sim = Sim::with_scheduler(kind);
-            let log: Rc<RefCell<Vec<u32>>> = Rc::default();
-            for id in 0..4u32 {
-                let h = sim.handle();
-                let log = Rc::clone(&log);
-                sim.spawn(async move {
-                    h.sleep(10).await;
-                    log.borrow_mut().push(id);
-                });
-            }
-            sim.run().unwrap();
-            assert_eq!(*log.borrow(), vec![0, 1, 2, 3]);
+        let sim = Sim::new();
+        let log: Rc<RefCell<Vec<u32>>> = Rc::default();
+        for id in 0..4u32 {
+            let h = sim.handle();
+            let log = Rc::clone(&log);
+            sim.spawn(async move {
+                h.sleep(10).await;
+                log.borrow_mut().push(id);
+            });
         }
+        sim.run().unwrap();
+        assert_eq!(*log.borrow(), vec![0, 1, 2, 3]);
     }
 
     #[test]
@@ -1065,26 +964,24 @@ mod tests {
     fn long_sleeps_cross_epochs_in_order() {
         // Exercises the overflow heap and epoch migration: deadlines far
         // beyond one wheel turn, plus a short sleeper interleaved.
-        for kind in [SchedulerKind::CalendarQueue, SchedulerKind::BinaryHeap] {
-            let sim = Sim::with_scheduler(kind);
-            let log: Rc<RefCell<Vec<(u32, Cycle)>>> = Rc::default();
-            for (id, period) in [(0u32, 7u64), (1, 300), (2, 70_000)] {
-                let h = sim.handle();
-                let log = Rc::clone(&log);
-                sim.spawn(async move {
-                    for _ in 0..3 {
-                        h.sleep(period).await;
-                        log.borrow_mut().push((id, h.now()));
-                    }
-                });
-            }
-            sim.run().unwrap();
-            let mut sorted = log.borrow().clone();
-            sorted.sort_by_key(|&(_, at)| at);
-            assert_eq!(*log.borrow(), sorted, "dispatch must follow time order");
-            assert_eq!(log.borrow().len(), 9);
-            assert_eq!(log.borrow().last(), Some(&(2, 210_000)));
+        let sim = Sim::new();
+        let log: Rc<RefCell<Vec<(u32, Cycle)>>> = Rc::default();
+        for (id, period) in [(0u32, 7u64), (1, 300), (2, 70_000)] {
+            let h = sim.handle();
+            let log = Rc::clone(&log);
+            sim.spawn(async move {
+                for _ in 0..3 {
+                    h.sleep(period).await;
+                    log.borrow_mut().push((id, h.now()));
+                }
+            });
         }
+        sim.run().unwrap();
+        let mut sorted = log.borrow().clone();
+        sorted.sort_by_key(|&(_, at)| at);
+        assert_eq!(*log.borrow(), sorted, "dispatch must follow time order");
+        assert_eq!(log.borrow().len(), 9);
+        assert_eq!(log.borrow().last(), Some(&(2, 210_000)));
     }
 
     #[test]
@@ -1186,8 +1083,8 @@ mod tests {
 
     #[test]
     fn determinism_across_runs() {
-        fn one_run(kind: SchedulerKind) -> Vec<(u32, Cycle)> {
-            let sim = Sim::with_scheduler(kind);
+        fn one_run() -> Vec<(u32, Cycle)> {
+            let sim = Sim::new();
             let log: Rc<RefCell<Vec<(u32, Cycle)>>> = Rc::default();
             for id in 0..8u32 {
                 let h = sim.handle();
@@ -1202,57 +1099,47 @@ mod tests {
             sim.run().unwrap();
             Rc::try_unwrap(log).unwrap().into_inner()
         }
-        assert_eq!(
-            one_run(SchedulerKind::CalendarQueue),
-            one_run(SchedulerKind::CalendarQueue)
-        );
-        // ...and both schedulers agree with each other.
-        assert_eq!(
-            one_run(SchedulerKind::CalendarQueue),
-            one_run(SchedulerKind::BinaryHeap)
-        );
+        assert_eq!(one_run(), one_run());
     }
 
     #[test]
     fn stale_events_are_counted_and_swept() {
         const WAITERS: u64 = 200;
-        for kind in [SchedulerKind::CalendarQueue, SchedulerKind::BinaryHeap] {
-            let sim = Sim::with_scheduler(kind);
-            let h = sim.handle();
-            let gate = h.gate();
-            // Each waiter takes a ticket, then leaves by another path (its
-            // sleep) before the far-future wake fires: every wake event is
-            // queued behind a task that completes long before it pops.
-            for _ in 0..WAITERS {
-                let gate = gate.clone();
-                let h = h.clone();
-                sim.spawn(async move {
-                    let ticket = gate.ticket();
-                    h.sleep(1).await;
-                    drop(ticket); // abandoned: the task exits early
-                });
-            }
-            {
-                let h = h.clone();
-                sim.spawn(async move {
-                    // Wakes every parked ticket at a far-future cycle.
-                    gate.open_at(h.now() + 10_000);
-                    h.sleep(2).await;
-                });
-            }
-            sim.run().unwrap();
-            let stats = sim.stats();
-            assert_eq!(
-                stats.stale_events, WAITERS,
-                "every post-completion wake is stale ({kind:?})"
-            );
-            assert!(stats.events_dispatched > 0);
+        let sim = Sim::new();
+        let h = sim.handle();
+        let gate = h.gate();
+        // Each waiter takes a ticket, then leaves by another path (its
+        // sleep) before the far-future wake fires: every wake event is
+        // queued behind a task that completes long before it pops.
+        for _ in 0..WAITERS {
+            let gate = gate.clone();
+            let h = h.clone();
+            sim.spawn(async move {
+                let ticket = gate.ticket();
+                h.sleep(1).await;
+                drop(ticket); // abandoned: the task exits early
+            });
         }
+        {
+            let h = h.clone();
+            sim.spawn(async move {
+                // Wakes every parked ticket at a far-future cycle.
+                gate.open_at(h.now() + 10_000);
+                h.sleep(2).await;
+            });
+        }
+        sim.run().unwrap();
+        let stats = sim.stats();
+        assert_eq!(
+            stats.stale_events, WAITERS,
+            "every post-completion wake is stale"
+        );
+        assert!(stats.events_dispatched > 0);
     }
 
-    /// Order in which same-cycle ties dispatch for one (kind, shake) pair.
-    fn tie_order(kind: SchedulerKind, shake: ShakePolicy, tasks: u32) -> Vec<u32> {
-        let sim = Sim::with_policy(kind, shake);
+    /// Order in which same-cycle ties dispatch under one shake policy.
+    fn tie_order(shake: ShakePolicy, tasks: u32) -> Vec<u32> {
+        let sim = Sim::with_shake(shake);
         let log: Rc<RefCell<Vec<u32>>> = Rc::default();
         for id in 0..tasks {
             let h = sim.handle();
@@ -1268,29 +1155,22 @@ mod tests {
 
     #[test]
     fn shake_off_keeps_fifo_tie_order() {
-        for kind in [SchedulerKind::CalendarQueue, SchedulerKind::BinaryHeap] {
-            assert_eq!(
-                tie_order(kind, ShakePolicy::Off, 8),
-                (0..8).collect::<Vec<_>>()
-            );
-        }
+        assert_eq!(tie_order(ShakePolicy::Off, 8), (0..8).collect::<Vec<_>>());
     }
 
     #[test]
-    fn shaken_ties_are_deterministic_per_seed_and_scheduler_equivalent() {
+    fn shaken_ties_are_deterministic_per_seed() {
         let mut permuted = false;
         for seed in 1..=16u64 {
             let shake = ShakePolicy::Seeded(seed);
-            let cal = tie_order(SchedulerKind::CalendarQueue, shake, 8);
-            // Same seed ⇒ identical order on a re-run and on the
-            // reference heap.
-            assert_eq!(cal, tie_order(SchedulerKind::CalendarQueue, shake, 8));
-            assert_eq!(cal, tie_order(SchedulerKind::BinaryHeap, shake, 8));
+            let order = tie_order(shake, 8);
+            // Same seed ⇒ identical order on a re-run.
+            assert_eq!(order, tie_order(shake, 8));
             // It is still a permutation of the same event multiset.
-            let mut sorted = cal.clone();
+            let mut sorted = order.clone();
             sorted.sort_unstable();
             assert_eq!(sorted, (0..8).collect::<Vec<_>>());
-            permuted |= cal != (0..8).collect::<Vec<_>>();
+            permuted |= order != (0..8).collect::<Vec<_>>();
         }
         assert!(permuted, "16 seeds never permuted an 8-way tie");
     }
@@ -1299,11 +1179,11 @@ mod tests {
     fn shaken_runs_preserve_time_order_across_epochs() {
         // Shaking permutes same-cycle ties only; events at distinct cycles
         // (including overflow-heap epochs) must still dispatch in time
-        // order, and per-seed determinism must hold across schedulers.
+        // order, and per-seed determinism must hold across re-runs.
         for seed in [3u64, 41] {
             let mut runs = Vec::new();
-            for kind in [SchedulerKind::CalendarQueue, SchedulerKind::BinaryHeap] {
-                let sim = Sim::with_policy(kind, ShakePolicy::Seeded(seed));
+            for _ in 0..2 {
+                let sim = Sim::with_shake(ShakePolicy::Seeded(seed));
                 let log: Rc<RefCell<Vec<(u32, Cycle)>>> = Rc::default();
                 for (id, period) in [(0u32, 7u64), (1, 300), (2, 70_000)] {
                     let h = sim.handle();
@@ -1322,7 +1202,7 @@ mod tests {
                 assert_eq!(log, sorted, "dispatch must follow time order");
                 runs.push(log);
             }
-            assert_eq!(runs[0], runs[1], "seed {seed} differs across schedulers");
+            assert_eq!(runs[0], runs[1], "seed {seed} differs across re-runs");
         }
     }
 
@@ -1331,15 +1211,6 @@ mod tests {
         assert_eq!(ShakePolicy::Off.seed(), None);
         assert_eq!(ShakePolicy::Seeded(9).seed(), Some(9));
         assert_eq!(ShakePolicy::default(), ShakePolicy::Off);
-    }
-
-    #[test]
-    fn scheduler_kind_name_roundtrip() {
-        for kind in [SchedulerKind::CalendarQueue, SchedulerKind::BinaryHeap] {
-            assert_eq!(SchedulerKind::parse(kind.name()), Some(kind));
-        }
-        assert_eq!(SchedulerKind::parse("fifo"), None);
-        assert_eq!(SchedulerKind::default(), SchedulerKind::CalendarQueue);
     }
 
     #[test]
@@ -1386,5 +1257,106 @@ mod tests {
         assert_eq!(seen.len(), 1);
         assert_eq!(seen[0].1, Some(3));
         assert_eq!(seen[0].2.as_ref().map(|w| w.label), Some(5));
+    }
+
+    /// One step of a queue-level program for the differential test below.
+    #[derive(Debug, Clone, Copy)]
+    enum QueueOp {
+        /// Push an event for `task` at `delay` cycles after the last popped
+        /// cycle. `tie` is used only when shaking is on; FIFO ties are `seq`.
+        Push {
+            delay: u64,
+            tie: u64,
+            task: TaskId,
+        },
+        Pop,
+        /// Keep only the events of tasks whose bit is set in the mask.
+        RetainLive(u8),
+        Clear,
+    }
+
+    fn queue_op_strategy() -> impl proptest::strategy::Strategy<Value = QueueOp> {
+        use proptest::prelude::*;
+        let push = |delays: std::ops::Range<u64>| {
+            (delays, any::<u64>(), 0..8usize).prop_map(|(delay, tie, task)| QueueOp::Push {
+                delay,
+                tie,
+                task,
+            })
+        };
+        let wheel = WHEEL_SLOTS as u64;
+        prop_oneof![
+            // The current cycle and the next few: same-bucket pushes,
+            // often behind a bucket's consumed head.
+            push(0..4),
+            push(0..4),
+            // Anywhere in the near wheel, or just past its end.
+            push(0..2 * wheel),
+            // Far overflow, several epochs out.
+            push(wheel..40 * wheel),
+            Just(QueueOp::Pop),
+            Just(QueueOp::Pop),
+            Just(QueueOp::Pop),
+            (any::<u8>(), 0..16u8).prop_map(|(mask, r)| if r == 0 {
+                QueueOp::Clear
+            } else {
+                QueueOp::RetainLive(mask)
+            }),
+        ]
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(256))]
+
+        /// The calendar queue pops exactly what the reference
+        /// `BinaryHeap<Reverse<(Cycle, u64, u64, TaskId)>>` pops, under the
+        /// same contract `Inner` keeps: pushes never target a cycle before
+        /// the last pop. `Sim` reaches its queue only through `push`, `pop`,
+        /// `len`, `retain_live` and `clear`, so this is the whole
+        /// equivalence.
+        #[test]
+        fn calendar_queue_matches_binary_heap(
+            shaken in proptest::prelude::any::<bool>(),
+            ops in proptest::collection::vec(queue_op_strategy(), 0..400),
+        ) {
+            let mut cal = CalendarQueue::new(shaken);
+            let mut heap: BinaryHeap<Reverse<(Cycle, u64, u64, TaskId)>> = BinaryHeap::new();
+            let (mut now, mut seq): (Cycle, u64) = (0, 0);
+            for (i, &op) in ops.iter().enumerate() {
+                match op {
+                    QueueOp::Push { delay, tie, task } => {
+                        let tie = if shaken { tie } else { seq };
+                        cal.push(now + delay, tie, seq, task);
+                        heap.push(Reverse((now + delay, tie, seq, task)));
+                        seq += 1;
+                    }
+                    QueueOp::Pop => {
+                        let want = heap.pop().map(|Reverse((at, _, _, task))| (at, task));
+                        proptest::prop_assert_eq!(cal.pop(), want, "pop diverged at op {}", i);
+                        if let Some((at, _)) = want {
+                            now = at;
+                        }
+                    }
+                    QueueOp::RetainLive(mask) => {
+                        let live = move |t: TaskId| (mask >> t) & 1 == 1;
+                        let before = heap.len();
+                        heap.retain(|&Reverse((_, _, _, t))| live(t));
+                        let removed = (before - heap.len()) as u64;
+                        proptest::prop_assert_eq!(
+                            cal.retain_live(live), removed, "retain diverged at op {}", i
+                        );
+                    }
+                    QueueOp::Clear => {
+                        cal.clear();
+                        heap.clear();
+                    }
+                }
+                proptest::prop_assert_eq!(cal.len(), heap.len(), "len diverged at op {}", i);
+            }
+            while let Some(Reverse((at, _, _, task))) = heap.pop() {
+                proptest::prop_assert_eq!(cal.pop(), Some((at, task)), "drain diverged");
+            }
+            proptest::prop_assert_eq!(cal.pop(), None);
+        }
     }
 }

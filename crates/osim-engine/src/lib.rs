@@ -36,8 +36,7 @@ mod gate;
 mod time;
 
 pub use executor::{
-    BlockedTask, EngineHists, EngineStats, RunError, SchedulerKind, ShakePolicy, Sim, SimHandle,
-    TaskId, WaitInfo,
+    BlockedTask, EngineHists, EngineStats, RunError, ShakePolicy, Sim, SimHandle, TaskId, WaitInfo,
 };
 pub use gate::{Gate, Wake, WakeFilter, WakeOrigin, WakeTag, WAKE_GENERIC};
 pub use time::Cycle;

@@ -1,16 +1,17 @@
-//! Property: the calendar-queue scheduler and the reference binary heap
-//! dispatch the *same* events in the *same* order — the total order on
-//! `(cycle, seq)` — under randomized sleep/gate/spawn schedules.
+//! Properties of whole-`Sim` schedules under randomized sleep/gate
+//! programs: a shake seed fixes one exact dispatch order, and the engine's
+//! event totals do not depend on how same-cycle ties are broken.
 //!
-//! Each generated program runs once under each [`SchedulerKind`], logging
-//! `(task, step, cycle)` at every action boundary; the two logs (and the
-//! final simulated time) must be identical. The near/far delay mix pushes
-//! events through both the wheel buckets and the overflow heap.
+//! Each generated program logs `(task, step, cycle)` at every action
+//! boundary. The near/far delay mix pushes events through both the wheel
+//! buckets and the overflow heap of the calendar queue. (The queue itself
+//! is checked against a reference binary heap, op by op, by the
+//! differential proptest in `src/executor.rs`.)
 
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use osim_engine::{EngineStats, SchedulerKind, ShakePolicy, Sim};
+use osim_engine::{EngineStats, ShakePolicy, Sim};
 use proptest::prelude::*;
 
 const GATES: usize = 3;
@@ -41,14 +42,9 @@ fn program_strategy() -> impl Strategy<Value = Vec<Vec<Action>>> {
 
 type Log = Rc<RefCell<Vec<(usize, usize, u64)>>>;
 
-/// Runs `program` under `kind`/`shake`, returning the dispatch log and
-/// end time.
-fn run_shaken(
-    program: &[Vec<Action>],
-    kind: SchedulerKind,
-    shake: ShakePolicy,
-) -> (Vec<(usize, usize, u64)>, u64) {
-    let sim = Sim::with_policy(kind, shake);
+/// Runs `program` under `shake`, returning the dispatch log and end time.
+fn run_shaken(program: &[Vec<Action>], shake: ShakePolicy) -> (Vec<(usize, usize, u64)>, u64) {
+    let sim = Sim::with_shake(shake);
     let h = sim.handle();
     let gates: Vec<_> = (0..GATES).map(|_| h.gate()).collect();
     let log: Log = Rc::default();
@@ -73,7 +69,7 @@ fn run_shaken(
     }
     // Sweeper: generated programs may park tasks nobody opens for; keep
     // broadcasting on every gate until only the sweeper itself is left.
-    // Fully deterministic, so it cannot mask an ordering divergence.
+    // Fully deterministic, so it cannot mask a schedule divergence.
     {
         let h = h.clone();
         sim.spawn(async move {
@@ -89,11 +85,6 @@ fn run_shaken(
     (Rc::try_unwrap(log).unwrap().into_inner(), end)
 }
 
-/// Runs `program` under `kind` with shaking off.
-fn run(program: &[Vec<Action>], kind: SchedulerKind) -> (Vec<(usize, usize, u64)>, u64) {
-    run_shaken(program, kind, ShakePolicy::Off)
-}
-
 /// A structured wait/open/abandon program whose event *totals* are
 /// interleaving-invariant by construction: `waiters` tasks take a gate
 /// ticket at cycle 0 and await it, `abandoners` take a ticket, sleep past
@@ -103,13 +94,8 @@ fn run(program: &[Vec<Action>], kind: SchedulerKind) -> (Vec<(usize, usize, u64)
 /// Returns the engine counters and end time.
 const OPEN_AT: u64 = 5000; // beyond the wheel span, so the overflow heap runs too
 
-fn stale_run(
-    kind: SchedulerKind,
-    shake: ShakePolicy,
-    waiters: usize,
-    abandoners: &[u64],
-) -> (EngineStats, u64) {
-    let sim = Sim::with_policy(kind, shake);
+fn stale_run(shake: ShakePolicy, waiters: usize, abandoners: &[u64]) -> (EngineStats, u64) {
+    let sim = Sim::with_shake(shake);
     let h = sim.handle();
     let gate = h.gate();
     for _ in 0..waiters {
@@ -143,24 +129,17 @@ fn stale_run(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
+    /// A seeded tie-break stream defines one total order: the same
+    /// program under the same policy, run twice, gives the same log and
+    /// end time, both with FIFO ties and under a shake seed.
     #[test]
-    fn calendar_and_heap_dispatch_identically(program in program_strategy()) {
-        let (log_cal, end_cal) = run(&program, SchedulerKind::CalendarQueue);
-        let (log_heap, end_heap) = run(&program, SchedulerKind::BinaryHeap);
-        prop_assert_eq!(end_cal, end_heap, "end times diverged");
-        prop_assert_eq!(log_cal, log_heap, "dispatch order diverged");
-    }
-
-    /// The equivalence holds per shake seed too: a seeded tie-break
-    /// stream defines one total order that both queue implementations
-    /// must realize identically.
-    #[test]
-    fn shaken_schedulers_dispatch_identically(program in program_strategy(), seed in any::<u64>()) {
-        let shake = ShakePolicy::Seeded(seed);
-        let (log_cal, end_cal) = run_shaken(&program, SchedulerKind::CalendarQueue, shake);
-        let (log_heap, end_heap) = run_shaken(&program, SchedulerKind::BinaryHeap, shake);
-        prop_assert_eq!(end_cal, end_heap, "end times diverged under seed {}", seed);
-        prop_assert_eq!(log_cal, log_heap, "dispatch order diverged under seed {}", seed);
+    fn same_seed_dispatches_identically(program in program_strategy(), seed in any::<u64>()) {
+        for shake in [ShakePolicy::Off, ShakePolicy::Seeded(seed)] {
+            let (log_a, end_a) = run_shaken(&program, shake);
+            let (log_b, end_b) = run_shaken(&program, shake);
+            prop_assert_eq!(end_a, end_b, "end times diverged under {:?}", shake);
+            prop_assert_eq!(log_a, log_b, "dispatch order diverged under {:?}", shake);
+        }
     }
 
     /// Event accounting is schedule-invariant: however a seed permutes
@@ -174,8 +153,7 @@ proptest! {
         seeds in proptest::collection::vec(any::<u64>(), 1..4),
     ) {
         let tasks = (waiters + abandoners.len() + 1) as u64;
-        let (ref_stats, ref_end) =
-            stale_run(SchedulerKind::CalendarQueue, ShakePolicy::Off, waiters, &abandoners);
+        let (ref_stats, ref_end) = stale_run(ShakePolicy::Off, waiters, &abandoners);
         prop_assert_eq!(ref_stats.events_dispatched, 2 * tasks, "two resumptions per task");
         prop_assert_eq!(ref_stats.stale_events, abandoners.len() as u64,
             "one stale wake per abandoned ticket");
@@ -183,14 +161,12 @@ proptest! {
         let mut policies = vec![ShakePolicy::Off];
         policies.extend(seeds.iter().map(|&s| ShakePolicy::Seeded(s)));
         for shake in policies {
-            for kind in [SchedulerKind::CalendarQueue, SchedulerKind::BinaryHeap] {
-                let (stats, end) = stale_run(kind, shake, waiters, &abandoners);
-                prop_assert_eq!(stats.events_dispatched, ref_stats.events_dispatched,
-                    "dispatch total diverged under {:?}/{:?}", kind, shake);
-                prop_assert_eq!(stats.stale_events, ref_stats.stale_events,
-                    "stale total diverged under {:?}/{:?}", kind, shake);
-                prop_assert_eq!(end, ref_end, "end time diverged under {:?}/{:?}", kind, shake);
-            }
+            let (stats, end) = stale_run(shake, waiters, &abandoners);
+            prop_assert_eq!(stats.events_dispatched, ref_stats.events_dispatched,
+                "dispatch total diverged under {:?}", shake);
+            prop_assert_eq!(stats.stale_events, ref_stats.stale_events,
+                "stale total diverged under {:?}", shake);
+            prop_assert_eq!(end, ref_end, "end time diverged under {:?}", shake);
         }
     }
 }

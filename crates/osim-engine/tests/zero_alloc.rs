@@ -1,6 +1,6 @@
 //! Proof of the zero-allocation claim: once warm, steady-state gate
 //! `wait()`/`open_at()` traffic and event dispatch perform no heap
-//! allocations under either scheduler — including with dependency-flow
+//! allocations on the calendar event queue — including with dependency-flow
 //! capture armed (every open carrying a tagged [`WakeOrigin`]) and with
 //! metrics recording live: the engine's gate-wait/fan-out histograms are
 //! fed inline by every open, and `osim_metrics::Histogram` record/merge
@@ -23,7 +23,7 @@ use std::time::Duration;
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use osim_engine::{SchedulerKind, Sim, WakeOrigin};
+use osim_engine::{Sim, WakeOrigin};
 use osim_metrics::{FlightCfg, FlightRecorder, Histogram, Registry};
 
 struct CountingAlloc;
@@ -73,115 +73,109 @@ fn steady_state_gate_and_dispatch_are_allocation_free() {
     // pre-allocated histogram behind a mutex).
     static TICKS: AtomicU64 = AtomicU64::new(0);
 
-    for kind in [SchedulerKind::CalendarQueue, SchedulerKind::BinaryHeap] {
-        ARMED.store(false, Ordering::SeqCst);
-        ALLOCS.store(0, Ordering::SeqCst);
-        TICKS.store(0, Ordering::SeqCst);
+    // Flight recorder armed across the window. Its sampler thread
+    // parks far beyond the test (collection allocates by design and is
+    // driven via `sample_now` strictly outside the counted window), so
+    // what stays inside the window is exactly the recording side.
+    let wait_hist = Arc::new(Mutex::new(Histogram::new()));
+    let collect_hist = Arc::clone(&wait_hist);
+    let recorder = FlightRecorder::start(
+        FlightCfg {
+            interval: Duration::from_secs(3600),
+            capacity: 8,
+        },
+        Arc::new(move |reg: &mut Registry| {
+            reg.counter_add("osim_test_ticks_total", &[], TICKS.load(Ordering::Relaxed));
+            reg.hist_mut("osim_test_wait_us", &[])
+                .merge(&collect_hist.lock().expect("hist lock"));
+        }),
+    )
+    .expect("start recorder");
+    recorder.sample_now();
+    // Warm the recording-side mutex and the disarmed host-trace path.
+    wait_hist.lock().expect("hist lock").record(1);
+    let trace_t0 = std::time::Instant::now();
 
-        // Flight recorder armed across the window. Its sampler thread
-        // parks far beyond the test (collection allocates by design and is
-        // driven via `sample_now` strictly outside the counted window), so
-        // what stays inside the window is exactly the recording side.
-        let wait_hist = Arc::new(Mutex::new(Histogram::new()));
-        let collect_hist = Arc::clone(&wait_hist);
-        let recorder = FlightRecorder::start(
-            FlightCfg {
-                interval: Duration::from_secs(3600),
-                capacity: 8,
-            },
-            Arc::new(move |reg: &mut Registry| {
-                reg.counter_add("osim_test_ticks_total", &[], TICKS.load(Ordering::Relaxed));
-                reg.hist_mut("osim_test_wait_us", &[])
-                    .merge(&collect_hist.lock().expect("hist lock"));
-            }),
-        )
-        .expect("start recorder");
-        recorder.sample_now();
-        // Warm the recording-side mutex and the disarmed host-trace path.
-        wait_hist.lock().expect("hist lock").record(1);
-        let trace_t0 = std::time::Instant::now();
-
-        let sim = Sim::with_scheduler(kind);
-        let h = sim.handle();
-        let gate = h.gate();
-        for _ in 0..WAITERS {
-            let gate = gate.clone();
-            sim.spawn(async move {
-                for _ in 0..ROUNDS {
-                    gate.wait().await;
-                }
-            });
-        }
-        // Allocated before the window arms: `Histogram` itself is a flat
-        // fixed-size value, so record()/merge() inside the loop must not
-        // touch the heap.
-        let local_hist = Rc::new(RefCell::new((Histogram::new(), Histogram::new())));
-        {
-            let h = h.clone();
-            let local_hist = Rc::clone(&local_hist);
-            let wait_hist = Arc::clone(&wait_hist);
-            sim.spawn(async move {
-                for round in 0..ROUNDS {
-                    if round == ARM_AT {
-                        ARMED.store(true, Ordering::SeqCst);
-                    }
-                    if round == DISARM_AT {
-                        ARMED.store(false, Ordering::SeqCst);
-                    }
-                    // Attach a wake origin (the dependency-capture path):
-                    // origin propagation must be as allocation-free as the
-                    // plain open.
-                    let origin = WakeOrigin {
-                        label: (round << 32) | 1,
-                        at: h.now(),
-                    };
-                    gate.open_at_tagged_from(h.now() + 1, 1, origin);
-                    // Metrics armed on the hot loop: record spans the
-                    // linear and log bucket ranges, and a merge runs every
-                    // round — all of it inside the counted window.
-                    {
-                        let (ref mut a, ref mut b) = *local_hist.borrow_mut();
-                        a.record(round);
-                        a.record(round << 8);
-                        b.merge(a);
-                    }
-                    // The observability recording side, live inside the
-                    // counted window: relaxed counter bump, shared
-                    // pre-allocated histogram record, and the disarmed
-                    // host-trace fast path (one relaxed load).
-                    TICKS.fetch_add(1, Ordering::Relaxed);
-                    wait_hist.lock().expect("hist lock").record(round);
-                    osim_metrics::host_trace_span("job", "noop", 0, trace_t0);
-                    h.sleep(1).await;
-                }
-            });
-        }
-        sim.run().expect("no deadlock");
-
-        let counted = ALLOCS.load(Ordering::SeqCst);
-        assert_eq!(
-            counted, 0,
-            "{kind:?}: {counted} heap allocation(s) in the steady-state window \
-             (rounds {ARM_AT}..{DISARM_AT}, {WAITERS} waiters)"
-        );
-        // The window was not vacuously quiet: the engine-side histograms
-        // were recording throughout (one wait per waiter wake, one fan-out
-        // sample per open), and the direct record/merge traffic landed.
-        let eng = sim.hists();
-        assert_eq!(eng.wake_fanout.count(), ROUNDS);
-        assert_eq!(eng.gate_wait.count(), WAITERS as u64 * ROUNDS);
-        assert_eq!(local_hist.borrow().0.count(), 2 * ROUNDS);
-        // The recorder observed the recording-side traffic: a second
-        // sample (outside the window) turns the counter's final value into
-        // the window-delta sum.
-        recorder.sample_now();
-        let ticks: u64 = recorder
-            .windows()
-            .iter()
-            .flat_map(|w| w.counters.iter())
-            .filter(|(name, _)| name == "osim_test_ticks_total")
-            .map(|(_, v)| v)
-            .sum();
-        assert_eq!(ticks, ROUNDS, "{kind:?}: recorder missed ticks");
+    let sim = Sim::new();
+    let h = sim.handle();
+    let gate = h.gate();
+    for _ in 0..WAITERS {
+        let gate = gate.clone();
+        sim.spawn(async move {
+            for _ in 0..ROUNDS {
+                gate.wait().await;
+            }
+        });
     }
+    // Allocated before the window arms: `Histogram` itself is a flat
+    // fixed-size value, so record()/merge() inside the loop must not
+    // touch the heap.
+    let local_hist = Rc::new(RefCell::new((Histogram::new(), Histogram::new())));
+    {
+        let h = h.clone();
+        let local_hist = Rc::clone(&local_hist);
+        let wait_hist = Arc::clone(&wait_hist);
+        sim.spawn(async move {
+            for round in 0..ROUNDS {
+                if round == ARM_AT {
+                    ARMED.store(true, Ordering::SeqCst);
+                }
+                if round == DISARM_AT {
+                    ARMED.store(false, Ordering::SeqCst);
+                }
+                // Attach a wake origin (the dependency-capture path):
+                // origin propagation must be as allocation-free as the
+                // plain open.
+                let origin = WakeOrigin {
+                    label: (round << 32) | 1,
+                    at: h.now(),
+                };
+                gate.open_at_tagged_from(h.now() + 1, 1, origin);
+                // Metrics armed on the hot loop: record spans the
+                // linear and log bucket ranges, and a merge runs every
+                // round — all of it inside the counted window.
+                {
+                    let (ref mut a, ref mut b) = *local_hist.borrow_mut();
+                    a.record(round);
+                    a.record(round << 8);
+                    b.merge(a);
+                }
+                // The observability recording side, live inside the
+                // counted window: relaxed counter bump, shared
+                // pre-allocated histogram record, and the disarmed
+                // host-trace fast path (one relaxed load).
+                TICKS.fetch_add(1, Ordering::Relaxed);
+                wait_hist.lock().expect("hist lock").record(round);
+                osim_metrics::host_trace_span("job", "noop", 0, trace_t0);
+                h.sleep(1).await;
+            }
+        });
+    }
+    sim.run().expect("no deadlock");
+
+    let counted = ALLOCS.load(Ordering::SeqCst);
+    assert_eq!(
+        counted, 0,
+        "{counted} heap allocation(s) in the steady-state window \
+         (rounds {ARM_AT}..{DISARM_AT}, {WAITERS} waiters)"
+    );
+    // The window was not vacuously quiet: the engine-side histograms
+    // were recording throughout (one wait per waiter wake, one fan-out
+    // sample per open), and the direct record/merge traffic landed.
+    let eng = sim.hists();
+    assert_eq!(eng.wake_fanout.count(), ROUNDS);
+    assert_eq!(eng.gate_wait.count(), WAITERS as u64 * ROUNDS);
+    assert_eq!(local_hist.borrow().0.count(), 2 * ROUNDS);
+    // The recorder observed the recording-side traffic: a second
+    // sample (outside the window) turns the counter's final value into
+    // the window-delta sum.
+    recorder.sample_now();
+    let ticks: u64 = recorder
+        .windows()
+        .iter()
+        .flat_map(|w| w.counters.iter())
+        .filter(|(name, _)| name == "osim_test_ticks_total")
+        .map(|(_, v)| v)
+        .sum();
+    assert_eq!(ticks, ROUNDS, "recorder missed ticks");
 }

@@ -1,7 +1,7 @@
 //! Shared experiment plumbing: workload scales, benchmark dispatch, and
 //! table formatting.
 
-use osim_cpu::{MachineCfg, SchedulerKind, ShakePolicy};
+use osim_cpu::{MachineCfg, ShakePolicy};
 use osim_mem::CacheCfg;
 use osim_report::{ReportScale, SimReport};
 use osim_uarch::FaultPlan;
@@ -28,9 +28,6 @@ pub struct Scale {
     /// Deterministic fault-injection plan applied to every machine the
     /// invocation builds (`--inject <spec>`); `None` injects nothing.
     pub inject: Option<FaultPlan>,
-    /// Engine event-queue implementation (`--scheduler <kind>`); purely a
-    /// host-speed knob, simulated timing is identical under every kind.
-    pub scheduler: SchedulerKind,
     /// Same-cycle tie-break perturbation (`--shake-seed <n>`). Off by
     /// default; a seeded shake deterministically permutes same-cycle
     /// dispatch order, so simulated numbers may differ from the committed
@@ -41,9 +38,9 @@ pub struct Scale {
     pub oracles: bool,
 }
 
-/// Hand-rolled so host-only knobs — the scheduler, the shake policy and
-/// the oracle arm bit — stay out of rendered sweep headers, keeping them
-/// byte-identical across schedulers and with pre-existing baselines.
+/// Hand-rolled so the shake policy and the oracle arm bit stay out of
+/// rendered sweep headers, keeping them byte-identical with pre-existing
+/// baselines.
 /// (Shaken runs may still differ in the *numbers*; the header format is
 /// what stays fixed.)
 impl std::fmt::Debug for Scale {
@@ -69,7 +66,6 @@ impl Scale {
             mat_n: 100,
             lev_len: 1000,
             inject: None,
-            scheduler: SchedulerKind::default(),
             shake: ShakePolicy::Off,
             oracles: false,
         }
@@ -84,7 +80,6 @@ impl Scale {
             mat_n: 28,
             lev_len: 96,
             inject: None,
-            scheduler: SchedulerKind::default(),
             shake: ShakePolicy::Off,
             oracles: false,
         }
@@ -100,7 +95,6 @@ impl Scale {
             mat_n: 8,
             lev_len: 24,
             inject: None,
-            scheduler: SchedulerKind::default(),
             shake: ShakePolicy::Off,
             oracles: false,
         }
@@ -245,7 +239,6 @@ pub fn machine(scale: &Scale, cores: usize, l1_kb: Option<u32>, extra_latency: u
     cfg.omgr.versioned_extra_latency = extra_latency;
     cfg.omgr.fault_plan = scale.inject;
     cfg.omgr.oracles = scale.oracles;
-    cfg.scheduler = scale.scheduler;
     cfg.shake = scale.shake;
     cfg
 }

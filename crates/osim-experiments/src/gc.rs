@@ -37,7 +37,6 @@ fn job(scale: &Scale, name: &'static str, tweak: impl Fn(&mut MachineCfg)) -> Sw
     let mut m = MachineCfg::paper(1);
     m.omgr.fault_plan = scale.inject;
     m.omgr.oracles = scale.oracles;
-    m.scheduler = scale.scheduler;
     m.shake = scale.shake;
     tweak(&mut m);
     let cfg = ds_cfg(scale);

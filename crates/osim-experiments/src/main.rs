@@ -4,7 +4,7 @@
 //! ```text
 //! cargo run -p osim-experiments --release -- <experiment> [--full|--tiny]
 //!     [--scale <quick|tiny|full>] [--jobs <n>] [--stats] [--json <path>]
-//!     [--chrome <path>] [--scheduler <calendar|heap>] [--progress]
+//!     [--chrome <path>] [--progress]
 //!     [--sweep-json <path>] [--metrics-addr <host:port|off>]
 //!     [--host-chrome <path>]
 //! cargo run -p osim-experiments --release -- compare <a.json> <b.json>
@@ -45,7 +45,7 @@
 //! `--shake-seed <n>` arms [`osim_cpu::ShakePolicy::Seeded`] on every
 //! machine of the invocation: same-cycle ready-queue tie-breaks are drawn
 //! from splitmix64 stream `n` instead of FIFO order. A given seed is
-//! byte-identical across `--jobs` counts and both schedulers, but its
+//! byte-identical across `--jobs` counts, but its
 //! numbers may legally differ from the committed (unshaken) references.
 //!
 //! `perf` additionally accepts `--reps <n>` (repetitions, default 3) and
@@ -72,11 +72,6 @@
 //! run's Chrome trace-event document, loadable in Perfetto or
 //! `chrome://tracing`.
 //!
-//! `--scheduler <calendar|heap>` selects the engine's event-queue
-//! implementation (default: calendar). Simulated timing and every byte of
-//! output are identical under both; the binary heap is retained as the
-//! reference implementation the equivalence tests compare against.
-//!
 //! `--progress` paints a live one-line sweep status (done/running/queued
 //! counts, an ETA, and what each worker is on) to **stderr**, so stdout
 //! and `--json` stay byte-identical with and without it. `--sweep-json
@@ -100,7 +95,7 @@
 //! version), and completed results are stored under `<dir>` as one JSON
 //! entry per key. A warm rerun skips simulation entirely and reproduces
 //! stdout and `--json` byte-identically — host-only knobs (`--jobs`,
-//! `--scheduler`, `--progress`) are deliberately *not* part of the key.
+//! `--progress`) are deliberately *not* part of the key.
 //! Corrupt or stale entries are detected, dropped, and re-run; a cache
 //! can slow an invocation down but never change or fail it. `--cache off`
 //! (the default) disables it. `perf --cache-bench` measures the cold
@@ -108,7 +103,7 @@
 //!
 //! `--metrics-addr <host:port>` (default `off`) arms the live
 //! observability plane for the invocation: a flight recorder sampling
-//! every instrumented layer (jobq pool, concurrent store, vacuum, run
+//! the instrumented layers (jobq pool, concurrent store, vacuum, run
 //! cache) on a fixed cadence, and a std-only HTTP endpoint serving
 //! `GET /metrics` (Prometheus text), `GET /metrics.json` and
 //! `GET /window` (recent per-window deltas). Port 0 binds an ephemeral
@@ -160,7 +155,7 @@ use common::Scale;
 /// Builds the `--sweep-json` document from the pool telemetry accumulated
 /// over the invocation. Everything wall-clock in here is host-side and
 /// nondeterministic — deliberately kept out of the `SimReport` stream.
-fn sweep_telemetry_doc(jobs_flag: usize, scale: &Scale) -> Json {
+fn sweep_telemetry_doc(jobs_flag: usize) -> Json {
     use osim_report::json::obj;
     let t = runner::drain_telemetry();
     let workers: Vec<Json> = t
@@ -198,7 +193,6 @@ fn sweep_telemetry_doc(jobs_flag: usize, scale: &Scale) -> Json {
         ("schema", Json::Str("osim-sweep-telemetry-v1".to_string())),
         ("host_cpus", Json::from_u64(host_cpus)),
         ("jobs_flag", Json::from_u64(jobs_flag as u64)),
-        ("scheduler", Json::Str(scale.scheduler.name().to_string())),
         ("batches", Json::from_u64(t.batches)),
         ("wall_ms", Json::Num(t.wall_ms)),
         ("job_count", Json::from_u64(t.jobs.len() as u64)),
@@ -286,14 +280,6 @@ fn main() {
             Ok(plan) => plan,
             Err(e) => {
                 eprintln!("--inject {spec}: {e}");
-                std::process::exit(2);
-            }
-        });
-    let scheduler =
-        take_value(&mut args, "--scheduler").map(|v| match osim_cpu::SchedulerKind::parse(&v) {
-            Some(kind) => kind,
-            None => {
-                eprintln!("--scheduler must be calendar or heap, got {v:?}");
                 std::process::exit(2);
             }
         });
@@ -388,9 +374,6 @@ fn main() {
         _ => Scale::quick(),
     };
     scale.inject = inject;
-    if let Some(kind) = scheduler {
-        scale.scheduler = kind;
-    }
     if let Some(seed) = shake_seed {
         // For the stress subcommand the seed pins the start of the seed
         // range instead; stress sets the per-run policy itself.
@@ -508,7 +491,6 @@ fn main() {
                 "usage: osim-experiments <config|fig6|fig7|fig8|fig9|fig10|gc|trace|analyze|all|perf|stress> \
                  [--full|--tiny] [--scale <quick|tiny|full>] [--jobs <n>] [--reps <n>] \
                  [--stats] [--json <path>] [--chrome <path>] \
-                 [--scheduler <calendar|heap>] \
                  [--fig <6|7|9|10>] [--sample-every <cycles>] \
                  [--shake-seed <n>] [--seeds <n>] \
                  [--progress] [--sweep-json <path>] [--ostructs] [--cache-bench] \
@@ -523,8 +505,8 @@ fn main() {
                  are stored under <dir> keyed by everything that affects their\n\
                  simulated result; a warm rerun skips simulation and reproduces\n\
                  stdout and --json byte-identically. Host-only knobs (--jobs,\n\
-                 --scheduler, --progress) do not affect the key. Corrupt entries\n\
-                 are dropped and re-run. Default: off.\n\
+                 --progress) do not affect the key. Corrupt entries are dropped\n\
+                 and re-run. Default: off.\n\
                  \n\
                  cache: maintenance for such a directory (default .osim-cache):\n\
                  stats (entry counts, bytes), verify (decode every entry with\n\
@@ -538,9 +520,8 @@ fn main() {
                  stress: schedule-shaking robustness harness. Runs every quick\n\
                  figure under --seeds (default 25) seeded tie-break perturbations\n\
                  (--shake-seed pins the first seed), with the manager's invariant\n\
-                 oracles armed, and cross-checks both event-queue implementations\n\
-                 per seed. Prints a minimal repro line per violation; exit 0 =\n\
-                 all invariants held, 1 = violations. --fig <6|7|8|9|10|gc>\n\
+                 oracles armed. Prints a minimal repro line per violation; exit\n\
+                 0 = all invariants held, 1 = violations. --fig <6|7|8|9|10|gc>\n\
                  restricts the figure set.\n\
                  \n\
                  --shake-seed <n>: for the other experiments, perturb same-cycle\n\
@@ -554,7 +535,7 @@ fn main() {
                  \n\
                  --metrics-addr <host:port>: live scrape endpoint (GET /metrics\n\
                  in Prometheus text, /metrics.json, /window) over the flight\n\
-                 recorder sampling every instrumented layer (jobq, store,\n\
+                 recorder sampling the instrumented layers (jobq, store,\n\
                  vacuum, cache). Port 0 binds ephemeral; the bound address is\n\
                  announced on stderr. Default: off (nothing starts).\n\
                  --host-chrome <path>: host wall-clock spans (worker jobs,\n\
@@ -600,7 +581,7 @@ fn main() {
         eprintln!("wrote {} report(s) to {path}", reports.len());
     }
     if let Some(path) = sweep_json {
-        let doc = sweep_telemetry_doc(jobs, &scale);
+        let doc = sweep_telemetry_doc(jobs);
         if let Err(e) = fs::write(&path, doc.to_pretty()) {
             eprintln!("cannot write --sweep-json output {path}: {e}");
             std::process::exit(1);

@@ -6,25 +6,18 @@
 //! * a **shared collector** that folds every instrumented layer into one
 //!   point-in-time [`Registry`]: the jobq pool (`osim_jobq_*`), the
 //!   concurrent store's process-global hot-path counters (`osim_store_*`),
-//!   the vacuum roll-up (`osim_vacuum_*`), and the run cache
-//!   (`osim_cache_*` — the armed `--cache` store when present, always the
-//!   heartbeat canary below);
+//!   the vacuum roll-up (`osim_vacuum_*`), and the armed `--cache` store
+//!   (`osim_cache_*`, present only when `--cache` is given);
 //! * a [`FlightRecorder`] sampling that collector on a fixed cadence into
 //!   a bounded ring of per-window deltas (served as `/window`);
 //! * a [`MetricsServer`] — the std-only scrape endpoint (`/metrics`,
 //!   `/metrics.json`, `/window`).
 //!
-//! **Heartbeat canary.** The figure workloads run on the *simulated*
-//! machine; nothing in a sweep touches `ostructs-core` or a `TextStore`
-//! unless `--cache` is armed. So that every scrape of a long-running
-//! invocation shows all four layers *live* (non-zero and moving between
-//! two scrapes), each collector tick drives one real operation through
-//! each layer: a versioned store into a canary `OCell`, a pin/unpin and a
-//! vacuum pass against a private `ReaderRegistry`, and a memory-tier
-//! cache probe. These exercise the genuine instrumented code paths — the
-//! numbers are real measurements of real (tiny) work, not synthetic
-//! gauges — and the canary's registries are process-global, so workload
-//! activity (when present) lands in the same families.
+//! The collector reports only the work the invocation does. The figure
+//! workloads run on the *simulated* machine and never touch
+//! `ostructs-core`, so during a sweep the store and vacuum families stay
+//! at zero; they move when an invocation drives the store (`perf
+//! --ostructs`).
 //!
 //! Everything here lives in a process-wide [`OnceLock`] and is never torn
 //! down: `stress` and `compare` leave via `std::process::exit`, and the
@@ -33,63 +26,10 @@
 //! no byte of output changes.
 
 use std::sync::{Arc, Mutex, OnceLock};
-use std::time::Duration;
 
-use osim_jobq::{CacheKey, TextStore};
 use osim_metrics::flight::Collector;
 use osim_metrics::{FlightCfg, FlightRecorder, Registry};
 use osim_serve::{MetricsServer, WindowSource};
-use ostructs_core::vacuum::{ReaderRegistry, Vacuum, VacuumCfg};
-use ostructs_core::OCell;
-
-/// Key of the canary cache entry (an arbitrary fixed tag; the canary
-/// store is memory-only and private to the plane).
-const CANARY_KEY: CacheKey = CacheKey(0x0b5e_4ab1_e000_ca11_ab1e_0000_0000_0001);
-
-/// One real operation per layer per collector tick; see the module docs.
-struct Heartbeat {
-    registry: ReaderRegistry,
-    vacuum: Vacuum,
-    canary: OCell<u64>,
-    cache: TextStore,
-}
-
-impl Heartbeat {
-    fn new() -> Self {
-        let registry = ReaderRegistry::new();
-        // The plane drives passes from collector ticks; the background
-        // cadence is parked far out so it never double-fires.
-        let vacuum = Vacuum::start(
-            registry.clone(),
-            VacuumCfg {
-                interval: Duration::from_secs(3600),
-            },
-        );
-        let canary = OCell::with_initial(0, 0u64);
-        vacuum.track(&canary);
-        let cache = TextStore::memory();
-        cache.put(&CANARY_KEY, "heartbeat");
-        Heartbeat {
-            registry,
-            vacuum,
-            canary,
-            cache,
-        }
-    }
-
-    fn tick(&self) {
-        let v = self.registry.next_version();
-        let _ = self.canary.store_version(v, v);
-        drop(self.registry.pin());
-        self.vacuum.run_pass();
-        let _ = self.cache.get(&CANARY_KEY);
-    }
-
-    fn fill(&self, reg: &mut Registry) {
-        self.vacuum.fill_registry(reg);
-        self.cache.fill_registry(reg);
-    }
-}
 
 /// The armed plane; held (never dropped) in a process-wide static. The
 /// recorder handle is retained purely to keep the sampler alive — and
@@ -104,16 +44,14 @@ fn plane_slot() -> &'static OnceLock<Plane> {
 }
 
 /// The one collector every consumer (sampler, scrape routes) shares.
-fn collector(hb: Arc<Heartbeat>) -> Collector {
-    Arc::new(move |reg: &mut Registry| {
-        hb.tick();
+fn collector() -> Collector {
+    Arc::new(|reg: &mut Registry| {
         osim_jobq::fill_live_registry(reg);
         ostructs_core::fill_store_registry(reg);
         ostructs_core::fill_vacuum_registry(reg);
         if let Some(store) = crate::runner::cache_store() {
             store.fill_registry(reg);
         }
-        hb.fill(reg);
     })
 }
 
@@ -122,8 +60,7 @@ fn collector(hb: Arc<Heartbeat>) -> Collector {
 /// Exits with code 2 when the address cannot be bound: a user who asked
 /// for a scrape endpoint must not silently run without one.
 pub fn arm(spec: &str) {
-    let hb = Arc::new(Heartbeat::new());
-    let collect = collector(hb);
+    let collect = collector();
     let recorder = match FlightRecorder::start(FlightCfg::default(), Arc::clone(&collect)) {
         Ok(r) => Arc::new(r),
         Err(e) => {
@@ -190,49 +127,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn heartbeat_moves_all_four_layers() {
-        let hb = Heartbeat::new();
-        let mut before = Registry::new();
-        osim_jobq::fill_live_registry(&mut before);
-        ostructs_core::fill_store_registry(&mut before);
-        ostructs_core::fill_vacuum_registry(&mut before);
-        hb.fill(&mut before);
-
-        for _ in 0..3 {
-            hb.tick();
-        }
-
-        let mut after = Registry::new();
-        osim_jobq::fill_live_registry(&mut after);
-        ostructs_core::fill_store_registry(&mut after);
-        ostructs_core::fill_vacuum_registry(&mut after);
-        hb.fill(&mut after);
-
-        // Store, vacuum and cache counters all advanced. (The jobq family
-        // is driven by real sweep jobs, not the heartbeat; other tests in
-        // this binary exercise it.)
-        assert!(
-            after.counter("osim_store_snapshot_publish_total", &[])
-                >= before.counter("osim_store_snapshot_publish_total", &[]) + 3
-        );
-        assert!(
-            after.counter("osim_vacuum_passes_total", &[])
-                >= before.counter("osim_vacuum_passes_total", &[]) + 3
-        );
-        assert!(
-            after.counter("osim_cache_hits_total", &[])
-                >= before.counter("osim_cache_hits_total", &[]) + 3
-        );
-        assert!(after.counter("ostructs_vacuum_passes_total", &[]) >= 3);
-    }
-
-    #[test]
-    fn collector_is_shareable_and_fills_every_family() {
-        let collect = collector(Arc::new(Heartbeat::new()));
+    fn collector_is_shareable_and_fills_the_process_global_families() {
+        let collect = collector();
         let mut reg = Registry::new();
         collect(&mut reg);
         let text = reg.to_prometheus();
-        for family in ["osim_jobq_", "osim_store_", "osim_vacuum_", "osim_cache_"] {
+        for family in ["osim_jobq_", "osim_store_", "osim_vacuum_"] {
             assert!(text.contains(family), "missing {family} in:\n{text}");
         }
     }

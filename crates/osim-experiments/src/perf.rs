@@ -126,7 +126,6 @@ pub fn run(
         // host_cpus from both sides before comparing.
         ("host_os", Json::Str(std::env::consts::OS.to_string())),
         ("host_arch", Json::Str(std::env::consts::ARCH.to_string())),
-        ("scheduler", Json::Str(scale.scheduler.name().to_string())),
     ];
     if let Some((ms, ref_name)) = &baseline {
         fields.push((

@@ -3,13 +3,13 @@
 //! Every sweep job is a pure function of its *fully-rendered*
 //! configuration — the figure/benchmark/tag triple (which fixes the
 //! workload program and its `DsCfg`), the exact [`MachineCfg`] it launches
-//! with, and the invocation [`Scale`] — because the simulator has been
-//! byte-deterministic across `--jobs` and schedulers since PR 3. That
-//! makes results perfectly cacheable: [`job_key`] hashes exactly the
-//! semantic inputs (and *provably not* the host-only knobs: scheduler
-//! kind, worker count, progress — see the fingerprint tests below), and
-//! [`BatchCache`] maps hits back into [`DsResult`]s that are
-//! indistinguishable from a fresh run.
+//! with, and the invocation [`Scale`] — because the simulator is
+//! byte-deterministic across `--jobs` worker counts. That makes results
+//! perfectly cacheable: [`job_key`] hashes exactly the semantic inputs
+//! (the fingerprint tests below check each one moves the key; the
+//! host-only worker count and progress have no parameter to arrive
+//! through), and [`BatchCache`] maps hits back into [`DsResult`]s that
+//! are indistinguishable from a fresh run.
 //!
 //! Entries are single JSON documents (`osim-cache-entry-v1`): the run's
 //! schema-v5 [`SimReport`] — reusing `osim-report`'s serialization, whose
@@ -51,9 +51,9 @@ use crate::common::Scale;
 ///   changes, new fields derived from simulation
 /// - [ ] key derivation or entry codec changes in this module
 ///
-/// Host-only changes (scheduler implementations, `--jobs`, progress
-/// rendering, telemetry sinks) must NOT bump it: they are excluded from
-/// the key precisely because they cannot affect simulated output.
+/// Host-only changes (`--jobs`, progress rendering, telemetry sinks) must
+/// NOT bump it: they are excluded from the key precisely because they
+/// cannot affect simulated output.
 pub const ENGINE_SEMANTICS_VERSION: u64 = 1;
 
 /// Entry document schema tag.
@@ -132,9 +132,8 @@ pub fn job_key(fig: &str, bench: &str, tag: &str, cfg: &MachineCfg, scale: &Scal
     // Fault injection, via its canonical round-tripping spec string.
     let spec = cfg.omgr.fault_plan.map(|p| p.to_spec());
     kb = kb.opt_str_field("omgr.inject", spec.as_deref());
-    // Deliberately excluded — host-only, proven by the fingerprint tests:
-    // cfg.scheduler (event-queue implementation), the --jobs worker
-    // count, --progress/--sweep-json sinks.
+    // Deliberately excluded — host-only: the --jobs worker count and the
+    // --progress/--sweep-json sinks (none of them reaches this function).
     kb.finish()
 }
 
@@ -452,7 +451,6 @@ impl ResultCache<DsResult> for BatchCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use osim_cpu::SchedulerKind;
     use proptest::prelude::*;
 
     use crate::common::{machine, Scale};
@@ -584,25 +582,11 @@ mod tests {
         );
     }
 
-    /// Fingerprint soundness, host-only side: the scheduler kind — the
-    /// PR-7-class trap, since it lives right next to `shake` in
-    /// `MachineCfg` — provably does not move the key. (`--jobs` and
-    /// `--progress` never reach the key function at all: it has no
-    /// parameter they could arrive through.)
-    #[test]
-    fn host_only_knobs_do_not_flip_the_key() {
-        let mut scale = Scale::tiny();
-        let k0 = base_key(&scale);
-        scale.scheduler = SchedulerKind::BinaryHeap;
-        assert_eq!(k0, base_key(&scale), "--scheduler must not flip the key");
-    }
-
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(32))]
 
         /// Randomized fingerprint check: whatever semantic configuration a
-        /// job has, flipping the scheduler never moves its key, and
-        /// bumping any scale/seed knob always does.
+        /// job has, bumping any scale/seed knob always moves its key.
         #[test]
         fn fingerprint_soundness_randomized(
             ops in 1usize..4096,
@@ -619,11 +603,6 @@ mod tests {
             };
             let cfg = machine(&scale, cores, l1, extra);
             let k = job_key("fig6", "Linked list", "versioned", &cfg, &scale);
-            // Host-only: scheduler flip keeps the key.
-            let mut flipped = scale;
-            flipped.scheduler = SchedulerKind::BinaryHeap;
-            let cfg_f = machine(&flipped, cores, l1, extra);
-            prop_assert_eq!(k, job_key("fig6", "Linked list", "versioned", &cfg_f, &flipped));
             // Semantic: ops bump flips the key.
             let mut bumped = scale;
             bumped.ops += 1;

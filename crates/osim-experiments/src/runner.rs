@@ -39,9 +39,8 @@ pub struct SweepJob {
     pub tag: String,
     /// The machine configuration the run is launched with.
     pub cfg: MachineCfg,
-    /// Content hash of the fully-rendered job configuration; `None`
-    /// bypasses the run cache even when one is armed.
-    pub key: Option<CacheKey>,
+    /// Content hash of the fully-rendered job configuration.
+    pub key: CacheKey,
     /// Report-form scale, needed to rebuild the embedded report on store.
     rscale: osim_report::ReportScale,
     /// Performs the run. Builds its machine from a clone of `cfg`.
@@ -60,7 +59,7 @@ impl SweepJob {
         f: impl FnOnce(MachineCfg) -> DsResult + Send + 'static,
     ) -> Self {
         let job_cfg = cfg.clone();
-        let key = Some(runcache::job_key(fig, bench, &tag, &cfg, scale));
+        let key = runcache::job_key(fig, bench, &tag, &cfg, scale);
         SweepJob {
             fig,
             bench,
@@ -70,15 +69,6 @@ impl SweepJob {
             rscale: scale.report(),
             run: Box::new(move || f(job_cfg)),
         }
-    }
-
-    /// Opts this job out of the run cache. Used where a cached answer
-    /// would defeat the point — e.g. the stress harness's flipped-scheduler
-    /// recheck, which must actually re-execute under the other scheduler
-    /// (the scheduler is host-only and deliberately *not* part of the key).
-    pub fn uncached(mut self) -> Self {
-        self.key = None;
-        self
     }
 
     fn label(&self) -> String {
@@ -98,8 +88,6 @@ pub struct SweepRun {
     pub cfg: MachineCfg,
     /// The workload's result.
     pub result: DsResult,
-    /// `true` when the result was decoded from the run cache.
-    pub cache_hit: bool,
 }
 
 fn cache_slot() -> &'static Mutex<Option<Arc<TextStore>>> {
@@ -143,7 +131,7 @@ pub fn run_jobs(jobs: Vec<SweepJob>, threads: usize) -> Vec<SweepRun> {
             rscale,
             run,
         } = job;
-        let key = if store.is_some() { key } else { None };
+        let key = store.is_some().then_some(key);
         if let Some(k) = key {
             ctx.insert(
                 k,
@@ -178,7 +166,6 @@ pub fn run_jobs(jobs: Vec<SweepJob>, threads: usize) -> Vec<SweepRun> {
             tag,
             cfg,
             result: o.result,
-            cache_hit: o.cache_hit,
         })
         .collect()
 }

@@ -12,10 +12,7 @@
 //! - report well-formedness (`SimReport::validate`, which includes the
 //!   stall-sum exactness invariant),
 //! - a cycle-count envelope against the unshaken baseline of the same job
-//!   (shaking may legally move timing, but not by integer factors), and
-//! - per-seed scheduler equivalence: one job per figure is re-run under
-//!   the flipped event-queue implementation and must reproduce the exact
-//!   simulated numbers.
+//!   (shaking may legally move timing, but not by integer factors).
 //!
 //! Every failure prints a one-line *minimal repro* — the exact `stress
 //! --fig … --shake-seed … --seeds 1` invocation — plus a blame report, so
@@ -23,7 +20,7 @@
 //! Stdout carries no wall-clock quantities; a given seed set prints
 //! byte-identically on every host.
 
-use osim_cpu::{SchedulerKind, ShakePolicy};
+use osim_cpu::ShakePolicy;
 
 use crate::common::{report_run, Scale};
 use crate::runner::{run_jobs, SweepJob, SweepRun};
@@ -112,38 +109,6 @@ fn check_run(run: &SweepRun, scale: &Scale, baseline_cycles: u64) -> Vec<String>
     bad
 }
 
-/// Compares the simulated numbers of the same job run under both event
-/// queues with the same shake seed (the per-seed scheduler-equivalence
-/// guarantee). Host-side quantities are deliberately not compared.
-fn check_flip(a: &SweepRun, b: &SweepRun) -> Vec<String> {
-    let (x, y) = (&a.result, &b.result);
-    let mut bad = Vec::new();
-    if x.cycles != y.cycles {
-        bad.push(format!(
-            "scheduler flip changed cycles: {} vs {}",
-            x.cycles, y.cycles
-        ));
-    }
-    if x.engine != y.engine {
-        bad.push(format!(
-            "scheduler flip changed engine stats: {:?} vs {:?}",
-            x.engine, y.engine
-        ));
-    }
-    if x.cpu.instructions != y.cpu.instructions {
-        bad.push(format!(
-            "scheduler flip changed instruction count: {} vs {}",
-            x.cpu.instructions, y.cpu.instructions
-        ));
-    }
-    if (x.ostats.direct_hits, x.ostats.full_lookups)
-        != (y.ostats.direct_hits, y.ostats.full_lookups)
-    {
-        bad.push("scheduler flip changed O-structure lookup counts".to_string());
-    }
-    bad
-}
-
 /// Runs the stress harness: `seeds` shake seeds starting at `first_seed`
 /// across every figure matching `fig_filter` (None = all), on `jobs`
 /// worker threads. Returns the process exit code (0 clean, 1 violations).
@@ -217,38 +182,6 @@ pub fn run(
                     });
                 }
             }
-            // Per-seed scheduler equivalence: re-run the sweep's first job
-            // under the flipped event queue; the simulated numbers must
-            // reproduce exactly.
-            let mut flipped_scale = shaken_scale;
-            flipped_scale.scheduler = match shaken_scale.scheduler {
-                SchedulerKind::CalendarQueue => SchedulerKind::BinaryHeap,
-                SchedulerKind::BinaryHeap => SchedulerKind::CalendarQueue,
-            };
-            let mut flip_plan = (figure.plan)(&flipped_scale);
-            if !flip_plan.is_empty() {
-                // The flip job must bypass the run cache: the scheduler is
-                // host-only and deliberately not part of the cache key, so
-                // a cached answer would be the *same entry* the shaken run
-                // stored — trivially equal, checking nothing. Equivalence
-                // is only meaningful if the flipped queue actually runs.
-                let flip = run_jobs(vec![flip_plan.remove(0).uncached()], 1);
-                assert!(
-                    !flip[0].cache_hit,
-                    "flip run must simulate, not hit the run cache"
-                );
-                total_runs += 1;
-                for what in check_flip(&shaken[0], &flip[0]) {
-                    fig_failures += 1;
-                    failures.push(Failure {
-                        fig: figure.name,
-                        bench: flip[0].bench,
-                        tag: flip[0].tag.clone(),
-                        seed: Some(seed),
-                        what,
-                    });
-                }
-            }
         }
         let verdict = if fig_failures == 0 {
             "ok".to_string()
@@ -256,7 +189,7 @@ pub fn run(
             format!("{fig_failures} FAILURE(S)")
         };
         println!(
-            "  {:<6} {:>3} jobs x {} seed(s) + flip checks: {verdict}",
+            "  {:<6} {:>3} jobs x {} seed(s): {verdict}",
             figure.name,
             baseline.len(),
             seeds

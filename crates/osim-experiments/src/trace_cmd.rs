@@ -19,7 +19,6 @@ pub fn run(scale: &Scale, out: &mut Vec<SimReport>) -> Json {
     let mut mcfg = MachineCfg::paper(4);
     mcfg.omgr.fault_plan = scale.inject;
     mcfg.omgr.oracles = scale.oracles;
-    mcfg.scheduler = scale.scheduler;
     mcfg.shake = scale.shake;
     // Arm causal capture too: flows/counters in the Chrome export, ring
     // occupancy in the report. Observation only — timing is unchanged.

@@ -1,7 +1,6 @@
 //! End-to-end check on the `analyze` command: its causal report is
 //! deterministic — byte-identical stdout and `--json` documents across
-//! `--jobs` worker counts and across `--scheduler` implementations — and
-//! the emitted schema-v4 document satisfies the critical-path invariants
+//! `--jobs` worker counts — and the emitted schema-v4 document satisfies the critical-path invariants
 //! (non-empty path on the contended figure workloads, segment cycles
 //! summing exactly to the path length, path no longer than the run).
 
@@ -46,20 +45,6 @@ fn analyze_output_is_byte_identical_across_jobs() {
         "analyze --json diverged between --jobs 1 and --jobs 4"
     );
     assert!(!json_serial.is_empty(), "--json produced no reports");
-}
-
-#[test]
-fn analyze_output_is_byte_identical_across_schedulers() {
-    let (stdout_cal, json_cal) = analyze(&["--jobs", "1", "--scheduler", "calendar"], "cal");
-    let (stdout_heap, json_heap) = analyze(&["--jobs", "1", "--scheduler", "heap"], "heap");
-    assert_eq!(
-        stdout_cal, stdout_heap,
-        "analyze stdout diverged between schedulers"
-    );
-    assert_eq!(
-        json_cal, json_heap,
-        "analyze --json diverged between schedulers"
-    );
 }
 
 #[test]

@@ -4,7 +4,7 @@ use osim_metrics::Histogram;
 
 /// Latency distributions recorded by the [`crate::Hierarchy`] alongside
 /// the [`MemStats`] counters. Values are simulated cycles, so the
-/// contents are deterministic and scheduler-invariant.
+/// contents are deterministic.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct MemHists {
     /// Latencies of accesses satisfied by the local L1.

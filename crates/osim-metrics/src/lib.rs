@@ -6,7 +6,7 @@
 //!   histogram with an allocation-free `record()`, lossless bucket-wise
 //!   merge, and monotone quantiles. The simulator layers record simulated
 //!   cycle durations into these, so the contents are deterministic and
-//!   scheduler-invariant, and safe to embed in byte-compared reports.
+//!   safe to embed in byte-compared reports.
 //! * [`Registry`] — labeled counters/gauges/histograms with lossless
 //!   merge and a Prometheus-style text exposition writer (the scrape
 //!   surface served live by `osim-serve`). Used host-side by the

@@ -18,9 +18,9 @@ use crate::json::{obj, Json};
 /// `forced_gc_attempts`, `pool_shrink_events`).
 ///
 /// v3: `engine` object (`events_dispatched`, `stale_events`) — the
-/// engine's dispatch-loop counters. These are scheduler-invariant (every
-/// [`osim_cpu::SchedulerKind`] pops the same event multiset in the same
-/// order), so they are safe to include in byte-compared reports.
+/// engine's dispatch-loop counters. These follow from the deterministic
+/// dispatch order alone, so they are safe to include in byte-compared
+/// reports.
 ///
 /// v4: causal observability. `timeseries` — interval-telemetry samples
 /// (`[]` when the sampler was off): per-epoch instruction/stall deltas by
@@ -36,8 +36,7 @@ use crate::json::{obj, Json};
 /// `gc_pause`, `l1_access`, `l2_access`, `coherence_delay`,
 /// `run_quantum`), each serialized sparsely as
 /// `{count, sum, min, max, buckets: [[index, n], ...]}`. All record
-/// simulated-cycle quantities, so the section is deterministic and
-/// scheduler-invariant. The reader is forward-compatible: v4 documents
+/// simulated-cycle quantities, so the section is deterministic. The reader is forward-compatible: v4 documents
 /// still parse, with `hist` defaulting to empty.
 pub const SCHEMA_VERSION: u64 = 5;
 
@@ -134,7 +133,7 @@ pub struct SimReport {
     pub mem: MemStats,
     /// O-structure manager statistics.
     pub ostats: OStats,
-    /// Engine dispatch-loop counters (scheduler-invariant).
+    /// Engine dispatch-loop counters (deterministic).
     pub engine: EngineStats,
     /// Latency histograms from every layer (empty on reports parsed from
     /// pre-v5 documents).

@@ -116,8 +116,7 @@ impl OStats {
 }
 
 /// Latency distributions recorded by the manager alongside [`OStats`].
-/// Values are simulated cycles, so the contents are deterministic and
-/// scheduler-invariant.
+/// Values are simulated cycles, so the contents are deterministic.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct MvmHists {
     /// Cycles charged per version-list walk (the `ReadNoAlloc` pointer

@@ -159,11 +159,11 @@ pub struct DsResult {
     pub mem: MemStats,
     /// O-structure manager statistics for the measured phase.
     pub ostats: OStats,
-    /// Engine dispatch-loop counters for the whole run (scheduler-invariant,
-    /// so safe to include in byte-compared reports).
+    /// Engine dispatch-loop counters for the whole run (deterministic, so
+    /// safe to include in byte-compared reports).
     pub engine: EngineStats,
     /// Latency histograms from every layer, for the measured phase. All
-    /// simulated-cycle quantities (scheduler-invariant).
+    /// simulated-cycle quantities (deterministic).
     pub hists: RunHists,
     /// True when results and final contents matched the reference.
     pub ok: bool,
