@@ -37,6 +37,20 @@ fn executor_throughput(c: &mut Criterion) {
             sim.run().unwrap()
         })
     });
+    // One task alone: every sleep is the engine's next event.
+    let sleeps = tasks * ticks;
+    g.bench_function("solo_sleep", |b| {
+        b.iter(|| {
+            let sim = Sim::new();
+            let h = sim.handle();
+            sim.spawn(async move {
+                for k in 0..sleeps {
+                    h.sleep(1 + k % 7).await;
+                }
+            });
+            sim.run().unwrap()
+        })
+    });
     g.finish();
 }
 

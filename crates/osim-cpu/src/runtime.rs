@@ -39,6 +39,11 @@ where
 /// Spawns one driver per core onto `sim`. Task `i` (zero-based) gets id
 /// `first_tid + i` and runs on core `i % cores`; each driver executes its
 /// tasks in order, bracketing them with `TASK-BEGIN`/`TASK-END`.
+///
+/// Each core's first task begins here, in id order, before any driver
+/// runs: a driver's first poll happens at the phase's start cycle, and a
+/// shake seed may order those polls any way, so a lazy first begin could
+/// start task `k+1` while task `k` has not begun (GC rule 3).
 pub(crate) fn spawn_static(
     sim: &Sim,
     st: Rc<RefCell<MachineState>>,
@@ -50,12 +55,14 @@ pub(crate) fn spawn_static(
     for (i, t) in tasks.into_iter().enumerate() {
         queues[i % cores].push_back((first_tid + i as u32, t));
     }
-    for (core, queue) in queues.into_iter().enumerate() {
-        if queue.is_empty() {
+    for (core, mut queue) in queues.into_iter().enumerate() {
+        let Some((tid, mut body)) = queue.pop_front() else {
             continue;
-        }
-        let st = Rc::clone(&st);
+        };
         let handle = sim.handle();
+        let mut ctx = TaskCtx::new(core, tid, Rc::clone(&st), handle.clone());
+        ctx.task_begin();
+        let st = Rc::clone(&st);
         sim.spawn(async move {
             // `TASK-END` of task k is issued *after* `TASK-BEGIN` of task
             // k+P on the same core. Per-core queues run in ascending id
@@ -64,22 +71,20 @@ pub(crate) fn spawn_static(
             // past a task that has not begun (GC rule 3 at creation
             // granularity), yet it does slide forward as cores retire
             // tasks, enabling on-the-fly collection phases.
-            let mut prev: Option<TaskCtx> = None;
-            for (tid, body) in queue {
-                let ctx = TaskCtx::new(core, tid, Rc::clone(&st), handle.clone());
-                ctx.task_begin();
-                if let Some(p) = prev.take() {
-                    p.task_end();
-                }
+            loop {
                 let began = handle.now();
                 body(ctx.clone()).await;
                 let quantum = handle.now() - began;
                 st.borrow_mut().hist_run_quantum.record(quantum);
-                prev = Some(ctx);
+                let Some((tid, next)) = queue.pop_front() else {
+                    break;
+                };
+                let next_ctx = TaskCtx::new(core, tid, Rc::clone(&st), handle.clone());
+                next_ctx.task_begin();
+                ctx.task_end();
+                (ctx, body) = (next_ctx, next);
             }
-            if let Some(p) = prev.take() {
-                p.task_end();
-            }
+            ctx.task_end();
         });
     }
 }

@@ -4,7 +4,7 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use osim_cpu::{task, Machine, MachineCfg, SimError, WaitClass};
+use osim_cpu::{task, Machine, MachineCfg, ShakePolicy, SimError, WaitClass};
 
 fn machine(cores: usize) -> Machine {
     Machine::new(MachineCfg::paper(cores))
@@ -64,6 +64,27 @@ fn static_assignment_round_robins_cores() {
     log.sort();
     let expect: Vec<(usize, usize, u32)> = (0..8).map(|i| (i, i % 4, i as u32 + 1)).collect();
     assert_eq!(*log, expect);
+}
+
+/// GC rule 3 under shaken same-cycle order: however a seed orders the
+/// cores' first polls, no task begins below the oldest active one. The
+/// check is `OManager::task_begin`'s debug assertion, so this test guards
+/// debug builds (`cargo test` without `--release`).
+#[test]
+fn shaken_phases_begin_tasks_in_id_order() {
+    for seed in 1..=8u64 {
+        let mut m = Machine::new(MachineCfg {
+            shake: ShakePolicy::Seeded(seed),
+            ..MachineCfg::paper(4)
+        });
+        for _phase in 0..2 {
+            let tasks = (0..12u64)
+                .map(|i| task(move |ctx| async move { ctx.work(1 + i % 3).await }))
+                .collect();
+            m.run_tasks(tasks).unwrap();
+        }
+        assert_eq!(m.state().borrow().cpu.tasks_run, 24, "seed {seed}");
+    }
 }
 
 #[test]

@@ -360,6 +360,19 @@ impl CalendarQueue {
         unreachable!("occupancy bitmap empty with near_len > 0")
     }
 
+    /// Cycle of the event `pop` would return next, without removing it.
+    /// Near-wheel events all precede the overflow heap's, so the first
+    /// occupied bucket from the cursor wins when there is one.
+    #[inline]
+    fn min_cycle(&self) -> Option<Cycle> {
+        if self.near_len > 0 {
+            let idx = self.next_occupied(self.cursor);
+            Some((self.epoch << WHEEL_BITS) | idx as u64)
+        } else {
+            self.overflow.peek().map(|&Reverse((c, _, _, _))| c)
+        }
+    }
+
     /// Drops every event whose task is dead, preserving the order of the
     /// survivors. Returns how many events were removed.
     fn retain_live(&mut self, mut live: impl FnMut(TaskId) -> bool) -> u64 {
@@ -472,6 +485,46 @@ impl Inner {
 
     pub(crate) fn now(&self) -> Cycle {
         self.now
+    }
+
+    /// Whether the run loop sweeps dead events before its next pop, given
+    /// `extra` events about to be queued beyond those already there.
+    #[inline]
+    fn sweep_due(&self, extra: u64) -> bool {
+        self.dead_events >= SWEEP_MIN_DEAD
+            && self.dead_events >= (self.queue.len() as u64 + extra) / 2
+    }
+
+    /// Resumes the current task at `at` without a queue round trip, when
+    /// the run loop would do nothing between scheduling that event and
+    /// popping it: no halt pending, and `at` (clamped to `now`) strictly
+    /// before every queued event — so the event would pop next under FIFO
+    /// ties and under every shake seed. Makes the same `seq` and tie draws
+    /// [`schedule`](Self::schedule) would and counts the event as
+    /// dispatched, so every later event keys, and every counter reads, as
+    /// if it had gone through the queue. Returns `false` (changing nothing)
+    /// when the event must be queued instead.
+    #[inline]
+    fn resume_inline(&mut self, at: Cycle) -> bool {
+        if self.halt {
+            return false;
+        }
+        let at = at.max(self.now);
+        // The round trip's loop top would not sweep either: `dead_events`
+        // only changes in the run loop, and during a poll the queue only
+        // grows, so the check that passed before this poll's pop still
+        // fails with this event counted in.
+        debug_assert!(!self.sweep_due(1), "sweep due inside a poll");
+        if matches!(self.queue.min_cycle(), Some(next) if next <= at) {
+            return false;
+        }
+        self.next_seq += 1;
+        if let Some(state) = &mut self.shake_rng {
+            splitmix64(state);
+        }
+        self.now = at;
+        self.stats.events_dispatched += 1;
+        true
     }
 
     /// Records one waiter's parked duration (allocation-free).
@@ -608,9 +661,7 @@ impl Sim {
                     inner.queue.clear();
                     return Err(RunError::Halted { now });
                 }
-                if inner.dead_events >= SWEEP_MIN_DEAD
-                    && inner.dead_events >= (inner.queue.len() as u64) / 2
-                {
+                if inner.sweep_due(0) {
                     inner.sweep_dead();
                 }
                 let (at, task) = match inner.queue.pop() {
@@ -727,7 +778,10 @@ impl SimHandle {
     /// Suspends the calling task for `cycles` simulated cycles.
     ///
     /// `sleep(0)` yields: the task is rescheduled at the current time behind
-    /// every event already queued for this cycle.
+    /// every event already queued for this cycle. When the wake-up would
+    /// be the very next event anyway (nothing queued at or before the
+    /// deadline), the sleep resumes inline on its first poll instead of
+    /// passing through the queue — same time, counters and later order.
     pub fn sleep(&self, cycles: Cycle) -> Sleep {
         Sleep {
             inner: Rc::clone(&self.inner),
@@ -803,6 +857,13 @@ impl SimHandle {
 }
 
 /// Future returned by [`SimHandle::sleep`] / [`SimHandle::sleep_until`].
+///
+/// The first poll fixes the deadline. If the wake-up is strictly earlier
+/// than every queued event it resumes inline (see `Inner::resume_inline`)
+/// and the poll returns `Ready`; otherwise — a queued event at or before
+/// the deadline, or a pending halt — it is queued and the poll returns
+/// `Pending`, so a zero-cycle sleep yields whenever another event shares
+/// its cycle.
 pub struct Sleep {
     inner: Rc<RefCell<Inner>>,
     /// Absolute deadline; `None` means "relative `duration` from first poll".
@@ -818,8 +879,7 @@ impl Future for Sleep {
         let this = self.get_mut();
         let mut inner = this.inner.borrow_mut();
         if this.armed {
-            // Even `sleep(0)` goes through the queue once so a yield is a
-            // real scheduling point; by then `now >= deadline` always holds.
+            // Queued on the first poll; by now `now >= deadline` holds.
             let deadline = match this.until {
                 Some(at) => at,
                 None => unreachable!("armed sleep has deadline"),
@@ -834,6 +894,9 @@ impl Future for Sleep {
             Some(at) => at,
             None => inner.now + this.duration,
         };
+        if inner.resume_inline(deadline) {
+            return Poll::Ready(());
+        }
         this.until = Some(deadline);
         this.armed = true;
         let task = inner.current_task();
@@ -1137,6 +1200,102 @@ mod tests {
         assert!(stats.events_dispatched > 0);
     }
 
+    /// Polls `fut` once outside the run loop's bookkeeping.
+    fn poll_once<F: Future>(fut: Pin<&mut F>) -> Poll<F::Output> {
+        fut.poll(&mut Context::from_waker(Waker::noop()))
+    }
+
+    #[test]
+    fn lone_sleep_loop_resumes_inline() {
+        // Nothing else is ever queued, so every sleep is the next event:
+        // each resumes on its first poll, yet draws a seq and counts as one
+        // dispatched event, exactly as a queue round trip would.
+        const SLEEPS: u64 = 1_000;
+        let sim = Sim::new();
+        let h = sim.handle();
+        sim.spawn(async move {
+            for k in 0..SLEEPS {
+                // Near-wheel, epoch-crossing and overflow-range deadlines.
+                let d = [0, 1, 7, 300, 70_000][k as usize % 5];
+                let before = h.now();
+                let mut s = std::pin::pin!(h.sleep(d));
+                assert!(poll_once(s.as_mut()).is_ready(), "sleep {k} was queued");
+                assert_eq!(h.now(), before + d);
+                assert_eq!(h.inner.borrow().queue.len(), 0);
+            }
+        });
+        let per_round: u64 = 1 + 7 + 300 + 70_000;
+        assert_eq!(sim.run(), Ok(per_round * SLEEPS / 5));
+        // One event for the spawn, one per sleep.
+        assert_eq!(sim.stats().events_dispatched, 1 + SLEEPS);
+        assert_eq!(sim.inner.borrow().next_seq, 1 + SLEEPS);
+    }
+
+    /// Task 1 sleeps onto the cycle of task 0's queued wake-up; returns the
+    /// order the two finish in and whether that sleep's first poll queued.
+    fn tie_with_queued(shake: ShakePolicy) -> (Vec<u32>, bool) {
+        let sim = Sim::with_shake(shake);
+        let log: Rc<RefCell<Vec<u32>>> = Rc::default();
+        let queued = Rc::new(Cell::new(false));
+        {
+            let (h, log) = (sim.handle(), Rc::clone(&log));
+            sim.spawn(async move {
+                h.sleep(10).await;
+                log.borrow_mut().push(0);
+            });
+        }
+        {
+            let (h, log, queued) = (sim.handle(), Rc::clone(&log), Rc::clone(&queued));
+            sim.spawn(async move {
+                h.sleep(3).await; // strictly before cycle 10: inline
+                let mut s = std::pin::pin!(h.sleep(7));
+                queued.set(poll_once(s.as_mut()).is_pending());
+                s.await;
+                assert_eq!(h.now(), 10);
+                log.borrow_mut().push(1);
+            });
+        }
+        assert_eq!(sim.run(), Ok(10));
+        let log = Rc::try_unwrap(log).unwrap().into_inner();
+        (log, queued.get())
+    }
+
+    #[test]
+    fn sleep_tying_a_queued_event_goes_through_the_queue() {
+        let (order, queued) = tie_with_queued(ShakePolicy::Off);
+        assert!(queued, "a tie must be queued");
+        assert_eq!(order, vec![0, 1], "FIFO: the earlier-queued event first");
+        // Shaken, the tie is broken by the two events' tie words, so both
+        // orders occur across seeds; an inline resume would always put
+        // task 1 first.
+        let mut orders = std::collections::BTreeSet::new();
+        for seed in 1..=16u64 {
+            let (order, queued) = tie_with_queued(ShakePolicy::Seeded(seed));
+            assert!(queued, "seed {seed}: a tie must be queued");
+            orders.insert(order);
+        }
+        assert_eq!(
+            orders.len(),
+            2,
+            "16 seeds never reordered the tie: {orders:?}"
+        );
+    }
+
+    #[test]
+    fn pending_halt_disables_inline_resume() {
+        let sim = Sim::new();
+        let h = sim.handle();
+        sim.spawn(async move {
+            h.request_halt();
+            let mut s = std::pin::pin!(h.sleep(5));
+            assert!(poll_once(s.as_mut()).is_pending(), "halted sleep resumed");
+            s.await;
+            unreachable!("the run loop halts before the wake-up");
+        });
+        assert_eq!(sim.run(), Err(RunError::Halted { now: 0 }));
+        assert_eq!(sim.stats().events_dispatched, 1);
+    }
+
     /// Order in which same-cycle ties dispatch under one shake policy.
     fn tie_order(shake: ShakePolicy, tasks: u32) -> Vec<u32> {
         let sim = Sim::with_shake(shake);
@@ -1270,6 +1429,11 @@ mod tests {
             task: TaskId,
         },
         Pop,
+        /// Check `min_cycle` against the reference heap's top.
+        Peek,
+        /// Move `now` ahead by `delay` without a pop, as an inline resume
+        /// does — only when that stays strictly before every queued event.
+        Advance(u64),
         /// Keep only the events of tasks whose bit is set in the mask.
         RetainLive(u8),
         Clear,
@@ -1297,6 +1461,10 @@ mod tests {
             Just(QueueOp::Pop),
             Just(QueueOp::Pop),
             Just(QueueOp::Pop),
+            Just(QueueOp::Peek),
+            // Inline resumes within the wheel and across epochs.
+            (0..2 * wheel).prop_map(QueueOp::Advance),
+            (wheel..40 * wheel).prop_map(QueueOp::Advance),
             (any::<u8>(), 0..16u8).prop_map(|(mask, r)| if r == 0 {
                 QueueOp::Clear
             } else {
@@ -1311,7 +1479,9 @@ mod tests {
         /// The calendar queue pops exactly what the reference
         /// `BinaryHeap<Reverse<(Cycle, u64, u64, TaskId)>>` pops, under the
         /// same contract `Inner` keeps: pushes never target a cycle before
-        /// the last pop. `Sim` reaches its queue only through `push`, `pop`,
+        /// `now`, which moves to each popped cycle and, by inline resume,
+        /// ahead to any cycle strictly before every queued event. `Sim`
+        /// reaches its queue only through `push`, `pop`, `min_cycle`,
         /// `len`, `retain_live` and `clear`, so this is the whole
         /// equivalence.
         #[test]
@@ -1334,6 +1504,16 @@ mod tests {
                         let want = heap.pop().map(|Reverse((at, _, _, task))| (at, task));
                         proptest::prop_assert_eq!(cal.pop(), want, "pop diverged at op {}", i);
                         if let Some((at, _)) = want {
+                            now = at;
+                        }
+                    }
+                    QueueOp::Peek => {
+                        let want = heap.peek().map(|&Reverse((at, _, _, _))| at);
+                        proptest::prop_assert_eq!(cal.min_cycle(), want, "peek diverged at op {}", i);
+                    }
+                    QueueOp::Advance(delay) => {
+                        let at = now + delay;
+                        if heap.peek().is_none_or(|&Reverse((next, _, _, _))| at < next) {
                             now = at;
                         }
                     }

@@ -1,6 +1,8 @@
 //! Properties of whole-`Sim` schedules under randomized sleep/gate
-//! programs: a shake seed fixes one exact dispatch order, and the engine's
-//! event totals do not depend on how same-cycle ties are broken.
+//! programs: a shake seed fixes one exact dispatch order, the engine's
+//! event totals do not depend on how same-cycle ties are broken, and a
+//! fixed program set still dispatches exactly as recorded in
+//! `dispatch_fingerprints.txt` (taken before sleeps could resume inline).
 //!
 //! Each generated program logs `(task, step, cycle)` at every action
 //! boundary. The near/far delay mix pushes events through both the wheel
@@ -42,8 +44,12 @@ fn program_strategy() -> impl Strategy<Value = Vec<Vec<Action>>> {
 
 type Log = Rc<RefCell<Vec<(usize, usize, u64)>>>;
 
-/// Runs `program` under `shake`, returning the dispatch log and end time.
-fn run_shaken(program: &[Vec<Action>], shake: ShakePolicy) -> (Vec<(usize, usize, u64)>, u64) {
+/// Runs `program` under `shake`, returning the dispatch log, end time and
+/// engine counters.
+fn run_shaken(
+    program: &[Vec<Action>],
+    shake: ShakePolicy,
+) -> (Vec<(usize, usize, u64)>, u64, EngineStats) {
     let sim = Sim::with_shake(shake);
     let h = sim.handle();
     let gates: Vec<_> = (0..GATES).map(|_| h.gate()).collect();
@@ -82,7 +88,94 @@ fn run_shaken(program: &[Vec<Action>], shake: ShakePolicy) -> (Vec<(usize, usize
         });
     }
     let end = sim.run().expect("sweeper prevents deadlock");
-    (Rc::try_unwrap(log).unwrap().into_inner(), end)
+    (Rc::try_unwrap(log).unwrap().into_inner(), end, sim.stats())
+}
+
+/// One step of the splitmix64 sequence.
+fn splitmix64(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}
+
+/// The fixed program set behind `dispatch_fingerprints.txt`: program `i`
+/// has `1 + i % 5` tasks of up to 12 actions drawn like
+/// [`action_strategy`], from one splitmix64 stream. Three delays in four
+/// are multiples of 8 below 32, so sleeps often land on a cycle where
+/// another event is already queued.
+fn fixture_programs() -> Vec<Vec<Vec<Action>>> {
+    let mut rng = 0x0005_137c_0de5_eed5_u64;
+    let mut draw = |n: u64| splitmix64(&mut rng) % n;
+    let delay = |draw: &mut dyn FnMut(u64) -> u64| match draw(4) {
+        0 => draw(600),
+        _ => draw(4) * 8,
+    };
+    (0..48)
+        .map(|i| {
+            (0..1 + i % 5)
+                .map(|_| {
+                    (0..draw(13))
+                        .map(|_| match draw(3) {
+                            0 => Action::Sleep(delay(&mut draw)),
+                            1 => Action::Wait(draw(GATES as u64) as usize),
+                            _ => Action::Open(draw(GATES as u64) as usize, delay(&mut draw)),
+                        })
+                        .collect()
+                })
+                .collect()
+        })
+        .collect()
+}
+
+/// 64-bit FNV-1a over little-endian words.
+fn fnv1a(words: impl IntoIterator<Item = u64>) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for w in words {
+        for b in w.to_le_bytes() {
+            h = (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    h
+}
+
+/// One fixture line per (program, policy): the FNV-1a hash of the
+/// `(task, step, cycle)` log, then the end time and the dispatched and
+/// stale event counts.
+fn fingerprints() -> String {
+    let policies = [
+        ("off", ShakePolicy::Off),
+        ("seed7", ShakePolicy::Seeded(7)),
+        ("seed99", ShakePolicy::Seeded(99)),
+    ];
+    let mut out = String::new();
+    for (i, program) in fixture_programs().iter().enumerate() {
+        for (name, shake) in policies {
+            let (log, end, stats) = run_shaken(program, shake);
+            let hash = fnv1a(log.iter().flat_map(|&(t, s, c)| [t as u64, s as u64, c]));
+            out += &format!(
+                "{i} {name} {hash:016x} {end} {} {}\n",
+                stats.events_dispatched, stats.stale_events
+            );
+        }
+    }
+    out
+}
+
+/// The engine dispatches the fixed program set exactly as the queue-only
+/// engine did: same order, same end times, same event counts.
+#[test]
+fn dispatch_matches_recorded_fingerprints() {
+    let want = include_str!("dispatch_fingerprints.txt");
+    let got = fingerprints();
+    for (w, g) in want.lines().zip(got.lines()) {
+        assert_eq!(
+            g, w,
+            "dispatch fingerprint diverged (program policy hash end events stale)"
+        );
+    }
+    assert_eq!(got.lines().count(), want.lines().count());
 }
 
 /// A structured wait/open/abandon program whose event *totals* are
@@ -135,10 +228,11 @@ proptest! {
     #[test]
     fn same_seed_dispatches_identically(program in program_strategy(), seed in any::<u64>()) {
         for shake in [ShakePolicy::Off, ShakePolicy::Seeded(seed)] {
-            let (log_a, end_a) = run_shaken(&program, shake);
-            let (log_b, end_b) = run_shaken(&program, shake);
+            let (log_a, end_a, stats_a) = run_shaken(&program, shake);
+            let (log_b, end_b, stats_b) = run_shaken(&program, shake);
             prop_assert_eq!(end_a, end_b, "end times diverged under {:?}", shake);
             prop_assert_eq!(log_a, log_b, "dispatch order diverged under {:?}", shake);
+            prop_assert_eq!(stats_a, stats_b, "event counts diverged under {:?}", shake);
         }
     }
 

@@ -115,12 +115,17 @@ impl ORuntime {
     /// on worker `i % threads`; each worker executes its share in order,
     /// and `TASK-END` of one task is reported only after `TASK-BEGIN` of
     /// the worker's next (so a queued task is always protected by an
-    /// active lower id — the window can never slide past it).
+    /// active lower id — the window can never slide past it). Each
+    /// worker's first task begins before any worker starts, so no worker
+    /// can end a task and collect past another's first task (rule 3).
     pub fn run(&self, tasks: Vec<Box<dyn FnOnce(TaskId) + Send>>) {
         let first = {
             let mut st = self.state.lock();
             let first = st.next_tid;
             st.next_tid += tasks.len() as TaskId;
+            // Tasks `first..first + threads` are the workers' first tasks.
+            let firsts = (tasks.len() as TaskId).min(self.threads as TaskId);
+            st.active.extend(first..first + firsts);
             first
         };
         type Queue = Vec<(TaskId, Box<dyn FnOnce(TaskId) + Send>)>;
@@ -138,8 +143,8 @@ impl ORuntime {
                 scope.spawn(move || {
                     let mut prev: Option<TaskId> = None;
                     for (tid, body) in queue {
-                        state.lock().active.insert(tid);
                         if let Some(p) = prev.take() {
+                            state.lock().active.insert(tid);
                             Self::end_task(&state, p, gc_every);
                         }
                         body(tid);
