@@ -6,21 +6,27 @@
 //! see a slightly unbalanced tree."
 //!
 //! Writers serialize on a versioned *order cell* (held for the whole
-//! operation) and restructure by **path copying**: every insert/delete
-//! builds fresh copies of the O(log n) nodes it changes and publishes the
-//! new tree with a single `STORE-VERSION` to the root cell. Each root
-//! version is therefore a complete immutable snapshot — readers pick the
-//! newest root ≤ their cap and can never observe a half-rotated tree,
-//! while old snapshots stay reachable for older readers until the garbage
-//! collector reclaims their root versions.
+//! operation). Rebalancing is the classic functional red-black formulation
+//! (Okasaki's insert balance, Kahrs' delete), run on a host-side
+//! *persistent arena*: path copying happens only there. Simulated memory
+//! holds one node per key, whose left and right child pointers are
+//! versioned cells. After each insert/delete the writer publishes only
+//! what changed, all at its own version: a fresh node for each new key, a
+//! `STORE-VERSION` to each child cell whose child changed, an in-place
+//! store for each changed color, and last a `STORE-VERSION` to the root
+//! cell if the root changed. Old versions stay in every cell, so a reader
+//! ordered before the writer follows the old tree's pointers throughout
+//! and can never observe a half-rotated tree, until the garbage collector
+//! reclaims versions no reader can reach.
 //!
-//! The rebalancing algorithm is the classic functional red-black
-//! formulation (Okasaki's insert balance, Kahrs' delete), implemented on a
-//! host-side *mirror arena* that stays bit-identical to simulated memory:
-//! the writer still performs the real memory traffic (path loads, node
-//! materialization stores, root publish), but the algorithmic decisions run
-//! on the mirror, keeping the async surface small. Tests assert
-//! mirror/memory agreement and the red-black invariants.
+//! The writer performs the real memory traffic (descent loads, node
+//! materialization stores, per-cell publishes), while the algorithmic
+//! decisions run on the arena, keeping the async surface small. Finding
+//! what a write changed costs host time linear in the arena nodes it
+//! created, not in the tree size, because the arena is append-only: a node
+//! older than the published tree is a subtree it shares unchanged. Tests
+//! assert mirror/memory agreement, the red-black invariants, and the
+//! incremental diff against a whole-tree diff.
 //!
 //! Node layout (conventional heap, 16 bytes): `+0` key, `+4` color
 //! (0 = red, 1 = black), `+8` va of the versioned left cell, `+12` va of
@@ -70,15 +76,14 @@ pub mod persistent {
     }
     use Color::{Black, Red};
 
-    /// An arena node. `va` is filled in when the node is materialized in
-    /// simulated memory (0 = not yet materialized).
+    /// An arena node. Children always sit at lower indices than their
+    /// parent, since a node is created after the nodes it points to.
     #[derive(Debug, Clone, Copy)]
     pub struct Node {
         pub key: u32,
         pub color: Color,
         pub l: usize,
         pub r: usize,
-        pub va: u32,
     }
 
     /// The arena. Old nodes are never mutated once published, so every
@@ -91,13 +96,7 @@ pub mod persistent {
     impl Arena {
         /// Creates a node, returning its index.
         fn mk(&mut self, color: Color, l: usize, key: u32, r: usize) -> usize {
-            self.nodes.push(Node {
-                key,
-                color,
-                l,
-                r,
-                va: 0,
-            });
+            self.nodes.push(Node { key, color, l, r });
             self.nodes.len() - 1
         }
 
@@ -413,32 +412,86 @@ use persistent::{Arena, Color, NIL};
 // Simulated writer / readers
 // ----------------------------------------------------------------------
 
-type Shape = std::collections::BTreeMap<u32, (Option<u32>, Option<u32>, u32)>;
+/// One node's published state: `(left key, right key, color)`, with the
+/// color encoded as stored at `+4` (0 = red, 1 = black).
+type Entry = (Option<u32>, Option<u32>, u32);
 
-/// Extracts `key -> (left key, right key, color)` plus the root key from an
-/// arena snapshot (host-side bookkeeping, no simulated cost).
-fn shape_of(arena: &Arena, root: usize) -> (Shape, Option<u32>) {
-    let mut shape = Shape::default();
-    let mut stack = vec![root];
+fn key_at(arena: &Arena, i: usize) -> Option<u32> {
+    (i != NIL).then(|| arena.nodes[i].key)
+}
+
+fn entry_at(arena: &Arena, i: usize) -> (u32, Entry) {
+    let n = arena.nodes[i];
+    let color = if n.color == Color::Red { 0 } else { 1 };
+    (n.key, (key_at(arena, n.l), key_at(arena, n.r), color))
+}
+
+/// What one write changed between the published tree and the tree rooted
+/// at `new_root`.
+#[derive(Debug, PartialEq)]
+struct Delta {
+    /// `(key, old entry, new entry)` for every key whose entry differs,
+    /// ascending by key; the old entry is `None` for a key that just
+    /// appeared.
+    changed: Vec<(u32, Option<Entry>, Entry)>,
+    /// Keys of the old tree that are absent from the new one, ascending.
+    removed: Vec<u32>,
+}
+
+/// Computes the [`Delta`] from `old_root` to `new_root` in time that
+/// grows with the nodes the write created, not with the tree size.
+///
+/// `shared_below` is the arena length when `old_root` was published. The
+/// arena is append-only and its nodes are never mutated, and a write
+/// builds the new tree only from fresh nodes and nodes of the old tree. So
+/// a node of the new tree below `shared_below` roots a subtree that the
+/// old tree holds unchanged, and every entry in it is unchanged too. Only
+/// the fresh nodes above those shared subtrees, and the old nodes outside
+/// them, can differ; both walks stop at the shared roots.
+fn delta(arena: &Arena, old_root: usize, new_root: usize, shared_below: usize) -> Delta {
+    let mut shared = Vec::new();
+    let mut new = Vec::new();
+    let mut stack = vec![new_root];
     while let Some(i) = stack.pop() {
         if i == NIL {
             continue;
         }
-        let n = arena.nodes[i];
-        let child = |c: usize| (c != NIL).then(|| arena.nodes[c].key);
-        shape.insert(
-            n.key,
-            (
-                child(n.l),
-                child(n.r),
-                if n.color == Color::Red { 0 } else { 1 },
-            ),
-        );
-        stack.push(n.l);
-        stack.push(n.r);
+        if i < shared_below {
+            shared.push(i);
+            continue;
+        }
+        new.push(entry_at(arena, i));
+        stack.extend([arena.nodes[i].l, arena.nodes[i].r]);
     }
-    let root_key = (root != NIL).then(|| arena.nodes[root].key);
-    (shape, root_key)
+    shared.sort_unstable();
+    let mut old = Vec::new();
+    stack.push(old_root);
+    while let Some(i) = stack.pop() {
+        if i == NIL || shared.binary_search(&i).is_ok() {
+            continue;
+        }
+        old.push(entry_at(arena, i));
+        stack.extend([arena.nodes[i].l, arena.nodes[i].r]);
+    }
+    new.sort_unstable_by_key(|&(k, _)| k);
+    old.sort_unstable_by_key(|&(k, _)| k);
+
+    let mut d = Delta {
+        changed: Vec::new(),
+        removed: Vec::new(),
+    };
+    let mut old = old.into_iter().peekable();
+    for (key, entry) in new {
+        while let Some((k, _)) = old.next_if(|&(k, _)| k < key) {
+            d.removed.push(k);
+        }
+        let prev = old.next_if(|&(k, _)| k == key).map(|(_, e)| e);
+        if prev != Some(entry) {
+            d.changed.push((key, prev, entry));
+        }
+    }
+    d.removed.extend(old.map(|(k, _)| k));
+    d
 }
 
 /// The physical embodiment of one tree node (identity = key; versioned
@@ -452,37 +505,35 @@ struct PhysNode {
 
 struct RbShared {
     arena: Arena,
+    /// The published tree (mirrors the newest versions in memory).
     root: usize,
+    /// Arena length when `root` was published (see [`delta`]).
+    shared_below: usize,
     root_cell: u32,
     order_cell: u32,
     hold: LockHold,
     /// Materialized nodes by key.
     phys: std::collections::HashMap<u32, PhysNode>,
-    /// Current tree shape (mirrors the newest versions in memory).
-    shape: Shape,
-    root_key: Option<u32>,
 }
 
-/// Applies the difference between the current shape and the tree rooted at
-/// `new_root` as *in-place versioned updates*: fresh nodes are allocated,
-/// and every changed child pointer becomes a new version of that node's
-/// cell. Old versions stay behind for snapshot readers — the mechanism the
-/// whole paper is about — so no copying of unchanged nodes is needed.
+/// Applies the difference between the published tree and the tree rooted
+/// at `new_root` as *in-place versioned updates*: fresh nodes are
+/// allocated, and every changed child pointer becomes a new version of
+/// that node's cell. Old versions stay behind for snapshot readers — the
+/// mechanism the whole paper is about — so no copying of unchanged nodes
+/// is needed. Allocations and stores go in ascending key order, the root
+/// pointer last.
 async fn apply_diff(ctx: &TaskCtx, sh: &Rc<RefCell<RbShared>>, new_root: usize, ver: Version) {
-    let (new_shape, new_root_key) = {
+    let (Delta { changed, removed }, old_root_key, new_root_key) = {
         let s = sh.borrow();
-        shape_of(&s.arena, new_root)
+        (
+            delta(&s.arena, s.root, new_root, s.shared_below),
+            key_at(&s.arena, s.root),
+            key_at(&s.arena, new_root),
+        )
     };
     // Pass 1: allocate nodes for keys that just appeared.
-    let fresh: Vec<(u32, u32)> = {
-        let s = sh.borrow();
-        new_shape
-            .iter()
-            .filter(|(k, _)| !s.phys.contains_key(k))
-            .map(|(&k, &(_, _, color))| (k, color))
-            .collect()
-    };
-    for (key, color) in fresh {
+    for &(key, _, (_, _, color)) in changed.iter().filter(|c| c.1.is_none()) {
         ctx.work(COPY_WORK).await;
         let node = ctx.malloc(NODE_BYTES).await;
         let lcell = ctx.malloc_root().await;
@@ -502,22 +553,21 @@ async fn apply_diff(ctx: &TaskCtx, sh: &Rc<RefCell<RbShared>>, new_root: usize, 
     }
     // Pass 2: publish changed child pointers and colors.
     type Write = Option<(u32, u32)>; // (address-or-cell, value)
-    let changes: Vec<(u32, Write, Write, Write)> = {
+    let writes: Vec<(Write, Write, Write)> = {
         let s = sh.borrow();
         let va_of = |k: Option<u32>| k.map_or(0, |k| s.phys[&k].va);
-        new_shape
+        changed
             .iter()
-            .filter_map(|(&key, &(nl, nr, ncolor))| {
+            .map(|&(key, old, (nl, nr, ncolor))| {
                 let p = s.phys[&key];
-                let old = s.shape.get(&key);
                 let lw = (old.map(|o| o.0) != Some(nl)).then(|| (p.lcell, va_of(nl)));
                 let rw = (old.map(|o| o.1) != Some(nr)).then(|| (p.rcell, va_of(nr)));
                 let cw = (old.map(|o| o.2) != Some(ncolor)).then_some((p.va + 4, ncolor));
-                (lw.is_some() || rw.is_some() || cw.is_some()).then_some((key, lw, rw, cw))
+                (lw, rw, cw)
             })
             .collect()
     };
-    for (_, lw, rw, cw) in changes {
+    for (lw, rw, cw) in writes {
         if let Some((cell, va)) = lw {
             ctx.store_version(cell, ver, va).await;
         }
@@ -531,34 +581,23 @@ async fn apply_diff(ctx: &TaskCtx, sh: &Rc<RefCell<RbShared>>, new_root: usize, 
         }
     }
     // Root pointer last.
-    let (old_root_key, root_cell) = {
-        let s = sh.borrow();
-        (s.root_key, s.root_cell)
-    };
     if old_root_key != new_root_key {
-        let va = {
+        let (va, root_cell) = {
             let s = sh.borrow();
-            new_root_key.map_or(0, |k| s.phys[&k].va)
+            (new_root_key.map_or(0, |k| s.phys[&k].va), s.root_cell)
         };
         ctx.store_version(root_cell, ver, va).await;
     }
-    // Host bookkeeping: drop removed keys, install the new shape.
+    // Host bookkeeping: retire removed keys, publish the new tree.
     {
         let mut s = sh.borrow_mut();
-        let removed: Vec<u32> = s
-            .shape
-            .keys()
-            .filter(|k| !new_shape.contains_key(k))
-            .copied()
-            .collect();
         for k in removed {
             // The node's memory (and its cells' old versions) stays for
             // snapshot readers; only the identity mapping is retired.
             s.phys.remove(&k);
         }
-        s.shape = new_shape;
-        s.root_key = new_root_key;
         s.root = new_root;
+        s.shared_below = s.arena.nodes.len();
     }
 }
 
@@ -760,13 +799,14 @@ pub fn run_versioned_with(mcfg: MachineCfg, cfg: &DsCfg, hold: LockHold) -> DsRe
     }
     let sh = Rc::new(RefCell::new(RbShared {
         arena,
-        root: NIL, // population applies the diff from the empty tree
+        // Population applies the diff from the empty tree, with no node
+        // shared.
+        root: NIL,
+        shared_below: 0,
         root_cell,
         order_cell,
         hold,
         phys: std::collections::HashMap::new(),
-        shape: Shape::default(),
-        root_key: None,
     }));
 
     let pop_tid = m.next_tid();
@@ -774,7 +814,7 @@ pub fn run_versioned_with(mcfg: MachineCfg, cfg: &DsCfg, hold: LockHold) -> DsRe
     m.run_tasks(vec![task(move |ctx| async move {
         let pv = vers::passv(ctx.tid());
         apply_diff(&ctx, &sh2, root, pv).await;
-        if sh2.borrow().root_key.is_none() {
+        if sh2.borrow().root == NIL {
             ctx.store_version(root_cell, pv, 0).await;
         }
         ctx.store_version(order_cell, pv, 0).await;
@@ -861,10 +901,9 @@ pub fn run_unversioned(mcfg: MachineCfg, cfg: &DsCfg) -> DsResult {
     let sh = Rc::new(RefCell::new(UnvShared {
         arena,
         root: NIL,
+        shared_below: 0,
         root_word,
         phys: std::collections::HashMap::new(),
-        shape: Shape::default(),
-        root_key: None,
     }));
 
     // Population: apply the diff from the empty tree.
@@ -967,28 +1006,24 @@ pub fn run_unversioned(mcfg: MachineCfg, cfg: &DsCfg) -> DsResult {
 struct UnvShared {
     arena: Arena,
     root: usize,
+    /// Arena length when `root` was published (see [`delta`]).
+    shared_below: usize,
     root_word: u32,
     /// key -> node va (layout: +0 key, +4 color, +8 left va, +12 right va).
     phys: std::collections::HashMap<u32, u32>,
-    shape: Shape,
-    root_key: Option<u32>,
 }
 
 /// The unversioned twin of [`apply_diff`]: conventional in-place stores.
 async fn apply_diff_unversioned(ctx: &TaskCtx, sh: &Rc<RefCell<UnvShared>>, new_root: usize) {
-    let (new_shape, new_root_key) = {
+    let (Delta { changed, removed }, old_root_key, new_root_key) = {
         let s = sh.borrow();
-        shape_of(&s.arena, new_root)
+        (
+            delta(&s.arena, s.root, new_root, s.shared_below),
+            key_at(&s.arena, s.root),
+            key_at(&s.arena, new_root),
+        )
     };
-    let fresh: Vec<(u32, u32)> = {
-        let s = sh.borrow();
-        new_shape
-            .iter()
-            .filter(|(k, _)| !s.phys.contains_key(k))
-            .map(|(&k, &(_, _, color))| (k, color))
-            .collect()
-    };
-    for (key, color) in fresh {
+    for &(key, _, (_, _, color)) in changed.iter().filter(|c| c.1.is_none()) {
         ctx.work(COPY_WORK).await;
         let node = ctx.malloc(NODE_BYTES).await;
         ctx.store_u32(node, key).await;
@@ -996,51 +1031,39 @@ async fn apply_diff_unversioned(ctx: &TaskCtx, sh: &Rc<RefCell<UnvShared>>, new_
         sh.borrow_mut().phys.insert(key, node);
     }
     type Write = Option<(u32, u32)>; // (address, value)
-    let changes: Vec<(Write, Write, Write)> = {
+    let writes: Vec<(Write, Write, Write)> = {
         let s = sh.borrow();
         let va_of = |k: Option<u32>| k.map_or(0, |k| s.phys[&k]);
-        new_shape
+        changed
             .iter()
-            .filter_map(|(&key, &(nl, nr, ncolor))| {
+            .map(|&(key, old, (nl, nr, ncolor))| {
                 let va = s.phys[&key];
-                let old = s.shape.get(&key);
                 let lw = (old.map(|o| o.0) != Some(nl)).then(|| (va + 8, va_of(nl)));
                 let rw = (old.map(|o| o.1) != Some(nr)).then(|| (va + 12, va_of(nr)));
                 let cw = (old.map(|o| o.2) != Some(ncolor)).then_some((va + 4, ncolor));
-                (lw.is_some() || rw.is_some() || cw.is_some()).then_some((lw, rw, cw))
+                (lw, rw, cw)
             })
             .collect()
     };
-    for (lw, rw, cw) in changes {
+    for (lw, rw, cw) in writes {
         for w in [lw, rw, cw].into_iter().flatten() {
             ctx.store_u32(w.0, w.1).await;
         }
     }
-    let (old_root_key, root_word) = {
-        let s = sh.borrow();
-        (s.root_key, s.root_word)
-    };
     if old_root_key != new_root_key {
-        let va = {
+        let (va, root_word) = {
             let s = sh.borrow();
-            new_root_key.map_or(0, |k| s.phys[&k])
+            (new_root_key.map_or(0, |k| s.phys[&k]), s.root_word)
         };
         ctx.store_u32(root_word, va).await;
     }
     {
         let mut s = sh.borrow_mut();
-        let removed: Vec<u32> = s
-            .shape
-            .keys()
-            .filter(|k| !new_shape.contains_key(k))
-            .copied()
-            .collect();
         for k in removed {
             s.phys.remove(&k);
         }
-        s.shape = new_shape;
-        s.root_key = new_root_key;
         s.root = new_root;
+        s.shared_below = s.arena.nodes.len();
     }
 }
 
@@ -1087,6 +1110,88 @@ mod tests {
         }
         let want: Vec<u32> = model.into_iter().collect();
         assert_eq!(a.keys(root), want);
+    }
+
+    type Shape = std::collections::BTreeMap<u32, Entry>;
+
+    /// Reference for [`delta`]: every `key -> entry` of the tree at `root`.
+    fn shape_of(arena: &Arena, root: usize) -> Shape {
+        let mut shape = Shape::default();
+        let mut stack = vec![root];
+        while let Some(i) = stack.pop() {
+            if i == NIL {
+                continue;
+            }
+            let (key, entry) = entry_at(arena, i);
+            shape.insert(key, entry);
+            stack.extend([arena.nodes[i].l, arena.nodes[i].r]);
+        }
+        shape
+    }
+
+    /// The whole-tree diff [`delta`] must reproduce.
+    fn full_diff(old: &Shape, new: &Shape) -> Delta {
+        Delta {
+            changed: new
+                .iter()
+                .filter(|&(k, e)| old.get(k) != Some(e))
+                .map(|(&k, &e)| (k, old.get(&k).copied(), e))
+                .collect(),
+            removed: old
+                .keys()
+                .filter(|k| !new.contains_key(k))
+                .copied()
+                .collect(),
+        }
+    }
+
+    #[test]
+    fn delta_matches_full_shape_diff() {
+        for seed in 0..8 {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let mut a = Arena::default();
+            // Population: a tree built from nothing, applied against the
+            // empty tree with no node shared.
+            let mut root = NIL;
+            for _ in 0..rng.gen_range(0..40usize) {
+                root = a.insert(root, rng.gen_range(0..48u32)).0;
+            }
+            let mut shape = shape_of(&a, root);
+            assert_eq!(delta(&a, NIL, root, 0), full_diff(&Shape::new(), &shape));
+            let mut shared_below = a.nodes.len();
+            let mut emptied = 0;
+            for step in 0..3000 {
+                // Alternate growing and draining phases so the tree runs
+                // down to empty and grows again.
+                let p_insert = if step / 300 % 2 == 0 { 0.8 } else { 0.02 };
+                let k = rng.gen_range(0..48u32);
+                let new_root = if rng.gen_bool(p_insert) {
+                    a.insert(root, k).0
+                } else if a.contains(root, k) {
+                    a.delete(root, k)
+                } else {
+                    root
+                };
+                if new_root == root {
+                    assert_eq!(a.nodes.len(), shared_below, "unchanged tree grew the arena");
+                    continue;
+                }
+                let new_shape = shape_of(&a, new_root);
+                let d = delta(&a, root, new_root, shared_below);
+                assert_eq!(d, full_diff(&shape, &new_shape), "seed {seed} step {step}");
+                for &(k, _, e) in &d.changed {
+                    shape.insert(k, e);
+                }
+                for k in &d.removed {
+                    shape.remove(k);
+                }
+                assert_eq!(shape, new_shape, "seed {seed} step {step}");
+                root = new_root;
+                shared_below = a.nodes.len();
+                emptied += usize::from(root == NIL);
+            }
+            assert!(emptied > 0, "seed {seed} never drained the tree");
+        }
     }
 
     #[test]

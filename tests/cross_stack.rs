@@ -4,9 +4,10 @@
 
 use ostructs::core::OCell;
 use ostructs::cpu::{task, Machine, MachineCfg, SimError};
-use ostructs::mem::{Fault, HierarchyCfg, MemSys, PageFlags};
+use ostructs::mem::{CacheCfg, Fault, HierarchyCfg, MemSys, PageFlags};
 use ostructs::uarch::{OManager, OManagerCfg, OpOutcome};
-use ostructs::workloads::harness::DsCfg;
+use ostructs::workloads::harness::{DsCfg, DsResult};
+use ostructs::workloads::rbtree::LockHold;
 use ostructs::workloads::{btree, hashtable, linked_list, rbtree};
 
 /// The software cell and the hardware manager execute the same operation
@@ -200,4 +201,60 @@ fn latency_knob_is_versioned_only() {
     slow_v.assert_ok();
     assert!(slow_v.cycles > base_v.cycles);
     assert_eq!(slow_u.cycles, base_u.cycles, "no versioned ops, no effect");
+}
+
+/// Red-black tree runs reproduce simulated results recorded before the
+/// writer's host-side shape diff became incremental: cycles, instructions,
+/// conventional loads and stores, versioned ops and dispatched events.
+/// Unversioned runs use one core with an 8 kB L1 at both read/write mixes;
+/// versioned runs use eight cores with each lock-hold policy. The trees
+/// outgrow that L1, so the order nodes are allocated in shows in the
+/// counts.
+#[test]
+fn rbtree_results_match_recorded_fingerprints() {
+    let cfg = |reads_per_write| DsCfg {
+        initial: 1000,
+        ops: 400,
+        reads_per_write,
+        scan_range: 0,
+        key_space: 4000,
+        seed: 14,
+        insert_only: false,
+    };
+    let fingerprint = |r: DsResult| {
+        r.assert_ok();
+        [
+            r.cycles,
+            r.cpu.instructions,
+            r.cpu.loads,
+            r.cpu.stores,
+            r.cpu.versioned_ops,
+            r.engine.events_dispatched,
+        ]
+    };
+    let mut small_l1 = MachineCfg::paper(1);
+    small_l1.hier.l1 = CacheCfg::l1_sized(8);
+    let got = [
+        fingerprint(rbtree::run_unversioned(small_l1.clone(), &cfg(4))),
+        fingerprint(rbtree::run_unversioned(small_l1, &cfg(1))),
+        fingerprint(rbtree::run_versioned_with(
+            MachineCfg::paper(8),
+            &cfg(1),
+            LockHold::Short,
+        )),
+        fingerprint(rbtree::run_versioned_with(
+            MachineCfg::paper(8),
+            &cfg(1),
+            LockHold::Long,
+        )),
+    ];
+    assert_eq!(
+        got,
+        [
+            [73246, 42123, 8292, 301, 0, 20051],
+            [77379, 44458, 8267, 647, 0, 20441],
+            [147882, 65456, 7867, 445, 5225, 32034],
+            [155882, 65456, 7867, 445, 5225, 32060],
+        ]
+    );
 }
