@@ -102,13 +102,12 @@
 //! vs warm sweep and writes `BENCH_cache.json`.
 //!
 //! `--metrics-addr <host:port>` (default `off`) arms the live
-//! observability plane for the invocation: a flight recorder sampling
-//! the instrumented layers (jobq pool, concurrent store, vacuum, run
-//! cache) on a fixed cadence, and a std-only HTTP endpoint serving
-//! `GET /metrics` (Prometheus text), `GET /metrics.json` and
-//! `GET /window` (recent per-window deltas). Port 0 binds an ephemeral
-//! port; the bound address is announced on **stderr**, so stdout and
-//! every compared artifact stay byte-identical with the plane armed. See
+//! observability plane for the invocation: a std-only HTTP endpoint
+//! serving `GET /metrics`, the Prometheus text of the instrumented
+//! layers (jobq pool, concurrent store, vacuum, run cache) collected at
+//! scrape time. Port 0 binds an ephemeral port; the bound address is
+//! announced on **stderr**, so stdout and every compared artifact stay
+//! byte-identical with the plane armed. See
 //! `EXPERIMENTS.md` § "Live observability".
 //!
 //! `--host-chrome <path>` records *host* wall-clock spans — worker jobs,
@@ -216,6 +215,29 @@ fn take_value(args: &mut Vec<String>, flag: &str) -> Option<String> {
     Some(v)
 }
 
+/// Removes the boolean `flag` from `args`, returning whether it was given.
+fn take_flag(args: &mut Vec<String>, flag: &str) -> bool {
+    let Some(i) = args.iter().position(|a| a == flag) else {
+        return false;
+    };
+    args.remove(i);
+    true
+}
+
+/// Exits 2 on anything left in `args` once every known flag is taken: a
+/// `--flag` the command does not know, or a positional beyond the
+/// first `positionals`.
+fn reject_leftovers(args: &[String], positionals: usize) {
+    if let Some(flag) = args.iter().find(|a| a.starts_with("--")) {
+        eprintln!("unknown flag {flag:?}");
+        std::process::exit(2);
+    }
+    if let Some(extra) = args.get(positionals) {
+        eprintln!("unexpected argument {extra:?}");
+        std::process::exit(2);
+    }
+}
+
 fn main() {
     let mut args: Vec<String> = env::args().skip(1).collect();
 
@@ -227,17 +249,9 @@ fn main() {
         let dir = take_value(&mut args, "--cache")
             .filter(|d| d != "off")
             .unwrap_or_else(|| ".osim-cache".to_string());
-        let json = if let Some(i) = args.iter().position(|a| a == "--json") {
-            args.remove(i);
-            true
-        } else {
-            false
-        };
-        let action = args
-            .iter()
-            .find(|a| !a.starts_with("--"))
-            .map(String::as_str)
-            .unwrap_or("stats");
+        let json = take_flag(&mut args, "--json");
+        reject_leftovers(&args, 1);
+        let action = args.first().map(String::as_str).unwrap_or("stats");
         let dir = std::path::PathBuf::from(dir);
         let code = match action {
             "stats" => cache_cmd::stats(&dir, json),
@@ -256,24 +270,9 @@ fn main() {
     let sweep_json = take_value(&mut args, "--sweep-json");
     let metrics_addr = take_value(&mut args, "--metrics-addr").filter(|v| v != "off");
     let host_chrome = take_value(&mut args, "--host-chrome");
-    let progress = if let Some(i) = args.iter().position(|a| a == "--progress") {
-        args.remove(i);
-        true
-    } else {
-        false
-    };
-    let ostructs = if let Some(i) = args.iter().position(|a| a == "--ostructs") {
-        args.remove(i);
-        true
-    } else {
-        false
-    };
-    let cache_bench = if let Some(i) = args.iter().position(|a| a == "--cache-bench") {
-        args.remove(i);
-        true
-    } else {
-        false
-    };
+    let progress = take_flag(&mut args, "--progress");
+    let ostructs = take_flag(&mut args, "--ostructs");
+    let cache_bench = take_flag(&mut args, "--cache-bench");
     let cache_flag = take_value(&mut args, "--cache").filter(|v| v != "off");
     let inject =
         take_value(&mut args, "--inject").map(|spec| match osim_uarch::FaultPlan::parse(&spec) {
@@ -350,14 +349,12 @@ fn main() {
         },
         None => 3,
     };
-    let full = args.iter().any(|a| a == "--full");
-    let tiny = args.iter().any(|a| a == "--tiny");
-    let stats = args.iter().any(|a| a == "--stats");
-    let cmd = args
-        .iter()
-        .find(|a| !a.starts_with("--"))
-        .map(String::as_str)
-        .unwrap_or("help");
+    let full = take_flag(&mut args, "--full");
+    let tiny = take_flag(&mut args, "--tiny");
+    let stats = take_flag(&mut args, "--stats");
+    // Only `compare` takes positionals beyond the command: its two files.
+    let cmd = args.first().map_or("help", String::as_str);
+    reject_leftovers(&args, if cmd == "compare" { 3 } else { 1 });
     let scale_name = match scale_flag.as_deref() {
         Some(s @ ("quick" | "tiny" | "full")) => s,
         Some(other) => {
@@ -395,11 +392,7 @@ fn main() {
     let mut chrome_doc: Option<Json> = None;
 
     if cmd == "compare" {
-        let files: Vec<String> = args
-            .iter()
-            .filter(|a| !a.starts_with("--") && a.as_str() != "compare")
-            .cloned()
-            .collect();
+        let files = &args[1..];
         if files.len() != 2 {
             eprintln!(
                 "compare requires exactly two report files, got {}",
@@ -534,10 +527,9 @@ fn main() {
                  attribution per pair. Exit code 0 = identical, 1 = deltas.\n\
                  \n\
                  --metrics-addr <host:port>: live scrape endpoint (GET /metrics\n\
-                 in Prometheus text, /metrics.json, /window) over the flight\n\
-                 recorder sampling the instrumented layers (jobq, store,\n\
-                 vacuum, cache). Port 0 binds ephemeral; the bound address is\n\
-                 announced on stderr. Default: off (nothing starts).\n\
+                 in Prometheus text) over the instrumented layers (jobq,\n\
+                 store, vacuum, cache). Port 0 binds ephemeral; the bound\n\
+                 address is announced on stderr. Default: off (nothing starts).\n\
                  --host-chrome <path>: host wall-clock spans (worker jobs,\n\
                  vacuum passes, cache probes) as a Chrome trace document.\n\
                  \n\

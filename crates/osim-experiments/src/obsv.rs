@@ -1,17 +1,12 @@
 //! The invocation's live observability plane.
 //!
-//! `--metrics-addr <host:port>` arms three cooperating pieces for the
-//! duration of the process:
-//!
-//! * a **shared collector** that folds every instrumented layer into one
-//!   point-in-time [`Registry`]: the jobq pool (`osim_jobq_*`), the
-//!   concurrent store's process-global hot-path counters (`osim_store_*`),
-//!   the vacuum roll-up (`osim_vacuum_*`), and the armed `--cache` store
-//!   (`osim_cache_*`, present only when `--cache` is given);
-//! * a [`FlightRecorder`] sampling that collector on a fixed cadence into
-//!   a bounded ring of per-window deltas (served as `/window`);
-//! * a [`MetricsServer`] — the std-only scrape endpoint (`/metrics`,
-//!   `/metrics.json`, `/window`).
+//! `--metrics-addr <host:port>` starts a [`MetricsServer`] — the std-only
+//! scrape endpoint serving `GET /metrics` — over a **shared collector**
+//! that folds every instrumented layer into one point-in-time
+//! [`Registry`]: the jobq pool (`osim_jobq_*`), the concurrent store's
+//! process-global hot-path counters (`osim_store_*`), the vacuum roll-up
+//! (`osim_vacuum_*`), and the armed `--cache` store (`osim_cache_*`,
+//! present only when `--cache` is given).
 //!
 //! The collector reports only the work the invocation does. The figure
 //! workloads run on the *simulated* machine and never touch
@@ -19,31 +14,17 @@
 //! at zero; they move when an invocation drives the store (`perf
 //! --ostructs`).
 //!
-//! Everything here lives in a process-wide [`OnceLock`] and is never torn
-//! down: `stress` and `compare` leave via `std::process::exit`, and the
-//! sampler/accept threads must stay scrape-able until the very end. With
-//! the flag absent (`off`) nothing is constructed, no thread starts, and
-//! no byte of output changes.
+//! The server is never torn down: `stress` and `compare` leave via
+//! `std::process::exit`, and the accept thread must stay scrape-able
+//! until the very end. With the flag absent (`off`) nothing is
+//! constructed, no thread starts, and no byte of output changes.
 
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 
-use osim_metrics::flight::Collector;
-use osim_metrics::{FlightCfg, FlightRecorder, Registry};
-use osim_serve::{MetricsServer, WindowSource};
+use osim_metrics::Registry;
+use osim_serve::{Collector, MetricsServer};
 
-/// The armed plane; held (never dropped) in a process-wide static. The
-/// recorder handle is retained purely to keep the sampler alive — and
-/// joinable by anyone who later grows a shutdown path.
-struct Plane {
-    _recorder: Arc<FlightRecorder>,
-}
-
-fn plane_slot() -> &'static OnceLock<Plane> {
-    static PLANE: OnceLock<Plane> = OnceLock::new();
-    &PLANE
-}
-
-/// The one collector every consumer (sampler, scrape routes) shares.
+/// The collector every scrape renders.
 fn collector() -> Collector {
     Arc::new(|reg: &mut Registry| {
         osim_jobq::fill_live_registry(reg);
@@ -55,24 +36,13 @@ fn collector() -> Collector {
     })
 }
 
-/// Arms the plane on `spec` (a `host:port`; port 0 binds ephemeral).
-/// Announces the bound address on stderr — stdout stays byte-identical.
-/// Exits with code 2 when the address cannot be bound: a user who asked
-/// for a scrape endpoint must not silently run without one.
+/// Starts the scrape endpoint on `spec` (a `host:port`; port 0 binds
+/// ephemeral). Announces the bound address on stderr — stdout stays
+/// byte-identical. Exits with code 2 when the address cannot be bound: a
+/// user who asked for a scrape endpoint must not silently run without
+/// one.
 pub fn arm(spec: &str) {
-    let collect = collector();
-    let recorder = match FlightRecorder::start(FlightCfg::default(), Arc::clone(&collect)) {
-        Ok(r) => Arc::new(r),
-        Err(e) => {
-            eprintln!("--metrics-addr: cannot start flight recorder: {e}");
-            std::process::exit(2);
-        }
-    };
-    let window: WindowSource = {
-        let recorder = Arc::clone(&recorder);
-        Arc::new(move || recorder.window_json())
-    };
-    let server = match MetricsServer::start(spec, collect, window) {
+    let server = match MetricsServer::start(spec, collector()) {
         Ok(s) => s,
         Err(e) => {
             eprintln!("--metrics-addr {spec}: cannot bind: {e}");
@@ -81,11 +51,8 @@ pub fn arm(spec: &str) {
     };
     eprintln!("metrics: listening on http://{}/metrics", server.addr());
     // The server must outlive `main` (stress/compare exit the process
-    // directly); parking it in the static disables its Drop-stop.
+    // directly); forgetting it disables its Drop-stop.
     std::mem::forget(server);
-    let _ = plane_slot().set(Plane {
-        _recorder: recorder,
-    });
 }
 
 /// Where `--host-chrome` output goes, once armed.

@@ -112,8 +112,8 @@ fn engine_counters(r: &DsResult) -> (u64, u64) {
 }
 
 /// Runs `jobs` on up to `threads` workers, returning results in submission
-/// order; see [`osim_jobq::run_jobs`] for the ordering/backpressure
-/// contract and [`crate::runcache`] for what a cache hit means.
+/// order; see [`osim_jobq::run_jobs`] for the ordering contract and
+/// [`crate::runcache`] for what a cache hit means.
 pub fn run_jobs(jobs: Vec<SweepJob>, threads: usize) -> Vec<SweepRun> {
     let store = cache_store();
     let mut metas: Vec<(&'static str, &'static str, String, MachineCfg)> =

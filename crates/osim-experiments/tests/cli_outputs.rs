@@ -107,3 +107,32 @@ fn trace_chrome_export_is_loadable() {
         .count() as u64;
     assert_eq!(op_spans, counts.records);
 }
+
+#[test]
+fn unknown_flags_and_stray_arguments_exit_2() {
+    let cases: [(&[&str], &str); 5] = [
+        (
+            &["config", "--scheduler", "heap", "--jbos", "4"],
+            "--scheduler",
+        ),
+        (&["config", "--tiny", "--bogus"], "--bogus"),
+        (&["fig6", "--tiny", "extra"], "extra"),
+        (&["cache", "stats", "--bogus"], "--bogus"),
+        (&["cache", "stats", "extra"], "extra"),
+    ];
+    for (args, culprit) in cases {
+        let out = Command::new(env!("CARGO_BIN_EXE_osim-experiments"))
+            .args(args)
+            .output()
+            .expect("spawn osim-experiments");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}:\n{stderr}");
+        assert!(
+            stderr.contains(culprit),
+            "{args:?} must name {culprit}:\n{stderr}"
+        );
+        assert!(out.stdout.is_empty(), "{args:?} ran anyway");
+    }
+    // Every known flag is still accepted.
+    run_bin(&["config", "--tiny", "--stats", "--jobs", "1"]);
+}

@@ -2,18 +2,16 @@
 //! result cache.
 //!
 //! Extracted from the sweep worker pool that lived inside
-//! `osim-experiments` so other front ends (a future `osim-serve`, ad-hoc
-//! tools) can share it. Three pieces, layered:
+//! `osim-experiments`. Three pieces, layered:
 //!
 //! * [`key`] — a stable 128-bit content hash ([`KeyBuilder`]/[`CacheKey`])
 //!   for naming a unit of work by *everything that determines its output*.
 //! * [`store`] — [`TextStore`], a two-tier (memory + one-file-per-entry
 //!   disk) blob store with atomic writes, corrupt-entry accounting, and
 //!   osim-metrics instrumentation.
-//! * [`queue`] — ordered fan-out of [`Job`]s over worker threads with
-//!   bounded-buffer backpressure ([`JobQueue`]), per-job/per-worker
-//!   telemetry, a live progress line, and transparent cache probing
-//!   through the [`ResultCache`] trait.
+//! * [`queue`] — ordered fan-out of [`Job`]s over worker threads
+//!   ([`run_jobs`]), per-job/per-worker telemetry, a live progress line,
+//!   and transparent cache probing through the [`ResultCache`] trait.
 //!
 //! The queue knows nothing about simulators or report schemas: results are
 //! any `Send` type, cache entries are text, and the mapping between the
@@ -26,6 +24,6 @@ pub mod store;
 pub use key::{CacheKey, KeyBuilder};
 pub use queue::{
     drain_telemetry, fill_live_registry, no_counters, run_jobs, set_progress, CountersFn, Job,
-    JobQueue, JobTiming, Outcome, ResultCache, RunCfg, Telemetry,
+    JobTiming, Outcome, ResultCache, RunCfg, Telemetry,
 };
 pub use store::{StoreCounts, TextStore};

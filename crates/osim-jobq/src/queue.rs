@@ -8,15 +8,11 @@
 //! from them byte-identical to a serial run regardless of worker count or
 //! completion order.
 //!
-//! Two layers are offered:
-//!
-//! * [`JobQueue`] — long-lived workers fed through a bounded queue.
-//!   [`JobQueue::submit`] blocks once `capacity` jobs are in flight, so a
-//!   fast planner cannot buffer unbounded closures ahead of slow workers
-//!   (backpressure).
-//! * [`run_jobs`] — the batch convenience wrapper: submit a whole plan,
-//!   wait, get results back in submission order. `threads <= 1` executes
-//!   inline on the calling thread (the serial reference behaviour).
+//! [`run_jobs`] takes a whole plan and returns the results in submission
+//! order. Its workers share one iterator over the plan: each pops the
+//! next `(index, job)`, runs it and writes the outcome to that index's
+//! slot. One worker runs the loop inline on the calling thread (the
+//! serial reference behaviour); more run it under [`std::thread::scope`].
 //!
 //! Jobs carrying a [`CacheKey`] are probed against the batch's
 //! [`ResultCache`] before execution: a hit skips the run entirely and is
@@ -33,9 +29,8 @@
 //! stdout and any machine-readable output stay byte-identical whatever
 //! the host timing does.
 
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
 use osim_metrics::trace::{host_trace_armed, host_trace_span};
@@ -50,19 +45,17 @@ const MAX_TRACKED_WORKERS: usize = 64;
 /// Monotone live counters for the scrape plane.
 ///
 /// Unlike [`Telemetry`] (drained once per invocation into `--sweep-json`),
-/// these never reset: the flight recorder and external scrapers diff
-/// consecutive snapshots to recover rates. The recording side is raw
-/// atomics plus pre-allocated histograms — no allocation, so an armed
-/// recorder cannot fail the counting-allocator guard.
+/// these never reset: scrapers diff consecutive snapshots to recover
+/// rates. The recording side is raw atomics plus a pre-allocated
+/// histogram — no allocation, so recording cannot fail the
+/// counting-allocator guard.
 struct LiveMetrics {
     jobs_total: AtomicU64,
     cache_hits_total: AtomicU64,
-    backpressure_waits_total: AtomicU64,
-    /// Jobs sitting in a bounded queue, not yet claimed by a worker.
+    /// Jobs planned in a running batch, not yet claimed by a worker.
     queued: AtomicU64,
     /// Jobs currently executing (or probing the cache).
     running: AtomicU64,
-    backpressure_wait_us: Mutex<Histogram>,
     job_latency_us: Mutex<Histogram>,
     worker_busy_us: [AtomicU64; MAX_TRACKED_WORKERS],
 }
@@ -72,10 +65,8 @@ fn live() -> &'static LiveMetrics {
     LIVE.get_or_init(|| LiveMetrics {
         jobs_total: AtomicU64::new(0),
         cache_hits_total: AtomicU64::new(0),
-        backpressure_waits_total: AtomicU64::new(0),
         queued: AtomicU64::new(0),
         running: AtomicU64::new(0),
-        backpressure_wait_us: Mutex::new(Histogram::default()),
         job_latency_us: Mutex::new(Histogram::default()),
         worker_busy_us: std::array::from_fn(|_| AtomicU64::new(0)),
     })
@@ -95,11 +86,6 @@ pub fn fill_live_registry(reg: &mut Registry) {
         &[],
         m.cache_hits_total.load(Ordering::Relaxed),
     );
-    reg.counter_add(
-        "osim_jobq_backpressure_waits_total",
-        &[],
-        m.backpressure_waits_total.load(Ordering::Relaxed),
-    );
     reg.gauge_set(
         "osim_jobq_queue_depth",
         &[],
@@ -110,14 +96,6 @@ pub fn fill_live_registry(reg: &mut Registry) {
         &[],
         m.running.load(Ordering::Relaxed) as f64,
     );
-    {
-        let h = m
-            .backpressure_wait_us
-            .lock()
-            .unwrap_or_else(|e| e.into_inner());
-        reg.hist_mut("osim_jobq_backpressure_wait_us", &[])
-            .merge(&h);
-    }
     {
         let h = m.job_latency_us.lock().unwrap_or_else(|e| e.into_inner());
         reg.hist_mut("osim_jobq_job_latency_us", &[]).merge(&h);
@@ -543,205 +521,59 @@ impl<R> RunCfg<R> {
     }
 }
 
-struct QState<R> {
-    pending: VecDeque<(usize, Job<R>)>,
-    results: Vec<Option<Outcome<R>>>,
-    submitted: usize,
-    completed: usize,
-    closed: bool,
-}
-
-struct Shared<R> {
-    q: Mutex<QState<R>>,
-    not_empty: Condvar,
-    not_full: Condvar,
-    capacity: usize,
-    progress: Progress,
-    batch_start: Instant,
-    cache: Option<Arc<dyn ResultCache<R>>>,
-    counters: CountersFn<R>,
-}
-
-fn qlock<R>(shared: &Shared<R>) -> MutexGuard<'_, QState<R>> {
-    shared.q.lock().expect("job queue mutex poisoned")
-}
-
-/// A streaming job queue: long-lived workers fed through a bounded buffer.
-///
-/// [`submit`](JobQueue::submit) blocks while `capacity` jobs are in flight
-/// (queued or running), which bounds how many planned-but-unstarted
-/// closures exist at once — the backpressure a future socket-fed sweep
-/// service needs, and a no-op for batch callers that size `capacity` to
-/// the plan. [`finish`](JobQueue::finish) waits for everything and
-/// returns the outcomes in submission order.
-pub struct JobQueue<R: Send + 'static> {
-    shared: Arc<Shared<R>>,
-    workers: Vec<std::thread::JoinHandle<()>>,
-}
-
-impl<R: Send + 'static> JobQueue<R> {
-    /// A queue with `workers` threads admitting at most `capacity` in-flight
-    /// jobs (both clamped to at least 1).
-    pub fn new(
-        workers: usize,
-        capacity: usize,
-        cfg_cache: Option<Arc<dyn ResultCache<R>>>,
-        counters: CountersFn<R>,
-    ) -> Self {
-        let workers = workers.max(1);
-        let shared = Arc::new(Shared {
-            q: Mutex::new(QState {
-                pending: VecDeque::new(),
-                results: Vec::new(),
-                submitted: 0,
-                completed: 0,
-                closed: false,
-            }),
-            not_empty: Condvar::new(),
-            not_full: Condvar::new(),
-            capacity: capacity.max(1),
-            progress: Progress::new(workers),
-            batch_start: Instant::now(),
-            cache: cfg_cache,
-            counters,
-        });
-        let handles = (0..workers)
-            .map(|w| {
-                let shared = Arc::clone(&shared);
-                std::thread::spawn(move || worker_loop(&shared, w))
-            })
-            .collect();
-        JobQueue {
-            shared,
-            workers: handles,
-        }
-    }
-
-    /// Enqueues a job, blocking while the in-flight window is full.
-    /// Returns the job's submission index.
-    pub fn submit(&self, job: Job<R>) -> usize {
-        let mut st = qlock(&self.shared);
-        let mut wait_started: Option<Instant> = None;
-        while st.submitted - st.completed >= self.shared.capacity {
-            if wait_started.is_none() {
-                wait_started = Some(Instant::now());
-            }
-            st = self
-                .shared
-                .not_full
-                .wait(st)
-                .expect("job queue mutex poisoned");
-        }
-        if let Some(t0) = wait_started {
-            let m = live();
-            m.backpressure_waits_total.fetch_add(1, Ordering::Relaxed);
-            m.backpressure_wait_us
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .record(t0.elapsed().as_micros() as u64);
-        }
-        let idx = st.submitted;
-        st.submitted += 1;
-        st.results.push(None);
-        st.pending.push_back((idx, job));
-        live().queued.fetch_add(1, Ordering::Relaxed);
-        drop(st);
-        self.shared.progress.add_total(1);
-        self.shared.progress.render();
-        self.shared.not_empty.notify_one();
-        idx
-    }
-
-    /// Closes the queue, waits for every submitted job, and returns the
-    /// outcomes in submission order.
-    pub fn finish(self) -> Vec<Outcome<R>> {
-        {
-            let mut st = qlock(&self.shared);
-            st.closed = true;
-        }
-        self.shared.not_empty.notify_all();
-        for h in self.workers {
-            h.join().expect("worker thread panicked");
-        }
-        self.shared.progress.close();
-        let mut st = qlock(&self.shared);
-        std::mem::take(&mut st.results)
-            .into_iter()
-            .map(|r| r.expect("worker filled every claimed slot"))
-            .collect()
-    }
-}
-
-fn worker_loop<R: Send + 'static>(shared: &Shared<R>, worker: usize) {
-    loop {
-        let (idx, job) = {
-            let mut st = qlock(shared);
-            loop {
-                if let Some(x) = st.pending.pop_front() {
-                    live().queued.fetch_sub(1, Ordering::Relaxed);
-                    break x;
-                }
-                if st.closed {
-                    return;
-                }
-                st = shared.not_empty.wait(st).expect("job queue mutex poisoned");
-            }
-        };
-        let outcome = exec_timed(
-            job,
-            worker,
-            shared.batch_start,
-            &shared.progress,
-            shared.cache.as_deref(),
-            shared.counters,
-        );
-        let mut st = qlock(shared);
-        st.results[idx] = Some(outcome);
-        st.completed += 1;
-        drop(st);
-        shared.not_full.notify_one();
-    }
-}
-
-/// Runs a whole plan, returning results in submission order. `threads <= 1`
-/// (or a single job) executes inline on the calling thread — the serial
-/// reference behaviour; either way the returned order, and therefore
-/// everything rendered from it, is identical.
+/// Runs a whole plan, returning results in submission order. Workers pop
+/// `(index, job)` pairs from one shared iterator and write each outcome
+/// to its slot; one worker (or a single job) runs on the calling thread —
+/// the serial reference behaviour. Either way the returned order, and
+/// therefore everything rendered from it, is identical.
 pub fn run_jobs<R: Send + 'static>(jobs: Vec<Job<R>>, cfg: RunCfg<R>) -> Vec<Outcome<R>> {
     let n = jobs.len();
     if n == 0 {
         return Vec::new();
     }
     let batch_start = Instant::now();
-    let out = if cfg.threads <= 1 || n <= 1 {
-        let progress = Progress::new(1);
-        progress.add_total(n);
-        let outs = jobs
-            .into_iter()
-            .map(|j| {
-                exec_timed(
-                    j,
-                    0,
-                    batch_start,
-                    &progress,
-                    cfg.cache.as_deref(),
-                    cfg.counters,
-                )
-            })
-            .collect();
-        progress.close();
-        outs
-    } else {
-        let q = JobQueue::new(cfg.threads.min(n), n, cfg.cache, cfg.counters);
-        for j in jobs {
-            q.submit(j);
-        }
-        q.finish()
+    let workers = cfg.threads.clamp(1, n);
+    let progress = Progress::new(workers);
+    progress.add_total(n);
+    live().queued.fetch_add(n as u64, Ordering::Relaxed);
+    let pending = Mutex::new(jobs.into_iter().enumerate());
+    let slots: Mutex<Vec<Option<Outcome<R>>>> = Mutex::new((0..n).map(|_| None).collect());
+    let work = |worker: usize| loop {
+        let next = pending.lock().expect("job queue mutex poisoned").next();
+        let Some((idx, job)) = next else {
+            return;
+        };
+        live().queued.fetch_sub(1, Ordering::Relaxed);
+        let outcome = exec_timed(
+            job,
+            worker,
+            batch_start,
+            &progress,
+            cfg.cache.as_deref(),
+            cfg.counters,
+        );
+        slots.lock().expect("job slots mutex poisoned")[idx] = Some(outcome);
     };
+    if workers == 1 {
+        work(0);
+    } else {
+        let work = &work;
+        std::thread::scope(|s| {
+            for w in 0..workers {
+                s.spawn(move || work(w));
+            }
+        });
+    }
+    progress.close();
     let mut t = telemetry().lock().expect("telemetry mutex poisoned");
     t.batches += 1;
     t.wall_ms += batch_start.elapsed().as_secs_f64() * 1e3;
-    out
+    slots
+        .into_inner()
+        .expect("job slots mutex poisoned")
+        .into_iter()
+        .map(|o| o.expect("a worker filled every slot"))
+        .collect()
 }
 
 #[cfg(test)]
@@ -749,6 +581,7 @@ mod tests {
     use super::*;
     use std::collections::HashMap;
     use std::sync::atomic::AtomicU64;
+    use std::sync::MutexGuard;
 
     use crate::key::KeyBuilder;
 
@@ -769,13 +602,16 @@ mod tests {
     #[test]
     fn results_come_back_in_submission_order() {
         let _g = guard();
-        let jobs: Vec<Job<u64>> = (0..16).map(job).collect();
-        let outs = run_jobs(jobs, RunCfg::threads(4));
-        assert_eq!(outs.len(), 16);
-        for (i, o) in outs.iter().enumerate() {
-            assert_eq!(o.label, format!("job{i}"));
-            assert_eq!(o.result, i as u64 * 10);
-            assert!(!o.cache_hit);
+        // 32 workers is more than there are jobs.
+        for threads in [1, 2, 4, 32] {
+            let jobs: Vec<Job<u64>> = (0..16).map(job).collect();
+            let outs = run_jobs(jobs, RunCfg::threads(threads));
+            assert_eq!(outs.len(), 16, "threads={threads}");
+            for (i, o) in outs.iter().enumerate() {
+                assert_eq!(o.label, format!("job{i}"), "threads={threads}");
+                assert_eq!(o.result, i as u64 * 10, "threads={threads}");
+                assert!(!o.cache_hit, "threads={threads}");
+            }
         }
     }
 
@@ -790,22 +626,6 @@ mod tests {
             run_jobs(Vec::<Job<u64>>::new(), RunCfg::threads(8)).len(),
             0
         );
-    }
-
-    #[test]
-    fn backpressure_bounds_in_flight_jobs() {
-        let _g = guard();
-        // capacity 2 with 1 worker: submit must block rather than buffer
-        // the whole plan; everything still completes in order.
-        let q: JobQueue<u64> = JobQueue::new(1, 2, None, no_counters);
-        for i in 0..8 {
-            q.submit(job(i));
-        }
-        let outs = q.finish();
-        assert_eq!(outs.len(), 8);
-        for (i, o) in outs.iter().enumerate() {
-            assert_eq!(o.result, i as u64 * 10);
-        }
     }
 
     struct MapCache {
@@ -929,29 +749,6 @@ mod tests {
         assert!(text.contains("# TYPE osim_jobq_jobs_total counter"));
         assert!(text.contains("osim_jobq_queue_depth 0"));
         assert!(text.contains("osim_jobq_running 0"));
-    }
-
-    #[test]
-    fn backpressure_wait_is_recorded_live() {
-        let _g = guard();
-        let before = {
-            let mut reg = Registry::new();
-            fill_live_registry(&mut reg);
-            reg.counter("osim_jobq_backpressure_waits_total", &[])
-        };
-        // Capacity 1 with a slow worker forces every later submit to wait.
-        let q: JobQueue<u64> = JobQueue::new(1, 1, None, no_counters);
-        for i in 0..4 {
-            q.submit(Job::new(format!("slow{i}"), move || {
-                std::thread::sleep(std::time::Duration::from_millis(2));
-                i
-            }));
-        }
-        q.finish();
-        let mut reg = Registry::new();
-        fill_live_registry(&mut reg);
-        let after = reg.counter("osim_jobq_backpressure_waits_total", &[]);
-        assert!(after > before, "submit never blocked: {before} -> {after}");
     }
 
     #[test]

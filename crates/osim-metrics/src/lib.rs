@@ -11,9 +11,6 @@
 //!   merge and a Prometheus-style text exposition writer (the scrape
 //!   surface served live by `osim-serve`). Used host-side by the
 //!   parallel sweep pool.
-//! * [`FlightRecorder`] — a background sampler thread that snapshots a
-//!   collector-built registry into a fixed-size ring of per-window
-//!   deltas; the recording side stays allocation-free.
 //! * [`trace`] — process-global host-thread span collection (disarmed by
 //!   default) feeding the `--host-chrome` wall-clock trace export.
 //! * [`json`] — the hand-rolled JSON value model, writer, and parser
@@ -24,13 +21,11 @@
 //! this crate, so it must stay a leaf: no dependencies, no simulated-time
 //! types.
 
-pub mod flight;
 pub mod hist;
 pub mod json;
 pub mod registry;
 pub mod trace;
 
-pub use flight::{Collector, FlightCfg, FlightRecorder, Window};
 pub use hist::{Histogram, BUCKETS};
-pub use registry::{MetricKey, Registry, Sample};
+pub use registry::{MetricKey, Registry};
 pub use trace::{host_trace_arm, host_trace_armed, host_trace_drain, host_trace_span, HostSpan};

@@ -1,10 +1,9 @@
 //! Labeled counters, gauges, and histograms with lossless merge and a
 //! Prometheus-style text exposition writer.
 //!
-//! The registry is the host-side aggregation surface: the sweep pool keeps
-//! one per worker and folds them together after the run, and the planned
-//! `osim-serve` scrape endpoint will render [`Registry::to_prometheus`]
-//! directly. Nothing here sits on the simulated-cycle path, so ordinary
+//! The registry is the host-side aggregation surface: the scrape
+//! collector folds every instrumented layer into one, and the
+//! `osim-serve` endpoint renders [`Registry::to_prometheus`] directly. Nothing here sits on the simulated-cycle path, so ordinary
 //! allocation is fine; determinism comes from sorting the exposition by
 //! metric identity rather than insertion order.
 
@@ -57,14 +56,6 @@ fn escape_label(v: &str) -> String {
         }
     }
     out
-}
-
-/// One flattened metric value, as returned by [`Registry::samples`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum Sample {
-    Counter(u64),
-    Gauge(f64),
-    Hist { count: u64, sum: u64 },
 }
 
 #[derive(Debug, Clone, PartialEq)]
@@ -195,7 +186,7 @@ impl Registry {
         v
     }
 
-    /// Prometheus text exposition (the future `osim-serve` scrape body).
+    /// Prometheus text exposition (the `osim-serve` scrape body).
     ///
     /// Counters and gauges render one sample each; histograms render the
     /// conventional `_bucket{le=...}` cumulative series plus `_sum` and
@@ -240,29 +231,6 @@ impl Registry {
             }
         }
         out
-    }
-
-    /// Flattened point-in-time view keyed by exposition identity
-    /// (`name{label="v"}`), sorted. Histograms collapse to their
-    /// `(count, sum)` pair — exactly what the flight recorder needs to
-    /// compute per-window rate deltas without holding full bucket arrays
-    /// for every window in the ring.
-    pub fn samples(&self) -> Vec<(String, Sample)> {
-        self.sorted()
-            .into_iter()
-            .map(|(key, value)| {
-                let id = format!("{}{}", key.name, key.label_text());
-                let sample = match value {
-                    Value::Counter(c) => Sample::Counter(*c),
-                    Value::Gauge(g) => Sample::Gauge(*g),
-                    Value::Hist(h) => Sample::Hist {
-                        count: h.count(),
-                        sum: h.sum(),
-                    },
-                };
-                (id, sample)
-            })
-            .collect()
     }
 
     /// JSON form: `{"counters": {...}, "gauges": {...}, "hists": {...}}`

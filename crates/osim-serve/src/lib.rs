@@ -1,15 +1,9 @@
 //! The live scrape endpoint for long-running invocations.
 //!
-//! ROADMAP item 2 reserves `osim-serve` for the sweep service front end;
-//! this is its first concrete slice: a std-only (no dependencies beyond
-//! `osim-metrics`) HTTP/1.1 server over [`std::net::TcpListener`] that
-//! renders the shared metric sources on demand. Three routes:
-//!
-//! * `GET /metrics` — Prometheus text exposition via
-//!   [`osim_metrics::Registry::to_prometheus`];
-//! * `GET /metrics.json` — the registry's JSON conventions
-//!   (`{"counters": .., "gauges": .., "hists": ..}`);
-//! * `GET /window` — recent flight-recorder windows (per-window deltas).
+//! A std-only (no dependencies beyond `osim-metrics`) HTTP/1.1 server
+//! over [`std::net::TcpListener`] with one route: `GET /metrics`, the
+//! Prometheus text exposition of a freshly collected
+//! [`osim_metrics::Registry`]. Every other path answers 404.
 //!
 //! The server never touches stdout (byte-compared output stays clean);
 //! the bound address is announced on stderr so `--metrics-addr
@@ -17,8 +11,6 @@
 //! serially on one accept thread — a scrape every few seconds from one
 //! Prometheus instance is the design load, not a public web server.
 
-use osim_metrics::flight::Collector;
-use osim_metrics::json::Json;
 use osim_metrics::Registry;
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -27,9 +19,8 @@ use std::sync::Arc;
 use std::thread::{Builder, JoinHandle};
 use std::time::Duration;
 
-/// Produces the `/window` JSON body (usually
-/// `FlightRecorder::window_json`).
-pub type WindowSource = Arc<dyn Fn() -> Json + Send + Sync>;
+/// Builds the point-in-time registry one scrape renders.
+pub type Collector = Arc<dyn Fn(&mut Registry) + Send + Sync>;
 
 /// A running metrics endpoint. Dropping it stops the accept thread.
 pub struct MetricsServer {
@@ -41,13 +32,8 @@ pub struct MetricsServer {
 impl MetricsServer {
     /// Binds `spec` (a `host:port` string; port 0 picks an ephemeral
     /// port) and starts serving. `collect` builds the point-in-time
-    /// registry for `/metrics` and `/metrics.json`; `window` renders
-    /// `/window`.
-    pub fn start(
-        spec: &str,
-        collect: Collector,
-        window: WindowSource,
-    ) -> io::Result<MetricsServer> {
+    /// registry each `/metrics` scrape renders.
+    pub fn start(spec: &str, collect: Collector) -> io::Result<MetricsServer> {
         let listener = TcpListener::bind(spec)?;
         let addr = listener.local_addr()?;
         let stop = Arc::new(AtomicBool::new(false));
@@ -62,7 +48,7 @@ impl MetricsServer {
                     if let Ok(stream) = stream {
                         // A misbehaving client must not wedge the
                         // endpoint; errors just drop the connection.
-                        let _ = serve_one(stream, &collect, &window);
+                        let _ = serve_one(stream, &collect);
                     }
                 }
             })?;
@@ -95,7 +81,7 @@ impl Drop for MetricsServer {
     }
 }
 
-fn serve_one(mut stream: TcpStream, collect: &Collector, window: &WindowSource) -> io::Result<()> {
+fn serve_one(mut stream: TcpStream, collect: &Collector) -> io::Result<()> {
     stream.set_read_timeout(Some(Duration::from_secs(5)))?;
     stream.set_write_timeout(Some(Duration::from_secs(5)))?;
     let path = match read_request_path(&mut stream)? {
@@ -112,24 +98,10 @@ fn serve_one(mut stream: TcpStream, collect: &Collector, window: &WindowSource) 
                 reg.to_prometheus(),
             )
         }
-        "/metrics.json" => {
-            let mut reg = Registry::new();
-            collect(&mut reg);
-            (
-                "200 OK",
-                "application/json",
-                format!("{}\n", reg.to_json().to_pretty()),
-            )
-        }
-        "/window" => (
-            "200 OK",
-            "application/json",
-            format!("{}\n", window().to_pretty()),
-        ),
         _ => (
             "404 Not Found",
             "text/plain; charset=utf-8",
-            "routes: /metrics /metrics.json /window\n".to_string(),
+            "routes: /metrics\n".to_string(),
         ),
     };
     let header = format!(
@@ -176,7 +148,6 @@ fn read_request_path(stream: &mut TcpStream) -> io::Result<Option<String>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use osim_metrics::json::obj;
     use std::sync::atomic::AtomicU64;
 
     fn test_server() -> (MetricsServer, Arc<AtomicU64>) {
@@ -191,10 +162,7 @@ mod tests {
             reg.gauge_set("osim_test_depth", &[], 3.0);
             reg.hist_record("osim_test_lat_us", &[("fig", "f\"1\"")], 17);
         });
-        let window: WindowSource =
-            Arc::new(|| obj(vec![("schema", Json::Str("osim-flight-v1".into()))]));
-        let server =
-            MetricsServer::start("127.0.0.1:0", collect, window).expect("bind ephemeral port");
+        let server = MetricsServer::start("127.0.0.1:0", collect).expect("bind ephemeral port");
         (server, hits)
     }
 
@@ -235,27 +203,15 @@ mod tests {
     }
 
     #[test]
-    fn json_routes_parse() {
-        let (server, _) = test_server();
-        let (head, body) = http_get(server.addr(), "/metrics.json");
-        assert!(head.contains("application/json"));
-        let doc = osim_metrics::json::parse(&body).expect("valid json");
-        assert!(doc.get("counters").is_some());
-        let (_, wbody) = http_get(server.addr(), "/window");
-        let wdoc = osim_metrics::json::parse(&wbody).expect("valid window json");
-        assert_eq!(
-            wdoc.get("schema").and_then(|s| s.as_str()),
-            Some("osim-flight-v1")
-        );
-    }
-
-    #[test]
     fn unknown_route_is_404_and_server_survives() {
         let (server, _) = test_server();
-        let (head, _) = http_get(server.addr(), "/nope");
-        assert!(head.starts_with("HTTP/1.1 404"));
-        let (head, _) = http_get(server.addr(), "/metrics");
-        assert!(head.starts_with("HTTP/1.1 200"));
+        for path in ["/nope", "/metrics.json", "/window"] {
+            let (head, body) = http_get(server.addr(), path);
+            assert!(head.starts_with("HTTP/1.1 404"), "{path}: {head}");
+            assert_eq!(body, "routes: /metrics\n", "{path}");
+            let (head, _) = http_get(server.addr(), "/metrics");
+            assert!(head.starts_with("HTTP/1.1 200"), "after {path}: {head}");
+        }
     }
 
     #[test]

@@ -14,12 +14,12 @@ use ostructs_core::vacuum::{ReaderRegistry, Vacuum, VacuumCfg};
 use ostructs_core::OCell;
 
 const CHURN_VERSIONS: u64 = 4_000;
-/// Writer backpressure threshold: with the vacuum on, the writer stalls
+/// Writer throttle threshold: with the vacuum on, the writer stalls
 /// whenever live history exceeds this, the way a real store bounds its
 /// memory. The vacuum must always drain below it again (asserted with a
 /// deadline), so the peak stays O(threshold) — not O(total churn).
-const BACKPRESSURE_AT: usize = 768;
-/// Peak bound: threshold + the stores between two backpressure checks +
+const THROTTLE_AT: usize = 768;
+/// Peak bound: threshold + the stores between two throttle checks +
 /// slack for one vacuum interval of lag (generous for 1-CPU hosts where
 /// the vacuum thread competes with the writer for the core).
 const BOUNDED_LIMIT: usize = 1_200;
@@ -71,14 +71,14 @@ fn churn(vacuum_on: bool) -> usize {
         if i % 64 == 0 {
             max_live = max_live.max(cell.version_count());
             if vacuum_on {
-                // Backpressure: stall until the vacuum drains the
+                // Throttle: stall until the vacuum drains the
                 // backlog. Without a vacuum this would never clear —
                 // that's the unboundedness the OFF variant demonstrates.
                 let deadline = std::time::Instant::now() + Duration::from_secs(10);
-                while cell.version_count() > BACKPRESSURE_AT {
+                while cell.version_count() > THROTTLE_AT {
                     assert!(
                         std::time::Instant::now() < deadline,
-                        "vacuum failed to drain below the backpressure threshold"
+                        "vacuum failed to drain below the throttle threshold"
                     );
                     thread::sleep(Duration::from_micros(200));
                 }
