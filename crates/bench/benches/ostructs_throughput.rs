@@ -19,6 +19,7 @@
 //! workload to CI-smoke size.
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use osim_engine::splitmix64;
 use ostructs_core::map::OMap;
 use ostructs_core::vacuum::{ReaderRegistry, Vacuum, VacuumCfg};
 use ostructs_core::OCell;
@@ -51,15 +52,6 @@ fn thread_counts() -> Vec<usize> {
         counts.push(2);
     }
     counts
-}
-
-/// splitmix64: the repo's standard deterministic stream.
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
 }
 
 /// A zipf(s≈1) sampler over `n` keys via an inverse-CDF table.

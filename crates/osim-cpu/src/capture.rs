@@ -3,7 +3,7 @@
 //!
 //! Both captures are strictly host-side observation. A dependency edge is
 //! recorded *after* a blocked versioned load completes, from values the
-//! simulation already computed (the wake's tag/origin and the stall
+//! simulation already computed (the wake's origin and the stall
 //! bookkeeping the stall-cause attribution keeps anyway); the interval
 //! sampler reads cumulative counters at cycle-epoch boundaries from within
 //! machine-state borrows the issuing core already holds. Neither inserts

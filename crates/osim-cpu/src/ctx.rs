@@ -4,44 +4,15 @@ use std::cell::{Cell, RefCell};
 use std::convert::Infallible;
 use std::rc::Rc;
 
-use osim_engine::{Cycle, Gate, SimHandle, WaitInfo, Wake, WakeFilter, WakeOrigin};
+use osim_engine::{Cycle, Gate, SimHandle, WaitInfo, WakeOrigin};
 use osim_mem::{AccessKind, Fault};
 use osim_uarch::{BlockReason, OpOutcome, TaskId, Version};
 
 use crate::capture::DepEdge;
 use crate::error::TaskFault;
-use crate::machine::{MachineState, WakeupPolicy};
+use crate::machine::MachineState;
 use crate::stats::StallCause;
 use crate::trace::{OpKind, TraceRecord};
-
-/// Wake-tag vocabulary carried by O-structure gate openings, so a woken
-/// task knows which event released it without re-reading shared state.
-pub mod wake {
-    use osim_engine::WakeTag;
-
-    /// A `STORE-VERSION` completed on the structure.
-    pub const STORE: WakeTag = 1;
-    /// An `UNLOCK-VERSION` completed on the structure.
-    pub const UNLOCK: WakeTag = 2;
-
-    /// Human-readable tag name (for debug traces).
-    pub fn name(tag: WakeTag) -> &'static str {
-        match tag {
-            STORE => "store",
-            UNLOCK => "unlock",
-            _ => "generic",
-        }
-    }
-}
-
-/// Whether the `OSIM_TRACE` debug-print hook is on. The environment is
-/// read once per process: the flag is consulted on every versioned
-/// operation, and a `getenv` call per op is measurable host overhead in
-/// long sweeps.
-fn osim_trace() -> bool {
-    static ON: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *ON.get_or_init(|| std::env::var_os("OSIM_TRACE").is_some())
-}
 
 /// The instruction interface one task programs against.
 ///
@@ -56,10 +27,6 @@ fn osim_trace() -> bool {
 /// with the issuing task's coordinates, the engine is halted, and
 /// [`crate::Machine::run_tasks`] surfaces it as
 /// [`crate::SimError::Fault`] — in hardware the OS would kill the process.
-///
-/// Setting the `OSIM_TRACE` environment variable prints lock/unlock/stall
-/// events to stderr — a quick live view when debugging a deadlocking
-/// protocol; for structured capture use [`crate::Machine::enable_trace`].
 #[derive(Clone)]
 pub struct TaskCtx {
     core: usize,
@@ -289,7 +256,7 @@ impl TaskCtx {
         // final (satisfying) retry.
         let mut first_block_at: Option<Cycle> = None;
         let mut total_waited: Cycle = 0;
-        let mut last_wake: Option<(Wake, Cycle)> = None;
+        let mut last_wake: Option<(WakeOrigin, Cycle)> = None;
         // Injected delivery delay of the invalidation behind a
         // coherence-attributed block (fault injection only).
         let mut coh_extra: u64 = 0;
@@ -337,13 +304,6 @@ impl TaskCtx {
                     version,
                     latency,
                 } => {
-                    if lock && osim_trace() {
-                        eprintln!(
-                            "[{}] task {} LOCKED va={va:#x} version={version}",
-                            self.h.now(),
-                            self.tid
-                        );
-                    }
                     self.h.sleep(latency).await;
                     if let Some(cause) = last_stall {
                         let mut st = self.st.borrow_mut();
@@ -354,7 +314,7 @@ impl TaskCtx {
                         // Record the producer→consumer edge for the wake
                         // that satisfied this load (observation only; see
                         // `capture` module docs).
-                        if let Some((wake, woken_at)) = last_wake {
+                        if let Some((origin, woken_at)) = last_wake {
                             st.deps.push(DepEdge {
                                 va,
                                 awaited: v,
@@ -362,9 +322,9 @@ impl TaskCtx {
                                 cause,
                                 consumer_tid: self.tid,
                                 consumer_core: self.core as u32,
-                                producer_tid: (wake.origin.label >> 32) as u32,
-                                producer_core: wake.origin.label as u32,
-                                produced_at: wake.origin.at,
+                                producer_tid: (origin.label >> 32) as u32,
+                                producer_core: origin.label as u32,
+                                produced_at: origin.at,
                                 blocked_at: first_block_at.unwrap_or(woken_at),
                                 woken_at,
                                 waited: total_waited,
@@ -384,19 +344,6 @@ impl TaskCtx {
                 OpOutcome::Blocked {
                     reason, latency, ..
                 } => {
-                    if osim_trace() {
-                        eprintln!(
-                            "[{}] task {} core {} blocked {:?} va={:#x} v={} latest={} lock={}",
-                            self.h.now(),
-                            self.tid,
-                            self.core,
-                            reason,
-                            va,
-                            v,
-                            latest,
-                            lock
-                        );
-                    }
                     let cause = match last_stall {
                         Some(c) => c,
                         None => unreachable!("blocked attempt recorded its cause"),
@@ -423,38 +370,12 @@ impl TaskCtx {
                     // sleep must still wake us. An injected coherence delay
                     // stretches the failed attempt (the invalidation's
                     // effect arrives late), not the wake-up.
-                    //
-                    // Under targeted delivery the ticket also registers what
-                    // we await: an exact load can only be satisfied by its
-                    // version appearing (or unlocking); a capped load by any
-                    // version at or below the cap. Broadcast openers ignore
-                    // the filter, so registering it is behaviour-neutral
-                    // until the machine opts into `WakeupPolicy::Targeted`.
-                    let wakeup = self.st.borrow().wakeup;
-                    let ticket = match wakeup {
-                        WakeupPolicy::Broadcast => self.gate_for(va).ticket(),
-                        WakeupPolicy::Targeted => {
-                            let filter = if latest {
-                                WakeFilter::AtMost(u64::from(v))
-                            } else {
-                                WakeFilter::Exact(u64::from(v))
-                            };
-                            self.gate_for(va).ticket_filtered(filter)
-                        }
-                    };
+                    let ticket = self.gate_for(va).ticket();
                     self.h.sleep(latency + coh_extra).await;
-                    let woken = ticket.await;
+                    let origin = ticket.await;
                     self.h.clear_wait_info();
-                    if osim_trace() {
-                        eprintln!(
-                            "[{}] task {} woken by {} on va={va:#x}",
-                            self.h.now(),
-                            self.tid,
-                            wake::name(woken.tag)
-                        );
-                    }
                     first_block_at.get_or_insert(stall_start);
-                    last_wake = Some((woken, self.h.now()));
+                    last_wake = Some((origin, self.h.now()));
                     let mut st = self.st.borrow_mut();
                     let waited = self.h.now() - stall_start;
                     total_waited += waited;
@@ -490,29 +411,14 @@ impl TaskCtx {
         self.h.sleep(latency).await;
         let stall = (trap > 0).then_some(StallCause::FreeListGc);
         self.trace(OpKind::VersionedStore, va, v, self.h.now() - latency, stall);
-        let wakeup = self.st.borrow().wakeup;
-        let origin = self.wake_origin();
-        match wakeup {
-            WakeupPolicy::Broadcast => self.gate_for(va).open_tagged_from(wake::STORE, origin),
-            // A store publishes exactly one version.
-            WakeupPolicy::Targeted => {
-                self.gate_for(va)
-                    .open_targeted_from(wake::STORE, &[u64::from(v)], origin)
-            }
-        }
+        self.gate_for(va)
+            .open_at_from(self.h.now(), self.wake_origin());
     }
 
     /// `UNLOCK-VERSION`: unlocks `vl` (held by this task); with
     /// `create = Some(vn)` also creates unlocked version `vn` carrying the
     /// same value. Wakes stalled tasks.
     pub async fn unlock_version(&self, va: u32, vl: Version, create: Option<Version>) {
-        if osim_trace() {
-            eprintln!(
-                "[{}] task {} UNLOCK va={va:#x} vl={vl} create={create:?}",
-                self.h.now(),
-                self.tid
-            );
-        }
         let res = {
             let mut st = self.st.borrow_mut();
             st.cpu.versioned_ops += 1;
@@ -537,20 +443,8 @@ impl TaskCtx {
         self.h.sleep(latency).await;
         let stall = (trap > 0).then_some(StallCause::FreeListGc);
         self.trace(OpKind::Unlock, va, vl, self.h.now() - latency, stall);
-        let wakeup = self.st.borrow().wakeup;
-        let origin = self.wake_origin();
-        match wakeup {
-            WakeupPolicy::Broadcast => self.gate_for(va).open_tagged_from(wake::UNLOCK, origin),
-            // An unlock makes the locked version readable, and a rename
-            // additionally publishes the created version; one open carrying
-            // both keeps matching waiters waking in park order (two separate
-            // opens would reorder them relative to a broadcast).
-            WakeupPolicy::Targeted => {
-                let payloads = [u64::from(vl), u64::from(create.unwrap_or(vl))];
-                self.gate_for(va)
-                    .open_targeted_from(wake::UNLOCK, &payloads, origin)
-            }
-        }
+        self.gate_for(va)
+            .open_at_from(self.h.now(), self.wake_origin());
     }
 
     /// Releases an entire O-structure (every version block back to the

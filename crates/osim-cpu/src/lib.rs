@@ -33,11 +33,11 @@ pub mod stats;
 pub mod trace;
 
 pub use capture::{CaptureCfg, DepEdge, Sample};
-pub use ctx::{wake, TaskCtx};
+pub use ctx::TaskCtx;
 pub use error::{BlameEntry, DeadlockReport, SimError, TaskFault, WaitClass, WatchdogReport};
-pub use machine::{Machine, MachineCfg, MachineState, PhaseReport, WakeupPolicy};
+pub use machine::{Machine, MachineCfg, MachineState, PhaseReport};
 pub use osim_engine::{EngineHists, EngineStats, ShakePolicy};
 pub use runtime::{task, TaskFn};
 pub use rwlock::SimRwLock;
 pub use stats::{CoreStats, CpuStats, RunHists, StallCause};
-pub use trace::{OpKind, Trace, TraceRecord, TraceSummary};
+pub use trace::{OpKind, TraceRecord, TraceSummary};

@@ -14,26 +14,7 @@ use crate::ctx::TaskCtx;
 use crate::error::{DeadlockReport, SimError, TaskFault, WatchdogReport};
 use crate::runtime::{self, TaskFn};
 use crate::stats::{CpuStats, RunHists};
-use crate::trace::Trace;
-
-/// How a completed `STORE-VERSION` / `UNLOCK-VERSION` wakes the tasks
-/// parked on its O-structure's gate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum WakeupPolicy {
-    /// Wake every parked waiter; each re-checks its condition and re-parks
-    /// if still unsatisfied (the paper's model, and the default). The
-    /// failed re-checks are themselves modeled operations, so this policy
-    /// defines the reference timing.
-    #[default]
-    Broadcast,
-    /// Wake only waiters whose awaited version could have been satisfied
-    /// by the publishing operation (an ablation): blocked loads register
-    /// the version they await, and openers pass the version(s) they
-    /// published. Skipped waiters never pay the wake/re-check round trip,
-    /// so simulated timing can differ from broadcast wherever a failed
-    /// re-check would have touched the caches.
-    Targeted,
-}
+use crate::trace::TraceRecord;
 
 /// Machine configuration.
 #[derive(Debug, Clone)]
@@ -55,8 +36,6 @@ pub struct MachineCfg {
     /// diagnostic dump of every parked task. `None` disables it (the
     /// default — deterministic timing is unaffected).
     pub watchdog_cycles: Option<u64>,
-    /// Gate wake-up delivery policy (default [`WakeupPolicy::Broadcast`]).
-    pub wakeup: WakeupPolicy,
     /// Same-cycle tie-break policy (default [`ShakePolicy::Off`]). A seeded
     /// shake changes simulated interleavings — deterministically per seed —
     /// and is meant for the stress harness.
@@ -80,7 +59,6 @@ impl MachineCfg {
             issue_width: 2,
             malloc_instrs: 40,
             watchdog_cycles: None,
-            wakeup: WakeupPolicy::default(),
             shake: ShakePolicy::default(),
             capture: CaptureCfg::default(),
         }
@@ -99,8 +77,9 @@ pub struct MachineState {
     pub cpu: CpuStats,
     /// Per-O-structure wait gates (keyed by root virtual address).
     pub(crate) gates: FxHashMap<u32, Gate>,
-    /// Optional per-operation execution trace.
-    pub trace: Trace,
+    /// Optional per-operation execution trace (bounded ring; disabled
+    /// unless [`Machine::enable_trace`] arms it).
+    pub trace: EventLog<TraceRecord>,
     /// Captured producer→consumer dependency edges (bounded ring;
     /// disabled unless [`MachineCfg::capture`] arms it).
     pub deps: EventLog<DepEdge>,
@@ -112,7 +91,6 @@ pub struct MachineState {
     pub(crate) sampler: Sampler,
     pub(crate) issue_width: u64,
     pub(crate) malloc_instrs: u64,
-    pub(crate) wakeup: WakeupPolicy,
     /// First architectural fault recorded by a task before it halted the
     /// engine; drained by [`Machine::run_tasks`].
     pub(crate) fault: Option<TaskFault>,
@@ -235,7 +213,7 @@ impl Machine {
             alloc: SimAlloc::new(),
             cpu: CpuStats::for_cores(cfg.cores),
             gates: FxHashMap::default(),
-            trace: Trace::disabled(),
+            trace: EventLog::disabled(),
             deps: EventLog::with_capacity(cfg.capture.dep_edges),
             timeseries: if cfg.capture.sample_every > 0 {
                 EventLog::with_capacity(cfg.capture.samples)
@@ -254,7 +232,6 @@ impl Machine {
             hist_run_quantum: Histogram::new(),
             issue_width: cfg.issue_width,
             malloc_instrs: cfg.malloc_instrs,
-            wakeup: cfg.wakeup,
             fault: None,
         };
         Ok(Machine {
@@ -417,7 +394,7 @@ impl Machine {
     /// hierarchy, and free-list/GC events at the version manager.
     pub fn enable_trace(&self, capacity: usize) {
         let mut st = self.state.borrow_mut();
-        st.trace = Trace::with_capacity(capacity);
+        st.trace = EventLog::with_capacity(capacity);
         st.ms.hier.events = EventLog::with_capacity(capacity);
         st.omgr.events = EventLog::with_capacity(capacity);
         st.ms.pt.enable_walk_events(capacity);

@@ -3,14 +3,16 @@
 //! When enabled, every instruction-interface operation appends one record:
 //! who issued it, what it touched, when it started and finished, and —
 //! for operations that stalled — why ([`StallCause`]). Traces are how
-//! simulator results stop being a single opaque cycle count: the analysis
-//! half regenerates per-op latency distributions and stall breakdowns,
-//! `to_csv` exports for external tooling, and `osim-report` turns them
+//! simulator results stop being a single opaque cycle count: [`summary`]
+//! regenerates per-op latency distributions and stall breakdowns,
+//! [`to_csv`] exports for external tooling, and `osim-report` turns them
 //! into Chrome trace-event JSON.
 //!
-//! The buffer is a ring: the **most recent** `capacity` records are kept
-//! and `dropped` counts how many older ones were overwritten — the end of
-//! a run (where contention effects accumulate) is usually what matters.
+//! Records land in [`crate::MachineState::trace`], an
+//! [`osim_mem::EventLog`] ring: the **most recent** `capacity` records are
+//! kept and `dropped` counts how many older ones were overwritten — the
+//! end of a run (where contention effects accumulate) is usually what
+//! matters.
 //!
 //! Tracing is off by default (zero overhead beyond a branch); enable it
 //! with [`crate::Machine::enable_trace`].
@@ -106,154 +108,93 @@ impl TraceRecord {
     }
 }
 
-/// A bounded in-memory trace (ring buffer: newest records win).
-#[derive(Default)]
-pub struct Trace {
-    records: Vec<TraceRecord>,
-    capacity: usize,
-    /// Next slot to overwrite once the buffer is full.
-    head: usize,
-    /// Records overwritten after the buffer filled.
-    pub dropped: u64,
+/// Aggregates trace records per operation kind.
+pub fn summary(records: &[TraceRecord]) -> TraceSummary {
+    let mut s = TraceSummary::default();
+    for r in records {
+        let idx = match OpKind::ALL.iter().position(|k| *k == r.kind) {
+            Some(i) => i,
+            None => unreachable!("known kind"),
+        };
+        let row = &mut s.per_kind[idx];
+        row.count += 1;
+        row.total_cycles += r.end - r.start;
+        row.max_cycles = row.max_cycles.max(r.end - r.start);
+        if let Some(cause) = r.stall {
+            row.stalled += 1;
+            s.stalls_by_cause[cause.index()] += 1;
+        }
+    }
+    s
 }
 
-impl Trace {
-    pub(crate) fn disabled() -> Self {
-        Trace::default()
+/// Writes trace records as CSV
+/// (`core,tid,kind,va,version,start,end,stall_cause`), one row per record
+/// in the order given.
+pub fn to_csv(records: &[TraceRecord], out: &mut impl std::io::Write) -> std::io::Result<()> {
+    writeln!(out, "core,tid,kind,va,version,start,end,stall_cause")?;
+    for r in records {
+        writeln!(
+            out,
+            "{},{},{},{:#x},{},{},{},{}",
+            r.core,
+            r.tid,
+            r.kind.name(),
+            r.va,
+            r.version,
+            r.start,
+            r.end,
+            r.stall_name()
+        )?;
     }
+    Ok(())
+}
 
-    pub(crate) fn with_capacity(capacity: usize) -> Self {
-        Trace {
-            records: Vec::with_capacity(capacity.min(1 << 20)),
-            capacity,
-            head: 0,
-            dropped: 0,
+/// Parses [`to_csv`] output back into records — the round-trip
+/// direction for external tooling and tests.
+pub fn parse_csv(text: &str) -> Result<Vec<TraceRecord>, String> {
+    let mut lines = text.lines();
+    let header = lines.next().ok_or("empty CSV")?;
+    if header != "core,tid,kind,va,version,start,end,stall_cause" {
+        return Err(format!("unexpected header: {header}"));
+    }
+    let mut out = Vec::new();
+    for (n, line) in lines.enumerate() {
+        let fields: Vec<&str> = line.split(',').collect();
+        if fields.len() != 8 {
+            return Err(format!("line {}: expected 8 fields", n + 2));
         }
+        let parse_u64 = |s: &str, what: &str| -> Result<u64, String> {
+            s.parse()
+                .map_err(|_| format!("line {}: bad {what}: {s}", n + 2))
+        };
+        let va = fields[3]
+            .strip_prefix("0x")
+            .ok_or_else(|| format!("line {}: va not hex: {}", n + 2, fields[3]))
+            .and_then(|h| {
+                u32::from_str_radix(h, 16)
+                    .map_err(|_| format!("line {}: bad va: {}", n + 2, fields[3]))
+            })?;
+        let stall = match fields[7] {
+            "none" => None,
+            name => Some(
+                StallCause::from_name(name)
+                    .ok_or_else(|| format!("line {}: unknown stall cause: {name}", n + 2))?,
+            ),
+        };
+        out.push(TraceRecord {
+            core: parse_u64(fields[0], "core")? as usize,
+            tid: parse_u64(fields[1], "tid")? as u32,
+            kind: OpKind::from_name(fields[2])
+                .ok_or_else(|| format!("line {}: unknown kind: {}", n + 2, fields[2]))?,
+            va,
+            version: parse_u64(fields[4], "version")? as u32,
+            start: parse_u64(fields[5], "start")?,
+            end: parse_u64(fields[6], "end")?,
+            stall,
+        });
     }
-
-    #[inline]
-    pub(crate) fn enabled(&self) -> bool {
-        self.capacity > 0
-    }
-
-    #[inline]
-    pub(crate) fn push(&mut self, r: TraceRecord) {
-        if self.records.len() < self.capacity {
-            self.records.push(r);
-        } else {
-            self.records[self.head] = r;
-            self.head = (self.head + 1) % self.capacity;
-            self.dropped += 1;
-        }
-    }
-
-    /// Number of records currently held.
-    pub fn len(&self) -> usize {
-        self.records.len()
-    }
-
-    /// True if nothing has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
-    }
-
-    /// The captured records in issue order (oldest surviving record
-    /// first). Copies, because the ring's storage order differs from
-    /// issue order once it has wrapped.
-    pub fn records(&self) -> Vec<TraceRecord> {
-        let mut out = Vec::with_capacity(self.records.len());
-        out.extend_from_slice(&self.records[self.head..]);
-        out.extend_from_slice(&self.records[..self.head]);
-        out
-    }
-
-    /// Aggregates the trace per operation kind.
-    pub fn summary(&self) -> TraceSummary {
-        let mut s = TraceSummary::default();
-        for r in &self.records {
-            let idx = match OpKind::ALL.iter().position(|k| *k == r.kind) {
-                Some(i) => i,
-                None => unreachable!("known kind"),
-            };
-            let row = &mut s.per_kind[idx];
-            row.count += 1;
-            row.total_cycles += r.end - r.start;
-            row.max_cycles = row.max_cycles.max(r.end - r.start);
-            if let Some(cause) = r.stall {
-                row.stalled += 1;
-                s.stalls_by_cause[cause.index()] += 1;
-            }
-        }
-        s
-    }
-
-    /// Writes the trace as CSV
-    /// (`core,tid,kind,va,version,start,end,stall_cause`), in issue order.
-    pub fn to_csv(&self, out: &mut impl std::io::Write) -> std::io::Result<()> {
-        writeln!(out, "core,tid,kind,va,version,start,end,stall_cause")?;
-        for r in self.records() {
-            writeln!(
-                out,
-                "{},{},{},{:#x},{},{},{},{}",
-                r.core,
-                r.tid,
-                r.kind.name(),
-                r.va,
-                r.version,
-                r.start,
-                r.end,
-                r.stall_name()
-            )?;
-        }
-        Ok(())
-    }
-
-    /// Parses [`Trace::to_csv`] output back into records — the round-trip
-    /// direction for external tooling and tests.
-    pub fn parse_csv(text: &str) -> Result<Vec<TraceRecord>, String> {
-        let mut lines = text.lines();
-        let header = lines.next().ok_or("empty CSV")?;
-        if header != "core,tid,kind,va,version,start,end,stall_cause" {
-            return Err(format!("unexpected header: {header}"));
-        }
-        let mut out = Vec::new();
-        for (n, line) in lines.enumerate() {
-            let fields: Vec<&str> = line.split(',').collect();
-            if fields.len() != 8 {
-                return Err(format!("line {}: expected 8 fields", n + 2));
-            }
-            let parse_u64 = |s: &str, what: &str| -> Result<u64, String> {
-                s.parse()
-                    .map_err(|_| format!("line {}: bad {what}: {s}", n + 2))
-            };
-            let va = fields[3]
-                .strip_prefix("0x")
-                .ok_or_else(|| format!("line {}: va not hex: {}", n + 2, fields[3]))
-                .and_then(|h| {
-                    u32::from_str_radix(h, 16)
-                        .map_err(|_| format!("line {}: bad va: {}", n + 2, fields[3]))
-                })?;
-            let stall = match fields[7] {
-                "none" => None,
-                name => Some(
-                    StallCause::from_name(name)
-                        .ok_or_else(|| format!("line {}: unknown stall cause: {name}", n + 2))?,
-                ),
-            };
-            out.push(TraceRecord {
-                core: parse_u64(fields[0], "core")? as usize,
-                tid: parse_u64(fields[1], "tid")? as u32,
-                kind: OpKind::from_name(fields[2])
-                    .ok_or_else(|| format!("line {}: unknown kind: {}", n + 2, fields[2]))?,
-                va,
-                version: parse_u64(fields[4], "version")? as u32,
-                start: parse_u64(fields[5], "start")?,
-                end: parse_u64(fields[6], "end")?,
-                stall,
-            });
-        }
-        Ok(out)
-    }
+    Ok(out)
 }
 
 /// Aggregate statistics for one operation kind.
@@ -355,16 +296,16 @@ mod tests {
 
     #[test]
     fn summary_aggregates_per_kind() {
-        let mut t = Trace::with_capacity(16);
-        t.push(rec(OpKind::VersionedLoad, 0, 10, None));
-        t.push(rec(
-            OpKind::VersionedLoad,
-            10,
-            40,
-            Some(StallCause::MissingVersion),
-        ));
-        t.push(rec(OpKind::Store, 40, 44, None));
-        let s = t.summary();
+        let s = summary(&[
+            rec(OpKind::VersionedLoad, 0, 10, None),
+            rec(
+                OpKind::VersionedLoad,
+                10,
+                40,
+                Some(StallCause::MissingVersion),
+            ),
+            rec(OpKind::Store, 40, 44, None),
+        ]);
         let v = s.of(OpKind::VersionedLoad);
         assert_eq!(v.count, 2);
         assert_eq!(v.total_cycles, 40);
@@ -378,31 +319,18 @@ mod tests {
     }
 
     #[test]
-    fn ring_keeps_most_recent_and_counts_drops() {
-        let mut t = Trace::with_capacity(2);
-        for i in 0..5 {
-            t.push(rec(OpKind::Work, i, i + 1, None));
-        }
-        assert_eq!(t.len(), 2);
-        assert_eq!(t.dropped, 3);
-        // The last two pushed records survive, in issue order.
-        let recs = t.records();
-        assert_eq!(recs[0].start, 3);
-        assert_eq!(recs[1].start, 4);
-    }
-
-    #[test]
     fn csv_round_trips_through_parse() {
-        let mut t = Trace::with_capacity(4);
-        t.push(rec(OpKind::Unlock, 5, 9, None));
-        t.push(rec(
-            OpKind::VersionedLockLoad,
-            9,
-            600,
-            Some(StallCause::LockedVersion),
-        ));
+        let records = [
+            rec(OpKind::Unlock, 5, 9, None),
+            rec(
+                OpKind::VersionedLockLoad,
+                9,
+                600,
+                Some(StallCause::LockedVersion),
+            ),
+        ];
         let mut buf = Vec::new();
-        t.to_csv(&mut buf).unwrap();
+        to_csv(&records, &mut buf).unwrap();
         let text = String::from_utf8(buf).unwrap();
         let mut lines = text.lines();
         assert_eq!(
@@ -414,25 +342,18 @@ mod tests {
             lines.next().unwrap(),
             "0,1,vlockload,0x1000,3,9,600,locked_version"
         );
-        let parsed = Trace::parse_csv(&text).unwrap();
-        assert_eq!(parsed, t.records());
+        let parsed = parse_csv(&text).unwrap();
+        assert_eq!(parsed, records);
     }
 
     #[test]
     fn parse_csv_rejects_malformed() {
-        assert!(Trace::parse_csv("").is_err());
-        assert!(Trace::parse_csv("bad,header\n").is_err());
+        assert!(parse_csv("").is_err());
+        assert!(parse_csv("bad,header\n").is_err());
         let hdr = "core,tid,kind,va,version,start,end,stall_cause\n";
-        assert!(Trace::parse_csv(&format!("{hdr}1,2,3\n")).is_err());
-        assert!(Trace::parse_csv(&format!("{hdr}0,1,unlock,0x10,3,5,9,wat\n")).is_err());
-        assert!(Trace::parse_csv(&format!("{hdr}0,1,nope,0x10,3,5,9,none\n")).is_err());
-        assert!(Trace::parse_csv(&format!("{hdr}0,1,unlock,16,3,5,9,none\n")).is_err());
-    }
-
-    #[test]
-    fn disabled_trace_records_nothing() {
-        let t = Trace::disabled();
-        assert!(!t.enabled());
-        assert!(t.records().is_empty());
+        assert!(parse_csv(&format!("{hdr}1,2,3\n")).is_err());
+        assert!(parse_csv(&format!("{hdr}0,1,unlock,0x10,3,5,9,wat\n")).is_err());
+        assert!(parse_csv(&format!("{hdr}0,1,nope,0x10,3,5,9,none\n")).is_err());
+        assert!(parse_csv(&format!("{hdr}0,1,unlock,16,3,5,9,none\n")).is_err());
     }
 }

@@ -2,7 +2,10 @@
 //! class, graceful degradation under version-block exhaustion, recovery
 //! through the modeled OS refill trap, and the livelock watchdog.
 
-use osim_cpu::{task, Machine, MachineCfg, SimError, WaitClass};
+use std::cell::Cell;
+use std::rc::Rc;
+
+use osim_cpu::{task, CaptureCfg, Machine, MachineCfg, SimError, WaitClass};
 use osim_mem::Fault;
 use osim_uarch::FaultPlan;
 
@@ -36,6 +39,56 @@ fn blame_missing_version() {
     assert_eq!(e.class, WaitClass::NeverProduced);
     let text = format!("{report}");
     assert!(text.contains("never-produced"), "blame text: {text}");
+}
+
+/// The producer a starved waiter is blamed on comes from a real wake-up:
+/// the store's origin travels through the gate into a captured
+/// dependency edge, and the deadlock report names that store.
+#[test]
+fn blame_names_the_producer_behind_a_real_wake() {
+    let mut cfg = MachineCfg::paper(2);
+    cfg.capture = CaptureCfg::armed(64, 0, 0);
+    let mut m = Machine::new(cfg);
+    let root = {
+        let st = m.state();
+        let mut st = st.borrow_mut();
+        let s = &mut *st;
+        s.alloc.alloc_root(&mut s.ms).unwrap()
+    };
+    let stored_at = Rc::new(Cell::new(0));
+    let stored = Rc::clone(&stored_at);
+    // Tasks 1 and 3 run in order on core 0, task 2 on core 1.
+    let err = m
+        .run_tasks(vec![
+            // A: blocks until the producer stores version 1.
+            task(move |ctx| async move {
+                ctx.load_version(root, 1).await;
+            }),
+            // P: stores version 1 once A is parked, releasing it.
+            task(move |ctx| async move {
+                ctx.work(2_000).await;
+                ctx.store_version(root, 1, 7).await;
+                stored.set(ctx.now());
+            }),
+            // B: waits for a version nobody stores.
+            task(move |ctx| async move {
+                ctx.load_version(root, 9).await;
+            }),
+        ])
+        .expect_err("version 9 is never stored");
+    let SimError::Deadlock(report) = err else {
+        panic!("expected deadlock, got: {err}");
+    };
+    assert!(stored_at.get() > 0, "the producer ran");
+    assert_eq!(report.entries.len(), 1);
+    let b = &report.entries[0];
+    assert_eq!(b.tid, Some(3));
+    assert_eq!(b.version, Some(9));
+    assert_eq!(b.class, WaitClass::NeverProduced);
+    assert_eq!(b.last_producer, Some((2, stored_at.get())));
+    let text = format!("{report}");
+    let expect = format!("last producer: task 2 at cycle {}", stored_at.get());
+    assert!(text.contains(&expect), "blame text: {text}");
 }
 
 /// Misuse class 2: a two-task lock cycle. Each blocked task's entry names

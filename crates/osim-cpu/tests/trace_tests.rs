@@ -1,6 +1,6 @@
 //! End-to-end tests of the execution tracer.
 
-use osim_cpu::{task, Machine, MachineCfg, OpKind};
+use osim_cpu::{task, trace, Machine, MachineCfg, OpKind};
 
 fn machine(cores: usize) -> Machine {
     Machine::new(MachineCfg::paper(cores))
@@ -37,7 +37,7 @@ fn trace_captures_the_full_op_stream() {
 
     let st = m.state();
     let st = st.borrow();
-    let s = st.trace.summary();
+    let s = trace::summary(&st.trace.records());
     assert_eq!(s.of(OpKind::Work).count, 1);
     assert_eq!(s.of(OpKind::Store).count, 2);
     assert_eq!(s.of(OpKind::VersionedStore).count, 1);
@@ -159,7 +159,7 @@ fn csv_export_has_one_row_per_record() {
     let st = m.state();
     let st = st.borrow();
     let mut buf = Vec::new();
-    st.trace.to_csv(&mut buf).unwrap();
+    trace::to_csv(&st.trace.records(), &mut buf).unwrap();
     let text = String::from_utf8(buf).unwrap();
     assert_eq!(text.lines().count(), 1 + st.trace.records().len());
 }

@@ -59,10 +59,15 @@ impl ShakePolicy {
     }
 }
 
-/// One step of the splitmix64 sequence (same generator the fault injector
-/// uses); advances `state` and returns the output word.
+/// One step of the splitmix64 sequence, the repository's standard
+/// deterministic stream (shaken tie-breaks, generated test programs, store
+/// benchmark inputs); advances `state` and returns the output word.
+///
+/// Two other copies exist: `osim-mem`'s fault injector, because that
+/// crate does not depend on this one, and the `benchmark/` crate's input
+/// generator, which changes only together with the benchmark.
 #[inline]
-fn splitmix64(state: &mut u64) -> u64 {
+pub fn splitmix64(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
     let mut z = *state;
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);

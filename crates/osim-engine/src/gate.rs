@@ -9,14 +9,6 @@ use std::task::{Context, Poll};
 use crate::executor::{Inner, TaskId};
 use crate::time::Cycle;
 
-/// Identifies what kind of event opened a gate. The engine assigns no
-/// meaning to tags beyond [`WAKE_GENERIC`]; upper layers (e.g. the cpu
-/// crate's stall-cause attribution) define their own vocabulary.
-pub type WakeTag = u32;
-
-/// Tag used by the untagged [`Gate::open`] / [`Gate::open_at`].
-pub const WAKE_GENERIC: WakeTag = 0;
-
 /// Who caused a wake-up, as reported by the opener.
 ///
 /// The engine treats the origin as an opaque payload delivered verbatim to
@@ -24,53 +16,15 @@ pub const WAKE_GENERIC: WakeTag = 0;
 /// in whatever encoding the upper layer chooses (the cpu crate packs
 /// `tid << 32 | core`), and `at` is the cycle the producing event
 /// completed. The default origin (`label == 0`) means "unattributed" —
-/// exactly what the plain `open*` family delivers — so dependency-edge
-/// capture can distinguish attributed wake-ups without a side channel.
+/// exactly what [`Gate::open`] and [`Gate::open_at`] deliver — so
+/// dependency-edge capture can distinguish attributed wake-ups without a
+/// side channel.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct WakeOrigin {
     /// Opener-defined producer identity; 0 = unattributed.
     pub label: u64,
     /// Cycle at which the producing event completed.
     pub at: Cycle,
-}
-
-/// What a resolved [`Wait`] yields: the tag of the open that released the
-/// waiter plus the opener-reported [`WakeOrigin`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Wake {
-    pub tag: WakeTag,
-    pub origin: WakeOrigin,
-}
-
-/// What a parked waiter is prepared to be woken by, evaluated against the
-/// payload words an [`Gate::open_targeted`] carries.
-///
-/// Broadcast opens ([`Gate::open`] and friends) ignore filters entirely —
-/// every waiter wakes, filtered or not — so registering a filter never
-/// changes behaviour until an opener opts into targeted delivery. The
-/// engine assigns no meaning to the payload values; upper layers decide
-/// what they encode (the cpu crate passes version numbers).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum WakeFilter {
-    /// Wake on any open (the only behaviour before targeted delivery).
-    #[default]
-    Any,
-    /// Wake when some payload word equals this value.
-    Exact(u64),
-    /// Wake when some payload word is `<=` this value.
-    AtMost(u64),
-}
-
-impl WakeFilter {
-    /// Whether an open carrying `payloads` releases a waiter with this
-    /// filter.
-    pub fn matches(&self, payloads: &[u64]) -> bool {
-        match *self {
-            WakeFilter::Any => true,
-            WakeFilter::Exact(v) => payloads.contains(&v),
-            WakeFilter::AtMost(v) => payloads.iter().any(|&p| p <= v),
-        }
-    }
 }
 
 /// Sentinel for "no slot" in the arena free list.
@@ -90,15 +44,11 @@ struct WaiterKey {
 enum SlotState {
     /// Recycled: next free slot index (or [`NO_SLOT`]).
     Free { next_free: u32 },
-    /// A parked task, what it is prepared to be woken by, and the cycle
-    /// it parked at (for the engine's gate-wait histogram).
-    Parked {
-        task: TaskId,
-        filter: WakeFilter,
-        since: Cycle,
-    },
-    /// Woken; the owning [`Wait`] collects the payload at next poll.
-    Woken { wake: Wake },
+    /// A parked task and the cycle it parked at (for the engine's
+    /// gate-wait histogram).
+    Parked { task: TaskId, since: Cycle },
+    /// Woken; the owning [`Wait`] collects the origin at next poll.
+    Woken { origin: WakeOrigin },
 }
 
 struct Slot {
@@ -127,12 +77,8 @@ impl Default for WaiterArena {
 
 impl WaiterArena {
     /// Claims a slot for a parked task, recycling a free one when possible.
-    fn park(&mut self, task: TaskId, filter: WakeFilter, since: Cycle) -> WaiterKey {
-        let state = SlotState::Parked {
-            task,
-            filter,
-            since,
-        };
+    fn park(&mut self, task: TaskId, since: Cycle) -> WaiterKey {
+        let state = SlotState::Parked { task, since };
         let idx = if self.free_head != NO_SLOT {
             let idx = self.free_head;
             let slot = &mut self.slots[idx as usize];
@@ -161,12 +107,12 @@ impl WaiterArena {
     /// Marks a parked slot woken and returns its task plus the cycle it
     /// parked at. Callers pass only keys they just took from the
     /// park-order queue, which holds exactly the currently-parked waiters.
-    fn wake(&mut self, key: WaiterKey, wake: Wake) -> (TaskId, Cycle) {
+    fn wake(&mut self, key: WaiterKey, origin: WakeOrigin) -> (TaskId, Cycle) {
         let slot = &mut self.slots[key.idx as usize];
         debug_assert_eq!(slot.gen, key.gen, "queue entry went stale");
         match slot.state {
-            SlotState::Parked { task, since, .. } => {
-                slot.state = SlotState::Woken { wake };
+            SlotState::Parked { task, since } => {
+                slot.state = SlotState::Woken { origin };
                 (task, since)
             }
             _ => unreachable!("queued waiter is not parked"),
@@ -225,7 +171,6 @@ impl Gate {
         Wait {
             gate: self.clone(),
             key: None,
-            filter: WakeFilter::Any,
         }
     }
 
@@ -238,131 +183,47 @@ impl Gate {
     /// check-then-park race that blocked versioned operations would
     /// otherwise have while they sleep off their attempt latency.
     pub fn ticket(&self) -> Wait {
-        self.ticket_filtered(WakeFilter::Any)
-    }
-
-    /// [`Gate::ticket`] with a [`WakeFilter`]: broadcast opens still wake
-    /// this waiter, but [`Gate::open_targeted`] skips it unless some
-    /// payload word matches the filter.
-    pub fn ticket_filtered(&self, filter: WakeFilter) -> Wait {
         let (task, now) = {
             let engine = self.engine.borrow();
             (engine.current_task(), engine.now())
         };
         let mut st = self.state.borrow_mut();
-        let key = st.arena.park(task, filter, now);
+        let key = st.arena.park(task, now);
         st.queue.push(key);
         Wait {
             gate: self.clone(),
             key: Some(key),
-            filter,
         }
     }
 
     /// Wakes every task currently parked on this gate at the current cycle.
     pub fn open(&self) {
-        self.open_tagged(WAKE_GENERIC);
-    }
-
-    /// [`Gate::open`] carrying a tag that every woken waiter receives from
-    /// its `Wait` future — how wake-ups tell blocked tasks *what* happened
-    /// (a store vs. an unlock, say) without re-reading shared state.
-    pub fn open_tagged(&self, tag: WakeTag) {
-        self.open_tagged_from(tag, WakeOrigin::default());
-    }
-
-    /// [`Gate::open_tagged`] carrying a [`WakeOrigin`] identifying the
-    /// producing actor, so waiters can record *who* released them.
-    pub fn open_tagged_from(&self, tag: WakeTag, origin: WakeOrigin) {
         let now = self.engine.borrow().now();
-        self.open_at_tagged_from(now, tag, origin);
+        self.open_at(now);
     }
 
     /// Wakes every task currently parked on this gate at cycle `at`
     /// (clamped to the present).
     pub fn open_at(&self, at: Cycle) {
-        self.open_at_tagged(at, WAKE_GENERIC);
+        self.open_at_from(at, WakeOrigin::default());
     }
 
-    /// [`Gate::open_at`] with a wake tag.
-    pub fn open_at_tagged(&self, at: Cycle, tag: WakeTag) {
-        self.open_at_tagged_from(at, tag, WakeOrigin::default());
-    }
-
-    /// [`Gate::open_at_tagged`] with a [`WakeOrigin`].
-    pub fn open_at_tagged_from(&self, at: Cycle, tag: WakeTag, origin: WakeOrigin) {
+    /// [`Gate::open_at`] carrying a [`WakeOrigin`] identifying the
+    /// producing actor, which every woken waiter receives from its `Wait`
+    /// future, so waiters can record *who* released them.
+    pub fn open_at_from(&self, at: Cycle, origin: WakeOrigin) {
         let st = &mut *self.state.borrow_mut();
         if st.queue.is_empty() {
             return;
         }
-        let wake = Wake { tag, origin };
         let mut engine = self.engine.borrow_mut();
         let eff_at = at.max(engine.now());
         let fanout = st.queue.len() as u64;
         for key in st.queue.drain(..) {
-            let (task, since) = st.arena.wake(key, wake);
+            let (task, since) = st.arena.wake(key, origin);
             engine.record_gate_wait(eff_at.saturating_sub(since));
             engine.schedule(at, task);
         }
-        engine.record_wake_fanout(fanout);
-    }
-
-    /// Wakes — at the current cycle — only the waiters whose [`WakeFilter`]
-    /// matches one of `payloads`; the rest stay parked. Matching waiters
-    /// wake in park order, exactly the relative order a broadcast open
-    /// would give them.
-    ///
-    /// This is the targeted-delivery ablation: an opener that knows *what*
-    /// it published (say, which version a store created) can skip waiters
-    /// that provably cannot be satisfied by it, saving their wake/re-check
-    /// round trips. A waiter registered without a filter
-    /// ([`WakeFilter::Any`]) always wakes.
-    pub fn open_targeted(&self, tag: WakeTag, payloads: &[u64]) {
-        self.open_targeted_from(tag, payloads, WakeOrigin::default());
-    }
-
-    /// [`Gate::open_targeted`] with a [`WakeOrigin`].
-    pub fn open_targeted_from(&self, tag: WakeTag, payloads: &[u64], origin: WakeOrigin) {
-        let now = self.engine.borrow().now();
-        self.open_targeted_at_from(now, tag, payloads, origin);
-    }
-
-    /// [`Gate::open_targeted`] at cycle `at` (clamped to the present).
-    pub fn open_targeted_at(&self, at: Cycle, tag: WakeTag, payloads: &[u64]) {
-        self.open_targeted_at_from(at, tag, payloads, WakeOrigin::default());
-    }
-
-    /// [`Gate::open_targeted_at`] with a [`WakeOrigin`].
-    pub fn open_targeted_at_from(
-        &self,
-        at: Cycle,
-        tag: WakeTag,
-        payloads: &[u64],
-        origin: WakeOrigin,
-    ) {
-        let st = &mut *self.state.borrow_mut();
-        if st.queue.is_empty() {
-            return;
-        }
-        let wake = Wake { tag, origin };
-        let mut engine = self.engine.borrow_mut();
-        let eff_at = at.max(engine.now());
-        let arena = &mut st.arena;
-        let mut fanout = 0u64;
-        st.queue.retain(|&key| {
-            let matches = match arena.state(key) {
-                Some(SlotState::Parked { filter, .. }) => filter.matches(payloads),
-                _ => unreachable!("queued waiter is not parked"),
-            };
-            if !matches {
-                return true;
-            }
-            let (task, since) = arena.wake(key, wake);
-            engine.record_gate_wait(eff_at.saturating_sub(since));
-            engine.schedule(at, task);
-            fanout += 1;
-            false
-        });
         engine.record_wake_fanout(fanout);
     }
 
@@ -373,28 +234,27 @@ impl Gate {
 }
 
 /// Future returned by [`Gate::wait`] / [`Gate::ticket`]; resolves to the
-/// [`Wake`] (tag plus origin) of the `open` that released it.
+/// [`WakeOrigin`] of the `open` that released it.
 pub struct Wait {
     gate: Gate,
     key: Option<WaiterKey>,
-    filter: WakeFilter,
 }
 
 impl Future for Wait {
-    type Output = Wake;
+    type Output = WakeOrigin;
 
-    fn poll(self: Pin<&mut Self>, _cx: &mut Context<'_>) -> Poll<Wake> {
+    fn poll(self: Pin<&mut Self>, _cx: &mut Context<'_>) -> Poll<WakeOrigin> {
         let this = self.get_mut();
         match this.key {
             Some(key) => {
                 let mut st = this.gate.state.borrow_mut();
                 match st.arena.state(key) {
-                    Some(&SlotState::Woken { wake }) => {
+                    Some(&SlotState::Woken { origin }) => {
                         st.arena.release(key);
                         // The slot is recycled; forget the key so Drop
                         // cannot release a future occupant.
                         this.key = None;
-                        Poll::Ready(wake)
+                        Poll::Ready(origin)
                     }
                     Some(SlotState::Parked { .. }) => Poll::Pending,
                     _ => unreachable!("waiter slot recycled while the Wait was live"),
@@ -406,7 +266,7 @@ impl Future for Wait {
                     (engine.current_task(), engine.now())
                 };
                 let mut st = this.gate.state.borrow_mut();
-                let key = st.arena.park(task, this.filter, now);
+                let key = st.arena.park(task, now);
                 st.queue.push(key);
                 this.key = Some(key);
                 Poll::Pending
@@ -545,158 +405,51 @@ mod tests {
     }
 
     #[test]
-    fn wake_tags_reach_waiters() {
-        let sim = Sim::new();
-        let h = sim.handle();
-        let gate = h.gate();
-        let tags = Rc::new(RefCell::new(Vec::new()));
-        for _ in 0..2 {
-            let gate = gate.clone();
-            let tags = Rc::clone(&tags);
-            sim.spawn(async move {
-                let wake = gate.wait().await;
-                tags.borrow_mut().push(wake.tag);
-            });
-        }
-        {
-            let gate = gate.clone();
-            let h = h.clone();
-            sim.spawn(async move {
-                h.sleep(3).await;
-                gate.open_tagged(7);
-                // A second waiter parked later gets a different tag.
-                h.sleep(3).await;
-                gate.open(); // no waiters: no-op
-            });
-        }
-        assert_eq!(sim.run(), Ok(6));
-        assert_eq!(*tags.borrow(), vec![7, 7]);
-    }
-
-    #[test]
-    fn untagged_open_delivers_generic_tag() {
-        let sim = Sim::new();
-        let h = sim.handle();
-        let gate = h.gate();
-        {
-            let gate = gate.clone();
-            sim.spawn(async move {
-                let wake = gate.wait().await;
-                assert_eq!(wake.tag, crate::WAKE_GENERIC);
-                assert_eq!(wake.origin, WakeOrigin::default());
-            });
-        }
-        {
-            let gate = gate.clone();
-            let h = h.clone();
-            sim.spawn(async move {
-                h.sleep(1).await;
-                gate.open();
-            });
-        }
-        assert!(sim.run().is_ok());
-    }
-
-    #[test]
     fn wake_origins_reach_waiters() {
         let sim = Sim::new();
         let h = sim.handle();
         let gate = h.gate();
         let got = Rc::new(RefCell::new(Vec::new()));
-        for filter in [WakeFilter::Any, WakeFilter::Exact(9)] {
+        {
             let gate = gate.clone();
             let got = Rc::clone(&got);
             sim.spawn(async move {
-                let wake = gate.ticket_filtered(filter).await;
-                got.borrow_mut().push(wake);
+                let first = gate.wait().await;
+                got.borrow_mut().push((0u32, first));
+                // Parked after the attributed open: released by the
+                // plain one, which carries no origin.
+                let second = gate.wait().await;
+                got.borrow_mut().push((0, second));
             });
         }
+        {
+            let gate = gate.clone();
+            let got = Rc::clone(&got);
+            sim.spawn(async move {
+                let origin = gate.ticket().await;
+                got.borrow_mut().push((1, origin));
+            });
+        }
+        let origin = WakeOrigin {
+            label: 0xabcd,
+            at: 3,
+        };
         {
             let gate = gate.clone();
             let h = h.clone();
             sim.spawn(async move {
                 h.sleep(4).await;
-                let origin = WakeOrigin {
-                    label: 0xabcd,
-                    at: 3,
-                };
-                // Targeted open reaches both (Any + the matching Exact).
-                gate.open_targeted_from(5, &[9], origin);
-            });
-        }
-        assert!(sim.run().is_ok());
-        let expect = Wake {
-            tag: 5,
-            origin: WakeOrigin {
-                label: 0xabcd,
-                at: 3,
-            },
-        };
-        assert_eq!(*got.borrow(), vec![expect, expect]);
-    }
-
-    #[test]
-    fn targeted_open_wakes_only_matching_waiters() {
-        let sim = Sim::new();
-        let h = sim.handle();
-        let gate = h.gate();
-        let woken = Rc::new(RefCell::new(Vec::new()));
-        // Three waiters: exact-7, at-most-3, unfiltered.
-        for (id, filter) in [
-            (0u32, WakeFilter::Exact(7)),
-            (1, WakeFilter::AtMost(3)),
-            (2, WakeFilter::Any),
-        ] {
-            let gate = gate.clone();
-            let woken = Rc::clone(&woken);
-            sim.spawn(async move {
-                gate.ticket_filtered(filter).await;
-                woken.borrow_mut().push(id);
-            });
-        }
-        {
-            let gate = gate.clone();
-            let h = h.clone();
-            sim.spawn(async move {
-                h.sleep(5).await;
-                // Payload 7: wakes exact-7 and the unfiltered waiter, in
-                // park order; at-most-3 stays parked.
-                gate.open_targeted(WAKE_GENERIC, &[7]);
-                assert_eq!(gate.waiting(), 1);
-                h.sleep(5).await;
-                gate.open_targeted(WAKE_GENERIC, &[2]);
-            });
-        }
-        assert!(sim.run().is_ok());
-        assert_eq!(*woken.borrow(), vec![0, 2, 1]);
-    }
-
-    #[test]
-    fn broadcast_open_ignores_filters() {
-        let sim = Sim::new();
-        let h = sim.handle();
-        let gate = h.gate();
-        let woken = Rc::new(Cell::new(0u32));
-        {
-            let gate = gate.clone();
-            let woken = Rc::clone(&woken);
-            sim.spawn(async move {
-                // A filter that no payload will ever match still wakes on
-                // a plain (broadcast) open.
-                gate.ticket_filtered(WakeFilter::Exact(u64::MAX)).await;
-                woken.set(woken.get() + 1);
-            });
-        }
-        {
-            let gate = gate.clone();
-            let h = h.clone();
-            sim.spawn(async move {
+                gate.open_at_from(h.now(), origin);
                 h.sleep(1).await;
                 gate.open();
             });
         }
-        assert!(sim.run().is_ok());
-        assert_eq!(woken.get(), 1);
+        assert_eq!(sim.run(), Ok(5));
+        // Both waiters receive the opener's origin, in park order.
+        assert_eq!(
+            *got.borrow(),
+            vec![(0, origin), (1, origin), (0, WakeOrigin::default())]
+        );
     }
 
     #[test]

@@ -36,7 +36,8 @@ mod gate;
 mod time;
 
 pub use executor::{
-    BlockedTask, EngineHists, EngineStats, RunError, ShakePolicy, Sim, SimHandle, TaskId, WaitInfo,
+    splitmix64, BlockedTask, EngineHists, EngineStats, RunError, ShakePolicy, Sim, SimHandle,
+    TaskId, WaitInfo,
 };
-pub use gate::{Gate, Wake, WakeFilter, WakeOrigin, WakeTag, WAKE_GENERIC};
+pub use gate::{Gate, WakeOrigin};
 pub use time::Cycle;

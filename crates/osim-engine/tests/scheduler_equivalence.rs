@@ -13,7 +13,7 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use osim_engine::{EngineStats, ShakePolicy, Sim};
+use osim_engine::{splitmix64, EngineStats, ShakePolicy, Sim};
 use proptest::prelude::*;
 
 const GATES: usize = 3;
@@ -89,15 +89,6 @@ fn run_shaken(
     }
     let end = sim.run().expect("sweeper prevents deadlock");
     (Rc::try_unwrap(log).unwrap().into_inner(), end, sim.stats())
-}
-
-/// One step of the splitmix64 sequence.
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
 }
 
 /// The fixed program set behind `dispatch_fingerprints.txt`: program `i`

@@ -113,7 +113,7 @@ fn steady_state_gate_and_dispatch_are_allocation_free() {
                     label: (round << 32) | 1,
                     at: h.now(),
                 };
-                gate.open_at_tagged_from(h.now() + 1, 1, origin);
+                gate.open_at_from(h.now() + 1, origin);
                 // Metrics armed on the hot loop: record spans the
                 // linear and log bucket ranges, and a merge runs every
                 // round — all of it inside the counted window.

@@ -18,6 +18,7 @@
 use std::thread;
 use std::time::{Duration, Instant};
 
+use osim_engine::splitmix64;
 use osim_report::json::{obj, Json};
 use ostructs_core::map::OMap;
 use ostructs_core::vacuum::{ReaderRegistry, Vacuum, VacuumCfg};
@@ -52,15 +53,6 @@ fn thread_counts() -> Vec<usize> {
         }
     }
     counts
-}
-
-/// splitmix64: the repo's standard deterministic stream.
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
 }
 
 /// A zipf(s≈1) sampler over `n` keys via an inverse-CDF table.

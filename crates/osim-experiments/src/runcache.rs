@@ -24,7 +24,7 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use osim_cpu::{DepEdge, MachineCfg, ShakePolicy, StallCause, WakeupPolicy};
+use osim_cpu::{DepEdge, MachineCfg, ShakePolicy, StallCause};
 use osim_jobq::{CacheKey, KeyBuilder, ResultCache, TextStore};
 use osim_report::json::{self, obj, Json};
 use osim_report::{ReportScale, SimReport};
@@ -90,13 +90,6 @@ pub fn job_key(fig: &str, bench: &str, tag: &str, cfg: &MachineCfg, scale: &Scal
         .u64_field("cfg.issue_width", cfg.issue_width)
         .u64_field("cfg.malloc_instrs", cfg.malloc_instrs)
         .opt_u64_field("cfg.watchdog_cycles", cfg.watchdog_cycles)
-        .str_field(
-            "cfg.wakeup",
-            match cfg.wakeup {
-                WakeupPolicy::Broadcast => "broadcast",
-                WakeupPolicy::Targeted => "targeted",
-            },
-        )
         // Same-cycle tie-break perturbation: a seeded shake changes
         // simulated interleavings, so it is semantic.
         .opt_u64_field(
@@ -572,13 +565,6 @@ mod tests {
         assert_ne!(
             k0,
             job_key("fig6", "Linked list", "versioned", &cfg6, &scale)
-        );
-        // Wakeup policy ablation.
-        let mut cfg7 = machine(&scale, 4, None, 0);
-        cfg7.wakeup = WakeupPolicy::Targeted;
-        assert_ne!(
-            k0,
-            job_key("fig6", "Linked list", "versioned", &cfg7, &scale)
         );
     }
 

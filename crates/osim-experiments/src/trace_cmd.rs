@@ -62,7 +62,7 @@ pub fn run(scale: &Scale, out: &mut Vec<SimReport>) -> Json {
         records.len(),
         st.trace.dropped
     );
-    println!("{}", st.trace.summary());
+    println!("{}", osim_cpu::trace::summary(&records));
 
     let mut rep = SimReport::new(
         "trace",

@@ -313,8 +313,7 @@ impl Injector {
     }
 
     fn next(&mut self) -> u64 {
-        // splitmix64: tiny, deterministic, and self-contained (this crate
-        // deliberately has no dependencies).
+        // splitmix64, inlined: osim-mem does not depend on osim-engine.
         self.rng = self.rng.wrapping_add(0x9e37_79b9_7f4a_7c15);
         let mut z = self.rng;
         z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
