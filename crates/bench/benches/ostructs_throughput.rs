@@ -1,17 +1,15 @@
-//! Multithreaded throughput for the concurrent versioned store (ISSUE 8):
-//! the software O-structure hot paths measured the way a storage engine
-//! would be — ops/sec across real threads, uncontended and contended.
+//! Multithreaded throughput for the concurrent versioned store: the
+//! software O-structure hot paths measured the way a storage engine would
+//! be — ops/sec across real threads, uncontended and contended.
 //!
 //! Groups:
 //! * `uncontended` — each thread owns a private preloaded cell and loads
-//!   committed versions; measures the read fast path with zero sharing.
+//!   committed versions; measures the read path with zero sharing.
 //! * `hot_key` — every thread hammers one shared cell (reads) or one
 //!   shared key (writes); measures the contended single-cell path.
 //! * `zipf_mixed` — 90/10 read/write mix over a sharded `OMap` with a
 //!   zipf-skewed key distribution and a live `ReaderRegistry` + `Vacuum`;
 //!   the end-to-end store shape.
-//! * `mutex_baseline` — a replica of the pre-ISSUE-8 one-big-mutex cell,
-//!   so the committed-read fast path's win is visible in one run.
 //!
 //! Each bench routine performs `ops()` operations per timed call (split
 //! across the thread count), so the printed per-call nanoseconds divided
@@ -96,7 +94,7 @@ fn uncontended(c: &mut Criterion) {
     g.sample_size(10);
     for threads in thread_counts() {
         let per_thread = ops() / threads as u64;
-        // One private, preloaded cell per thread: committed-read fast path.
+        // One private, preloaded cell per thread: committed reads.
         let cells: Vec<OCell<u64>> = (0..threads)
             .map(|_| {
                 let cell = OCell::new();
@@ -210,83 +208,5 @@ fn zipf_mixed(c: &mut Criterion) {
     g.finish();
 }
 
-/// The pre-ISSUE-8 design, replicated faithfully: every operation —
-/// including committed reads — takes one big mutex over a version map of
-/// `Slot`s (value + lock owner) plus the per-task lock table. Kept in the
-/// bench so the committed-read fast path's win is measurable in one run
-/// without checking out an old commit.
-mod mutex_replica {
-    use parking_lot::Mutex;
-    use std::collections::{BTreeMap, HashMap};
-
-    struct Slot {
-        value: u64,
-        locked_by: Option<u64>,
-    }
-
-    struct State {
-        versions: BTreeMap<u64, Slot>,
-        #[allow(dead_code)]
-        held: HashMap<u64, u64>,
-    }
-
-    pub struct MutexCell {
-        state: Mutex<State>,
-    }
-
-    impl MutexCell {
-        pub fn new() -> Self {
-            MutexCell {
-                state: Mutex::new(State {
-                    versions: BTreeMap::new(),
-                    held: HashMap::new(),
-                }),
-            }
-        }
-
-        pub fn store_version(&self, v: u64, val: u64) {
-            self.state.lock().versions.insert(
-                v,
-                Slot {
-                    value: val,
-                    locked_by: None,
-                },
-            );
-        }
-
-        pub fn try_load_latest(&self, cap: u64) -> Option<(u64, u64)> {
-            self.state
-                .lock()
-                .versions
-                .range(..=cap)
-                .next_back()
-                .filter(|(_, s)| s.locked_by.is_none())
-                .map(|(&v, s)| (v, s.value))
-        }
-    }
-}
-
-fn mutex_baseline(c: &mut Criterion) {
-    let mut g = c.benchmark_group("ostructs/mutex_baseline");
-    g.sample_size(10);
-    for threads in thread_counts() {
-        let per_thread = ops() / threads as u64;
-        let cell = mutex_replica::MutexCell::new();
-        for v in 1..=32u64 {
-            cell.store_version(v, v);
-        }
-        g.bench_function(format!("shared_load_latest/t{threads}"), |b| {
-            b.iter(|| {
-                fan_out(threads, per_thread, |_, n| {
-                    for i in 0..n {
-                        black_box(cell.try_load_latest(black_box(1 + i % 32)));
-                    }
-                });
-            })
-        });
-    }
-    g.finish();
-}
-
-criterion_group!(benches, uncontended, hot_key, zipf_mixed, mutex_baseline);
+criterion_group!(benches, uncontended, hot_key, zipf_mixed);
 criterion_main!(benches);

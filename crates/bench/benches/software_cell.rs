@@ -42,7 +42,7 @@ fn cell_ops(c: &mut Criterion) {
             next += 1;
         })
     });
-    g.bench_function("plain_mutex_baseline", |b| {
+    g.bench_function("plain_mutex_word", |b| {
         // What the software cell competes against: a plain lock + word.
         let m = std::sync::Mutex::new(0u32);
         b.iter(|| {

@@ -27,10 +27,9 @@
 //!   all      everything above
 //!   perf                — host-speed benchmark; writes BENCH_sweep.json.
 //!                         With `--ostructs`, benchmarks the concurrent
-//!                         versioned store instead (committed-read fast
-//!                         path vs the pre-sharding mutex baseline,
-//!                         multi-thread throughput, zipf mix with a live
-//!                         vacuum) and writes BENCH_ostructs.json
+//!                         versioned store instead (single-thread committed
+//!                         reads, multi-thread throughput, zipf mix with a
+//!                         live vacuum) and writes BENCH_ostructs.json
 //!   compare             — diff two `--json` report files: counters, stall
 //!                         causes, histograms, ranked regression attribution
 //!   cache               — run-cache maintenance: `stats`, `verify` (decode

@@ -1,14 +1,12 @@
 //! `perf --ostructs`: the host-speed benchmark of the concurrent
-//! versioned store (sharded `OMap` + committed-read fast-path `OCell` +
-//! epoch-watermark `Vacuum`).
+//! versioned store (sharded `OMap` + `OCell` + epoch-watermark `Vacuum`).
 //!
 //! Writes `BENCH_ostructs.json`: per-op nanoseconds and ops/sec for the
-//! store's hot paths — single-thread committed reads against a faithful
-//! replica of the pre-sharding one-big-mutex cell (so the fast path's
-//! speedup is a committed, reviewable number), multi-thread uncontended
-//! and hot-key reads, and a zipf-skewed 90/10 read/write mix running over
-//! a live `ReaderRegistry` + `Vacuum` whose osim-metrics counters and
-//! pause histogram are merged into the document.
+//! store's hot paths — single-thread committed reads over a deep history,
+//! multi-thread uncontended and hot-key reads, and a zipf-skewed 90/10
+//! read/write mix running over a live `ReaderRegistry` + `Vacuum` whose
+//! osim-metrics counters and pause histogram are merged into the
+//! document.
 //!
 //! Like `BENCH_sweep.json`, every number here is host wall-clock: the
 //! committed file is a baseline for review to diff, stamped with the host
@@ -24,15 +22,13 @@ use ostructs_core::map::OMap;
 use ostructs_core::vacuum::{ReaderRegistry, Vacuum, VacuumCfg};
 use ostructs_core::OCell;
 
-/// Versions preloaded per cell. Matches the published snapshot window so
-/// committed reads measure the fast path, not the fallback.
+/// Versions preloaded per cell, and the lag behind the newest version
+/// that committed reads target (what a vacuumed store keeps live).
 const PRELOAD: u64 = 32;
 
-/// History depth for the single-thread comparison: both stores carry this
-/// many committed versions while reads target the newest [`PRELOAD`]. The
-/// mutex design searches the whole map under its lock on every read; the
-/// fast path answers from the published window regardless of depth —
-/// which is exactly the design difference worth a committed number.
+/// History depth for the single-thread committed-read measurement: the
+/// cell carries this many unvacuumed versions while reads target the
+/// newest [`PRELOAD`].
 const HISTORY: u64 = 1024;
 
 /// Total operations per measurement (all threads combined).
@@ -75,63 +71,6 @@ impl Zipf {
     fn sample(&self, rng: &mut u64) -> usize {
         let u = (splitmix64(rng) >> 11) as f64 / (1u64 << 53) as f64;
         self.cdf.partition_point(|&c| c < u).min(self.cdf.len() - 1)
-    }
-}
-
-/// The pre-sharding cell design, replicated faithfully: every operation —
-/// committed reads included — takes one mutex over the version map (the
-/// vendored parking_lot Mutex wraps std's, so std's is the honest stand-in).
-/// Kept here so the committed speedup number regenerates from one binary
-/// without checking out an old commit.
-mod mutex_replica {
-    use std::collections::{BTreeMap, HashMap};
-    use std::sync::Mutex;
-
-    struct Slot {
-        value: u64,
-        locked_by: Option<u64>,
-    }
-
-    struct State {
-        versions: BTreeMap<u64, Slot>,
-        #[allow(dead_code)]
-        held: HashMap<u64, u64>,
-    }
-
-    pub struct MutexCell {
-        state: Mutex<State>,
-    }
-
-    impl MutexCell {
-        pub fn new() -> Self {
-            MutexCell {
-                state: Mutex::new(State {
-                    versions: BTreeMap::new(),
-                    held: HashMap::new(),
-                }),
-            }
-        }
-
-        pub fn store_version(&self, v: u64, val: u64) {
-            self.state.lock().unwrap().versions.insert(
-                v,
-                Slot {
-                    value: val,
-                    locked_by: None,
-                },
-            );
-        }
-
-        pub fn try_load_latest(&self, cap: u64) -> Option<(u64, u64)> {
-            self.state
-                .lock()
-                .unwrap()
-                .versions
-                .range(..=cap)
-                .next_back()
-                .filter(|(_, s)| s.locked_by.is_none())
-                .map(|(&v, s)| (v, s.value))
-        }
     }
 }
 
@@ -189,34 +128,18 @@ pub fn run(scale_name: &str, reps: usize, path: &str) {
     let ops = ops_for(scale_name);
     let host_cpus = thread::available_parallelism().map_or(1, |n| n.get());
 
-    // --- Single-thread committed reads: fast path vs the mutex replica.
-    // Both stores get the identical HISTORY-deep version sequence; reads
-    // target the newest PRELOAD versions (the lag a vacuumed store keeps).
+    // --- Single-thread committed reads over a HISTORY-deep cell; reads
+    // target the newest PRELOAD versions.
     let cell = OCell::new();
     for v in 1..=HISTORY {
         cell.store_version(v, v).unwrap();
     }
-    let fast_ns = best_ns(reps, || {
+    let read_ns = best_ns(reps, || {
         for i in 0..ops {
             std::hint::black_box(cell.try_load_latest(std::hint::black_box(HISTORY - i % PRELOAD)));
         }
     }) / ops as f64;
-    let replica = mutex_replica::MutexCell::new();
-    for v in 1..=HISTORY {
-        replica.store_version(v, v);
-    }
-    let mutex_ns = best_ns(reps, || {
-        for i in 0..ops {
-            std::hint::black_box(
-                replica.try_load_latest(std::hint::black_box(HISTORY - i % PRELOAD)),
-            );
-        }
-    }) / ops as f64;
-    let speedup = mutex_ns / fast_ns;
-    eprintln!(
-        "ostructs perf: single-thread committed read {fast_ns:.1} ns/op \
-         vs mutex baseline {mutex_ns:.1} ns/op ({speedup:.2}x)"
-    );
+    eprintln!("ostructs perf: single-thread committed read {read_ns:.1} ns/op");
 
     // --- Multi-thread scenarios.
     let mut scenarios = Vec::new();
@@ -294,7 +217,7 @@ pub fn run(scale_name: &str, reps: usize, path: &str) {
     }
 
     let doc = obj(vec![
-        ("schema", Json::Str("osim-bench-ostructs-v1".to_string())),
+        ("schema", Json::Str("osim-bench-ostructs-v2".to_string())),
         ("scale", Json::Str(scale_name.to_string())),
         ("reps", Json::from_u64(reps as u64)),
         ("ops", Json::from_u64(ops)),
@@ -305,9 +228,7 @@ pub fn run(scale_name: &str, reps: usize, path: &str) {
             "single_thread",
             obj(vec![
                 ("ops", Json::from_u64(ops)),
-                ("fastpath_ns_per_op", Json::Num(round3(fast_ns))),
-                ("mutex_baseline_ns_per_op", Json::Num(round3(mutex_ns))),
-                ("fastpath_speedup", Json::Num(round3(speedup))),
+                ("committed_read_ns_per_op", Json::Num(round3(read_ns))),
             ]),
         ),
         ("scenarios", Json::Arr(scenarios)),
@@ -317,5 +238,5 @@ pub fn run(scale_name: &str, reps: usize, path: &str) {
         eprintln!("cannot write ostructs perf output {path}: {e}");
         std::process::exit(1);
     }
-    eprintln!("wrote {path}: scale={scale_name} host_cpus={host_cpus} speedup={speedup:.2}x");
+    eprintln!("wrote {path}: scale={scale_name} host_cpus={host_cpus}");
 }

@@ -1,162 +1,25 @@
 //! The multi-version cell.
 //!
-//! # Hot-path layout (read-optimized split)
-//!
-//! The original prototype kept everything — version map, lock table,
-//! waiter bookkeeping — behind one `Mutex<State>`, so every committed-read
-//! serialized against every other operation on the cell. This version
-//! splits the cell in two:
-//!
-//! * **Truth** stays in `Mutex<State>`: a `BTreeMap<Version, Slot>` plus
-//!   the per-task lock table and the `Condvar` that blocking operations
-//!   park on. All mutations and all *blocking* waits go through it.
-//! * **A read-mostly snapshot** of the version list is published behind a
-//!   `RwLock<Arc<Snapshot>>` and atomically swapped on every mutation.
-//!   Loads of already-committed versions resolve entirely against the
-//!   snapshot: a brief shared read guard, a binary search, and an `Arc`
-//!   bump — no exclusive lock, and concurrent readers never serialize
-//!   against each other.
-//!
-//! The snapshot stores the version list **path-compressed into runs**
-//! (à la the `PersistentCell` of persistency): a run `[lo, hi]` covers
-//! every one of the contiguous versions `lo..=hi`, all sharing one
-//! `Arc<T>` value. Rename chains (`unlock_version(_, Some(v+1))` in a
-//! hand-over-hand pipeline) therefore collapse to a single run — a
-//! million-rename history is one entry and one heap allocation. The
-//! snapshot keeps at most [`WINDOW_RUNS`] of the *newest* runs; anything
-//! below that window falls back to the mutex slow path (the window is a
-//! cache, never a semantic boundary). Values live in `Arc<T>` throughout,
-//! so the `_arc` load variants return without cloning `T` at all.
+//! A cell is one `Mutex<State>` (its ordered versions plus its lock table)
+//! and one `Condvar` that blocking operations park on; every operation,
+//! committed reads included, answers from that state under that mutex.
+//! On the store's traffic (short, vacuumed histories) a `BTreeMap` range
+//! lookup under the mutex reads as fast as a lock-free read view measured
+//! (`store-mixed` gets take ~0.26 µs either way), and a write is one map
+//! insert with no second view to keep in step.
 
-use std::cell::UnsafeCell;
 use std::collections::{BTreeMap, HashMap};
-use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use parking_lot::{Condvar, Mutex};
 
 use crate::error::OError;
 use crate::{TaskId, Version};
 
-/// Maximum number of runs retained in the published read snapshot. A cell
-/// whose history compresses to at most this many runs is fully answerable
-/// on the fast path; older history past the window takes the slow path.
-const WINDOW_RUNS: usize = 32;
-
 struct Slot<T> {
     value: Arc<T>,
     locked_by: Option<TaskId>,
-}
-
-/// A maximal range of contiguous versions `lo..=hi` that all exist and
-/// share one value allocation (renames reuse the predecessor's `Arc`).
-struct Run<T> {
-    lo: Version,
-    hi: Version,
-    value: Arc<T>,
-}
-
-impl<T> Clone for Run<T> {
-    fn clone(&self) -> Self {
-        Run {
-            lo: self.lo,
-            hi: self.hi,
-            value: Arc::clone(&self.value),
-        }
-    }
-}
-
-/// The published read-mostly view: the newest runs plus the (small) set of
-/// currently locked versions. Immutable once published; mutations build a
-/// fresh snapshot and swap the `Arc`.
-struct Snapshot<T> {
-    /// When true, `runs` covers *every* existing version; an absent lookup
-    /// is authoritative. When false, only versions `>= floor()` are
-    /// covered and anything below must consult the slow path.
-    complete: bool,
-    /// Sorted by `lo`, disjoint, covering all versions `>= floor()`.
-    runs: Vec<Run<T>>,
-    /// Sorted; every currently locked version of the whole cell.
-    locked: Vec<Version>,
-}
-
-/// Fast-path resolution against a [`Snapshot`]. Borrows the snapshot, so
-/// hits can be consumed (cloned, `Arc`-bumped, or just read) while the
-/// snap guard is held — the cloning load paths copy `T` without ever
-/// touching the value `Arc`'s refcount.
-enum FastRead<'a, T> {
-    /// Committed and unlocked: the authoritative answer.
-    Hit(Version, &'a Arc<T>),
-    /// Authoritatively absent right now (no such version / none <= cap).
-    Absent,
-    /// The target version exists but is locked right now.
-    Locked,
-    /// Below the snapshot window; only the slow path knows.
-    Unknown,
-}
-
-impl<T> Snapshot<T> {
-    fn empty() -> Self {
-        Snapshot {
-            complete: true,
-            runs: Vec::new(),
-            locked: Vec::new(),
-        }
-    }
-
-    /// Lowest version the window covers (0 when complete or empty).
-    fn floor(&self) -> Version {
-        if self.complete {
-            0
-        } else {
-            self.runs.first().map_or(0, |r| r.lo)
-        }
-    }
-
-    fn is_locked(&self, v: Version) -> bool {
-        self.locked.binary_search(&v).is_ok()
-    }
-
-    /// Newest existing version `<= cap`, if the window can answer.
-    fn read_latest(&self, cap: Version) -> FastRead<'_, T> {
-        let i = self.runs.partition_point(|r| r.lo <= cap);
-        if i == 0 {
-            // No covered version <= cap: authoritative only if the window
-            // covers everything.
-            return if self.complete {
-                FastRead::Absent
-            } else {
-                FastRead::Unknown
-            };
-        }
-        let run = &self.runs[i - 1];
-        let v = run.hi.min(cap);
-        if self.is_locked(v) {
-            FastRead::Locked
-        } else {
-            FastRead::Hit(v, &run.value)
-        }
-    }
-
-    /// Exact-version lookup, if the window can answer.
-    fn read_exact(&self, version: Version) -> FastRead<'_, T> {
-        if !self.complete && version < self.floor() {
-            return FastRead::Unknown;
-        }
-        let i = self.runs.partition_point(|r| r.lo <= version);
-        if i == 0 {
-            return FastRead::Absent;
-        }
-        let run = &self.runs[i - 1];
-        if version > run.hi {
-            FastRead::Absent
-        } else if self.is_locked(version) {
-            FastRead::Locked
-        } else {
-            FastRead::Hit(version, &run.value)
-        }
-    }
 }
 
 struct State<T> {
@@ -164,199 +27,42 @@ struct State<T> {
     /// Which version each task currently holds locked (at most one lock
     /// per task per cell, as in the Fig. 1 API).
     held: HashMap<TaskId, Version>,
-    /// Mirror of the published runs, maintained incrementally so the
-    /// common append (store at a new maximum version) publishes in O(1)
-    /// amortized instead of rewalking the map.
-    window: Vec<Run<T>>,
-    window_complete: bool,
 }
 
 impl<T> State<T> {
-    /// Rebuilds the window by walking the newest versions of the map,
-    /// coalescing contiguous same-value versions into runs. Used after
-    /// out-of-order stores and pruning; the append path updates in place.
-    fn rebuild_window(&mut self) {
-        self.window.clear();
-        self.window_complete = true;
-        for (&v, slot) in self.versions.iter().rev() {
-            if let Some(lowest) = self.window.last_mut() {
-                if lowest.lo == v + 1 && Arc::ptr_eq(&lowest.value, &slot.value) {
-                    lowest.lo = v;
-                    continue;
-                }
-                if self.window.len() == WINDOW_RUNS {
-                    self.window_complete = false;
-                    break;
-                }
-            }
-            self.window.push(Run {
-                lo: v,
-                hi: v,
-                value: Arc::clone(&slot.value),
-            });
-        }
-        // Built newest-first; publish ascending.
-        self.window.reverse();
+    /// `version`'s value, if it exists and is unlocked.
+    fn exact(&self, version: Version) -> Option<&Arc<T>> {
+        self.versions
+            .get(&version)
+            .filter(|s| s.locked_by.is_none())
+            .map(|s| &s.value)
     }
 
-    /// Records a freshly inserted version in the window.
-    fn window_note_store(&mut self, v: Version, value: &Arc<T>) {
-        match self.window.last_mut() {
-            Some(last) if v > last.hi => {
-                if v == last.hi + 1 && Arc::ptr_eq(&last.value, value) {
-                    last.hi = v; // rename chain: extend the run in place
-                } else {
-                    self.window.push(Run {
-                        lo: v,
-                        hi: v,
-                        value: Arc::clone(value),
-                    });
-                    if self.window.len() > WINDOW_RUNS {
-                        self.window.remove(0);
-                        self.window_complete = false;
-                    }
-                }
-            }
-            Some(first_any) => {
-                // Out-of-order store. Below the window floor it is already
-                // slow-path territory and the window stays valid; inside
-                // the window's span, rebuild.
-                let _ = first_any;
-                let floor = self.window.first().map_or(0, |r| r.lo);
-                if self.window_complete || v >= floor {
-                    self.rebuild_window();
-                }
-            }
-            None => {
-                self.window.push(Run {
-                    lo: v,
-                    hi: v,
-                    value: Arc::clone(value),
-                });
-            }
-        }
+    /// The newest version ≤ `cap` and its value, if that version is
+    /// unlocked. Never falls back to an older version.
+    fn latest(&self, cap: Version) -> Option<(Version, &Arc<T>)> {
+        self.versions
+            .range(..=cap)
+            .next_back()
+            .filter(|(_, s)| s.locked_by.is_none())
+            .map(|(&v, s)| (v, &s.value))
     }
 
-    fn snapshot(&self) -> Snapshot<T> {
-        let mut locked: Vec<Version> = self.held.values().copied().collect();
-        locked.sort_unstable();
-        Snapshot {
-            complete: self.window_complete,
-            runs: self.window.clone(),
-            locked,
-        }
-    }
-}
-
-/// A minimal reader-count guard for the published snapshot — the
-/// "seqlock-style guard" of the design: two uncontended atomic RMWs per
-/// read (no pthread rwlock, no syscall path), and writers — always
-/// serialized by the cell's state mutex — briefly drain readers before
-/// swapping the `Arc`. Reads never block writers for longer than a
-/// snapshot lookup; the writer critical section is a pointer swap.
-///
-/// `state` encoding: bit 0 = writer present, bits 1.. = reader count × 2.
-struct SnapLock<T> {
-    state: AtomicU32,
-    slot: UnsafeCell<Arc<Snapshot<T>>>,
-}
-
-// Safety: `slot` is only written in `set()` with the writer bit held and
-// all readers drained, and only read through `SnapGuard` while a reader
-// increment holds the writer out. The contained `Arc<Snapshot<T>>` is
-// shared across threads, hence the `Send + Sync` bounds.
-unsafe impl<T: Send + Sync> Sync for SnapLock<T> {}
-unsafe impl<T: Send> Send for SnapLock<T> {}
-
-const WRITER_BIT: u32 = 1;
-
-struct SnapGuard<'a, T> {
-    lock: &'a SnapLock<T>,
-}
-
-impl<T> std::ops::Deref for SnapGuard<'_, T> {
-    type Target = Snapshot<T>;
-    fn deref(&self) -> &Snapshot<T> {
-        // Safety: the reader increment taken in `read()` keeps writers
-        // out until this guard drops.
-        unsafe { &*self.lock.slot.get() }
-    }
-}
-
-impl<T> Drop for SnapGuard<'_, T> {
-    fn drop(&mut self) {
-        self.lock.state.fetch_sub(2, Ordering::Release);
-    }
-}
-
-impl<T> SnapLock<T> {
-    fn new(snap: Arc<Snapshot<T>>) -> Self {
-        SnapLock {
-            state: AtomicU32::new(0),
-            slot: UnsafeCell::new(snap),
-        }
-    }
-
-    fn read(&self) -> SnapGuard<'_, T> {
-        loop {
-            let s = self.state.fetch_add(2, Ordering::Acquire);
-            if s & WRITER_BIT == 0 {
-                return SnapGuard { lock: self };
-            }
-            // A writer is mid-swap: back out and wait for it. The writer
-            // section is a pointer swap, so spinning is the common case;
-            // yield covers a preempted writer.
-            self.state.fetch_sub(2, Ordering::Release);
-            let mut spins = 0u32;
-            while self.state.load(Ordering::Relaxed) & WRITER_BIT != 0 {
-                spins += 1;
-                if spins > 128 {
-                    std::thread::yield_now();
-                } else {
-                    std::hint::spin_loop();
-                }
-            }
-        }
-    }
-
-    /// Replaces the snapshot. Callers must already be serialized (the
-    /// cell publishes only under its state mutex).
-    fn set(&self, snap: Arc<Snapshot<T>>) {
-        let prev = self.state.fetch_or(WRITER_BIT, Ordering::Acquire);
-        debug_assert_eq!(prev & WRITER_BIT, 0, "publishers must be serialized");
-        let mut spins = 0u32;
-        while self.state.load(Ordering::Acquire) != WRITER_BIT {
-            spins += 1;
-            if spins > 128 {
-                std::thread::yield_now();
-            } else {
-                std::hint::spin_loop();
-            }
-        }
-        // Safety: writer bit held and all readers drained — exclusive.
-        unsafe {
-            *self.slot.get() = snap;
-        }
-        self.state.fetch_and(!WRITER_BIT, Ordering::Release);
+    /// Locks the existing, unlocked `version` for `tid`.
+    fn lock(&mut self, version: Version, tid: TaskId) -> &Arc<T> {
+        let slot = self
+            .versions
+            .get_mut(&version)
+            .expect("version found unlocked");
+        slot.locked_by = Some(tid);
+        self.held.insert(tid, version);
+        &slot.value
     }
 }
 
 struct Inner<T> {
     state: Mutex<State<T>>,
-    /// The atomically swapped read snapshot. Lock order: `state` is held
-    /// while publishing; readers take the snap guard alone and always
-    /// release it before touching `state`.
-    published: SnapLock<T>,
     changed: Condvar,
-}
-
-impl<T> Inner<T> {
-    /// Publishes the current state as a fresh snapshot. Callers hold the
-    /// state mutex, so publications are totally ordered.
-    fn publish(&self, st: &State<T>) {
-        crate::metrics::note_publish();
-        self.published.set(Arc::new(st.snapshot()));
-    }
 }
 
 /// Type-erased garbage-collection interface; the runtime and the vacuum
@@ -376,12 +82,7 @@ impl<T> Prune for Inner<T> {
         let before = st.versions.len();
         st.versions
             .retain(|&v, slot| v >= keep || slot.locked_by.is_some());
-        let reclaimed = before - st.versions.len();
-        if reclaimed > 0 {
-            st.rebuild_window();
-            self.publish(&st);
-        }
-        reclaimed
+        before - st.versions.len()
     }
 }
 
@@ -401,12 +102,13 @@ impl<T> Prune for Inner<T> {
 ///   unlocked version — that would break ordering.
 /// * [`OCell::store_version`] creates a version (versions are write-once).
 /// * The `lock_` flavours additionally acquire the version's lock; locking
-///   an already-locked version blocks.
+///   an already-locked version blocks. A task holds at most one lock per
+///   cell: asking for a second is [`OError::AlreadyHolds`].
 /// * [`OCell::unlock_version`] releases the caller's lock and can
 ///   atomically create a successor version carrying the same value — the
 ///   rename step of hand-over-hand pipelining. The successor shares the
 ///   predecessor's value allocation, so rename chains cost no value
-///   clones and compress to a single run in the read snapshot.
+///   clones.
 pub struct OCell<T> {
     inner: Arc<Inner<T>>,
 }
@@ -433,10 +135,7 @@ impl<T> OCell<T> {
                 state: Mutex::new(State {
                     versions: BTreeMap::new(),
                     held: HashMap::new(),
-                    window: Vec::new(),
-                    window_complete: true,
                 }),
-                published: SnapLock::new(Arc::new(Snapshot::empty())),
                 changed: Condvar::new(),
             }),
         }
@@ -448,6 +147,20 @@ impl<T> OCell<T> {
         cell.store_version(version, value)
             .expect("fresh cell accepts any version");
         cell
+    }
+
+    /// Runs `step` under the state mutex until it yields a result, parking
+    /// on the condvar between attempts.
+    fn wait_for<R>(&self, mut step: impl FnMut(&mut State<T>) -> Option<R>) -> R {
+        let mut st = self.inner.state.lock();
+        let mut timer = crate::metrics::WaitTimer::new();
+        loop {
+            if let Some(r) = step(&mut st) {
+                return r;
+            }
+            timer.note_wait();
+            self.inner.changed.wait(&mut st);
+        }
     }
 
     /// `STORE-VERSION`: creates `version` holding `value` and wakes every
@@ -466,12 +179,10 @@ impl<T> OCell<T> {
         st.versions.insert(
             version,
             Slot {
-                value: Arc::clone(&value),
+                value,
                 locked_by: None,
             },
         );
-        st.window_note_store(version, &value);
-        self.inner.publish(&st);
         drop(st);
         self.inner.changed.notify_all();
         Ok(())
@@ -480,83 +191,24 @@ impl<T> OCell<T> {
     /// `LOAD-VERSION` returning the shared allocation: blocks until
     /// `version` exists and is unlocked, without cloning `T`.
     pub fn load_version_arc(&self, version: Version) -> Arc<T> {
-        // The snap guard must drop before the state mutex is taken (the
-        // explicit block), or a concurrent publisher draining readers
-        // while holding the state mutex would deadlock with us.
-        {
-            let snap = self.inner.published.read();
-            if let FastRead::Hit(_, value) = snap.read_exact(version) {
-                return Arc::clone(value);
-            }
-        }
-        let mut st = self.inner.state.lock();
-        let mut timer = crate::metrics::WaitTimer::new();
-        loop {
-            if let Some(slot) = st.versions.get(&version) {
-                if slot.locked_by.is_none() {
-                    return Arc::clone(&slot.value);
-                }
-            }
-            timer.note_wait();
-            self.inner.changed.wait(&mut st);
-        }
+        self.wait_for(|st| st.exact(version).cloned())
     }
 
     /// Non-blocking `LOAD-VERSION` returning the shared allocation.
     pub fn try_load_version_arc(&self, version: Version) -> Option<Arc<T>> {
-        {
-            let snap = self.inner.published.read();
-            match snap.read_exact(version) {
-                FastRead::Hit(_, value) => return Some(Arc::clone(value)),
-                FastRead::Absent | FastRead::Locked => return None,
-                FastRead::Unknown => {}
-            }
-        }
-        let st = self.inner.state.lock();
-        st.versions
-            .get(&version)
-            .filter(|s| s.locked_by.is_none())
-            .map(|s| Arc::clone(&s.value))
+        self.inner.state.lock().exact(version).cloned()
     }
 
     /// `LOAD-LATEST` returning the shared allocation: blocks until some
     /// version ≤ `cap` exists and the newest such version is unlocked.
     pub fn load_latest_arc(&self, cap: Version) -> (Version, Arc<T>) {
-        {
-            let snap = self.inner.published.read();
-            if let FastRead::Hit(v, value) = snap.read_latest(cap) {
-                return (v, Arc::clone(value));
-            }
-        }
-        let mut st = self.inner.state.lock();
-        let mut timer = crate::metrics::WaitTimer::new();
-        loop {
-            if let Some((&v, slot)) = st.versions.range(..=cap).next_back() {
-                if slot.locked_by.is_none() {
-                    return (v, Arc::clone(&slot.value));
-                }
-            }
-            timer.note_wait();
-            self.inner.changed.wait(&mut st);
-        }
+        self.wait_for(|st| st.latest(cap).map(|(v, a)| (v, Arc::clone(a))))
     }
 
     /// Non-blocking `LOAD-LATEST` returning the shared allocation.
     pub fn try_load_latest_arc(&self, cap: Version) -> Option<(Version, Arc<T>)> {
-        {
-            let snap = self.inner.published.read();
-            match snap.read_latest(cap) {
-                FastRead::Hit(v, value) => return Some((v, Arc::clone(value))),
-                FastRead::Absent | FastRead::Locked => return None,
-                FastRead::Unknown => {}
-            }
-        }
         let st = self.inner.state.lock();
-        st.versions
-            .range(..=cap)
-            .next_back()
-            .filter(|(_, s)| s.locked_by.is_none())
-            .map(|(&v, s)| (v, Arc::clone(&s.value)))
+        st.latest(cap).map(|(v, a)| (v, Arc::clone(a)))
     }
 
     /// The version `tid` currently holds locked, if any.
@@ -567,13 +219,9 @@ impl<T> OCell<T> {
     /// Invariant oracle: cross-checks the lock bookkeeping both ways —
     /// every held-lock record must point at a version locked by exactly
     /// that task, and every locked version must have a matching held
-    /// record — and then validates the published read snapshot against the
-    /// version map: every run must cover exactly the contiguous versions
-    /// it claims (sharing their value allocation), the window must cover
-    /// every version above its floor, and the locked list must mirror the
-    /// lock table. Returns the first inconsistency. The software twin of
-    /// the simulator's lock-exclusion oracle; the stress harness's test
-    /// suites call it after perturbed interleavings.
+    /// record. Returns the first inconsistency. The software twin of the
+    /// simulator's lock-exclusion oracle; the stress harness's test suites
+    /// call it after perturbed interleavings.
     pub fn check_invariants(&self) -> Result<(), String> {
         let st = self.inner.state.lock();
         for (&tid, &v) in &st.held {
@@ -603,65 +251,6 @@ impl<T> OCell<T> {
                     ));
                 }
             }
-        }
-        // Snapshot-vs-truth cross-check. The publication happens under the
-        // state mutex, so under this lock the published view must agree.
-        let snap = self.inner.published.read();
-        if snap.complete != st.window_complete || snap.runs.len() != st.window.len() {
-            return Err("published snapshot lags the state window".to_string());
-        }
-        let mut covered = 0usize;
-        let mut prev_hi: Option<Version> = None;
-        for run in &snap.runs {
-            if run.lo > run.hi {
-                return Err(format!("run [{}, {}] is inverted", run.lo, run.hi));
-            }
-            if let Some(p) = prev_hi {
-                if run.lo <= p {
-                    return Err(format!("run [{}, {}] overlaps predecessor", run.lo, run.hi));
-                }
-            }
-            prev_hi = Some(run.hi);
-            // One ordered range pass per run instead of a per-version map
-            // lookup: a million-rename run costs one linear walk, not 10^6
-            // O(log n) probes, so the oracle stays usable on the long
-            // chains the runs exist to compress.
-            let span = (run.hi - run.lo + 1) as usize;
-            let mut present = 0usize;
-            for (&v, slot) in st.versions.range(run.lo..=run.hi) {
-                present += 1;
-                if !Arc::ptr_eq(&slot.value, &run.value) {
-                    return Err(format!(
-                        "run [{}, {}] does not share version {v}'s value",
-                        run.lo, run.hi
-                    ));
-                }
-            }
-            if present != span {
-                return Err(format!(
-                    "run [{}, {}] claims {span} contiguous versions but only \
-                     {present} exist",
-                    run.lo, run.hi
-                ));
-            }
-            covered += span;
-        }
-        let floor = snap.floor();
-        let above_floor = st.versions.range(floor..).count();
-        if covered != above_floor || (snap.complete && covered != st.versions.len()) {
-            return Err(format!(
-                "window covers {covered} versions but {above_floor} exist at or \
-                 above its floor {floor} (complete={})",
-                snap.complete
-            ));
-        }
-        let mut locked: Vec<Version> = st.held.values().copied().collect();
-        locked.sort_unstable();
-        if snap.locked != locked {
-            return Err(format!(
-                "published locked set {:?} does not match lock table {:?}",
-                snap.locked, locked
-            ));
         }
         Ok(())
     }
@@ -711,47 +300,27 @@ impl<T> OCell<T> {
 impl<T: Clone> OCell<T> {
     /// `LOAD-VERSION`: blocks until `version` exists and is unlocked.
     pub fn load_version(&self, version: Version) -> T {
-        // Clone `T` straight out of the published snapshot — no state
-        // mutex, no Arc refcount traffic.
-        {
-            let snap = self.inner.published.read();
-            if let FastRead::Hit(_, value) = snap.read_exact(version) {
-                return (**value).clone();
-            }
-        }
-        (*self.load_version_arc(version)).clone()
+        self.wait_for(|st| st.exact(version).map(|a| (**a).clone()))
     }
 
     /// Non-blocking `LOAD-VERSION`: `None` if absent or locked.
     pub fn try_load_version(&self, version: Version) -> Option<T> {
-        {
-            let snap = self.inner.published.read();
-            match snap.read_exact(version) {
-                FastRead::Hit(_, value) => return Some((**value).clone()),
-                FastRead::Absent | FastRead::Locked => return None,
-                FastRead::Unknown => {}
-            }
-        }
-        self.try_load_version_arc(version).map(|v| (*v).clone())
+        self.inner
+            .state
+            .lock()
+            .exact(version)
+            .map(|a| (**a).clone())
     }
 
     /// `LOAD-VERSION` with a timeout — mainly for tests that must detect a
     /// stall without hanging. `None` on timeout.
     pub fn load_version_timeout(&self, version: Version, dur: Duration) -> Option<T> {
-        {
-            let snap = self.inner.published.read();
-            if let FastRead::Hit(_, value) = snap.read_exact(version) {
-                return Some((**value).clone());
-            }
-        }
-        let deadline = std::time::Instant::now() + dur;
+        let deadline = Instant::now() + dur;
         let mut st = self.inner.state.lock();
         let mut timer = crate::metrics::WaitTimer::new();
         loop {
-            if let Some(slot) = st.versions.get(&version) {
-                if slot.locked_by.is_none() {
-                    return Some((*slot.value).clone());
-                }
+            if let Some(a) = st.exact(version) {
+                return Some((**a).clone());
             }
             timer.note_wait();
             if self.inner.changed.wait_until(&mut st, deadline).timed_out() {
@@ -763,100 +332,61 @@ impl<T: Clone> OCell<T> {
     /// `LOAD-LATEST`: blocks until some version ≤ `cap` exists and the
     /// newest such version is unlocked. Returns `(version, value)`.
     pub fn load_latest(&self, cap: Version) -> (Version, T) {
-        {
-            let snap = self.inner.published.read();
-            if let FastRead::Hit(v, value) = snap.read_latest(cap) {
-                return (v, (**value).clone());
-            }
-        }
-        let (v, value) = self.load_latest_arc(cap);
-        (v, (*value).clone())
+        self.wait_for(|st| st.latest(cap).map(|(v, a)| (v, (**a).clone())))
     }
 
     /// Non-blocking `LOAD-LATEST`.
     pub fn try_load_latest(&self, cap: Version) -> Option<(Version, T)> {
-        {
-            let snap = self.inner.published.read();
-            match snap.read_latest(cap) {
-                FastRead::Hit(v, value) => return Some((v, (**value).clone())),
-                FastRead::Absent | FastRead::Locked => return None,
-                FastRead::Unknown => {}
-            }
-        }
-        self.try_load_latest_arc(cap)
-            .map(|(v, a)| (v, (*a).clone()))
+        let st = self.inner.state.lock();
+        st.latest(cap).map(|(v, a)| (v, (**a).clone()))
     }
 
     /// `LOCK-LOAD-VERSION`: exact load + lock as `tid`. Blocks while the
-    /// version is absent or locked (by anyone, including `tid`).
+    /// version is absent or locked by another task. Fails with
+    /// [`OError::AlreadyHolds`] when `tid` already holds a lock on this
+    /// cell.
     pub fn lock_load_version(&self, version: Version, tid: TaskId) -> Result<T, OError> {
         if tid == 0 {
             return Err(OError::ReservedTaskId);
         }
-        let mut st = self.inner.state.lock();
-        let mut timer = crate::metrics::WaitTimer::new();
-        loop {
-            if let Some(slot) = st.versions.get_mut(&version) {
-                if slot.locked_by.is_none() {
-                    slot.locked_by = Some(tid);
-                    let value = (*slot.value).clone();
-                    st.held.insert(tid, version);
-                    self.inner.publish(&st);
-                    return Ok(value);
-                }
+        self.wait_for(|st| {
+            if let Some(&held) = st.held.get(&tid) {
+                return Some(Err(OError::AlreadyHolds(held)));
             }
-            timer.note_wait();
-            self.inner.changed.wait(&mut st);
-        }
+            st.exact(version)?;
+            Some(Ok((**st.lock(version, tid)).clone()))
+        })
     }
 
     /// Non-blocking `LOCK-LOAD-LATEST`: `None` when the newest version ≤
-    /// `cap` is absent or already locked.
+    /// `cap` is absent or already locked, or `tid` already holds a lock on
+    /// this cell.
     pub fn try_lock_load_latest(&self, cap: Version, tid: TaskId) -> Option<(Version, T)> {
         if tid == 0 {
             return None;
         }
         let mut st = self.inner.state.lock();
-        let v = st
-            .versions
-            .range(..=cap)
-            .next_back()
-            .filter(|(_, s)| s.locked_by.is_none())
-            .map(|(&v, _)| v)?;
-        let slot = st.versions.get_mut(&v).expect("just found");
-        slot.locked_by = Some(tid);
-        let value = (*slot.value).clone();
-        st.held.insert(tid, v);
-        self.inner.publish(&st);
-        Some((v, value))
+        if st.held.contains_key(&tid) {
+            return None;
+        }
+        let (v, _) = st.latest(cap)?;
+        Some((v, (**st.lock(v, tid)).clone()))
     }
 
     /// `LOCK-LOAD-LATEST`: capped load + lock as `tid`.
-    /// Returns `(version, value)`.
+    /// Returns `(version, value)`. Fails with [`OError::AlreadyHolds`]
+    /// when `tid` already holds a lock on this cell.
     pub fn lock_load_latest(&self, cap: Version, tid: TaskId) -> Result<(Version, T), OError> {
         if tid == 0 {
             return Err(OError::ReservedTaskId);
         }
-        let mut st = self.inner.state.lock();
-        let mut timer = crate::metrics::WaitTimer::new();
-        loop {
-            let found = st
-                .versions
-                .range(..=cap)
-                .next_back()
-                .filter(|(_, s)| s.locked_by.is_none())
-                .map(|(&v, _)| v);
-            if let Some(v) = found {
-                let slot = st.versions.get_mut(&v).expect("just found");
-                slot.locked_by = Some(tid);
-                let value = (*slot.value).clone();
-                st.held.insert(tid, v);
-                self.inner.publish(&st);
-                return Ok((v, value));
+        self.wait_for(|st| {
+            if let Some(&held) = st.held.get(&tid) {
+                return Some(Err(OError::AlreadyHolds(held)));
             }
-            timer.note_wait();
-            self.inner.changed.wait(&mut st);
-        }
+            let (v, _) = st.latest(cap)?;
+            Some(Ok((v, (**st.lock(v, tid)).clone())))
+        })
     }
 
     /// `UNLOCK-VERSION`: releases `tid`'s lock on this cell; with
@@ -874,27 +404,25 @@ impl<T: Clone> OCell<T> {
             slot.locked_by = None;
             Arc::clone(&slot.value)
         };
-        if let Some(vn) = create {
-            if st.versions.contains_key(&vn) {
-                // Roll the unlock forward anyway; the create is the error.
-                self.inner.publish(&st);
-                drop(st);
-                self.inner.changed.notify_all();
-                return Err(OError::VersionExists(vn));
+        // The unlock stands even when the create fails; the create is the
+        // error.
+        let created = match create {
+            Some(vn) if st.versions.contains_key(&vn) => Err(OError::VersionExists(vn)),
+            Some(vn) => {
+                st.versions.insert(
+                    vn,
+                    Slot {
+                        value,
+                        locked_by: None,
+                    },
+                );
+                Ok(())
             }
-            st.versions.insert(
-                vn,
-                Slot {
-                    value: Arc::clone(&value),
-                    locked_by: None,
-                },
-            );
-            st.window_note_store(vn, &value);
-        }
-        self.inner.publish(&st);
+            None => Ok(()),
+        };
         drop(st);
         self.inner.changed.notify_all();
-        Ok(())
+        created
     }
 }
 
@@ -1032,6 +560,29 @@ mod tests {
     }
 
     #[test]
+    fn second_lock_by_one_task_is_refused() {
+        let c = OCell::new();
+        c.store_version(1, 10).unwrap();
+        c.store_version(2, 20).unwrap();
+        c.lock_load_version(1, 7).unwrap();
+        assert_eq!(c.lock_load_version(2, 7), Err(OError::AlreadyHolds(1)));
+        assert_eq!(c.lock_load_latest(2, 7), Err(OError::AlreadyHolds(1)));
+        assert_eq!(c.try_lock_load_latest(2, 7), None);
+        c.check_invariants().unwrap();
+        assert_eq!(c.try_load_version(1), None, "version 1 stays locked");
+        assert_eq!(
+            c.try_load_version(2),
+            Some(20),
+            "version 2 was never locked"
+        );
+        c.unlock_version(7, None).unwrap();
+        assert_eq!(c.held_by(7), None);
+        assert_eq!(c.try_load_version(1), Some(10));
+        assert_eq!(c.unlock_version(7, None), Err(OError::NotLockOwner(7)));
+        c.check_invariants().unwrap();
+    }
+
+    #[test]
     fn timeout_detects_stall() {
         let c: OCell<u32> = OCell::new();
         assert_eq!(c.load_version_timeout(1, Duration::from_millis(30)), None);
@@ -1110,9 +661,9 @@ mod tests {
     }
 
     #[test]
-    fn rename_chain_compresses_to_one_run() {
-        // A long rename pipeline shares one allocation and one run; every
-        // intermediate version stays loadable on the fast path.
+    fn rename_chain_shares_one_allocation() {
+        // A long rename pipeline shares one value allocation; every
+        // intermediate version stays loadable.
         let c = OCell::with_initial(1, 7u32);
         for tid in 1..=200u64 {
             c.lock_load_version(tid, tid).unwrap();
@@ -1130,13 +681,12 @@ mod tests {
 
     #[test]
     fn window_overflow_falls_back_to_slow_path() {
-        // >WINDOW_RUNS distinct-value versions: old versions leave the
-        // published window but remain loadable (slow path), and lookups
-        // above the floor stay authoritative.
+        // Many distinct-value versions with gaps between them: every
+        // stored version resolves exactly, and every gap is absent.
         let c = OCell::new();
-        let n = (WINDOW_RUNS as u64) * 3;
+        let n = 96u64;
         for v in 1..=n {
-            c.store_version(v * 2, v as u32).unwrap(); // gaps: no coalescing
+            c.store_version(v * 2, v as u32).unwrap();
         }
         c.check_invariants().unwrap();
         for v in 1..=n {

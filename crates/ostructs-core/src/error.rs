@@ -17,6 +17,9 @@ pub enum OError {
     NotLockOwner(TaskId),
     /// Task id 0 is reserved.
     ReservedTaskId,
+    /// A `LOCK-LOAD` by a task that already holds a lock on this cell (on
+    /// the carried version); a task holds at most one lock per cell.
+    AlreadyHolds(Version),
 }
 
 impl std::fmt::Display for OError {
@@ -25,6 +28,12 @@ impl std::fmt::Display for OError {
             OError::VersionExists(v) => write!(f, "version {v} already exists"),
             OError::NotLockOwner(t) => write!(f, "task {t} does not hold a lock on this cell"),
             OError::ReservedTaskId => write!(f, "task id 0 is reserved"),
+            OError::AlreadyHolds(v) => {
+                write!(
+                    f,
+                    "the task already holds a lock on version {v} of this cell"
+                )
+            }
         }
     }
 }

@@ -151,7 +151,7 @@ impl<T: Clone> MVar<T> {
         let (_, value) = self
             .cell
             .lock_load_latest(Version::MAX, tid)
-            .expect("valid tid");
+            .expect("nonzero tid with no outstanding take");
         (TakeToken { tid }, value)
     }
 

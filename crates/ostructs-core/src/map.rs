@@ -3,9 +3,9 @@
 //! [`OMap`] stores one [`OCell`] per key, each holding the full version
 //! history of that key's value (`None` = absent at that version). Writers
 //! publish at their task version; readers iterate a *consistent snapshot*
-//! at any version cap without locks — "renaming to isolate readers from
-//! writers", which the paper lists as the concurrent-data-structure use
-//! case for O-structures.
+//! at any version cap without blocking on writers of other keys —
+//! "renaming to isolate readers from writers", which the paper lists as
+//! the concurrent-data-structure use case for O-structures.
 //!
 //! # Sharding
 //!
@@ -185,7 +185,6 @@ where
                         .versions()
                         .iter()
                         .any(|&v| cell.try_load_version(v).flatten().is_some() || v > boundary)
-                    || cell.try_load_latest(Version::MAX).map(|(_, v)| v.is_some()) == Some(true)
             });
         }
         reclaimed

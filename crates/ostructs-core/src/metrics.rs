@@ -3,12 +3,11 @@
 //!
 //! Per-instance metrics (the vacuum's `fill_registry`) only cover objects
 //! the caller holds; this module aggregates what the *whole process* does
-//! to any cell or map — snapshot publications, blocking condvar waits,
-//! shard-lock contention — so the scrape plane can export it without
-//! threading a registry handle through every `OCell`. Recording is raw
-//! relaxed atomics plus one pre-allocated histogram behind a mutex:
-//! nothing allocates, and disarmed cost on the publish path is a single
-//! `fetch_add`.
+//! to any cell or map — blocking condvar waits and shard-lock contention
+//! — so the scrape plane can export it without threading a registry
+//! handle through every `OCell`. Recording is raw relaxed atomics plus
+//! one pre-allocated histogram behind a mutex: nothing allocates, and an
+//! operation that never waits records nothing.
 
 use osim_metrics::{Histogram, Registry};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -20,11 +19,8 @@ use std::time::Instant;
 const TRACKED_SHARDS: usize = 64;
 
 struct StoreMetrics {
-    /// Snapshot publications (every store, lock, unlock, or prune that
-    /// changed the published fast-read snapshot).
-    publishes: AtomicU64,
-    /// Operations that actually parked on a cell's condvar (fast-path
-    /// reads and uncontended lock loads never count).
+    /// Operations that actually parked on a cell's condvar (loads and
+    /// lock loads that find their version ready never count).
     blocking_waits: AtomicU64,
     blocking_wait_us: Mutex<Histogram>,
     /// Shard-index lock acquisitions that found the lock held.
@@ -35,17 +31,11 @@ struct StoreMetrics {
 fn store() -> &'static StoreMetrics {
     static STORE: OnceLock<StoreMetrics> = OnceLock::new();
     STORE.get_or_init(|| StoreMetrics {
-        publishes: AtomicU64::new(0),
         blocking_waits: AtomicU64::new(0),
         blocking_wait_us: Mutex::new(Histogram::default()),
         contention_total: AtomicU64::new(0),
         contention_by_shard: std::array::from_fn(|_| AtomicU64::new(0)),
     })
-}
-
-#[inline]
-pub(crate) fn note_publish() {
-    store().publishes.fetch_add(1, Ordering::Relaxed);
 }
 
 #[inline]
@@ -94,11 +84,6 @@ impl Drop for WaitTimer {
 pub fn fill_store_registry(reg: &mut Registry) {
     let m = store();
     reg.counter_add(
-        "osim_store_snapshot_publish_total",
-        &[],
-        m.publishes.load(Ordering::Relaxed),
-    );
-    reg.counter_add(
         "osim_store_blocking_waits_total",
         &[],
         m.blocking_waits.load(Ordering::Relaxed),
@@ -130,10 +115,9 @@ mod tests {
     use crate::OCell;
 
     #[test]
-    fn publishes_and_waits_surface_in_registry() {
+    fn blocking_waits_surface_in_registry() {
         let mut before = Registry::new();
         fill_store_registry(&mut before);
-        let publishes0 = before.counter("osim_store_snapshot_publish_total", &[]);
         let waits0 = before.counter("osim_store_blocking_waits_total", &[]);
 
         let cell: OCell<u64> = OCell::new();
@@ -153,10 +137,6 @@ mod tests {
 
         let mut after = Registry::new();
         fill_store_registry(&mut after);
-        assert!(
-            after.counter("osim_store_snapshot_publish_total", &[]) >= publishes0 + 3,
-            "three stores must publish at least three snapshots"
-        );
         assert!(
             after.counter("osim_store_blocking_waits_total", &[]) > waits0,
             "the parked load must count as a blocking wait"

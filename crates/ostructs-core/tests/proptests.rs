@@ -117,12 +117,18 @@ proptest! {
                     prop_assert_eq!(cell.try_load_latest(cap), model.try_latest(cap));
                 }
                 Step::LockLatest { cap, tid } => {
-                    // Skip when it would block (absent/locked) or the task
-                    // already holds a lock; the model mirrors the decision.
-                    let would = model.try_latest(cap).is_some()
-                        && !model.held.contains_key(&tid);
+                    // Skip when it would block (absent/locked); the model
+                    // mirrors the decision. A task that already holds a
+                    // lock is refused, which the model also reports as None.
+                    let would = model.try_latest(cap).is_some();
                     let got = if would {
-                        Some(cell.lock_load_latest(cap, tid).unwrap())
+                        match cell.lock_load_latest(cap, tid) {
+                            Err(OError::AlreadyHolds(v)) => {
+                                prop_assert_eq!(model.held.get(&tid), Some(&v));
+                                None
+                            }
+                            got => Some(got.unwrap()),
+                        }
                     } else {
                         None
                     };
