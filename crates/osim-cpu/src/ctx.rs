@@ -411,8 +411,7 @@ impl TaskCtx {
         self.h.sleep(latency).await;
         let stall = (trap > 0).then_some(StallCause::FreeListGc);
         self.trace(OpKind::VersionedStore, va, v, self.h.now() - latency, stall);
-        self.gate_for(va)
-            .open_at_from(self.h.now(), self.wake_origin());
+        self.open_gate(va);
     }
 
     /// `UNLOCK-VERSION`: unlocks `vl` (held by this task); with
@@ -443,8 +442,7 @@ impl TaskCtx {
         self.h.sleep(latency).await;
         let stall = (trap > 0).then_some(StallCause::FreeListGc);
         self.trace(OpKind::Unlock, va, vl, self.h.now() - latency, stall);
-        self.gate_for(va)
-            .open_at_from(self.h.now(), self.wake_origin());
+        self.open_gate(va);
     }
 
     /// Releases an entire O-structure (every version block back to the
@@ -452,10 +450,9 @@ impl TaskCtx {
     /// for `va` if nobody is parked on it.
     ///
     /// The gate cleanup is what keeps the per-machine gate map bounded:
-    /// without it, every O-structure address that ever blocked a task (or
-    /// published a wake-up) pins a gate entry for the life of the machine,
-    /// even after the structure is freed and its address recycled. Freeing
-    /// at a quiescent point — the only legal time to call this, per the
+    /// without it, every O-structure address that ever blocked a task pins
+    /// a gate entry for the life of the machine, even after the structure
+    /// is freed and its address recycled. Freeing at a quiescent point — the only legal time to call this, per the
     /// manager's contract — means the gate has no waiters and can go.
     /// Returns the number of version blocks freed.
     pub async fn release_structure(&self, va: u32) -> u32 {
@@ -579,5 +576,13 @@ impl TaskCtx {
     fn gate_for(&self, va: u32) -> Gate {
         let mut st = self.st.borrow_mut();
         st.gates.entry(va).or_insert_with(|| self.h.gate()).clone()
+    }
+
+    /// Wakes every task parked on `va`'s gate. A gate exists only once
+    /// some task has blocked on `va`; without one there is nobody to wake.
+    fn open_gate(&self, va: u32) {
+        if let Some(gate) = self.st.borrow().gates.get(&va) {
+            gate.open_at_from(self.h.now(), self.wake_origin());
+        }
     }
 }

@@ -88,16 +88,17 @@ pub enum AccessKind {
 }
 
 /// Outcome of a hierarchy access.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 pub struct AccessResult {
     /// Latency in cycles.
     pub latency: u64,
     /// Level that satisfied the access.
     pub level: Level,
-    /// Compressed O-structure lines (identified by `(core, root_pa)`) that
-    /// were evicted or invalidated as a side effect. The O-structure manager
-    /// must drop its payloads for these.
-    pub dropped_compressed: Vec<(usize, u32)>,
+    /// Root PA of the accessing core's compressed O-structure line that
+    /// the L1 fill evicted, if any. A fill evicts at most one line, always
+    /// in the accessing core's L1; the O-structure manager must drop its
+    /// payload for it.
+    pub dropped_compressed: Option<u32>,
 }
 
 /// Per-core L1s over a shared inclusive L2 over DRAM.
@@ -235,7 +236,7 @@ impl Hierarchy {
     /// own entry points below.
     pub fn access(&mut self, core: usize, pa: u32, kind: AccessKind) -> AccessResult {
         let line = line_of(pa);
-        let mut dropped = Vec::new();
+        let mut dropped = None;
         let is_write = kind == AccessKind::Write;
 
         if let Some(state) = self.l1s[core].probe(line, LineKind::Data) {
@@ -317,7 +318,7 @@ impl Hierarchy {
             self.stats.l2_misses += 1;
             if let Some(victim) = self.l2.fill(line, LineKind::Data, Mesi::Exclusive) {
                 self.push_l2_evict(core, &victim);
-                self.back_invalidate(victim.tag, &mut dropped);
+                self.back_invalidate(victim.tag);
             }
             (Level::Dram, self.cfg.dram_latency)
         };
@@ -347,12 +348,7 @@ impl Hierarchy {
                     self.dir_set_state_data(c, line, Mesi::Shared);
                 });
             }
-            if let Some(victim) = self.l1s[core].fill(line, LineKind::Data, state) {
-                if victim.kind == LineKind::Compressed {
-                    dropped.push((core, victim.tag));
-                }
-                self.dir_remove_victim(core, &victim);
-            }
+            dropped = self.fill_l1(core, line, LineKind::Data, state);
             self.dir_add_data(core, line, state);
         }
 
@@ -379,13 +375,12 @@ impl Hierarchy {
     /// Used for the version block that *matched* during a full list walk:
     /// the walk already paid for fetching it (as a no-allocate read), and
     /// the paper's pollution rule says exactly this one block is then
-    /// inserted into the cache. Returns compressed lines evicted by the
-    /// fill.
-    pub fn fill_local(&mut self, core: usize, pa: u32) -> Vec<(usize, u32)> {
+    /// inserted into the cache. Returns the root PA of the compressed
+    /// line the fill evicted, if any.
+    pub fn fill_local(&mut self, core: usize, pa: u32) -> Option<u32> {
         let line = line_of(pa);
-        let mut dropped = Vec::new();
         if self.l1s[core].peek(line, LineKind::Data).is_some() {
-            return dropped;
+            return None;
         }
         let others_share = self.data_sharers_except(core, line) != 0;
         let state = if others_share {
@@ -393,14 +388,17 @@ impl Hierarchy {
         } else {
             Mesi::Exclusive
         };
-        if let Some(victim) = self.l1s[core].fill(line, LineKind::Data, state) {
-            if victim.kind == LineKind::Compressed {
-                dropped.push((core, victim.tag));
-            }
-            self.dir_remove_victim(core, &victim);
-        }
+        let dropped = self.fill_l1(core, line, LineKind::Data, state);
         self.dir_add_data(core, line, state);
         dropped
+    }
+
+    /// Fills `core`'s L1 with `tag` and retires the victim from the
+    /// directory. Returns the victim's root PA if it was a compressed line.
+    fn fill_l1(&mut self, core: usize, tag: u32, kind: LineKind, state: Mesi) -> Option<u32> {
+        let victim = self.l1s[core].fill(tag, kind, state)?;
+        self.dir_remove_victim(core, &victim);
+        (victim.kind == LineKind::Compressed).then_some(victim.tag)
     }
 
     /// Records an L2 fill victim (observation only; never changes timing).
@@ -427,7 +425,8 @@ impl Hierarchy {
     }
 
     /// Enforces inclusion: when the L2 evicts a line, every L1 copy goes too.
-    fn back_invalidate(&mut self, line: u32, dropped: &mut Vec<(usize, u32)>) {
+    /// Compressed lines are not L2-backed, so this never drops one.
+    fn back_invalidate(&mut self, line: u32) {
         let mask = self.data_dir.get(&line).map_or(0, |e| e.sharers);
         for_each_core(mask, |c| {
             if self.l1s[c].invalidate(line, LineKind::Data).is_some() {
@@ -435,7 +434,6 @@ impl Hierarchy {
             }
             self.dir_remove_data(c, line);
         });
-        let _ = dropped; // compressed lines are not L2-backed; nothing to drop
     }
 
     // ------------------------------------------------------------------
@@ -458,15 +456,10 @@ impl Hierarchy {
     }
 
     /// Allocates (or refreshes) the compressed line for `root_pa` in
-    /// `core`'s L1, reporting any compressed victim that had to be evicted.
-    pub fn compressed_fill(&mut self, core: usize, root_pa: u32) -> Vec<(usize, u32)> {
-        let mut dropped = Vec::new();
-        if let Some(victim) = self.l1s[core].fill(root_pa, LineKind::Compressed, Mesi::Exclusive) {
-            if victim.kind == LineKind::Compressed {
-                dropped.push((core, victim.tag));
-            }
-            self.dir_remove_victim(core, &victim);
-        }
+    /// `core`'s L1, returning the root PA of any compressed victim that had
+    /// to be evicted.
+    pub fn compressed_fill(&mut self, core: usize, root_pa: u32) -> Option<u32> {
+        let dropped = self.fill_l1(core, root_pa, LineKind::Compressed, Mesi::Exclusive);
         self.dir_add_comp(core, root_pa);
         dropped
     }
@@ -485,9 +478,9 @@ impl Hierarchy {
     /// Coherence broadcast: a version store/lock/unlock by `core` modified
     /// the O-structure rooted at `root_pa`, so every *other* core's
     /// compressed line for it is discarded (the paper's "simplest course of
-    /// action"). Returns the dropped `(core, root_pa)` pairs.
-    pub fn compressed_invalidate_others(&mut self, core: usize, root_pa: u32) -> Vec<(usize, u32)> {
-        let mut dropped = Vec::new();
+    /// action"). Returns the mask of cores whose line was dropped.
+    pub fn compressed_invalidate_others(&mut self, core: usize, root_pa: u32) -> u64 {
+        let mut dropped = 0;
         let mask = self
             .comp_dir
             .get(&root_pa)
@@ -504,7 +497,7 @@ impl Hierarchy {
                     pa: root_pa,
                     kind: MemEventKind::CompressedCoherenceDrop,
                 });
-                dropped.push((c, root_pa));
+                dropped |= 1 << c;
             }
             self.dir_remove_comp(c, root_pa);
         });
@@ -608,7 +601,7 @@ mod tests {
         h.compressed_fill(1, root);
         // A store by core 0 invalidates core 1's copy only.
         let dropped = h.compressed_invalidate_others(0, root);
-        assert_eq!(dropped, vec![(1, root)]);
+        assert_eq!(dropped, 1 << 1);
         assert!(h.compressed_probe(0, root));
         assert!(!h.compressed_probe(1, root));
         assert_eq!(h.stats.compressed_coherence_drops, 1);
@@ -622,7 +615,7 @@ mod tests {
             h.access(0, i * 4096, AccessKind::Read);
         }
         let dropped = h.compressed_fill(0, 0); // maps to set 0 as well
-        assert!(dropped.is_empty(), "victim was a data line, not compressed");
+        assert!(dropped.is_none(), "victim was a data line, not compressed");
         assert!(h.compressed_probe(0, 0), "compressed line is resident");
         // The victim was the LRU data line (0x0); the hottest one survives.
         let r = h.access(0, 7 * 4096, AccessKind::Read);

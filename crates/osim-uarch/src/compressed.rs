@@ -18,7 +18,7 @@ use crate::{TaskId, Version};
 pub const VERSION_WINDOW: u32 = 1 << 14;
 
 /// One compressed version-block entry.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CEntry {
     /// Full version id (stored in hardware as a 14-bit offset from the base).
     pub version: Version,
@@ -34,14 +34,21 @@ pub struct CEntry {
     pub block_pa: u32,
 }
 
-/// Payload of one compressed version-block line.
+/// Capacity of a compressed line (8 entries per 64-byte line).
+pub const ENTRIES_PER_LINE: usize = 8;
+
+/// Payload of one compressed version-block line. The entries live inline:
+/// slots `len..` are always zeroed, so the derived equality compares only
+/// live entries.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CompressedLine {
     /// Version base; all entries satisfy `base <= version < base + 2^14`.
     base: Version,
-    entries: Vec<CEntry>,
+    entries: [CEntry; ENTRIES_PER_LINE],
     /// LRU ticks, parallel to `entries`.
-    lru: Vec<u64>,
+    lru: [u64; ENTRIES_PER_LINE],
+    /// Live entries: `entries[..len]`.
+    len: u8,
     tick: u64,
     /// Version at the head of the version-block list, if this line knows it.
     /// Only when the head version is itself cached can a `LOAD-LATEST` be
@@ -49,24 +56,25 @@ pub struct CompressedLine {
     head_version: Option<Version>,
 }
 
-/// Capacity of a compressed line (8 entries per 64-byte line).
-pub const ENTRIES_PER_LINE: usize = 8;
-
 impl CompressedLine {
     /// An empty line.
     pub fn new() -> Self {
         Self::default()
     }
 
+    fn position(&self, version: Version) -> Option<usize> {
+        self.entries_ref().iter().position(|e| e.version == version)
+    }
+
     /// Looks up an exact version.
     pub fn get(&self, version: Version) -> Option<&CEntry> {
-        self.entries.iter().find(|e| e.version == version)
+        self.entries_ref().iter().find(|e| e.version == version)
     }
 
     /// Marks `version` most recently used.
     pub fn touch(&mut self, version: Version) {
         self.tick += 1;
-        if let Some(i) = self.entries.iter().position(|e| e.version == version) {
+        if let Some(i) = self.position(version) {
             self.lru[i] = self.tick;
         }
     }
@@ -98,7 +106,7 @@ impl CompressedLine {
     /// cannot be expressed in this line's 2^14 window. The LRU entry is
     /// evicted when all eight slots are full.
     pub fn insert(&mut self, e: CEntry) -> bool {
-        if self.entries.is_empty() {
+        if self.is_empty() {
             // An empty line re-bases itself to the incoming version.
             self.base = e.version & !(VERSION_WINDOW - 1);
         }
@@ -106,12 +114,12 @@ impl CompressedLine {
             return false;
         }
         self.tick += 1;
-        if let Some(i) = self.entries.iter().position(|x| x.version == e.version) {
+        if let Some(i) = self.position(e.version) {
             self.entries[i] = e;
             self.lru[i] = self.tick;
             return true;
         }
-        if self.entries.len() == ENTRIES_PER_LINE {
+        if self.len() == ENTRIES_PER_LINE {
             let victim = match self.lru.iter().enumerate().min_by_key(|(_, &t)| t) {
                 Some((victim, _)) => victim,
                 None => unreachable!("full line"),
@@ -119,11 +127,12 @@ impl CompressedLine {
             if self.head_version == Some(self.entries[victim].version) {
                 self.head_version = None;
             }
-            self.entries.swap_remove(victim);
-            self.lru.swap_remove(victim);
+            self.swap_remove(victim);
         }
-        self.entries.push(e);
-        self.lru.push(self.tick);
+        let at = self.len();
+        self.entries[at] = e;
+        self.lru[at] = self.tick;
+        self.len += 1;
         true
     }
 
@@ -133,9 +142,9 @@ impl CompressedLine {
         if locked_by != 0 && !self.fits(locked_by) {
             return false;
         }
-        match self.entries.iter_mut().find(|e| e.version == version) {
-            Some(e) => {
-                e.locked_by = locked_by;
+        match self.position(version) {
+            Some(i) => {
+                self.entries[i].locked_by = locked_by;
                 true
             }
             None => false,
@@ -144,28 +153,38 @@ impl CompressedLine {
 
     /// Removes a version from the line (e.g. its block was reclaimed).
     pub fn remove(&mut self, version: Version) {
-        if let Some(i) = self.entries.iter().position(|e| e.version == version) {
-            self.entries.swap_remove(i);
-            self.lru.swap_remove(i);
+        if let Some(i) = self.position(version) {
+            self.swap_remove(i);
             if self.head_version == Some(version) {
                 self.head_version = None;
             }
         }
     }
 
+    /// Moves the last live entry into slot `i` and zeroes the vacated
+    /// slot (the order `Vec::swap_remove` leaves).
+    fn swap_remove(&mut self, i: usize) {
+        let last = self.len() - 1;
+        self.entries[i] = self.entries[last];
+        self.lru[i] = self.lru[last];
+        self.entries[last] = CEntry::default();
+        self.lru[last] = 0;
+        self.len -= 1;
+    }
+
     /// Number of cached entries.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        usize::from(self.len)
     }
 
     /// All cached entries (order is unspecified).
     pub fn entries_ref(&self) -> &[CEntry] {
-        &self.entries
+        &self.entries[..self.len()]
     }
 
     /// True if no entries are cached.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.len == 0
     }
 
     fn fits(&self, v: u32) -> bool {
@@ -244,9 +263,6 @@ mod tests {
             l.insert(e(v, v));
         }
         l.set_head_version(Some(7));
-        for v in 1..8 {
-            l.touch(v); // version 0... wait, make 7 the LRU
-        }
         // Make 7 coldest: touch all others.
         for v in 0..7 {
             l.touch(v);

@@ -3,7 +3,7 @@
 
 use osim_mem::{FxHashMap, FxHashSet};
 use osim_metrics::Histogram;
-use std::collections::{BTreeSet, HashSet};
+use std::collections::BTreeSet;
 
 use osim_mem::{
     line_of, AccessKind, EventLog, Fault, FaultPlan, Injector, MemSys, PageFlags, PAGE_SIZE,
@@ -11,7 +11,7 @@ use osim_mem::{
 
 use crate::compressed::{CEntry, CompressedLine};
 use crate::oracle::OracleReport;
-use crate::vblock::{VBlock, VBLOCK_BYTES};
+use crate::vblock::{list_nodes, VBlock, VBLOCK_BYTES};
 use crate::{TaskId, Version};
 
 /// Garbage-collection configuration (§III-B).
@@ -298,16 +298,6 @@ pub struct OManager {
     /// another core's mutation since the core last asked. Feeds the cpu
     /// layer's stall-cause attribution (coherence vs. version state).
     coherence_lost: FxHashSet<(usize, u32)>,
-    /// Host-side mirror of every version-block list, in exact list order:
-    /// `(version, block_pa)` per node. The simulated list in [`PhysMem`]
-    /// stays authoritative — walks still charge the modeled accesses — but
-    /// the *search* (version comparisons, match resolution) runs on this
-    /// mirror so the hot path never decodes simulated memory per node.
-    /// Debug builds cross-check the mirror against the physical list.
-    lists: FxHashMap<u32, Vec<(Version, u32)>>,
-    /// Exact-version index: `(root_pa, version)` → block pa, maintained on
-    /// store/unlink/GC/release, so exact-version lookups resolve in O(1).
-    index: FxHashMap<(u32, Version), u32>,
     /// Reusable unique-line scratch for walk charging (replaces a per-walk
     /// `HashSet` allocation; walks are short, so linear scan wins).
     walk_lines: Vec<u32>,
@@ -333,10 +323,6 @@ impl OManager {
     /// Creates a manager and carves its initial free list out of fresh
     /// version-block pool pages.
     pub fn new(cfg: OManagerCfg, ms: &mut MemSys) -> Result<Self, Fault> {
-        // Every mirrored list node backs one version block, so the pool
-        // size bounds both host-side maps: pre-sizing moves all their
-        // rehashes out of the measured hot path.
-        let blocks = cfg.initial_free_blocks as usize;
         let mut mgr = OManager {
             cfg,
             free_head: 0,
@@ -350,8 +336,6 @@ impl OManager {
             active: BTreeSet::new(),
             max_id_seen: 0,
             coherence_lost: FxHashSet::default(),
-            lists: FxHashMap::with_capacity_and_hasher(blocks, Default::default()),
-            index: FxHashMap::with_capacity_and_hasher(blocks, Default::default()),
             walk_lines: Vec::new(),
             pending_trap_cycles: 0,
             injector: cfg.fault_plan.map(Injector::new),
@@ -437,21 +421,19 @@ impl OManager {
         }
     }
 
-    /// Version-monotonicity oracle: after inserting `v` at `pos`, a sorted
-    /// list must still be strictly descending around the insertion point.
-    fn oracle_order(&mut self, root_pa: u32, pos: usize, v: Version) {
+    /// Version-monotonicity oracle: after inserting `v` between the
+    /// versions `prev` (newer side) and `next` (older side), a sorted list
+    /// must still be strictly descending around the insertion point.
+    fn oracle_order(
+        &mut self,
+        root_pa: u32,
+        v: Version,
+        prev: Option<Version>,
+        next: Option<Version>,
+    ) {
         if self.oracle.is_none() || !self.list_sorted(root_pa) {
             return;
         }
-        let (prev, next) = match self.lists.get(&root_pa) {
-            Some(list) => (
-                pos.checked_sub(1)
-                    .and_then(|i| list.get(i))
-                    .map(|&(p, _)| p),
-                list.get(pos + 1).map(|&(n, _)| n),
-            ),
-            None => (None, None),
-        };
         let Some(o) = self.oracle.as_deref_mut() else {
             return;
         };
@@ -459,7 +441,7 @@ impl OManager {
         if prev.is_some_and(|p| p <= v) || next.is_some_and(|n| n >= v) {
             o.violation(format!(
                 "version-monotonicity: root {root_pa:#010x} insert of version {v} \
-                 at position {pos} between {prev:?} and {next:?} breaks descending order"
+                 between {prev:?} and {next:?} breaks descending order"
             ));
         }
     }
@@ -473,10 +455,7 @@ impl OManager {
             return;
         }
         let head = ms.phys.read_u32(root_pa);
-        let newer = self
-            .lists
-            .get(&root_pa)
-            .is_some_and(|l| l.iter().any(|&(ver, _)| ver > blk.version));
+        let newer = list_nodes(&ms.phys, head).any(|(ver, _)| ver > blk.version);
         let Some(o) = self.oracle.as_deref_mut() else {
             return;
         };
@@ -505,80 +484,23 @@ impl OManager {
     }
 
     // ------------------------------------------------------------------
-    // Host-side list mirror + exact-version index
+    // Walk charging
     // ------------------------------------------------------------------
 
-    /// Records a freshly linked block in the mirror and the index.
-    fn mirror_insert(&mut self, root_pa: u32, pos: usize, v: Version, block_pa: u32) {
-        self.lists
-            .entry(root_pa)
-            .or_default()
-            .insert(pos, (v, block_pa));
-        let prev = self.index.insert((root_pa, v), block_pa);
-        debug_assert!(
-            prev.is_none(),
-            "duplicate version {v} at root {root_pa:#010x}"
-        );
-    }
-
-    /// Drops an unlinked block from the mirror and the index.
-    fn mirror_remove(&mut self, root_pa: u32, block_pa: u32) {
-        let Some(list) = self.lists.get_mut(&root_pa) else {
-            debug_assert!(false, "unlink from unmirrored root {root_pa:#010x}");
-            return;
-        };
-        let Some(pos) = list.iter().position(|&(_, pa)| pa == block_pa) else {
-            debug_assert!(false, "unlink of unmirrored block {block_pa:#010x}");
-            return;
-        };
-        let (v, _) = list.remove(pos);
-        self.index.remove(&(root_pa, v));
-    }
-
-    /// Drops a whole structure from the mirror and the index.
-    fn mirror_release(&mut self, root_pa: u32) {
-        if let Some(list) = self.lists.remove(&root_pa) {
-            for (v, _) in list {
-                self.index.remove(&(root_pa, v));
-            }
-        }
-    }
-
-    /// Debug cross-check: the mirror must match the physical list exactly.
-    #[cfg(debug_assertions)]
-    fn mirror_check(&self, ms: &MemSys, root_pa: u32) {
-        let mut physical = Vec::new();
-        let mut cur = ms.phys.read_u32(root_pa);
-        while cur != 0 {
-            let blk = VBlock::read(&ms.phys, cur);
-            physical.push((blk.version, blk.pa));
-            cur = blk.next;
-        }
-        let mirrored = self.lists.get(&root_pa).cloned().unwrap_or_default();
-        assert_eq!(
-            mirrored, physical,
-            "mirror diverged from physical list at root {root_pa:#010x}"
-        );
-        for &(v, pa) in &physical {
-            assert_eq!(self.index.get(&(root_pa, v)), Some(&pa));
-        }
-    }
-
-    /// Charges the modeled walk over the first `nodes` mirror entries of
-    /// `root_pa`'s list: one `ReadNoAlloc` per *unique line*, exactly as the
-    /// physical pointer chase did. Returns the charged latency.
-    fn charge_walk(&mut self, ms: &mut MemSys, core: usize, root_pa: u32, nodes: usize) -> u64 {
+    /// Charges the modeled walk over the first `nodes` blocks of the list
+    /// headed by `head_pa`: one `ReadNoAlloc` per *unique line*, in walk
+    /// order. Returns the charged latency.
+    fn charge_walk(&mut self, ms: &mut MemSys, core: usize, head_pa: u32, nodes: usize) -> u64 {
         let mut latency = 0;
         let mut lines = std::mem::take(&mut self.walk_lines);
         lines.clear();
-        for i in 0..nodes {
-            let pa = self.lists[&root_pa][i].1;
+        for (_, pa) in list_nodes(&ms.phys, head_pa).take(nodes) {
             let line = line_of(pa);
             if !lines.contains(&line) {
                 lines.push(line);
                 let acc = ms.hier.access(core, pa, AccessKind::ReadNoAlloc);
                 latency += acc.latency;
-                self.prune(&acc.dropped_compressed);
+                self.prune(core, acc.dropped_compressed);
                 self.stats.walk_reads += 1;
             }
         }
@@ -653,7 +575,7 @@ impl OManager {
         debug_assert_ne!(pa, 0, "free list non-empty after refill");
         latency += 4; // staged free-list pop: L1-class latency
         let dropped = ms.hier.fill_local(core, pa);
-        self.prune(&dropped);
+        self.prune(core, dropped);
         let blk = VBlock::read(&ms.phys, pa);
         self.free_head = blk.next;
         self.free_count -= 1;
@@ -871,7 +793,7 @@ impl OManager {
         let Some(phase) = self.gc_phase.take() else {
             return; // unreachable: `ready` implies a phase exists
         };
-        let mut reclaimed: HashSet<u32> = HashSet::new();
+        let mut reclaimed: FxHashSet<u32> = FxHashSet::default();
         for (root_pa, block_pa) in phase.pending {
             let blk = VBlock::read(&ms.phys, block_pa);
             if !blk.unlocked() {
@@ -901,7 +823,12 @@ impl OManager {
         // conservatively drop the whole line (GC phases are rare).
         if !reclaimed.is_empty() {
             for per_core in &mut self.compressed {
-                per_core.retain(|_, line| !line_contains_any(line, &reclaimed));
+                per_core.retain(|_, line| {
+                    !line
+                        .entries_ref()
+                        .iter()
+                        .any(|e| reclaimed.contains(&e.block_pa))
+                });
             }
         }
         self.stats.gc_phases += 1;
@@ -946,7 +873,6 @@ impl OManager {
                 let mut updated = prev_blk;
                 updated.next = victim.next;
                 updated.write(&mut ms.phys);
-                self.mirror_remove(root_pa, block_pa);
                 return true;
             }
             prev = prev_blk.next;
@@ -957,9 +883,9 @@ impl OManager {
     // Compressed-line plumbing
     // ------------------------------------------------------------------
 
-    /// Removes payloads whose L1 slots were evicted or invalidated.
-    fn prune(&mut self, dropped: &[(usize, u32)]) {
-        for &(core, root_pa) in dropped {
+    /// Removes `core`'s payload for the root whose L1 slot a fill evicted.
+    fn prune(&mut self, core: usize, dropped: Option<u32>) {
+        if let Some(root_pa) = dropped {
             self.compressed[core].remove(&root_pa);
         }
     }
@@ -991,7 +917,7 @@ impl OManager {
         head_version: Option<Version>,
     ) {
         let dropped = ms.hier.compressed_fill(core, root_pa);
-        self.prune(&dropped);
+        self.prune(core, dropped);
         let line = self.compressed[core].entry(root_pa).or_default();
         if !line.insert(entry) {
             // The version does not fit this line's 2^14 window (stale base):
@@ -1025,9 +951,13 @@ impl OManager {
     /// remembered so the victims' next blocked retry can be attributed to
     /// coherence (see [`OManager::take_coherence_lost`]).
     fn compressed_coherence(&mut self, ms: &mut MemSys, core: usize, root_pa: u32) {
-        let dropped = ms.hier.compressed_invalidate_others(core, root_pa);
-        self.coherence_lost.extend(dropped.iter().copied());
-        self.prune(&dropped);
+        let mut dropped = ms.hier.compressed_invalidate_others(core, root_pa);
+        while dropped != 0 {
+            let c = dropped.trailing_zeros() as usize;
+            dropped &= dropped - 1;
+            self.coherence_lost.insert((c, root_pa));
+            self.compressed[c].remove(&root_pa);
+        }
     }
 
     /// Consumes the coherence-loss marker for `core`'s view of the
@@ -1173,7 +1103,7 @@ impl OManager {
         self.stats.full_lookups += 1;
         let root = ms.hier.access(core, root_pa, AccessKind::Read);
         latency += root.latency;
-        self.prune(&root.dropped_compressed);
+        self.prune(core, root.dropped_compressed);
 
         let head_pa = ms.phys.read_u32(root_pa);
         if head_pa == 0 {
@@ -1184,23 +1114,16 @@ impl OManager {
             });
         }
 
-        #[cfg(debug_assertions)]
-        self.mirror_check(ms, root_pa);
-
         let sorted = self.list_sorted(root_pa);
 
-        // The walk is still the latency model, but the *search* runs on the
-        // host mirror: version comparisons read `lists` and the match is
-        // resolved by the exact-version index, so simulated memory is only
-        // decoded for the head-protection check and the returned block.
-        let head_ok = VBlock::read(&ms.phys, head_pa).head;
-        let list = &self.lists[&root_pa];
-        debug_assert_eq!(list[0].1, head_pa, "mirror head is stale");
-        let head_version = list[0].0;
+        // Search the simulated list, then charge the modeled walk over the
+        // nodes the search visited.
+        let head = VBlock::read(&ms.phys, head_pa);
+        let head_ok = head.head;
         let mut nodes = 0;
         let mut best: Option<(Version, u32)> = None;
         if head_ok {
-            for &(ver, pa) in list {
+            for (ver, pa) in list_nodes(&ms.phys, head_pa) {
                 nodes += 1;
                 let matched = if latest { ver <= v } else { ver == v };
                 if matched {
@@ -1223,14 +1146,7 @@ impl OManager {
         } else {
             nodes = 1; // the protection check charges the head before faulting
         }
-        if !latest {
-            // O(1) exact-version resolution; the mirror scan above only
-            // determines how far the modeled walk advances.
-            let indexed = self.index.get(&(root_pa, v)).copied();
-            debug_assert_eq!(best.map(|(_, pa)| pa), indexed, "index out of sync");
-            best = indexed.map(|pa| (v, pa));
-        }
-        latency += self.charge_walk(ms, core, root_pa, nodes);
+        latency += self.charge_walk(ms, core, head_pa, nodes);
         if !head_ok {
             return Err(Fault::NotListHead { pa: head_pa });
         }
@@ -1253,7 +1169,7 @@ impl OManager {
 
         // Cache the matching block (pollution rule: only this one).
         let dropped = ms.hier.fill_local(core, blk.pa);
-        self.prune(&dropped);
+        self.prune(core, dropped);
 
         let mut locked_by = 0;
         if lock_as != 0 {
@@ -1268,7 +1184,7 @@ impl OManager {
         // Refresh this core's compressed line with the accessed version.
         // Only in sorted mode does the list head prove "newest overall",
         // which is what `latest_capped` needs.
-        let known_head = (sorted && blk.pa == head_pa).then_some(head_version);
+        let known_head = (sorted && blk.pa == head_pa).then_some(head.version);
         self.compressed_install(
             ms,
             core,
@@ -1335,16 +1251,7 @@ impl OManager {
         if shadow {
             self.shadowed.push((root_pa, old_head_pa));
         }
-        debug_assert_eq!(
-            self.lists
-                .get(&root_pa)
-                .and_then(|l| l.first())
-                .map(|&(_, pa)| pa),
-            Some(old_head_pa),
-            "mirror head is stale"
-        );
-        self.mirror_insert(root_pa, 0, v, new_pa);
-        self.oracle_order(root_pa, 0, v);
+        self.oracle_order(root_pa, v, None, Some(oh.version));
         self.stats.stores += 1;
         let head_version = self.list_sorted(root_pa).then_some(v);
         self.compressed_install(
@@ -1405,26 +1312,22 @@ impl OManager {
         // Read the root to find the insertion point.
         let root = ms.hier.access(core, root_pa, AccessKind::Read);
         latency += root.latency;
-        self.prune(&root.dropped_compressed);
+        self.prune(core, root.dropped_compressed);
         let head_pa = ms.phys.read_u32(root_pa);
 
-        // Find `prev` (last block with version > v) and the follower. The
-        // search runs on the host mirror; the modeled walk is charged after.
+        // Find `prev` (last block with version > v) and the follower by
+        // searching the simulated list; the modeled walk is charged after.
         let mut prev: Option<VBlock> = None;
         let mut follower: Option<VBlock> = None;
-        let mut prev_idx: Option<usize> = None;
         if head_pa != 0 {
-            #[cfg(debug_assertions)]
-            self.mirror_check(ms, root_pa);
             let was_sorted = self.list_sorted(root_pa);
             let head_ok = VBlock::read(&ms.phys, head_pa).head;
-            let list = &self.lists[&root_pa];
-            debug_assert_eq!(list[0].1, head_pa, "mirror head is stale");
             let mut nodes = 0;
+            let mut prev_pa = None;
             let mut follower_pa = None;
             let mut dup = false;
             if head_ok {
-                for (i, &(ver, pa)) in list.iter().enumerate() {
+                for (ver, pa) in list_nodes(&ms.phys, head_pa) {
                     nodes += 1;
                     if ver == v {
                         dup = true;
@@ -1435,8 +1338,8 @@ impl OManager {
                             follower_pa = Some(pa);
                             break;
                         }
-                        prev_idx = Some(i);
-                    } else if i == 0 && was_sorted && ver < v {
+                        prev_pa = Some(pa);
+                    } else if nodes == 1 && was_sorted && ver < v {
                         // Unsorted mode: always prepend. Versions created in
                         // order keep the list sorted anyway (the paper's
                         // common case), which lets the duplicate scan stop
@@ -1448,12 +1351,7 @@ impl OManager {
             } else {
                 nodes = 1; // the protection check charges the head before faulting
             }
-            debug_assert_eq!(
-                dup,
-                self.index.contains_key(&(root_pa, v)),
-                "index out of sync"
-            );
-            latency += self.charge_walk(ms, core, root_pa, nodes);
+            latency += self.charge_walk(ms, core, head_pa, nodes);
             if !head_ok {
                 return Err(Fault::NotListHead { pa: head_pa });
             }
@@ -1461,7 +1359,7 @@ impl OManager {
                 return Err(Fault::VersionExists { va, version: v });
             }
             if self.cfg.sorted_insertion {
-                prev = prev_idx.map(|i| VBlock::read(&ms.phys, self.lists[&root_pa][i].1));
+                prev = prev_pa.map(|pa| VBlock::read(&ms.phys, pa));
                 follower = follower_pa.map(|pa| VBlock::read(&ms.phys, pa));
             } else {
                 let head_blk = VBlock::read(&ms.phys, head_pa);
@@ -1515,8 +1413,12 @@ impl OManager {
             p.write(&mut ms.phys);
             latency += ms.hier.access(core, p.pa, AccessKind::Write).latency;
         }
-        self.mirror_insert(root_pa, prev_idx.map_or(0, |i| i + 1), v, new_pa);
-        self.oracle_order(root_pa, prev_idx.map_or(0, |i| i + 1), v);
+        self.oracle_order(
+            root_pa,
+            v,
+            prev.map(|p| p.version),
+            follower.map(|f| f.version),
+        );
 
         // Shadow the next-older version (Figure 5): creating v makes the
         // version just below it unreachable for tasks ≥ v. (An
@@ -1597,18 +1499,16 @@ impl OManager {
                 self.stats.full_lookups += 1;
                 let root = ms.hier.access(core, root_pa, AccessKind::Read);
                 let mut lat = root.latency;
-                self.prune(&root.dropped_compressed);
+                self.prune(core, root.dropped_compressed);
                 let sorted = self.list_sorted(root_pa);
                 let head_pa = ms.phys.read_u32(root_pa);
                 let mut found = None;
                 let mut nodes = 0;
                 let mut head_ok = true;
                 if head_pa != 0 {
-                    #[cfg(debug_assertions)]
-                    self.mirror_check(ms, root_pa);
                     head_ok = VBlock::read(&ms.phys, head_pa).head;
                     if head_ok {
-                        for &(ver, pa) in &self.lists[&root_pa] {
+                        for (ver, pa) in list_nodes(&ms.phys, head_pa) {
                             nodes += 1;
                             if ver == vl {
                                 found = Some(pa);
@@ -1622,12 +1522,7 @@ impl OManager {
                         nodes = 1; // the protection check charges the head
                     }
                 }
-                debug_assert_eq!(
-                    found,
-                    self.index.get(&(root_pa, vl)).copied().filter(|_| head_ok),
-                    "index out of sync"
-                );
-                lat += self.charge_walk(ms, core, root_pa, nodes);
+                lat += self.charge_walk(ms, core, head_pa, nodes);
                 if !head_ok {
                     return Err(Fault::NotListHead { pa: head_pa });
                 }
@@ -1701,7 +1596,6 @@ impl OManager {
             cur = next;
         }
         ms.phys.write_u32(root_pa, 0);
-        self.mirror_release(root_pa);
         // Blocks returned to the free list may still sit on the shadowed
         // list; drop those entries (they are already free).
         self.shadowed.retain(|&(r, _)| r != root_pa);
@@ -1757,15 +1651,4 @@ impl OManager {
             .max_by_key(|&(ver, _, _)| ver)
             .map(|(ver, data, _)| (ver, data)))
     }
-}
-
-/// True if any entry of the line references a reclaimed block.
-fn line_contains_any(line: &CompressedLine, reclaimed: &HashSet<u32>) -> bool {
-    // CompressedLine does not expose iteration; test via its public API by
-    // checking each reclaimed block address. Small sets keep this cheap.
-    reclaimed.iter().any(|&pa| line_has_block(line, pa))
-}
-
-fn line_has_block(line: &CompressedLine, pa: u32) -> bool {
-    line.entries_ref().iter().any(|e| e.block_pa == pa)
 }

@@ -25,6 +25,11 @@ const HEAD_BIT: u32 = 1 << 31;
 const SHADOW_BIT: u32 = 1 << 30;
 const NEXT_MASK: u32 = (1 << 28) - 1;
 
+/// The next block's physical address encoded in a link word.
+fn link_next(link: u32) -> u32 {
+    (link & NEXT_MASK) * VBLOCK_BYTES
+}
+
 /// A decoded version block. The authoritative copy always lives in
 /// [`PhysMem`]; this struct is a read/modify/write view.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -53,7 +58,7 @@ impl VBlock {
         VBlock {
             pa,
             version: mem.read_u32(pa),
-            next: (link & NEXT_MASK) * VBLOCK_BYTES,
+            next: link_next(link),
             head: link & HEAD_BIT != 0,
             shadowed: link & SHADOW_BIT != 0,
             locked_by: mem.read_u32(pa + 8),
@@ -83,6 +88,21 @@ impl VBlock {
     pub fn unlocked(&self) -> bool {
         self.locked_by == 0
     }
+}
+
+/// Iterates the version-block list starting at `head_pa` (0 = empty), in
+/// list order, yielding `(version, block_pa)` per node. Only the version
+/// and link words of each block are decoded.
+pub fn list_nodes(mem: &PhysMem, head_pa: u32) -> impl Iterator<Item = (Version, u32)> + '_ {
+    let mut cur = head_pa;
+    std::iter::from_fn(move || {
+        if cur == 0 {
+            return None;
+        }
+        let pa = cur;
+        cur = link_next(mem.read_u32(pa + 4));
+        Some((mem.read_u32(pa), pa))
+    })
 }
 
 #[cfg(test)]
@@ -147,6 +167,37 @@ mod tests {
         let r = VBlock::read(&m, base);
         assert_eq!(r.next, 0);
         assert!(r.unlocked());
+    }
+
+    #[test]
+    fn list_nodes_follows_links_in_order() {
+        let (mut m, base) = mem_with_page();
+        // Three blocks linked out of address order: 48 -> 16 -> 32.
+        for (pa, version, next) in [(base + 48, 9, base + 16), (base + 16, 5, base + 32)] {
+            let b = VBlock {
+                pa,
+                version,
+                next,
+                head: pa == base + 48,
+                shadowed: true,
+                locked_by: 3,
+                data: 7,
+            };
+            b.write(&mut m);
+        }
+        VBlock {
+            pa: base + 32,
+            version: 2,
+            next: 0,
+            head: false,
+            shadowed: false,
+            locked_by: 0,
+            data: 0,
+        }
+        .write(&mut m);
+        let nodes: Vec<_> = list_nodes(&m, base + 48).collect();
+        assert_eq!(nodes, [(9, base + 48), (5, base + 16), (2, base + 32)]);
+        assert_eq!(list_nodes(&m, 0).count(), 0, "null head is an empty list");
     }
 
     #[test]

@@ -7,8 +7,10 @@ use ostructs::cpu::{task, Machine, MachineCfg, SimError};
 use ostructs::mem::{CacheCfg, Fault, HierarchyCfg, MemSys, PageFlags};
 use ostructs::uarch::{OManager, OManagerCfg, OpOutcome};
 use ostructs::workloads::harness::{DsCfg, DsResult};
+use ostructs::workloads::levenshtein::LevCfg;
+use ostructs::workloads::matmul::MatmulCfg;
 use ostructs::workloads::rbtree::LockHold;
-use ostructs::workloads::{btree, hashtable, linked_list, rbtree};
+use ostructs::workloads::{btree, hashtable, levenshtein, linked_list, matmul, rbtree};
 
 /// The software cell and the hardware manager execute the same operation
 /// script and end with identical version structure and values.
@@ -255,6 +257,80 @@ fn rbtree_results_match_recorded_fingerprints() {
             [77379, 44458, 8267, 647, 0, 20441],
             [147882, 65456, 7867, 445, 5225, 32034],
             [155882, 65456, 7867, 445, 5225, 32060],
+        ]
+    );
+}
+
+/// Versioned runs whose counts depend on every version-list walk, direct
+/// hit and compressed-line drop the manager models. Each row is
+/// `[cycles, versioned_ops, events_dispatched, direct_hits, full_lookups,
+/// walk_reads, compressed_hits, compressed_coherence_drops]`; a host-side
+/// change to how lists are searched or lines are stored must leave every
+/// value exactly as recorded. The list creates versions in order, so the
+/// `sorted_insertion = false` run (row 5) keeps descending lists and
+/// matches row 1: it pins the unsorted mode's early exits.
+#[test]
+fn versioned_results_match_recorded_fingerprints() {
+    let list_cfg = DsCfg {
+        initial: 300,
+        ops: 300,
+        reads_per_write: 1,
+        scan_range: 0,
+        key_space: 1200,
+        seed: 18,
+        insert_only: false,
+    };
+    let fingerprint = |r: DsResult| {
+        r.assert_ok();
+        [
+            r.cycles,
+            r.cpu.versioned_ops,
+            r.engine.events_dispatched,
+            r.ostats.direct_hits,
+            r.ostats.full_lookups,
+            r.ostats.walk_reads,
+            r.mem.compressed_hits,
+            r.mem.compressed_coherence_drops,
+        ]
+    };
+    let mut unsorted = MachineCfg::paper(8);
+    unsorted.omgr.sorted_insertion = false;
+    // A pool small enough that renames drain it below the watermark, so
+    // collection phases reclaim blocks and purge stale compressed lines.
+    let mut small_pool = MachineCfg::paper(8);
+    small_pool.omgr.initial_free_blocks = 1536;
+    small_pool.omgr.refill_blocks = 512;
+    let got = [
+        fingerprint(linked_list::run_versioned_with(
+            MachineCfg::paper(8),
+            &list_cfg,
+            false,
+        )),
+        fingerprint(linked_list::run_versioned_with(
+            MachineCfg::paper(8),
+            &list_cfg,
+            true,
+        )),
+        fingerprint(levenshtein::run_versioned(
+            MachineCfg::paper(8),
+            &LevCfg { len: 48, seed: 3 },
+        )),
+        fingerprint(matmul::run_versioned(
+            MachineCfg::paper(8),
+            &MatmulCfg { n: 12, seed: 5 },
+        )),
+        fingerprint(linked_list::run_versioned_with(unsorted, &list_cfg, false)),
+        fingerprint(linked_list::run_versioned_with(small_pool, &list_cfg, true)),
+    ];
+    assert_eq!(
+        got,
+        [
+            [349179, 73334, 224919, 25882, 48543, 48613, 26160, 46955],
+            [5808175, 73334, 224177, 25099, 48955, 463151, 57035, 35783],
+            [26366, 4704, 9600, 49, 2322, 2303, 49, 0],
+            [6896, 1872, 11121, 1584, 144, 144, 1584, 0],
+            [349179, 73334, 224919, 25882, 48543, 48613, 26160, 46955],
+            [5576679, 73334, 223563, 25043, 48704, 512902, 58424, 33616],
         ]
     );
 }
