@@ -5,46 +5,32 @@
 //! * long vs short order-cell holds in the red-black writer (the §IV-D
 //!   delete-locking observation).
 
-use bench::bench_cfg;
-use criterion::{criterion_group, criterion_main, Criterion};
+use bench::{bench, bench_cfg, group};
 use osim_cpu::MachineCfg;
 use osim_workloads::rbtree::LockHold;
 use osim_workloads::{linked_list, rbtree};
 
-fn ablations(c: &mut Criterion) {
-    let mut g = c.benchmark_group("ablations");
-    g.sample_size(10);
+fn main() {
+    group("ablations");
     let cfg = bench_cfg(80, 48, 1);
-    g.bench_function("list/rename_on_pass", |b| {
-        b.iter(|| {
-            linked_list::run_versioned_with(MachineCfg::paper(8), &cfg, true)
-                .assert_ok()
-                .cycles
-        })
+    bench("list/rename_on_pass", || {
+        linked_list::run_versioned_with(MachineCfg::paper(8), &cfg, true)
+            .assert_ok()
+            .cycles
     });
-    g.bench_function("list/lock_only", |b| {
-        b.iter(|| {
-            linked_list::run_versioned_with(MachineCfg::paper(8), &cfg, false)
-                .assert_ok()
-                .cycles
-        })
+    bench("list/lock_only", || {
+        linked_list::run_versioned_with(MachineCfg::paper(8), &cfg, false)
+            .assert_ok()
+            .cycles
     });
-    g.bench_function("rbtree/long_hold", |b| {
-        b.iter(|| {
-            rbtree::run_versioned_with(MachineCfg::paper(8), &cfg, LockHold::Long)
-                .assert_ok()
-                .cycles
-        })
+    bench("rbtree/long_hold", || {
+        rbtree::run_versioned_with(MachineCfg::paper(8), &cfg, LockHold::Long)
+            .assert_ok()
+            .cycles
     });
-    g.bench_function("rbtree/short_hold", |b| {
-        b.iter(|| {
-            rbtree::run_versioned_with(MachineCfg::paper(8), &cfg, LockHold::Short)
-                .assert_ok()
-                .cycles
-        })
+    bench("rbtree/short_hold", || {
+        rbtree::run_versioned_with(MachineCfg::paper(8), &cfg, LockHold::Short)
+            .assert_ok()
+            .cycles
     });
-    g.finish();
 }
-
-criterion_group!(benches, ablations);
-criterion_main!(benches);

@@ -16,18 +16,14 @@
 //! by `ops()` is the per-op cost. `OSIM_BENCH_SMOKE=1` shrinks every
 //! workload to CI-smoke size.
 
-use criterion::{criterion_group, criterion_main, Criterion};
+use bench::{bench, group, smoke};
 use osim_engine::splitmix64;
 use ostructs_core::map::OMap;
 use ostructs_core::vacuum::{ReaderRegistry, Vacuum, VacuumCfg};
 use ostructs_core::OCell;
 use std::hint::black_box;
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::thread;
-
-fn smoke() -> bool {
-    std::env::var_os("OSIM_BENCH_SMOKE").is_some()
-}
 
 /// Total operations per timed call (all threads combined).
 fn ops() -> u64 {
@@ -89,9 +85,8 @@ fn fan_out(threads: usize, per_thread: u64, body: impl Fn(usize, u64) + Sync) {
     });
 }
 
-fn uncontended(c: &mut Criterion) {
-    let mut g = c.benchmark_group("ostructs/uncontended");
-    g.sample_size(10);
+fn uncontended() {
+    group("ostructs/uncontended");
     for threads in thread_counts() {
         let per_thread = ops() / threads as u64;
         // One private, preloaded cell per thread: committed reads.
@@ -104,73 +99,61 @@ fn uncontended(c: &mut Criterion) {
                 cell
             })
             .collect();
-        g.bench_function(format!("load_latest/t{threads}"), |b| {
-            b.iter(|| {
-                fan_out(threads, per_thread, |t, n| {
-                    let cell = &cells[t];
-                    for i in 0..n {
-                        black_box(cell.try_load_latest(black_box(1 + i % 32)));
-                    }
-                });
-            })
+        bench(&format!("load_latest/t{threads}"), || {
+            fan_out(threads, per_thread, |t, n| {
+                let cell = &cells[t];
+                for i in 0..n {
+                    black_box(cell.try_load_latest(black_box(1 + i % 32)));
+                }
+            });
         });
-        g.bench_function(format!("load_version_arc/t{threads}"), |b| {
-            b.iter(|| {
-                fan_out(threads, per_thread, |t, n| {
-                    let cell = &cells[t];
-                    for i in 0..n {
-                        black_box(cell.try_load_version_arc(black_box(1 + i % 32)));
-                    }
-                });
-            })
+        bench(&format!("load_version_arc/t{threads}"), || {
+            fan_out(threads, per_thread, |t, n| {
+                let cell = &cells[t];
+                for i in 0..n {
+                    black_box(cell.try_load_version_arc(black_box(1 + i % 32)));
+                }
+            });
         });
     }
-    g.finish();
 }
 
-fn hot_key(c: &mut Criterion) {
-    let mut g = c.benchmark_group("ostructs/hot_key");
-    g.sample_size(10);
+fn hot_key() {
+    group("ostructs/hot_key");
     for threads in thread_counts() {
         let per_thread = ops() / threads as u64;
         let cell = OCell::new();
         for v in 1..=32u64 {
             cell.store_version(v, v).unwrap();
         }
-        g.bench_function(format!("shared_load_latest/t{threads}"), |b| {
-            b.iter(|| {
-                fan_out(threads, per_thread, |_, n| {
-                    for i in 0..n {
-                        black_box(cell.try_load_latest(black_box(1 + i % 32)));
-                    }
-                });
-            })
+        bench(&format!("shared_load_latest/t{threads}"), || {
+            fan_out(threads, per_thread, |_, n| {
+                for i in 0..n {
+                    black_box(cell.try_load_latest(black_box(1 + i % 32)));
+                }
+            });
         });
     }
     // Contended writes: every op stores a fresh version of one key.
     let write_ops = ops() / 10; // stores grow history; keep calls bounded
     for threads in thread_counts() {
         let per_thread = write_ops / threads as u64;
-        g.bench_function(format!("shared_store/t{threads}"), |b| {
-            let next = Arc::new(std::sync::atomic::AtomicU64::new(1));
-            b.iter(|| {
-                let cell: OCell<u64> = OCell::with_initial(0, 0);
-                fan_out(threads, per_thread, |_, n| {
-                    for _ in 0..n {
-                        let v = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                        cell.store_version(v, v).unwrap();
-                    }
-                });
-                black_box(cell.version_count())
-            })
+        let next = AtomicU64::new(1);
+        bench(&format!("shared_store/t{threads}"), || {
+            let cell: OCell<u64> = OCell::with_initial(0, 0);
+            fan_out(threads, per_thread, |_, n| {
+                for _ in 0..n {
+                    let v = next.fetch_add(1, Ordering::Relaxed);
+                    cell.store_version(v, v).unwrap();
+                }
+            });
+            black_box(cell.version_count())
         });
     }
-    g.finish();
 }
 
-fn zipf_mixed(c: &mut Criterion) {
-    let mut g = c.benchmark_group("ostructs/zipf_mixed");
-    g.sample_size(10);
+fn zipf_mixed() {
+    group("ostructs/zipf_mixed");
     let keys = if smoke() { 64 } else { 1024 };
     let zipf = Zipf::new(keys);
     for threads in thread_counts() {
@@ -187,26 +170,26 @@ fn zipf_mixed(c: &mut Criterion) {
             let v = reg.next_version();
             m.insert(k, v, u64::from(k)).unwrap();
         }
-        g.bench_function(format!("get90_put10/t{threads}"), |b| {
-            b.iter(|| {
-                fan_out(threads, per_thread, |t, n| {
-                    let mut rng = 0x5eed_0000 + t as u64;
-                    for _ in 0..n {
-                        let k = zipf.sample(&mut rng) as u32;
-                        if splitmix64(&mut rng).is_multiple_of(10) {
-                            let v = reg.next_version();
-                            m.insert(k, v, v).unwrap();
-                        } else {
-                            let pin = reg.pin();
-                            black_box(m.get_arc(&k, pin.cap()));
-                        }
+        bench(&format!("get90_put10/t{threads}"), || {
+            fan_out(threads, per_thread, |t, n| {
+                let mut rng = 0x5eed_0000 + t as u64;
+                for _ in 0..n {
+                    let k = zipf.sample(&mut rng) as u32;
+                    if splitmix64(&mut rng).is_multiple_of(10) {
+                        let v = reg.next_version();
+                        m.insert(k, v, v).unwrap();
+                    } else {
+                        let pin = reg.pin();
+                        black_box(m.get_arc(&k, pin.cap()));
                     }
-                });
-            })
+                }
+            });
         });
     }
-    g.finish();
 }
 
-criterion_group!(benches, uncontended, hot_key, zipf_mixed);
-criterion_main!(benches);
+fn main() {
+    uncontended();
+    hot_key();
+    zipf_mixed();
+}

@@ -1,17 +1,15 @@
 //! `perf --cache-bench`: measures what the run cache is worth.
 //!
-//! Three passes over the full figure sweep against a scratch cache
+//! Two passes over the full figure sweep against a scratch cache
 //! directory (cleared first so the measurement is honest):
 //!
 //! 1. **cold** — every job simulates and stores its entry;
-//! 2. **warm (memory)** — every job hits the in-process tier;
-//! 3. **warm (disk)** — the memory tier is dropped, so every job decodes
-//!    its entry from disk — the cross-invocation case, and the number the
-//!    headline speedup is computed from (the conservative one).
+//! 2. **warm** — every job decodes its entry from the directory, as a
+//!    rerun in a new process does.
 //!
-//! Results are validated identically in all three passes — a cached run
-//! that failed validation would be a codec bug, not a fast sweep — and
-//! the document (`osim-bench-cache-v1`, written to `BENCH_cache.json`)
+//! Results are validated identically in both passes — a cached run that
+//! failed validation would be a codec bug, not a fast sweep — and the
+//! document (`osim-bench-cache-v2`, written to `BENCH_cache.json`)
 //! carries wall times, hit/miss counts, per-entry read-latency quantiles,
 //! and the host stamp the CI guard needs.
 
@@ -19,11 +17,11 @@ use std::path::Path;
 use std::sync::Arc;
 use std::time::Instant;
 
-use osim_jobq::TextStore;
 use osim_report::json::{obj, Json};
 
 use crate::common::Scale;
 use crate::perf::{validate, FIGS};
+use crate::runcache::RunCache;
 use crate::runner;
 
 /// One full figure sweep; returns (wall_ms, total runs, total cycles).
@@ -51,44 +49,35 @@ fn round3(x: f64) -> f64 {
 /// Runs the benchmark and writes the document to `path`. The cache lives
 /// under `dir`, which is cleared first.
 pub fn run(scale: &Scale, scale_name: &str, jobs: usize, dir: &Path, path: &str) {
-    let store = Arc::new(TextStore::at_dir(dir));
-    store.clear();
-    runner::set_cache(Some(Arc::clone(&store)));
+    let cache = Arc::new(RunCache::at_dir(dir));
+    cache.clear();
+    runner::set_cache(Some(Arc::clone(&cache)));
 
     let (cold_ms, runs, cold_cycles) = sweep_once(scale, jobs);
-    let after_cold = store.counts();
+    let after_cold = cache.counts();
     eprintln!(
         "cache-bench cold: {cold_ms:.0} ms, {runs} runs, {} entries",
         after_cold.stores
     );
 
-    let (warm_mem_ms, warm_runs, warm_cycles) = sweep_once(scale, jobs);
-    let after_mem = store.counts();
+    let (warm_ms, warm_runs, warm_cycles) = sweep_once(scale, jobs);
+    let after_warm = cache.counts();
     assert_eq!(warm_runs, runs, "warm sweep ran a different job count");
     assert_eq!(
         warm_cycles, cold_cycles,
         "cached results drifted from the cold run"
     );
-    eprintln!("cache-bench warm (memory tier): {warm_mem_ms:.0} ms");
-
-    store.drop_memory();
-    let (warm_disk_ms, _, disk_cycles) = sweep_once(scale, jobs);
-    let after_disk = store.counts();
-    assert_eq!(
-        disk_cycles, cold_cycles,
-        "disk-decoded results drifted from the cold run"
-    );
-    eprintln!("cache-bench warm (disk tier): {warm_disk_ms:.0} ms");
+    eprintln!("cache-bench warm: {warm_ms:.0} ms");
 
     runner::set_cache(None);
 
-    let entries = store.disk_entries();
+    let entries = cache.entries();
     let disk_bytes: u64 = entries
         .iter()
         .filter_map(|p| std::fs::metadata(p).ok())
         .map(|m| m.len())
         .sum();
-    let hist = store.read_hist();
+    let hist = cache.read_hist();
     let read_ns = obj(vec![
         ("count", Json::from_u64(hist.count())),
         ("p50", Json::from_u64(hist.quantile(0.50))),
@@ -108,12 +97,9 @@ pub fn run(scale: &Scale, scale_name: &str, jobs: usize, dir: &Path, path: &str)
     let host_cpus = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
-    // The committed headline is cold vs warm-from-disk: the cross-
-    // invocation case, and the slower of the two warm tiers.
-    let speedup_disk = round3(cold_ms / warm_disk_ms.max(1e-9));
-    let speedup_mem = round3(cold_ms / warm_mem_ms.max(1e-9));
+    let speedup = round3(cold_ms / warm_ms.max(1e-9));
     let doc = obj(vec![
-        ("schema", Json::Str("osim-bench-cache-v1".to_string())),
+        ("schema", Json::Str("osim-bench-cache-v2".to_string())),
         ("scale", Json::Str(scale_name.to_string())),
         ("jobs", Json::from_u64(jobs as u64)),
         ("runs", Json::from_u64(runs as u64)),
@@ -125,33 +111,20 @@ pub fn run(scale: &Scale, scale_name: &str, jobs: usize, dir: &Path, path: &str)
         ("disk_bytes", Json::from_u64(disk_bytes)),
         ("cold", phase(cold_ms, after_cold.hits, after_cold.misses)),
         (
-            "warm_mem",
+            "warm",
             phase(
-                warm_mem_ms,
-                after_mem.hits - after_cold.hits,
-                after_mem.misses - after_cold.misses,
-            ),
-        ),
-        (
-            "warm_disk",
-            phase(
-                warm_disk_ms,
-                after_disk.hits - after_mem.hits,
-                after_disk.misses - after_mem.misses,
+                warm_ms,
+                after_warm.hits - after_cold.hits,
+                after_warm.misses - after_cold.misses,
             ),
         ),
         ("read_ns", read_ns),
-        ("speedup_warm_mem", Json::Num(speedup_mem)),
-        ("speedup_warm_disk", Json::Num(speedup_disk)),
-        // The number the CI guard checks: conservative warm speedup.
-        ("speedup_warm", Json::Num(speedup_disk)),
+        // The number the CI guard checks.
+        ("speedup_warm", Json::Num(speedup)),
     ]);
     if let Err(e) = std::fs::write(path, doc.to_pretty()) {
         eprintln!("cannot write cache-bench output {path}: {e}");
         std::process::exit(1);
     }
-    eprintln!(
-        "wrote {path}: cold {cold_ms:.0} ms, warm(mem) {warm_mem_ms:.1} ms ({speedup_mem}x), \
-         warm(disk) {warm_disk_ms:.1} ms ({speedup_disk}x)"
-    );
+    eprintln!("wrote {path}: cold {cold_ms:.0} ms, warm {warm_ms:.1} ms ({speedup}x)");
 }

@@ -15,10 +15,10 @@
 use std::collections::BTreeMap;
 use std::path::Path;
 
-use osim_jobq::{CacheKey, TextStore};
 use osim_report::json::{obj, Json};
 
-use crate::runcache::{decode_entry, ENGINE_SEMANTICS_VERSION};
+use crate::key::CacheKey;
+use crate::runcache::{decode_entry, RunCache, ENGINE_SEMANTICS_VERSION};
 
 /// One bad entry: which file, and why the codec rejected it.
 struct Blame {
@@ -34,21 +34,21 @@ fn file_name(p: &Path) -> String {
 
 /// Walks every entry under `dir`, decoding each one. Returns
 /// (good entry labels, total bytes, blames).
-fn scan(store: &TextStore) -> (Vec<String>, u64, Vec<Blame>) {
+fn scan(cache: &RunCache) -> (Vec<String>, u64, Vec<Blame>) {
     let mut labels = Vec::new();
     let mut bytes = 0u64;
     let mut blames = Vec::new();
-    for path in store.disk_entries() {
+    for path in cache.entries() {
         let name = file_name(&path);
-        // Entries whose stem parses as a key are read through the store
-        // itself — the same timed path lookups use — so `stats` can report
-        // real read-latency quantiles from the store's histogram. The raw
-        // filesystem read stays as the fallback (and as the blame source:
-        // `get` collapses every failure to a miss).
+        // Entries are read through the cache itself — the same timed path
+        // lookups use — so `stats` can report real read-latency quantiles
+        // from its histogram. The raw filesystem read stays as the
+        // fallback (and as the blame source: `read` collapses every
+        // failure to `None`).
         let stem = name.strip_suffix(".json").unwrap_or(&name);
-        let via_store = CacheKey::from_hex(stem).and_then(|k| store.get(&k));
-        let text = match via_store {
-            Some(t) => t.to_string(),
+        let timed = CacheKey::from_hex(stem).and_then(|k| cache.read(&k));
+        let text = match timed {
+            Some(t) => t,
             None => match std::fs::read_to_string(&path) {
                 Ok(t) => t,
                 Err(e) => {
@@ -90,13 +90,13 @@ fn by_figure(labels: &[String]) -> BTreeMap<String, u64> {
 }
 
 pub fn stats(dir: &Path, json: bool) -> i32 {
-    let store = TextStore::at_dir(dir);
-    let (labels, bytes, blames) = scan(&store);
+    let cache = RunCache::at_dir(dir);
+    let (labels, bytes, blames) = scan(&cache);
     let figs = by_figure(&labels);
     if json {
-        // Entry reads above went through the store's timed path; surface
+        // Entry reads above went through the cache's timed path; surface
         // the same quantile shape BENCH_cache.json uses.
-        let h = store.read_hist();
+        let h = cache.read_hist();
         let doc = obj(vec![
             ("schema", Json::Str("osim-cache-stats-v1".to_string())),
             ("dir", Json::Str(dir.display().to_string())),
@@ -145,8 +145,8 @@ pub fn stats(dir: &Path, json: bool) -> i32 {
 }
 
 pub fn verify(dir: &Path, json: bool) -> i32 {
-    let store = TextStore::at_dir(dir);
-    let (labels, _, blames) = scan(&store);
+    let cache = RunCache::at_dir(dir);
+    let (labels, _, blames) = scan(&cache);
     if json {
         let doc = obj(vec![
             ("schema", Json::Str("osim-cache-verify-v1".to_string())),
@@ -190,8 +190,8 @@ pub fn verify(dir: &Path, json: bool) -> i32 {
 }
 
 pub fn clear(dir: &Path, json: bool) -> i32 {
-    let store = TextStore::at_dir(dir);
-    let removed = store.clear();
+    let cache = RunCache::at_dir(dir);
+    let removed = cache.clear();
     if json {
         let doc = obj(vec![
             ("schema", Json::Str("osim-cache-clear-v1".to_string())),

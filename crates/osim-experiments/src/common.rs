@@ -273,20 +273,7 @@ pub fn print_config() {
 /// Builds the [`SimReport`] for one completed sweep run — the job carries
 /// the exact machine configuration it was launched with.
 pub fn report_run(run: &SweepRun, scale: &Scale) -> SimReport {
-    let r = &run.result;
-    SimReport::new(
-        run.fig,
-        run.bench,
-        &run.tag,
-        &run.cfg,
-        scale.report(),
-        r.cycles,
-        r.cpu.clone(),
-        r.mem.clone(),
-        r.ostats.clone(),
-        r.engine,
-        r.hists.clone(),
-    )
+    run.report(scale.report())
 }
 
 /// Asserts a sweep run validated and returns its result (experiments must

@@ -12,7 +12,7 @@ use proptest::prelude::*;
 use osim_uarch::FaultPlan;
 
 use crate::common::{report_run, Scale};
-use crate::runner::{run_jobs, SweepJob};
+use crate::runner::{batch_lock, run_jobs, SweepJob};
 use crate::{fig6, fig8, gc};
 
 /// Serializes completed runs exactly as `--json` would: the pretty-printed
@@ -55,6 +55,7 @@ proptest! {
             Just(Some("chaos")),
         ],
     ) {
+        let _g = batch_lock();
         let scale = tiny_scale(inject);
         let serial = run_jobs(plan_for(which, &scale), 1);
         let parallel = run_jobs(plan_for(which, &scale), jobs);

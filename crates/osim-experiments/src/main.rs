@@ -97,13 +97,15 @@
 //! `--progress`) are deliberately *not* part of the key.
 //! Corrupt or stale entries are detected, dropped, and re-run; a cache
 //! can slow an invocation down but never change or fail it. `--cache off`
-//! (the default) disables it. `perf --cache-bench` measures the cold
-//! vs warm sweep and writes `BENCH_cache.json`.
+//! (the default) disables it. The cache is just its directory: every hit
+//! reads its entry file, as a rerun in a new process does. `perf
+//! --cache-bench` measures one cold and one warm sweep and writes
+//! `BENCH_cache.json`.
 //!
 //! `--metrics-addr <host:port>` (default `off`) arms the live
 //! observability plane for the invocation: a std-only HTTP endpoint
 //! serving `GET /metrics`, the Prometheus text of the instrumented
-//! layers (jobq pool, concurrent store, vacuum, run cache) collected at
+//! layers (sweep runner, concurrent store, vacuum, run cache) collected at
 //! scrape time. Port 0 binds an ephemeral port; the bound address is
 //! announced on **stderr**, so stdout and every compared artifact stay
 //! byte-identical with the plane armed. See
@@ -140,6 +142,7 @@ mod fig7;
 mod fig8;
 mod fig9;
 mod gc;
+mod key;
 mod obsv;
 mod ostructs_perf;
 mod perf;
@@ -149,58 +152,6 @@ mod stress;
 mod trace_cmd;
 
 use common::Scale;
-
-/// Builds the `--sweep-json` document from the pool telemetry accumulated
-/// over the invocation. Everything wall-clock in here is host-side and
-/// nondeterministic — deliberately kept out of the `SimReport` stream.
-fn sweep_telemetry_doc(jobs_flag: usize) -> Json {
-    use osim_report::json::obj;
-    let t = runner::drain_telemetry();
-    let workers: Vec<Json> = t
-        .busy_ms
-        .iter()
-        .zip(t.utilization())
-        .enumerate()
-        .map(|(i, (&busy, util))| {
-            obj(vec![
-                ("worker", Json::from_u64(i as u64)),
-                ("busy_ms", Json::Num(busy)),
-                ("utilization", Json::Num(util)),
-            ])
-        })
-        .collect();
-    let job_rows: Vec<Json> = t
-        .jobs
-        .iter()
-        .map(|j| {
-            obj(vec![
-                ("label", Json::Str(j.label.clone())),
-                ("queue_ms", Json::Num(j.queue_ms)),
-                ("run_ms", Json::Num(j.run_ms)),
-                ("worker", Json::from_u64(j.worker as u64)),
-                ("cache_hit", Json::Bool(j.cache_hit)),
-                ("events_dispatched", Json::from_u64(j.events_dispatched)),
-                ("stale_events", Json::from_u64(j.stale_events)),
-            ])
-        })
-        .collect();
-    let host_cpus = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1) as u64;
-    obj(vec![
-        ("schema", Json::Str("osim-sweep-telemetry-v1".to_string())),
-        ("host_cpus", Json::from_u64(host_cpus)),
-        ("jobs_flag", Json::from_u64(jobs_flag as u64)),
-        ("batches", Json::from_u64(t.batches)),
-        ("wall_ms", Json::Num(t.wall_ms)),
-        ("job_count", Json::from_u64(t.jobs.len() as u64)),
-        ("cache_hits", Json::from_u64(t.cache_hits)),
-        ("cache_misses", Json::from_u64(t.cache_misses)),
-        ("stale_event_rate", Json::Num(t.stale_rate())),
-        ("workers", Json::Arr(workers)),
-        ("jobs", Json::Arr(job_rows)),
-    ])
-}
 
 /// Removes `flag <value>` from `args`, returning the value.
 fn take_value(args: &mut Vec<String>, flag: &str) -> Option<String> {
@@ -378,7 +329,7 @@ fn main() {
 
     runner::set_progress(progress);
     if let Some(dir) = &cache_flag {
-        runner::set_cache(Some(std::sync::Arc::new(osim_jobq::TextStore::at_dir(dir))));
+        runner::set_cache(Some(std::sync::Arc::new(runcache::RunCache::at_dir(dir))));
     }
     if let Some(path) = host_chrome {
         obsv::host_chrome_arm(path);
@@ -389,6 +340,8 @@ fn main() {
 
     let mut reports: Vec<SimReport> = Vec::new();
     let mut chrome_doc: Option<Json> = None;
+    // Only `stress` fails by exit code; it still reaches the writers below.
+    let mut exit_code = 0;
 
     if cmd == "compare" {
         let files = &args[1..];
@@ -445,14 +398,12 @@ fn main() {
                 }
             });
             let first_seed = shake_seed.unwrap_or(1);
-            let code = stress::run(&scale, scale_name, first_seed, seeds, fig_filter, jobs);
-            obsv::host_chrome_flush();
-            std::process::exit(code);
+            exit_code = stress::run(&scale, scale_name, first_seed, seeds, fig_filter, jobs);
         }
         "perf" if ostructs => ostructs_perf::run(scale_name, reps, "BENCH_ostructs.json"),
         "perf" if cache_bench => {
-            // The benchmark owns its cache (cleared first, all three
-            // passes measured); an armed session cache would taint the
+            // The benchmark owns its cache (cleared first, both passes
+            // measured); an armed session cache would taint the
             // cold pass, so `--cache <dir>` just redirects the scratch
             // directory.
             runner::set_cache(None);
@@ -505,15 +456,16 @@ fn main() {
                  per-entry blame; exit 1 if any is bad), clear. --json prints\n\
                  the machine-readable document instead.\n\
                  \n\
-                 perf --cache-bench: cold vs warm sweep benchmark; writes\n\
-                 BENCH_cache.json with hit/miss counts, per-entry read latency\n\
-                 quantiles, and the warm speedup.\n\
+                 perf --cache-bench: one cold and one warm sweep over a scratch\n\
+                 cache directory; writes BENCH_cache.json with hit/miss counts,\n\
+                 per-entry read latency quantiles, and the warm speedup.\n\
                  \n\
                  stress: schedule-shaking robustness harness. Runs every quick\n\
                  figure under --seeds (default 25) seeded tie-break perturbations\n\
                  (--shake-seed pins the first seed), with the manager's invariant\n\
                  oracles armed. Prints a minimal repro line per violation; exit\n\
-                 0 = all invariants held, 1 = violations. --fig <6|7|8|9|10|gc>\n\
+                 0 = all invariants held, 1 = violations (--sweep-json and\n\
+                 --host-chrome are written either way). --fig <6|7|8|9|10|gc>\n\
                  restricts the figure set.\n\
                  \n\
                  --shake-seed <n>: for the other experiments, perturb same-cycle\n\
@@ -526,8 +478,8 @@ fn main() {
                  attribution per pair. Exit code 0 = identical, 1 = deltas.\n\
                  \n\
                  --metrics-addr <host:port>: live scrape endpoint (GET /metrics\n\
-                 in Prometheus text) over the instrumented layers (jobq,\n\
-                 store, vacuum, cache). Port 0 binds ephemeral; the bound\n\
+                 in Prometheus text) over the instrumented layers (sweep\n\
+                 runner, store, vacuum, cache). Port 0 binds ephemeral; the bound\n\
                  address is announced on stderr. Default: off (nothing starts).\n\
                  --host-chrome <path>: host wall-clock spans (worker jobs,\n\
                  vacuum passes, cache probes) as a Chrome trace document.\n\
@@ -572,7 +524,7 @@ fn main() {
         eprintln!("wrote {} report(s) to {path}", reports.len());
     }
     if let Some(path) = sweep_json {
-        let doc = sweep_telemetry_doc(jobs);
+        let doc = runner::sweep_doc(jobs);
         if let Err(e) = fs::write(&path, doc.to_pretty()) {
             eprintln!("cannot write --sweep-json output {path}: {e}");
             std::process::exit(1);
@@ -593,5 +545,8 @@ fn main() {
                 std::process::exit(2);
             }
         }
+    }
+    if exit_code != 0 {
+        std::process::exit(exit_code);
     }
 }

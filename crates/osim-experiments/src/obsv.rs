@@ -3,7 +3,7 @@
 //! `--metrics-addr <host:port>` starts a [`MetricsServer`] — the std-only
 //! scrape endpoint serving `GET /metrics` — over a **shared collector**
 //! that folds every instrumented layer into one point-in-time
-//! [`Registry`]: the jobq pool (`osim_jobq_*`), the concurrent store's
+//! [`Registry`]: the sweep runner (`osim_jobq_*`), the concurrent store's
 //! process-global hot-path counters (`osim_store_*`), the vacuum roll-up
 //! (`osim_vacuum_*`), and the armed `--cache` store (`osim_cache_*`,
 //! present only when `--cache` is given).
@@ -14,8 +14,8 @@
 //! at zero; they move when an invocation drives the store (`perf
 //! --ostructs`).
 //!
-//! The server is never torn down: `stress` and `compare` leave via
-//! `std::process::exit`, and the accept thread must stay scrape-able
+//! The server is never torn down: `compare` and a failing `stress` leave
+//! via `std::process::exit`, and the accept thread must stay scrape-able
 //! until the very end. With the flag absent (`off`) nothing is
 //! constructed, no thread starts, and no byte of output changes.
 
@@ -27,11 +27,11 @@ use osim_serve::{Collector, MetricsServer};
 /// The collector every scrape renders.
 fn collector() -> Collector {
     Arc::new(|reg: &mut Registry| {
-        osim_jobq::fill_live_registry(reg);
+        crate::runner::fill_registry(reg);
         ostructs_core::fill_store_registry(reg);
         ostructs_core::fill_vacuum_registry(reg);
-        if let Some(store) = crate::runner::cache_store() {
-            store.fill_registry(reg);
+        if let Some(cache) = crate::runner::cache() {
+            cache.fill_registry(reg);
         }
     })
 }
@@ -50,8 +50,8 @@ pub fn arm(spec: &str) {
         }
     };
     eprintln!("metrics: listening on http://{}/metrics", server.addr());
-    // The server must outlive `main` (stress/compare exit the process
-    // directly); forgetting it disables its Drop-stop.
+    // The server must outlive `main` (compare and a failing stress exit
+    // the process directly); forgetting it disables its Drop-stop.
     std::mem::forget(server);
 }
 
@@ -69,8 +69,8 @@ pub fn host_chrome_arm(path: String) {
 }
 
 /// Drains collected host spans into the armed `--host-chrome` file. No-op
-/// when the flag is absent. Called at the end of `main` and before every
-/// `std::process::exit` a subcommand performs, whichever comes first.
+/// when the flag is absent. Called at the end of `main`, and by `compare`
+/// before it exits.
 pub fn host_chrome_flush() {
     let path = host_chrome_slot()
         .lock()

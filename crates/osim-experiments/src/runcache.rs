@@ -1,4 +1,5 @@
-//! Content-addressed run cache: key derivation and the entry codec.
+//! Content-addressed run cache: key derivation, the entry codec, and the
+//! cache directory.
 //!
 //! Every sweep job is a pure function of its *fully-rendered*
 //! configuration — the figure/benchmark/tag triple (which fixes the
@@ -8,8 +9,8 @@
 //! perfectly cacheable: [`job_key`] hashes exactly the semantic inputs
 //! (the fingerprint tests below check each one moves the key; the
 //! host-only worker count and progress have no parameter to arrive
-//! through), and [`BatchCache`] maps hits back into [`DsResult`]s that
-//! are indistinguishable from a fresh run.
+//! through), and [`RunCache::lookup`] maps hits back into [`DsResult`]s
+//! that are indistinguishable from a fresh run.
 //!
 //! Entries are single JSON documents (`osim-cache-entry-v1`): the run's
 //! schema-v5 [`SimReport`] — reusing `osim-report`'s serialization, whose
@@ -20,18 +21,29 @@
 //! checksum. Decoding verifies the checksum, then goes through the
 //! PR-7-hardened JSON parser and `SimReport::validate`; any failure
 //! invalidates the entry and counts as a miss, never an error.
+//!
+//! The cache is its directory: one file per entry, named
+//! `<32-hex-key>.json`. Writes go through a temp file + atomic rename, so
+//! readers — including concurrent sweeps sharing the directory — only
+//! ever observe complete entries. A torn write can at worst leave a stray
+//! temp file, never a half-entry under the final name. Every I/O anomaly
+//! is a miss, never an error.
 
-use std::collections::HashMap;
-use std::sync::Arc;
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, PoisonError};
+use std::time::Instant;
 
 use osim_cpu::{DepEdge, MachineCfg, ShakePolicy, StallCause};
-use osim_jobq::{CacheKey, KeyBuilder, ResultCache, TextStore};
+use osim_metrics::{Histogram, Registry};
 use osim_report::json::{self, obj, Json};
 use osim_report::{ReportScale, SimReport};
 use osim_uarch::OracleReport;
 use osim_workloads::harness::DsResult;
 
 use crate::common::Scale;
+use crate::key::{CacheKey, KeyBuilder};
+use crate::runner::{SweepJob, SweepRun};
 
 /// Engine-semantics version: bump this whenever a change can alter
 /// *simulated* timing or results, so stale cache entries can never be
@@ -130,31 +142,10 @@ pub fn job_key(fig: &str, bench: &str, tag: &str, cfg: &MachineCfg, scale: &Scal
     kb.finish()
 }
 
-/// Per-batch context the codec needs to rebuild the embedded report when
-/// storing a fresh result.
-pub struct JobCtx {
-    pub fig: &'static str,
-    pub bench: &'static str,
-    pub tag: String,
-    pub cfg: MachineCfg,
-    pub rscale: ReportScale,
-}
-
 /// Serializes one run into an `osim-cache-entry-v1` document.
-pub fn encode_entry(key: &CacheKey, ctx: &JobCtx, r: &DsResult) -> String {
-    let mut rep = SimReport::new(
-        ctx.fig,
-        ctx.bench,
-        &ctx.tag,
-        &ctx.cfg,
-        ctx.rscale,
-        r.cycles,
-        r.cpu.clone(),
-        r.mem.clone(),
-        r.ostats.clone(),
-        r.engine,
-        r.hists.clone(),
-    );
+pub fn encode_entry(key: &CacheKey, rscale: ReportScale, run: &SweepRun) -> String {
+    let r = &run.result;
+    let mut rep = run.report(rscale);
     rep.timeseries = r.timeseries.clone();
     let deps: Vec<Json> = r
         .deps
@@ -195,7 +186,7 @@ pub fn encode_entry(key: &CacheKey, ctx: &JobCtx, r: &DsResult) -> String {
         ("semantics", Json::from_u64(ENGINE_SEMANTICS_VERSION)),
         (
             "label",
-            Json::Str(format!("{}/{}/{}", ctx.fig, ctx.bench, ctx.tag)),
+            Json::Str(format!("{}/{}/{}", run.fig, run.bench, run.tag)),
         ),
         ("ok", Json::Bool(r.ok)),
         ("detail", Json::Str(r.detail.clone())),
@@ -402,42 +393,170 @@ pub fn decode_entry(text: &str) -> Result<DecodedEntry, String> {
     })
 }
 
-/// The per-batch [`ResultCache`]: wraps the invocation's [`TextStore`]
-/// with this batch's key → job-context map (needed to rebuild the
-/// embedded report when storing) and the entry codec.
-pub struct BatchCache {
-    store: Arc<TextStore>,
-    ctx: HashMap<CacheKey, JobCtx>,
+/// Snapshot of a cache's counters.
+#[derive(Debug, Clone, Copy)]
+pub struct CacheCounts {
+    /// Lookups answered.
+    pub hits: u64,
+    /// Lookups that found nothing (corrupt entries included).
+    pub misses: u64,
+    /// Entries written.
+    pub stores: u64,
+    /// Entries that failed to decode (each was dropped and became a miss).
+    pub corrupt: u64,
+    /// Entry writes that failed.
+    pub write_errors: u64,
 }
 
-impl BatchCache {
-    pub fn new(store: Arc<TextStore>, ctx: HashMap<CacheKey, JobCtx>) -> Self {
-        BatchCache { store, ctx }
-    }
+/// The run cache: a directory of entry files plus its counters and the
+/// entry-read latency histogram, exported as `osim_cache_*`.
+pub struct RunCache {
+    dir: PathBuf,
+    hits: AtomicU64,
+    misses: AtomicU64,
+    stores: AtomicU64,
+    corrupt: AtomicU64,
+    write_errors: AtomicU64,
+    /// Wall time of successful entry reads, nanoseconds.
+    read_ns: Mutex<Histogram>,
 }
 
-impl ResultCache<DsResult> for BatchCache {
-    fn lookup(&self, key: &CacheKey, label: &str) -> Option<DsResult> {
-        let text = self.store.get(key)?;
-        match decode_entry(&text) {
-            Ok(entry) => Some(entry.result),
-            Err(reason) => {
-                // Corrupt/stale entries are dropped and re-run — a cache
-                // must never fail a sweep. Stderr only: stdout and --json
-                // stay byte-identical.
-                eprintln!("[cache] dropping bad entry for {label}: {reason}");
-                self.store.note_corrupt(key);
-                None
-            }
+impl RunCache {
+    /// A cache persisting entries under `dir` (created on first write).
+    pub fn at_dir(dir: impl Into<PathBuf>) -> Self {
+        RunCache {
+            dir: dir.into(),
+            hits: AtomicU64::new(0),
+            misses: AtomicU64::new(0),
+            stores: AtomicU64::new(0),
+            corrupt: AtomicU64::new(0),
+            write_errors: AtomicU64::new(0),
+            read_ns: Mutex::new(Histogram::new()),
         }
     }
 
-    fn store(&self, key: &CacheKey, label: &str, result: &DsResult) {
-        let Some(ctx) = self.ctx.get(key) else {
-            debug_assert!(false, "store for unknown key ({label})");
-            return;
+    fn path_of(&self, key: &CacheKey) -> PathBuf {
+        self.dir.join(format!("{}.json", key.hex()))
+    }
+
+    /// Reads an entry's text, timing the read. Any read failure — missing
+    /// file, unreadable bytes — is `None`, counted by the caller.
+    pub fn read(&self, key: &CacheKey) -> Option<String> {
+        let started = Instant::now();
+        let text = std::fs::read_to_string(self.path_of(key)).ok()?;
+        self.read_ns
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .record(started.elapsed().as_nanos() as u64);
+        Some(text)
+    }
+
+    /// Fetches and decodes `job`'s entry. Corrupt or stale entries are
+    /// dropped and reported as misses — a cache must never fail a sweep.
+    pub fn lookup(&self, job: &SweepJob) -> Option<DsResult> {
+        let decoded = self.read(&job.key).map(|text| decode_entry(&text));
+        match decoded {
+            Some(Ok(entry)) => {
+                self.hits.fetch_add(1, Ordering::Relaxed);
+                return Some(entry.result);
+            }
+            Some(Err(reason)) => {
+                // Stderr only: stdout and --json stay byte-identical.
+                eprintln!("[cache] dropping bad entry for {}: {reason}", job.label());
+                self.corrupt.fetch_add(1, Ordering::Relaxed);
+                let _ = std::fs::remove_file(self.path_of(&job.key));
+            }
+            None => {}
+        }
+        self.misses.fetch_add(1, Ordering::Relaxed);
+        None
+    }
+
+    /// Stores a freshly computed run under `key`. Write failures are
+    /// counted, not raised: the run already has its result, and a
+    /// read-only or full disk must never fail a sweep.
+    pub fn store(&self, key: &CacheKey, rscale: ReportScale, run: &SweepRun) {
+        self.stores.fetch_add(1, Ordering::Relaxed);
+        if self
+            .write_atomic(&self.path_of(key), &encode_entry(key, rscale, run))
+            .is_err()
+        {
+            self.write_errors.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
+    fn write_atomic(&self, path: &Path, text: &str) -> std::io::Result<()> {
+        std::fs::create_dir_all(&self.dir)?;
+        let tmp = self.dir.join(format!(
+            ".{}.{}.tmp",
+            path.file_stem().and_then(|s| s.to_str()).unwrap_or("entry"),
+            std::process::id()
+        ));
+        std::fs::write(&tmp, text)?;
+        std::fs::rename(&tmp, path).inspect_err(|_| {
+            let _ = std::fs::remove_file(&tmp);
+        })
+    }
+
+    /// Paths of the entry files, sorted by name. Temp files and foreign
+    /// files are excluded.
+    pub fn entries(&self) -> Vec<PathBuf> {
+        let Ok(rd) = std::fs::read_dir(&self.dir) else {
+            return Vec::new();
         };
-        self.store.put(key, &encode_entry(key, ctx, result));
+        let mut out: Vec<PathBuf> = rd
+            .flatten()
+            .map(|e| e.path())
+            .filter(|p| {
+                p.extension().and_then(|e| e.to_str()) == Some("json")
+                    && p.file_stem()
+                        .and_then(|s| s.to_str())
+                        .and_then(CacheKey::from_hex)
+                        .is_some()
+            })
+            .collect();
+        out.sort();
+        out
+    }
+
+    /// Removes every entry file, returning how many were deleted.
+    pub fn clear(&self) -> usize {
+        self.entries()
+            .iter()
+            .filter(|p| std::fs::remove_file(p).is_ok())
+            .count()
+    }
+
+    /// Current counter values.
+    pub fn counts(&self) -> CacheCounts {
+        CacheCounts {
+            hits: self.hits.load(Ordering::Relaxed),
+            misses: self.misses.load(Ordering::Relaxed),
+            stores: self.stores.load(Ordering::Relaxed),
+            corrupt: self.corrupt.load(Ordering::Relaxed),
+            write_errors: self.write_errors.load(Ordering::Relaxed),
+        }
+    }
+
+    /// Snapshot of the entry-read latency histogram (nanoseconds).
+    pub fn read_hist(&self) -> Histogram {
+        self.read_ns
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .clone()
+    }
+
+    /// Exports the counters and read-latency histogram under
+    /// `osim_cache_*`.
+    pub fn fill_registry(&self, reg: &mut Registry) {
+        let c = self.counts();
+        reg.counter_add("osim_cache_hits_total", &[], c.hits);
+        reg.counter_add("osim_cache_misses_total", &[], c.misses);
+        reg.counter_add("osim_cache_stores_total", &[], c.stores);
+        reg.counter_add("osim_cache_corrupt_total", &[], c.corrupt);
+        reg.counter_add("osim_cache_write_errors_total", &[], c.write_errors);
+        reg.hist_mut("osim_cache_read_ns", &[])
+            .merge(&self.read_hist());
     }
 }
 
@@ -605,9 +724,15 @@ mod tests {
         }
     }
 
-    fn sample_result(scale: &Scale, cfg: MachineCfg) -> DsResult {
+    fn sample_run(scale: &Scale, cfg: MachineCfg, tag: &str) -> SweepRun {
         let ds = scale.ds(false, 4);
-        osim_workloads::linked_list::run_versioned(cfg, &ds)
+        SweepRun {
+            fig: "fig6",
+            bench: "Linked list",
+            tag: tag.to_string(),
+            result: osim_workloads::linked_list::run_versioned(cfg.clone(), &ds),
+            cfg,
+        }
     }
 
     /// The codec round-trips a real run exactly: decode(encode(r)) == r in
@@ -617,16 +742,10 @@ mod tests {
         let scale = Scale::tiny();
         let mut cfg = machine(&scale, 2, None, 0);
         cfg.capture = osim_cpu::CaptureCfg::armed(1 << 8, 256, 1 << 6);
-        let r = sample_result(&scale, cfg.clone());
-        let ctx = JobCtx {
-            fig: "fig6",
-            bench: "Linked list",
-            tag: "versioned".to_string(),
-            cfg: cfg.clone(),
-            rscale: scale.report(),
-        };
-        let key = job_key(ctx.fig, ctx.bench, &ctx.tag, &cfg, &scale);
-        let text = encode_entry(&key, &ctx, &r);
+        let run = sample_run(&scale, cfg.clone(), "versioned");
+        let r = &run.result;
+        let key = job_key(run.fig, run.bench, &run.tag, &cfg, &scale);
+        let text = encode_entry(&key, scale.report(), &run);
         let decoded = decode_entry(&text).expect("decode");
         assert_eq!(decoded.label, "fig6/Linked list/versioned");
         let d = &decoded.result;
@@ -644,35 +763,13 @@ mod tests {
         assert_eq!(d.oracle, r.oracle);
         // The rendered report — what tables and --json are built from —
         // must be byte-identical.
-        let rep_fresh = SimReport::new(
-            ctx.fig,
-            ctx.bench,
-            &ctx.tag,
-            &cfg,
-            scale.report(),
-            r.cycles,
-            r.cpu.clone(),
-            r.mem.clone(),
-            r.ostats.clone(),
-            r.engine,
-            r.hists.clone(),
-        );
-        let rep_cached = SimReport::new(
-            ctx.fig,
-            ctx.bench,
-            &ctx.tag,
-            &cfg,
-            scale.report(),
-            d.cycles,
-            d.cpu.clone(),
-            d.mem.clone(),
-            d.ostats.clone(),
-            d.engine,
-            d.hists.clone(),
-        );
+        let cached = SweepRun {
+            result: decoded.result,
+            ..sample_run(&scale, cfg, "versioned")
+        };
         assert_eq!(
-            rep_fresh.to_json().to_pretty(),
-            rep_cached.to_json().to_pretty()
+            run.report(scale.report()).to_json().to_pretty(),
+            cached.report(scale.report()).to_json().to_pretty()
         );
     }
 
@@ -680,17 +777,8 @@ mod tests {
     #[test]
     fn corrupt_entries_fail_to_decode() {
         let scale = Scale::tiny();
-        let cfg = machine(&scale, 1, None, 0);
-        let r = sample_result(&scale, cfg.clone());
-        let ctx = JobCtx {
-            fig: "fig6",
-            bench: "Linked list",
-            tag: "versioned".to_string(),
-            cfg,
-            rscale: scale.report(),
-        };
-        let key = CacheKey(1);
-        let text = encode_entry(&key, &ctx, &r);
+        let run = sample_run(&scale, machine(&scale, 1, None, 0), "versioned");
+        let text = encode_entry(&CacheKey(1), scale.report(), &run);
         assert!(decode_entry(&text).is_ok());
         // Truncation at any prefix fails (never panics).
         for cut in [0, 1, text.len() / 2, text.len() - 1] {
@@ -722,33 +810,100 @@ mod tests {
         assert!(decode_entry(&retagged).is_err());
     }
 
-    /// BatchCache: corrupt stored entries surface as misses and are
-    /// invalidated, then re-stored on the next run.
+    fn tmp_dir(tag: &str) -> PathBuf {
+        let d = std::env::temp_dir().join(format!("osim-runcache-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&d);
+        d
+    }
+
+    fn tiny_job(scale: &Scale, tag: &str) -> SweepJob {
+        let cfg = machine(scale, 1, None, 0);
+        let ds = scale.ds(false, 4);
+        SweepJob::new(
+            "fig6",
+            "Linked list",
+            tag.to_string(),
+            scale,
+            cfg,
+            move |m| osim_workloads::linked_list::run_versioned(m, &ds),
+        )
+    }
+
+    /// A stored run hits from a fresh cache on the same directory, the
+    /// way a warm rerun in a new process does.
     #[test]
-    fn batch_cache_treats_corruption_as_miss() {
+    fn entries_persist_across_cache_instances() {
+        let dir = tmp_dir("persist");
         let scale = Scale::tiny();
-        let cfg = machine(&scale, 1, None, 0);
-        let key = job_key("fig6", "Linked list", "t", &cfg, &scale);
-        let store = Arc::new(TextStore::memory());
-        store.put(&key, "garbage {{{");
-        let mut ctx = HashMap::new();
-        ctx.insert(
-            key,
-            JobCtx {
-                fig: "fig6",
-                bench: "Linked list",
-                tag: "t".to_string(),
-                cfg: cfg.clone(),
-                rscale: scale.report(),
-            },
-        );
-        let cache = BatchCache::new(Arc::clone(&store), ctx);
-        assert!(cache.lookup(&key, "fig6/Linked list/t").is_none());
-        assert_eq!(store.counts().corrupt, 1);
-        // Store a real run; the next lookup hits.
-        let r = sample_result(&scale, cfg);
-        cache.store(&key, "fig6/Linked list/t", &r);
-        let hit = cache.lookup(&key, "fig6/Linked list/t").expect("hit");
-        assert_eq!(hit.cycles, r.cycles);
+        let job = tiny_job(&scale, "t");
+        assert!(RunCache::at_dir(&dir).lookup(&job).is_none());
+        let run = sample_run(&scale, job.cfg.clone(), "t");
+        RunCache::at_dir(&dir).store(&job.key, scale.report(), &run);
+        let warm = RunCache::at_dir(&dir);
+        let hit = warm.lookup(&job).expect("hit");
+        assert_eq!(hit.cycles, run.result.cycles);
+        let c = warm.counts();
+        assert_eq!((c.hits, c.misses, c.stores), (1, 0, 0));
+        assert_eq!(warm.read_hist().count(), 1);
+        assert_eq!(warm.entries().len(), 1);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Corrupt stored entries surface as misses and are deleted, then
+    /// re-stored on the next run.
+    #[test]
+    fn corrupt_entry_is_a_miss_and_is_dropped() {
+        let dir = tmp_dir("corrupt");
+        let scale = Scale::tiny();
+        let job = tiny_job(&scale, "t");
+        let cache = RunCache::at_dir(&dir);
+        std::fs::create_dir_all(&dir).expect("create cache dir");
+        std::fs::write(cache.path_of(&job.key), "garbage {{{").expect("plant entry");
+        assert!(cache.lookup(&job).is_none());
+        let c = cache.counts();
+        assert_eq!((c.corrupt, c.misses, c.hits), (1, 1, 0));
+        assert!(cache.entries().is_empty());
+        let run = sample_run(&scale, job.cfg.clone(), "t");
+        cache.store(&job.key, scale.report(), &run);
+        assert_eq!(cache.lookup(&job).expect("hit").cycles, run.result.cycles);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn clear_removes_entries_but_not_foreign_files() {
+        let dir = tmp_dir("clear");
+        let scale = Scale::tiny();
+        let cache = RunCache::at_dir(&dir);
+        for tag in ["a", "b"] {
+            let job = tiny_job(&scale, tag);
+            let run = sample_run(&scale, job.cfg.clone(), tag);
+            cache.store(&job.key, scale.report(), &run);
+        }
+        std::fs::write(dir.join("README.txt"), "keep me").expect("write foreign file");
+        assert_eq!(cache.entries().len(), 2);
+        assert_eq!(cache.clear(), 2);
+        assert!(cache.entries().is_empty());
+        assert!(dir.join("README.txt").exists());
+        assert!(cache.lookup(&tiny_job(&scale, "a")).is_none());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn registry_export_names_the_counters() {
+        let cache = RunCache::at_dir(tmp_dir("registry"));
+        let _ = cache.lookup(&tiny_job(&Scale::tiny(), "t"));
+        let mut reg = Registry::new();
+        cache.fill_registry(&mut reg);
+        let prom = reg.to_prometheus();
+        for name in [
+            "osim_cache_hits_total",
+            "osim_cache_misses_total",
+            "osim_cache_stores_total",
+            "osim_cache_corrupt_total",
+            "osim_cache_write_errors_total",
+            "osim_cache_read_ns",
+        ] {
+            assert!(prom.contains(name), "{name} missing:\n{prom}");
+        }
     }
 }

@@ -136,3 +136,35 @@ fn unknown_flags_and_stray_arguments_exit_2() {
     // Every known flag is still accepted.
     run_bin(&["config", "--tiny", "--stats", "--jobs", "1"]);
 }
+
+#[test]
+fn stress_writes_its_sweep_json() {
+    let path = out_path("stress_sweep.json");
+    let out = Command::new(env!("CARGO_BIN_EXE_osim-experiments"))
+        .args([
+            "stress",
+            "--seeds",
+            "1",
+            "--tiny",
+            "--fig",
+            "gc",
+            "--sweep-json",
+        ])
+        .arg(&path)
+        .output()
+        .expect("spawn osim-experiments");
+    assert!(out.status.success(), "stress failed: {:?}", out.status);
+    // "stress: 1 figure(s), 1 seed(s), <N> runs, ..."
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let runs: u64 = stdout
+        .lines()
+        .find_map(|l| l.strip_prefix("stress: "))
+        .and_then(|l| l.split(", ").find_map(|f| f.strip_suffix(" runs")))
+        .and_then(|n| n.parse().ok())
+        .unwrap_or_else(|| panic!("no run count in stdout:\n{stdout}"));
+    let text = std::fs::read_to_string(&path).expect("--sweep-json written");
+    std::fs::remove_file(&path).ok();
+    let doc = parse(&text).expect("valid JSON");
+    assert!(runs > 0);
+    assert_eq!(doc.get("job_count").and_then(Json::as_u64), Some(runs));
+}
