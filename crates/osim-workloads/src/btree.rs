@@ -18,10 +18,10 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use osim_cpu::{task, Machine, MachineCfg, SimRwLock, TaskCtx};
+use osim_cpu::{task, Machine, MachineCfg, MachineState, SimRwLock, TaskCtx};
 use osim_uarch::Version;
 
-use crate::harness::{self, DsCfg, DsResult, Op, OpResult};
+use crate::harness::{self, peek_latest, peek_word, DsCfg, DsResult, Op, OpResult};
 use crate::vers;
 
 const NODE_BYTES: u32 = 12;
@@ -85,7 +85,7 @@ async fn new_vnode(ctx: &TaskCtx, key: u32) -> (u32, u32, u32) {
 }
 
 /// Population: materialize the host shape bottom-up, one version per cell.
-async fn populate_versioned(ctx: TaskCtx, root_cell: u32, keys: Vec<u32>) {
+async fn populate_versioned(ctx: &TaskCtx, &root_cell: &u32, keys: Vec<u32>) {
     const NONE: usize = usize::MAX;
     let pv = vers::passv(ctx.tid());
     let (nodes, root) = host_shape(&keys);
@@ -107,7 +107,7 @@ async fn populate_versioned(ctx: TaskCtx, root_cell: u32, keys: Vec<u32>) {
             }
             continue;
         }
-        let (va, lcell, rcell) = new_vnode(&ctx, k).await;
+        let (va, lcell, rcell) = new_vnode(ctx, k).await;
         let lva = if l == NONE { 0 } else { vas[l] };
         let rva = if r == NONE { 0 } else { vas[r] };
         ctx.store_version(lcell, pv, lva).await;
@@ -308,97 +308,47 @@ async fn scan(ctx: &TaskCtx, root_cell: u32, entry: Version, from: u32, range: u
     OpResult::Scanned(out)
 }
 
-fn extract_versioned(m: &Machine, root_cell: u32) -> Vec<u32> {
-    let st = m.state();
-    let st = st.borrow();
-    let latest = |cell: u32| -> u32 {
-        st.omgr
-            .peek_latest(&st.ms, cell, u32::MAX)
-            .expect("valid cell")
-            .map(|(_, v)| v)
-            .unwrap_or(0)
-    };
-    let read = |va: u32| {
-        st.ms
-            .phys
-            .read_u32(st.ms.pt.translate_conventional(va).expect("mapped"))
-    };
+/// One operation of the versioned tree.
+async fn versioned_op(ctx: &TaskCtx, &root_cell: &u32, entry: Version, op: Op) -> OpResult {
+    match op {
+        Op::Insert(_) | Op::Delete(_) => mutate(ctx, root_cell, entry, op).await,
+        Op::Lookup(k) => lookup(ctx, root_cell, entry, k).await,
+        Op::Scan(k, n) => scan(ctx, root_cell, entry, k, n).await,
+    }
+}
+
+fn extract_versioned(st: &MachineState, &root_cell: &u32) -> Result<Vec<u32>, String> {
     let mut out = Vec::new();
-    let mut stack = vec![latest(root_cell)];
-    while let Some(n) = stack.pop() {
-        if n == 0 {
-            continue;
+    let mut stack = vec![peek_latest(st, root_cell)];
+    while let Some(node) = stack.pop() {
+        // Zero, like a cell with no version, is the null pointer.
+        if let Some(n @ 1..) = node {
+            out.push(peek_word(st, n));
+            stack.push(peek_latest(st, peek_word(st, n + 4)));
+            stack.push(peek_latest(st, peek_word(st, n + 8)));
         }
-        out.push(read(n));
-        stack.push(latest(read(n + 4)));
-        stack.push(latest(read(n + 8)));
     }
     out.sort_unstable();
-    out
+    Ok(out)
 }
 
 /// Runs the versioned parallel BST.
 pub fn run_versioned(mcfg: MachineCfg, cfg: &DsCfg) -> DsResult {
-    let initial = harness::gen_initial(cfg);
-    let ops = harness::gen_ops(cfg);
-    let (want_results, want_final) = harness::replay_reference(&initial, &ops);
-
-    let mut m = Machine::new(mcfg);
-    let root_cell = {
-        let st = m.state();
-        let mut st = st.borrow_mut();
-        let s = &mut *st;
-        s.alloc
-            .alloc_root(&mut s.ms)
-            .expect("simulated RAM exhausted")
-    };
-    let pop_tid = m.next_tid();
-    let keys = initial.clone();
-    m.run_tasks(vec![task(move |ctx| {
-        populate_versioned(ctx, root_cell, keys)
-    })])
-    .expect("population");
-    m.reset_stats();
-
-    let results: Rc<RefCell<Vec<Option<OpResult>>>> = Rc::new(RefCell::new(vec![None; ops.len()]));
-    let first = m.next_tid();
-    let mut entry = vers::passv(pop_tid);
-    let mut tasks = Vec::with_capacity(ops.len());
-    for (i, &op) in ops.iter().enumerate() {
-        let tid = first + i as u32;
-        let e = entry;
-        let is_write = matches!(op, Op::Insert(_) | Op::Delete(_));
-        if is_write {
-            entry = vers::passv(tid);
-        }
-        let results = Rc::clone(&results);
-        tasks.push(task(move |ctx| async move {
-            let r = match op {
-                Op::Insert(_) | Op::Delete(_) => mutate(&ctx, root_cell, e, op).await,
-                Op::Lookup(k) => lookup(&ctx, root_cell, e, k).await,
-                Op::Scan(k, n) => scan(&ctx, root_cell, e, k, n).await,
-            };
-            results.borrow_mut()[i] = Some(r);
-        }));
-    }
-    let report = m.run_tasks(tasks).expect("measurement deadlocked");
-
-    let got: Vec<OpResult> = Rc::try_unwrap(results)
-        .expect("tasks done")
-        .into_inner()
-        .into_iter()
-        .map(|r| r.expect("op recorded"))
-        .collect();
-    let got_final = extract_versioned(&m, root_cell);
-    let (ok, detail) = harness::validate(&got, &got_final, &want_results, &want_final);
-    harness::collect(&m, report.cycles(), ok, detail)
+    harness::run_per_op(
+        mcfg,
+        cfg,
+        |m| harness::alloc_roots(m, 1),
+        populate_versioned,
+        versioned_op,
+        extract_versioned,
+    )
 }
 
 // ----------------------------------------------------------------------
 // Unversioned tree (shared by the sequential and rwlock variants)
 // ----------------------------------------------------------------------
 
-async fn populate_unversioned(ctx: TaskCtx, root_word: u32, keys: Vec<u32>) {
+async fn populate_unversioned(ctx: &TaskCtx, &root_word: &u32, keys: Vec<u32>) {
     const NONE: usize = usize::MAX;
     let (nodes, root) = host_shape(&keys);
     let mut vas = vec![0u32; nodes.len()];
@@ -430,7 +380,7 @@ async fn populate_unversioned(ctx: TaskCtx, root_word: u32, keys: Vec<u32>) {
         .await;
 }
 
-async fn unversioned_op(ctx: &TaskCtx, root_word: u32, op: Op) -> OpResult {
+async fn unversioned_op(ctx: &TaskCtx, &root_word: &u32, op: Op) -> OpResult {
     ctx.work(OP_WORK).await;
     match op {
         Op::Lookup(key) => {
@@ -538,23 +488,16 @@ async fn unversioned_op(ctx: &TaskCtx, root_word: u32, op: Op) -> OpResult {
     }
 }
 
-fn extract_unversioned(m: &Machine, root_word: u32) -> Vec<u32> {
-    let st = m.state();
-    let st = st.borrow();
-    let read = |va: u32| {
-        st.ms
-            .phys
-            .read_u32(st.ms.pt.translate_conventional(va).expect("mapped"))
-    };
+fn extract_unversioned(st: &MachineState, root_word: u32) -> Vec<u32> {
     let mut out = Vec::new();
-    let mut stack = vec![read(root_word)];
+    let mut stack = vec![peek_word(st, root_word)];
     while let Some(n) = stack.pop() {
         if n == 0 {
             continue;
         }
-        out.push(read(n));
-        stack.push(read(n + 4));
-        stack.push(read(n + 8));
+        out.push(peek_word(st, n));
+        stack.push(peek_word(st, n + 4));
+        stack.push(peek_word(st, n + 8));
     }
     out.sort_unstable();
     out
@@ -562,42 +505,14 @@ fn extract_unversioned(m: &Machine, root_word: u32) -> Vec<u32> {
 
 /// Runs the unversioned sequential BST.
 pub fn run_unversioned(mcfg: MachineCfg, cfg: &DsCfg) -> DsResult {
-    let initial = harness::gen_initial(cfg);
-    let ops = harness::gen_ops(cfg);
-    let (want_results, want_final) = harness::replay_reference(&initial, &ops);
-
-    let mut m = Machine::new(mcfg);
-    let root_word = {
-        let st = m.state();
-        let mut st = st.borrow_mut();
-        let s = &mut *st;
-        s.alloc
-            .alloc_data(&mut s.ms, 4)
-            .expect("simulated RAM exhausted")
-    };
-    let keys = initial.clone();
-    m.run_tasks(vec![task(move |ctx| {
-        populate_unversioned(ctx, root_word, keys)
-    })])
-    .expect("population");
-    m.reset_stats();
-
-    let results: Rc<RefCell<Vec<OpResult>>> = Rc::new(RefCell::new(Vec::new()));
-    let ops2 = ops.clone();
-    let results2 = Rc::clone(&results);
-    let report = m
-        .run_tasks(vec![task(move |ctx| async move {
-            for &op in &ops2 {
-                let r = unversioned_op(&ctx, root_word, op).await;
-                results2.borrow_mut().push(r);
-            }
-        })])
-        .expect("measurement");
-
-    let got = Rc::try_unwrap(results).expect("task done").into_inner();
-    let got_final = extract_unversioned(&m, root_word);
-    let (ok, detail) = harness::validate(&got, &got_final, &want_results, &want_final);
-    harness::collect(&m, report.cycles(), ok, detail)
+    harness::run_sequential(
+        mcfg,
+        cfg,
+        |m| harness::alloc_data(m, 4),
+        populate_unversioned,
+        unversioned_op,
+        |st, &root_word| Ok(extract_unversioned(st, root_word)),
+    )
 }
 
 /// Runs the unversioned BST under a global read-write lock with one task
@@ -608,27 +523,18 @@ pub fn run_unversioned(mcfg: MachineCfg, cfg: &DsCfg) -> DsResult {
 /// final contents are order-independent); scans are checked for internal
 /// consistency (sorted, within range) instead.
 pub fn run_rwlock(mcfg: MachineCfg, cfg: &DsCfg) -> DsResult {
+    if let Err(detail) = cfg.check() {
+        return harness::collect(&Machine::new(mcfg), 0, false, detail);
+    }
     let initial = harness::gen_initial(cfg);
     let ops = harness::gen_ops(cfg);
     let (_, want_final) = harness::replay_reference(&initial, &ops);
 
     let mut m = Machine::new(mcfg);
-    let (root_word, lock_word) = {
-        let st = m.state();
-        let mut st = st.borrow_mut();
-        let s = &mut *st;
-        (
-            s.alloc
-                .alloc_data(&mut s.ms, 4)
-                .expect("simulated RAM exhausted"),
-            s.alloc
-                .alloc_data(&mut s.ms, 4)
-                .expect("simulated RAM exhausted"),
-        )
-    };
-    let keys = initial.clone();
-    m.run_tasks(vec![task(move |ctx| {
-        populate_unversioned(ctx, root_word, keys)
+    let root_word = harness::alloc_data(&m, 4);
+    let lock_word = harness::alloc_data(&m, 4);
+    m.run_tasks(vec![task(move |ctx| async move {
+        populate_unversioned(&ctx, &root_word, initial).await
     })])
     .expect("population");
     m.reset_stats();
@@ -642,7 +548,7 @@ pub fn run_rwlock(mcfg: MachineCfg, cfg: &DsCfg) -> DsResult {
             match op {
                 Op::Lookup(_) | Op::Scan(_, _) => {
                     lock.read_lock(&ctx).await;
-                    let r = unversioned_op(&ctx, root_word, op).await;
+                    let r = unversioned_op(&ctx, &root_word, op).await;
                     lock.read_unlock(&ctx).await;
                     if let (Op::Scan(from, range), OpResult::Scanned(keys)) = (op, &r) {
                         let sorted = keys.windows(2).all(|w| w[0] < w[1]);
@@ -654,7 +560,7 @@ pub fn run_rwlock(mcfg: MachineCfg, cfg: &DsCfg) -> DsResult {
                 }
                 Op::Insert(_) | Op::Delete(_) => {
                     lock.write_lock(&ctx).await;
-                    unversioned_op(&ctx, root_word, op).await;
+                    unversioned_op(&ctx, &root_word, op).await;
                     lock.write_unlock(&ctx).await;
                 }
             }
@@ -662,7 +568,7 @@ pub fn run_rwlock(mcfg: MachineCfg, cfg: &DsCfg) -> DsResult {
     }
     let report = m.run_tasks(tasks).expect("measurement");
 
-    let got_final = extract_unversioned(&m, root_word);
+    let got_final = extract_unversioned(&m.state().borrow(), root_word);
     let (mut ok, mut detail) = if cfg.insert_only {
         if got_final == want_final {
             (true, String::new())

@@ -1,14 +1,29 @@
-//! Operation-mix generation, the host-side reference model, and result
-//! validation for the irregular data-structure workloads.
+//! Operation-mix generation, the host-side reference model, result
+//! validation, and the two drivers every irregular data-structure workload
+//! runs under.
+//!
+//! `run_per_op` is the versioned execution model: each operation is a
+//! task, a write's task id names the version the next operation enters at,
+//! and every result is checked against a sequential replay.
+//! `run_sequential` is the unversioned baseline: the same phases with the
+//! measured operations in one task. A data structure supplies only its
+//! setup, population, operation and final-contents hooks.
 
+use std::cell::RefCell;
 use std::collections::BTreeSet;
+use std::rc::Rc;
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use osim_cpu::{CpuStats, DepEdge, EngineStats, Machine, RunHists, Sample};
+use osim_cpu::{
+    task, CpuStats, DepEdge, EngineStats, Machine, MachineCfg, MachineState, RunHists, Sample,
+    TaskCtx,
+};
 use osim_mem::MemStats;
-use osim_uarch::{OStats, OracleReport};
+use osim_uarch::{OStats, OracleReport, Version};
+
+use crate::vers;
 
 /// Workload configuration for the irregular data structures.
 #[derive(Debug, Clone)]
@@ -57,6 +72,24 @@ impl DsCfg {
             seed: 0x5eed,
             insert_only: false,
         }
+    }
+
+    /// Checks that the mix can be generated: `initial` distinct keys must
+    /// fit in `[0, key_space)`, and operations need at least one key.
+    pub fn check(&self) -> Result<(), String> {
+        if self.initial as u64 > u64::from(self.key_space) {
+            return Err(format!(
+                "initial ({}) exceeds key_space ({}): not enough distinct keys",
+                self.initial, self.key_space
+            ));
+        }
+        if self.key_space == 0 && self.ops > 0 {
+            return Err(format!(
+                "key_space is 0 but ops is {}: no key to draw",
+                self.ops
+            ));
+        }
+        Ok(())
     }
 }
 
@@ -216,6 +249,174 @@ pub fn collect(m: &Machine, cycles: u64, ok: bool, detail: String) -> DsResult {
     }
 }
 
+/// Allocates `n` contiguous versioned root cells and returns the first.
+pub(crate) fn alloc_roots(m: &Machine, n: u32) -> u32 {
+    let st = m.state();
+    let mut st = st.borrow_mut();
+    let s = &mut *st;
+    let first = s
+        .alloc
+        .alloc_root(&mut s.ms)
+        .expect("simulated RAM exhausted");
+    for _ in 1..n {
+        s.alloc
+            .alloc_root(&mut s.ms)
+            .expect("simulated RAM exhausted");
+    }
+    first
+}
+
+/// Allocates `bytes` of conventional memory and returns its address.
+pub(crate) fn alloc_data(m: &Machine, bytes: u32) -> u32 {
+    let st = m.state();
+    let mut st = st.borrow_mut();
+    let s = &mut *st;
+    s.alloc
+        .alloc_data(&mut s.ms, bytes)
+        .expect("simulated RAM exhausted")
+}
+
+/// Reads the conventional word at `va` without touching timing state.
+pub(crate) fn peek_word(st: &MachineState, va: u32) -> u32 {
+    st.ms
+        .phys
+        .read_u32(st.ms.pt.translate_conventional(va).expect("mapped"))
+}
+
+/// The newest value of the versioned cell at `cell`, if it holds any,
+/// without touching timing state.
+pub(crate) fn peek_latest(st: &MachineState, cell: u32) -> Option<u32> {
+    st.omgr
+        .peek_latest(&st.ms, cell, u32::MAX)
+        .expect("valid cell")
+        .map(|(_, v)| v)
+}
+
+/// Runs one irregular workload in the versioned execution model.
+///
+/// After `setup` allocates the structure's cells and `populate` builds the
+/// initial contents in one unmeasured task, every operation runs as its
+/// own task, in op order. An operation enters at the pass version of the
+/// nearest preceding write (the population task for the first ones), and
+/// a write's own pass version becomes the next entry point. `final_keys`
+/// reads the final contents, or returns `Err` with the reason they cannot
+/// be trusted; the per-op results and the contents are then checked
+/// against the sequential replay.
+pub(crate) fn run_per_op<S: Clone + 'static>(
+    mcfg: MachineCfg,
+    cfg: &DsCfg,
+    setup: impl FnOnce(&Machine) -> S,
+    populate: impl AsyncFnOnce(&TaskCtx, &S, Vec<u32>) + 'static,
+    op: impl AsyncFn(&TaskCtx, &S, Version, Op) -> OpResult + Copy + 'static,
+    final_keys: impl FnOnce(&MachineState, &S) -> Result<Vec<u32>, String>,
+) -> DsResult {
+    drive(
+        mcfg,
+        cfg,
+        setup,
+        populate,
+        final_keys,
+        |m, shared, ops, mut entry| {
+            let results: Rc<RefCell<Vec<Option<OpResult>>>> =
+                Rc::new(RefCell::new(vec![None; ops.len()]));
+            let first = m.next_tid();
+            let mut tasks = Vec::with_capacity(ops.len());
+            for (i, o) in ops.into_iter().enumerate() {
+                let e = entry;
+                if matches!(o, Op::Insert(_) | Op::Delete(_)) {
+                    entry = vers::passv(first + i as u32);
+                }
+                let results = Rc::clone(&results);
+                let sh = shared.clone();
+                tasks.push(task(move |ctx| async move {
+                    let r = op(&ctx, &sh, e, o).await;
+                    results.borrow_mut()[i] = Some(r);
+                }));
+            }
+            let report = m.run_tasks(tasks).expect("measurement deadlocked");
+            let got = Rc::try_unwrap(results)
+                .expect("tasks done")
+                .into_inner()
+                .into_iter()
+                .map(|r| r.expect("op recorded"))
+                .collect();
+            (report.cycles(), got)
+        },
+    )
+}
+
+/// Runs one irregular workload as the unversioned sequential baseline:
+/// the phases of [`run_per_op`], with the measured operations looping in
+/// one task.
+pub(crate) fn run_sequential<S: Clone + 'static>(
+    mcfg: MachineCfg,
+    cfg: &DsCfg,
+    setup: impl FnOnce(&Machine) -> S,
+    populate: impl AsyncFnOnce(&TaskCtx, &S, Vec<u32>) + 'static,
+    op: impl AsyncFn(&TaskCtx, &S, Op) -> OpResult + 'static,
+    final_keys: impl FnOnce(&MachineState, &S) -> Result<Vec<u32>, String>,
+) -> DsResult {
+    drive(
+        mcfg,
+        cfg,
+        setup,
+        populate,
+        final_keys,
+        |m, shared, ops, _| {
+            let results = Rc::new(RefCell::new(Vec::with_capacity(ops.len())));
+            let (sh, out) = (shared.clone(), Rc::clone(&results));
+            let report = m
+                .run_tasks(vec![task(move |ctx| async move {
+                    for o in ops {
+                        let r = op(&ctx, &sh, o).await;
+                        out.borrow_mut().push(r);
+                    }
+                })])
+                .expect("measurement");
+            (
+                report.cycles(),
+                Rc::try_unwrap(results).expect("task done").into_inner(),
+            )
+        },
+    )
+}
+
+/// The phases both drivers share. `measure` gets the machine, the shared
+/// handle, the operations and the population's pass version, and returns
+/// the measured cycles with the per-op results.
+fn drive<S: Clone + 'static>(
+    mcfg: MachineCfg,
+    cfg: &DsCfg,
+    setup: impl FnOnce(&Machine) -> S,
+    populate: impl AsyncFnOnce(&TaskCtx, &S, Vec<u32>) + 'static,
+    final_keys: impl FnOnce(&MachineState, &S) -> Result<Vec<u32>, String>,
+    measure: impl FnOnce(&mut Machine, &S, Vec<Op>, Version) -> (u64, Vec<OpResult>),
+) -> DsResult {
+    if let Err(detail) = cfg.check() {
+        return collect(&Machine::new(mcfg), 0, false, detail);
+    }
+    let initial = gen_initial(cfg);
+    let ops = gen_ops(cfg);
+    let (want_results, want_final) = replay_reference(&initial, &ops);
+
+    let mut m = Machine::new(mcfg);
+    let shared = setup(&m);
+    let pop_tid = m.next_tid();
+    let sh = shared.clone();
+    m.run_tasks(vec![task(move |ctx| async move {
+        populate(&ctx, &sh, initial).await
+    })])
+    .expect("population");
+    m.reset_stats();
+
+    let (cycles, got) = measure(&mut m, &shared, ops, vers::passv(pop_tid));
+    let (ok, detail) = match final_keys(&m.state().borrow(), &shared) {
+        Ok(keys) => validate(&got, &keys, &want_results, &want_final),
+        Err(detail) => (false, detail),
+    };
+    collect(&m, cycles, ok, detail)
+}
+
 /// Compares simulated per-op results and final keys against the reference.
 pub fn validate(
     got_results: &[OpResult],
@@ -334,6 +535,42 @@ mod tests {
             ]
         );
         assert_eq!(fin, vec![1, 2, 5]);
+    }
+
+    #[test]
+    fn ungeneratable_configs_fail_without_running() {
+        let too_many = DsCfg {
+            initial: 10,
+            key_space: 5,
+            ..cfg()
+        };
+        let no_keys = DsCfg {
+            initial: 0,
+            key_space: 0,
+            ..cfg()
+        };
+        for (bad, fields) in [
+            (too_many, ["initial", "key_space"]),
+            (no_keys, ["key_space", "ops"]),
+        ] {
+            let detail = bad.check().expect_err("config cannot be generated");
+            assert!(fields.iter().all(|f| detail.contains(f)), "{detail}");
+            for run in [
+                crate::btree::run_versioned,
+                crate::btree::run_unversioned,
+                crate::btree::run_rwlock,
+            ] {
+                let r = run(MachineCfg::paper(1), &bad);
+                assert!(!r.ok);
+                assert_eq!((r.cycles, r.detail.as_str()), (0, detail.as_str()));
+            }
+        }
+        let full = DsCfg {
+            initial: 5,
+            key_space: 5,
+            ..cfg()
+        };
+        assert_eq!(full.check(), Ok(()));
     }
 
     #[test]

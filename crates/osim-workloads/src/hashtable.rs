@@ -13,13 +13,10 @@
 //! versioned `next` cell. Bucket head cells are a contiguous run of
 //! versioned root words.
 
-use std::cell::RefCell;
-use std::rc::Rc;
-
-use osim_cpu::{task, Machine, MachineCfg, TaskCtx};
+use osim_cpu::{MachineCfg, MachineState, TaskCtx};
 use osim_uarch::Version;
 
-use crate::harness::{self, DsCfg, DsResult, Op, OpResult};
+use crate::harness::{self, peek_latest, peek_word, DsCfg, DsResult, Op, OpResult};
 use crate::vers;
 
 const NODE_BYTES: u32 = 8;
@@ -40,6 +37,7 @@ fn bucket_of(key: u32, buckets: u32) -> u32 {
     (key.wrapping_mul(0x9e37_79b9) >> 16) & (buckets - 1)
 }
 
+#[derive(Clone, Copy)]
 struct Table {
     order_cell: u32,
     bucket_base: u32,
@@ -61,7 +59,7 @@ async fn new_node(ctx: &TaskCtx, key: u32) -> (u32, u32) {
 }
 
 /// Population: one version per cell, chains sorted per bucket.
-async fn populate_versioned(ctx: TaskCtx, table: Rc<Table>, keys: Vec<u32>) {
+async fn populate_versioned(ctx: &TaskCtx, table: &Table, keys: Vec<u32>) {
     let pv = vers::passv(ctx.tid());
     let mut chains: Vec<Vec<u32>> = vec![Vec::new(); table.buckets as usize];
     for &k in &keys {
@@ -71,7 +69,7 @@ async fn populate_versioned(ctx: TaskCtx, table: Rc<Table>, keys: Vec<u32>) {
         chain.sort_unstable();
         let mut next = 0u32;
         for &key in chain.iter().rev() {
-            let (node, cell) = new_node(&ctx, key).await;
+            let (node, cell) = new_node(ctx, key).await;
             ctx.store_version(cell, pv, next).await;
             next = node;
         }
@@ -186,232 +184,148 @@ async fn read(ctx: &TaskCtx, table: &Table, entry: Version, key: u32) -> OpResul
     }
 }
 
-fn extract_versioned(m: &Machine, table: &Table) -> Vec<u32> {
-    let st = m.state();
-    let st = st.borrow();
-    let latest = |cell: u32| -> u32 {
-        st.omgr
-            .peek_latest(&st.ms, cell, u32::MAX)
-            .expect("valid cell")
-            .map(|(_, v)| v)
-            .unwrap_or(0)
-    };
-    let read = |va: u32| {
-        st.ms
-            .phys
-            .read_u32(st.ms.pt.translate_conventional(va).expect("mapped"))
-    };
+/// One operation of the versioned table (tables have no ordered scans:
+/// a scan looks its first key up).
+async fn versioned_op(ctx: &TaskCtx, table: &Table, entry: Version, op: Op) -> OpResult {
+    match op {
+        Op::Insert(_) | Op::Delete(_) => mutate(ctx, table, entry, op).await,
+        Op::Lookup(k) | Op::Scan(k, _) => read(ctx, table, entry, k).await,
+    }
+}
+
+fn extract_versioned(st: &MachineState, table: &Table) -> Result<Vec<u32>, String> {
     let mut out = Vec::new();
     for b in 0..table.buckets {
-        let mut cur = latest(table.bucket_base + 4 * b);
+        let mut cur = peek_latest(st, table.bucket_base + 4 * b).unwrap_or(0);
         while cur != 0 {
-            out.push(read(cur));
-            cur = latest(read(cur + 4));
+            out.push(peek_word(st, cur));
+            cur = peek_latest(st, peek_word(st, cur + 4)).unwrap_or(0);
         }
     }
     out.sort_unstable();
-    out
+    Ok(out)
 }
 
 /// Runs the versioned parallel hash table.
 pub fn run_versioned(mcfg: MachineCfg, cfg: &DsCfg) -> DsResult {
-    let initial = harness::gen_initial(cfg);
-    let ops = harness::gen_ops(cfg);
-    let (want_results, want_final) = harness::replay_reference(&initial, &ops);
-
-    let mut m = Machine::new(mcfg);
-    let table = {
-        let st = m.state();
-        let mut st = st.borrow_mut();
-        let s = &mut *st;
-        let buckets = n_buckets(cfg.initial);
-        let order_cell = s
-            .alloc
-            .alloc_root(&mut s.ms)
-            .expect("simulated RAM exhausted");
-        let bucket_base = (0..buckets)
-            .map(|_| {
-                s.alloc
-                    .alloc_root(&mut s.ms)
-                    .expect("simulated RAM exhausted")
-            })
-            .next()
-            .expect("at least one bucket");
-        // Reserve the remaining bucket cells contiguously.
-        for _ in 1..buckets {
-            s.alloc
-                .alloc_root(&mut s.ms)
-                .expect("simulated RAM exhausted");
-        }
-        Rc::new(Table {
-            order_cell,
-            bucket_base,
-            buckets,
-        })
-    };
-
-    let pop_tid = m.next_tid();
-    let keys = initial.clone();
-    let t2 = Rc::clone(&table);
-    m.run_tasks(vec![task(move |ctx| populate_versioned(ctx, t2, keys))])
-        .expect("population");
-    m.reset_stats();
-
-    let results: Rc<RefCell<Vec<Option<OpResult>>>> = Rc::new(RefCell::new(vec![None; ops.len()]));
-    let first = m.next_tid();
-    let mut entry = vers::passv(pop_tid);
-    let mut tasks = Vec::with_capacity(ops.len());
-    for (i, &op) in ops.iter().enumerate() {
-        let tid = first + i as u32;
-        let e = entry;
-        let is_write = matches!(op, Op::Insert(_) | Op::Delete(_));
-        if is_write {
-            entry = vers::passv(tid);
-        }
-        let results = Rc::clone(&results);
-        let table = Rc::clone(&table);
-        tasks.push(task(move |ctx| async move {
-            let r = match op {
-                Op::Insert(_) | Op::Delete(_) => mutate(&ctx, &table, e, op).await,
-                Op::Lookup(k) => read(&ctx, &table, e, k).await,
-                Op::Scan(k, _) => read(&ctx, &table, e, k).await, // tables have no ordered scans
-            };
-            results.borrow_mut()[i] = Some(r);
-        }));
-    }
-    let report = m.run_tasks(tasks).expect("measurement deadlocked");
-
-    let got: Vec<OpResult> = Rc::try_unwrap(results)
-        .expect("tasks done")
-        .into_inner()
-        .into_iter()
-        .map(|r| r.expect("op recorded"))
-        .collect();
-    let got_final = extract_versioned(&m, &table);
-    let (ok, detail) = harness::validate(&got, &got_final, &want_results, &want_final);
-    harness::collect(&m, report.cycles(), ok, detail)
+    let buckets = n_buckets(cfg.initial);
+    harness::run_per_op(
+        mcfg,
+        cfg,
+        |m| {
+            let order_cell = harness::alloc_roots(m, 1);
+            Table {
+                order_cell,
+                bucket_base: harness::alloc_roots(m, buckets),
+                buckets,
+            }
+        },
+        populate_versioned,
+        versioned_op,
+        extract_versioned,
+    )
 }
 
 // ----------------------------------------------------------------------
-// Unversioned sequential baseline
+// Unversioned sequential baseline: nodes are `{key, next}` pairs in
+// conventional memory, bucket heads a conventional array.
 // ----------------------------------------------------------------------
 
-/// Runs the unversioned sequential hash table: nodes are `{key, next}`
-/// pairs in conventional memory, bucket heads a conventional array.
-pub fn run_unversioned(mcfg: MachineCfg, cfg: &DsCfg) -> DsResult {
-    let initial = harness::gen_initial(cfg);
-    let ops = harness::gen_ops(cfg);
-    let (want_results, want_final) = harness::replay_reference(&initial, &ops);
+/// The unversioned table: `(bucket_base, buckets)`.
+type Plain = (u32, u32);
 
-    let mut m = Machine::new(mcfg);
-    let buckets = n_buckets(cfg.initial);
-    let bucket_base = {
-        let st = m.state();
-        let mut st = st.borrow_mut();
-        let s = &mut *st;
-        s.alloc
-            .alloc_data(&mut s.ms, buckets * 4)
-            .expect("simulated RAM exhausted")
-    };
-
-    let keys = initial.clone();
-    m.run_tasks(vec![task(move |ctx| async move {
-        let mut chains: Vec<Vec<u32>> = vec![Vec::new(); buckets as usize];
-        for &k in &keys {
-            chains[bucket_of(k, buckets) as usize].push(k);
+async fn populate_unversioned(ctx: &TaskCtx, &(bucket_base, buckets): &Plain, keys: Vec<u32>) {
+    let mut chains: Vec<Vec<u32>> = vec![Vec::new(); buckets as usize];
+    for &k in &keys {
+        chains[bucket_of(k, buckets) as usize].push(k);
+    }
+    for (b, chain) in chains.iter_mut().enumerate() {
+        chain.sort_unstable();
+        let mut next = 0u32;
+        for &key in chain.iter().rev() {
+            let node = ctx.malloc(NODE_BYTES).await;
+            ctx.store_u32(node, key).await;
+            ctx.store_u32(node + 4, next).await;
+            next = node;
         }
-        for (b, chain) in chains.iter_mut().enumerate() {
-            chain.sort_unstable();
-            let mut next = 0u32;
-            for &key in chain.iter().rev() {
+        ctx.store_u32(bucket_base + 4 * b as u32, next).await;
+    }
+}
+
+async fn unversioned_op(ctx: &TaskCtx, &(bucket_base, buckets): &Plain, op: Op) -> OpResult {
+    let key = match op {
+        Op::Lookup(k) | Op::Insert(k) | Op::Delete(k) | Op::Scan(k, _) => k,
+    };
+    ctx.work(OP_WORK + HASH_WORK).await;
+    let head = bucket_base + 4 * bucket_of(key, buckets);
+    // Walk to the first key >= target, keeping the edge.
+    let mut edge = head;
+    let mut cur = ctx.load_u32(head).await;
+    let mut cur_key = None;
+    while cur != 0 {
+        let k = ctx.load_u32(cur).await;
+        ctx.work(HOP_WORK).await;
+        if k >= key {
+            cur_key = Some(k);
+            break;
+        }
+        edge = cur + 4;
+        cur = ctx.load_u32(cur + 4).await;
+    }
+    match op {
+        Op::Lookup(k) | Op::Scan(k, _) => OpResult::Found(cur_key == Some(k)),
+        Op::Insert(k) => {
+            if cur_key == Some(k) {
+                OpResult::Inserted(false)
+            } else {
+                ctx.work(OP_WORK).await;
                 let node = ctx.malloc(NODE_BYTES).await;
-                ctx.store_u32(node, key).await;
-                ctx.store_u32(node + 4, next).await;
-                next = node;
-            }
-            ctx.store_u32(bucket_base + 4 * b as u32, next).await;
-        }
-    })])
-    .expect("population");
-    m.reset_stats();
-
-    let results: Rc<RefCell<Vec<OpResult>>> = Rc::new(RefCell::new(Vec::new()));
-    let ops2 = ops.clone();
-    let results2 = Rc::clone(&results);
-    let report = m
-        .run_tasks(vec![task(move |ctx| async move {
-            for &op in &ops2 {
-                let key = match op {
-                    Op::Lookup(k) | Op::Insert(k) | Op::Delete(k) | Op::Scan(k, _) => k,
-                };
-                ctx.work(OP_WORK + HASH_WORK).await;
-                let head = bucket_base + 4 * bucket_of(key, buckets);
-                // Walk to the first key >= target, keeping the edge.
-                let mut edge = head;
-                let mut cur = ctx.load_u32(head).await;
-                let mut cur_key = None;
-                while cur != 0 {
-                    let k = ctx.load_u32(cur).await;
-                    ctx.work(HOP_WORK).await;
-                    if k >= key {
-                        cur_key = Some(k);
-                        break;
-                    }
-                    edge = cur + 4;
-                    cur = ctx.load_u32(cur + 4).await;
-                }
-                let r = match op {
-                    Op::Lookup(k) | Op::Scan(k, _) => OpResult::Found(cur_key == Some(k)),
-                    Op::Insert(k) => {
-                        if cur_key == Some(k) {
-                            OpResult::Inserted(false)
-                        } else {
-                            ctx.work(OP_WORK).await;
-                            let node = ctx.malloc(NODE_BYTES).await;
-                            ctx.store_u32(node, k).await;
-                            ctx.store_u32(node + 4, cur).await;
-                            ctx.store_u32(edge, node).await;
-                            OpResult::Inserted(true)
-                        }
-                    }
-                    Op::Delete(k) => {
-                        if cur_key == Some(k) {
-                            ctx.work(OP_WORK).await;
-                            let next = ctx.load_u32(cur + 4).await;
-                            ctx.store_u32(edge, next).await;
-                            OpResult::Deleted(true)
-                        } else {
-                            OpResult::Deleted(false)
-                        }
-                    }
-                };
-                results2.borrow_mut().push(r);
-            }
-        })])
-        .expect("measurement");
-
-    let got = Rc::try_unwrap(results).expect("task done").into_inner();
-    let got_final = {
-        let st = m.state();
-        let st = st.borrow();
-        let read = |va: u32| {
-            st.ms
-                .phys
-                .read_u32(st.ms.pt.translate_conventional(va).expect("mapped"))
-        };
-        let mut out = Vec::new();
-        for b in 0..buckets {
-            let mut cur = read(bucket_base + 4 * b);
-            while cur != 0 {
-                out.push(read(cur));
-                cur = read(cur + 4);
+                ctx.store_u32(node, k).await;
+                ctx.store_u32(node + 4, cur).await;
+                ctx.store_u32(edge, node).await;
+                OpResult::Inserted(true)
             }
         }
-        out.sort_unstable();
-        out
-    };
-    let (ok, detail) = harness::validate(&got, &got_final, &want_results, &want_final);
-    harness::collect(&m, report.cycles(), ok, detail)
+        Op::Delete(k) => {
+            if cur_key == Some(k) {
+                ctx.work(OP_WORK).await;
+                let next = ctx.load_u32(cur + 4).await;
+                ctx.store_u32(edge, next).await;
+                OpResult::Deleted(true)
+            } else {
+                OpResult::Deleted(false)
+            }
+        }
+    }
+}
+
+fn extract_unversioned(
+    st: &MachineState,
+    &(bucket_base, buckets): &Plain,
+) -> Result<Vec<u32>, String> {
+    let mut out = Vec::new();
+    for b in 0..buckets {
+        let mut cur = peek_word(st, bucket_base + 4 * b);
+        while cur != 0 {
+            out.push(peek_word(st, cur));
+            cur = peek_word(st, cur + 4);
+        }
+    }
+    out.sort_unstable();
+    Ok(out)
+}
+
+/// Runs the unversioned sequential hash table.
+pub fn run_unversioned(mcfg: MachineCfg, cfg: &DsCfg) -> DsResult {
+    let buckets = n_buckets(cfg.initial);
+    harness::run_sequential(
+        mcfg,
+        cfg,
+        |m| (harness::alloc_data(m, buckets * 4), buckets),
+        populate_unversioned,
+        unversioned_op,
+        extract_unversioned,
+    )
 }
 
 #[cfg(test)]

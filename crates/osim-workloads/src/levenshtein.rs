@@ -12,7 +12,7 @@ use std::rc::Rc;
 
 use osim_cpu::{task, Machine, MachineCfg, TaskCtx};
 
-use crate::harness::{self, DsResult};
+use crate::harness::{self, peek_latest, peek_word, DsResult};
 
 const IVER: u32 = 1;
 /// Instruction budget per DP cell (two compares, one add, a select).
@@ -101,37 +101,15 @@ async fn row_task(ctx: TaskCtx, l: Rc<Layout>, i: u32) {
 
 fn run_common(mut m: Machine, cfg: &LevCfg, versioned: bool) -> DsResult {
     let n = cfg.len as u32;
-    let layout = {
-        let st = m.state();
-        let mut st = st.borrow_mut();
-        let s = &mut *st;
-        let a = s
-            .alloc
-            .alloc_data(&mut s.ms, n * 4)
-            .expect("simulated RAM exhausted");
-        let b = s
-            .alloc
-            .alloc_data(&mut s.ms, n * 4)
-            .expect("simulated RAM exhausted");
-        let cells = (n + 1) * (n + 1);
-        let d = if versioned {
-            let first = s
-                .alloc
-                .alloc_root(&mut s.ms)
-                .expect("simulated RAM exhausted");
-            for _ in 1..cells {
-                s.alloc
-                    .alloc_root(&mut s.ms)
-                    .expect("simulated RAM exhausted");
-            }
-            first
-        } else {
-            s.alloc
-                .alloc_data(&mut s.ms, cells * 4)
-                .expect("simulated RAM exhausted")
-        };
-        Rc::new(Layout { a, b, d, len: n })
+    let a = harness::alloc_data(&m, n * 4);
+    let b = harness::alloc_data(&m, n * 4);
+    let cells = (n + 1) * (n + 1);
+    let d = if versioned {
+        harness::alloc_roots(&m, cells)
+    } else {
+        harness::alloc_data(&m, cells * 4)
     };
+    let layout = Rc::new(Layout { a, b, d, len: n });
 
     // Population: the strings and the base row D[0][*].
     let (sa, sb) = (gen_string(cfg, 0), gen_string(cfg, 1));
@@ -194,15 +172,9 @@ fn run_common(mut m: Machine, cfg: &LevCfg, versioned: bool) -> DsResult {
         let st = st.borrow();
         let cell = layout.cell(n, n);
         if versioned {
-            st.omgr
-                .peek_latest(&st.ms, cell, u32::MAX)
-                .expect("valid cell")
-                .map(|(_, v)| v)
-                .unwrap_or(u32::MAX)
+            peek_latest(&st, cell).unwrap_or(u32::MAX)
         } else {
-            st.ms
-                .phys
-                .read_u32(st.ms.pt.translate_conventional(cell).expect("mapped"))
+            peek_word(&st, cell)
         }
     };
     let ok = got == want;

@@ -23,7 +23,9 @@
 //! them on a host-side reference to get the sequential semantics, and
 //! checks the simulated run (including every lookup/scan result) against
 //! it — the "output identical to a sequential execution" property of
-//! §IV-D.
+//! §IV-D. Its two drivers, `run_per_op` (versioned) and `run_sequential`
+//! (unversioned), run every irregular structure; a structure supplies only
+//! its setup, population, operation and final-keys hooks.
 //!
 //! Version-id discipline: see [`vers`]. Task ids map to version *slots* of
 //! 16, so one task can write a cell several times (red-black rotations),

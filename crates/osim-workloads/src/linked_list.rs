@@ -12,13 +12,10 @@
 //! (no lock) and traverse with `LOAD-LATEST` capped at their own slot,
 //! giving them a consistent snapshot of the list as of their program point.
 
-use std::cell::RefCell;
-use std::rc::Rc;
-
-use osim_cpu::{task, Machine, MachineCfg, TaskCtx};
+use osim_cpu::{MachineCfg, MachineState, TaskCtx};
 use osim_uarch::Version;
 
-use crate::harness::{self, DsCfg, DsResult, Op, OpResult};
+use crate::harness::{self, peek_latest, peek_word, DsCfg, DsResult, Op, OpResult};
 use crate::vers;
 
 const NODE_BYTES: u32 = 8;
@@ -35,17 +32,35 @@ async fn new_node(ctx: &TaskCtx, key: u32) -> (u32, u32) {
     (node, cell)
 }
 
+/// The versioned list's cells: the head cell, and whether mutators rename
+/// every cell they pass (see [`run_versioned_with`]).
+#[derive(Clone, Copy)]
+struct List {
+    head_cell: u32,
+    rename_on_pass: bool,
+}
+
 /// Builds the initial list (population phase, single task).
-async fn populate_versioned(ctx: TaskCtx, head_cell: u32, mut keys: Vec<u32>) {
+async fn populate_versioned(ctx: &TaskCtx, list: &List, mut keys: Vec<u32>) {
     keys.sort_unstable();
     let pv = vers::passv(ctx.tid());
     let mut next = 0u32;
     for &key in keys.iter().rev() {
-        let (node, cell) = new_node(&ctx, key).await;
+        let (node, cell) = new_node(ctx, key).await;
         ctx.store_version(cell, pv, next).await;
         next = node;
     }
-    ctx.store_version(head_cell, pv, next).await;
+    ctx.store_version(list.head_cell, pv, next).await;
+}
+
+/// One operation of the versioned list.
+async fn versioned_op(ctx: &TaskCtx, list: &List, entry: Version, op: Op) -> OpResult {
+    match op {
+        Op::Insert(_) | Op::Delete(_) => {
+            mutate(ctx, list.head_cell, entry, op, list.rename_on_pass).await
+        }
+        Op::Lookup(_) | Op::Scan(..) => read(ctx, list.head_cell, entry, op).await,
+    }
 }
 
 /// A mutating task: hand-over-hand descent, then insert/delete at the
@@ -206,25 +221,14 @@ async fn read(ctx: &TaskCtx, head_cell: u32, entry: Version, op: Op) -> OpResult
 }
 
 /// Reads the final list contents without touching timing state.
-fn extract_versioned(m: &Machine, head_cell: u32) -> Vec<u32> {
-    let st = m.state();
-    let st = st.borrow();
-    let latest = |cell: u32| -> u32 {
-        st.omgr
-            .peek_latest(&st.ms, cell, u32::MAX)
-            .expect("valid cell")
-            .map(|(_, v)| v)
-            .unwrap_or(0)
-    };
+fn extract_versioned(st: &MachineState, list: &List) -> Result<Vec<u32>, String> {
     let mut out = Vec::new();
-    let mut cur = latest(head_cell);
+    let mut cur = peek_latest(st, list.head_cell).unwrap_or(0);
     while cur != 0 {
-        let pa = st.ms.pt.translate_conventional(cur).expect("node mapped");
-        out.push(st.ms.phys.read_u32(pa));
-        let cell = st.ms.phys.read_u32(pa + 4);
-        cur = latest(cell);
+        out.push(peek_word(st, cur));
+        cur = peek_latest(st, peek_word(st, cur + 4)).unwrap_or(0);
     }
-    out
+    Ok(out)
 }
 
 /// Runs the versioned parallel list on the given machine configuration
@@ -238,69 +242,24 @@ pub fn run_versioned(mcfg: MachineCfg, cfg: &DsCfg) -> DsResult {
 /// pass version, generating the version churn the §IV-F garbage-collection
 /// experiment measures.
 pub fn run_versioned_with(mcfg: MachineCfg, cfg: &DsCfg, rename_on_pass: bool) -> DsResult {
-    let initial = harness::gen_initial(cfg);
-    let ops = harness::gen_ops(cfg);
-    let (want_results, want_final) = harness::replay_reference(&initial, &ops);
-
-    let mut m = Machine::new(mcfg);
-    let head_cell = {
-        let st = m.state();
-        let mut st = st.borrow_mut();
-        let s = &mut *st;
-        s.alloc
-            .alloc_root(&mut s.ms)
-            .expect("simulated RAM exhausted")
-    };
-
-    // Population phase (excluded from measurement).
-    let pop_tid = m.next_tid();
-    let keys = initial.clone();
-    m.run_tasks(vec![task(move |ctx| {
-        populate_versioned(ctx, head_cell, keys)
-    })])
-    .expect("population");
-    m.reset_stats();
-
-    // Measurement phase: one task per operation.
-    let results: Rc<RefCell<Vec<Option<OpResult>>>> = Rc::new(RefCell::new(vec![None; ops.len()]));
-    let first = m.next_tid();
-    let mut entry = vers::passv(pop_tid);
-    let mut tasks = Vec::with_capacity(ops.len());
-    for (i, &op) in ops.iter().enumerate() {
-        let tid = first + i as u32;
-        let e = entry;
-        let is_write = matches!(op, Op::Insert(_) | Op::Delete(_));
-        if is_write {
-            entry = vers::passv(tid);
-        }
-        let results = Rc::clone(&results);
-        tasks.push(task(move |ctx| async move {
-            let r = if is_write {
-                mutate(&ctx, head_cell, e, op, rename_on_pass).await
-            } else {
-                read(&ctx, head_cell, e, op).await
-            };
-            results.borrow_mut()[i] = Some(r);
-        }));
-    }
-    let report = m.run_tasks(tasks).expect("measurement deadlocked");
-
-    let got: Vec<OpResult> = Rc::try_unwrap(results)
-        .expect("all tasks done")
-        .into_inner()
-        .into_iter()
-        .map(|r| r.expect("every op recorded"))
-        .collect();
-    let got_final = extract_versioned(&m, head_cell);
-    let (ok, detail) = harness::validate(&got, &got_final, &want_results, &want_final);
-    harness::collect(&m, report.cycles(), ok, detail)
+    harness::run_per_op(
+        mcfg,
+        cfg,
+        |m| List {
+            head_cell: harness::alloc_roots(m, 1),
+            rename_on_pass,
+        },
+        populate_versioned,
+        versioned_op,
+        extract_versioned,
+    )
 }
 
 // ----------------------------------------------------------------------
 // Unversioned sequential baseline
 // ----------------------------------------------------------------------
 
-async fn unversioned_op(ctx: &TaskCtx, head: u32, op: Op) -> OpResult {
+async fn unversioned_op(ctx: &TaskCtx, &head: &u32, op: Op) -> OpResult {
     let key = match op {
         Op::Lookup(k) | Op::Insert(k) | Op::Delete(k) | Op::Scan(k, _) => k,
     };
@@ -358,71 +317,39 @@ async fn unversioned_op(ctx: &TaskCtx, head: u32, op: Op) -> OpResult {
     }
 }
 
-fn extract_unversioned(m: &Machine, head: u32) -> Vec<u32> {
-    let st = m.state();
-    let st = st.borrow();
-    let read = |va: u32| {
-        st.ms
-            .phys
-            .read_u32(st.ms.pt.translate_conventional(va).expect("mapped"))
-    };
-    let mut out = Vec::new();
-    let mut cur = read(head);
-    while cur != 0 {
-        out.push(read(cur));
-        cur = read(cur + 4);
+/// Population: sequential inserts in sorted order (cheap to build).
+async fn populate_unversioned(ctx: &TaskCtx, &head: &u32, mut keys: Vec<u32>) {
+    keys.sort_unstable();
+    let mut next = 0u32;
+    for &key in keys.iter().rev() {
+        let node = ctx.malloc(NODE_BYTES).await;
+        ctx.store_u32(node, key).await;
+        ctx.store_u32(node + 4, next).await;
+        next = node;
     }
-    out
+    ctx.store_u32(head, next).await;
+}
+
+fn extract_unversioned(st: &MachineState, &head: &u32) -> Result<Vec<u32>, String> {
+    let mut out = Vec::new();
+    let mut cur = peek_word(st, head);
+    while cur != 0 {
+        out.push(peek_word(st, cur));
+        cur = peek_word(st, cur + 4);
+    }
+    Ok(out)
 }
 
 /// Runs the unversioned list, all operations in one sequential task.
 pub fn run_unversioned(mcfg: MachineCfg, cfg: &DsCfg) -> DsResult {
-    let initial = harness::gen_initial(cfg);
-    let ops = harness::gen_ops(cfg);
-    let (want_results, want_final) = harness::replay_reference(&initial, &ops);
-
-    let mut m = Machine::new(mcfg);
-    let head = {
-        let st = m.state();
-        let mut st = st.borrow_mut();
-        let s = &mut *st;
-        s.alloc
-            .alloc_data(&mut s.ms, 4)
-            .expect("simulated RAM exhausted")
-    };
-
-    // Population: sequential inserts in sorted order (cheap to build).
-    let mut keys = initial.clone();
-    keys.sort_unstable();
-    m.run_tasks(vec![task(move |ctx| async move {
-        let mut next = 0u32;
-        for &key in keys.iter().rev() {
-            let node = ctx.malloc(NODE_BYTES).await;
-            ctx.store_u32(node, key).await;
-            ctx.store_u32(node + 4, next).await;
-            next = node;
-        }
-        ctx.store_u32(head, next).await;
-    })])
-    .expect("population");
-    m.reset_stats();
-
-    let results: Rc<RefCell<Vec<OpResult>>> = Rc::new(RefCell::new(Vec::new()));
-    let ops2 = ops.clone();
-    let results2 = Rc::clone(&results);
-    let report = m
-        .run_tasks(vec![task(move |ctx| async move {
-            for &op in &ops2 {
-                let r = unversioned_op(&ctx, head, op).await;
-                results2.borrow_mut().push(r);
-            }
-        })])
-        .expect("measurement");
-
-    let got = Rc::try_unwrap(results).expect("task done").into_inner();
-    let got_final = extract_unversioned(&m, head);
-    let (ok, detail) = harness::validate(&got, &got_final, &want_results, &want_final);
-    harness::collect(&m, report.cycles(), ok, detail)
+    harness::run_sequential(
+        mcfg,
+        cfg,
+        |m| harness::alloc_data(m, 4),
+        populate_unversioned,
+        unversioned_op,
+        extract_unversioned,
+    )
 }
 
 #[cfg(test)]

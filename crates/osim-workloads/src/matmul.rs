@@ -15,7 +15,7 @@ use std::rc::Rc;
 
 use osim_cpu::{task, Machine, MachineCfg, TaskCtx};
 
-use crate::harness::{self, DsResult};
+use crate::harness::{self, peek_word, DsResult};
 
 /// Version used for every I-structure element.
 const IVER: u32 = 1;
@@ -125,45 +125,19 @@ async fn r_row(ctx: TaskCtx, l: Rc<Layout>, i: u32) {
 
 fn run_common(mut m: Machine, cfg: &MatmulCfg, versioned: bool) -> DsResult {
     let n = cfg.n as u32;
-    let layout = {
-        let st = m.state();
-        let mut st = st.borrow_mut();
-        let s = &mut *st;
-        let words = n * n * 4;
-        let a = s
-            .alloc
-            .alloc_data(&mut s.ms, words)
-            .expect("simulated RAM exhausted");
-        let b = s
-            .alloc
-            .alloc_data(&mut s.ms, words)
-            .expect("simulated RAM exhausted");
-        let c = s
-            .alloc
-            .alloc_data(&mut s.ms, words)
-            .expect("simulated RAM exhausted");
-        let r = s
-            .alloc
-            .alloc_data(&mut s.ms, words)
-            .expect("simulated RAM exhausted");
-        let t = if versioned {
-            let first = s
-                .alloc
-                .alloc_root(&mut s.ms)
-                .expect("simulated RAM exhausted");
-            for _ in 1..(n * n) {
-                s.alloc
-                    .alloc_root(&mut s.ms)
-                    .expect("simulated RAM exhausted");
-            }
-            first
-        } else {
-            s.alloc
-                .alloc_data(&mut s.ms, words)
-                .expect("simulated RAM exhausted")
-        };
-        Rc::new(Layout { a, b, c, r, t, n })
+    let words = n * n * 4;
+    let (a, b, c, r) = (
+        harness::alloc_data(&m, words),
+        harness::alloc_data(&m, words),
+        harness::alloc_data(&m, words),
+        harness::alloc_data(&m, words),
+    );
+    let t = if versioned {
+        harness::alloc_roots(&m, n * n)
+    } else {
+        harness::alloc_data(&m, words)
     };
+    let layout = Rc::new(Layout { a, b, c, r, t, n });
 
     // Population: write the inputs.
     let (ma, mb, mc) = (gen_matrix(cfg, 0), gen_matrix(cfg, 1), gen_matrix(cfg, 2));
@@ -228,22 +202,11 @@ fn run_common(mut m: Machine, cfg: &MatmulCfg, versioned: bool) -> DsResult {
     let (ok, detail) = {
         let st = m.state();
         let st = st.borrow();
-        let mut ok = true;
-        let mut detail = String::new();
-        for (i, &w) in want.iter().enumerate() {
-            let pa = st
-                .ms
-                .pt
-                .translate_conventional(layout.r + 4 * i as u32)
-                .expect("mapped");
-            let got = st.ms.phys.read_u32(pa);
-            if got != w {
-                ok = false;
-                detail = format!("R[{i}] = {got}, expected {w}");
-                break;
-            }
+        let r_at = |i: usize| peek_word(&st, layout.r + 4 * i as u32);
+        match want.iter().enumerate().find(|&(i, &w)| r_at(i) != w) {
+            Some((i, w)) => (false, format!("R[{i}] = {}, expected {w}", r_at(i))),
+            None => (true, String::new()),
         }
-        (ok, detail)
     };
     harness::collect(&m, report.cycles(), ok, detail)
 }

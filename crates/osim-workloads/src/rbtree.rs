@@ -35,10 +35,10 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use osim_cpu::{task, Machine, MachineCfg, TaskCtx};
+use osim_cpu::{MachineCfg, MachineState, TaskCtx};
 use osim_uarch::Version;
 
-use crate::harness::{self, DsCfg, DsResult, Op, OpResult};
+use crate::harness::{self, peek_latest, peek_word, DsCfg, DsResult, Op, OpResult};
 use crate::vers;
 
 const NODE_BYTES: u32 = 16;
@@ -416,6 +416,11 @@ use persistent::{Arena, Color, NIL};
 /// color encoded as stored at `+4` (0 = red, 1 = black).
 type Entry = (Option<u32>, Option<u32>, u32);
 
+/// Builds the tree sequential insertion of `keys` produces; returns its root.
+fn build(arena: &mut Arena, keys: &[u32]) -> usize {
+    keys.iter().fold(NIL, |root, &k| arena.insert(root, k).0)
+}
+
 fn key_at(arena: &Arena, i: usize) -> Option<u32> {
     (i != NIL).then(|| arena.nodes[i].key)
 }
@@ -618,7 +623,7 @@ async fn descend_traffic(ctx: &TaskCtx, sh: &Rc<RefCell<RbShared>>, key: u32) {
 }
 
 /// One writer operation, fully serialized on the order cell.
-async fn write_op(ctx: &TaskCtx, sh: Rc<RefCell<RbShared>>, entry: Version, op: Op) -> OpResult {
+async fn write_op(ctx: &TaskCtx, sh: &Rc<RefCell<RbShared>>, entry: Version, op: Op) -> OpResult {
     let tid = ctx.tid();
     let pass = vers::passv(tid);
     let (order_cell, hold) = {
@@ -633,7 +638,7 @@ async fn write_op(ctx: &TaskCtx, sh: Rc<RefCell<RbShared>>, entry: Version, op: 
         Op::Insert(k) | Op::Delete(k) => k,
         _ => unreachable!("write_op with read op"),
     };
-    descend_traffic(ctx, &sh, key).await;
+    descend_traffic(ctx, sh, key).await;
 
     let (new_root, result) = {
         let mut s = sh.borrow_mut();
@@ -655,7 +660,7 @@ async fn write_op(ctx: &TaskCtx, sh: Rc<RefCell<RbShared>>, entry: Version, op: 
     };
 
     if new_root != sh.borrow().root {
-        apply_diff(ctx, &sh, new_root, vers::modv(tid, 0)).await;
+        apply_diff(ctx, sh, new_root, vers::modv(tid, 0)).await;
     }
 
     match hold {
@@ -740,133 +745,83 @@ async fn scan(
     OpResult::Scanned(out)
 }
 
-fn extract_versioned(m: &Machine, root_cell: u32) -> Vec<u32> {
-    let st = m.state();
-    let st = st.borrow();
-    let latest = |cell: u32| -> u32 {
-        st.omgr
-            .peek_latest(&st.ms, cell, u32::MAX)
-            .expect("valid cell")
-            .map(|(_, v)| v)
-            .unwrap_or(0)
+/// Population: builds the initial tree in the arena, then materializes it
+/// as the diff from the empty tree.
+async fn populate_versioned(ctx: &TaskCtx, sh: &Rc<RefCell<RbShared>>, keys: Vec<u32>) {
+    let pv = vers::passv(ctx.tid());
+    let root = build(&mut sh.borrow_mut().arena, &keys);
+    apply_diff(ctx, sh, root, pv).await;
+    let (root_cell, order_cell, empty) = {
+        let s = sh.borrow();
+        (s.root_cell, s.order_cell, s.root == NIL)
     };
-    let read = |va: u32| {
-        st.ms
-            .phys
-            .read_u32(st.ms.pt.translate_conventional(va).expect("mapped"))
-    };
+    if empty {
+        ctx.store_version(root_cell, pv, 0).await;
+    }
+    ctx.store_version(order_cell, pv, 0).await;
+}
+
+/// One operation of the versioned tree.
+async fn versioned_op(
+    ctx: &TaskCtx,
+    sh: &Rc<RefCell<RbShared>>,
+    entry: Version,
+    op: Op,
+) -> OpResult {
+    match op {
+        Op::Insert(_) | Op::Delete(_) => write_op(ctx, sh, entry, op).await,
+        Op::Lookup(k) => lookup(ctx, sh, entry, k).await,
+        Op::Scan(k, n) => scan(ctx, sh, entry, k, n).await,
+    }
+}
+
+/// The final keys in simulated memory, checked against the mirror arena
+/// and the red-black invariants.
+fn extract_versioned(st: &MachineState, sh: &Rc<RefCell<RbShared>>) -> Result<Vec<u32>, String> {
+    let s = sh.borrow();
     let mut out = Vec::new();
-    let mut stack = vec![latest(root_cell)];
-    while let Some(n) = stack.pop() {
-        if n == 0 {
-            continue;
+    let mut stack = vec![peek_latest(st, s.root_cell)];
+    while let Some(node) = stack.pop() {
+        // Zero, like a cell with no version, is the null pointer.
+        if let Some(n @ 1..) = node {
+            out.push(peek_word(st, n));
+            stack.push(peek_latest(st, peek_word(st, n + 8)));
+            stack.push(peek_latest(st, peek_word(st, n + 12)));
         }
-        out.push(read(n));
-        stack.push(latest(read(n + 8)));
-        stack.push(latest(read(n + 12)));
     }
     out.sort_unstable();
-    out
+    if s.arena.keys(s.root) != out {
+        return Err("mirror arena diverged from simulated memory".into());
+    }
+    s.arena
+        .check_invariants(s.root)
+        .map_err(|e| format!("red-black invariant violated: {e}"))?;
+    Ok(out)
 }
 
 /// Runs the versioned red-black tree with the given lock-hold policy.
 pub fn run_versioned_with(mcfg: MachineCfg, cfg: &DsCfg, hold: LockHold) -> DsResult {
-    let initial = harness::gen_initial(cfg);
-    let ops = harness::gen_ops(cfg);
-    let (want_results, want_final) = harness::replay_reference(&initial, &ops);
-
-    let mut m = Machine::new(mcfg);
-    let (root_cell, order_cell) = {
-        let st = m.state();
-        let mut st = st.borrow_mut();
-        let s = &mut *st;
-        (
-            s.alloc
-                .alloc_root(&mut s.ms)
-                .expect("simulated RAM exhausted"),
-            s.alloc
-                .alloc_root(&mut s.ms)
-                .expect("simulated RAM exhausted"),
-        )
-    };
-
-    // Build the initial tree in the arena, then materialize it.
-    let mut arena = Arena::default();
-    let mut root = NIL;
-    for &k in &initial {
-        let (nr, _) = arena.insert(root, k);
-        root = nr;
-    }
-    let sh = Rc::new(RefCell::new(RbShared {
-        arena,
-        // Population applies the diff from the empty tree, with no node
-        // shared.
-        root: NIL,
-        shared_below: 0,
-        root_cell,
-        order_cell,
-        hold,
-        phys: std::collections::HashMap::new(),
-    }));
-
-    let pop_tid = m.next_tid();
-    let sh2 = Rc::clone(&sh);
-    m.run_tasks(vec![task(move |ctx| async move {
-        let pv = vers::passv(ctx.tid());
-        apply_diff(&ctx, &sh2, root, pv).await;
-        if sh2.borrow().root == NIL {
-            ctx.store_version(root_cell, pv, 0).await;
-        }
-        ctx.store_version(order_cell, pv, 0).await;
-    })])
-    .expect("population");
-    m.reset_stats();
-
-    let results: Rc<RefCell<Vec<Option<OpResult>>>> = Rc::new(RefCell::new(vec![None; ops.len()]));
-    let first = m.next_tid();
-    let mut entry = vers::passv(pop_tid);
-    let mut tasks = Vec::with_capacity(ops.len());
-    for (i, &op) in ops.iter().enumerate() {
-        let tid = first + i as u32;
-        let e = entry;
-        let is_write = matches!(op, Op::Insert(_) | Op::Delete(_));
-        if is_write {
-            entry = vers::passv(tid);
-        }
-        let results = Rc::clone(&results);
-        let sh = Rc::clone(&sh);
-        tasks.push(task(move |ctx| async move {
-            let r = match op {
-                Op::Insert(_) | Op::Delete(_) => write_op(&ctx, sh, e, op).await,
-                Op::Lookup(k) => lookup(&ctx, &sh, e, k).await,
-                Op::Scan(k, n) => scan(&ctx, &sh, e, k, n).await,
-            };
-            results.borrow_mut()[i] = Some(r);
-        }));
-    }
-    let report = m.run_tasks(tasks).expect("measurement deadlocked");
-
-    let got: Vec<OpResult> = Rc::try_unwrap(results)
-        .expect("tasks done")
-        .into_inner()
-        .into_iter()
-        .map(|r| r.expect("op recorded"))
-        .collect();
-    let got_final = extract_versioned(&m, root_cell);
-    let (mut ok, mut detail) = harness::validate(&got, &got_final, &want_results, &want_final);
-    // Mirror/memory agreement plus the red-black invariants.
-    {
-        let s = sh.borrow();
-        let mirror_keys = s.arena.keys(s.root);
-        if mirror_keys != got_final {
-            ok = false;
-            detail = "mirror arena diverged from simulated memory".into();
-        } else if let Err(e) = s.arena.check_invariants(s.root) {
-            ok = false;
-            detail = format!("red-black invariant violated: {e}");
-        }
-    }
-    harness::collect(&m, report.cycles(), ok, detail)
+    harness::run_per_op(
+        mcfg,
+        cfg,
+        |m| {
+            let root_cell = harness::alloc_roots(m, 1);
+            Rc::new(RefCell::new(RbShared {
+                arena: Arena::default(),
+                // Population applies the diff from the empty tree, with no
+                // node shared.
+                root: NIL,
+                shared_below: 0,
+                root_cell,
+                order_cell: harness::alloc_roots(m, 1),
+                hold,
+                phys: std::collections::HashMap::new(),
+            }))
+        },
+        populate_versioned,
+        versioned_op,
+        extract_versioned,
+    )
 }
 
 /// Runs the versioned red-black tree with the optimized (short) hold.
@@ -878,129 +833,93 @@ pub fn run_versioned(mcfg: MachineCfg, cfg: &DsCfg) -> DsResult {
 /// in-place conventional updates (the shape diff is applied by overwriting
 /// node words instead of creating versions).
 pub fn run_unversioned(mcfg: MachineCfg, cfg: &DsCfg) -> DsResult {
-    let initial = harness::gen_initial(cfg);
-    let ops = harness::gen_ops(cfg);
-    let (want_results, want_final) = harness::replay_reference(&initial, &ops);
+    harness::run_sequential(
+        mcfg,
+        cfg,
+        |m| {
+            Rc::new(RefCell::new(UnvShared {
+                arena: Arena::default(),
+                root: NIL,
+                shared_below: 0,
+                root_word: harness::alloc_data(m, 4),
+                phys: std::collections::HashMap::new(),
+            }))
+        },
+        async |ctx, sh, keys| {
+            let root = build(&mut sh.borrow_mut().arena, &keys);
+            apply_diff_unversioned(ctx, sh, root).await;
+        },
+        unversioned_op,
+        |_, sh| {
+            let s = sh.borrow();
+            Ok(s.arena.keys(s.root))
+        },
+    )
+}
 
-    let mut m = Machine::new(mcfg);
-    let root_word = {
-        let st = m.state();
-        let mut st = st.borrow_mut();
-        let s = &mut *st;
-        s.alloc
-            .alloc_data(&mut s.ms, 4)
-            .expect("simulated RAM exhausted")
+/// One operation of the unversioned tree: the descent's read traffic,
+/// then the arena decides and any change is written in place.
+async fn unversioned_op(ctx: &TaskCtx, sh: &Rc<RefCell<UnvShared>>, op: Op) -> OpResult {
+    ctx.work(OP_WORK).await;
+    let key = match op {
+        Op::Lookup(k) | Op::Insert(k) | Op::Delete(k) | Op::Scan(k, _) => k,
     };
-
-    let mut arena = Arena::default();
-    let mut root = NIL;
-    for &k in &initial {
-        let (nr, _) = arena.insert(root, k);
-        root = nr;
+    // Read traffic: descend to the key.
+    let root_word = sh.borrow().root_word;
+    let mut cur = ctx.load_u32(root_word).await;
+    while cur != 0 {
+        let k = ctx.load_u32(cur).await;
+        ctx.work(HOP_WORK).await;
+        if k == key {
+            break;
+        }
+        cur = ctx.load_u32(cur + if key < k { 8 } else { 12 }).await;
     }
-    let sh = Rc::new(RefCell::new(UnvShared {
-        arena,
-        root: NIL,
-        shared_below: 0,
-        root_word,
-        phys: std::collections::HashMap::new(),
-    }));
-
-    // Population: apply the diff from the empty tree.
-    let sh2 = Rc::clone(&sh);
-    m.run_tasks(vec![task(move |ctx| async move {
-        apply_diff_unversioned(&ctx, &sh2, root).await;
-    })])
-    .expect("population");
-    m.reset_stats();
-
-    let results: Rc<RefCell<Vec<OpResult>>> = Rc::new(RefCell::new(Vec::new()));
-    let ops2 = ops.clone();
-    let results2 = Rc::clone(&results);
-    let sh3 = Rc::clone(&sh);
-    let report = m
-        .run_tasks(vec![task(move |ctx| async move {
-            for &op in &ops2 {
-                ctx.work(OP_WORK).await;
-                let key = match op {
-                    Op::Lookup(k) | Op::Insert(k) | Op::Delete(k) | Op::Scan(k, _) => k,
-                };
-                // Read traffic: descend to the key.
-                {
-                    let mut cur = ctx.load_u32(root_word).await;
-                    while cur != 0 {
-                        let k = ctx.load_u32(cur).await;
-                        ctx.work(HOP_WORK).await;
-                        if k == key {
-                            break;
-                        }
-                        cur = ctx.load_u32(cur + if key < k { 8 } else { 12 }).await;
-                    }
-                }
-                let r = match op {
-                    Op::Lookup(k) => {
-                        let found = {
-                            let s = sh3.borrow();
-                            s.arena.contains(s.root, k)
-                        };
-                        OpResult::Found(found)
-                    }
-                    Op::Scan(k, n) => {
-                        let keys: Vec<u32> = {
-                            let s = sh3.borrow();
-                            s.arena
-                                .keys(s.root)
-                                .into_iter()
-                                .filter(|&x| x >= k)
-                                .take(n as usize)
-                                .collect()
-                        };
-                        // Charge the scan's additional read traffic.
-                        ctx.work(HOP_WORK * keys.len() as u64).await;
-                        OpResult::Scanned(keys)
-                    }
-                    Op::Insert(k) => {
-                        let (new_root, inserted) = {
-                            let mut s = sh3.borrow_mut();
-                            let r0 = s.root;
-                            s.arena.insert(r0, k)
-                        };
-                        if inserted {
-                            apply_diff_unversioned(&ctx, &sh3, new_root).await;
-                        }
-                        OpResult::Inserted(inserted)
-                    }
-                    Op::Delete(k) => {
-                        let new_root = {
-                            let mut s = sh3.borrow_mut();
-                            let r0 = s.root;
-                            if s.arena.contains(r0, k) {
-                                Some(s.arena.delete(r0, k))
-                            } else {
-                                None
-                            }
-                        };
-                        match new_root {
-                            Some(nr) => {
-                                apply_diff_unversioned(&ctx, &sh3, nr).await;
-                                OpResult::Deleted(true)
-                            }
-                            None => OpResult::Deleted(false),
-                        }
-                    }
-                };
-                results2.borrow_mut().push(r);
+    match op {
+        Op::Lookup(k) => {
+            let s = sh.borrow();
+            OpResult::Found(s.arena.contains(s.root, k))
+        }
+        Op::Scan(k, n) => {
+            let keys: Vec<u32> = {
+                let s = sh.borrow();
+                s.arena
+                    .keys(s.root)
+                    .into_iter()
+                    .filter(|&x| x >= k)
+                    .take(n as usize)
+                    .collect()
+            };
+            // Charge the scan's additional read traffic.
+            ctx.work(HOP_WORK * keys.len() as u64).await;
+            OpResult::Scanned(keys)
+        }
+        Op::Insert(k) => {
+            let (new_root, inserted) = {
+                let mut s = sh.borrow_mut();
+                let r0 = s.root;
+                s.arena.insert(r0, k)
+            };
+            if inserted {
+                apply_diff_unversioned(ctx, sh, new_root).await;
             }
-        })])
-        .expect("measurement");
-
-    let got = Rc::try_unwrap(results).expect("task done").into_inner();
-    let got_final = {
-        let s = sh.borrow();
-        s.arena.keys(s.root)
-    };
-    let (ok, detail) = harness::validate(&got, &got_final, &want_results, &want_final);
-    harness::collect(&m, report.cycles(), ok, detail)
+            OpResult::Inserted(inserted)
+        }
+        Op::Delete(k) => {
+            let new_root = {
+                let mut s = sh.borrow_mut();
+                let r0 = s.root;
+                s.arena.contains(r0, k).then(|| s.arena.delete(r0, k))
+            };
+            match new_root {
+                Some(nr) => {
+                    apply_diff_unversioned(ctx, sh, nr).await;
+                    OpResult::Deleted(true)
+                }
+                None => OpResult::Deleted(false),
+            }
+        }
+    }
 }
 
 struct UnvShared {

@@ -120,41 +120,28 @@ impl<K, V> MapInner<K, V>
 where
     K: Hash,
 {
-    fn shard(&self, key: &K) -> (usize, &Shard<K, V>) {
+    fn shard(&self, key: &K) -> &Shard<K, V> {
         let mut h = FxHasher::new();
         key.hash(&mut h);
-        let idx = (h.finish() & self.mask) as usize;
-        (idx, &self.shards[idx])
+        &self.shards[(h.finish() & self.mask) as usize]
     }
 }
 
 /// Shard read lock with contention accounting: a failed try-lock counts
-/// against the shard before falling back to the blocking acquire.
-fn read_counted<K, V>(
-    idx: usize,
-    shard: &Shard<K, V>,
-) -> parking_lot::RwLockReadGuard<'_, ShardMap<K, V>> {
-    match shard.try_read() {
-        Some(guard) => guard,
-        None => {
-            crate::metrics::note_shard_contention(idx);
-            shard.read()
-        }
-    }
+/// as contention before falling back to the blocking acquire.
+fn read_counted<K, V>(shard: &Shard<K, V>) -> parking_lot::RwLockReadGuard<'_, ShardMap<K, V>> {
+    shard.try_read().unwrap_or_else(|| {
+        crate::metrics::note_shard_contention();
+        shard.read()
+    })
 }
 
 /// Shard write lock with contention accounting.
-fn write_counted<K, V>(
-    idx: usize,
-    shard: &Shard<K, V>,
-) -> parking_lot::RwLockWriteGuard<'_, ShardMap<K, V>> {
-    match shard.try_write() {
-        Some(guard) => guard,
-        None => {
-            crate::metrics::note_shard_contention(idx);
-            shard.write()
-        }
-    }
+fn write_counted<K, V>(shard: &Shard<K, V>) -> parking_lot::RwLockWriteGuard<'_, ShardMap<K, V>> {
+    shard.try_write().unwrap_or_else(|| {
+        crate::metrics::note_shard_contention();
+        shard.write()
+    })
 }
 
 impl<K, V> Prune for MapInner<K, V>
@@ -252,18 +239,17 @@ impl<K: Ord + Hash + Clone, V> OMap<K, V> {
     /// shard lock is released before this returns, so callers may block
     /// on the cell freely.
     fn cell_for(&self, key: &K) -> OCell<Option<Arc<V>>> {
-        let (idx, shard) = self.inner.shard(key);
-        if let Some(cell) = read_counted(idx, shard).get(key) {
+        let shard = self.inner.shard(key);
+        if let Some(cell) = read_counted(shard).get(key) {
             return cell.clone();
         }
-        let mut w = write_counted(idx, shard);
+        let mut w = write_counted(shard);
         w.entry(key.clone()).or_default().clone()
     }
 
     /// The cell for `key` if one exists (no creation).
     fn cell_get(&self, key: &K) -> Option<OCell<Option<Arc<V>>>> {
-        let (idx, shard) = self.inner.shard(key);
-        read_counted(idx, shard).get(key).cloned()
+        read_counted(self.inner.shard(key)).get(key).cloned()
     }
 
     /// Publishes `key -> value` at `version`.

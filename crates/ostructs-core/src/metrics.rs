@@ -14,10 +14,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
-/// Matches the default `OMap` shard count; maps with more shards fold the
-/// excess into the last slot.
-const TRACKED_SHARDS: usize = 64;
-
 struct StoreMetrics {
     /// Operations that actually parked on a cell's condvar (loads and
     /// lock loads that find their version ready never count).
@@ -25,7 +21,6 @@ struct StoreMetrics {
     blocking_wait_us: Mutex<Histogram>,
     /// Shard-index lock acquisitions that found the lock held.
     contention_total: AtomicU64,
-    contention_by_shard: [AtomicU64; TRACKED_SHARDS],
 }
 
 fn store() -> &'static StoreMetrics {
@@ -34,15 +29,12 @@ fn store() -> &'static StoreMetrics {
         blocking_waits: AtomicU64::new(0),
         blocking_wait_us: Mutex::new(Histogram::default()),
         contention_total: AtomicU64::new(0),
-        contention_by_shard: std::array::from_fn(|_| AtomicU64::new(0)),
     })
 }
 
 #[inline]
-pub(crate) fn note_shard_contention(shard: usize) {
-    let m = store();
-    m.contention_total.fetch_add(1, Ordering::Relaxed);
-    m.contention_by_shard[shard.min(TRACKED_SHARDS - 1)].fetch_add(1, Ordering::Relaxed);
+pub(crate) fn note_shard_contention() {
+    store().contention_total.fetch_add(1, Ordering::Relaxed);
 }
 
 /// Times one potentially-blocking cell operation: `note_wait` is called
@@ -97,16 +89,6 @@ pub fn fill_store_registry(reg: &mut Registry) {
         let h = m.blocking_wait_us.lock().unwrap_or_else(|e| e.into_inner());
         reg.hist_mut("osim_store_blocking_wait_us", &[]).merge(&h);
     }
-    for (i, shard) in m.contention_by_shard.iter().enumerate() {
-        let n = shard.load(Ordering::Relaxed);
-        if n > 0 {
-            reg.counter_add(
-                "osim_store_shard_contention_total",
-                &[("shard", &i.to_string())],
-                n,
-            );
-        }
-    }
 }
 
 #[cfg(test)]
@@ -148,15 +130,17 @@ mod tests {
     }
 
     #[test]
-    fn shard_contention_counts_are_labeled() {
-        note_shard_contention(3);
-        note_shard_contention(3);
-        note_shard_contention(9999);
-        let mut reg = Registry::new();
-        fill_store_registry(&mut reg);
-        assert!(reg.counter("osim_store_lock_contention_total", &[]) >= 3);
-        assert!(reg.counter("osim_store_shard_contention_total", &[("shard", "3")]) >= 2);
-        // Out-of-range shards fold into the last tracked slot.
-        assert!(reg.counter("osim_store_shard_contention_total", &[("shard", "63")]) >= 1);
+    fn shard_contention_counts_into_the_total() {
+        let mut before = Registry::new();
+        fill_store_registry(&mut before);
+        let total0 = before.counter("osim_store_lock_contention_total", &[]);
+        note_shard_contention();
+        note_shard_contention();
+        let mut after = Registry::new();
+        fill_store_registry(&mut after);
+        assert!(after.counter("osim_store_lock_contention_total", &[]) >= total0 + 2);
+        assert!(!after
+            .to_prometheus()
+            .contains("osim_store_shard_contention_total"));
     }
 }

@@ -211,7 +211,9 @@ fn latency_knob_is_versioned_only() {
 /// Unversioned runs use one core with an 8 kB L1 at both read/write mixes;
 /// versioned runs use eight cores with each lock-hold policy. The trees
 /// outgrow that L1, so the order nodes are allocated in shows in the
-/// counts.
+/// counts. Rows 5-10 pin the other sequential baselines (list, BST, hash
+/// table, matmul, Levenshtein) on the same small L1, and the BST under
+/// the read-write lock on eight cores (insert-only scans of 8).
 #[test]
 fn rbtree_results_match_recorded_fingerprints() {
     let cfg = |reads_per_write| DsCfg {
@@ -238,7 +240,7 @@ fn rbtree_results_match_recorded_fingerprints() {
     small_l1.hier.l1 = CacheCfg::l1_sized(8);
     let got = [
         fingerprint(rbtree::run_unversioned(small_l1.clone(), &cfg(4))),
-        fingerprint(rbtree::run_unversioned(small_l1, &cfg(1))),
+        fingerprint(rbtree::run_unversioned(small_l1.clone(), &cfg(1))),
         fingerprint(rbtree::run_versioned_with(
             MachineCfg::paper(8),
             &cfg(1),
@@ -249,6 +251,25 @@ fn rbtree_results_match_recorded_fingerprints() {
             &cfg(1),
             LockHold::Long,
         )),
+        fingerprint(linked_list::run_unversioned(small_l1.clone(), &cfg(4))),
+        fingerprint(btree::run_unversioned(small_l1.clone(), &cfg(1))),
+        fingerprint(hashtable::run_unversioned(small_l1.clone(), &cfg(4))),
+        fingerprint(btree::run_rwlock(
+            MachineCfg::paper(8),
+            &DsCfg {
+                scan_range: 8,
+                insert_only: true,
+                ..cfg(3)
+            },
+        )),
+        fingerprint(matmul::run_unversioned(
+            small_l1.clone(),
+            &MatmulCfg { n: 12, seed: 5 },
+        )),
+        fingerprint(levenshtein::run_unversioned(
+            small_l1,
+            &LevCfg { len: 48, seed: 3 },
+        )),
     ];
     assert_eq!(
         got,
@@ -257,6 +278,12 @@ fn rbtree_results_match_recorded_fingerprints() {
             [77379, 44458, 8267, 647, 0, 20441],
             [147882, 65456, 7867, 445, 5225, 32034],
             [155882, 65456, 7867, 445, 5225, 32060],
+            [1956192, 1179482, 389788, 102, 0, 588253],
+            [82654, 52603, 10144, 327, 0, 19949],
+            [20321, 20543, 2185, 102, 0, 7071],
+            [62506, 310566, 21042, 308, 0, 40048],
+            [37804, 21032, 6912, 288, 0, 11091],
+            [54684, 25872, 4704, 2352, 0, 9555],
         ]
     );
 }
@@ -268,7 +295,8 @@ fn rbtree_results_match_recorded_fingerprints() {
 /// change to how lists are searched or lines are stored must leave every
 /// value exactly as recorded. The list creates versions in order, so the
 /// `sorted_insertion = false` run (row 5) keeps descending lists and
-/// matches row 1: it pins the unsorted mode's early exits.
+/// matches row 1: it pins the unsorted mode's early exits. Rows 7 and 8
+/// pin the BST and the hash table on the same mix.
 #[test]
 fn versioned_results_match_recorded_fingerprints() {
     let list_cfg = DsCfg {
@@ -321,6 +349,8 @@ fn versioned_results_match_recorded_fingerprints() {
         )),
         fingerprint(linked_list::run_versioned_with(unsorted, &list_cfg, false)),
         fingerprint(linked_list::run_versioned_with(small_pool, &list_cfg, true)),
+        fingerprint(btree::run_versioned(MachineCfg::paper(8), &list_cfg)),
+        fingerprint(hashtable::run_versioned(MachineCfg::paper(8), &list_cfg)),
     ];
     assert_eq!(
         got,
@@ -331,6 +361,8 @@ fn versioned_results_match_recorded_fingerprints() {
             [6896, 1872, 11121, 1584, 144, 144, 1584, 0],
             [349179, 73334, 224919, 25882, 48543, 48613, 26160, 46955],
             [5576679, 73334, 223563, 25043, 48704, 512902, 58424, 33616],
+            [42254, 5533, 22665, 2272, 3528, 3539, 2545, 2625],
+            [25272, 1608, 7345, 549, 1772, 1796, 781, 675],
         ]
     );
 }
