@@ -1,5 +1,6 @@
 //! Set-associative cache model (tags + MESI state, LRU replacement).
 
+use crate::compressed::CompressedLine;
 use crate::LINE_BYTES;
 
 /// Cache geometry and hit latency.
@@ -63,7 +64,8 @@ pub enum Mesi {
 /// at least two-way associative can store both compressed and uncompressed
 /// versions of an O-structure at the same time"). Their tag is the physical
 /// address of the O-structure's root word, which uniquely identifies the
-/// version-block list; the entry payloads live in the O-structure manager.
+/// version-block list; the entries live in the cache's payload slab, in the
+/// [`CompressedLine`] the line's slot indexes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LineKind {
     Data,
@@ -78,9 +80,15 @@ pub struct Line {
     pub tag: u32,
     pub kind: LineKind,
     pub state: Mesi,
+    /// A `Compressed` line's index into the payload slab, held in what
+    /// would otherwise be padding.
+    slot: u16,
 }
 
-/// A set-associative, LRU, write-back cache holding metadata only.
+const _: () = assert!(std::mem::size_of::<Line>() == 8);
+
+/// A set-associative, LRU, write-back cache holding line metadata, plus
+/// a slab with the payload of each resident compressed line.
 ///
 /// Each set's `Vec` is kept in recency order — coldest line at the front,
 /// hottest at the back — so the eviction victim is simply the front element
@@ -89,8 +97,11 @@ pub struct Cache {
     cfg: CacheCfg,
     n_sets: u32,
     sets: Vec<Vec<Line>>,
-    /// Resident-line count across all sets, maintained incrementally.
-    resident: usize,
+    /// Compressed-line payloads, indexed by `Line::slot`. A fill takes a
+    /// slot and every departure gives it back to `free_slots`, so the slab
+    /// never outgrows the cache's line count.
+    payloads: Vec<CompressedLine>,
+    free_slots: Vec<u16>,
 }
 
 impl Cache {
@@ -101,18 +112,9 @@ impl Cache {
             cfg,
             n_sets,
             sets: (0..n_sets).map(|_| Vec::new()).collect(),
-            resident: 0,
+            payloads: Vec::new(),
+            free_slots: Vec::new(),
         }
-    }
-
-    /// This cache's configuration.
-    pub fn cfg(&self) -> &CacheCfg {
-        &self.cfg
-    }
-
-    /// Hit latency in cycles.
-    pub fn hit_latency(&self) -> u64 {
-        self.cfg.hit_latency
     }
 
     /// Set index. Data lines index by line address; compressed lines index
@@ -128,25 +130,29 @@ impl Cache {
         (idx % self.n_sets) as usize
     }
 
-    /// Looks a line up and refreshes its LRU position. Returns its state.
-    pub fn probe(&mut self, tag: u32, kind: LineKind) -> Option<Mesi> {
+    /// Looks a line up and refreshes its LRU position. The caller may
+    /// change the line's state in place.
+    pub fn probe(&mut self, tag: u32, kind: LineKind) -> Option<&mut Mesi> {
+        self.probe_line(tag, kind).map(|l| &mut l.state)
+    }
+
+    #[inline]
+    fn probe_line(&mut self, tag: u32, kind: LineKind) -> Option<&mut Line> {
         let set = self.set_of_kind(tag, kind);
         let lines = &mut self.sets[set];
         let idx = lines.iter().position(|l| l.tag == tag && l.kind == kind)?;
-        let state = lines[idx].state;
         // Move to the back: most recently used.
         lines[idx..].rotate_left(1);
-        Some(state)
+        lines.last_mut()
     }
 
     /// Looks a line up without touching LRU state (used by coherence
     /// snoops, which must not perturb replacement decisions).
-    pub fn peek(&self, tag: u32, kind: LineKind) -> Option<Mesi> {
+    pub fn peek(&self, tag: u32, kind: LineKind) -> Option<&Line> {
         let set = self.set_of_kind(tag, kind);
         self.sets[set]
             .iter()
             .find(|l| l.tag == tag && l.kind == kind)
-            .map(|l| l.state)
     }
 
     /// Changes the MESI state of a resident line. Panics if absent.
@@ -166,53 +172,111 @@ impl Cache {
     ///
     /// If the line is already resident its state is updated in place.
     pub fn fill(&mut self, tag: u32, kind: LineKind, state: Mesi) -> Option<Line> {
+        self.fill_slot(tag, kind, state).1
+    }
+
+    /// [`Cache::fill`], also returning whether the line was inserted and
+    /// its payload slot. A compressed line's payload starts empty and a
+    /// compressed victim's slot is freed. Inlined so that a data fill stays
+    /// a single call, as it was before the slab (a measured miss-path cost).
+    #[inline]
+    pub(crate) fn fill_slot(
+        &mut self,
+        tag: u32,
+        kind: LineKind,
+        state: Mesi,
+    ) -> (bool, Option<Line>, u16) {
         let set = self.set_of_kind(tag, kind);
         let ways = self.cfg.assoc as usize;
         let lines = &mut self.sets[set];
         if let Some(idx) = lines.iter().position(|l| l.tag == tag && l.kind == kind) {
             lines[idx].state = state;
             lines[idx..].rotate_left(1);
-            return None;
+            return (false, None, lines[lines.len() - 1].slot);
         }
-        let victim = if lines.len() >= ways {
-            // The front of the recency order is the LRU victim.
-            Some(lines.remove(0))
+        // The front of the recency order is the LRU victim.
+        let victim = (lines.len() >= ways).then(|| lines.remove(0));
+        if let Some(v) = victim.filter(|v| v.kind == LineKind::Compressed) {
+            self.free_slots.push(v.slot);
+        }
+        let slot = if kind == LineKind::Data {
+            0
+        } else if let Some(slot) = self.free_slots.pop() {
+            self.payloads[usize::from(slot)] = CompressedLine::new();
+            slot
         } else {
-            self.resident += 1;
-            None
+            self.payloads.push(CompressedLine::new());
+            u16::try_from(self.payloads.len() - 1).expect("a cache has < 2^16 lines")
         };
-        lines.push(Line { tag, kind, state });
-        victim
+        lines.push(Line {
+            tag,
+            kind,
+            state,
+            slot,
+        });
+        (true, victim, slot)
     }
 
-    /// Removes a line, returning it if it was resident.
+    /// Removes a line, freeing its payload, and returns it if it was
+    /// resident.
     pub fn invalidate(&mut self, tag: u32, kind: LineKind) -> Option<Line> {
         let set = self.set_of_kind(tag, kind);
         let lines = &mut self.sets[set];
         let idx = lines.iter().position(|l| l.tag == tag && l.kind == kind)?;
-        self.resident -= 1;
         // `remove`, not `swap_remove`: the order of the survivors *is* the
         // LRU order now.
-        Some(lines.remove(idx))
+        let line = lines.remove(idx);
+        if kind == LineKind::Compressed {
+            self.free_slots.push(line.slot);
+        }
+        Some(line)
     }
 
     /// Number of resident lines (all sets, both kinds).
     pub fn resident(&self) -> usize {
-        self.resident
+        self.sets.iter().map(Vec::len).sum()
     }
 
-    /// Drops every resident line (used when reconfiguring between runs).
-    pub fn flush(&mut self) {
-        for set in &mut self.sets {
-            set.clear();
+    /// The payload of the compressed line tagged `root`, refreshing the
+    /// line's LRU position.
+    pub(crate) fn compressed_probe(&mut self, root: u32) -> Option<&mut CompressedLine> {
+        let slot = self.probe_line(root, LineKind::Compressed)?.slot;
+        Some(self.payload(slot))
+    }
+
+    /// [`Cache::compressed_probe`] without touching LRU state.
+    pub(crate) fn compressed_peek(&mut self, root: u32) -> Option<&mut CompressedLine> {
+        let slot = self.peek(root, LineKind::Compressed)?.slot;
+        Some(self.payload(slot))
+    }
+
+    /// The payload in `slot` (from [`Cache::fill_slot`]).
+    pub(crate) fn payload(&mut self, slot: u16) -> &mut CompressedLine {
+        &mut self.payloads[usize::from(slot)]
+    }
+
+    /// Empties every resident payload `stale` picks, keeping its line.
+    pub(crate) fn compressed_purge(&mut self, mut stale: impl FnMut(&CompressedLine) -> bool) {
+        let lines = self.sets.iter().flatten();
+        for line in lines.filter(|l| l.kind == LineKind::Compressed) {
+            let payload = &mut self.payloads[usize::from(line.slot)];
+            if stale(payload) {
+                *payload = CompressedLine::new();
+            }
         }
-        self.resident = 0;
+    }
+
+    /// Payload slots allocated so far: the most compressed lines this
+    /// cache has held at once.
+    pub fn slab_len(&self) -> usize {
+        self.payloads.len()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::compressed::CEntry;
 
     fn tiny() -> Cache {
         // 2 sets x 2 ways of 64 B lines.
@@ -226,9 +290,9 @@ mod tests {
     #[test]
     fn fill_then_probe_hits() {
         let mut c = tiny();
-        assert_eq!(c.probe(0x0, LineKind::Data), None);
+        assert!(c.probe(0x0, LineKind::Data).is_none());
         assert!(c.fill(0x0, LineKind::Data, Mesi::Exclusive).is_none());
-        assert_eq!(c.probe(0x0, LineKind::Data), Some(Mesi::Exclusive));
+        assert_eq!(c.probe(0x0, LineKind::Data).copied(), Some(Mesi::Exclusive));
     }
 
     #[test]
@@ -240,8 +304,14 @@ mod tests {
         c.probe(0x000, LineKind::Data); // make 0x0 the hottest
         let victim = c.fill(0x100, LineKind::Data, Mesi::Shared).unwrap();
         assert_eq!(victim.tag, 0x080);
-        assert_eq!(c.peek(0x000, LineKind::Data), Some(Mesi::Shared));
-        assert_eq!(c.peek(0x100, LineKind::Data), Some(Mesi::Shared));
+        assert_eq!(
+            c.peek(0x000, LineKind::Data).map(|l| l.state),
+            Some(Mesi::Shared)
+        );
+        assert_eq!(
+            c.peek(0x100, LineKind::Data).map(|l| l.state),
+            Some(Mesi::Shared)
+        );
     }
 
     #[test]
@@ -249,8 +319,14 @@ mod tests {
         let mut c = tiny();
         c.fill(0x40, LineKind::Data, Mesi::Modified);
         c.fill(0x40, LineKind::Compressed, Mesi::Exclusive);
-        assert_eq!(c.peek(0x40, LineKind::Data), Some(Mesi::Modified));
-        assert_eq!(c.peek(0x40, LineKind::Compressed), Some(Mesi::Exclusive));
+        assert_eq!(
+            c.peek(0x40, LineKind::Data).map(|l| l.state),
+            Some(Mesi::Modified)
+        );
+        assert_eq!(
+            c.peek(0x40, LineKind::Compressed).map(|l| l.state),
+            Some(Mesi::Exclusive)
+        );
         assert_eq!(c.resident(), 2);
     }
 
@@ -259,7 +335,10 @@ mod tests {
         let mut c = tiny();
         c.fill(0x0, LineKind::Data, Mesi::Shared);
         assert!(c.fill(0x0, LineKind::Data, Mesi::Modified).is_none());
-        assert_eq!(c.peek(0x0, LineKind::Data), Some(Mesi::Modified));
+        assert_eq!(
+            c.peek(0x0, LineKind::Data).map(|l| l.state),
+            Some(Mesi::Modified)
+        );
         assert_eq!(c.resident(), 1);
     }
 
@@ -269,7 +348,7 @@ mod tests {
         c.fill(0x0, LineKind::Data, Mesi::Shared);
         let line = c.invalidate(0x0, LineKind::Data).unwrap();
         assert_eq!(line.tag, 0x0);
-        assert_eq!(c.probe(0x0, LineKind::Data), None);
+        assert!(c.probe(0x0, LineKind::Data).is_none());
         assert!(c.invalidate(0x0, LineKind::Data).is_none());
     }
 
@@ -283,11 +362,70 @@ mod tests {
         assert_eq!(victim.tag, 0x000);
     }
 
+    fn compressed_fill(c: &mut Cache, root: u32) -> (bool, Option<Line>, &mut CompressedLine) {
+        let (inserted, victim, slot) = c.fill_slot(root, LineKind::Compressed, Mesi::Exclusive);
+        (inserted, victim, c.payload(slot))
+    }
+
+    fn entry(version: u32) -> CEntry {
+        CEntry {
+            version,
+            locked_by: 0,
+            data: version,
+            block_pa: 0,
+        }
+    }
+
+    #[test]
+    fn compressed_payload_lives_and_dies_with_its_line() {
+        let mut c = tiny();
+        let (inserted, victim, line) = compressed_fill(&mut c, 0x0);
+        assert!(inserted && victim.is_none());
+        assert!(line.insert(entry(3)));
+        // A refresh keeps the payload; a peek sees it without LRU effects.
+        let (inserted, _, line) = compressed_fill(&mut c, 0x0);
+        assert!(!inserted);
+        assert!(line.get(3).is_some());
+        assert!(c.compressed_peek(0x0).unwrap().get(3).is_some());
+        // Invalidation frees the payload; a refill starts empty in the
+        // recycled slot.
+        assert!(c.invalidate(0x0, LineKind::Compressed).is_some());
+        assert!(c.compressed_probe(0x0).is_none());
+        assert!(compressed_fill(&mut c, 0x0).2.is_empty());
+        assert_eq!(c.slab_len(), 1);
+    }
+
+    #[test]
+    fn evicted_compressed_line_frees_its_slot() {
+        let mut c = tiny();
+        // Roots 0x0, 0x8 and 0x10 share set 0 (root word / 4 is even).
+        compressed_fill(&mut c, 0x0).2.insert(entry(1));
+        compressed_fill(&mut c, 0x8).2.insert(entry(2));
+        let victim = compressed_fill(&mut c, 0x10).1.unwrap();
+        assert_eq!(victim.tag, 0x0);
+        assert!(c.compressed_peek(0x0).is_none());
+        assert!(c.compressed_peek(0x10).unwrap().is_empty());
+        assert_eq!(c.slab_len(), 2, "the victim's slot was reused");
+        // A data fill evicting a compressed line frees it too.
+        c.fill(0x0, LineKind::Data, Mesi::Shared);
+        assert!(c.compressed_peek(0x8).is_none());
+        assert_eq!(c.resident(), 2);
+    }
+
+    #[test]
+    fn purge_empties_the_payload_but_keeps_the_line() {
+        let mut c = tiny();
+        compressed_fill(&mut c, 0x0).2.insert(entry(1));
+        compressed_fill(&mut c, 0x4).2.insert(entry(2));
+        c.compressed_purge(|l| l.get(1).is_some());
+        assert!(c.compressed_probe(0x0).unwrap().is_empty());
+        assert!(c.compressed_probe(0x4).unwrap().get(2).is_some());
+    }
+
     #[test]
     fn paper_l1_geometry() {
         let cfg = CacheCfg::l1_paper();
         assert_eq!(cfg.n_sets(), 64); // 32 KiB / 64 B / 8 ways
-        let c = Cache::new(CacheCfg::l2_paper(32));
-        assert_eq!(c.cfg().size_bytes, 48 * 1024 * 1024);
+        assert_eq!(CacheCfg::l2_paper(32).size_bytes, 48 * 1024 * 1024);
     }
 }

@@ -1,7 +1,8 @@
 //! The cache hierarchy: per-core L1s, shared inclusive L2, DRAM, and
 //! invalidation-based coherence.
 
-use crate::cache::{Cache, CacheCfg, LineKind, Mesi};
+use crate::cache::{Cache, CacheCfg, Line, LineKind, Mesi};
+use crate::compressed::CompressedLine;
 use crate::events::{EventLog, MemEvent, MemEventKind};
 use crate::fxhash::FxHashMap;
 use crate::line_of;
@@ -21,6 +22,15 @@ impl DirEntry {
     fn is_empty(&self) -> bool {
         self.sharers == 0
     }
+}
+
+/// Which L1s hold the compressed line of one O-structure, and which cores
+/// lost theirs to another core's mutation since they last asked.
+#[derive(Debug, Clone, Copy, Default)]
+struct CompEntry {
+    sharers: u64,
+    /// Coherence-loss marks, consumed by [`Hierarchy::compressed_take_lost`].
+    lost: u64,
 }
 
 /// Calls `f` for each set bit of `mask`, in ascending core order — the
@@ -94,11 +104,6 @@ pub struct AccessResult {
     pub latency: u64,
     /// Level that satisfied the access.
     pub level: Level,
-    /// Root PA of the accessing core's compressed O-structure line that
-    /// the L1 fill evicted, if any. A fill evicts at most one line, always
-    /// in the accessing core's L1; the O-structure manager must drop its
-    /// payload for it.
-    pub dropped_compressed: Option<u32>,
 }
 
 /// Per-core L1s over a shared inclusive L2 over DRAM.
@@ -120,7 +125,8 @@ pub struct Hierarchy {
     /// L1 presence directory for data lines, keyed by line address.
     data_dir: FxHashMap<u32, DirEntry>,
     /// L1 presence directory for compressed lines, keyed by root word PA.
-    comp_dir: FxHashMap<u32, u64>,
+    /// An entry lives while it has a sharer or a loss mark.
+    comp_dir: FxHashMap<u32, CompEntry>,
 }
 
 impl Hierarchy {
@@ -165,7 +171,8 @@ impl Hierarchy {
 
     /// Removes `core` from the directory entry of an evicted/invalidated
     /// line (either kind).
-    fn dir_remove_victim(&mut self, core: usize, victim: &crate::cache::Line) {
+    #[inline]
+    fn dir_remove_victim(&mut self, core: usize, victim: &Line) {
         match victim.kind {
             LineKind::Data => self.dir_remove_data(core, victim.tag),
             LineKind::Compressed => self.dir_remove_comp(core, victim.tag),
@@ -195,13 +202,13 @@ impl Hierarchy {
     }
 
     fn dir_add_comp(&mut self, core: usize, root_pa: u32) {
-        *self.comp_dir.entry(root_pa).or_default() |= 1 << core;
+        self.comp_dir.entry(root_pa).or_default().sharers |= 1 << core;
     }
 
     fn dir_remove_comp(&mut self, core: usize, root_pa: u32) {
-        if let Some(m) = self.comp_dir.get_mut(&root_pa) {
-            *m &= !(1 << core);
-            if *m == 0 {
+        if let Some(e) = self.comp_dir.get_mut(&root_pa) {
+            e.sharers &= !(1 << core);
+            if e.sharers | e.lost == 0 {
                 self.comp_dir.remove(&root_pa);
             }
         }
@@ -236,20 +243,23 @@ impl Hierarchy {
     /// own entry points below.
     pub fn access(&mut self, core: usize, pa: u32, kind: AccessKind) -> AccessResult {
         let line = line_of(pa);
-        let mut dropped = None;
         let is_write = kind == AccessKind::Write;
 
-        if let Some(state) = self.l1s[core].probe(line, LineKind::Data) {
-            // L1 hit.
+        if let Some(st) = self.l1s[core].probe(line, LineKind::Data) {
+            // L1 hit. A write takes ownership in the same set scan.
+            let state = *st;
             if is_write {
+                *st = Mesi::Modified;
                 self.stats.l1_write_hits[core] += 1;
                 if state == Mesi::Shared {
                     // Upgrade: invalidate every other copy.
                     self.stats.upgrades += 1;
                     self.invalidate_others(core, line);
                 }
-                self.l1s[core].set_state(line, LineKind::Data, Mesi::Modified);
-                self.dir_set_state_data(core, line, Mesi::Modified);
+                if state != Mesi::Modified {
+                    // A Modified line is already this core's dirty copy.
+                    self.dir_set_state_data(core, line, Mesi::Modified);
+                }
             } else {
                 self.stats.l1_read_hits[core] += 1;
             }
@@ -270,7 +280,6 @@ impl Hierarchy {
             return AccessResult {
                 latency: self.cfg.l1.hit_latency,
                 level: Level::L1,
-                dropped_compressed: dropped,
             };
         }
 
@@ -282,11 +291,11 @@ impl Hierarchy {
         }
 
         // Snoop for a dirty copy — the directory knows the (unique) owner.
-        let dirty_owner = self
-            .data_dir
-            .get(&line)
-            .and_then(|e| e.dirty)
-            .filter(|&c| c != core);
+        // This one lookup serves the whole miss: nothing below changes the
+        // line's sharers before a read's fill, and a write's fill needs none.
+        let entry = self.data_dir.get(&line).copied().unwrap_or_default();
+        let others = entry.sharers & !(1 << core);
+        let dirty_owner = entry.dirty.filter(|&c| c != core);
 
         let (level, latency) = if let Some(owner) = dirty_owner {
             // Cache-to-cache forward; the paper notes LLC and remote-L1
@@ -307,7 +316,7 @@ impl Hierarchy {
             (Level::RemoteL1, self.cfg.l2.hit_latency)
         } else if self.l2.probe(line, LineKind::Data).is_some() {
             if is_write {
-                if self.data_sharers_except(core, line) != 0 {
+                if others != 0 {
                     self.hists.coherence_delay.record(self.cfg.l2.hit_latency);
                 }
                 self.invalidate_others(core, line);
@@ -332,24 +341,21 @@ impl Hierarchy {
 
         // Fill the local L1 unless the caller asked not to pollute it.
         if kind != AccessKind::ReadNoAlloc {
-            let others = self.data_sharers_except(core, line);
-            let others_share = others != 0;
             let state = if is_write {
                 Mesi::Modified
-            } else if others_share {
+            } else if others != 0 {
                 Mesi::Shared
             } else {
                 Mesi::Exclusive
             };
             // Keep peers coherent: a read next to sharers demotes everyone.
-            if !is_write && others_share {
+            if state == Mesi::Shared {
                 for_each_core(others, |c| {
                     self.l1s[c].set_state(line, LineKind::Data, Mesi::Shared);
                     self.dir_set_state_data(c, line, Mesi::Shared);
                 });
             }
-            dropped = self.fill_l1(core, line, LineKind::Data, state);
-            self.dir_add_data(core, line, state);
+            self.fill_l1(core, line, state);
         }
 
         self.events.push(MemEvent {
@@ -362,11 +368,7 @@ impl Hierarchy {
                 latency,
             },
         });
-        AccessResult {
-            latency,
-            level,
-            dropped_compressed: dropped,
-        }
+        AccessResult { latency, level }
     }
 
     /// Installs the line containing `pa` into `core`'s L1 without charging
@@ -375,12 +377,11 @@ impl Hierarchy {
     /// Used for the version block that *matched* during a full list walk:
     /// the walk already paid for fetching it (as a no-allocate read), and
     /// the paper's pollution rule says exactly this one block is then
-    /// inserted into the cache. Returns the root PA of the compressed
-    /// line the fill evicted, if any.
-    pub fn fill_local(&mut self, core: usize, pa: u32) -> Option<u32> {
+    /// inserted into the cache.
+    pub fn fill_local(&mut self, core: usize, pa: u32) {
         let line = line_of(pa);
         if self.l1s[core].peek(line, LineKind::Data).is_some() {
-            return None;
+            return;
         }
         let others_share = self.data_sharers_except(core, line) != 0;
         let state = if others_share {
@@ -388,21 +389,20 @@ impl Hierarchy {
         } else {
             Mesi::Exclusive
         };
-        let dropped = self.fill_l1(core, line, LineKind::Data, state);
-        self.dir_add_data(core, line, state);
-        dropped
+        self.fill_l1(core, line, state);
     }
 
-    /// Fills `core`'s L1 with `tag` and retires the victim from the
-    /// directory. Returns the victim's root PA if it was a compressed line.
-    fn fill_l1(&mut self, core: usize, tag: u32, kind: LineKind, state: Mesi) -> Option<u32> {
-        let victim = self.l1s[core].fill(tag, kind, state)?;
-        self.dir_remove_victim(core, &victim);
-        (victim.kind == LineKind::Compressed).then_some(victim.tag)
+    /// Fills `core`'s L1 with a data line and keeps the directory in step.
+    /// The cache frees an evicted compressed line's payload itself.
+    fn fill_l1(&mut self, core: usize, line: u32, state: Mesi) {
+        if let Some(victim) = self.l1s[core].fill(line, LineKind::Data, state) {
+            self.dir_remove_victim(core, &victim);
+        }
+        self.dir_add_data(core, line, state);
     }
 
     /// Records an L2 fill victim (observation only; never changes timing).
-    fn push_l2_evict(&mut self, core: usize, victim: &crate::cache::Line) {
+    fn push_l2_evict(&mut self, core: usize, victim: &Line) {
         self.events.push(MemEvent {
             cycle: self.clock,
             core,
@@ -438,30 +438,42 @@ impl Hierarchy {
 
     // ------------------------------------------------------------------
     // Compressed O-structure lines (§III-A). Tagged by the physical address
-    // of the O-structure's root word; payloads live in `osim-uarch`.
+    // of the O-structure's root word; each payload lives in its core's L1
+    // slab beside the slot.
     // ------------------------------------------------------------------
 
     /// Probes `core`'s L1 for the compressed line of the O-structure rooted
-    /// at `root_pa`. Returns true on hit (and counts it).
-    pub fn compressed_probe(&mut self, core: usize, root_pa: u32) -> bool {
-        let hit = self.l1s[core]
-            .probe(root_pa, LineKind::Compressed)
-            .is_some();
-        if hit {
+    /// at `root_pa`, counting the hit or miss. On a hit, returns the line's
+    /// payload (empty if a collection purged it).
+    pub fn compressed_probe(&mut self, core: usize, root_pa: u32) -> Option<&mut CompressedLine> {
+        let line = self.l1s[core].compressed_probe(root_pa);
+        if line.is_some() {
             self.stats.compressed_hits += 1;
         } else {
             self.stats.compressed_misses += 1;
         }
-        hit
+        line
+    }
+
+    /// The payload of `core`'s compressed line for `root_pa`, if resident,
+    /// without touching LRU state or statistics.
+    pub fn compressed_peek(&mut self, core: usize, root_pa: u32) -> Option<&mut CompressedLine> {
+        self.l1s[core].compressed_peek(root_pa)
     }
 
     /// Allocates (or refreshes) the compressed line for `root_pa` in
-    /// `core`'s L1, returning the root PA of any compressed victim that had
-    /// to be evicted.
-    pub fn compressed_fill(&mut self, core: usize, root_pa: u32) -> Option<u32> {
-        let dropped = self.fill_l1(core, root_pa, LineKind::Compressed, Mesi::Exclusive);
-        self.dir_add_comp(core, root_pa);
-        dropped
+    /// `core`'s L1 and returns its payload: empty for a fresh line, kept
+    /// for a refreshed one.
+    pub fn compressed_fill(&mut self, core: usize, root_pa: u32) -> &mut CompressedLine {
+        let (inserted, victim, slot) =
+            self.l1s[core].fill_slot(root_pa, LineKind::Compressed, Mesi::Exclusive);
+        if let Some(victim) = victim {
+            self.dir_remove_victim(core, &victim);
+        }
+        if inserted {
+            self.dir_add_comp(core, root_pa);
+        }
+        self.l1s[core].payload(slot)
     }
 
     /// Drops `core`'s own compressed line for `root_pa`, if resident.
@@ -478,30 +490,65 @@ impl Hierarchy {
     /// Coherence broadcast: a version store/lock/unlock by `core` modified
     /// the O-structure rooted at `root_pa`, so every *other* core's
     /// compressed line for it is discarded (the paper's "simplest course of
-    /// action"). Returns the mask of cores whose line was dropped.
+    /// action") and marked lost. Returns the mask of cores whose line was
+    /// dropped.
     pub fn compressed_invalidate_others(&mut self, core: usize, root_pa: u32) -> u64 {
-        let mut dropped = 0;
-        let mask = self
-            .comp_dir
-            .get(&root_pa)
-            .map_or(0, |m| m & !(1u64 << core));
-        for_each_core(mask, |c| {
-            if self.l1s[c]
-                .invalidate(root_pa, LineKind::Compressed)
-                .is_some()
-            {
-                self.stats.compressed_coherence_drops += 1;
-                self.events.push(MemEvent {
-                    cycle: self.clock,
-                    core: c,
-                    pa: root_pa,
-                    kind: MemEventKind::CompressedCoherenceDrop,
-                });
-                dropped |= 1 << c;
-            }
-            self.dir_remove_comp(c, root_pa);
+        let Some(e) = self.comp_dir.get_mut(&root_pa) else {
+            return 0;
+        };
+        let dropped = e.sharers & !(1u64 << core);
+        e.sharers &= !dropped;
+        e.lost |= dropped;
+        for_each_core(dropped, |c| {
+            let was = self.l1s[c].invalidate(root_pa, LineKind::Compressed);
+            debug_assert!(was.is_some(), "directory mirrors the L1s");
+            self.stats.compressed_coherence_drops += 1;
+            self.events.push(MemEvent {
+                cycle: self.clock,
+                core: c,
+                pa: root_pa,
+                kind: MemEventKind::CompressedCoherenceDrop,
+            });
         });
         dropped
+    }
+
+    /// Consumes `core`'s coherence-loss mark for `root_pa`: true exactly
+    /// once after another core's mutation discarded this core's compressed
+    /// line. The mark survives the core caching the structure again.
+    pub fn compressed_take_lost(&mut self, core: usize, root_pa: u32) -> bool {
+        let Some(e) = self.comp_dir.get_mut(&root_pa) else {
+            return false;
+        };
+        let marked = e.lost & (1 << core) != 0;
+        e.lost &= !(1 << core);
+        if e.sharers | e.lost == 0 {
+            self.comp_dir.remove(&root_pa);
+        }
+        marked
+    }
+
+    /// Drops every core's compressed line for `root_pa` and discards its
+    /// loss marks (the structure was released, not mutated).
+    pub fn compressed_release(&mut self, root_pa: u32) {
+        if let Some(e) = self.comp_dir.remove(&root_pa) {
+            for_each_core(e.sharers, |c| {
+                self.l1s[c].invalidate(root_pa, LineKind::Compressed);
+            });
+        }
+    }
+
+    /// Empties, on every core, each compressed payload `stale` picks,
+    /// keeping its L1 slot: the line still hits but answers nothing.
+    pub fn compressed_purge(&mut self, mut stale: impl FnMut(&CompressedLine) -> bool) {
+        for l1 in &mut self.l1s {
+            l1.compressed_purge(&mut stale);
+        }
+    }
+
+    /// `core`'s L1 (inspection only).
+    pub fn l1(&self, core: usize) -> &Cache {
+        &self.l1s[core]
     }
 }
 
@@ -593,18 +640,28 @@ mod tests {
     fn compressed_lines_probe_fill_drop() {
         let mut h = hier(2);
         let root = 0x4010;
-        assert!(!h.compressed_probe(0, root));
+        assert!(h.compressed_probe(0, root).is_none());
         h.compressed_fill(0, root);
-        assert!(h.compressed_probe(0, root));
+        assert!(h.compressed_probe(0, root).is_some());
         // Other cores do not see it.
-        assert!(!h.compressed_probe(1, root));
+        assert!(h.compressed_probe(1, root).is_none());
         h.compressed_fill(1, root);
-        // A store by core 0 invalidates core 1's copy only.
+        // A store by core 0 invalidates core 1's copy only, and marks it
+        // lost until core 1 asks once.
         let dropped = h.compressed_invalidate_others(0, root);
         assert_eq!(dropped, 1 << 1);
-        assert!(h.compressed_probe(0, root));
-        assert!(!h.compressed_probe(1, root));
+        assert!(h.compressed_probe(0, root).is_some());
+        assert!(h.compressed_probe(1, root).is_none());
         assert_eq!(h.stats.compressed_coherence_drops, 1);
+        assert!(!h.compressed_take_lost(0, root));
+        assert!(h.compressed_take_lost(1, root));
+        assert!(!h.compressed_take_lost(1, root));
+        // Release drops every copy and every mark.
+        h.compressed_fill(1, root);
+        h.compressed_invalidate_others(0, root);
+        h.compressed_release(root);
+        assert!(h.compressed_peek(0, root).is_none());
+        assert!(!h.compressed_take_lost(1, root));
     }
 
     #[test]
@@ -614,9 +671,11 @@ mod tests {
         for i in 0..8u32 {
             h.access(0, i * 4096, AccessKind::Read);
         }
-        let dropped = h.compressed_fill(0, 0); // maps to set 0 as well
-        assert!(dropped.is_none(), "victim was a data line, not compressed");
-        assert!(h.compressed_probe(0, 0), "compressed line is resident");
+        h.compressed_fill(0, 0); // maps to set 0 as well
+        assert!(
+            h.compressed_probe(0, 0).is_some(),
+            "compressed line is resident"
+        );
         // The victim was the LRU data line (0x0); the hottest one survives.
         let r = h.access(0, 7 * 4096, AccessKind::Read);
         assert_eq!(r.level, Level::L1);

@@ -17,13 +17,15 @@
 //!   DRAM, with invalidation-based coherence and the paper's latencies
 //!   (L1 4 cycles, L2 35 cycles, DRAM 60 ns = 120 cycles at 2 GHz).
 //!
-//! Compressed version-block lines (§III-A of the paper) occupy real L1 slots
-//! here, but their *contents* are owned by `osim-uarch`; the hierarchy
-//! reports compressed-line evictions and invalidations so the O-structure
-//! manager can drop its side state, mirroring the paper's "discard the
-//! compressed version block on a coherence message" rule.
+//! Compressed version-block lines (§III-A of the paper,
+//! [`compressed::CompressedLine`]) occupy real L1 slots here, payload
+//! included: an eviction, invalidation or coherence discard frees the
+//! payload with the slot, mirroring the paper's "discard the compressed
+//! version block on a coherence message" rule. `osim-uarch` reads and
+//! updates the payloads through the hierarchy.
 
 pub mod cache;
+pub mod compressed;
 pub mod events;
 pub mod fault;
 pub mod fxhash;
@@ -34,6 +36,7 @@ pub mod phys;
 pub mod stats;
 
 pub use cache::{Cache, CacheCfg};
+pub use compressed::{CEntry, CompressedLine};
 pub use events::{EventLog, MemEvent, MemEventKind};
 pub use fault::Fault;
 pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet};

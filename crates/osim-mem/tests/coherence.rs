@@ -74,8 +74,7 @@ fn read_no_alloc_then_fill_local_promotes() {
     let mut h = hier(2);
     h.access(0, 0x200, AccessKind::ReadNoAlloc);
     // The walk decided this block matters: promote it without a charge.
-    let dropped = h.fill_local(0, 0x200);
-    assert!(dropped.is_none());
+    h.fill_local(0, 0x200);
     assert_eq!(h.access(0, 0x200, AccessKind::Read).level, Level::L1);
     // The promotion respected sharing: another core reading demotes both.
     assert_eq!(h.access(1, 0x200, AccessKind::Read).level, Level::L2);

@@ -7,12 +7,10 @@
 //!   physical next pointer, head bit, locked-by field, 32-bit datum), stored
 //!   for real in the simulated physical memory and linked by physical
 //!   pointers.
-//! * [`compressed`] — compressed version-block cache lines: eight
-//!   `(data, version-offset, lock-offset)` entries under an 18-bit version
-//!   base, giving single-lookup *direct access* in the L1.
 //! * [`manager`] — the [`manager::OManager`]: executes the six O-structure
 //!   operations against the cache hierarchy with full timing (direct access
-//!   vs. full list walk, pollution-avoiding fills, coherence discards), owns
+//!   through the L1's compressed lines vs. full list walk,
+//!   pollution-avoiding fills, coherence discards), owns
 //!   the hardware free list, and runs the shadowed/pending-list garbage
 //!   collector of §III-B.
 //! * [`oracle`] — opt-in runtime invariant oracles (lock exclusion, version
@@ -21,15 +19,13 @@
 //!
 //! All state that the paper puts "in memory" (version blocks, free-list
 //! links) really is in [`osim_mem::PhysMem`]; all state the paper puts in
-//! cache metadata (compressed lines) is keyed to real L1 slots managed by
-//! [`osim_mem::Hierarchy`].
+//! cache metadata (compressed lines, [`osim_mem::CompressedLine`]) lives in
+//! real L1 slots managed by [`osim_mem::Hierarchy`].
 
-pub mod compressed;
 pub mod manager;
 pub mod oracle;
 pub mod vblock;
 
-pub use compressed::CompressedLine;
 pub use osim_mem::{FaultPlan, Injector, PoolShrink, SpecError};
 
 pub use manager::{

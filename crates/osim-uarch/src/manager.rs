@@ -1,15 +1,15 @@
 //! The O-structure manager: versioned operations, free list, and the
 //! Memory Version Manager's garbage collector (§III of the paper).
 
-use osim_mem::{FxHashMap, FxHashSet};
+use osim_mem::FxHashSet;
 use osim_metrics::Histogram;
 use std::collections::BTreeSet;
 
 use osim_mem::{
-    line_of, AccessKind, EventLog, Fault, FaultPlan, Injector, MemSys, PageFlags, PAGE_SIZE,
+    line_of, AccessKind, CEntry, CompressedLine, EventLog, Fault, FaultPlan, Injector, MemSys,
+    PageFlags, PAGE_SIZE,
 };
 
-use crate::compressed::{CEntry, CompressedLine};
 use crate::oracle::OracleReport;
 use crate::vblock::{list_nodes, VBlock, VBLOCK_BYTES};
 use crate::{TaskId, Version};
@@ -270,18 +270,13 @@ struct GcPhase {
     pending: Vec<(u32, u32)>,
 }
 
-/// The O-structure manager: per-core compressed-line payloads plus the
-/// shared free list and garbage collector.
+/// The O-structure manager: the versioned operations over the compressed
+/// lines the L1s hold, plus the shared free list and garbage collector.
 pub struct OManager {
     cfg: OManagerCfg,
     /// Physical address of the first free version block (0 = empty).
     free_head: u32,
     free_count: u32,
-    /// Compressed-line payloads, one map per core keyed by `root_pa`. The
-    /// matching L1 slot is tracked by the hierarchy; both are kept in sync.
-    /// Splitting per core keeps the hot-path key a bare `u32` and each
-    /// map small (bounded by that core's L1 compressed slots).
-    compressed: Vec<FxHashMap<u32, CompressedLine>>,
     /// Shadowed version blocks: `(root_pa, block_pa)`.
     shadowed: Vec<(u32, u32)>,
     /// With `sorted_insertion` off, roots whose list order has actually
@@ -294,10 +289,6 @@ pub struct OManager {
     active: BTreeSet<TaskId>,
     /// Highest task id ever begun.
     max_id_seen: u32,
-    /// `(core, root_pa)` pairs whose compressed line was discarded by
-    /// another core's mutation since the core last asked. Feeds the cpu
-    /// layer's stall-cause attribution (coherence vs. version state).
-    coherence_lost: FxHashSet<(usize, u32)>,
     /// Reusable unique-line scratch for walk charging (replaces a per-walk
     /// `HashSet` allocation; walks are short, so linear scan wins).
     walk_lines: Vec<u32>,
@@ -327,15 +318,11 @@ impl OManager {
             cfg,
             free_head: 0,
             free_count: 0,
-            compressed: (0..ms.hier.cfg().cores)
-                .map(|_| FxHashMap::default())
-                .collect(),
             shadowed: Vec::new(),
             unsorted_roots: FxHashSet::default(),
             gc_phase: None,
             active: BTreeSet::new(),
             max_id_seen: 0,
-            coherence_lost: FxHashSet::default(),
             walk_lines: Vec::new(),
             pending_trap_cycles: 0,
             injector: cfg.fault_plan.map(Injector::new),
@@ -500,7 +487,6 @@ impl OManager {
                 lines.push(line);
                 let acc = ms.hier.access(core, pa, AccessKind::ReadNoAlloc);
                 latency += acc.latency;
-                self.prune(core, acc.dropped_compressed);
                 self.stats.walk_reads += 1;
             }
         }
@@ -574,8 +560,7 @@ impl OManager {
         let pa = self.free_head;
         debug_assert_ne!(pa, 0, "free list non-empty after refill");
         latency += 4; // staged free-list pop: L1-class latency
-        let dropped = ms.hier.fill_local(core, pa);
-        self.prune(core, dropped);
+        ms.hier.fill_local(core, pa);
         let blk = VBlock::read(&ms.phys, pa);
         self.free_head = blk.next;
         self.free_count -= 1;
@@ -820,16 +805,14 @@ impl OManager {
             }
         }
         // Any compressed line that cached a reclaimed block is stale;
-        // conservatively drop the whole line (GC phases are rare).
+        // conservatively empty its whole payload, keeping the L1 slot (GC
+        // phases are rare).
         if !reclaimed.is_empty() {
-            for per_core in &mut self.compressed {
-                per_core.retain(|_, line| {
-                    !line
-                        .entries_ref()
-                        .iter()
-                        .any(|e| reclaimed.contains(&e.block_pa))
-                });
-            }
+            ms.hier.compressed_purge(|line| {
+                line.entries_ref()
+                    .iter()
+                    .any(|e| reclaimed.contains(&e.block_pa))
+            });
         }
         self.stats.gc_phases += 1;
         self.events.push(MvmEvent {
@@ -883,31 +866,10 @@ impl OManager {
     // Compressed-line plumbing
     // ------------------------------------------------------------------
 
-    /// Removes `core`'s payload for the root whose L1 slot a fill evicted.
-    fn prune(&mut self, core: usize, dropped: Option<u32>) {
-        if let Some(root_pa) = dropped {
-            self.compressed[core].remove(&root_pa);
-        }
-    }
-
-    /// Direct-access probe: returns a clone of the compressed entry for
-    /// (core, root) if both the L1 slot and the payload are present.
-    fn compressed_line(
-        &mut self,
-        ms: &mut MemSys,
-        core: usize,
-        root_pa: u32,
-    ) -> Option<&mut CompressedLine> {
-        let slot_hit = ms.hier.compressed_probe(core, root_pa);
-        if !slot_hit {
-            self.compressed[core].remove(&root_pa);
-            return None;
-        }
-        self.compressed[core].get_mut(&root_pa)
-    }
-
     /// Installs/updates this core's compressed line with an entry, allocating
-    /// the L1 slot if needed.
+    /// the L1 slot if needed. `head_version` is the list head's version when
+    /// the operation proved it; otherwise, if the operation moved the head
+    /// (`head_moved`), the line forgets its now stale head claim.
     fn compressed_install(
         &mut self,
         ms: &mut MemSys,
@@ -915,10 +877,10 @@ impl OManager {
         root_pa: u32,
         entry: CEntry,
         head_version: Option<Version>,
+        head_moved: bool,
     ) {
-        let dropped = ms.hier.compressed_fill(core, root_pa);
-        self.prune(core, dropped);
-        let line = self.compressed[core].entry(root_pa).or_default();
+        let cycle = ms.hier.clock();
+        let line = ms.hier.compressed_fill(core, root_pa);
         if !line.insert(entry) {
             // The version does not fit this line's 2^14 window (stale base):
             // rebuild the line around the new version, as hardware would
@@ -930,14 +892,14 @@ impl OManager {
                 "fresh line rejects only odd lockers"
             );
         }
-        if let Some(h) = head_version {
-            if line.get(h).is_some() {
-                line.set_head_version(Some(h));
-            }
+        match head_version {
+            Some(h) if line.get(h).is_some() => line.set_head_version(Some(h)),
+            None if head_moved => line.set_head_version(None),
+            _ => {}
         }
         let entries = line.len() as u32;
         self.events.push(MvmEvent {
-            cycle: ms.hier.clock(),
+            cycle,
             kind: MvmEventKind::CompressedOccupancy {
                 core: core as u32,
                 root_pa,
@@ -946,28 +908,14 @@ impl OManager {
         });
     }
 
-    /// Coherence: a mutation of the structure rooted at `root_pa` by `core`
-    /// discards every other core's compressed line for it. Each loss is
-    /// remembered so the victims' next blocked retry can be attributed to
-    /// coherence (see [`OManager::take_coherence_lost`]).
-    fn compressed_coherence(&mut self, ms: &mut MemSys, core: usize, root_pa: u32) {
-        let mut dropped = ms.hier.compressed_invalidate_others(core, root_pa);
-        while dropped != 0 {
-            let c = dropped.trailing_zeros() as usize;
-            dropped &= dropped - 1;
-            self.coherence_lost.insert((c, root_pa));
-            self.compressed[c].remove(&root_pa);
-        }
-    }
-
     /// Consumes the coherence-loss marker for `core`'s view of the
     /// structure at `va`: true exactly once after another core's mutation
     /// invalidated this core's compressed line. Issuing cores call this
     /// when an operation blocks, to attribute the stall to coherence
     /// rather than to the version state alone.
-    pub fn take_coherence_lost(&mut self, ms: &MemSys, core: usize, va: u32) -> bool {
+    pub fn take_coherence_lost(&self, ms: &mut MemSys, core: usize, va: u32) -> bool {
         match ms.pt.translate_versioned(va) {
-            Ok(root_pa) => self.coherence_lost.remove(&(core, root_pa)),
+            Ok(root_pa) => ms.hier.compressed_take_lost(core, root_pa),
             Err(_) => false,
         }
     }
@@ -1049,7 +997,7 @@ impl OManager {
         let l1_hit = 4; // compressed lines live in the L1
 
         // --- Direct access -------------------------------------------------
-        let direct = match self.compressed_line(ms, core, root_pa) {
+        let direct = match ms.hier.compressed_probe(core, root_pa) {
             Some(line) => {
                 let found = if latest {
                     line.latest_capped(v).copied()
@@ -1084,12 +1032,12 @@ impl OManager {
                     debug_assert!(blk.unlocked());
                     blk.locked_by = lock_as;
                     blk.write(&mut ms.phys);
-                    if let Some(line) = self.compressed[core].get_mut(&root_pa) {
+                    if let Some(line) = ms.hier.compressed_peek(core, root_pa) {
                         if !line.set_lock(e.version, lock_as) {
                             line.remove(e.version);
                         }
                     }
-                    self.compressed_coherence(ms, core, root_pa);
+                    ms.hier.compressed_invalidate_others(core, root_pa);
                 }
                 return Ok(OpOutcome::Done {
                     value: e.data,
@@ -1103,7 +1051,6 @@ impl OManager {
         self.stats.full_lookups += 1;
         let root = ms.hier.access(core, root_pa, AccessKind::Read);
         latency += root.latency;
-        self.prune(core, root.dropped_compressed);
 
         let head_pa = ms.phys.read_u32(root_pa);
         if head_pa == 0 {
@@ -1168,8 +1115,7 @@ impl OManager {
         }
 
         // Cache the matching block (pollution rule: only this one).
-        let dropped = ms.hier.fill_local(core, blk.pa);
-        self.prune(core, dropped);
+        ms.hier.fill_local(core, blk.pa);
 
         let mut locked_by = 0;
         if lock_as != 0 {
@@ -1196,9 +1142,10 @@ impl OManager {
                 block_pa: blk.pa,
             },
             known_head,
+            false,
         );
         if lock_as != 0 {
-            self.compressed_coherence(ms, core, root_pa);
+            ms.hier.compressed_invalidate_others(core, root_pa);
         }
 
         Ok(OpOutcome::Done {
@@ -1265,15 +1212,11 @@ impl OManager {
                 block_pa: new_pa,
             },
             head_version,
-        );
-        if head_version.is_none() {
-            // The head changed but the list is no longer provably sorted:
+            // The head changed; if the list is no longer provably sorted,
             // any head-version claim the line carries is stale now.
-            if let Some(line) = self.compressed[core].get_mut(&root_pa) {
-                line.set_head_version(None);
-            }
-        }
-        self.compressed_coherence(ms, core, root_pa);
+            true,
+        );
+        ms.hier.compressed_invalidate_others(core, root_pa);
         Ok(OpOutcome::Done {
             value: data,
             version: v,
@@ -1297,7 +1240,7 @@ impl OManager {
         // the head version and `v` is a fresh maximum, the front insertion
         // point is known from one cache lookup — no list walk, mirroring
         // what direct access does for loads.
-        let fast = match self.compressed_line(ms, core, root_pa) {
+        let fast = match ms.hier.compressed_probe(core, root_pa) {
             Some(line) => match line.head_version() {
                 Some(h) if v > h => line.get(h).map(|e| (h, e.block_pa)),
                 _ => None,
@@ -1312,7 +1255,6 @@ impl OManager {
         // Read the root to find the insertion point.
         let root = ms.hier.access(core, root_pa, AccessKind::Read);
         latency += root.latency;
-        self.prune(core, root.dropped_compressed);
         let head_pa = ms.phys.read_u32(root_pa);
 
         // Find `prev` (last block with version > v) and the follower by
@@ -1450,18 +1392,14 @@ impl OManager {
                 block_pa: new_pa,
             },
             head_version,
-        );
-        if at_front && head_version.is_none() {
-            // An out-of-order prepend changed the head without proving
-            // "newest overall": drop any stale head-version claim so the
+            // An out-of-order prepend changes the head without proving
+            // "newest overall": the line drops its stale head claim so the
             // store fast path cannot front-insert against the wrong block.
             // (When not at front the head did not change and our line's
             // claim stays valid; remote lines are dropped either way.)
-            if let Some(line) = self.compressed[core].get_mut(&root_pa) {
-                line.set_head_version(None);
-            }
-        }
-        self.compressed_coherence(ms, core, root_pa);
+            at_front,
+        );
+        ms.hier.compressed_invalidate_others(core, root_pa);
 
         Ok(OpOutcome::Done {
             value: data,
@@ -1486,7 +1424,7 @@ impl OManager {
 
         // Locate the block holding vl: via our compressed line if possible,
         // else by walking.
-        let block_pa = match self.compressed_line(ms, core, root_pa) {
+        let block_pa = match ms.hier.compressed_probe(core, root_pa) {
             Some(line) => line.get(vl).map(|e| e.block_pa),
             None => None,
         };
@@ -1499,7 +1437,6 @@ impl OManager {
                 self.stats.full_lookups += 1;
                 let root = ms.hier.access(core, root_pa, AccessKind::Read);
                 let mut lat = root.latency;
-                self.prune(core, root.dropped_compressed);
                 let sorted = self.list_sorted(root_pa);
                 let head_pa = ms.phys.read_u32(root_pa);
                 let mut found = None;
@@ -1543,10 +1480,10 @@ impl OManager {
         blk.write(&mut ms.phys);
         latency += ms.hier.access(core, block_pa, AccessKind::Write).latency;
 
-        if let Some(line) = self.compressed[core].get_mut(&root_pa) {
+        if let Some(line) = ms.hier.compressed_peek(core, root_pa) {
             let _ = line.set_lock(vl, 0);
         }
-        self.compressed_coherence(ms, core, root_pa);
+        ms.hier.compressed_invalidate_others(core, root_pa);
 
         let value = blk.data;
         if let Some(vn) = create {
@@ -1605,11 +1542,7 @@ impl OManager {
         // Every cached view of this structure is now stale. This is an
         // explicit release, not a coherence event, so pending loss markers
         // for the root die with it.
-        for core in 0..ms.hier.cfg().cores {
-            ms.hier.compressed_drop(core, root_pa);
-            self.compressed[core].remove(&root_pa);
-        }
-        self.coherence_lost.retain(|&(_, r)| r != root_pa);
+        ms.hier.compressed_release(root_pa);
         self.stats.reclaimed_blocks += freed as u64;
         self.unsorted_roots.remove(&root_pa);
         Ok(freed)

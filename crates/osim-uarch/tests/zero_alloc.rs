@@ -1,9 +1,11 @@
 //! Proof that the versioned-operation path is allocation-free once warm:
-//! direct loads, walked loads, lock-load/unlock pairs and the coherence
-//! drops another core's lock-loads cause all run without touching the heap.
+//! direct loads, data fills that evict a compressed line, walked loads,
+//! lock-load/unlock pairs, the coherence drops another core's lock-loads
+//! cause and the loss marks they leave all run without touching the heap.
 //! Version lists are searched in simulated memory and compressed-line
-//! payloads live inline, so nothing on these paths needs host storage
-//! beyond maps already sized by the warm-up.
+//! payloads live in each L1's slab, whose freed slots are reused, so
+//! nothing on these paths needs host storage beyond what the warm-up
+//! sized.
 //!
 //! A counting `#[global_allocator]` is armed after a warm-up pass over the
 //! same roots and disarmed before the assertions; the count of allocations
@@ -13,7 +15,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
-use osim_mem::{HierarchyCfg, MemSys, PageFlags};
+use osim_mem::{AccessKind, HierarchyCfg, MemSys, PageFlags};
 use osim_uarch::{OManager, OManagerCfg, OpOutcome};
 
 struct CountingAlloc;
@@ -54,6 +56,9 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 const ROOTS: u32 = 16;
 const VERSIONS: u32 = 4;
 const LOCKER: u32 = 1000;
+/// Physical base of the conventional lines that evict compressed ones;
+/// no version block lives this high.
+const EVICTORS: u32 = 0x4000_0000;
 
 fn done(out: OpOutcome) -> u32 {
     match out {
@@ -68,6 +73,17 @@ fn round(ms: &mut MemSys, mgr: &mut OManager, roots: &[(u32, u32)]) {
     for &(va, root_pa) in roots {
         // Direct: the newest version sits in core 0's compressed line.
         assert_eq!(done(mgr.load_version(ms, 0, va, VERSIONS).unwrap()), va);
+        // Eight data fills into the line's set evict it and free its
+        // payload; the next load walks and refills a recycled slot.
+        let cfg = ms.hier.cfg().l1;
+        let sets = cfg.size_bytes / 64 / cfg.assoc;
+        let set = (root_pa / 4) % sets;
+        for way in 0..cfg.assoc {
+            ms.hier
+                .access(0, EVICTORS + (way * sets + set) * 64, AccessKind::Read);
+        }
+        assert!(ms.hier.compressed_peek(0, root_pa).is_none());
+        assert_eq!(done(mgr.load_version(ms, 0, va, VERSIONS).unwrap()), va);
         // Walked: without the line, version 1 needs a full list walk.
         ms.hier.compressed_drop(0, root_pa);
         assert_eq!(done(mgr.load_version(ms, 0, va, 1).unwrap()), va);
@@ -76,6 +92,10 @@ fn round(ms: &mut MemSys, mgr: &mut OManager, roots: &[(u32, u32)]) {
         done(mgr.load_latest(ms, 1, va, VERSIONS).unwrap());
         done(mgr.lock_load_version(ms, 0, va, VERSIONS, LOCKER).unwrap());
         assert!(mgr.take_coherence_lost(ms, 1, va));
+        assert!(
+            !mgr.take_coherence_lost(ms, 1, va),
+            "a mark is consumed once"
+        );
         done(
             mgr.unlock_version(ms, 0, va, VERSIONS, LOCKER, None)
                 .unwrap(),
@@ -117,7 +137,7 @@ fn steady_state_versioned_ops_are_allocation_free() {
     // Every measured path ran inside the window.
     let ops = 32 * u64::from(ROOTS);
     assert!(mgr.stats.direct_hits - before.direct_hits >= ops);
-    assert!(mgr.stats.full_lookups - before.full_lookups >= ops);
+    assert!(mgr.stats.full_lookups - before.full_lookups >= 2 * ops);
     assert!(mgr.stats.walk_reads - before.walk_reads >= ops);
     assert_eq!(
         ms.hier.stats.compressed_coherence_drops - drops_before,

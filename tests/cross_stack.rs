@@ -3,7 +3,7 @@
 //! with sequential reference semantics.
 
 use ostructs::core::OCell;
-use ostructs::cpu::{task, Machine, MachineCfg, SimError};
+use ostructs::cpu::{task, Machine, MachineCfg, SimError, StallCause};
 use ostructs::mem::{CacheCfg, Fault, HierarchyCfg, MemSys, PageFlags};
 use ostructs::uarch::{OManager, OManagerCfg, OpOutcome};
 use ostructs::workloads::harness::{DsCfg, DsResult};
@@ -319,6 +319,7 @@ fn versioned_results_match_recorded_fingerprints() {
             r.ostats.walk_reads,
             r.mem.compressed_hits,
             r.mem.compressed_coherence_drops,
+            r.cpu.stall_cycles_for(StallCause::CoherenceInval),
         ]
     };
     let mut unsorted = MachineCfg::paper(8);
@@ -355,14 +356,14 @@ fn versioned_results_match_recorded_fingerprints() {
     assert_eq!(
         got,
         [
-            [349179, 73334, 224919, 25882, 48543, 48613, 26160, 46955],
-            [5808175, 73334, 224177, 25099, 48955, 463151, 57035, 35783],
-            [26366, 4704, 9600, 49, 2322, 2303, 49, 0],
-            [6896, 1872, 11121, 1584, 144, 144, 1584, 0],
-            [349179, 73334, 224919, 25882, 48543, 48613, 26160, 46955],
-            [5576679, 73334, 223563, 25043, 48704, 512902, 58424, 33616],
-            [42254, 5533, 22665, 2272, 3528, 3539, 2545, 2625],
-            [25272, 1608, 7345, 549, 1772, 1796, 781, 675],
+            [349179, 73334, 224919, 25882, 48543, 48613, 26160, 46955, 481136],
+            [5808175, 73334, 224177, 25099, 48955, 463151, 57035, 35783, 532771],
+            [26366, 4704, 9600, 49, 2322, 2303, 49, 0, 0],
+            [6896, 1872, 11121, 1584, 144, 144, 1584, 0, 0],
+            [349179, 73334, 224919, 25882, 48543, 48613, 26160, 46955, 481136],
+            [5576679, 73334, 223563, 25043, 48704, 512902, 58424, 33616, 464248],
+            [42254, 5533, 22665, 2272, 3528, 3539, 2545, 2625, 42790],
+            [25272, 1608, 7345, 549, 1772, 1796, 781, 675, 27219],
         ]
     );
 }
