@@ -91,8 +91,38 @@ fn l1_hit_path() {
     });
 }
 
-/// The versioned-store fast path plus direct-hit loads: the version
-/// manager's host-side mirror, exact-version index and compressed lines.
+/// A read miss on a line 31 other cores hold Shared: the directory lookup,
+/// the demotion of the line's Exclusive/Modified holders (none here) and
+/// the fill. Core 0 alternates eight such lines with eight private ones,
+/// all in one L1 set, so every read misses; half of them are the shared
+/// misses measured.
+fn shared_read_miss() {
+    let rounds = if smoke() { 10 } else { 5_000 };
+    group("hotpath/shared_read_miss");
+    let mut ms = MemSys::new(HierarchyCfg::paper(32), 64 << 20);
+    // 64 sets x 64 B: a 4096-byte stride stays in set 0.
+    let shared = |k: u32| k * 4096;
+    let private = |k: u32| (8 + k) * 4096;
+    for core in 1..32 {
+        for k in 0..8 {
+            ms.hier.access(core, shared(k), AccessKind::Read);
+        }
+    }
+    bench("31_sharers", || {
+        let mut total = 0u64;
+        for _ in 0..rounds {
+            for k in 0..8 {
+                total += ms.hier.access(0, shared(k), AccessKind::Read).latency;
+                total += ms.hier.access(0, private(k), AccessKind::Read).latency;
+            }
+        }
+        total
+    });
+}
+
+/// The versioned-store fast path plus direct-hit loads: each store
+/// allocates and links a version block in simulated memory and installs
+/// the version in the core's compressed line, which the load then hits.
 fn versioned_store_path() {
     let stores = if smoke() { 200 } else { 20_000 };
     group("hotpath/versioned");
@@ -117,9 +147,39 @@ fn versioned_store_path() {
     });
 }
 
+/// A `LOAD-LATEST` whose compressed line is absent: the full lookup that
+/// reads the root, walks the version list, installs the matched block and
+/// refills the compressed line. The line is dropped before every load.
+fn full_lookup() {
+    let versions = 8;
+    let loads = if smoke() { 200 } else { 20_000 };
+    group("hotpath/full_lookup");
+    let mut ms = MemSys::new(HierarchyCfg::paper(32), 64 << 20);
+    let va = ms.map_zeroed(1, PageFlags::VersionedRoot).unwrap();
+    let root_pa = ms.pt.translate_versioned(va).unwrap();
+    let cfg = OManagerCfg {
+        initial_free_blocks: 64,
+        ..Default::default()
+    };
+    let mut mgr = OManager::new(cfg, &mut ms).unwrap();
+    for v in 1..=versions {
+        mgr.store_version(&mut ms, 0, va, v, v).unwrap();
+    }
+    bench("load_latest_uncompressed", || {
+        let mut total = 0u64;
+        for _ in 0..loads {
+            ms.hier.compressed_drop(0, root_pa);
+            total += mgr.load_latest(&mut ms, 0, va, versions).unwrap().latency();
+        }
+        total
+    });
+}
+
 fn main() {
     executor_throughput();
     gate_wait_open();
     l1_hit_path();
+    shared_read_miss();
     versioned_store_path();
+    full_lookup();
 }

@@ -96,6 +96,9 @@ const _: () = assert!(std::mem::size_of::<Line>() == 8);
 pub struct Cache {
     cfg: CacheCfg,
     n_sets: u32,
+    /// `n_sets`' fastmod multiplier, `2^64 / n_sets` rounded up (wrapping
+    /// to 0 for one set): see [`Cache::set_of_kind`].
+    set_mul: u64,
     sets: Vec<Vec<Line>>,
     /// Compressed-line payloads, indexed by `Line::slot`. A fill takes a
     /// slot and every departure gives it back to `free_slots`, so the slab
@@ -111,6 +114,7 @@ impl Cache {
         Cache {
             cfg,
             n_sets,
+            set_mul: (u64::MAX / u64::from(n_sets)).wrapping_add(1),
             sets: (0..n_sets).map(|_| Vec::new()).collect(),
             payloads: Vec::new(),
             free_slots: Vec::new(),
@@ -121,13 +125,25 @@ impl Cache {
     /// by their root *word* (O-structure identity), spreading structures
     /// whose root words share a line across sets — hardware indexes these
     /// by the version-block list's location, which is similarly spread.
+    ///
+    /// The index is `idx % n_sets`, computed without a divide by Lemire's
+    /// fastmod (exact for every `u32` index and divisor): the low 64 bits
+    /// of `set_mul * idx` are the fraction `idx / n_sets`, and scaling that
+    /// fraction by `n_sets` leaves the remainder in the high 64 bits.
     #[inline]
     fn set_of_kind(&self, tag: u32, kind: LineKind) -> usize {
         let idx = match kind {
             LineKind::Data => tag / LINE_BYTES,
             LineKind::Compressed => tag / 4,
         };
-        (idx % self.n_sets) as usize
+        self.set_index(idx)
+    }
+
+    /// `idx % n_sets`.
+    #[inline]
+    fn set_index(&self, idx: u32) -> usize {
+        let frac = self.set_mul.wrapping_mul(u64::from(idx));
+        ((u128::from(frac) * u128::from(self.n_sets)) >> 64) as usize
     }
 
     /// Looks a line up and refreshes its LRU position. The caller may
@@ -206,7 +222,10 @@ impl Cache {
             slot
         } else {
             self.payloads.push(CompressedLine::new());
-            u16::try_from(self.payloads.len() - 1).expect("a cache has < 2^16 lines")
+            match u16::try_from(self.payloads.len() - 1) {
+                Ok(slot) => slot,
+                Err(_) => unreachable!("a cache holding compressed lines has < 2^16 lines"),
+            }
         };
         lines.push(Line {
             tag,
@@ -420,6 +439,36 @@ mod tests {
         c.compressed_purge(|l| l.get(1).is_some());
         assert!(c.compressed_probe(0x0).unwrap().is_empty());
         assert!(c.compressed_probe(0x4).unwrap().get(2).is_some());
+    }
+
+    #[test]
+    fn set_index_is_the_remainder_for_every_built_geometry() {
+        let mut cfgs: Vec<CacheCfg> = (8..=128).map(CacheCfg::l1_sized).collect();
+        cfgs.extend((1..=64).map(CacheCfg::l2_paper));
+        // The 4-set L2 of the coherence tests, and a single set.
+        for (size_bytes, assoc) in [(4096, 16), (256, 4)] {
+            cfgs.push(CacheCfg {
+                size_bytes,
+                assoc,
+                hit_latency: 1,
+            });
+        }
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        for cfg in cfgs {
+            let c = Cache::new(cfg);
+            let n = c.n_sets;
+            let mut idxs = vec![0, 1, n - 1, n, n + 1, 2 * n - 1, u32::MAX - 1, u32::MAX];
+            for _ in 0..512 {
+                // xorshift64
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                idxs.push(x as u32);
+            }
+            for idx in idxs {
+                assert_eq!(c.set_index(idx), (idx % n) as usize, "{n} sets, idx {idx}");
+            }
+        }
     }
 
     #[test]

@@ -35,24 +35,44 @@ pub struct CEntry {
 /// Capacity of a compressed line (8 entries per 64-byte line).
 pub const ENTRIES_PER_LINE: usize = 8;
 
-/// Payload of one compressed version-block line. The entries live inline:
-/// slots `len..` are always zeroed, so the derived equality compares only
-/// live entries.
+/// Payload of one compressed version-block line, packed into 128 host
+/// bytes as a struct of arrays. The first 64 bytes hold everything a
+/// lookup reads (base, head, length, recency ranks and the version and
+/// lock offsets); the second 64 hold the data and block addresses, read
+/// only once a lookup has found its slot.
+///
+/// Slot `i < len` is live; slots `len..` are always zeroed, so the derived
+/// equality compares only live entries. Versions are stored as offsets
+/// from `base`, lockers as `locker - base + 1` (0 means unlocked, so a
+/// locker equal to `base` stays locked). `rank` is a recency permutation
+/// of `0..len`: the LRU victim has rank 0, the most recent slot `len - 1`.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[repr(C, align(128))]
 pub struct CompressedLine {
     /// Version base; all entries satisfy `base <= version < base + 2^14`.
     base: u32,
-    entries: [CEntry; ENTRIES_PER_LINE],
-    /// LRU ticks, parallel to `entries`.
-    lru: [u64; ENTRIES_PER_LINE],
-    /// Live entries: `entries[..len]`.
-    len: u8,
-    tick: u64,
     /// Version at the head of the version-block list, if this line knows it.
     /// Only when the head version is itself cached can a `LOAD-LATEST` be
     /// answered directly (otherwise a newer version might exist in memory).
     head_version: Option<u32>,
+    len: u8,
+    rank: [u8; ENTRIES_PER_LINE],
+    voff: [u16; ENTRIES_PER_LINE],
+    loff: [u16; ENTRIES_PER_LINE],
+    values: Values,
 }
+
+/// The second half of a [`CompressedLine`], parallel to its offsets.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[repr(C, align(64))]
+struct Values {
+    data: [u32; ENTRIES_PER_LINE],
+    block_pa: [u32; ENTRIES_PER_LINE],
+}
+
+const _: () = assert!(std::mem::size_of::<CompressedLine>() == 128);
+const _: () = assert!(std::mem::align_of::<CompressedLine>() == 128);
+const _: () = assert!(std::mem::offset_of!(CompressedLine, values) == 64);
 
 impl CompressedLine {
     /// An empty line.
@@ -61,19 +81,50 @@ impl CompressedLine {
     }
 
     fn position(&self, version: u32) -> Option<usize> {
-        self.entries_ref().iter().position(|e| e.version == version)
+        if !self.fits(version) {
+            return None;
+        }
+        let off = (version - self.base) as u16;
+        self.voff[..self.len()].iter().position(|&o| o == off)
+    }
+
+    fn entry(&self, i: usize) -> CEntry {
+        CEntry {
+            version: self.base + u32::from(self.voff[i]),
+            locked_by: match self.loff[i] {
+                0 => 0,
+                off => self.base + u32::from(off) - 1,
+            },
+            data: self.values.data[i],
+            block_pa: self.values.block_pa[i],
+        }
     }
 
     /// Looks up an exact version.
-    pub fn get(&self, version: u32) -> Option<&CEntry> {
-        self.entries_ref().iter().find(|e| e.version == version)
+    pub fn get(&self, version: u32) -> Option<CEntry> {
+        self.position(version).map(|i| self.entry(i))
     }
 
     /// Marks `version` most recently used.
     pub fn touch(&mut self, version: u32) {
-        self.tick += 1;
         if let Some(i) = self.position(version) {
-            self.lru[i] = self.tick;
+            self.promote(i);
+        }
+    }
+
+    /// Gives slot `i` the top rank.
+    fn promote(&mut self, i: usize) {
+        self.close_rank_gap(self.rank[i]);
+        self.rank[i] = self.len - 1;
+    }
+
+    /// Moves every rank above `r` down one, as when rank `r`'s slot
+    /// leaves. Dead slots rank 0 and are never above anything.
+    fn close_rank_gap(&mut self, r: u8) {
+        for x in &mut self.rank {
+            if *x > r {
+                *x -= 1;
+            }
         }
     }
 
@@ -91,7 +142,7 @@ impl CompressedLine {
     /// answer: the head version must be cached here and `head <= cap`
     /// (the head is the globally newest version, so it is the latest one
     /// not exceeding `cap`).
-    pub fn latest_capped(&self, cap: u32) -> Option<&CEntry> {
+    pub fn latest_capped(&self, cap: u32) -> Option<CEntry> {
         let head = self.head_version?;
         if head <= cap {
             self.get(head)
@@ -111,26 +162,31 @@ impl CompressedLine {
         if !self.fits(e.version) || (e.locked_by != 0 && !self.fits(e.locked_by)) {
             return false;
         }
-        self.tick += 1;
-        if let Some(i) = self.position(e.version) {
-            self.entries[i] = e;
-            self.lru[i] = self.tick;
-            return true;
-        }
-        if self.len() == ENTRIES_PER_LINE {
-            let victim = match self.lru.iter().enumerate().min_by_key(|(_, &t)| t) {
-                Some((victim, _)) => victim,
-                None => unreachable!("full line"),
-            };
-            if self.head_version == Some(self.entries[victim].version) {
-                self.head_version = None;
+        let i = match self.position(e.version) {
+            Some(i) => {
+                self.promote(i);
+                i
             }
-            self.swap_remove(victim);
-        }
-        let at = self.len();
-        self.entries[at] = e;
-        self.lru[at] = self.tick;
-        self.len += 1;
+            None => {
+                if self.len() == ENTRIES_PER_LINE {
+                    let Some(victim) = self.rank.iter().position(|&r| r == 0) else {
+                        unreachable!("a full line ranks one slot 0");
+                    };
+                    if self.head_version == Some(self.entry(victim).version) {
+                        self.head_version = None;
+                    }
+                    self.swap_remove(victim);
+                }
+                let at = self.len();
+                self.rank[at] = self.len;
+                self.len += 1;
+                at
+            }
+        };
+        self.voff[i] = (e.version - self.base) as u16;
+        self.loff[i] = self.lock_offset(e.locked_by);
+        self.values.data[i] = e.data;
+        self.values.block_pa[i] = e.block_pa;
         true
     }
 
@@ -142,7 +198,7 @@ impl CompressedLine {
         }
         match self.position(version) {
             Some(i) => {
-                self.entries[i].locked_by = locked_by;
+                self.loff[i] = self.lock_offset(locked_by);
                 true
             }
             None => false,
@@ -160,13 +216,21 @@ impl CompressedLine {
     }
 
     /// Moves the last live entry into slot `i` and zeroes the vacated
-    /// slot (the order `Vec::swap_remove` leaves).
+    /// slot (the order `Vec::swap_remove` leaves), keeping the ranks a
+    /// permutation.
     fn swap_remove(&mut self, i: usize) {
+        self.close_rank_gap(self.rank[i]);
         let last = self.len() - 1;
-        self.entries[i] = self.entries[last];
-        self.lru[i] = self.lru[last];
-        self.entries[last] = CEntry::default();
-        self.lru[last] = 0;
+        self.rank[i] = self.rank[last];
+        self.voff[i] = self.voff[last];
+        self.loff[i] = self.loff[last];
+        self.values.data[i] = self.values.data[last];
+        self.values.block_pa[i] = self.values.block_pa[last];
+        self.rank[last] = 0;
+        self.voff[last] = 0;
+        self.loff[last] = 0;
+        self.values.data[last] = 0;
+        self.values.block_pa[last] = 0;
         self.len -= 1;
     }
 
@@ -175,9 +239,9 @@ impl CompressedLine {
         usize::from(self.len)
     }
 
-    /// All cached entries (order is unspecified).
-    pub fn entries_ref(&self) -> &[CEntry] {
-        &self.entries[..self.len()]
+    /// All cached entries, in slot order.
+    pub fn entries(&self) -> impl Iterator<Item = CEntry> + '_ {
+        (0..self.len()).map(|i| self.entry(i))
     }
 
     /// True if no entries are cached.
@@ -187,6 +251,14 @@ impl CompressedLine {
 
     fn fits(&self, v: u32) -> bool {
         v >= self.base && v - self.base < VERSION_WINDOW
+    }
+
+    /// The stored form of a locker that [`CompressedLine::fits`].
+    fn lock_offset(&self, locked_by: u32) -> u16 {
+        match locked_by {
+            0 => 0,
+            l => (l - self.base + 1) as u16,
+        }
     }
 }
 
@@ -299,6 +371,51 @@ mod tests {
         l.remove(4);
         assert!(l.is_empty());
         assert_eq!(l.head_version(), None);
+    }
+
+    #[test]
+    fn locker_equal_to_base_stays_locked() {
+        let base = 3 * VERSION_WINDOW;
+        let mut l = CompressedLine::new();
+        assert!(l.insert(CEntry {
+            locked_by: base,
+            ..e(base + 5, 1)
+        }));
+        assert_eq!(
+            l.get(base + 5).unwrap().locked_by,
+            base,
+            "offset 0 is a lock"
+        );
+        assert!(l.set_lock(base + 5, 0));
+        assert_eq!(l.get(base + 5).unwrap().locked_by, 0);
+        assert!(l.set_lock(base + 5, base));
+        assert_eq!(l.get(base + 5).unwrap().locked_by, base);
+    }
+
+    #[test]
+    fn top_of_window_round_trips() {
+        let base = 2 * VERSION_WINDOW;
+        let top = base + VERSION_WINDOW - 1;
+        let mut l = CompressedLine::new();
+        assert!(l.insert(CEntry {
+            locked_by: top,
+            ..e(base, 1)
+        }));
+        assert!(l.insert(e(top, 2)));
+        assert_eq!(l.get(top), Some(e(top, 2)));
+        assert_eq!(l.get(base).unwrap().locked_by, top);
+        assert!(l.get(top + 1).is_none());
+    }
+
+    #[test]
+    fn entries_follow_swap_remove_order() {
+        let mut l = CompressedLine::new();
+        for v in 0..4 {
+            l.insert(e(v, v));
+        }
+        l.remove(1);
+        let order: Vec<u32> = l.entries().map(|x| x.version).collect();
+        assert_eq!(order, [0, 3, 2]);
     }
 
     #[test]

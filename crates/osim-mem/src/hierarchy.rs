@@ -8,19 +8,40 @@ use crate::fxhash::FxHashMap;
 use crate::line_of;
 use crate::stats::{MemHists, MemStats};
 
-/// Which L1s hold a copy of one line, as a core bitmask, plus the single
-/// core (if any) holding it Modified. A pure host-side acceleration
-/// structure: it mirrors the per-core caches exactly so coherence actions
-/// visit only actual sharers instead of scanning every core.
+/// Which L1s hold a copy of one line, as a core bitmask, which of those
+/// hold it Exclusive or Modified, and the single core (if any) holding it
+/// Modified. A pure host-side acceleration structure: it mirrors the
+/// per-core caches exactly so coherence actions visit only the cores they
+/// change instead of scanning every core.
 #[derive(Debug, Clone, Copy, Default)]
 struct DirEntry {
     sharers: u64,
-    dirty: Option<usize>,
+    /// The sharers in E or M: the only ones a read miss must demote.
+    excl: u64,
+    /// The Modified holder; a `u8` (cores <= 64) keeps the entry at 24
+    /// bytes with `excl` added.
+    dirty: Option<u8>,
 }
+
+const _: () = assert!(std::mem::size_of::<DirEntry>() == 24);
 
 impl DirEntry {
     fn is_empty(&self) -> bool {
         self.sharers == 0
+    }
+
+    /// Records `core`'s copy (a sharer) as now being in `state`.
+    fn set_state(&mut self, core: usize, state: Mesi) {
+        if state == Mesi::Shared {
+            self.excl &= !(1 << core);
+        } else {
+            self.excl |= 1 << core;
+        }
+        if state == Mesi::Modified {
+            self.dirty = Some(core as u8);
+        } else if self.dirty == Some(core as u8) {
+            self.dirty = None;
+        }
     }
 }
 
@@ -162,11 +183,7 @@ impl Hierarchy {
     fn dir_add_data(&mut self, core: usize, line: u32, state: Mesi) {
         let e = self.data_dir.entry(line).or_default();
         e.sharers |= 1 << core;
-        if state == Mesi::Modified {
-            e.dirty = Some(core);
-        } else if e.dirty == Some(core) {
-            e.dirty = None;
-        }
+        e.set_state(core, state);
     }
 
     /// Removes `core` from the directory entry of an evicted/invalidated
@@ -182,7 +199,8 @@ impl Hierarchy {
     fn dir_remove_data(&mut self, core: usize, line: u32) {
         if let Some(e) = self.data_dir.get_mut(&line) {
             e.sharers &= !(1 << core);
-            if e.dirty == Some(core) {
+            e.excl &= !(1 << core);
+            if e.dirty == Some(core as u8) {
                 e.dirty = None;
             }
             if e.is_empty() {
@@ -193,11 +211,7 @@ impl Hierarchy {
 
     fn dir_set_state_data(&mut self, core: usize, line: u32, state: Mesi) {
         if let Some(e) = self.data_dir.get_mut(&line) {
-            if state == Mesi::Modified {
-                e.dirty = Some(core);
-            } else if e.dirty == Some(core) {
-                e.dirty = None;
-            }
+            e.set_state(core, state);
         }
     }
 
@@ -295,7 +309,7 @@ impl Hierarchy {
         // line's sharers before a read's fill, and a write's fill needs none.
         let entry = self.data_dir.get(&line).copied().unwrap_or_default();
         let others = entry.sharers & !(1 << core);
-        let dirty_owner = entry.dirty.filter(|&c| c != core);
+        let dirty_owner = entry.dirty.map(usize::from).filter(|&c| c != core);
 
         let (level, latency) = if let Some(owner) = dirty_owner {
             // Cache-to-cache forward; the paper notes LLC and remote-L1
@@ -348,9 +362,10 @@ impl Hierarchy {
             } else {
                 Mesi::Exclusive
             };
-            // Keep peers coherent: a read next to sharers demotes everyone.
+            // Keep peers coherent: a read next to sharers demotes every
+            // E/M holder (the rest are already Shared).
             if state == Mesi::Shared {
-                for_each_core(others, |c| {
+                for_each_core(others & entry.excl, |c| {
                     self.l1s[c].set_state(line, LineKind::Data, Mesi::Shared);
                     self.dir_set_state_data(c, line, Mesi::Shared);
                 });
@@ -716,6 +731,66 @@ mod tests {
             let a = quiet.access(0, i * 256, AccessKind::Read);
             let b = loud.access(0, i * 256, AccessKind::Read);
             assert_eq!(a.latency, b.latency);
+        }
+    }
+
+    /// Asserts that the data directory is exactly what scanning every L1
+    /// would find: sharers, E/M holders and the Modified owner.
+    fn assert_dir_mirrors(h: &Hierarchy, lines: impl Iterator<Item = u32>) {
+        for line in lines {
+            let mut want = DirEntry::default();
+            for (c, l1) in h.l1s.iter().enumerate() {
+                if let Some(l) = l1.peek(line, LineKind::Data) {
+                    want.sharers |= 1 << c;
+                    want.set_state(c, l.state);
+                }
+            }
+            let got = h.data_dir.get(&line).copied();
+            assert_eq!(got.is_some(), !want.is_empty(), "line {line:#x} entry");
+            let got = got.unwrap_or_default();
+            assert_eq!(
+                (got.sharers, got.excl, got.dirty),
+                (want.sharers, want.excl, want.dirty),
+                "line {line:#x}"
+            );
+        }
+    }
+
+    #[test]
+    fn directory_mirrors_every_l1() {
+        let tiny = |size_bytes, assoc| CacheCfg {
+            size_bytes,
+            assoc,
+            hit_latency: 1,
+        };
+        let mut x = 0x2545_f491_4f6c_dd1du64;
+        for cores in 2..=8 {
+            let mut h = Hierarchy::new(HierarchyCfg {
+                cores,
+                l1: tiny(512, 2),
+                l2: tiny(1024, 4),
+                dram_latency: 120,
+            });
+            for _ in 0..2000 {
+                // xorshift64
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                let core = (x % cores as u64) as usize;
+                let pa = ((x >> 8) % 24) as u32 * 64;
+                match (x >> 16) % 7 {
+                    0..=2 => h.access(core, pa, AccessKind::Read),
+                    3 | 4 => h.access(core, pa, AccessKind::Write),
+                    5 => h.access(core, pa, AccessKind::ReadNoAlloc),
+                    // A walk's matched block: read, then installed.
+                    _ => {
+                        let r = h.access(core, pa, AccessKind::ReadNoAlloc);
+                        h.fill_local(core, pa);
+                        r
+                    }
+                };
+                assert_dir_mirrors(&h, (0..24).map(|l| l * 64));
+            }
         }
     }
 

@@ -33,7 +33,7 @@ impl MemHists {
 /// counters are global. The paper quotes L1 read miss rates (Fig. 9
 /// discussion) and qualitative hit-rate statements (§IV-D), which these
 /// counters regenerate.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct MemStats {
     /// Per-core L1 read hits (demand data reads, including versioned ops
     /// that hit compressed or data lines).

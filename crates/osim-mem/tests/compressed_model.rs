@@ -1,9 +1,9 @@
-//! Reference-model check for the inline compressed line: random operation
+//! Reference-model check for the packed compressed line: random operation
 //! sequences drive [`CompressedLine`] and a straightforward two-`Vec` model
 //! side by side, and every observable answer must agree after every step.
 //! The model keeps entries and LRU ticks in parallel vectors and removes
-//! with `Vec::swap_remove`, so it pins the inline line's slot order and
-//! LRU victim choice.
+//! with `Vec::swap_remove`, so it pins the packed line's slot order and
+//! its recency ranks' victim choice.
 
 use proptest::prelude::*;
 
@@ -174,13 +174,13 @@ proptest! {
                 }
             }
             prop_assert_eq!(line.len(), model.entries.len());
-            prop_assert_eq!(line.entries_ref(), &model.entries[..]);
+            prop_assert_eq!(line.entries().collect::<Vec<_>>(), model.entries.clone());
             prop_assert_eq!(line.head_version(), model.head_version);
             for probe in model.entries.iter().map(|e| e.version).chain([0, 7, VERSION_WINDOW]) {
-                prop_assert_eq!(line.get(probe), model.get(probe));
-                prop_assert_eq!(line.latest_capped(probe), model.latest_capped(probe));
+                prop_assert_eq!(line.get(probe), model.get(probe).copied());
+                prop_assert_eq!(line.latest_capped(probe), model.latest_capped(probe).copied());
             }
-            prop_assert_eq!(line.latest_capped(u32::MAX), model.latest_capped(u32::MAX));
+            prop_assert_eq!(line.latest_capped(u32::MAX), model.latest_capped(u32::MAX).copied());
         }
     }
 }

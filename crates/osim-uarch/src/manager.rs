@@ -808,11 +808,8 @@ impl OManager {
         // conservatively empty its whole payload, keeping the L1 slot (GC
         // phases are rare).
         if !reclaimed.is_empty() {
-            ms.hier.compressed_purge(|line| {
-                line.entries_ref()
-                    .iter()
-                    .any(|e| reclaimed.contains(&e.block_pa))
-            });
+            ms.hier
+                .compressed_purge(|line| line.entries().any(|e| reclaimed.contains(&e.block_pa)));
         }
         self.stats.gc_phases += 1;
         self.events.push(MvmEvent {
@@ -1000,9 +997,9 @@ impl OManager {
         let direct = match ms.hier.compressed_probe(core, root_pa) {
             Some(line) => {
                 let found = if latest {
-                    line.latest_capped(v).copied()
+                    line.latest_capped(v)
                 } else {
-                    line.get(v).copied()
+                    line.get(v)
                 };
                 if let Some(e) = &found {
                     if e.locked_by == 0 {
