@@ -8,7 +8,7 @@
 
 use bench::{bench, group, smoke};
 use osim_engine::Sim;
-use osim_mem::{AccessKind, HierarchyCfg, MemSys, PageFlags};
+use osim_mem::{AccessKind, CacheCfg, HierarchyCfg, MemSys, PageFlags, PAGE_SIZE};
 use osim_uarch::{OManager, OManagerCfg};
 
 /// Pure event-dispatch throughput: many tasks ticking the clock, no gates,
@@ -120,6 +120,47 @@ fn shared_read_miss() {
     });
 }
 
+/// L1 read misses that hit the L2: the presence-directory lookup, the
+/// fill and its victim's removal, without the engine. 1,024 lines on 256
+/// pages, four per page and spread over every set, are read in a cycle
+/// longer than any L1 holds, so every read misses. One case is a 1-core
+/// machine with an 8 kB L1 (the unversioned baselines' miss path); the
+/// other has 32 cores with the paper's L1, each reading every line, so the
+/// lines are widely shared.
+fn l1_miss_path() {
+    let pages = 256u32;
+    let lines: Vec<u32> = (0..pages * 4)
+        .map(|i| (1 + i / 4) * PAGE_SIZE + (i % 64) * 64)
+        .collect();
+    group("hotpath/l1_miss_path");
+    let rounds = if smoke() { 1 } else { 128 };
+    let mut cfg = HierarchyCfg::paper(1);
+    cfg.l1 = CacheCfg::l1_sized(8);
+    let mut ms = MemSys::new(cfg, 64 << 20);
+    bench("1_core_8kb", || {
+        let mut total = 0u64;
+        for _ in 0..rounds {
+            for &pa in &lines {
+                total += ms.hier.access(0, pa, AccessKind::Read).latency;
+            }
+        }
+        total
+    });
+    let rounds = if smoke() { 1 } else { 4 };
+    let mut ms = MemSys::new(HierarchyCfg::paper(32), 64 << 20);
+    bench("32_cores", || {
+        let mut total = 0u64;
+        for _ in 0..rounds {
+            for &pa in &lines {
+                for core in 0..32 {
+                    total += ms.hier.access(core, pa, AccessKind::Read).latency;
+                }
+            }
+        }
+        total
+    });
+}
+
 /// The versioned-store fast path plus direct-hit loads: each store
 /// allocates and links a version block in simulated memory and installs
 /// the version in the core's compressed line, which the load then hits.
@@ -180,6 +221,7 @@ fn main() {
     gate_wait_open();
     l1_hit_path();
     shared_read_miss();
+    l1_miss_path();
     versioned_store_path();
     full_lookup();
 }

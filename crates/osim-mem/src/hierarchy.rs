@@ -4,8 +4,8 @@
 use crate::cache::{Cache, CacheCfg, Line, LineKind, Mesi};
 use crate::compressed::CompressedLine;
 use crate::events::{EventLog, MemEvent, MemEventKind};
-use crate::fxhash::FxHashMap;
 use crate::line_of;
+use crate::pagedir::{PageDir, Vacancy};
 use crate::stats::{MemHists, MemStats};
 
 /// Which L1s hold a copy of one line, as a core bitmask, which of those
@@ -25,11 +25,13 @@ struct DirEntry {
 
 const _: () = assert!(std::mem::size_of::<DirEntry>() == 24);
 
-impl DirEntry {
-    fn is_empty(&self) -> bool {
+impl Vacancy for DirEntry {
+    fn is_vacant(&self) -> bool {
         self.sharers == 0
     }
+}
 
+impl DirEntry {
     /// Records `core`'s copy (a sharer) as now being in `state`.
     fn set_state(&mut self, core: usize, state: Mesi) {
         if state == Mesi::Shared {
@@ -53,6 +55,17 @@ struct CompEntry {
     /// Coherence-loss marks, consumed by [`Hierarchy::compressed_take_lost`].
     lost: u64,
 }
+
+impl Vacancy for CompEntry {
+    fn is_vacant(&self) -> bool {
+        self.sharers | self.lost == 0
+    }
+}
+
+/// Data lines per page: one [`DirEntry`] each.
+const LINES_PER_PAGE: usize = (crate::PAGE_SIZE / crate::LINE_BYTES) as usize;
+/// Root words per page: one [`CompEntry`] each.
+const WORDS_PER_PAGE: usize = (crate::PAGE_SIZE / 4) as usize;
 
 /// Calls `f` for each set bit of `mask`, in ascending core order — the
 /// same order the previous `0..cores` scans visited cores in.
@@ -144,10 +157,10 @@ pub struct Hierarchy {
     /// its own, so issuing cores publish theirs via [`Hierarchy::set_clock`].
     clock: u64,
     /// L1 presence directory for data lines, keyed by line address.
-    data_dir: FxHashMap<u32, DirEntry>,
+    data_dir: PageDir<DirEntry, LINES_PER_PAGE>,
     /// L1 presence directory for compressed lines, keyed by root word PA.
     /// An entry lives while it has a sharer or a loss mark.
-    comp_dir: FxHashMap<u32, CompEntry>,
+    comp_dir: PageDir<CompEntry, WORDS_PER_PAGE>,
 }
 
 impl Hierarchy {
@@ -160,10 +173,6 @@ impl Hierarchy {
         let l1s: Vec<Cache> = (0..cfg.cores).map(|_| Cache::new(cfg.l1)).collect();
         let l2 = Cache::new(cfg.l2);
         let stats = MemStats::new(cfg.cores);
-        // The directories track lines resident in some L1, so their
-        // population is bounded by the total L1 line count. Pre-sizing to
-        // that bound keeps the hot demand-access path free of rehashes.
-        let l1_lines_total = cfg.cores * (cfg.l1.size_bytes / crate::LINE_BYTES) as usize;
         Hierarchy {
             cfg,
             l1s,
@@ -172,8 +181,8 @@ impl Hierarchy {
             hists: MemHists::default(),
             events: EventLog::disabled(),
             clock: 0,
-            data_dir: FxHashMap::with_capacity_and_hasher(l1_lines_total, Default::default()),
-            comp_dir: FxHashMap::with_capacity_and_hasher(l1_lines_total, Default::default()),
+            data_dir: PageDir::default(),
+            comp_dir: PageDir::default(),
         }
     }
 
@@ -181,7 +190,7 @@ impl Hierarchy {
     /// victim the fill evicted must be removed separately via
     /// [`Hierarchy::dir_remove_victim`].
     fn dir_add_data(&mut self, core: usize, line: u32, state: Mesi) {
-        let e = self.data_dir.entry(line).or_default();
+        let e = self.data_dir.entry(line);
         e.sharers |= 1 << core;
         e.set_state(core, state);
     }
@@ -197,33 +206,33 @@ impl Hierarchy {
     }
 
     fn dir_remove_data(&mut self, core: usize, line: u32) {
-        if let Some(e) = self.data_dir.get_mut(&line) {
+        if let Some(e) = self.data_dir.get_mut(line) {
             e.sharers &= !(1 << core);
             e.excl &= !(1 << core);
             if e.dirty == Some(core as u8) {
                 e.dirty = None;
             }
-            if e.is_empty() {
-                self.data_dir.remove(&line);
+            if e.is_vacant() {
+                self.data_dir.remove(line);
             }
         }
     }
 
     fn dir_set_state_data(&mut self, core: usize, line: u32, state: Mesi) {
-        if let Some(e) = self.data_dir.get_mut(&line) {
+        if let Some(e) = self.data_dir.get_mut(line) {
             e.set_state(core, state);
         }
     }
 
     fn dir_add_comp(&mut self, core: usize, root_pa: u32) {
-        self.comp_dir.entry(root_pa).or_default().sharers |= 1 << core;
+        self.comp_dir.entry(root_pa).sharers |= 1 << core;
     }
 
     fn dir_remove_comp(&mut self, core: usize, root_pa: u32) {
-        if let Some(e) = self.comp_dir.get_mut(&root_pa) {
+        if let Some(e) = self.comp_dir.get_mut(root_pa) {
             e.sharers &= !(1 << core);
-            if e.sharers | e.lost == 0 {
-                self.comp_dir.remove(&root_pa);
+            if e.is_vacant() {
+                self.comp_dir.remove(root_pa);
             }
         }
     }
@@ -231,7 +240,7 @@ impl Hierarchy {
     /// Sharer mask of a data line, excluding `core`.
     fn data_sharers_except(&self, core: usize, line: u32) -> u64 {
         self.data_dir
-            .get(&line)
+            .get(line)
             .map_or(0, |e| e.sharers & !(1 << core))
     }
 
@@ -307,7 +316,7 @@ impl Hierarchy {
         // Snoop for a dirty copy — the directory knows the (unique) owner.
         // This one lookup serves the whole miss: nothing below changes the
         // line's sharers before a read's fill, and a write's fill needs none.
-        let entry = self.data_dir.get(&line).copied().unwrap_or_default();
+        let entry = self.data_dir.get(line).copied().unwrap_or_default();
         let others = entry.sharers & !(1 << core);
         let dirty_owner = entry.dirty.map(usize::from).filter(|&c| c != core);
 
@@ -442,7 +451,7 @@ impl Hierarchy {
     /// Enforces inclusion: when the L2 evicts a line, every L1 copy goes too.
     /// Compressed lines are not L2-backed, so this never drops one.
     fn back_invalidate(&mut self, line: u32) {
-        let mask = self.data_dir.get(&line).map_or(0, |e| e.sharers);
+        let mask = self.data_dir.get(line).map_or(0, |e| e.sharers);
         for_each_core(mask, |c| {
             if self.l1s[c].invalidate(line, LineKind::Data).is_some() {
                 self.stats.back_invalidations += 1;
@@ -508,7 +517,7 @@ impl Hierarchy {
     /// action") and marked lost. Returns the mask of cores whose line was
     /// dropped.
     pub fn compressed_invalidate_others(&mut self, core: usize, root_pa: u32) -> u64 {
-        let Some(e) = self.comp_dir.get_mut(&root_pa) else {
+        let Some(e) = self.comp_dir.get_mut(root_pa) else {
             return 0;
         };
         let dropped = e.sharers & !(1u64 << core);
@@ -532,13 +541,13 @@ impl Hierarchy {
     /// once after another core's mutation discarded this core's compressed
     /// line. The mark survives the core caching the structure again.
     pub fn compressed_take_lost(&mut self, core: usize, root_pa: u32) -> bool {
-        let Some(e) = self.comp_dir.get_mut(&root_pa) else {
+        let Some(e) = self.comp_dir.get_mut(root_pa) else {
             return false;
         };
         let marked = e.lost & (1 << core) != 0;
         e.lost &= !(1 << core);
-        if e.sharers | e.lost == 0 {
-            self.comp_dir.remove(&root_pa);
+        if e.is_vacant() {
+            self.comp_dir.remove(root_pa);
         }
         marked
     }
@@ -546,7 +555,8 @@ impl Hierarchy {
     /// Drops every core's compressed line for `root_pa` and discards its
     /// loss marks (the structure was released, not mutated).
     pub fn compressed_release(&mut self, root_pa: u32) {
-        if let Some(e) = self.comp_dir.remove(&root_pa) {
+        if let Some(&e) = self.comp_dir.get(root_pa) {
+            self.comp_dir.remove(root_pa);
             for_each_core(e.sharers, |c| {
                 self.l1s[c].invalidate(root_pa, LineKind::Compressed);
             });
@@ -735,8 +745,10 @@ mod tests {
     }
 
     /// Asserts that the data directory is exactly what scanning every L1
-    /// would find: sharers, E/M holders and the Modified owner.
+    /// would find: sharers, E/M holders and the Modified owner. It holds a
+    /// chunk only for pages with a line resident in some L1.
     fn assert_dir_mirrors(h: &Hierarchy, lines: impl Iterator<Item = u32>) {
+        let mut resident_pages = Vec::new();
         for line in lines {
             let mut want = DirEntry::default();
             for (c, l1) in h.l1s.iter().enumerate() {
@@ -745,13 +757,22 @@ mod tests {
                     want.set_state(c, l.state);
                 }
             }
-            let got = h.data_dir.get(&line).copied();
-            assert_eq!(got.is_some(), !want.is_empty(), "line {line:#x} entry");
+            if !want.is_vacant() {
+                resident_pages.push(line / crate::PAGE_SIZE);
+            }
+            let got = h.data_dir.get(line).copied();
+            assert_eq!(got.is_some(), !want.is_vacant(), "line {line:#x} entry");
             let got = got.unwrap_or_default();
             assert_eq!(
                 (got.sharers, got.excl, got.dirty),
                 (want.sharers, want.excl, want.dirty),
                 "line {line:#x}"
+            );
+        }
+        for page in h.data_dir.held_pages() {
+            assert!(
+                resident_pages.contains(&page),
+                "chunk held for page {page} with no L1-resident line"
             );
         }
     }
@@ -763,6 +784,9 @@ mod tests {
             assoc,
             hit_latency: 1,
         };
+        // Line `l` of 24 sits on page `l % 3`: a whole-page stride keeps
+        // every line in the set it would have had, in both caches.
+        let spread = |l: u64| (l as u32 % 3) * crate::PAGE_SIZE + l as u32 * 64;
         let mut x = 0x2545_f491_4f6c_dd1du64;
         for cores in 2..=8 {
             let mut h = Hierarchy::new(HierarchyCfg {
@@ -777,7 +801,7 @@ mod tests {
                 x ^= x >> 7;
                 x ^= x << 17;
                 let core = (x % cores as u64) as usize;
-                let pa = ((x >> 8) % 24) as u32 * 64;
+                let pa = spread((x >> 8) % 24);
                 match (x >> 16) % 7 {
                     0..=2 => h.access(core, pa, AccessKind::Read),
                     3 | 4 => h.access(core, pa, AccessKind::Write),
@@ -789,7 +813,7 @@ mod tests {
                         r
                     }
                 };
-                assert_dir_mirrors(&h, (0..24).map(|l| l * 64));
+                assert_dir_mirrors(&h, (0..24).map(spread));
             }
         }
     }

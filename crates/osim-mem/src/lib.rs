@@ -32,6 +32,7 @@ pub mod fxhash;
 pub mod hierarchy;
 pub mod inject;
 pub mod page;
+mod pagedir;
 pub mod phys;
 pub mod stats;
 
