@@ -4,15 +4,17 @@
 //! and one `Condvar` that blocking operations park on; every operation,
 //! committed reads included, answers from that state under that mutex.
 //! On the store's traffic (short, vacuumed histories) a `BTreeMap` range
-//! lookup under the mutex reads as fast as a lock-free read view measured
-//! (`store-mixed` gets take ~0.26 µs either way), and a write is one map
-//! insert with no second view to keep in step.
+//! lookup under the mutex read as fast as a lock-free read view when the
+//! two were measured side by side (`store-mixed` `get_only_ns_p50` 258 vs
+//! 266 ns), and a write is one map insert with no second view to keep in
+//! step. Stores and unlocks notify the condvar only when the state counts
+//! a parked thread, since a notify with no waiter still costs a syscall.
 
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use parking_lot::{Condvar, Mutex};
+use parking_lot::{Condvar, Mutex, MutexGuard};
 
 use crate::error::OError;
 use crate::{TaskId, Version};
@@ -27,6 +29,10 @@ struct State<T> {
     /// Which version each task currently holds locked (at most one lock
     /// per task per cell, as in the Fig. 1 API).
     held: HashMap<TaskId, Version>,
+    /// Threads parked on the condvar. A store or unlock notifies only
+    /// when this is non-zero: a notify with no waiter still costs a
+    /// syscall.
+    waiters: usize,
 }
 
 impl<T> State<T> {
@@ -46,6 +52,18 @@ impl<T> State<T> {
             .next_back()
             .filter(|(_, s)| s.locked_by.is_none())
             .map(|(&v, s)| (v, &s.value))
+    }
+
+    /// Drops every version strictly older than the newest version ≤
+    /// `boundary`, sparing locked ones; returns how many went.
+    fn prune_below(&mut self, boundary: Version) -> usize {
+        let Some((&keep, _)) = self.versions.range(..=boundary).next_back() else {
+            return 0;
+        };
+        let before = self.versions.len();
+        self.versions
+            .retain(|&v, slot| v >= keep || slot.locked_by.is_some());
+        before - self.versions.len()
     }
 
     /// Locks the existing, unlocked `version` for `tid`.
@@ -73,16 +91,38 @@ pub trait Prune {
     fn prune_below(&self, boundary: Version) -> usize;
 }
 
+impl<T> Inner<T> {
+    /// Wakes every parked thread, if there is one. `st` must be the
+    /// state guard the caller changed the cell under: a waiter counts
+    /// itself before it parks, under the same mutex, so it is either
+    /// counted here or sees the change before parking.
+    fn wake(&self, st: MutexGuard<'_, State<T>>) {
+        let parked = st.waiters > 0;
+        drop(st);
+        if parked {
+            self.changed.notify_all();
+        }
+    }
+
+    /// Parks on the condvar until notified (or spuriously woken).
+    fn park(&self, st: &mut MutexGuard<'_, State<T>>) {
+        st.waiters += 1;
+        self.changed.wait(st);
+        st.waiters -= 1;
+    }
+
+    /// [`Inner::park`] with a deadline; true when it passed.
+    fn park_until(&self, st: &mut MutexGuard<'_, State<T>>, deadline: Instant) -> bool {
+        st.waiters += 1;
+        let timed_out = self.changed.wait_until(st, deadline).timed_out();
+        st.waiters -= 1;
+        timed_out
+    }
+}
+
 impl<T> Prune for Inner<T> {
     fn prune_below(&self, boundary: Version) -> usize {
-        let mut st = self.state.lock();
-        let Some((&keep, _)) = st.versions.range(..=boundary).next_back() else {
-            return 0;
-        };
-        let before = st.versions.len();
-        st.versions
-            .retain(|&v, slot| v >= keep || slot.locked_by.is_some());
-        before - st.versions.len()
+        self.state.lock().prune_below(boundary)
     }
 }
 
@@ -135,6 +175,7 @@ impl<T> OCell<T> {
                 state: Mutex::new(State {
                     versions: BTreeMap::new(),
                     held: HashMap::new(),
+                    waiters: 0,
                 }),
                 changed: Condvar::new(),
             }),
@@ -159,7 +200,7 @@ impl<T> OCell<T> {
                 return r;
             }
             timer.note_wait();
-            self.inner.changed.wait(&mut st);
+            self.inner.park(&mut st);
         }
     }
 
@@ -183,8 +224,7 @@ impl<T> OCell<T> {
                 locked_by: None,
             },
         );
-        drop(st);
-        self.inner.changed.notify_all();
+        self.inner.wake(st);
         Ok(())
     }
 
@@ -209,6 +249,13 @@ impl<T> OCell<T> {
     pub fn try_load_latest_arc(&self, cap: Version) -> Option<(Version, Arc<T>)> {
         let st = self.inner.state.lock();
         st.latest(cap).map(|(v, a)| (v, Arc::clone(a)))
+    }
+
+    /// Non-blocking `LOAD-LATEST` that lends the value to `f` under the
+    /// cell mutex instead of sharing its allocation: no reference count
+    /// moves unless `f` takes one. `f` must not touch this cell.
+    pub(crate) fn try_read_latest<R>(&self, cap: Version, f: impl FnOnce(&T) -> R) -> Option<R> {
+        self.inner.state.lock().latest(cap).map(|(_, a)| f(a))
     }
 
     /// The version `tid` currently holds locked, if any.
@@ -297,6 +344,22 @@ impl<T> OCell<T> {
     }
 }
 
+impl<U> OCell<Option<U>> {
+    /// Garbage collection and an occupancy probe in one critical section:
+    /// prunes below `boundary` (see [`OCell::prune_below`]) and reports
+    /// whether any surviving version is above `boundary` or holds an
+    /// unlocked `Some`.
+    pub(crate) fn prune_and_probe(&self, boundary: Version) -> (usize, bool) {
+        let mut st = self.inner.state.lock();
+        let reclaimed = st.prune_below(boundary);
+        let observable = st
+            .versions
+            .iter()
+            .any(|(&v, s)| v > boundary || (s.locked_by.is_none() && s.value.is_some()));
+        (reclaimed, observable)
+    }
+}
+
 impl<T: Clone> OCell<T> {
     /// `LOAD-VERSION`: blocks until `version` exists and is unlocked.
     pub fn load_version(&self, version: Version) -> T {
@@ -323,7 +386,7 @@ impl<T: Clone> OCell<T> {
                 return Some((**a).clone());
             }
             timer.note_wait();
-            if self.inner.changed.wait_until(&mut st, deadline).timed_out() {
+            if self.inner.park_until(&mut st, deadline) {
                 return None;
             }
         }
@@ -420,8 +483,7 @@ impl<T: Clone> OCell<T> {
             }
             None => Ok(()),
         };
-        drop(st);
-        self.inner.changed.notify_all();
+        self.inner.wake(st);
         created
     }
 }

@@ -15,10 +15,11 @@
 //! with high probability and never serialize on a global lock; per-key
 //! version history still lives in the cell, so the index locks stay
 //! uncontended and *brief*. The lock discipline is strict: a shard lock
-//! is only ever held to look up or create a cell *handle* — it is always
-//! released before any `OCell` operation runs, because cell operations
-//! can block indefinitely (waiting on an unwritten version) and a lock
-//! held across one would wedge every unrelated key in the shard.
+//! is only ever held to look up or create a cell *handle*, or across a
+//! cell operation that cannot block (a `try_*` read, a prune) — it is
+//! always released before any blocking `OCell` operation runs, because
+//! those can wait indefinitely (on an unwritten version) and a lock held
+//! across one would wedge every unrelated key in the shard.
 //!
 //! # Values
 //!
@@ -156,7 +157,11 @@ where
         for shard in self.shards.iter() {
             let mut w = shard.write();
             w.retain(|_, cell| {
-                reclaimed += cell.prune_below(boundary);
+                // One cell lock per visit: prune, and learn whether some
+                // snapshot at or after the boundary can still observe a
+                // value in the cell.
+                let (pruned, observable) = cell.prune_and_probe(boundary);
+                reclaimed += pruned;
                 // Keep any cell someone outside the index still holds a
                 // handle to: `cell_for` hands out handles after releasing
                 // the shard lock, so a writer (or `wait_version` waiter)
@@ -165,13 +170,7 @@ where
                 // its waiters. The shard write lock held here keeps new
                 // handles from being minted, so strong count == 1 proves
                 // the index entry is the only reference.
-                cell.handle_count() > 1
-                    // Otherwise keep the cell only if some snapshot at or
-                    // after the boundary can still observe a value in it.
-                    || cell
-                        .versions()
-                        .iter()
-                        .any(|&v| cell.try_load_version(v).flatten().is_some() || v > boundary)
+                cell.handle_count() > 1 || observable
             });
         }
         reclaimed
@@ -247,11 +246,6 @@ impl<K: Ord + Hash + Clone, V> OMap<K, V> {
         w.entry(key.clone()).or_default().clone()
     }
 
-    /// The cell for `key` if one exists (no creation).
-    fn cell_get(&self, key: &K) -> Option<OCell<Option<Arc<V>>>> {
-        read_counted(self.inner.shard(key)).get(key).cloned()
-    }
-
     /// Publishes `key -> value` at `version`.
     pub fn insert(&self, key: K, version: Version, value: V) -> Result<(), OError> {
         self.insert_arc(key, version, Arc::new(value))
@@ -272,9 +266,12 @@ impl<K: Ord + Hash + Clone, V> OMap<K, V> {
     /// cloning `V` (non-blocking: a key with no version ≤ `cap` is simply
     /// absent from that snapshot).
     pub fn get_arc(&self, key: &K, cap: Version) -> Option<Arc<V>> {
-        let cell = self.cell_get(key)?;
-        cell.try_load_latest_arc(cap)
-            .and_then(|(_, v)| (*v).clone())
+        // A non-blocking cell read may run under the shard read lock; only
+        // the value's own `Arc` is cloned, not the cell handle.
+        read_counted(self.inner.shard(key))
+            .get(key)?
+            .try_read_latest(cap, Option::clone)
+            .flatten()
     }
 
     /// Borrowed visitation: applies `f` to the value of `key` at `cap`

@@ -19,7 +19,8 @@
 //!    cap and hold the returned [`ReaderGuard`] for the duration; the cap
 //!    is the guard's pinned version. Dropping the guard unpins.
 //! 3. The [`Vacuum`] periodically computes the watermark — the oldest
-//!    pinned cap, or the current clock when no reader is live — and calls
+//!    pinned cap, or the newest allocated version when no reader is
+//!    live — and calls
 //!    [`crate::cell::Prune::prune_below`] on every tracked store.
 //!    `prune_below` keeps the newest version ≤ the boundary, so a reader
 //!    pinned exactly *at* the watermark still resolves every load.
@@ -44,12 +45,40 @@ pub struct ReaderRegistry {
 struct RegistryInner {
     /// Monotone version clock: the next version a writer should use.
     clock: AtomicU64,
-    /// Multiset of pinned caps (a cap may be pinned by several readers);
-    /// each pin carries its creation instant so pin ages are observable
-    /// while the guard is still parked.
-    pinned: Mutex<std::collections::BTreeMap<Version, Vec<Instant>>>,
-    /// Completed pin lifetimes, recorded at unpin.
-    pin_age_us: Mutex<osim_metrics::Histogram>,
+    pins: Mutex<Pins>,
+}
+
+/// The live pins as a slab: a guard holds its slot's index, so pinning
+/// and unpinning reuse freed slots and allocate nothing once the slab has
+/// grown to the peak number of concurrent readers.
+struct Pins {
+    /// `(cap, pinned at)` per occupied slot; each pin carries its creation
+    /// instant so pin ages are observable while the guard is still parked.
+    slots: Vec<Option<(Version, Instant)>>,
+    /// Indices of the unoccupied slots.
+    free: Vec<usize>,
+    /// Completed pin lifetimes in microseconds, recorded at unpin.
+    completed_us: osim_metrics::Histogram,
+}
+
+impl Pins {
+    fn insert(&mut self, cap: Version, since: Instant) -> usize {
+        match self.free.pop() {
+            Some(slot) => {
+                self.slots[slot] = Some((cap, since));
+                slot
+            }
+            None => {
+                self.slots.push(Some((cap, since)));
+                self.slots.len() - 1
+            }
+        }
+    }
+
+    /// The oldest pinned cap, if any reader is live.
+    fn oldest(&self) -> Option<Version> {
+        self.slots.iter().flatten().map(|&(cap, _)| cap).min()
+    }
 }
 
 impl Clone for ReaderRegistry {
@@ -73,8 +102,11 @@ impl ReaderRegistry {
         ReaderRegistry {
             inner: Arc::new(RegistryInner {
                 clock: AtomicU64::new(1),
-                pinned: Mutex::new(std::collections::BTreeMap::new()),
-                pin_age_us: Mutex::new(osim_metrics::Histogram::new()),
+                pins: Mutex::new(Pins {
+                    slots: Vec::new(),
+                    free: Vec::new(),
+                    completed_us: osim_metrics::Histogram::new(),
+                }),
             }),
         }
     }
@@ -110,90 +142,88 @@ impl ReaderRegistry {
     /// observe until the guard drops. Writers that allocate *after* the
     /// pin get versions above the cap, so the snapshot is stable.
     pub fn pin(&self) -> ReaderGuard {
+        let since = Instant::now();
         // Pin first, read the clock inside the lock: a concurrent vacuum
         // computing the watermark serializes on the same mutex, so it can
         // never observe "no readers" after this reader chose its cap.
-        let mut pinned = self.inner.pinned.lock();
+        let mut pins = self.inner.pins.lock();
         let cap = self.inner.clock.load(Ordering::Relaxed).saturating_sub(1);
-        pinned.entry(cap).or_default().push(Instant::now());
-        drop(pinned);
+        let slot = pins.insert(cap, since);
+        drop(pins);
         ReaderGuard {
             registry: self.clone(),
             cap,
+            slot,
         }
     }
 
     /// Pins an explicit cap (for readers replaying a historical snapshot
     /// they know is still live).
     pub fn pin_at(&self, cap: Version) -> ReaderGuard {
-        self.inner
-            .pinned
-            .lock()
-            .entry(cap)
-            .or_default()
-            .push(Instant::now());
+        let since = Instant::now();
+        let slot = self.inner.pins.lock().insert(cap, since);
         ReaderGuard {
             registry: self.clone(),
             cap,
+            slot,
         }
     }
 
-    /// The reclamation boundary: the oldest pinned cap, or the current
-    /// clock when no reader is live. Versions strictly below the newest
-    /// version ≤ this value are unreachable by any current or future
-    /// reader.
+    /// The oldest pinned cap and the clock, read together under the pin
+    /// lock.
+    fn oldest_and_clock(&self) -> (Option<Version>, Version) {
+        let pins = self.inner.pins.lock();
+        (pins.oldest(), self.inner.clock.load(Ordering::Relaxed))
+    }
+
+    /// The reclamation boundary: the oldest pinned cap, or the newest
+    /// allocated version (`current() - 1`) when no reader is live — the
+    /// lowest cap a reader pinning after this call can get. Versions
+    /// strictly below the newest version ≤ this value are unreachable by
+    /// any current or future reader.
     pub fn watermark(&self) -> Version {
-        let pinned = self.inner.pinned.lock();
-        match pinned.keys().next() {
-            Some(&oldest) => oldest,
-            None => self.inner.clock.load(Ordering::Relaxed),
+        match self.oldest_and_clock() {
+            (Some(oldest), _) => oldest,
+            (None, clock) => clock.saturating_sub(1),
         }
     }
 
     /// Number of live reader guards.
     pub fn live_readers(&self) -> usize {
-        self.inner.pinned.lock().values().map(Vec::len).sum()
+        let pins = self.inner.pins.lock();
+        pins.slots.len() - pins.free.len()
     }
 
-    /// How far the version clock has run ahead of the reclamation
-    /// boundary: 0 when no reader holds the watermark back, growing while
-    /// a parked guard pins an old cap and writers keep allocating. The
-    /// software analogue of Louvre-style version-table occupancy.
+    /// How far the version clock has run ahead of the oldest pinned cap:
+    /// 0 when no reader is live, growing while a parked guard pins an old
+    /// cap and writers keep allocating. The software analogue of
+    /// Louvre-style version-table occupancy.
     pub fn watermark_lag(&self) -> u64 {
-        self.current().saturating_sub(self.watermark())
+        match self.oldest_and_clock() {
+            (Some(oldest), clock) => clock.saturating_sub(oldest),
+            (None, _) => 0,
+        }
     }
 
     /// Pin-age distribution in microseconds: completed pin lifetimes plus
     /// the *current* age of every live pin, so a parked guard is visible
     /// before it unpins.
     pub fn pin_ages_us(&self) -> osim_metrics::Histogram {
-        let mut h = self.inner.pin_age_us.lock().clone();
-        let pinned = self.inner.pinned.lock();
-        for pins in pinned.values() {
-            for t0 in pins {
-                h.record(t0.elapsed().as_micros() as u64);
-            }
+        let pins = self.inner.pins.lock();
+        let mut h = pins.completed_us.clone();
+        for &(_, since) in pins.slots.iter().flatten() {
+            h.record(since.elapsed().as_micros() as u64);
         }
         h
     }
 
-    fn unpin(&self, cap: Version) {
-        let mut pinned = self.inner.pinned.lock();
-        let age = if let Some(pins) = pinned.get_mut(&cap) {
-            let age = pins.pop();
-            if pins.is_empty() {
-                pinned.remove(&cap);
-            }
-            age
-        } else {
-            None
-        };
-        drop(pinned);
-        if let Some(t0) = age {
-            self.inner
-                .pin_age_us
-                .lock()
-                .record(t0.elapsed().as_micros() as u64);
+    fn unpin(&self, slot: usize) {
+        let now = Instant::now();
+        let mut pins = self.inner.pins.lock();
+        if let Some((_, since)) = pins.slots[slot].take() {
+            pins.free.push(slot);
+            let age = now.saturating_duration_since(since).as_micros() as u64;
+            pins.completed_us.record(age);
         }
     }
 }
@@ -202,6 +232,8 @@ impl ReaderRegistry {
 pub struct ReaderGuard {
     registry: ReaderRegistry,
     cap: Version,
+    /// The registry slab slot this pin occupies.
+    slot: usize,
 }
 
 impl ReaderGuard {
@@ -214,7 +246,7 @@ impl ReaderGuard {
 
 impl Drop for ReaderGuard {
     fn drop(&mut self) {
-        self.registry.unpin(self.cap);
+        self.registry.unpin(self.slot);
     }
 }
 
@@ -498,11 +530,11 @@ mod tests {
     #[test]
     fn watermark_follows_oldest_pin() {
         let reg = ReaderRegistry::new();
-        assert_eq!(reg.watermark(), 1, "clock starts at 1");
+        assert_eq!(reg.watermark(), 0, "clock starts at 1");
         for _ in 0..9 {
             reg.next_version();
         }
-        assert_eq!(reg.watermark(), 10, "no readers: watermark = clock");
+        assert_eq!(reg.watermark(), 9, "no readers: watermark = clock - 1");
         let old = reg.pin();
         assert_eq!(old.cap(), 9, "caps at the newest allocated version");
         for _ in 0..5 {
@@ -514,8 +546,27 @@ mod tests {
         drop(old);
         assert_eq!(reg.watermark(), newer.cap());
         drop(newer);
-        assert_eq!(reg.watermark(), 15);
+        assert_eq!(reg.watermark(), 14);
+        assert_eq!(reg.watermark_lag(), 0, "no readers: no lag");
         assert_eq!(reg.live_readers(), 0);
+    }
+
+    #[test]
+    fn pin_after_a_boundary_read_keeps_its_snapshot() {
+        // A pin taken after a pass has read its boundary, but before the
+        // pass prunes, must still resolve: the boundary with no reader
+        // live is the newest allocated version, never the clock.
+        let reg = ReaderRegistry::new();
+        let m: crate::OMap<u32, u64> = crate::OMap::new();
+        let v1 = reg.next_version();
+        m.insert(7, v1, v1).unwrap();
+        let boundary = reg.watermark();
+        let pin = reg.pin();
+        assert_eq!(pin.cap(), v1);
+        let v2 = reg.next_version();
+        m.insert(7, v2, v2).unwrap();
+        m.prune_below(boundary);
+        assert_eq!(m.get(7, pin.cap()), Some(v1));
     }
 
     #[test]

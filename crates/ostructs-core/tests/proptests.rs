@@ -1,11 +1,16 @@
 //! Property-based tests: the software O-structure cell against a
-//! reference model of the §II-A semantics.
+//! reference model of the §II-A semantics, the reader registry against a
+//! multiset of pinned caps, and a threaded check that every parked load
+//! is woken.
 
 use std::collections::BTreeMap;
+use std::sync::mpsc;
+use std::thread;
+use std::time::{Duration, Instant};
 
 use proptest::prelude::*;
 
-use ostructs_core::{OCell, OError};
+use ostructs_core::{OCell, OError, ReaderGuard, ReaderRegistry};
 
 /// Reference model: an ordered map of versions plus lock state.
 #[derive(Default, Debug)]
@@ -96,8 +101,82 @@ fn step_strategy() -> impl Strategy<Value = Step> {
     ]
 }
 
+#[derive(Debug, Clone)]
+enum PinStep {
+    Pin,
+    PinAt(u64),
+    /// Drops the guard at this index (modulo the live guards).
+    Drop(usize),
+    NextVersion,
+    AdvanceTo(u64),
+}
+
+fn pin_step_strategy() -> impl Strategy<Value = PinStep> {
+    prop_oneof![
+        (0u64..1).prop_map(|_| PinStep::Pin),
+        (0u64..60).prop_map(PinStep::PinAt),
+        (0usize..16).prop_map(PinStep::Drop),
+        (0u64..1).prop_map(|_| PinStep::NextVersion),
+        (0u64..60).prop_map(PinStep::AdvanceTo),
+    ]
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The registry's watermark, live count and pin-age count agree with
+    /// a multiset of pinned caps after every step.
+    #[test]
+    fn registry_matches_multiset_model(
+        steps in proptest::collection::vec(pin_step_strategy(), 1..120),
+    ) {
+        let reg = ReaderRegistry::new();
+        let mut guards: Vec<ReaderGuard> = Vec::new();
+        let mut pinned: BTreeMap<u64, usize> = BTreeMap::new();
+        let mut clock = 1u64;
+        let mut completed = 0usize;
+        for step in steps {
+            match step {
+                PinStep::Pin => {
+                    let g = reg.pin();
+                    prop_assert_eq!(g.cap(), clock - 1);
+                    *pinned.entry(g.cap()).or_default() += 1;
+                    guards.push(g);
+                }
+                PinStep::PinAt(cap) => {
+                    *pinned.entry(cap).or_default() += 1;
+                    guards.push(reg.pin_at(cap));
+                }
+                PinStep::Drop(at) => {
+                    if !guards.is_empty() {
+                        let g = guards.swap_remove(at % guards.len());
+                        let n = pinned.get_mut(&g.cap()).expect("pinned cap");
+                        *n -= 1;
+                        if *n == 0 {
+                            pinned.remove(&g.cap());
+                        }
+                        drop(g);
+                        completed += 1;
+                    }
+                }
+                PinStep::NextVersion => {
+                    prop_assert_eq!(reg.next_version(), clock);
+                    clock += 1;
+                }
+                PinStep::AdvanceTo(version) => {
+                    reg.advance_to(version);
+                    clock = clock.max(version + 1);
+                }
+            }
+            let live: usize = pinned.values().sum();
+            let oldest = pinned.keys().next().copied();
+            prop_assert_eq!(reg.current(), clock);
+            prop_assert_eq!(reg.watermark(), oldest.unwrap_or(clock - 1));
+            prop_assert_eq!(reg.watermark_lag(), oldest.map_or(0, |o| clock.saturating_sub(o)));
+            prop_assert_eq!(reg.live_readers(), live);
+            prop_assert_eq!(reg.pin_ages_us().count(), (completed + live) as u64);
+        }
+    }
 
     /// Every non-blocking observation of the cell matches the model, for
     /// arbitrary interleavings of the six operations.
@@ -187,5 +266,98 @@ proptest! {
         cell.unlock_version(1, Some(vn)).unwrap();
         prop_assert_eq!(cell.try_load_version(base), Some(val));
         prop_assert_eq!(cell.try_load_version(vn), Some(val));
+    }
+}
+
+/// Operations that have parked on a cell so far, process-wide. A waiter
+/// counts itself under the cell mutex just before it parks, so once this
+/// has risen by `n` the cell's next writer finds all `n` parked. This is
+/// the only test in this file that blocks.
+fn blocking_waits() -> u64 {
+    let mut reg = osim_metrics::Registry::new();
+    ostructs_core::fill_store_registry(&mut reg);
+    reg.counter("osim_store_blocking_waits_total", &[])
+}
+
+/// Parked `load_version`, `load_version_timeout` and `lock_load_version`
+/// waiters are each woken by the `store_version` or `unlock_version` that
+/// enables them, round after round. The three enabling steps run in every
+/// order, one at a time, so each kind of waiter is regularly the only one
+/// still parked when its step comes. A lost wake-up shows as a waiter that
+/// never reports back.
+#[test]
+fn parked_waiters_are_always_woken() {
+    const ROUNDS: u64 = 240;
+    const HANG: Duration = Duration::from_secs(20);
+    const ORDERS: [[usize; 3]; 6] = [
+        [0, 1, 2],
+        [0, 2, 1],
+        [1, 0, 2],
+        [1, 2, 0],
+        [2, 0, 1],
+        [2, 1, 0],
+    ];
+    for round in 0..ROUNDS {
+        let cell: OCell<u64> = OCell::with_initial(1, round);
+        cell.lock_load_version(1, 100).unwrap();
+        let parked_before = blocking_waits();
+        let (tx, rx) = mpsc::channel();
+        let waiters = [
+            // Woken by the store of version 2.
+            thread::spawn({
+                let (cell, tx) = (cell.clone(), tx.clone());
+                move || tx.send(("load", cell.load_version(2))).unwrap()
+            }),
+            // Woken by the store of version 3.
+            thread::spawn({
+                let (cell, tx) = (cell.clone(), tx.clone());
+                move || {
+                    let got = cell.load_version_timeout(3, HANG).expect("woken");
+                    tx.send(("timeout", got)).unwrap()
+                }
+            }),
+            // Woken by the unlock of version 1.
+            thread::spawn({
+                let (cell, tx) = (cell.clone(), tx.clone());
+                move || {
+                    let got = cell.lock_load_version(1, 7).unwrap();
+                    cell.unlock_version(7, None).unwrap();
+                    tx.send(("lock", got)).unwrap()
+                }
+            }),
+        ];
+        // Most rounds wait until all three have parked; the rest race the
+        // first step against the parks.
+        if round % 4 != 0 {
+            let deadline = Instant::now() + HANG;
+            while blocking_waits() < parked_before + 3 {
+                assert!(Instant::now() < deadline, "waiters never parked");
+                thread::yield_now();
+            }
+        }
+        for step in ORDERS[(round % 6) as usize] {
+            let want = match step {
+                0 => {
+                    cell.store_version(2, round + 2).unwrap();
+                    ("load", round + 2)
+                }
+                1 => {
+                    cell.store_version(3, round + 3).unwrap();
+                    ("timeout", round + 3)
+                }
+                _ => {
+                    cell.unlock_version(100, None).unwrap();
+                    ("lock", round)
+                }
+            };
+            let got = rx
+                .recv_timeout(HANG)
+                .expect("a parked waiter was never woken");
+            assert_eq!(got, want, "round {round}");
+        }
+        for w in waiters {
+            w.join().unwrap();
+        }
+        cell.check_invariants().unwrap();
     }
 }
