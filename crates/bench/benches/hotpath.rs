@@ -7,6 +7,7 @@
 //! (exercises the code, proves nothing about performance).
 
 use bench::{bench, group, smoke};
+use osim_cpu::{task, Machine, MachineCfg};
 use osim_engine::Sim;
 use osim_mem::{AccessKind, CacheCfg, HierarchyCfg, MemSys, PageFlags, PAGE_SIZE};
 use osim_uarch::{OManager, OManagerCfg};
@@ -216,6 +217,87 @@ fn full_lookup() {
     });
 }
 
+/// The instruction layer on top of the engine and the hierarchy: each
+/// `TaskCtx` op's state borrow, sleep and counters. One case is a list hop
+/// on a 1-core machine with an 8 kB L1 (`load_u32` of the key, `work(4)`,
+/// `load_u32` of the link) over 4,096 16-byte nodes linked in a scattered
+/// order, the unversioned list baseline's inner loop. The other is 32
+/// cores each repeating `LOAD-LATEST` on one shared root whose version sits
+/// in every core's compressed line, so every load is a direct hit.
+fn task_ctx() {
+    group("hotpath/task_ctx");
+    let nodes = 4096u32;
+    let hops = if smoke() { 1_000 } else { 50_000 };
+    let mut cfg = MachineCfg::paper(1);
+    cfg.hier.l1 = CacheCfg::l1_sized(8);
+    let mut m = Machine::new(cfg);
+    let base = {
+        let st = m.state();
+        let mut st = st.borrow_mut();
+        let s = &mut *st;
+        s.alloc.alloc_data(&mut s.ms, nodes * 16).unwrap()
+    };
+    // Node `i` links to node `i * 1237 mod nodes` (1237 is odd, so this
+    // permutation is one cycle through every node).
+    let node = move |i: u32| base + (i * 1237 % nodes) * 16;
+    m.run_tasks(vec![task(move |ctx| async move {
+        for i in 0..nodes {
+            ctx.store_u32(node(i), i).await;
+            ctx.store_u32(node(i) + 4, node(i + 1)).await;
+        }
+    })])
+    .unwrap();
+    bench("list_hop_1_core_8kb", || {
+        m.run_tasks(vec![task(move |ctx| async move {
+            let mut at = node(0);
+            for _ in 0..hops {
+                let key = ctx.load_u32(at).await;
+                ctx.work(4).await;
+                at = ctx.load_u32(at + 4).await;
+                std::hint::black_box(key);
+            }
+        })])
+        .unwrap()
+        .cycles()
+    });
+
+    let cores = 32;
+    let loads = if smoke() { 50 } else { 2_000 };
+    let mut m = Machine::new(MachineCfg::paper(cores));
+    let root = {
+        let st = m.state();
+        let mut st = st.borrow_mut();
+        let s = &mut *st;
+        s.alloc.alloc_root(&mut s.ms).unwrap()
+    };
+    m.run_tasks(vec![task(move |ctx| async move {
+        ctx.store_version(root, 1, 7).await;
+    })])
+    .unwrap();
+    let readers = || {
+        (0..cores)
+            .map(|_| {
+                task(move |ctx| async move {
+                    for _ in 0..loads {
+                        std::hint::black_box(ctx.load_latest(root, 1).await);
+                    }
+                })
+            })
+            .collect()
+    };
+    // One untimed pass installs the version in every core's compressed
+    // line; from the next pass on, every load is a direct hit.
+    m.run_tasks(readers()).unwrap();
+    let st = m.state();
+    let before = st.borrow().omgr.stats.direct_hits;
+    m.run_tasks(readers()).unwrap();
+    let direct = st.borrow().omgr.stats.direct_hits - before;
+    assert_eq!(direct, cores as u64 * loads, "every load is a direct hit");
+    bench("direct_hit_32_cores", || {
+        m.run_tasks(readers()).unwrap().cycles()
+    });
+}
+
 fn main() {
     executor_throughput();
     gate_wait_open();
@@ -224,4 +306,5 @@ fn main() {
     l1_miss_path();
     versioned_store_path();
     full_lookup();
+    task_ctx();
 }

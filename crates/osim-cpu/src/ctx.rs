@@ -106,15 +106,16 @@ impl TaskCtx {
     /// Executes `instrs` non-memory instructions on this 2-way in-order
     /// core: `ceil(instrs / issue_width)` cycles.
     pub async fn work(&self, instrs: u64) {
-        let start = self.h.now();
-        let cycles = {
+        let (cycles, traced) = {
             let mut st = self.st.borrow_mut();
             st.cpu.instructions += instrs;
             st.cpu.core_mut(self.core).instructions += instrs;
-            instrs.div_ceil(st.issue_width)
+            (instrs.div_ceil(st.issue_width), st.trace.enabled())
         };
         self.h.sleep(cycles).await;
-        self.trace(OpKind::Work, 0, 0, start, None);
+        if traced {
+            self.trace(OpKind::Work, 0, 0, self.h.now() - cycles, None);
+        }
     }
 
     // ------------------------------------------------------------------
@@ -123,58 +124,70 @@ impl TaskCtx {
 
     /// Conventional 32-bit load.
     pub async fn load_u32(&self, va: u32) -> u32 {
-        let res = {
+        let now = self.h.now();
+        let (res, traced) = {
             let mut st = self.st.borrow_mut();
-            st.tick(self.h.now());
+            st.tick(now);
+            let traced = st.trace.enabled();
             let MachineState { ms, cpu, .. } = &mut *st;
-            ms.pt.translate_conventional(va).map(|pa| {
+            let res = ms.pt.translate_conventional(va).map(|pa| {
                 let acc = ms.hier.access(self.core, pa, AccessKind::Read);
                 cpu.instructions += 1;
                 cpu.loads += 1;
                 cpu.core_mut(self.core).instructions += 1;
                 (acc.latency, ms.phys.read_u32(pa))
-            })
+            });
+            (res, traced)
         };
         let (latency, val) = match res {
             Ok(x) => x,
             Err(f) => match self.fault_abort(va, f).await {},
         };
         self.h.sleep(latency).await;
-        self.trace(OpKind::Load, va, 0, self.h.now() - latency, None);
+        if traced {
+            self.trace(OpKind::Load, va, 0, now, None);
+        }
         val
     }
 
     /// Conventional 32-bit store.
     pub async fn store_u32(&self, va: u32, val: u32) {
-        let res = {
+        let now = self.h.now();
+        let (res, traced) = {
             let mut st = self.st.borrow_mut();
-            st.tick(self.h.now());
+            st.tick(now);
+            let traced = st.trace.enabled();
             let MachineState { ms, cpu, .. } = &mut *st;
-            ms.pt.translate_conventional(va).map(|pa| {
+            let res = ms.pt.translate_conventional(va).map(|pa| {
                 let acc = ms.hier.access(self.core, pa, AccessKind::Write);
                 cpu.instructions += 1;
                 cpu.stores += 1;
                 cpu.core_mut(self.core).instructions += 1;
                 ms.phys.write_u32(pa, val);
                 acc.latency
-            })
+            });
+            (res, traced)
         };
         let latency = match res {
             Ok(l) => l,
             Err(f) => match self.fault_abort(va, f).await {},
         };
         self.h.sleep(latency).await;
-        self.trace(OpKind::Store, va, 0, self.h.now() - latency, None);
+        if traced {
+            self.trace(OpKind::Store, va, 0, now, None);
+        }
     }
 
     /// Atomic compare-and-swap on a conventional word. Returns the value
     /// observed before the operation (success ⇔ it equals `expected`).
     pub async fn cas_u32(&self, va: u32, expected: u32, new: u32) -> u32 {
-        let res = {
+        let now = self.h.now();
+        let (res, traced) = {
             let mut st = self.st.borrow_mut();
-            st.tick(self.h.now());
+            st.tick(now);
+            let traced = st.trace.enabled();
             let MachineState { ms, cpu, .. } = &mut *st;
-            ms.pt.translate_conventional(va).map(|pa| {
+            let res = ms.pt.translate_conventional(va).map(|pa| {
                 let acc = ms.hier.access(self.core, pa, AccessKind::Write);
                 cpu.instructions += 1;
                 cpu.cas_ops += 1;
@@ -184,14 +197,17 @@ impl TaskCtx {
                     ms.phys.write_u32(pa, new);
                 }
                 (acc.latency, old)
-            })
+            });
+            (res, traced)
         };
         let (latency, old) = match res {
             Ok(x) => x,
             Err(f) => match self.fault_abort(va, f).await {},
         };
         self.h.sleep(latency).await;
-        self.trace(OpKind::Cas, va, 0, self.h.now() - latency, None);
+        if traced {
+            self.trace(OpKind::Cas, va, 0, now, None);
+        }
         old
     }
 
@@ -235,17 +251,14 @@ impl TaskCtx {
         latest: bool,
         lock: bool,
     ) -> (Version, u32) {
-        let op_start = self.h.now();
         let root = self.root_tag.take();
-        {
-            let mut st = self.st.borrow_mut();
-            st.cpu.versioned_ops += 1;
-            st.cpu.versioned_loads += 1;
-            st.cpu.core_mut(self.core).versioned_ops += 1;
-            if root {
-                st.cpu.root_loads += 1;
-            }
-        }
+        // Issue cycle of the current attempt; the first one starts the op.
+        let mut now = self.h.now();
+        let op_start = now;
+        let mut traced = false;
+        // Stall cycles the last wake-up left to charge, under the next
+        // attempt's borrow; `None` before the first attempt.
+        let mut stall_due: Option<(StallCause, Cycle)> = None;
         // Cause of the most recent blocked attempt (None = never stalled).
         let mut last_stall: Option<StallCause> = None;
         // Holder of the contended version at the last blocked attempt
@@ -263,7 +276,19 @@ impl TaskCtx {
         loop {
             let res = {
                 let mut st = self.st.borrow_mut();
-                st.tick(self.h.now());
+                match stall_due.take() {
+                    Some((cause, waited)) => st.cpu.charge_stall(self.core, cause, waited),
+                    None => {
+                        st.cpu.versioned_ops += 1;
+                        st.cpu.versioned_loads += 1;
+                        st.cpu.core_mut(self.core).versioned_ops += 1;
+                        if root {
+                            st.cpu.root_loads += 1;
+                        }
+                        traced = st.trace.enabled();
+                    }
+                }
+                st.tick(now);
                 let MachineState { ms, omgr, .. } = &mut *st;
                 let r = match (latest, lock) {
                     (false, false) => omgr.load_version(ms, self.core, va, v),
@@ -331,12 +356,14 @@ impl TaskCtx {
                             });
                         }
                     }
-                    let kind = if lock {
-                        OpKind::VersionedLockLoad
-                    } else {
-                        OpKind::VersionedLoad
-                    };
-                    self.trace(kind, va, version, op_start, last_stall);
+                    if traced {
+                        let kind = if lock {
+                            OpKind::VersionedLockLoad
+                        } else {
+                            OpKind::VersionedLoad
+                        };
+                        self.trace(kind, va, version, op_start, last_stall);
+                    }
                     // A successful lock changes the structure's state;
                     // nothing can be *unblocked* by it, so no wake-up.
                     return (version, value);
@@ -348,7 +375,7 @@ impl TaskCtx {
                         Some(c) => c,
                         None => unreachable!("blocked attempt recorded its cause"),
                     };
-                    let stall_start = self.h.now();
+                    let stall_start = now;
                     // Register what we are about to block on, so a deadlock
                     // or watchdog report can name the wait target. The kind
                     // is the *structural* wait-for edge (the manager's block
@@ -374,12 +401,12 @@ impl TaskCtx {
                     self.h.sleep(latency + coh_extra).await;
                     let origin = ticket.await;
                     self.h.clear_wait_info();
+                    now = self.h.now();
                     first_block_at.get_or_insert(stall_start);
-                    last_wake = Some((origin, self.h.now()));
-                    let mut st = self.st.borrow_mut();
-                    let waited = self.h.now() - stall_start;
+                    last_wake = Some((origin, now));
+                    let waited = now - stall_start;
                     total_waited += waited;
-                    st.cpu.charge_stall(self.core, cause, waited);
+                    stall_due = Some((cause, waited));
                 }
             }
         }
@@ -388,13 +415,15 @@ impl TaskCtx {
     /// `STORE-VERSION`: creates version `v` holding `val` and wakes any
     /// task stalled on this O-structure.
     pub async fn store_version(&self, va: u32, v: Version, val: u32) {
-        let res = {
+        let now = self.h.now();
+        let (res, traced) = {
             let mut st = self.st.borrow_mut();
             st.cpu.versioned_ops += 1;
             st.cpu.core_mut(self.core).versioned_ops += 1;
-            st.tick(self.h.now());
+            st.tick(now);
+            let traced = st.trace.enabled();
             let MachineState { ms, omgr, cpu, .. } = &mut *st;
-            omgr.store_version(ms, self.core, va, v, val).map(|out| {
+            let res = omgr.store_version(ms, self.core, va, v, val).map(|out| {
                 // Any OS refill-trap cycles inside that latency are stall
                 // time attributable to the free-list/GC machinery.
                 let trap = omgr.take_trap_cycles();
@@ -402,15 +431,18 @@ impl TaskCtx {
                     cpu.charge_stall(self.core, StallCause::FreeListGc, trap);
                 }
                 (out.latency(), trap)
-            })
+            });
+            (res, traced)
         };
         let (latency, trap) = match res {
             Ok(x) => x,
             Err(f) => match self.fault_abort(va, f).await {},
         };
         self.h.sleep(latency).await;
-        let stall = (trap > 0).then_some(StallCause::FreeListGc);
-        self.trace(OpKind::VersionedStore, va, v, self.h.now() - latency, stall);
+        if traced {
+            let stall = (trap > 0).then_some(StallCause::FreeListGc);
+            self.trace(OpKind::VersionedStore, va, v, now, stall);
+        }
         self.open_gate(va);
     }
 
@@ -418,13 +450,16 @@ impl TaskCtx {
     /// `create = Some(vn)` also creates unlocked version `vn` carrying the
     /// same value. Wakes stalled tasks.
     pub async fn unlock_version(&self, va: u32, vl: Version, create: Option<Version>) {
-        let res = {
+        let now = self.h.now();
+        let (res, traced) = {
             let mut st = self.st.borrow_mut();
             st.cpu.versioned_ops += 1;
             st.cpu.core_mut(self.core).versioned_ops += 1;
-            st.tick(self.h.now());
+            st.tick(now);
+            let traced = st.trace.enabled();
             let MachineState { ms, omgr, cpu, .. } = &mut *st;
-            omgr.unlock_version(ms, self.core, va, vl, self.tid, create)
+            let res = omgr
+                .unlock_version(ms, self.core, va, vl, self.tid, create)
                 .map(|out| {
                     // A rename (`create`) allocates a version block and may
                     // trap.
@@ -433,15 +468,18 @@ impl TaskCtx {
                         cpu.charge_stall(self.core, StallCause::FreeListGc, trap);
                     }
                     (out.latency(), trap)
-                })
+                });
+            (res, traced)
         };
         let (latency, trap) = match res {
             Ok(x) => x,
             Err(f) => match self.fault_abort(va, f).await {},
         };
         self.h.sleep(latency).await;
-        let stall = (trap > 0).then_some(StallCause::FreeListGc);
-        self.trace(OpKind::Unlock, va, vl, self.h.now() - latency, stall);
+        if traced {
+            let stall = (trap > 0).then_some(StallCause::FreeListGc);
+            self.trace(OpKind::Unlock, va, vl, now, stall);
+        }
         self.open_gate(va);
     }
 
@@ -546,30 +584,32 @@ impl TaskCtx {
         va
     }
 
-    /// Appends a trace record if tracing is enabled (end = now).
+    /// Appends the record of an op issued at `start` that completes now.
+    /// Ops read whether tracing is armed inside their own state borrow and
+    /// call this, after their sleep, only when it is; `sleep(latency)`
+    /// resumes at exactly `issue + latency`, so an un-stalled op's record
+    /// spans its latency.
+    #[cold]
     fn trace(&self, kind: OpKind, va: u32, version: u32, start: Cycle, stall: Option<StallCause>) {
-        let mut st = self.st.borrow_mut();
-        if st.trace.enabled() {
-            st.trace.push(TraceRecord {
-                core: self.core,
-                tid: self.tid,
-                kind,
-                va,
-                version,
-                start,
-                end: self.h.now(),
-                stall,
-            });
-        }
+        self.st.borrow_mut().trace.push(TraceRecord {
+            core: self.core,
+            tid: self.tid,
+            kind,
+            va,
+            version,
+            start,
+            end: self.h.now(),
+            stall,
+        });
     }
 
     /// Producer identity stamped on wake-ups this task publishes: the
     /// task/core pair packed into the origin label (task ids start at 1,
     /// so a real producer's label is never 0 = unattributed).
-    fn wake_origin(&self) -> WakeOrigin {
+    fn wake_origin(&self, at: Cycle) -> WakeOrigin {
         WakeOrigin {
             label: (u64::from(self.tid) << 32) | self.core as u64,
-            at: self.h.now(),
+            at,
         }
     }
 
@@ -582,7 +622,8 @@ impl TaskCtx {
     /// some task has blocked on `va`; without one there is nobody to wake.
     fn open_gate(&self, va: u32) {
         if let Some(gate) = self.st.borrow().gates.get(&va) {
-            gate.open_at_from(self.h.now(), self.wake_origin());
+            let now = self.h.now();
+            gate.open_at_from(now, self.wake_origin(now));
         }
     }
 }

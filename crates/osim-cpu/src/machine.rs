@@ -119,7 +119,7 @@ impl MachineState {
         SampleBase {
             instructions: self.cpu.instructions,
             stalls: self.cpu.stall_by_cause,
-            l1_hits: m.l1_read_hits.iter().sum::<u64>() + m.l1_write_hits.iter().sum::<u64>(),
+            l1_hits: m.l1_hits(),
             l1_misses: m.l1_read_misses.iter().sum::<u64>() + m.l1_write_misses.iter().sum::<u64>(),
             l2_hits: m.l2_hits,
             l2_misses: m.l2_misses,
@@ -295,15 +295,20 @@ impl Machine {
     /// Every layer's latency histograms, gathered into one snapshot
     /// (engine gate waits, MVM walks/GC pauses, cache access latencies,
     /// and task run quanta). All simulated-cycle quantities.
+    ///
+    /// Every L1 hit costs the configured hit latency, so `l1_access` is
+    /// built here from the hit counters instead of being recorded per hit.
     pub fn run_hists(&self) -> RunHists {
         let st = self.state.borrow();
         let eng = self.sim.hists();
+        let mut l1_access = Histogram::new();
+        l1_access.record_n(st.ms.hier.cfg().l1.hit_latency, st.ms.hier.stats.l1_hits());
         RunHists {
             gate_wait: eng.gate_wait,
             wake_fanout: eng.wake_fanout,
             version_walk: st.omgr.hists.version_walk.clone(),
             gc_pause: st.omgr.hists.gc_pause.clone(),
-            l1_access: st.ms.hier.hists.l1_access.clone(),
+            l1_access,
             l2_access: st.ms.hier.hists.l2_access.clone(),
             coherence_delay: st.ms.hier.hists.coherence_delay.clone(),
             run_quantum: st.hist_run_quantum.clone(),

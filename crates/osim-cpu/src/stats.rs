@@ -16,7 +16,8 @@ pub struct RunHists {
     pub version_walk: Histogram,
     /// Cycles per free-list refill trap, including forced-GC recovery.
     pub gc_pause: Histogram,
-    /// L1 data-cache access latencies (hits and misses alike).
+    /// Latencies of demand accesses that hit in an L1 (misses go to
+    /// `l2_access`).
     pub l1_access: Histogram,
     /// Latencies of accesses serviced at or beyond the shared L2.
     pub l2_access: Histogram,
@@ -125,7 +126,7 @@ impl StallCause {
 
 /// Per-core slice of the counters (a subset of the aggregates that is
 /// meaningful per core). Used for load-imbalance analysis.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CoreStats {
     /// Instructions issued by this core.
     pub instructions: u64,
@@ -143,7 +144,7 @@ pub struct CoreStats {
 /// regenerate every secondary number the paper quotes: stall fractions of
 /// versioned loads (§IV-D), root-entry stall rates, and instruction mix.
 /// `per_core` carries the same story per core for imbalance analysis.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CpuStats {
     /// Instructions issued (memory ops count as one instruction each).
     pub instructions: u64,
@@ -210,11 +211,18 @@ impl CpuStats {
 
     /// The per-core row for `core`, growing the table on demand (contexts
     /// built outside [`crate::Machine`] may exceed the sized range).
+    #[inline]
     pub fn core_mut(&mut self, core: usize) -> &mut CoreStats {
         if core >= self.per_core.len() {
-            self.per_core.resize(core + 1, CoreStats::default());
+            self.grow_per_core(core);
         }
         &mut self.per_core[core]
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn grow_per_core(&mut self, core: usize) {
+        self.per_core.resize(core + 1, CoreStats::default());
     }
 
     /// Ratio of the busiest core's stall cycles to the per-core mean

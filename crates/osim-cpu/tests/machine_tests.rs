@@ -304,6 +304,35 @@ fn reset_stats_separates_warmup_from_measurement() {
 }
 
 #[test]
+fn l1_access_holds_the_hit_latency_once_per_l1_hit() {
+    let mut m = machine(1);
+    let buf = {
+        let st = m.state();
+        let mut st = st.borrow_mut();
+        let s = &mut *st;
+        s.alloc.alloc_data(&mut s.ms, 64).unwrap()
+    };
+    m.run_tasks(vec![task(move |ctx| async move {
+        ctx.store_u32(buf, 1).await; // write miss
+        for _ in 0..3 {
+            ctx.load_u32(buf).await; // read hits
+        }
+        for i in 0..2 {
+            ctx.store_u32(buf + 4, i).await; // write hits
+        }
+    })])
+    .unwrap();
+    let hit = m.cfg().hier.l1.hit_latency;
+    let h = m.run_hists();
+    assert_eq!(h.l1_access.count(), 5, "three read hits and two write hits");
+    assert_eq!((h.l1_access.min(), h.l1_access.max()), (hit, hit));
+    assert_eq!(h.l1_access.sum(), 5 * hit);
+    assert_eq!(h.l2_access.count(), 1, "the first store missed");
+    m.reset_stats();
+    assert!(m.run_hists().l1_access.is_empty());
+}
+
+#[test]
 fn determinism_across_machines() {
     let run = || {
         let mut m = machine(4);

@@ -1,9 +1,108 @@
 //! End-to-end tests of the execution tracer.
 
-use osim_cpu::{task, trace, Machine, MachineCfg, OpKind};
+use std::cell::RefCell;
+use std::future::Future;
+use std::rc::Rc;
+
+use osim_cpu::{task, trace, Machine, MachineCfg, OpKind, TaskCtx};
+use osim_engine::Cycle;
 
 fn machine(cores: usize) -> Machine {
     Machine::new(MachineCfg::paper(cores))
+}
+
+/// `(core, kind, issue cycle, completion cycle)` of each op a task issued,
+/// as the task itself saw the clock.
+type OpLog = Rc<RefCell<Vec<(usize, OpKind, Cycle, Cycle)>>>;
+
+/// Awaits `op`, logging the clock before and after it.
+async fn logged<T>(log: &OpLog, ctx: &TaskCtx, kind: OpKind, op: impl Future<Output = T>) -> T {
+    let issue = ctx.now();
+    let out = op.await;
+    log.borrow_mut().push((ctx.core(), kind, issue, ctx.now()));
+    out
+}
+
+#[test]
+fn every_op_kind_yields_one_exact_record() {
+    let mut m = machine(2);
+    m.enable_trace(1 << 10);
+    let (roots, buf) = {
+        let st = m.state();
+        let mut st = st.borrow_mut();
+        let s = &mut *st;
+        let roots = [
+            s.alloc.alloc_root(&mut s.ms).unwrap(),
+            s.alloc.alloc_root(&mut s.ms).unwrap(),
+        ];
+        (roots, s.alloc.alloc_data(&mut s.ms, 8).unwrap())
+    };
+    let log: OpLog = Rc::default();
+    let (l0, l1) = (Rc::clone(&log), Rc::clone(&log));
+    m.run_tasks(vec![
+        task(move |ctx| async move {
+            let l = &l0;
+            logged(l, &ctx, OpKind::Work, ctx.work(9)).await;
+            logged(l, &ctx, OpKind::Store, ctx.store_u32(buf, 3)).await;
+            let x = logged(l, &ctx, OpKind::Load, ctx.load_u32(buf)).await;
+            logged(l, &ctx, OpKind::Cas, ctx.cas_u32(buf + 4, 0, x)).await;
+            let [r, late] = roots;
+            logged(l, &ctx, OpKind::VersionedStore, ctx.store_version(r, 1, 7)).await;
+            let v = logged(l, &ctx, OpKind::VersionedLoad, ctx.load_version(r, 1)).await;
+            assert_eq!(v, 7);
+            let lock = ctx.lock_load_latest(r, 1);
+            let (vl, _) = logged(l, &ctx, OpKind::VersionedLockLoad, lock).await;
+            logged(l, &ctx, OpKind::Unlock, ctx.unlock_version(r, vl, None)).await;
+            // The other core has been parked on `late` all along.
+            logged(
+                l,
+                &ctx,
+                OpKind::VersionedStore,
+                ctx.store_version(late, 1, 8),
+            )
+            .await;
+        }),
+        task(move |ctx| async move {
+            let late = roots[1];
+            let v = logged(&l1, &ctx, OpKind::VersionedLoad, ctx.load_version(late, 1)).await;
+            assert_eq!(v, 8);
+        }),
+    ])
+    .unwrap();
+
+    let st = m.state();
+    let st = st.borrow();
+    let records = st.trace.records();
+    let log = log.borrow();
+    assert_eq!(records.len(), log.len(), "one record per op");
+    for kind in OpKind::ALL {
+        let issued = log.iter().filter(|op| op.1 == kind).count();
+        assert!(issued > 0, "{kind:?} exercised");
+        assert_eq!(
+            trace::summary(&records).of(kind).count,
+            issued as u64,
+            "{kind:?}"
+        );
+    }
+    let stalled: Vec<_> = records.iter().filter(|r| r.stalled()).collect();
+    assert_eq!(stalled.len(), 1, "only the parked load stalled");
+    assert_eq!(
+        (stalled[0].kind, stalled[0].core),
+        (OpKind::VersionedLoad, 1)
+    );
+    // Each core's records, in order, span exactly the cycles its calls
+    // advanced the clock: a record starts at its op's issue cycle and an
+    // un-stalled op ends `latency` later.
+    for core in 0..2 {
+        let ops = log.iter().filter(|op| op.0 == core);
+        let recs = records.iter().filter(|r| r.core == core);
+        for (&(_, kind, issue, done), r) in ops.zip(recs) {
+            assert_eq!((r.kind, r.start, r.end), (kind, issue, done), "{r:?}");
+            if !r.stalled() {
+                assert!(r.end > r.start, "{r:?} charged its latency");
+            }
+        }
+    }
 }
 
 #[test]
@@ -83,9 +182,15 @@ fn tracing_does_not_change_timing() {
                 ctx.unlock_version(root, vl, Some(tid + 1)).await;
             }));
         }
-        m.run_tasks(tasks).unwrap().cycles()
+        let cycles = m.run_tasks(tasks).unwrap().cycles();
+        let cpu = m.state().borrow().cpu.clone();
+        (cycles, m.run_hists(), cpu)
     };
-    assert_eq!(run(false), run(true), "tracing is observation-only");
+    let (plain, traced) = (run(false), run(true));
+    assert_eq!(plain.0, traced.0, "tracing is observation-only");
+    assert_eq!(plain.1, traced.1, "histograms unchanged by tracing");
+    assert_eq!(plain.2, traced.2, "per-core counters unchanged by tracing");
+    assert!(plain.1.l1_access.count() > 0, "hits reach the L1 histogram");
 }
 
 #[test]

@@ -787,9 +787,9 @@ impl SimHandle {
     /// be the very next event anyway (nothing queued at or before the
     /// deadline), the sleep resumes inline on its first poll instead of
     /// passing through the queue — same time, counters and later order.
-    pub fn sleep(&self, cycles: Cycle) -> Sleep {
+    pub fn sleep(&self, cycles: Cycle) -> Sleep<'_> {
         Sleep {
-            inner: Rc::clone(&self.inner),
+            inner: &self.inner,
             until: None,
             duration: cycles,
             armed: false,
@@ -798,9 +798,9 @@ impl SimHandle {
 
     /// Suspends the calling task until the given absolute cycle (no-op if it
     /// is already in the past).
-    pub fn sleep_until(&self, at: Cycle) -> Sleep {
+    pub fn sleep_until(&self, at: Cycle) -> Sleep<'_> {
         Sleep {
-            inner: Rc::clone(&self.inner),
+            inner: &self.inner,
             until: Some(at),
             duration: 0,
             armed: false,
@@ -869,15 +869,19 @@ impl SimHandle {
 /// the deadline, or a pending halt — it is queued and the poll returns
 /// `Pending`, so a zero-cycle sleep yields whenever another event shares
 /// its cycle.
-pub struct Sleep {
-    inner: Rc<RefCell<Inner>>,
+///
+/// It borrows the engine from the handle that made it rather than holding
+/// a reference count of its own: a sleep is awaited where it is made, so
+/// making one costs no reference-count traffic.
+pub struct Sleep<'a> {
+    inner: &'a RefCell<Inner>,
     /// Absolute deadline; `None` means "relative `duration` from first poll".
     until: Option<Cycle>,
     duration: Cycle,
     armed: bool,
 }
 
-impl Future for Sleep {
+impl Future for Sleep<'_> {
     type Output = ();
 
     fn poll(self: Pin<&mut Self>, _cx: &mut Context<'_>) -> Poll<()> {

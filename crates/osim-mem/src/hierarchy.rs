@@ -286,7 +286,6 @@ impl Hierarchy {
             } else {
                 self.stats.l1_read_hits[core] += 1;
             }
-            self.hists.l1_access.record(self.cfg.l1.hit_latency);
             if is_write && state == Mesi::Shared {
                 self.hists.coherence_delay.record(self.cfg.l1.hit_latency);
             }

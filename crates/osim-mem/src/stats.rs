@@ -4,11 +4,11 @@ use osim_metrics::Histogram;
 
 /// Latency distributions recorded by the [`crate::Hierarchy`] alongside
 /// the [`MemStats`] counters. Values are simulated cycles, so the
-/// contents are deterministic.
+/// contents are deterministic. L1 hits have none: every hit costs the
+/// configured L1 hit latency, so their distribution follows from the
+/// `l1_*_hits` counters (see [`MemStats::l1_hits`]).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct MemHists {
-    /// Latencies of accesses satisfied by the local L1.
-    pub l1_access: Histogram,
     /// Latencies of accesses that missed the L1 (remote-L1 forward, L2
     /// hit, or DRAM fill — the miss-path service time).
     pub l2_access: Histogram,
@@ -19,9 +19,8 @@ pub struct MemHists {
 }
 
 impl MemHists {
-    /// Clears all three histograms.
+    /// Clears both histograms.
     pub fn reset(&mut self) {
-        self.l1_access.reset();
         self.l2_access.reset();
         self.coherence_delay.reset();
     }
@@ -84,11 +83,14 @@ impl MemStats {
 
     /// Aggregate L1 hit rate (reads + writes) across all cores, in [0, 1].
     pub fn l1_hit_rate(&self) -> f64 {
-        let hits: u64 =
-            self.l1_read_hits.iter().sum::<u64>() + self.l1_write_hits.iter().sum::<u64>();
         let misses: u64 =
             self.l1_read_misses.iter().sum::<u64>() + self.l1_write_misses.iter().sum::<u64>();
-        ratio(hits, misses)
+        ratio(self.l1_hits(), misses)
+    }
+
+    /// Demand accesses that hit in an L1 (reads and writes, all cores).
+    pub fn l1_hits(&self) -> u64 {
+        self.l1_read_hits.iter().sum::<u64>() + self.l1_write_hits.iter().sum::<u64>()
     }
 
     /// Total demand accesses observed at the L1s.

@@ -123,6 +123,20 @@ impl Histogram {
         }
     }
 
+    /// Records `n` samples of value `v` at once: the same state as `n`
+    /// calls of [`record`](Self::record), saturating sum included. `n == 0`
+    /// changes nothing. Never allocates.
+    pub fn record_n(&mut self, v: u64, n: u64) {
+        if n == 0 {
+            return;
+        }
+        self.counts[bucket_index(v)] += n;
+        self.count += n;
+        self.sum = self.sum.saturating_add(v.saturating_mul(n));
+        self.min = self.min.min(v);
+        self.max = self.max.max(v);
+    }
+
     /// Number of recorded samples.
     pub fn count(&self) -> u64 {
         self.count

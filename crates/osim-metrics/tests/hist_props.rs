@@ -1,6 +1,7 @@
 //! Property tests for the histogram invariants the compare tooling
 //! relies on: merge commutes and conserves counts, quantiles stay
-//! monotone and inside the recorded range, and JSON round-trips.
+//! monotone and inside the recorded range, JSON round-trips, and a
+//! batched `record_n` is indistinguishable from repeated `record`s.
 
 use osim_metrics::Histogram;
 use proptest::prelude::*;
@@ -69,4 +70,56 @@ proptest! {
         let back = Histogram::from_json(&h.to_json()).unwrap();
         prop_assert_eq!(back, h);
     }
+
+    #[test]
+    fn record_n_equals_n_records(
+        xs in proptest::collection::vec(sample(), 0..16),
+        v in sample(),
+        n in 0u64..300,
+    ) {
+        let mut batched = Histogram::new();
+        for &x in &xs { batched.record(x); }
+        let mut single = batched.clone();
+        batched.record_n(v, n);
+        for _ in 0..n { single.record(v); }
+        prop_assert_eq!(batched.count(), single.count());
+        prop_assert_eq!(batched.sum(), single.sum());
+        prop_assert_eq!(batched.min(), single.min());
+        prop_assert_eq!(batched.max(), single.max());
+        prop_assert!(batched.nonzero_buckets().eq(single.nonzero_buckets()));
+        // The JSON writer carries integers as f64 and refuses a max beyond
+        // 2^53 (its sum is clamped there).
+        if single.max() < 1 << 53 {
+            prop_assert_eq!(batched.to_json().to_compact(), single.to_json().to_compact());
+        }
+        prop_assert_eq!(&batched, &single);
+    }
+}
+
+#[test]
+fn record_n_saturates_the_sum_like_repeated_records() {
+    let mut batched = Histogram::new();
+    batched.record_n(u64::MAX / 2, 3);
+    let mut single = Histogram::new();
+    for _ in 0..3 {
+        single.record(u64::MAX / 2);
+    }
+    assert_eq!(batched.sum(), u64::MAX);
+    assert_eq!(batched, single);
+}
+
+#[test]
+fn record_n_of_zero_leaves_an_empty_histogram_empty() {
+    let mut h = Histogram::new();
+    h.record_n(7, 0);
+    assert!(h.is_empty());
+    // Equality compares the raw min sentinel, so a later sample must still
+    // become the minimum.
+    assert_eq!(h, Histogram::new());
+    assert_eq!(
+        h.to_json().to_compact(),
+        Histogram::new().to_json().to_compact()
+    );
+    h.record(9);
+    assert_eq!(h.min(), 9);
 }

@@ -33,8 +33,8 @@ use crate::json::{obj, Json};
 ///
 /// v5: fleet telemetry. `hist` — eight log-bucketed latency histograms
 /// spanning every layer (`gate_wait`, `wake_fanout`, `version_walk`,
-/// `gc_pause`, `l1_access`, `l2_access`, `coherence_delay`,
-/// `run_quantum`), each serialized sparsely as
+/// `gc_pause`, `l1_access` (L1 hits), `l2_access` (L1 misses),
+/// `coherence_delay`, `run_quantum`), each serialized sparsely as
 /// `{count, sum, min, max, buckets: [[index, n], ...]}`. All record
 /// simulated-cycle quantities, so the section is deterministic. The reader is forward-compatible: v4 documents
 /// still parse, with `hist` defaulting to empty.
