@@ -7,11 +7,17 @@
 
 use std::path::PathBuf;
 use std::process::Command;
+use std::sync::atomic::{AtomicU64, Ordering};
+
+/// Numbers each `sweep` call, so the tests of this file, which run on
+/// threads of one process, never share a `--json` path.
+static CALLS: AtomicU64 = AtomicU64::new(0);
 
 /// Runs the experiments binary, returning (stdout bytes, `--json` bytes).
 fn sweep(args: &[&str], jobs: &str, json_name: &str) -> (Vec<u8>, Vec<u8>) {
+    let call = CALLS.fetch_add(1, Ordering::Relaxed);
     let json_path: PathBuf = std::env::temp_dir().join(format!(
-        "osim-jobs-eq-{}-{json_name}.json",
+        "osim-jobs-eq-{}-{call}-{json_name}.json",
         std::process::id()
     ));
     let out = Command::new(env!("CARGO_BIN_EXE_osim-experiments"))

@@ -33,6 +33,11 @@ struct State<T> {
     /// when this is non-zero: a notify with no waiter still costs a
     /// syscall.
     waiters: usize,
+    /// Whether a map cell sits on its shard's dirty queue (see
+    /// [`crate::map`]): set by a store through the map and cleared by the
+    /// vacuum pass that finds the cell settled, both under this mutex, so
+    /// each cell is queued at most once. Bare cells never set it.
+    queued: bool,
 }
 
 impl<T> State<T> {
@@ -81,6 +86,21 @@ impl<T> State<T> {
 struct Inner<T> {
     state: Mutex<State<T>>,
     changed: Condvar,
+}
+
+/// What a vacuum pass found in a queued map cell; see [`OCell::sweep`].
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Sweep {
+    /// One unlocked `Some` version is left: no later pass can reclaim
+    /// anything from the cell until a new store, so it leaves the queue.
+    Settled,
+    /// The cell may still shed a version, or become unobservable once the
+    /// watermark passes its newest version: it stays queued.
+    Requeue,
+    /// No snapshot at or after the boundary can observe a value in the
+    /// cell: its map may unlink it if nobody else holds a handle. It
+    /// stays queued until then.
+    Unlink,
 }
 
 /// Type-erased garbage-collection interface; the runtime and the vacuum
@@ -176,6 +196,7 @@ impl<T> OCell<T> {
                     versions: BTreeMap::new(),
                     held: HashMap::new(),
                     waiters: 0,
+                    queued: false,
                 }),
                 changed: Condvar::new(),
             }),
@@ -213,6 +234,17 @@ impl<T> OCell<T> {
     /// `STORE-VERSION` from an existing allocation: shares `value` instead
     /// of re-boxing it (the zero-copy publish path).
     pub fn store_version_arc(&self, version: Version, value: Arc<T>) -> Result<(), OError> {
+        self.store(version, value, false).map(drop)
+    }
+
+    /// `STORE-VERSION` that also marks the cell queued; true when it was
+    /// not queued before, so the caller must put it on its dirty queue.
+    /// A failed store leaves the mark alone.
+    pub(crate) fn store_marking(&self, version: Version, value: T) -> Result<bool, OError> {
+        self.store(version, Arc::new(value), true)
+    }
+
+    fn store(&self, version: Version, value: Arc<T>, mark: bool) -> Result<bool, OError> {
         let mut st = self.inner.state.lock();
         if st.versions.contains_key(&version) {
             return Err(OError::VersionExists(version));
@@ -224,8 +256,17 @@ impl<T> OCell<T> {
                 locked_by: None,
             },
         );
+        let newly = mark && !std::mem::replace(&mut st.queued, true);
         self.inner.wake(st);
-        Ok(())
+        Ok(newly)
+    }
+
+    /// An empty cell already marked queued, for a map that queues the
+    /// cell's key as it indexes it.
+    pub(crate) fn new_queued() -> Self {
+        let cell = Self::new();
+        cell.inner.state.lock().queued = true;
+        cell
     }
 
     /// `LOAD-VERSION` returning the shared allocation: blocks until
@@ -345,18 +386,34 @@ impl<T> OCell<T> {
 }
 
 impl<U> OCell<Option<U>> {
-    /// Garbage collection and an occupancy probe in one critical section:
-    /// prunes below `boundary` (see [`OCell::prune_below`]) and reports
-    /// whether any surviving version is above `boundary` or holds an
-    /// unlocked `Some`.
-    pub(crate) fn prune_and_probe(&self, boundary: Version) -> (usize, bool) {
+    /// One vacuum visit of a queued map cell, in one critical section:
+    /// prunes below `boundary` (see [`OCell::prune_below`]) and sorts what
+    /// is left. A value is observable when a surviving version is above
+    /// `boundary` or holds an unlocked `Some`. Only [`Sweep::Settled`]
+    /// clears the cell's queued mark, so the caller must put the cell back
+    /// on its queue after a [`Sweep::Requeue`], and after a
+    /// [`Sweep::Unlink`] that finds the cell still held.
+    pub(crate) fn sweep(&self, boundary: Version) -> (usize, Sweep) {
         let mut st = self.inner.state.lock();
         let reclaimed = st.prune_below(boundary);
-        let observable = st
+        let settled = st.versions.len() == 1
+            && st
+                .versions
+                .values()
+                .all(|s| s.locked_by.is_none() && s.value.is_some());
+        let sweep = if settled {
+            st.queued = false;
+            Sweep::Settled
+        } else if st
             .versions
             .iter()
-            .any(|(&v, s)| v > boundary || (s.locked_by.is_none() && s.value.is_some()));
-        (reclaimed, observable)
+            .any(|(&v, s)| v > boundary || (s.locked_by.is_none() && s.value.is_some()))
+        {
+            Sweep::Requeue
+        } else {
+            Sweep::Unlink
+        };
+        (reclaimed, sweep)
     }
 }
 

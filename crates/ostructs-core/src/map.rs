@@ -21,6 +21,32 @@
 //! those can wait indefinitely (on an unwritten version) and a lock held
 //! across one would wedge every unrelated key in the shard.
 //!
+//! # Reclamation
+//!
+//! Each shard also keeps a *dirty queue*: the keys whose cells a vacuum
+//! pass must visit. A store or remove queues its key, and so does the
+//! creation of a cell (a cell no store ever reaches must still be found
+//! to be unlinked). A `queued` flag in the cell's state keeps each cell
+//! on the queue at most once; it is set by the store and cleared by the
+//! pass under the cell mutex either already takes, so queuing adds no
+//! atomic. A pass ([`OMap::prune_below`], reached by the vacuum and by
+//! `ORuntime` collections alike) swaps each shard's queue out against a
+//! spare buffer, so a warm pass allocates nothing, and prunes every
+//! queued cell under the shard's *read* lock and the cell's own lock:
+//! gets and stores on the shard run beside it. A cell left with one
+//! unlocked value is settled and leaves the queue, since no later pass
+//! could change it before the next store. Any other cell goes back on
+//! the queue — one that can still shed a version, or whose only version
+//! is a removal the watermark has not passed yet — except one that no
+//! snapshot at or after the boundary can observe: that one is unlinked
+//! under the shard *write* lock, the only time a pass takes it, after
+//! `handle_count() == 1` and unobservability are checked again under
+//! that lock (handles are minted under the read lock). A cell kept for
+//! an outstanding handle goes back on the queue. Lock order is shard →
+//! queue; no queue lock is taken while a cell lock is held, so a store
+//! queues its key after its cell lock is released, but while it still
+//! holds the cell's handle so no pass can unlink the cell first.
+//!
 //! # Values
 //!
 //! Values are stored once as `Arc<V>`. [`OMap::get_arc`] and
@@ -34,13 +60,14 @@
 //! Writers to the *same* key must be externally ordered (distinct
 //! versions); writers to different keys need no coordination at all.
 
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::hash::{Hash, Hasher};
 use std::sync::{Arc, Weak};
 
-use parking_lot::RwLock;
+use parking_lot::{Mutex, RwLock};
 
-use crate::cell::{OCell, Prune};
+use crate::cell::{OCell, Prune, Sweep};
 use crate::error::OError;
 use crate::Version;
 
@@ -109,7 +136,107 @@ impl Hasher for FxHasher {
 }
 
 type ShardMap<K, V> = BTreeMap<K, OCell<Option<Arc<V>>>>;
-type Shard<K, V> = RwLock<ShardMap<K, V>>;
+type Index<K, V> = RwLock<ShardMap<K, V>>;
+
+/// One shard: its part of the key → cell index, and the dirty queue of
+/// its keys whose cells the next vacuum pass must visit.
+struct Shard<K, V> {
+    index: Index<K, V>,
+    dirty: Mutex<Dirty<K>>,
+}
+
+/// A shard's dirty queue. `keys` holds each queued cell's key once (the
+/// cell's queued mark sees to that); `spare` is the buffer a pass swaps
+/// in while it works through the keys it drained, so a warm pass
+/// allocates nothing.
+struct Dirty<K> {
+    keys: Vec<K>,
+    spare: Vec<K>,
+}
+
+impl<K: Ord, V> Shard<K, V> {
+    fn new() -> Self {
+        Shard {
+            index: RwLock::new(BTreeMap::new()),
+            dirty: Mutex::new(Dirty {
+                keys: Vec::new(),
+                spare: Vec::new(),
+            }),
+        }
+    }
+
+    fn enqueue(&self, key: K) {
+        self.dirty.lock().keys.push(key);
+    }
+
+    /// Prunes the cells of the drained `keys` and returns how many
+    /// versions went. Every cell is pruned under the index read lock, so
+    /// gets and stores on the shard run beside the pass; the keys are
+    /// sorted in place into `[unlink | requeue | settled]`, the settled
+    /// ones dropped and the requeued ones put back. The write lock is
+    /// taken only when some cell looked unlinkable, and both conditions
+    /// are checked again under it. Leaves `keys` empty.
+    fn sweep(&self, keys: &mut Vec<K>, boundary: Version) -> usize {
+        let mut reclaimed = 0;
+        let (mut unlink, mut kept) = (0, 0);
+        {
+            let index = self.index.read();
+            for i in 0..keys.len() {
+                let Some(cell) = index.get(&keys[i]) else {
+                    continue;
+                };
+                let (pruned, sweep) = cell.sweep(boundary);
+                reclaimed += pruned;
+                match sweep {
+                    Sweep::Settled => {}
+                    // Handles can be minted under the read lock, so a
+                    // count of one here is only a hint.
+                    Sweep::Unlink if cell.handle_count() == 1 => {
+                        keys.swap(kept, i);
+                        keys.swap(unlink, kept);
+                        unlink += 1;
+                        kept += 1;
+                    }
+                    Sweep::Unlink | Sweep::Requeue => {
+                        keys.swap(kept, i);
+                        kept += 1;
+                    }
+                }
+            }
+        }
+        keys.truncate(kept);
+        if kept > unlink {
+            self.dirty.lock().keys.extend(keys.drain(unlink..));
+        }
+        if unlink > 0 {
+            let mut index = self.index.write();
+            for key in keys.drain(..) {
+                let Some(cell) = index.get(&key) else {
+                    continue;
+                };
+                let (pruned, sweep) = cell.sweep(boundary);
+                reclaimed += pruned;
+                match sweep {
+                    Sweep::Settled => {}
+                    // Keep any cell someone outside the index still holds
+                    // a handle to: `cell_for` hands out handles after
+                    // releasing the shard lock, so a writer (or
+                    // `wait_version` waiter) may be about to store into a
+                    // cell that currently looks empty — dropping it would
+                    // orphan that store and strand its waiters. The write
+                    // lock held here keeps new handles from being minted,
+                    // so a count of one proves the index entry is the
+                    // only reference.
+                    Sweep::Unlink if cell.handle_count() == 1 => {
+                        index.remove(&key);
+                    }
+                    Sweep::Unlink | Sweep::Requeue => self.enqueue(key),
+                }
+            }
+        }
+        reclaimed
+    }
+}
 
 struct MapInner<K, V> {
     /// `shards.len()` is a power of two; selection is `hash & mask`.
@@ -128,20 +255,20 @@ where
     }
 }
 
-/// Shard read lock with contention accounting: a failed try-lock counts
+/// Index read lock with contention accounting: a failed try-lock counts
 /// as contention before falling back to the blocking acquire.
-fn read_counted<K, V>(shard: &Shard<K, V>) -> parking_lot::RwLockReadGuard<'_, ShardMap<K, V>> {
-    shard.try_read().unwrap_or_else(|| {
+fn read_counted<K, V>(index: &Index<K, V>) -> parking_lot::RwLockReadGuard<'_, ShardMap<K, V>> {
+    index.try_read().unwrap_or_else(|| {
         crate::metrics::note_shard_contention();
-        shard.read()
+        index.read()
     })
 }
 
-/// Shard write lock with contention accounting.
-fn write_counted<K, V>(shard: &Shard<K, V>) -> parking_lot::RwLockWriteGuard<'_, ShardMap<K, V>> {
-    shard.try_write().unwrap_or_else(|| {
+/// Index write lock with contention accounting.
+fn write_counted<K, V>(index: &Index<K, V>) -> parking_lot::RwLockWriteGuard<'_, ShardMap<K, V>> {
+    index.try_write().unwrap_or_else(|| {
         crate::metrics::note_shard_contention();
-        shard.write()
+        index.write()
     })
 }
 
@@ -149,29 +276,21 @@ impl<K, V> Prune for MapInner<K, V>
 where
     K: Ord,
 {
-    /// Prunes every cell and drops cells absent in all surviving
-    /// versions. Only non-blocking cell operations run under the shard
-    /// write lock.
+    /// Visits only the queued cells of each shard (see `Shard::sweep`):
+    /// a pass costs the cells written since they last settled, not the
+    /// keys.
     fn prune_below(&self, boundary: Version) -> usize {
         let mut reclaimed = 0;
         for shard in self.shards.iter() {
-            let mut w = shard.write();
-            w.retain(|_, cell| {
-                // One cell lock per visit: prune, and learn whether some
-                // snapshot at or after the boundary can still observe a
-                // value in the cell.
-                let (pruned, observable) = cell.prune_and_probe(boundary);
-                reclaimed += pruned;
-                // Keep any cell someone outside the index still holds a
-                // handle to: `cell_for` hands out handles after releasing
-                // the shard lock, so a writer (or `wait_version` waiter)
-                // may be about to store into a cell that currently looks
-                // empty — dropping it would orphan that store and strand
-                // its waiters. The shard write lock held here keeps new
-                // handles from being minted, so strong count == 1 proves
-                // the index entry is the only reference.
-                cell.handle_count() > 1 || observable
-            });
+            let mut keys = {
+                let mut dirty = shard.dirty.lock();
+                let spare = std::mem::take(&mut dirty.spare);
+                std::mem::replace(&mut dirty.keys, spare)
+            };
+            if !keys.is_empty() {
+                reclaimed += shard.sweep(&mut keys, boundary);
+            }
+            shard.dirty.lock().spare = keys;
         }
         reclaimed
     }
@@ -223,7 +342,7 @@ impl<K: Ord + Hash + Clone, V> OMap<K, V> {
         let n = shards.max(1).next_power_of_two();
         OMap {
             inner: Arc::new(MapInner {
-                shards: (0..n).map(|_| RwLock::new(BTreeMap::new())).collect(),
+                shards: (0..n).map(|_| Shard::new()).collect(),
                 mask: (n - 1) as u64,
             }),
         }
@@ -237,13 +356,32 @@ impl<K: Ord + Hash + Clone, V> OMap<K, V> {
     /// Looks up or creates the cell for `key`, returning a *handle*; the
     /// shard lock is released before this returns, so callers may block
     /// on the cell freely.
-    fn cell_for(&self, key: &K) -> OCell<Option<Arc<V>>> {
-        let shard = self.inner.shard(key);
-        if let Some(cell) = read_counted(shard).get(key) {
+    fn cell_for(&self, shard: &Shard<K, V>, key: &K) -> OCell<Option<Arc<V>>> {
+        if let Some(cell) = read_counted(&shard.index).get(key) {
             return cell.clone();
         }
-        let mut w = write_counted(shard);
-        w.entry(key.clone()).or_default().clone()
+        match write_counted(&shard.index).entry(key.clone()) {
+            Entry::Occupied(e) => e.get().clone(),
+            // A new cell is queued as it is indexed: a pass must find it
+            // to unlink it if no store ever lands in it.
+            Entry::Vacant(e) => {
+                shard.enqueue(key.clone());
+                e.insert(OCell::new_queued()).clone()
+            }
+        }
+    }
+
+    /// Stores `value` at `version` in `key`'s cell and queues the cell
+    /// for the vacuum if the store marked it.
+    fn store(&self, key: K, version: Version, value: Option<Arc<V>>) -> Result<(), OError> {
+        let shard = self.inner.shard(&key);
+        let cell = self.cell_for(shard, &key);
+        if cell.store_marking(version, value)? {
+            // Queued while `cell` is still held, so no pass can unlink
+            // the cell before its key is on the queue.
+            shard.enqueue(key);
+        }
+        Ok(())
     }
 
     /// Publishes `key -> value` at `version`.
@@ -253,13 +391,13 @@ impl<K: Ord + Hash + Clone, V> OMap<K, V> {
 
     /// Publishes an already-shared value at `version` without re-boxing.
     pub fn insert_arc(&self, key: K, version: Version, value: Arc<V>) -> Result<(), OError> {
-        self.cell_for(&key).store_version(version, Some(value))
+        self.store(key, version, Some(value))
     }
 
     /// Publishes the removal of `key` at `version` (an absence version —
     /// older snapshots still see the previous value).
     pub fn remove(&self, key: K, version: Version) -> Result<(), OError> {
-        self.cell_for(&key).store_version(version, None)
+        self.store(key, version, None)
     }
 
     /// The shared value of `key` in the snapshot at `cap`, without
@@ -268,7 +406,7 @@ impl<K: Ord + Hash + Clone, V> OMap<K, V> {
     pub fn get_arc(&self, key: &K, cap: Version) -> Option<Arc<V>> {
         // A non-blocking cell read may run under the shard read lock; only
         // the value's own `Arc` is cloned, not the cell handle.
-        read_counted(self.inner.shard(key))
+        read_counted(&self.inner.shard(key).index)
             .get(key)?
             .try_read_latest(cap, Option::clone)
             .flatten()
@@ -286,8 +424,17 @@ impl<K: Ord + Hash + Clone, V> OMap<K, V> {
     /// dataflow-style consumers waiting on a specific writer. No shard
     /// lock is held while blocked.
     pub fn wait_version(&self, key: K, version: Version) -> Option<Arc<V>> {
-        let cell = self.cell_for(&key);
+        let cell = self.cell_for(self.inner.shard(&key), &key);
         (*cell.load_version_arc(version)).clone()
+    }
+
+    /// Holds `key`'s cell as a parked [`OMap::wait_version`] does: the
+    /// cell is created if absent and stays indexed, even with no value in
+    /// it, until the returned handle drops. For tests of the vacuum's
+    /// outstanding-handle rule.
+    #[doc(hidden)]
+    pub fn hold(&self, key: &K) -> impl Sized {
+        self.cell_for(self.inner.shard(key), key)
     }
 
     /// The full snapshot at `cap` as shared values, in key order.
@@ -299,6 +446,7 @@ impl<K: Ord + Hash + Clone, V> OMap<K, V> {
             // uniformity — try_* cannot block, but cheap index critical
             // sections are the point of sharding.
             let cells: Vec<(K, OCell<Option<Arc<V>>>)> = shard
+                .index
                 .read()
                 .iter()
                 .map(|(k, c)| (k.clone(), c.clone()))
@@ -322,6 +470,7 @@ impl<K: Ord + Hash + Clone, V> OMap<K, V> {
         let mut out = Vec::new();
         for shard in self.inner.shards.iter() {
             let cells: Vec<(K, OCell<Option<Arc<V>>>)> = shard
+                .index
                 .read()
                 .range(from.clone()..)
                 .map(|(k, c)| (k.clone(), c.clone()))
@@ -342,8 +491,9 @@ impl<K: Ord + Hash + Clone, V> OMap<K, V> {
 
     /// Garbage collection: drops versions below the newest one ≤
     /// `boundary` in every cell, and drops cells that are absent in every
-    /// surviving version. Safe once no reader's cap can go below
-    /// `boundary`.
+    /// surviving version. Only the cells on the dirty queues are visited
+    /// (see "Reclamation" above); no other cell has anything to drop.
+    /// Safe once no reader's cap can go below `boundary`.
     pub fn prune_below(&self, boundary: Version) -> usize {
         Prune::prune_below(&*self.inner, boundary)
     }
@@ -361,7 +511,7 @@ impl<K: Ord + Hash + Clone, V> OMap<K, V> {
 
     /// Number of keys with any version history.
     pub fn tracked_keys(&self) -> usize {
-        self.inner.shards.iter().map(|s| s.read().len()).sum()
+        self.inner.shards.iter().map(|s| s.index.read().len()).sum()
     }
 }
 
@@ -543,7 +693,7 @@ mod tests {
         // the index, or the store lands in an orphan every later read
         // misses.
         let m: OMap<u32, u32> = OMap::new();
-        let cell = m.cell_for(&1);
+        let cell = m.cell_for(m.inner.shard(&1), &1);
         m.prune_below(u64::MAX - 1);
         cell.store_version(1, Some(Arc::new(10))).unwrap();
         assert_eq!(m.get(1, u64::MAX), Some(10));

@@ -12,7 +12,10 @@
 //! two-list protocol, which exists because hardware cannot atomically
 //! check reachability, collapses to a single atomic prune under the cell
 //! mutex — the `osim-uarch` crate models the full shadowed/pending
-//! mechanism).
+//! mechanism). A tracked [`crate::map::OMap`] is collected through the
+//! same per-shard dirty queues the background vacuum drains, so a
+//! collection visits only the map's cells written since they last
+//! settled, not a full sweep of its keys.
 
 use std::collections::BTreeSet;
 use std::sync::{Arc, Weak};
@@ -96,7 +99,8 @@ impl ORuntime {
     }
 
     /// Registers any prunable store (e.g. a whole [`crate::map::OMap`])
-    /// for garbage collection.
+    /// for garbage collection. A map costs each collection only its
+    /// queued cells (see [`crate::map`]).
     pub fn track_store<S: crate::vacuum::Prunable>(&self, store: &S) {
         self.state.lock().tracked.push(store.prune_weak());
     }
@@ -316,6 +320,38 @@ mod tests {
         rt.run(tasks);
         rt.collect_now();
         assert_eq!(cell.versions(), vec![4, 5]);
+    }
+
+    #[test]
+    fn collections_reclaim_a_tracked_map_through_its_queue() {
+        // Tasks rewrite four keys at their own ids; a last task removes
+        // key 0. Every collection drains the map's dirty queues.
+        let rt = ORuntime::with_gc_interval(2, Some(4));
+        let m: crate::OMap<u32, u64> = crate::OMap::new();
+        rt.track_store(&m);
+        let tasks: Vec<Box<dyn FnOnce(TaskId) + Send>> = (0..64u32)
+            .map(|i| {
+                let m = m.clone();
+                Box::new(move |tid: TaskId| m.insert(i % 4, tid, tid).unwrap())
+                    as Box<dyn FnOnce(TaskId) + Send>
+            })
+            .collect();
+        rt.run(tasks);
+        let mid = rt.gc_stats();
+        assert!(mid.collections >= 16, "{mid:?}");
+        assert!(mid.reclaimed > 0, "periodic collections pruned the map");
+        let remover = m.clone();
+        rt.run(vec![Box::new(move |tid: TaskId| {
+            remover.remove(0, tid).unwrap()
+        })]);
+        rt.collect_now();
+        // Sixteen writes per key: key 0 loses all sixteen to its removal
+        // (whose cell is then unlinked), keys 1-3 all but their newest.
+        assert_eq!(rt.gc_stats().reclaimed, 16 + 3 * 15);
+        assert_eq!(m.tracked_keys(), 3);
+        for k in 1..4u32 {
+            assert_eq!(m.get(k, u64::MAX), Some(u64::from(61 + k)));
+        }
     }
 
     #[test]

@@ -23,7 +23,16 @@
 //!    live — and calls
 //!    [`crate::cell::Prune::prune_below`] on every tracked store.
 //!    `prune_below` keeps the newest version ≤ the boundary, so a reader
-//!    pinned exactly *at* the watermark still resolves every load.
+//!    pinned exactly *at* the watermark still resolves every load. A
+//!    tracked cell is pruned whole on every pass; a tracked
+//!    [`crate::map::OMap`] visits only the cells on its per-shard dirty
+//!    queues (see the map's "Reclamation" notes): those its stores,
+//!    removes and cell creations queued, under a flag in each cell that
+//!    keeps it queued at most once, plus those an earlier pass put back
+//!    because they could still shed a version or be unlinked later. Each
+//!    is pruned under its shard's read lock; the shard's write lock is
+//!    taken only to unlink a cell no snapshot can observe and no handle
+//!    holds. A warm pass allocates nothing.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
@@ -279,6 +288,9 @@ pub struct VacuumStats {
 struct VacuumShared {
     registry: ReaderRegistry,
     tracked: Mutex<Vec<Weak<dyn Prune + Send + Sync>>>,
+    /// The buffer a pass copies `tracked` into, kept between passes so a
+    /// warm pass allocates nothing.
+    scratch: Mutex<Vec<Weak<dyn Prune + Send + Sync>>>,
     stats: Mutex<VacuumStats>,
     /// Per-pass duration in microseconds, merged into `osim-metrics`
     /// output via [`Vacuum::fill_registry`].
@@ -291,17 +303,20 @@ impl VacuumShared {
     fn pass(&self) -> u64 {
         let started = Instant::now();
         let boundary = self.registry.watermark();
-        let cells: Vec<_> = {
+        // The handles are copied out so `track` never waits on a pass.
+        let mut stores = std::mem::take(&mut *self.scratch.lock());
+        {
             let mut tracked = self.tracked.lock();
             tracked.retain(|w| w.strong_count() > 0);
-            tracked.clone()
-        };
+            stores.extend(tracked.iter().cloned());
+        }
         let mut reclaimed = 0u64;
-        for weak in cells {
-            if let Some(cell) = weak.upgrade() {
-                reclaimed += cell.prune_below(boundary) as u64;
+        for weak in stores.drain(..) {
+            if let Some(store) = weak.upgrade() {
+                reclaimed += store.prune_below(boundary) as u64;
             }
         }
+        *self.scratch.lock() = stores;
         {
             let mut stats = self.stats.lock();
             stats.passes += 1;
@@ -408,6 +423,7 @@ impl Vacuum {
         let shared = Arc::new(VacuumShared {
             registry,
             tracked: Mutex::new(Vec::new()),
+            scratch: Mutex::new(Vec::new()),
             stats: Mutex::new(VacuumStats::default()),
             pause_us: Mutex::new(osim_metrics::Histogram::new()),
             stop: Mutex::new(false),

@@ -1,7 +1,8 @@
 //! Property-based tests: the software O-structure cell against a
 //! reference model of the §II-A semantics, the reader registry against a
-//! multiset of pinned caps, and a threaded check that every parked load
-//! is woken.
+//! multiset of pinned caps, the map's queued vacuum against a model that
+//! sweeps every cell, and a threaded check that every parked load is
+//! woken.
 
 use std::collections::BTreeMap;
 use std::sync::mpsc;
@@ -10,7 +11,7 @@ use std::time::{Duration, Instant};
 
 use proptest::prelude::*;
 
-use ostructs_core::{OCell, OError, ReaderGuard, ReaderRegistry};
+use ostructs_core::{OCell, OError, OMap, ReaderGuard, ReaderRegistry};
 
 /// Reference model: an ordered map of versions plus lock state.
 #[derive(Default, Debug)]
@@ -119,6 +120,175 @@ fn pin_step_strategy() -> impl Strategy<Value = PinStep> {
         (0u64..1).prop_map(|_| PinStep::NextVersion),
         (0u64..60).prop_map(PinStep::AdvanceTo),
     ]
+}
+
+/// A map cell under the every-cell rule the vacuum used before it had
+/// dirty queues: versions (`None` = a removal) and the handles held on it.
+#[derive(Default, Debug)]
+struct ModelCell {
+    versions: BTreeMap<u64, Option<u32>>,
+    holds: usize,
+}
+
+/// The map under that rule: a pass prunes every cell, then unlinks each
+/// cell that no snapshot at or after the boundary can observe and that
+/// nobody holds.
+#[derive(Default, Debug)]
+struct MapModel {
+    cells: BTreeMap<u32, ModelCell>,
+}
+
+impl MapModel {
+    fn prune_below(&mut self, boundary: u64) -> usize {
+        let mut reclaimed = 0;
+        self.cells.retain(|_, cell| {
+            if let Some((&keep, _)) = cell.versions.range(..=boundary).next_back() {
+                let before = cell.versions.len();
+                cell.versions.retain(|&v, _| v >= keep);
+                reclaimed += before - cell.versions.len();
+            }
+            cell.holds > 0
+                || cell
+                    .versions
+                    .iter()
+                    .any(|(&v, val)| v > boundary || val.is_some())
+        });
+        reclaimed
+    }
+
+    fn get(&self, key: u32, cap: u64) -> Option<u32> {
+        *self.cells.get(&key)?.versions.range(..=cap).next_back()?.1
+    }
+}
+
+const MAP_KEYS: u32 = 6;
+
+#[derive(Debug, Clone)]
+enum MapStep {
+    Insert(u32, u32),
+    Remove(u32),
+    /// Takes a handle on the key's cell, as a parked `wait_version` does.
+    Hold(u32),
+    /// Drops the held handle at this index (modulo the held handles).
+    Release(usize),
+    Prune(u64),
+}
+
+fn map_step_strategy() -> impl Strategy<Value = MapStep> {
+    // Inserts are listed twice to draw them twice as often (`prop_oneof!`
+    // takes no arm weights here).
+    prop_oneof![
+        (0..MAP_KEYS, any::<u32>()).prop_map(|(k, val)| MapStep::Insert(k, val)),
+        (0..MAP_KEYS, any::<u32>()).prop_map(|(k, val)| MapStep::Insert(k, val)),
+        (0..MAP_KEYS).prop_map(MapStep::Remove),
+        (0..MAP_KEYS).prop_map(MapStep::Hold),
+        (0usize..4).prop_map(MapStep::Release),
+        (0u64..48).prop_map(MapStep::Prune),
+    ]
+}
+
+/// Runs `steps` on a two-shard `OMap` and on the model, stores taking
+/// versions from a clock that starts at 1. After each prune the two must
+/// agree on what the pass reclaimed, on `tracked_keys`, and on `get` of
+/// every key at every cap from the boundary to the clock. Returns the
+/// map's `tracked_keys` after each prune.
+fn run_map_steps(steps: &[MapStep]) -> Vec<usize> {
+    let map: OMap<u32, u32> = OMap::with_shards(2);
+    let mut model = MapModel::default();
+    let mut held: Vec<(u32, Box<dyn std::any::Any>)> = Vec::new();
+    let mut clock = 1u64;
+    let mut tracked = Vec::new();
+    for step in steps {
+        match *step {
+            MapStep::Insert(k, val) => {
+                map.insert(k, clock, val).unwrap();
+                model
+                    .cells
+                    .entry(k)
+                    .or_default()
+                    .versions
+                    .insert(clock, Some(val));
+                clock += 1;
+            }
+            MapStep::Remove(k) => {
+                map.remove(k, clock).unwrap();
+                model
+                    .cells
+                    .entry(k)
+                    .or_default()
+                    .versions
+                    .insert(clock, None);
+                clock += 1;
+            }
+            MapStep::Hold(k) => {
+                held.push((k, Box::new(map.hold(&k))));
+                model.cells.entry(k).or_default().holds += 1;
+            }
+            MapStep::Release(at) => {
+                if !held.is_empty() {
+                    let (k, handle) = held.swap_remove(at % held.len());
+                    drop(handle);
+                    model.cells.get_mut(&k).expect("held cell").holds -= 1;
+                }
+            }
+            MapStep::Prune(boundary) => {
+                prop_assert_eq!(
+                    map.prune_below(boundary),
+                    model.prune_below(boundary),
+                    "reclaimed at boundary {}",
+                    boundary
+                );
+                prop_assert_eq!(map.tracked_keys(), model.cells.len());
+                for k in 0..MAP_KEYS {
+                    for cap in boundary..=clock {
+                        prop_assert_eq!(
+                            map.get(k, cap),
+                            model.get(k, cap),
+                            "key {} at cap {} after prune {}",
+                            k,
+                            cap,
+                            boundary
+                        );
+                    }
+                }
+                tracked.push(map.tracked_keys());
+            }
+        }
+    }
+    tracked
+}
+
+/// A key whose only surviving version is a removal above the boundary
+/// must stay queued: the pass that finds it leaves it indexed, and a
+/// later pass unlinks it once the watermark passes the removal.
+#[test]
+fn removal_above_the_boundary_stays_queued_until_unlinked() {
+    use MapStep::*;
+    // Versions: key 0 at 1; key 1 removed at 2 (its only version).
+    let tracked = run_map_steps(&[Insert(0, 7), Remove(1), Prune(1), Prune(1), Prune(2)]);
+    assert_eq!(tracked, vec![2, 2, 1]);
+}
+
+/// A cell kept because a handle is outstanding goes back on the queue,
+/// and a pass after the handle drops unlinks it.
+#[test]
+fn cell_kept_for_a_held_handle_is_requeued() {
+    use MapStep::*;
+    // Key 2 is held with no version at all; key 3 is held after its
+    // only value is removed.
+    let tracked = run_map_steps(&[
+        Hold(2),
+        Insert(3, 30),
+        Remove(3),
+        Hold(3),
+        Prune(9),
+        Prune(9),
+        Release(0),
+        Prune(9),
+        Release(0),
+        Prune(9),
+    ]);
+    assert_eq!(tracked, vec![2, 2, 1, 0]);
 }
 
 proptest! {
@@ -266,6 +436,16 @@ proptest! {
         cell.unlock_version(1, Some(vn)).unwrap();
         prop_assert_eq!(cell.try_load_version(base), Some(val));
         prop_assert_eq!(cell.try_load_version(vn), Some(val));
+    }
+
+    /// The map's queued vacuum prunes and unlinks exactly what a sweep of
+    /// every cell did, through random stores, removals, held handles and
+    /// passes at boundaries that need not rise.
+    #[test]
+    fn queued_vacuum_matches_full_sweep_model(
+        steps in proptest::collection::vec(map_step_strategy(), 1..80),
+    ) {
+        run_map_steps(&steps);
     }
 }
 

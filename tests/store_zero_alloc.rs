@@ -1,44 +1,54 @@
-//! Proof that the software store's read path is allocation-free once
-//! warm: a pinned get (`pin` → `OMap::get_arc` → drop), `pin_at`, and the
-//! registry's `watermark` and `live_readers`, with several pins live at
-//! once so freed registry slots are reused in a different order than they
-//! were taken.
+//! Proof that the software store's read path and a warm vacuum pass are
+//! allocation-free: a pinned get (`pin` → `OMap::get_arc` → drop),
+//! `pin_at`, and the registry's `watermark` and `live_readers`, with
+//! several pins live at once so freed registry slots are reused in a
+//! different order than they were taken; and `Vacuum::run_pass` over a
+//! map whose keys were rewritten, so the pass drains each shard's dirty
+//! queue, prunes, re-queues, settles and unlinks cells.
 //!
 //! `ostructs-core` forbids `unsafe`, so the counting `#[global_allocator]`
-//! lives here. It is armed after a warm-up pass over the same operations
-//! and disarmed before the assertions; the count of allocations inside
-//! the window must be exactly zero. This file holds a single test so no
-//! concurrent test thread can pollute the counter.
+//! lives here. It counts per thread: a test arms its own thread after a
+//! warm-up pass over the same operations and disarms it before the
+//! assertions, so an allocation by any other thread of the test process
+//! cannot count against the guarded path. Every guarded operation runs
+//! on the arming thread (`run_pass` prunes on the calling thread, and the
+//! vacuum's background thread is never woken), and the count of
+//! allocations inside the window must be exactly zero.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::cell::Cell;
+use std::time::Duration;
 
-use ostructs::core::{OMap, ReaderRegistry};
+use ostructs::core::{OMap, ReaderRegistry, Vacuum, VacuumCfg};
 
 struct CountingAlloc;
 
-static ARMED: AtomicBool = AtomicBool::new(false);
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    // Const-initialised and without a destructor, so the allocator can
+    // read them on any thread without allocating.
+    static ARMED: Cell<bool> = const { Cell::new(false) };
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn note_alloc() {
+    if ARMED.try_with(Cell::get).unwrap_or(false) {
+        let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+    }
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if ARMED.load(Ordering::Relaxed) {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
+        note_alloc();
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        if ARMED.load(Ordering::Relaxed) {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
+        note_alloc();
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        if ARMED.load(Ordering::Relaxed) {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
+        note_alloc();
         System.realloc(ptr, layout, new_size)
     }
 
@@ -49,6 +59,16 @@ unsafe impl GlobalAlloc for CountingAlloc {
 
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
+
+/// Runs `f` with this thread's allocations counted; returns its result
+/// and the count.
+fn counted<R>(f: impl FnOnce() -> R) -> (R, u64) {
+    ALLOCS.with(|n| n.set(0));
+    ARMED.with(|a| a.set(true));
+    let r = f();
+    ARMED.with(|a| a.set(false));
+    (r, ALLOCS.with(Cell::get))
+}
 
 const KEYS: u32 = 256;
 
@@ -81,19 +101,67 @@ fn pinned_gets_and_registry_reads_do_not_allocate() {
     }
     let warm = round(&reg, &map);
 
-    ALLOCS.store(0, Ordering::Relaxed);
-    ARMED.store(true, Ordering::SeqCst);
-    let mut sum = 0;
-    for _ in 0..8 {
-        sum += round(&reg, &map);
-    }
-    ARMED.store(false, Ordering::SeqCst);
+    let (sum, allocs) = counted(|| (0..8).map(|_| round(&reg, &map)).sum::<u64>());
 
     assert_eq!(sum, 8 * warm, "every pinned get found its key");
-    assert_eq!(
-        ALLOCS.load(Ordering::Relaxed),
-        0,
-        "the store's read path allocated once warm"
-    );
+    assert_eq!(allocs, 0, "the store's read path allocated once warm");
     assert_eq!(reg.live_readers(), 0);
+}
+
+/// Rewrites the map, then runs one vacuum pass (counted when `count` is
+/// set) under a pin that splits each odd key's history. Every key is
+/// written, every 16th key is then removed, and the odd keys are written
+/// again after the pin, so the pass settles the even keys, unlinks the
+/// removed ones and re-queues the odd ones (their write after the pin
+/// stays above the watermark). Returns the versions the pass reclaimed
+/// and its allocation count.
+fn rewrite_and_pass(reg: &ReaderRegistry, map: &OMap<u32, u64>, vac: &Vacuum) -> (u64, u64) {
+    for k in 0..KEYS {
+        let v = reg.next_version();
+        map.insert(k, v, v).unwrap();
+    }
+    for k in (0..KEYS).step_by(16) {
+        map.remove(k, reg.next_version()).unwrap();
+    }
+    let pin = reg.pin();
+    for k in (1..KEYS).step_by(2) {
+        let v = reg.next_version();
+        map.insert(k, v, v).unwrap();
+    }
+    let counted = counted(|| vac.run_pass());
+    drop(pin);
+    counted
+}
+
+#[test]
+fn warm_vacuum_pass_does_not_allocate() {
+    let reg = ReaderRegistry::new();
+    // Passes run only when asked: the background cadence never fires.
+    let vac = Vacuum::start(
+        reg.clone(),
+        VacuumCfg {
+            interval: Duration::from_secs(24 * 3600),
+        },
+    );
+    let map: OMap<u32, u64> = OMap::new();
+    vac.track(&map);
+    // The queue buffers and the pass's handle buffer grow to their peak.
+    for _ in 0..4 {
+        rewrite_and_pass(&reg, &map, &vac);
+    }
+    let warm_reclaimed = rewrite_and_pass(&reg, &map, &vac).0;
+
+    let (reclaimed, allocs) = rewrite_and_pass(&reg, &map, &vac);
+
+    assert_eq!(reclaimed, warm_reclaimed, "every round prunes alike");
+    // Per round: each odd key sheds its previous round's two writes, and
+    // each even key its one older version.
+    let odd = u64::from(KEYS / 2);
+    assert_eq!(reclaimed, 2 * odd + odd, "the pass pruned every rewrite");
+    assert_eq!(
+        map.tracked_keys(),
+        (KEYS - KEYS / 16) as usize,
+        "the removed keys were unlinked"
+    );
+    assert_eq!(allocs, 0, "a warm vacuum pass allocated");
 }
