@@ -6,55 +6,21 @@
 //! heap. Each op costs a state borrow, a sleep and its counters, and
 //! nothing on that path needs host storage beyond what the warm-up sized.
 //!
-//! A counting `#[global_allocator]` is armed from inside the simulation
-//! once every task has finished its warm-up rounds, and disarmed when the
-//! first task finishes its measured rounds, before any task ends; the
-//! count of allocations inside the window must be exactly zero. This file
-//! holds a single test so no concurrent test thread can pollute the
-//! counter.
+//! The shared per-thread counting allocator is armed from inside the
+//! simulation once every task has finished its warm-up rounds, and
+//! disarmed when the first task finishes its measured rounds, before any
+//! task ends; the count of allocations inside the window must be exactly
+//! zero. The machine runs its tasks on the test thread, so every counted
+//! operation is on the arming thread.
 
-use std::alloc::{GlobalAlloc, Layout, System};
+#[path = "../../../tests/support/counting_alloc.rs"]
+mod counting_alloc;
+
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 use osim_cpu::{task, CpuStats, Machine, MachineCfg, MachineState};
 use osim_mem::CacheCfg;
-
-struct CountingAlloc;
-
-static ARMED: AtomicBool = AtomicBool::new(false);
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if ARMED.load(Ordering::Relaxed) {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
-        System.alloc(layout)
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        if ARMED.load(Ordering::Relaxed) {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
-        System.alloc_zeroed(layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        if ARMED.load(Ordering::Relaxed) {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
-        System.realloc(ptr, layout, new_size)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-}
-
-#[global_allocator]
-static GLOBAL: CountingAlloc = CountingAlloc;
 
 /// Lines in the conventional array: 64 kB, eight times the 8 kB L1.
 const LINES: u32 = 1024;
@@ -90,15 +56,14 @@ impl Window {
         self.warmed.set(self.warmed.get() + 1);
         if self.warmed.get() == self.tasks && !self.closed.get() {
             *self.at_open.borrow_mut() = Some(self.st.borrow().cpu.clone());
-            ALLOCS.store(0, Ordering::SeqCst);
-            ARMED.store(true, Ordering::SeqCst);
+            counting_alloc::arm();
         }
     }
 
     /// A task finished its measured rounds; the first one closes the window.
     fn finished(&self) {
         if !self.closed.replace(true) {
-            ARMED.store(false, Ordering::SeqCst);
+            counting_alloc::disarm();
             *self.at_close.borrow_mut() = Some(self.st.borrow().cpu.clone());
         }
     }
@@ -116,7 +81,7 @@ impl Window {
             b.versioned_ops - a.versioned_ops,
             b.versioned_loads_stalled - a.versioned_loads_stalled,
         ];
-        (ALLOCS.load(Ordering::SeqCst), delta)
+        (counting_alloc::allocs(), delta)
     }
 }
 

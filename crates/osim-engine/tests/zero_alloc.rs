@@ -9,14 +9,17 @@
 //! pre-allocated histogram behind a mutex, and the disarmed host-trace
 //! fast path).
 //!
-//! A counting `#[global_allocator]` is armed from inside the simulation
-//! after a warm-up window (slab slots claimed, wheel buckets and queues at
-//! capacity) and disarmed before teardown; the count of allocations inside
-//! the window must be exactly zero. This file holds a single test so no
-//! concurrent test thread can pollute the counter.
+//! The shared per-thread counting allocator is armed from inside the
+//! simulation after a warm-up window (slab slots claimed, wheel buckets
+//! and queues at capacity) and disarmed before teardown; the count of
+//! allocations inside the window must be exactly zero. The simulation
+//! runs on the test thread, so every counted operation is on the arming
+//! thread.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+#[path = "../../../tests/support/counting_alloc.rs"]
+mod counting_alloc;
+
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use std::cell::RefCell;
@@ -24,41 +27,6 @@ use std::rc::Rc;
 
 use osim_engine::{Sim, WakeOrigin};
 use osim_metrics::Histogram;
-
-struct CountingAlloc;
-
-static ARMED: AtomicBool = AtomicBool::new(false);
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if ARMED.load(Ordering::Relaxed) {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
-        System.alloc(layout)
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        if ARMED.load(Ordering::Relaxed) {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
-        System.alloc_zeroed(layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        if ARMED.load(Ordering::Relaxed) {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
-        System.realloc(ptr, layout, new_size)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-}
-
-#[global_allocator]
-static GLOBAL: CountingAlloc = CountingAlloc;
 
 #[test]
 fn steady_state_gate_and_dispatch_are_allocation_free() {
@@ -72,9 +40,9 @@ fn steady_state_gate_and_dispatch_are_allocation_free() {
     // pre-allocated histogram behind a mutex).
     static TICKS: AtomicU64 = AtomicU64::new(0);
 
-    // Shared like a scrape collector would share it; allocated before
-    // the window arms. Warm the recording-side mutex and the disarmed
-    // host-trace path.
+    // Shared as a collector on another thread would share it; allocated
+    // before the window arms. Warm the recording-side mutex and the
+    // disarmed host-trace path.
     let wait_hist = Arc::new(Mutex::new(Histogram::new()));
     wait_hist.lock().expect("hist lock").record(1);
     let trace_t0 = std::time::Instant::now();
@@ -101,10 +69,10 @@ fn steady_state_gate_and_dispatch_are_allocation_free() {
         sim.spawn(async move {
             for round in 0..ROUNDS {
                 if round == ARM_AT {
-                    ARMED.store(true, Ordering::SeqCst);
+                    counting_alloc::arm();
                 }
                 if round == DISARM_AT {
-                    ARMED.store(false, Ordering::SeqCst);
+                    counting_alloc::disarm();
                 }
                 // Attach a wake origin (the dependency-capture path):
                 // origin propagation must be as allocation-free as the
@@ -136,7 +104,7 @@ fn steady_state_gate_and_dispatch_are_allocation_free() {
     }
     sim.run().expect("no deadlock");
 
-    let counted = ALLOCS.load(Ordering::SeqCst);
+    let counted = counting_alloc::allocs();
     assert_eq!(
         counted, 0,
         "{counted} heap allocation(s) in the steady-state window \

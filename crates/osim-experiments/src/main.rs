@@ -5,7 +5,7 @@
 //! cargo run -p osim-experiments --release -- <experiment> [--full|--tiny]
 //!     [--scale <quick|tiny|full>] [--jobs <n>] [--stats] [--json <path>]
 //!     [--chrome <path>] [--progress]
-//!     [--sweep-json <path>] [--metrics-addr <host:port|off>]
+//!     [--sweep-json <path>] [--metrics-out <path>]
 //!     [--host-chrome <path>]
 //! cargo run -p osim-experiments --release -- compare <a.json> <b.json>
 //!     [--json <path>]
@@ -102,14 +102,11 @@
 //! --cache-bench` measures one cold and one warm sweep and writes
 //! `BENCH_cache.json`.
 //!
-//! `--metrics-addr <host:port>` (default `off`) arms the live
-//! observability plane for the invocation: a std-only HTTP endpoint
-//! serving `GET /metrics`, the Prometheus text of the instrumented
-//! layers (sweep runner, concurrent store, vacuum, run cache) collected at
-//! scrape time. Port 0 binds an ephemeral port; the bound address is
-//! announced on **stderr**, so stdout and every compared artifact stay
-//! byte-identical with the plane armed. See
-//! `EXPERIMENTS.md` § "Live observability".
+//! `--metrics-out <path>` writes the Prometheus text of the instrumented
+//! layers (sweep runner, concurrent store, run cache) to `<path>` once,
+//! when the invocation ends. Nothing is collected before then, so stdout
+//! and every compared artifact stay byte-identical with it given. See
+//! `EXPERIMENTS.md` § "Metrics file".
 //!
 //! `--host-chrome <path>` records *host* wall-clock spans — worker jobs,
 //! vacuum passes, cache probes — and writes them as a Chrome trace-event
@@ -218,7 +215,7 @@ fn main() {
     let json_path = take_value(&mut args, "--json");
     let chrome_path = take_value(&mut args, "--chrome");
     let sweep_json = take_value(&mut args, "--sweep-json");
-    let metrics_addr = take_value(&mut args, "--metrics-addr").filter(|v| v != "off");
+    let metrics_out = take_value(&mut args, "--metrics-out");
     let host_chrome = take_value(&mut args, "--host-chrome");
     let progress = take_flag(&mut args, "--progress");
     let ostructs = take_flag(&mut args, "--ostructs");
@@ -331,12 +328,7 @@ fn main() {
     if let Some(dir) = &cache_flag {
         runner::set_cache(Some(std::sync::Arc::new(runcache::RunCache::at_dir(dir))));
     }
-    if let Some(path) = host_chrome {
-        obsv::host_chrome_arm(path);
-    }
-    if let Some(spec) = &metrics_addr {
-        obsv::arm(spec);
-    }
+    let side_files = obsv::SideFiles::arm(host_chrome, metrics_out);
 
     let mut reports: Vec<SimReport> = Vec::new();
     let mut chrome_doc: Option<Json> = None;
@@ -353,7 +345,7 @@ fn main() {
             std::process::exit(2);
         }
         let code = compare_cmd::run(&files[0], &files[1], json_path.as_deref());
-        obsv::host_chrome_flush();
+        side_files.flush();
         std::process::exit(code);
     }
 
@@ -438,7 +430,7 @@ fn main() {
                  [--shake-seed <n>] [--seeds <n>] \
                  [--progress] [--sweep-json <path>] [--ostructs] [--cache-bench] \
                  [--cache <dir|off>] \
-                 [--metrics-addr <host:port|off>] [--host-chrome <path>] \
+                 [--metrics-out <path>] [--host-chrome <path>] \
                  [--inject <spec>] [--baseline-ms <ms> [--baseline-ref <label>]]\n\
                  \n\
                  osim-experiments compare <a.json> <b.json> [--json <path>]\n\
@@ -464,9 +456,9 @@ fn main() {
                  figure under --seeds (default 25) seeded tie-break perturbations\n\
                  (--shake-seed pins the first seed), with the manager's invariant\n\
                  oracles armed. Prints a minimal repro line per violation; exit\n\
-                 0 = all invariants held, 1 = violations (--sweep-json and\n\
-                 --host-chrome are written either way). --fig <6|7|8|9|10|gc>\n\
-                 restricts the figure set.\n\
+                 0 = all invariants held, 1 = violations (--sweep-json,\n\
+                 --metrics-out and --host-chrome are written either way).\n\
+                 --fig <6|7|8|9|10|gc> restricts the figure set.\n\
                  \n\
                  --shake-seed <n>: for the other experiments, perturb same-cycle\n\
                  dispatch order from splitmix64 stream n (byte-identical per seed;\n\
@@ -477,10 +469,8 @@ fn main() {
                  cause, and latency histogram, and prints a ranked regression\n\
                  attribution per pair. Exit code 0 = identical, 1 = deltas.\n\
                  \n\
-                 --metrics-addr <host:port>: live scrape endpoint (GET /metrics\n\
-                 in Prometheus text) over the instrumented layers (sweep\n\
-                 runner, store, vacuum, cache). Port 0 binds ephemeral; the bound\n\
-                 address is announced on stderr. Default: off (nothing starts).\n\
+                 --metrics-out <path>: the instrumented layers' metrics (sweep\n\
+                 runner, store, cache) in Prometheus text, written at exit.\n\
                  --host-chrome <path>: host wall-clock spans (worker jobs,\n\
                  vacuum passes, cache probes) as a Chrome trace document.\n\
                  \n\
@@ -505,7 +495,7 @@ fn main() {
         }
     }
 
-    obsv::host_chrome_flush();
+    side_files.flush();
 
     if let Some(path) = json_path {
         for r in &reports {

@@ -20,11 +20,11 @@
 //! left out of the progress line's ETA.
 //!
 //! Every finished job pushes one [`JobTiming`] into a process-wide record
-//! under one lock. The host-side views are functions over that record
-//! plus the in-flight batches' counts: [`sweep_doc`] (`--sweep-json`),
-//! [`fill_registry`] (the `osim_jobq_*` families of `/metrics`), and the
-//! `--progress` line on stderr. All of them are wall-clock observations
-//! that never reach stdout or `--json`.
+//! under one lock. The host-side views are functions over that record:
+//! [`sweep_doc`] (`--sweep-json`) and [`fill_registry`] (the
+//! `osim_jobq_*` families of `--metrics-out`); the `--progress` line on
+//! stderr paints the running batch's counts. All of them are wall-clock
+//! observations that never reach stdout or `--json`.
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
@@ -178,7 +178,7 @@ struct JobTiming {
     stale_events: u64,
 }
 
-/// Everything the process has run, plus the batches still running.
+/// Everything the process has run.
 struct Record {
     /// Batches completed.
     batches: u64,
@@ -186,8 +186,6 @@ struct Record {
     wall_ms: f64,
     /// One entry per finished job, in completion order.
     jobs: Vec<JobTiming>,
-    /// In-flight batches, for the queue-depth and running gauges.
-    inflight: Vec<Arc<Batch>>,
 }
 
 impl Record {
@@ -217,7 +215,6 @@ fn record() -> MutexGuard<'static, Record> {
         batches: 0,
         wall_ms: 0.0,
         jobs: Vec::new(),
-        inflight: Vec::new(),
     });
     R.lock().unwrap_or_else(PoisonError::into_inner)
 }
@@ -281,22 +278,12 @@ pub fn sweep_doc(jobs_flag: usize) -> Json {
     ])
 }
 
-/// Renders the sweep's `osim_jobq_*` families into `reg`. Counters are
-/// monotone over the process, so scrapers diff snapshots to get rates.
+/// Renders the sweep's `osim_jobq_*` families into `reg`: every job the
+/// process has run.
 pub fn fill_registry(reg: &mut Registry) {
     let rec = record();
     reg.counter_add("osim_jobq_jobs_total", &[], rec.jobs.len() as u64);
     reg.counter_add("osim_jobq_cache_hits_total", &[], rec.count(Probe::Hit));
-    let (mut queued, mut running) = (0, 0);
-    for b in &rec.inflight {
-        let busy = b.running();
-        running += busy;
-        queued += b
-            .total
-            .saturating_sub(b.done.load(Ordering::Relaxed) + busy);
-    }
-    reg.gauge_set("osim_jobq_queue_depth", &[], queued as f64);
-    reg.gauge_set("osim_jobq_running", &[], running as f64);
     let latency = reg.hist_mut("osim_jobq_job_latency_us", &[]);
     for j in rec.executed() {
         latency.record((j.run_ms * 1e3) as u64);
@@ -313,8 +300,7 @@ pub fn fill_registry(reg: &mut Registry) {
     }
 }
 
-/// One in-flight batch: the counts `--progress` paints and the `/metrics`
-/// gauges read.
+/// One in-flight batch: the counts `--progress` paints.
 struct Batch {
     started: Instant,
     total: usize,
@@ -329,13 +315,6 @@ impl Batch {
         self.current[worker]
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Workers with a job in hand.
-    fn running(&self) -> usize {
-        (0..self.current.len())
-            .filter(|&w| self.slot(w).is_some())
-            .count()
     }
 
     fn begin(&self, worker: usize, label: &str) {
@@ -499,14 +478,13 @@ pub fn run_jobs(jobs: Vec<SweepJob>, threads: usize) -> Vec<SweepRun> {
         return Vec::new();
     }
     let workers = threads.clamp(1, n);
-    let batch = Arc::new(Batch {
+    let batch = Batch {
         started: Instant::now(),
         total: n,
         done: AtomicUsize::new(0),
         hits: AtomicUsize::new(0),
         current: (0..workers).map(|_| Mutex::new(None)).collect(),
-    });
-    record().inflight.push(Arc::clone(&batch));
+    };
     let cache = cache();
     let pending = Mutex::new(jobs.into_iter().enumerate());
     let slots: Mutex<Vec<Option<SweepRun>>> = Mutex::new((0..n).map(|_| None).collect());
@@ -535,7 +513,6 @@ pub fn run_jobs(jobs: Vec<SweepJob>, threads: usize) -> Vec<SweepRun> {
     let mut rec = record();
     rec.batches += 1;
     rec.wall_ms += batch.started.elapsed().as_secs_f64() * 1e3;
-    rec.inflight.retain(|b| !Arc::ptr_eq(b, &batch));
     drop(rec);
     slots
         .into_inner()
@@ -655,8 +632,8 @@ mod tests {
         assert_eq!(busy_warm, busy_cold, "hits ran nothing");
     }
 
-    /// `/metrics`, the record, `--sweep-json` and the host trace all count
-    /// the same jobs: each is a view over the one record per job.
+    /// `--metrics-out`, the record, `--sweep-json` and the host trace all
+    /// count the same jobs: each is a view over the one record per job.
     #[test]
     fn the_views_agree_on_one_batch() {
         let _g = batch_lock();
@@ -686,11 +663,8 @@ mod tests {
             (n as u64, n, n, n),
             "(jobs_total delta, record, sweep rows, job spans)"
         );
-        // The batch is over: nothing is left queued or running.
         let mut reg = Registry::new();
         fill_registry(&mut reg);
-        assert_eq!(reg.gauge("osim_jobq_queue_depth", &[]), Some(0.0));
-        assert_eq!(reg.gauge("osim_jobq_running", &[]), Some(0.0));
         assert!(reg.hist("osim_jobq_job_latency_us", &[]).is_some());
     }
 

@@ -1,5 +1,6 @@
 //! End-to-end checks of the experiment driver's machine-readable outputs:
-//! the `--json` SimReport array and the `--chrome` trace-event document.
+//! the `--json` SimReport array, the `--chrome` trace-event document, the
+//! `--sweep-json` telemetry and the `--metrics-out` Prometheus file.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -137,9 +138,18 @@ fn unknown_flags_and_stray_arguments_exit_2() {
     run_bin(&["config", "--tiny", "--stats", "--jobs", "1"]);
 }
 
+/// Value of the unlabeled series `name` in a Prometheus exposition.
+fn series_value(text: &str, name: &str) -> f64 {
+    text.lines()
+        .find_map(|l| l.strip_prefix(name)?.strip_prefix(' '))
+        .and_then(|v| v.parse().ok())
+        .unwrap_or_else(|| panic!("series {name} absent:\n{text}"))
+}
+
 #[test]
 fn stress_writes_its_sweep_json() {
     let path = out_path("stress_sweep.json");
+    let prom = out_path("stress.prom");
     let out = Command::new(env!("CARGO_BIN_EXE_osim-experiments"))
         .args([
             "stress",
@@ -151,6 +161,8 @@ fn stress_writes_its_sweep_json() {
             "--sweep-json",
         ])
         .arg(&path)
+        .arg("--metrics-out")
+        .arg(&prom)
         .output()
         .expect("spawn osim-experiments");
     assert!(out.status.success(), "stress failed: {:?}", out.status);
@@ -167,4 +179,34 @@ fn stress_writes_its_sweep_json() {
     let doc = parse(&text).expect("valid JSON");
     assert!(runs > 0);
     assert_eq!(doc.get("job_count").and_then(Json::as_u64), Some(runs));
+
+    let metrics = std::fs::read_to_string(&prom).expect("--metrics-out written");
+    std::fs::remove_file(&prom).ok();
+    for line in metrics.lines().filter(|l| !l.starts_with('#')) {
+        let (series, value) = line
+            .split_once(' ')
+            .unwrap_or_else(|| panic!("not `series value`: {line:?}"));
+        assert!(!series.is_empty(), "no series in {line:?}");
+        assert!(value.parse::<f64>().is_ok(), "bad value in {line:?}");
+    }
+    assert_eq!(series_value(&metrics, "osim_jobq_jobs_total"), runs as f64);
+}
+
+#[test]
+fn metrics_out_leaves_stdout_byte_identical() {
+    let prom = out_path("fig6.prom");
+    let run = |extra: &[&std::ffi::OsStr]| -> Vec<u8> {
+        let out = Command::new(env!("CARGO_BIN_EXE_osim-experiments"))
+            .args(["fig6", "--stats", "--scale", "tiny", "--jobs", "1"])
+            .args(extra)
+            .output()
+            .expect("spawn osim-experiments");
+        assert!(out.status.success(), "fig6 failed: {:?}", out.status);
+        out.stdout
+    };
+    let plain = run(&[]);
+    let armed = run(&["--metrics-out".as_ref(), prom.as_os_str()]);
+    assert!(prom.exists(), "--metrics-out written");
+    std::fs::remove_file(&prom).ok();
+    assert_eq!(plain, armed, "stdout must not change with --metrics-out");
 }

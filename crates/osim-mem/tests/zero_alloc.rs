@@ -6,51 +6,15 @@
 //! once, so the presence directories keep releasing page chunks and
 //! taking them back from their spare lists inside the window.
 //!
-//! A counting `#[global_allocator]` is armed after a warm-up pass over the
-//! same lines and disarmed before the assertions; the count of
-//! allocations inside the window must be exactly zero. This file holds a
-//! single test so no concurrent test thread can pollute the counter.
+//! The shared per-thread counting allocator is armed after a warm-up pass
+//! over the same lines and disarmed before the assertions; the count of
+//! allocations inside the window must be exactly zero.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+#[path = "../../../tests/support/counting_alloc.rs"]
+mod counting_alloc;
 
 use osim_mem::cache::LineKind;
 use osim_mem::{AccessKind, Hierarchy, HierarchyCfg, PAGE_SIZE};
-
-struct CountingAlloc;
-
-static ARMED: AtomicBool = AtomicBool::new(false);
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if ARMED.load(Ordering::Relaxed) {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
-        System.alloc(layout)
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        if ARMED.load(Ordering::Relaxed) {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
-        System.alloc_zeroed(layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        if ARMED.load(Ordering::Relaxed) {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
-        System.realloc(ptr, layout, new_size)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-}
-
-#[global_allocator]
-static GLOBAL: CountingAlloc = CountingAlloc;
 
 const CORES: usize = 32;
 /// More pages than the machine's set-0 ways (32 cores x 8) can keep live
@@ -112,13 +76,11 @@ fn steady_state_hierarchy_is_allocation_free() {
     assert!(vacant_pages(&h) >= 64, "pages must leave every L1");
 
     let before = h.stats.clone();
-    ALLOCS.store(0, Ordering::Relaxed);
-    ARMED.store(true, Ordering::Relaxed);
-    for _ in 0..16 {
-        round(&mut h);
-    }
-    ARMED.store(false, Ordering::Relaxed);
-    let allocs = ALLOCS.load(Ordering::Relaxed);
+    let ((), allocs) = counting_alloc::counted(|| {
+        for _ in 0..16 {
+            round(&mut h);
+        }
+    });
 
     // Every measured path ran inside the window.
     let ops = 16 * u64::from(PAGES);

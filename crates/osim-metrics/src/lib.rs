@@ -8,8 +8,8 @@
 //!   cycle durations into these, so the contents are deterministic and
 //!   safe to embed in byte-compared reports.
 //! * [`Registry`] — labeled counters/gauges/histograms with lossless
-//!   merge and a Prometheus-style text exposition writer (the scrape
-//!   surface served live by `osim-serve`). Used host-side by the
+//!   merge and a Prometheus-style text exposition writer (the
+//!   `--metrics-out` file of `osim-experiments`). Used host-side by the
 //!   parallel sweep pool.
 //! * [`trace`] — process-global host-thread span collection (disarmed by
 //!   default) feeding the `--host-chrome` wall-clock trace export.

@@ -1,9 +1,10 @@
 //! Labeled counters, gauges, and histograms with lossless merge and a
 //! Prometheus-style text exposition writer.
 //!
-//! The registry is the host-side aggregation surface: the scrape
-//! collector folds every instrumented layer into one, and the
-//! `osim-serve` endpoint renders [`Registry::to_prometheus`] directly. Nothing here sits on the simulated-cycle path, so ordinary
+//! The registry is the host-side aggregation surface: the harness's
+//! collector folds every instrumented layer into one, and its
+//! `--metrics-out` file is [`Registry::to_prometheus`] of that. Nothing
+//! here sits on the simulated-cycle path, so ordinary
 //! allocation is fine; determinism comes from sorting the exposition by
 //! metric identity rather than insertion order.
 
@@ -186,7 +187,7 @@ impl Registry {
         v
     }
 
-    /// Prometheus text exposition (the `osim-serve` scrape body).
+    /// Prometheus text exposition (the `--metrics-out` file body).
     ///
     /// Counters and gauges render one sample each; histograms render the
     /// conventional `_bucket{le=...}` cumulative series plus `_sum` and

@@ -81,16 +81,19 @@ proptest! {
         reg.counter_add("evil_total", &[("fig", value.as_str())], 1);
         reg.hist_record("evil_us", &[("fig", value.as_str())], 42);
         let text = reg.to_prometheus();
+        prop_assert!(text.contains("# TYPE "), "no TYPE comments:\n{}", text);
         for line in text.lines() {
-            // Every line must be a comment or `name{labels} value`; a raw
-            // newline inside a label value would produce a fragment line
-            // that satisfies neither.
+            // Every line must be a comment or `name{labels} value` with a
+            // closed label block and a finite value; a raw newline inside
+            // a label value would produce a fragment line that satisfies
+            // neither.
             let well_formed = line.starts_with("# TYPE ")
                 || line
                     .rsplit_once(' ')
                     .map(|(series, val)| {
-                        let name_ok = series.starts_with("evil_");
-                        let val_ok = val.parse::<f64>().is_ok();
+                        let name_ok = series.starts_with("evil_")
+                            && series.contains('{') == series.ends_with('}');
+                        let val_ok = val.parse::<f64>().is_ok_and(f64::is_finite);
                         name_ok && val_ok
                     })
                     .unwrap_or(false);

@@ -7,51 +7,15 @@
 //! nothing on these paths needs host storage beyond what the warm-up
 //! sized.
 //!
-//! A counting `#[global_allocator]` is armed after a warm-up pass over the
-//! same roots and disarmed before the assertions; the count of allocations
-//! inside the window must be exactly zero. This file holds a single test so
-//! no concurrent test thread can pollute the counter.
+//! The shared per-thread counting allocator is armed after a warm-up pass
+//! over the same roots and disarmed before the assertions; the count of
+//! allocations inside the window must be exactly zero.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+#[path = "../../../tests/support/counting_alloc.rs"]
+mod counting_alloc;
 
 use osim_mem::{AccessKind, HierarchyCfg, MemSys, PageFlags};
 use osim_uarch::{OManager, OManagerCfg, OpOutcome};
-
-struct CountingAlloc;
-
-static ARMED: AtomicBool = AtomicBool::new(false);
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if ARMED.load(Ordering::Relaxed) {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
-        System.alloc(layout)
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        if ARMED.load(Ordering::Relaxed) {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
-        System.alloc_zeroed(layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        if ARMED.load(Ordering::Relaxed) {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
-        System.realloc(ptr, layout, new_size)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-}
-
-#[global_allocator]
-static GLOBAL: CountingAlloc = CountingAlloc;
 
 const ROOTS: u32 = 16;
 const VERSIONS: u32 = 4;
@@ -126,13 +90,11 @@ fn steady_state_versioned_ops_are_allocation_free() {
 
     let before = mgr.stats.clone();
     let drops_before = ms.hier.stats.compressed_coherence_drops;
-    ALLOCS.store(0, Ordering::Relaxed);
-    ARMED.store(true, Ordering::Relaxed);
-    for _ in 0..32 {
-        round(&mut ms, &mut mgr, &roots);
-    }
-    ARMED.store(false, Ordering::Relaxed);
-    let allocs = ALLOCS.load(Ordering::Relaxed);
+    let ((), allocs) = counting_alloc::counted(|| {
+        for _ in 0..32 {
+            round(&mut ms, &mut mgr, &roots);
+        }
+    });
 
     // Every measured path ran inside the window.
     let ops = 32 * u64::from(ROOTS);

@@ -46,9 +46,7 @@ pub use error::OError;
 pub use map::OMap;
 pub use metrics::fill_store_registry;
 pub use runtime::ORuntime;
-pub use vacuum::{
-    fill_vacuum_registry, ReaderGuard, ReaderRegistry, Vacuum, VacuumCfg, VacuumStats,
-};
+pub use vacuum::{ReaderGuard, ReaderRegistry, Vacuum, VacuumCfg, VacuumStats};
 pub use versioned::Versioned;
 
 /// A version identifier. Under task-based execution these are task ids, so

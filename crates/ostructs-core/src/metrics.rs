@@ -4,10 +4,11 @@
 //! Per-instance metrics (the vacuum's `fill_registry`) only cover objects
 //! the caller holds; this module aggregates what the *whole process* does
 //! to any cell or map — blocking condvar waits and shard-lock contention
-//! — so the scrape plane can export it without threading a registry
-//! handle through every `OCell`. Recording is raw relaxed atomics plus
-//! one pre-allocated histogram behind a mutex: nothing allocates, and an
-//! operation that never waits records nothing.
+//! — so its readers (the `osim-bench` store workload, and the
+//! `--metrics-out` file of `osim-experiments`) can report it without
+//! threading a registry handle through every `OCell`. Recording is raw
+//! relaxed atomics plus one pre-allocated histogram behind a mutex:
+//! nothing allocates, and an operation that never waits records nothing.
 
 use osim_metrics::{Histogram, Registry};
 use std::sync::atomic::{AtomicU64, Ordering};

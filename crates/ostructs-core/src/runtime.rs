@@ -18,11 +18,11 @@
 //! settled, not a full sweep of its keys.
 
 use std::collections::BTreeSet;
-use std::sync::{Arc, Weak};
 
 use parking_lot::Mutex;
 
-use crate::cell::{OCell, Prune};
+use crate::cell::OCell;
+use crate::vacuum::Tracked;
 use crate::TaskId;
 
 /// Garbage-collection counters.
@@ -37,7 +37,6 @@ pub struct GcStats {
 struct RtState {
     active: BTreeSet<TaskId>,
     next_tid: TaskId,
-    tracked: Vec<Weak<dyn Prune + Send + Sync>>,
     ends_since_gc: u64,
     stats: GcStats,
 }
@@ -65,7 +64,8 @@ struct RtState {
 /// assert_eq!(cell.load_latest(u64::MAX).1, 8);
 /// ```
 pub struct ORuntime {
-    state: Arc<Mutex<RtState>>,
+    state: Mutex<RtState>,
+    tracked: Tracked,
     threads: usize,
     /// Run a collection pass every this many task completions
     /// (`None` = only on [`ORuntime::collect_now`]).
@@ -81,13 +81,13 @@ impl ORuntime {
     /// A runtime with an explicit collection cadence.
     pub fn with_gc_interval(threads: usize, gc_every: Option<u64>) -> Self {
         ORuntime {
-            state: Arc::new(Mutex::new(RtState {
+            state: Mutex::new(RtState {
                 active: BTreeSet::new(),
                 next_tid: 1,
-                tracked: Vec::new(),
                 ends_since_gc: 0,
                 stats: GcStats::default(),
-            })),
+            }),
+            tracked: Tracked::new(),
             threads: threads.max(1),
             gc_every,
         }
@@ -95,14 +95,14 @@ impl ORuntime {
 
     /// Registers a cell for garbage collection.
     pub fn track<T: Send + Sync + 'static>(&self, cell: &OCell<T>) {
-        self.state.lock().tracked.push(cell.prune_handle());
+        self.tracked.push(cell.prune_handle());
     }
 
     /// Registers any prunable store (e.g. a whole [`crate::map::OMap`])
     /// for garbage collection. A map costs each collection only its
     /// queued cells (see [`crate::map`]).
     pub fn track_store<S: crate::vacuum::Prunable>(&self, store: &S) {
-        self.state.lock().tracked.push(store.prune_weak());
+        self.tracked.push(store.prune_weak());
     }
 
     /// Collection counters so far.
@@ -142,65 +142,52 @@ impl ORuntime {
                 if queue.is_empty() {
                     continue;
                 }
-                let state = Arc::clone(&self.state);
-                let gc_every = self.gc_every;
                 scope.spawn(move || {
                     let mut prev: Option<TaskId> = None;
                     for (tid, body) in queue {
                         if let Some(p) = prev.take() {
-                            state.lock().active.insert(tid);
-                            Self::end_task(&state, p, gc_every);
+                            self.state.lock().active.insert(tid);
+                            self.end_task(p);
                         }
                         body(tid);
                         prev = Some(tid);
                     }
                     if let Some(p) = prev {
-                        Self::end_task(&state, p, gc_every);
+                        self.end_task(p);
                     }
                 });
             }
         });
     }
 
-    fn end_task(state: &Mutex<RtState>, tid: TaskId, gc_every: Option<u64>) {
+    fn end_task(&self, tid: TaskId) {
         let collect = {
-            let mut st = state.lock();
+            let mut st = self.state.lock();
             st.active.remove(&tid);
             st.ends_since_gc += 1;
-            matches!(gc_every, Some(n) if st.ends_since_gc >= n)
+            matches!(self.gc_every, Some(n) if st.ends_since_gc >= n)
         };
         if collect {
-            Self::collect(state);
+            self.collect_now();
         }
     }
 
     /// Runs one collection pass immediately.
     pub fn collect_now(&self) {
-        Self::collect(&self.state);
-    }
-
-    fn collect(state: &Mutex<RtState>) {
-        // Snapshot the window and the tracked set without holding the lock
-        // while pruning (pruning takes per-cell locks).
-        let (boundary, cells) = {
-            let mut st = state.lock();
+        // Read the window, then prune without holding the lock (pruning
+        // takes per-cell locks).
+        let boundary = {
+            let mut st = self.state.lock();
             st.ends_since_gc = 0;
-            let boundary = match st.active.first() {
+            match st.active.first() {
                 // Everything below the oldest active task is stale...
                 Some(&oldest) => oldest,
                 // ...or below the next id to be issued when idle.
                 None => st.next_tid,
-            };
-            st.tracked.retain(|w| w.strong_count() > 0);
-            (boundary, st.tracked.clone())
-        };
-        let mut reclaimed = 0u64;
-        for weak in cells {
-            if let Some(cell) = weak.upgrade() {
-                reclaimed += cell.prune_below(boundary) as u64;
             }
-        }
-        let mut st = state.lock();
+        };
+        let reclaimed = self.tracked.prune_below(boundary);
+        let mut st = self.state.lock();
         st.stats.collections += 1;
         st.stats.reclaimed += reclaimed;
     }
@@ -210,6 +197,7 @@ impl ORuntime {
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::Arc;
 
     #[test]
     fn tasks_get_sequential_ids_and_all_run() {

@@ -285,12 +285,51 @@ pub struct VacuumStats {
     pub last_watermark: Version,
 }
 
-struct VacuumShared {
-    registry: ReaderRegistry,
-    tracked: Mutex<Vec<Weak<dyn Prune + Send + Sync>>>,
-    /// The buffer a pass copies `tracked` into, kept between passes so a
+/// The weakly held stores a collector prunes, shared by [`Vacuum`] and
+/// [`crate::ORuntime`]. Dropping a store untracks it.
+pub(crate) struct Tracked {
+    stores: Mutex<Vec<Weak<dyn Prune + Send + Sync>>>,
+    /// The buffer a pass copies `stores` into, kept between passes so a
     /// warm pass allocates nothing.
     scratch: Mutex<Vec<Weak<dyn Prune + Send + Sync>>>,
+}
+
+impl Tracked {
+    pub(crate) fn new() -> Self {
+        Tracked {
+            stores: Mutex::new(Vec::new()),
+            scratch: Mutex::new(Vec::new()),
+        }
+    }
+
+    pub(crate) fn push(&self, store: Weak<dyn Prune + Send + Sync>) {
+        self.stores.lock().push(store);
+    }
+
+    /// Prunes every live store below `boundary`, dropping dead handles;
+    /// returns the versions reclaimed. The handles are copied out first so
+    /// [`Tracked::push`] never waits on the pruning.
+    pub(crate) fn prune_below(&self, boundary: Version) -> u64 {
+        let mut stores = std::mem::take(&mut *self.scratch.lock());
+        {
+            let mut tracked = self.stores.lock();
+            tracked.retain(|w| w.strong_count() > 0);
+            stores.extend(tracked.iter().cloned());
+        }
+        let mut reclaimed = 0u64;
+        for weak in stores.drain(..) {
+            if let Some(store) = weak.upgrade() {
+                reclaimed += store.prune_below(boundary) as u64;
+            }
+        }
+        *self.scratch.lock() = stores;
+        reclaimed
+    }
+}
+
+struct VacuumShared {
+    registry: ReaderRegistry,
+    tracked: Tracked,
     stats: Mutex<VacuumStats>,
     /// Per-pass duration in microseconds, merged into `osim-metrics`
     /// output via [`Vacuum::fill_registry`].
@@ -303,91 +342,21 @@ impl VacuumShared {
     fn pass(&self) -> u64 {
         let started = Instant::now();
         let boundary = self.registry.watermark();
-        // The handles are copied out so `track` never waits on a pass.
-        let mut stores = std::mem::take(&mut *self.scratch.lock());
-        {
-            let mut tracked = self.tracked.lock();
-            tracked.retain(|w| w.strong_count() > 0);
-            stores.extend(tracked.iter().cloned());
-        }
-        let mut reclaimed = 0u64;
-        for weak in stores.drain(..) {
-            if let Some(store) = weak.upgrade() {
-                reclaimed += store.prune_below(boundary) as u64;
-            }
-        }
-        *self.scratch.lock() = stores;
+        let reclaimed = self.tracked.prune_below(boundary);
         {
             let mut stats = self.stats.lock();
             stats.passes += 1;
             stats.reclaimed += reclaimed;
             stats.last_watermark = boundary;
         }
-        let pause = started.elapsed().as_micros() as u64;
-        self.pause_us.lock().record(pause);
-        let g = global();
-        g.passes.fetch_add(1, Ordering::Relaxed);
-        g.reclaimed.fetch_add(reclaimed, Ordering::Relaxed);
-        g.last_watermark.store(boundary, Ordering::Relaxed);
-        g.watermark_lag
-            .store(self.registry.watermark_lag(), Ordering::Relaxed);
-        g.pause_us.lock().record(pause);
+        self.pause_us
+            .lock()
+            .record(started.elapsed().as_micros() as u64);
         if osim_metrics::host_trace_armed() {
             osim_metrics::host_trace_span("vacuum", "pass", 0, started);
         }
         reclaimed
     }
-}
-
-/// Process-global roll-up across every vacuum instance, so the scrape
-/// plane can export vacuum activity without holding a handle on each
-/// [`Vacuum`]. Per-instance telemetry stays on
-/// [`Vacuum::fill_registry`] under the `ostructs_vacuum_*` names.
-struct GlobalVacuum {
-    passes: AtomicU64,
-    reclaimed: AtomicU64,
-    last_watermark: AtomicU64,
-    watermark_lag: AtomicU64,
-    pause_us: Mutex<osim_metrics::Histogram>,
-}
-
-fn global() -> &'static GlobalVacuum {
-    static GLOBAL: std::sync::OnceLock<GlobalVacuum> = std::sync::OnceLock::new();
-    GLOBAL.get_or_init(|| GlobalVacuum {
-        passes: AtomicU64::new(0),
-        reclaimed: AtomicU64::new(0),
-        last_watermark: AtomicU64::new(0),
-        watermark_lag: AtomicU64::new(0),
-        pause_us: Mutex::new(osim_metrics::Histogram::new()),
-    })
-}
-
-/// Snapshots the process-global vacuum roll-up into `reg` under the
-/// `osim_vacuum_*` family names.
-pub fn fill_vacuum_registry(reg: &mut osim_metrics::Registry) {
-    let g = global();
-    reg.counter_add(
-        "osim_vacuum_passes_total",
-        &[],
-        g.passes.load(Ordering::Relaxed),
-    );
-    reg.counter_add(
-        "osim_vacuum_reclaimed_total",
-        &[],
-        g.reclaimed.load(Ordering::Relaxed),
-    );
-    reg.gauge_set(
-        "osim_vacuum_watermark",
-        &[],
-        g.last_watermark.load(Ordering::Relaxed) as f64,
-    );
-    reg.gauge_set(
-        "osim_vacuum_watermark_lag",
-        &[],
-        g.watermark_lag.load(Ordering::Relaxed) as f64,
-    );
-    reg.hist_mut("osim_vacuum_pause_us", &[])
-        .merge(&g.pause_us.lock());
 }
 
 /// Background reclamation daemon over a [`ReaderRegistry`].
@@ -422,8 +391,7 @@ impl Vacuum {
     pub fn start(registry: ReaderRegistry, cfg: VacuumCfg) -> Self {
         let shared = Arc::new(VacuumShared {
             registry,
-            tracked: Mutex::new(Vec::new()),
-            scratch: Mutex::new(Vec::new()),
+            tracked: Tracked::new(),
             stats: Mutex::new(VacuumStats::default()),
             pause_us: Mutex::new(osim_metrics::Histogram::new()),
             stop: Mutex::new(false),
@@ -456,7 +424,7 @@ impl Vacuum {
     /// [`Prune`] handle). Tracking is by weak reference — dropping the
     /// store untracks it.
     pub fn track<S: Prunable>(&self, store: &S) {
-        self.shared.tracked.lock().push(store.prune_weak());
+        self.shared.tracked.push(store.prune_weak());
     }
 
     /// Runs one pass synchronously on the calling thread; returns the
@@ -718,33 +686,6 @@ mod tests {
         vac.fill_registry(&mut m2);
         let lag2 = m2.gauge("ostructs_vacuum_watermark_lag", &[]).unwrap();
         assert_eq!(lag2, 0.0, "lag collapses once the guard drops");
-    }
-
-    #[test]
-    fn global_rollup_ticks_on_every_pass() {
-        let mut before = osim_metrics::Registry::new();
-        fill_vacuum_registry(&mut before);
-        let passes0 = before.counter("osim_vacuum_passes_total", &[]);
-
-        let reg = ReaderRegistry::new();
-        let vac = Vacuum::start(reg.clone(), fast_cfg());
-        let cell = OCell::with_initial(0, 0u64);
-        vac.track(&cell);
-        for _ in 0..10 {
-            let v = reg.next_version();
-            cell.store_version(v, v).unwrap();
-        }
-        vac.run_pass();
-        vac.run_pass();
-
-        let mut after = osim_metrics::Registry::new();
-        fill_vacuum_registry(&mut after);
-        assert!(after.counter("osim_vacuum_passes_total", &[]) >= passes0 + 2);
-        assert!(after.counter("osim_vacuum_reclaimed_total", &[]) >= 10);
-        let h = after.hist("osim_vacuum_pause_us", &[]).unwrap();
-        assert!(h.count() >= 2);
-        assert!(after.gauge("osim_vacuum_watermark", &[]).is_some());
-        assert!(after.gauge("osim_vacuum_watermark_lag", &[]).is_some());
     }
 
     #[test]

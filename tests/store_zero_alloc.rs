@@ -2,73 +2,26 @@
 //! allocation-free: a pinned get (`pin` → `OMap::get_arc` → drop),
 //! `pin_at`, and the registry's `watermark` and `live_readers`, with
 //! several pins live at once so freed registry slots are reused in a
-//! different order than they were taken; and `Vacuum::run_pass` over a
-//! map whose keys were rewritten, so the pass drains each shard's dirty
-//! queue, prunes, re-queues, settles and unlinks cells.
+//! different order than they were taken; `Vacuum::run_pass` over a map
+//! whose keys were rewritten, so the pass drains each shard's dirty
+//! queue, prunes, re-queues, settles and unlinks cells; and the same
+//! collection through `ORuntime::collect_now`.
 //!
 //! `ostructs-core` forbids `unsafe`, so the counting `#[global_allocator]`
-//! lives here. It counts per thread: a test arms its own thread after a
-//! warm-up pass over the same operations and disarms it before the
-//! assertions, so an allocation by any other thread of the test process
-//! cannot count against the guarded path. Every guarded operation runs
-//! on the arming thread (`run_pass` prunes on the calling thread, and the
-//! vacuum's background thread is never woken), and the count of
-//! allocations inside the window must be exactly zero.
+//! is the shared per-thread one of the zero-allocation guards. A test
+//! arms its own thread after a warm-up pass over the same operations and
+//! disarms it before the assertions. Every guarded operation runs on the
+//! arming thread (`run_pass` and `collect_now` prune on the calling
+//! thread, and the vacuum's background thread is never woken), and the
+//! count of allocations inside the window must be exactly zero.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
+#[path = "support/counting_alloc.rs"]
+mod counting_alloc;
+
 use std::time::Duration;
 
-use ostructs::core::{OMap, ReaderRegistry, Vacuum, VacuumCfg};
-
-struct CountingAlloc;
-
-thread_local! {
-    // Const-initialised and without a destructor, so the allocator can
-    // read them on any thread without allocating.
-    static ARMED: Cell<bool> = const { Cell::new(false) };
-    static ALLOCS: Cell<u64> = const { Cell::new(0) };
-}
-
-fn note_alloc() {
-    if ARMED.try_with(Cell::get).unwrap_or(false) {
-        let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
-    }
-}
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        note_alloc();
-        System.alloc(layout)
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        note_alloc();
-        System.alloc_zeroed(layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        note_alloc();
-        System.realloc(ptr, layout, new_size)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-}
-
-#[global_allocator]
-static GLOBAL: CountingAlloc = CountingAlloc;
-
-/// Runs `f` with this thread's allocations counted; returns its result
-/// and the count.
-fn counted<R>(f: impl FnOnce() -> R) -> (R, u64) {
-    ALLOCS.with(|n| n.set(0));
-    ARMED.with(|a| a.set(true));
-    let r = f();
-    ARMED.with(|a| a.set(false));
-    (r, ALLOCS.with(Cell::get))
-}
+use counting_alloc::counted;
+use ostructs::core::{OMap, ORuntime, ReaderRegistry, Vacuum, VacuumCfg};
 
 const KEYS: u32 = 256;
 
@@ -164,4 +117,32 @@ fn warm_vacuum_pass_does_not_allocate() {
         "the removed keys were unlinked"
     );
     assert_eq!(allocs, 0, "a warm vacuum pass allocated");
+
+    // The task runtime's collector prunes through the same tracked list.
+    let rt = ORuntime::with_gc_interval(1, None);
+    let map: OMap<u32, u64> = OMap::new();
+    rt.track_store(&map);
+    for _ in 0..4 {
+        rewrite_and_collect(&rt, &map);
+    }
+
+    let (reclaimed, allocs) = rewrite_and_collect(&rt, &map);
+
+    assert_eq!(reclaimed, u64::from(KEYS), "each key shed its older write");
+    assert_eq!(allocs, 0, "a warm runtime collection allocated");
+}
+
+/// Rewrites every key at the runtime's next task id, runs one empty task
+/// so the collection boundary passes that id, then collects (counted).
+/// Returns the versions the collection reclaimed and its allocation
+/// count.
+fn rewrite_and_collect(rt: &ORuntime, map: &OMap<u32, u64>) -> (u64, u64) {
+    let v = rt.next_tid();
+    for k in 0..KEYS {
+        map.insert(k, v, v).unwrap();
+    }
+    rt.run(vec![Box::new(|_| {})]);
+    let before = rt.gc_stats().reclaimed;
+    let ((), allocs) = counted(|| rt.collect_now());
+    (rt.gc_stats().reclaimed - before, allocs)
 }
