@@ -103,7 +103,8 @@
 //! `BENCH_cache.json`.
 //!
 //! `--metrics-out <path>` writes the Prometheus text of the instrumented
-//! layers (sweep runner, concurrent store, run cache) to `<path>` once,
+//! layers the invocation drives (the sweep runner; the concurrent store
+//! under `perf --ostructs`; the run cache under `--cache`) to `<path>` once,
 //! when the invocation ends. Nothing is collected before then, so stdout
 //! and every compared artifact stay byte-identical with it given. See
 //! `EXPERIMENTS.md` § "Metrics file".
@@ -328,7 +329,7 @@ fn main() {
     if let Some(dir) = &cache_flag {
         runner::set_cache(Some(std::sync::Arc::new(runcache::RunCache::at_dir(dir))));
     }
-    let side_files = obsv::SideFiles::arm(host_chrome, metrics_out);
+    let side_files = obsv::SideFiles::arm(host_chrome, metrics_out, cmd == "perf" && ostructs);
 
     let mut reports: Vec<SimReport> = Vec::new();
     let mut chrome_doc: Option<Json> = None;

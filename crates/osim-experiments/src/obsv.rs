@@ -4,14 +4,15 @@
 //! that folds every instrumented layer into a point-in-time
 //! [`Registry`]: the sweep runner (`osim_jobq_*`), the concurrent store's
 //! process-global hot-path counters (`osim_store_*`), and the armed
-//! `--cache` store (`osim_cache_*`, present only when `--cache` is
-//! given). `--host-chrome <path>` writes the host wall-clock spans (jobs,
-//! vacuum passes, cache probes) as a Chrome trace document.
+//! `--cache` store (`osim_cache_*`). `--host-chrome <path>` writes the
+//! host wall-clock spans (jobs, vacuum passes, cache probes) as a Chrome
+//! trace document.
 //!
 //! The collector reports only the work the invocation does. The figure
 //! workloads run on the *simulated* machine and never touch
-//! `ostructs-core`, so during a sweep the store family stays at zero; it
-//! moves when an invocation drives the store (`perf --ostructs`).
+//! `ostructs-core`, so the store family is written only by an invocation
+//! that drives the store (`perf --ostructs`); the cache families (and
+//! `osim_jobq_cache_hits_total`) only when a cache is armed.
 //!
 //! [`SideFiles::flush`] writes both files at the end of `main`, which a
 //! failing `stress` also reaches, and in `compare` before it exits. With
@@ -19,11 +20,14 @@
 
 use osim_metrics::Registry;
 
-/// Everything the `--metrics-out` file reports.
-fn collect() -> Registry {
+/// Everything the `--metrics-out` file reports; `store` when the
+/// invocation drives the store.
+fn collect(store: bool) -> Registry {
     let mut reg = Registry::new();
     crate::runner::fill_registry(&mut reg);
-    ostructs_core::fill_store_registry(&mut reg);
+    if store {
+        ostructs_core::fill_store_registry(&mut reg);
+    }
     if let Some(cache) = crate::runner::cache() {
         cache.fill_registry(&mut reg);
     }
@@ -34,17 +38,20 @@ fn collect() -> Registry {
 pub struct SideFiles {
     host_chrome: Option<String>,
     metrics_out: Option<String>,
+    /// Whether the invocation drives the store (`perf --ostructs`).
+    store: bool,
 }
 
 impl SideFiles {
     /// Arms host-span collection when `--host-chrome` is given.
-    pub fn arm(host_chrome: Option<String>, metrics_out: Option<String>) -> SideFiles {
+    pub fn arm(host_chrome: Option<String>, metrics_out: Option<String>, store: bool) -> SideFiles {
         if host_chrome.is_some() {
             osim_metrics::host_trace_arm(true);
         }
         SideFiles {
             host_chrome,
             metrics_out,
+            store,
         }
     }
 
@@ -58,7 +65,7 @@ impl SideFiles {
             eprintln!("wrote host trace ({} span(s)) to {path}", spans.len());
         }
         if let Some(path) = self.metrics_out {
-            write("--metrics-out", &path, collect().to_prometheus());
+            write("--metrics-out", &path, collect(self.store).to_prometheus());
             eprintln!("wrote metrics to {path}");
         }
     }
@@ -77,9 +84,15 @@ mod tests {
 
     #[test]
     fn collector_fills_the_process_global_families() {
-        let text = collect().to_prometheus();
+        let sweep = collect(false).to_prometheus();
+        assert!(
+            sweep.contains("osim_jobq_"),
+            "missing osim_jobq_ in:\n{sweep}"
+        );
+        assert!(!sweep.contains("osim_store_"), "store family in:\n{sweep}");
+        let store = collect(true).to_prometheus();
         for family in ["osim_jobq_", "osim_store_"] {
-            assert!(text.contains(family), "missing {family} in:\n{text}");
+            assert!(store.contains(family), "missing {family} in:\n{store}");
         }
     }
 }

@@ -279,11 +279,14 @@ pub fn sweep_doc(jobs_flag: usize) -> Json {
 }
 
 /// Renders the sweep's `osim_jobq_*` families into `reg`: every job the
-/// process has run.
+/// process has run. The cache-hit counter is written only once some job
+/// ran with a cache armed.
 pub fn fill_registry(reg: &mut Registry) {
     let rec = record();
     reg.counter_add("osim_jobq_jobs_total", &[], rec.jobs.len() as u64);
-    reg.counter_add("osim_jobq_cache_hits_total", &[], rec.count(Probe::Hit));
+    if rec.jobs.iter().any(|j| j.probe != Probe::Off) {
+        reg.counter_add("osim_jobq_cache_hits_total", &[], rec.count(Probe::Hit));
+    }
     let latency = reg.hist_mut("osim_jobq_job_latency_us", &[]);
     for j in rec.executed() {
         latency.record((j.run_ms * 1e3) as u64);
@@ -628,6 +631,9 @@ mod tests {
         assert_eq!(probes, [[Probe::Miss; 4], [Probe::Hit; 4]].concat());
         let c = cache.counts();
         assert_eq!((c.hits, c.misses, c.stores), (4, 4, 4));
+        let mut reg = Registry::new();
+        fill_registry(&mut reg);
+        assert!(reg.counter("osim_jobq_cache_hits_total", &[]) >= 4);
         assert!(busy_cold > busy_before);
         assert_eq!(busy_warm, busy_cold, "hits ran nothing");
     }

@@ -206,7 +206,14 @@ fn metrics_out_leaves_stdout_byte_identical() {
     };
     let plain = run(&[]);
     let armed = run(&["--metrics-out".as_ref(), prom.as_os_str()]);
-    assert!(prom.exists(), "--metrics-out written");
+    let text = std::fs::read_to_string(&prom).expect("--metrics-out written");
     std::fs::remove_file(&prom).ok();
     assert_eq!(plain, armed, "stdout must not change with --metrics-out");
+    // A sweep with no --cache drives neither the store nor a cache.
+    for absent in ["osim_store_", "osim_jobq_cache_hits_total"] {
+        assert!(
+            !text.contains(absent),
+            "{absent} in a sweep's file:\n{text}"
+        );
+    }
 }

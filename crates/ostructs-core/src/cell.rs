@@ -103,9 +103,9 @@ pub(crate) enum Sweep {
     Unlink,
 }
 
-/// Type-erased garbage-collection interface; the runtime and the vacuum
-/// hold tracked stores as `Weak<dyn Prune>` so one collector can prune
-/// cells (or whole maps) of any value type.
+/// Type-erased garbage-collection interface; the collector behind the
+/// runtime and the vacuum holds tracked stores as `Weak<dyn Prune>`, so
+/// it can prune cells (or whole maps) of any value type.
 pub trait Prune {
     /// See [`OCell::prune_below`].
     fn prune_below(&self, boundary: Version) -> usize;
@@ -365,16 +365,6 @@ impl<T> OCell<T> {
         Prune::prune_below(&*self.inner, boundary)
     }
 
-    /// A type-erased weak handle for the runtime's collector or the
-    /// background [`crate::vacuum::Vacuum`].
-    pub fn prune_handle(&self) -> std::sync::Weak<dyn Prune + Send + Sync>
-    where
-        T: Send + Sync + 'static,
-    {
-        let arc: Arc<dyn Prune + Send + Sync> = Arc::clone(&self.inner) as _;
-        Arc::downgrade(&arc)
-    }
-
     /// Number of live handles to this cell (the strong count of the shared
     /// inner, including `self`). A container that indexes cells can use
     /// this to tell whether anyone outside the index still holds the cell:
@@ -542,6 +532,13 @@ impl<T: Clone> OCell<T> {
         };
         self.inner.wake(st);
         created
+    }
+}
+
+impl<T: Send + Sync + 'static> crate::vacuum::Prunable for OCell<T> {
+    fn prune_weak(&self) -> std::sync::Weak<dyn Prune + Send + Sync> {
+        let arc: Arc<dyn Prune + Send + Sync> = Arc::clone(&self.inner) as _;
+        Arc::downgrade(&arc)
     }
 }
 

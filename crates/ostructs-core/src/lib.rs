@@ -16,14 +16,18 @@
 //!   where the cell remembers which version each task holds locked.
 //! * [`runtime::ORuntime`] — a task-parallel runtime that executes a
 //!   sequential list of tasks across worker threads with task-id order,
-//!   plus the §III-B garbage collector (shadowed list → pending list →
-//!   reclaim once the active-task window has passed).
+//!   plus the §III-B garbage collector in software: each active task is
+//!   a pin in a [`vacuum::ReaderRegistry`], and a collection is one
+//!   vacuum pass that prunes every version shadowed below the oldest
+//!   active task (the hardware shadowed/pending lists collapse to that
+//!   one prune).
 //! * [`map::OMap`] — a sharded, snapshot-isolated concurrent map (one
 //!   cell per key, fxhash shard selection, per-shard locks).
 //! * [`vacuum`] — epoch-watermark reclamation for free-threaded use:
 //!   a [`vacuum::ReaderRegistry`] of pinned snapshot caps feeding a
 //!   background [`vacuum::Vacuum`] that prunes below the oldest live
-//!   reader, with counters surfaced through `osim-metrics`.
+//!   reader, with counters surfaced through `osim-metrics`. The runtime's
+//!   collections run through the same registry and prune loop.
 //!
 //! The cycle-level microarchitectural implementation that the paper's
 //! evaluation is based on lives in the `osim-*` crates; this crate is the

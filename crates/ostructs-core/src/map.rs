@@ -63,6 +63,7 @@
 use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::hash::{Hash, Hasher};
+use std::ops::Bound;
 use std::sync::{Arc, Weak};
 
 use parking_lot::{Mutex, RwLock};
@@ -439,50 +440,30 @@ impl<K: Ord + Hash + Clone, V> OMap<K, V> {
 
     /// The full snapshot at `cap` as shared values, in key order.
     pub fn snapshot_arc(&self, cap: Version) -> Vec<(K, Arc<V>)> {
-        let mut out = Vec::new();
-        for shard in self.inner.shards.iter() {
-            // Handles out first; the shard lock is not held across the
-            // (non-blocking) cell reads below only for discipline
-            // uniformity — try_* cannot block, but cheap index critical
-            // sections are the point of sharding.
-            let cells: Vec<(K, OCell<Option<Arc<V>>>)> = shard
-                .index
-                .read()
-                .iter()
-                .map(|(k, c)| (k.clone(), c.clone()))
-                .collect();
-            for (k, cell) in cells {
-                if let Some(v) = cell
-                    .try_load_latest_arc(cap)
-                    .and_then(|(_, v)| (*v).clone())
-                {
-                    out.push((k, v));
-                }
-            }
-        }
-        out.sort_by(|a, b| a.0.cmp(&b.0));
-        out
+        self.visible_arc(Bound::Unbounded, usize::MAX, cap)
     }
 
     /// A range scan over the snapshot at `cap`: up to `limit` entries
     /// with key ≥ `from` — the operation Figure 8 measures.
     pub fn scan_arc(&self, from: K, limit: usize, cap: Version) -> Vec<(K, Arc<V>)> {
+        self.visible_arc(Bound::Included(&from), limit, cap)
+    }
+
+    /// The first `limit` entries from `from` up that are present in the
+    /// snapshot at `cap`, in key order. Each shard is read under its read
+    /// lock, as [`OMap::get_arc`] reads (a `try_*` read cannot block), and
+    /// gives at most `limit` present entries.
+    fn visible_arc(&self, from: Bound<&K>, limit: usize, cap: Version) -> Vec<(K, Arc<V>)> {
         let mut out = Vec::new();
         for shard in self.inner.shards.iter() {
-            let cells: Vec<(K, OCell<Option<Arc<V>>>)> = shard
-                .index
-                .read()
-                .range(from.clone()..)
-                .map(|(k, c)| (k.clone(), c.clone()))
-                .collect();
-            for (k, cell) in cells {
-                if let Some(v) = cell
-                    .try_load_latest_arc(cap)
-                    .and_then(|(_, v)| (*v).clone())
-                {
-                    out.push((k, v));
-                }
-            }
+            let index = read_counted(&shard.index);
+            let present = index
+                .range((from, Bound::Unbounded))
+                .filter_map(|(k, cell)| {
+                    let v = cell.try_read_latest(cap, Option::clone).flatten()?;
+                    Some((k.clone(), v))
+                });
+            out.extend(present.take(limit));
         }
         out.sort_by(|a, b| a.0.cmp(&b.0));
         out.truncate(limit);
@@ -496,17 +477,6 @@ impl<K: Ord + Hash + Clone, V> OMap<K, V> {
     /// Safe once no reader's cap can go below `boundary`.
     pub fn prune_below(&self, boundary: Version) -> usize {
         Prune::prune_below(&*self.inner, boundary)
-    }
-
-    /// A type-erased weak handle for the background
-    /// [`crate::vacuum::Vacuum`].
-    pub fn prune_handle(&self) -> Weak<dyn Prune + Send + Sync>
-    where
-        K: Send + Sync + 'static,
-        V: Send + Sync + 'static,
-    {
-        let arc: Arc<dyn Prune + Send + Sync> = Arc::clone(&self.inner) as _;
-        Arc::downgrade(&arc)
     }
 
     /// Number of keys with any version history.
@@ -544,7 +514,8 @@ where
     V: Send + Sync + 'static,
 {
     fn prune_weak(&self) -> Weak<dyn Prune + Send + Sync> {
-        self.prune_handle()
+        let arc: Arc<dyn Prune + Send + Sync> = Arc::clone(&self.inner) as _;
+        Arc::downgrade(&arc)
     }
 }
 
@@ -589,6 +560,27 @@ mod tests {
         // Cap 8 means only keys 0..=7 exist (version = key+1).
         let got = m.scan(5, 4, 8);
         assert_eq!(got, vec![(5, 50), (6, 60), (7, 70)]);
+    }
+
+    #[test]
+    fn scan_cuts_each_shard_by_present_keys() {
+        // One shard: keys 0-2 were removed and keys 3-5 are written only
+        // after the cap, so at cap 5 the first six keys of the shard are
+        // absent and the scan must reach past them.
+        let m: OMap<u32, u32> = OMap::with_shards(1);
+        for k in 0..3 {
+            m.insert(k, 1, k).unwrap();
+            m.remove(k, 2).unwrap();
+        }
+        for k in 3..6 {
+            m.insert(k, 10, k).unwrap();
+        }
+        for k in 6..10 {
+            m.insert(k, 3, k).unwrap();
+        }
+        assert_eq!(m.scan(0, 2, 5), vec![(6, 6), (7, 7)]);
+        assert_eq!(m.scan(7, 9, 5), vec![(7, 7), (8, 8), (9, 9)]);
+        assert_eq!(m.snapshot(5).len(), 4);
     }
 
     #[test]

@@ -5,7 +5,8 @@
 //! the caller holds; this module aggregates what the *whole process* does
 //! to any cell or map — blocking condvar waits and shard-lock contention
 //! — so its readers (the `osim-bench` store workload, and the
-//! `--metrics-out` file of `osim-experiments`) can report it without
+//! `--metrics-out` file of an `osim-experiments perf --ostructs` run,
+//! the one command that drives the store) can report it without
 //! threading a registry handle through every `OCell`. Recording is raw
 //! relaxed atomics plus one pre-allocated histogram behind a mutex:
 //! nothing allocates, and an operation that never waits records nothing.

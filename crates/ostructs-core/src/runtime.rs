@@ -7,39 +7,25 @@
 //! task ids, the memory system is told when tasks begin and end, and no
 //! task is created below the oldest active id.
 //!
-//! Garbage collection here is the software rendition: tracked cells drop
+//! Garbage collection here is the software rendition: tracked stores drop
 //! every version shadowed for the whole active window (the hardware
 //! two-list protocol, which exists because hardware cannot atomically
 //! check reachability, collapses to a single atomic prune under the cell
 //! mutex — the `osim-uarch` crate models the full shadowed/pending
-//! mechanism). A tracked [`crate::map::OMap`] is collected through the
-//! same per-shard dirty queues the background vacuum drains, so a
-//! collection visits only the map's cells written since they last
-//! settled, not a full sweep of its keys.
+//! mechanism). The runtime is a client of [`crate::vacuum`]'s reader
+//! registry: each active task is a pin at its task id, and a collection
+//! is a pass of the same collector the background vacuum runs, so its
+//! boundary is the registry's watermark. A tracked [`crate::map::OMap`]
+//! is collected through its per-shard dirty queues, so a collection
+//! visits only the map's cells written since they last settled.
 
-use std::collections::BTreeSet;
+use std::sync::atomic::{AtomicU64, Ordering};
 
-use parking_lot::Mutex;
-
-use crate::cell::OCell;
-use crate::vacuum::Tracked;
+use crate::vacuum::{Collector, Prunable, ReaderGuard, ReaderRegistry, VacuumStats};
 use crate::TaskId;
 
-/// Garbage-collection counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct GcStats {
-    /// Collection passes executed.
-    pub collections: u64,
-    /// Total versions reclaimed.
-    pub reclaimed: u64,
-}
-
-struct RtState {
-    active: BTreeSet<TaskId>,
-    next_tid: TaskId,
-    ends_since_gc: u64,
-    stats: GcStats,
-}
+/// A collection pass runs every this many task completions.
+const GC_EVERY: u64 = 64;
 
 /// The task runtime.
 ///
@@ -64,139 +50,97 @@ struct RtState {
 /// assert_eq!(cell.load_latest(u64::MAX).1, 8);
 /// ```
 pub struct ORuntime {
-    state: Mutex<RtState>,
-    tracked: Tracked,
+    collector: Collector,
     threads: usize,
-    /// Run a collection pass every this many task completions
-    /// (`None` = only on [`ORuntime::collect_now`]).
-    gc_every: Option<u64>,
+    /// Tasks ended so far; every [`GC_EVERY`]th end runs a pass.
+    ended: AtomicU64,
 }
 
 impl ORuntime {
-    /// A runtime with `threads` workers and GC every 64 task completions.
+    /// A runtime with `threads` workers that collects every 64 task
+    /// completions and on [`ORuntime::collect_now`].
     pub fn new(threads: usize) -> Self {
-        Self::with_gc_interval(threads, Some(64))
-    }
-
-    /// A runtime with an explicit collection cadence.
-    pub fn with_gc_interval(threads: usize, gc_every: Option<u64>) -> Self {
+        // The clock runs one ahead of the next task id, so the idle
+        // watermark (the clock minus one) is the lowest id a future task
+        // can get.
+        let registry = ReaderRegistry::new();
+        registry.advance_to(1);
         ORuntime {
-            state: Mutex::new(RtState {
-                active: BTreeSet::new(),
-                next_tid: 1,
-                ends_since_gc: 0,
-                stats: GcStats::default(),
-            }),
-            tracked: Tracked::new(),
+            collector: Collector::new(registry),
             threads: threads.max(1),
-            gc_every,
+            ended: AtomicU64::new(0),
         }
     }
 
-    /// Registers a cell for garbage collection.
-    pub fn track<T: Send + Sync + 'static>(&self, cell: &OCell<T>) {
-        self.tracked.push(cell.prune_handle());
-    }
-
-    /// Registers any prunable store (e.g. a whole [`crate::map::OMap`])
-    /// for garbage collection. A map costs each collection only its
-    /// queued cells (see [`crate::map`]).
-    pub fn track_store<S: crate::vacuum::Prunable>(&self, store: &S) {
-        self.tracked.push(store.prune_weak());
+    /// Registers a cell or a map for garbage collection. A map costs
+    /// each collection only its queued cells (see [`crate::map`]).
+    pub fn track<S: Prunable>(&self, store: &S) {
+        self.collector.track(store);
     }
 
     /// Collection counters so far.
-    pub fn gc_stats(&self) -> GcStats {
-        self.state.lock().stats
+    pub fn gc_stats(&self) -> VacuumStats {
+        self.collector.stats()
     }
 
     /// The task id the next [`ORuntime::run`] will start at.
     pub fn next_tid(&self) -> TaskId {
-        self.state.lock().next_tid
+        self.collector.registry.current() - 1
     }
 
     /// Runs `tasks` to completion. Task `i` gets id `next_tid + i` and runs
     /// on worker `i % threads`; each worker executes its share in order,
-    /// and `TASK-END` of one task is reported only after `TASK-BEGIN` of
-    /// the worker's next (so a queued task is always protected by an
-    /// active lower id — the window can never slide past it). Each
-    /// worker's first task begins before any worker starts, so no worker
-    /// can end a task and collect past another's first task (rule 3).
+    /// and pins its next task before its current task's pin drops (so a
+    /// queued task is always protected by an active lower id — the window
+    /// can never slide past it). Each worker's first task is pinned as the
+    /// ids are reserved, before any worker starts, so no worker can end a
+    /// task and collect past another's first task (rule 3).
     pub fn run(&self, tasks: Vec<Box<dyn FnOnce(TaskId) + Send>>) {
-        let first = {
-            let mut st = self.state.lock();
-            let first = st.next_tid;
-            st.next_tid += tasks.len() as TaskId;
-            // Tasks `first..first + threads` are the workers' first tasks.
-            let firsts = (tasks.len() as TaskId).min(self.threads as TaskId);
-            st.active.extend(first..first + firsts);
-            first
-        };
+        let n = tasks.len() as TaskId;
+        let registry = &self.collector.registry;
+        let (first, firsts) = registry.reserve_pinned(n, n.min(self.threads as TaskId));
         type Queue = Vec<(TaskId, Box<dyn FnOnce(TaskId) + Send>)>;
         let mut queues: Vec<Queue> = (0..self.threads).map(|_| Vec::new()).collect();
         for (i, t) in tasks.into_iter().enumerate() {
             queues[i % self.threads].push((first + i as TaskId, t));
         }
         std::thread::scope(|scope| {
-            for queue in queues {
-                if queue.is_empty() {
-                    continue;
-                }
+            for (queue, mut pin) in queues.into_iter().zip(firsts) {
                 scope.spawn(move || {
-                    let mut prev: Option<TaskId> = None;
                     for (tid, body) in queue {
-                        if let Some(p) = prev.take() {
-                            self.state.lock().active.insert(tid);
-                            self.end_task(p);
+                        if tid != pin.cap() {
+                            // Rule 3: the next task is pinned before the
+                            // current one's pin drops.
+                            self.end_task(std::mem::replace(&mut pin, registry.pin_at(tid)));
                         }
                         body(tid);
-                        prev = Some(tid);
                     }
-                    if let Some(p) = prev {
-                        self.end_task(p);
-                    }
+                    self.end_task(pin);
                 });
             }
         });
     }
 
-    fn end_task(&self, tid: TaskId) {
-        let collect = {
-            let mut st = self.state.lock();
-            st.active.remove(&tid);
-            st.ends_since_gc += 1;
-            matches!(self.gc_every, Some(n) if st.ends_since_gc >= n)
-        };
-        if collect {
+    fn end_task(&self, pin: ReaderGuard) {
+        drop(pin);
+        if (self.ended.fetch_add(1, Ordering::Relaxed) + 1).is_multiple_of(GC_EVERY) {
             self.collect_now();
         }
     }
 
-    /// Runs one collection pass immediately.
+    /// Runs one collection pass immediately: prunes every tracked store
+    /// below the oldest active task, or below the next task id when no
+    /// task is active.
     pub fn collect_now(&self) {
-        // Read the window, then prune without holding the lock (pruning
-        // takes per-cell locks).
-        let boundary = {
-            let mut st = self.state.lock();
-            st.ends_since_gc = 0;
-            match st.active.first() {
-                // Everything below the oldest active task is stale...
-                Some(&oldest) => oldest,
-                // ...or below the next id to be issued when idle.
-                None => st.next_tid,
-            }
-        };
-        let reclaimed = self.tracked.prune_below(boundary);
-        let mut st = self.state.lock();
-        st.stats.collections += 1;
-        st.stats.reclaimed += reclaimed;
+        self.collector.pass();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicU64, Ordering};
+    use crate::cell::OCell;
+    use parking_lot::Mutex;
     use std::sync::Arc;
 
     #[test]
@@ -243,22 +187,26 @@ mod tests {
 
     #[test]
     fn gc_reclaims_old_versions() {
-        let rt = ORuntime::with_gc_interval(2, Some(8));
+        let rt = Arc::new(ORuntime::new(2));
         let cell = OCell::with_initial(0, 0u64);
         rt.track(&cell);
         let tasks: Vec<Box<dyn FnOnce(TaskId) + Send>> = (0..64)
             .map(|_| {
                 let cell = cell.clone();
+                let rt = Arc::clone(&rt);
                 Box::new(move |tid: TaskId| {
                     let prev = cell.load_version(tid - 1);
                     cell.store_version(tid, prev + 1).unwrap();
+                    if tid.is_multiple_of(8) {
+                        rt.collect_now();
+                    }
                 }) as Box<dyn FnOnce(TaskId) + Send>
             })
             .collect();
         rt.run(tasks);
         rt.collect_now();
         let stats = rt.gc_stats();
-        assert!(stats.collections >= 8, "{stats:?}");
+        assert!(stats.passes >= 8, "{stats:?}");
         assert!(stats.reclaimed >= 56, "{stats:?}");
         assert_eq!(cell.version_count(), 1, "only the newest version survives");
         assert_eq!(cell.load_latest(u64::MAX), (64, 64));
@@ -267,7 +215,7 @@ mod tests {
     #[test]
     fn gc_never_breaks_active_readers() {
         // A slow low-id reader pins its snapshot while later writers churn.
-        let rt = ORuntime::with_gc_interval(4, Some(1));
+        let rt = Arc::new(ORuntime::new(4));
         let cell = OCell::with_initial(0, 100u64);
         rt.track(&cell);
         let mut tasks: Vec<Box<dyn FnOnce(TaskId) + Send>> = Vec::new();
@@ -283,8 +231,10 @@ mod tests {
         // Tasks 2..32: writers that trigger collection constantly.
         for _ in 0..31 {
             let cell = cell.clone();
+            let rt = Arc::clone(&rt);
             tasks.push(Box::new(move |tid: TaskId| {
                 cell.store_version(tid, tid).unwrap();
+                rt.collect_now();
             }));
         }
         rt.run(tasks);
@@ -292,7 +242,7 @@ mod tests {
 
     #[test]
     fn manual_collection_with_no_tasks_uses_next_tid() {
-        let rt = ORuntime::with_gc_interval(1, None);
+        let rt = ORuntime::new(1);
         let cell = OCell::with_initial(0, 1u32);
         for v in 1..=5u64 {
             cell.store_version(v, v as u32).unwrap();
@@ -314,19 +264,24 @@ mod tests {
     fn collections_reclaim_a_tracked_map_through_its_queue() {
         // Tasks rewrite four keys at their own ids; a last task removes
         // key 0. Every collection drains the map's dirty queues.
-        let rt = ORuntime::with_gc_interval(2, Some(4));
+        let rt = Arc::new(ORuntime::new(2));
         let m: crate::OMap<u32, u64> = crate::OMap::new();
-        rt.track_store(&m);
+        rt.track(&m);
         let tasks: Vec<Box<dyn FnOnce(TaskId) + Send>> = (0..64u32)
             .map(|i| {
                 let m = m.clone();
-                Box::new(move |tid: TaskId| m.insert(i % 4, tid, tid).unwrap())
-                    as Box<dyn FnOnce(TaskId) + Send>
+                let rt = Arc::clone(&rt);
+                Box::new(move |tid: TaskId| {
+                    m.insert(i % 4, tid, tid).unwrap();
+                    if tid.is_multiple_of(4) {
+                        rt.collect_now();
+                    }
+                }) as Box<dyn FnOnce(TaskId) + Send>
             })
             .collect();
         rt.run(tasks);
         let mid = rt.gc_stats();
-        assert!(mid.collections >= 16, "{mid:?}");
+        assert!(mid.passes >= 16, "{mid:?}");
         assert!(mid.reclaimed > 0, "periodic collections pruned the map");
         let remover = m.clone();
         rt.run(vec![Box::new(move |tid: TaskId| {
@@ -344,12 +299,44 @@ mod tests {
 
     #[test]
     fn dropped_cells_are_untracked() {
-        let rt = ORuntime::with_gc_interval(1, None);
+        let rt = ORuntime::new(1);
         {
             let cell = OCell::with_initial(0, 0u32);
             rt.track(&cell);
         }
         rt.collect_now(); // must not panic on the dead weak ref
-        assert_eq!(rt.gc_stats().collections, 1);
+        assert_eq!(rt.gc_stats().passes, 1);
+    }
+
+    #[test]
+    fn no_pass_uses_a_boundary_above_an_active_task() {
+        // Rule 3: while a task runs, every pass (its own or another
+        // worker's) used a boundary at or below its id, so the snapshot
+        // below the task survived every pass.
+        let rt = Arc::new(ORuntime::new(4));
+        let cell = OCell::with_initial(0, 0u64);
+        rt.track(&cell);
+        for _ in 0..16 {
+            let tasks: Vec<Box<dyn FnOnce(TaskId) + Send>> = (0..64)
+                .map(|_| {
+                    let cell = cell.clone();
+                    let rt = Arc::clone(&rt);
+                    Box::new(move |tid: TaskId| {
+                        rt.collect_now();
+                        let last = rt.gc_stats().last_watermark;
+                        assert!(last <= tid, "a pass used {last} while task {tid} ran");
+                        assert!(
+                            cell.try_load_latest(tid - 1).is_some(),
+                            "task {tid}'s snapshot was pruned"
+                        );
+                        cell.store_version(tid, tid).unwrap();
+                    }) as Box<dyn FnOnce(TaskId) + Send>
+                })
+                .collect();
+            rt.run(tasks);
+        }
+        rt.collect_now();
+        assert_eq!(rt.gc_stats().last_watermark, rt.next_tid());
+        assert_eq!(cell.versions(), vec![16 * 64]);
     }
 }

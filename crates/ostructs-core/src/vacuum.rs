@@ -1,14 +1,16 @@
-//! Epoch-watermark reclamation: the reader registry and the background
-//! vacuum.
+//! Epoch-watermark reclamation: the reader registry and the one
+//! collector.
 //!
-//! The paper's §III-B garbage collector assumes the `ORuntime` execution
-//! model (task ids = versions, `TASK-BEGIN`/`TASK-END` reported to the
-//! memory system). Free-threaded users of [`crate::OCell`] /
+//! The paper's §III-B garbage collector frees only versions shadowed
+//! below the oldest active task. Free-threaded users of [`crate::OCell`] /
 //! [`crate::map::OMap`] — long-lived services where readers come and go —
 //! need the MVCC equivalent: a registry of live readers pinning their
 //! snapshot caps, and a background **vacuum** pruning versions strictly
 //! below the oldest pinned cap (the *watermark*). This is the
 //! `running_transactions` + `Vacuum` pattern of xdb's `VersionManager`.
+//! [`crate::ORuntime`] is a client of the same machinery: each active
+//! task is a pin at its task id, and each collection is a pass of the
+//! same collector, so the crate has one boundary rule and one prune loop.
 //!
 //! Protocol:
 //!
@@ -18,9 +20,8 @@
 //! 2. Readers call [`ReaderRegistry::pin`] *before* choosing a snapshot
 //!    cap and hold the returned [`ReaderGuard`] for the duration; the cap
 //!    is the guard's pinned version. Dropping the guard unpins.
-//! 3. The [`Vacuum`] periodically computes the watermark — the oldest
-//!    pinned cap, or the newest allocated version when no reader is
-//!    live — and calls
+//! 3. A pass computes the watermark — the oldest pinned cap, or the
+//!    newest allocated version when no reader is live — and calls
 //!    [`crate::cell::Prune::prune_below`] on every tracked store.
 //!    `prune_below` keeps the newest version ≤ the boundary, so a reader
 //!    pinned exactly *at* the watermark still resolves every load. A
@@ -35,10 +36,11 @@
 //!    holds. A warm pass allocates nothing.
 
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
 
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
 
 use crate::cell::Prune;
 use crate::Version;
@@ -178,6 +180,31 @@ impl ReaderRegistry {
         }
     }
 
+    /// Pins the first `pinned` of the `n` caps from `current() - 1` up
+    /// and moves the clock past all `n`, in one pin-lock critical
+    /// section: a watermark read can never see the clock moved past a
+    /// reserved cap that is not pinned yet. For a task runtime, whose
+    /// clock runs one ahead of its next task id; returns the first cap
+    /// and the guards in cap order.
+    pub(crate) fn reserve_pinned(&self, n: u64, pinned: u64) -> (Version, Vec<ReaderGuard>) {
+        let since = Instant::now();
+        let mut pins = self.inner.pins.lock();
+        let first = self.inner.clock.fetch_add(n, Ordering::Relaxed) - 1;
+        let slots: Vec<usize> = (first..first + pinned)
+            .map(|cap| pins.insert(cap, since))
+            .collect();
+        drop(pins);
+        let guards = (first..)
+            .zip(slots)
+            .map(|(cap, slot)| ReaderGuard {
+                registry: self.clone(),
+                cap,
+                slot,
+            })
+            .collect();
+        (first, guards)
+    }
+
     /// The oldest pinned cap and the clock, read together under the pin
     /// lock.
     fn oldest_and_clock(&self) -> (Option<Version>, Version) {
@@ -274,7 +301,7 @@ impl Default for VacuumCfg {
     }
 }
 
-/// Counters for one vacuum's lifetime.
+/// Counters for one collector's lifetime.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct VacuumStats {
     /// Passes executed (including ones that reclaimed nothing).
@@ -285,31 +312,49 @@ pub struct VacuumStats {
     pub last_watermark: Version,
 }
 
-/// The weakly held stores a collector prunes, shared by [`Vacuum`] and
-/// [`crate::ORuntime`]. Dropping a store untracks it.
-pub(crate) struct Tracked {
-    stores: Mutex<Vec<Weak<dyn Prune + Send + Sync>>>,
+type PruneHandle = Weak<dyn Prune + Send + Sync>;
+
+/// The one collector of the crate: a registry, the weakly held stores it
+/// prunes below the registry's watermark, and its counters. [`Vacuum`]
+/// runs its passes on a background thread and [`crate::ORuntime`] as its
+/// tasks end. Dropping a store untracks it.
+pub(crate) struct Collector {
+    pub(crate) registry: ReaderRegistry,
+    stores: Mutex<Vec<PruneHandle>>,
     /// The buffer a pass copies `stores` into, kept between passes so a
     /// warm pass allocates nothing.
-    scratch: Mutex<Vec<Weak<dyn Prune + Send + Sync>>>,
+    scratch: Mutex<Vec<PruneHandle>>,
+    stats: Mutex<VacuumStats>,
+    /// Per-pass duration in microseconds, merged into `osim-metrics`
+    /// output via [`Vacuum::fill_registry`].
+    pause_us: Mutex<osim_metrics::Histogram>,
 }
 
-impl Tracked {
-    pub(crate) fn new() -> Self {
-        Tracked {
+impl Collector {
+    pub(crate) fn new(registry: ReaderRegistry) -> Self {
+        Collector {
+            registry,
             stores: Mutex::new(Vec::new()),
             scratch: Mutex::new(Vec::new()),
+            stats: Mutex::new(VacuumStats::default()),
+            pause_us: Mutex::new(osim_metrics::Histogram::new()),
         }
     }
 
-    pub(crate) fn push(&self, store: Weak<dyn Prune + Send + Sync>) {
-        self.stores.lock().push(store);
+    pub(crate) fn track<S: Prunable>(&self, store: &S) {
+        self.stores.lock().push(store.prune_weak());
     }
 
-    /// Prunes every live store below `boundary`, dropping dead handles;
-    /// returns the versions reclaimed. The handles are copied out first so
-    /// [`Tracked::push`] never waits on the pruning.
-    pub(crate) fn prune_below(&self, boundary: Version) -> u64 {
+    pub(crate) fn stats(&self) -> VacuumStats {
+        *self.stats.lock()
+    }
+
+    /// Prunes every live store below the watermark, dropping dead
+    /// handles; returns the versions reclaimed. The handles are copied
+    /// out first so [`Collector::track`] never waits on the pruning.
+    pub(crate) fn pass(&self) -> u64 {
+        let started = Instant::now();
+        let boundary = self.registry.watermark();
         let mut stores = std::mem::take(&mut *self.scratch.lock());
         {
             let mut tracked = self.stores.lock();
@@ -323,26 +368,6 @@ impl Tracked {
             }
         }
         *self.scratch.lock() = stores;
-        reclaimed
-    }
-}
-
-struct VacuumShared {
-    registry: ReaderRegistry,
-    tracked: Tracked,
-    stats: Mutex<VacuumStats>,
-    /// Per-pass duration in microseconds, merged into `osim-metrics`
-    /// output via [`Vacuum::fill_registry`].
-    pause_us: Mutex<osim_metrics::Histogram>,
-    stop: Mutex<bool>,
-    wake: Condvar,
-}
-
-impl VacuumShared {
-    fn pass(&self) -> u64 {
-        let started = Instant::now();
-        let boundary = self.registry.watermark();
-        let reclaimed = self.tracked.prune_below(boundary);
         {
             let mut stats = self.stats.lock();
             stats.passes += 1;
@@ -382,65 +407,54 @@ impl VacuumShared {
 /// drop(vac); // clean shutdown: joins the background thread
 /// ```
 pub struct Vacuum {
-    shared: Arc<VacuumShared>,
+    collector: Arc<Collector>,
+    /// Dropping the sender wakes the background thread and ends it.
+    stop: Option<mpsc::Sender<()>>,
     thread: Option<std::thread::JoinHandle<()>>,
 }
 
 impl Vacuum {
-    /// Starts the background thread pruning every `cfg.interval`.
+    /// Starts the background thread, which runs a pass every
+    /// `cfg.interval`.
     pub fn start(registry: ReaderRegistry, cfg: VacuumCfg) -> Self {
-        let shared = Arc::new(VacuumShared {
-            registry,
-            tracked: Tracked::new(),
-            stats: Mutex::new(VacuumStats::default()),
-            pause_us: Mutex::new(osim_metrics::Histogram::new()),
-            stop: Mutex::new(false),
-            wake: Condvar::new(),
-        });
-        let bg = Arc::clone(&shared);
+        let collector = Arc::new(Collector::new(registry));
+        let (stop, stopped) = mpsc::channel::<()>();
+        let bg = Arc::clone(&collector);
         let thread = std::thread::Builder::new()
             .name("ostructs-vacuum".into())
-            .spawn(move || loop {
-                {
-                    let mut stop = bg.stop.lock();
-                    if !*stop {
-                        let deadline = Instant::now() + cfg.interval;
-                        let _ = bg.wake.wait_until(&mut stop, deadline);
-                    }
-                    if *stop {
-                        return;
-                    }
+            .spawn(move || {
+                while let Err(RecvTimeoutError::Timeout) = stopped.recv_timeout(cfg.interval) {
+                    bg.pass();
                 }
-                bg.pass();
             })
             .expect("spawn vacuum thread");
         Vacuum {
-            shared,
+            collector,
+            stop: Some(stop),
             thread: Some(thread),
         }
     }
 
-    /// Registers a prunable store (a cell, map, or anything exposing a
-    /// [`Prune`] handle). Tracking is by weak reference — dropping the
-    /// store untracks it.
+    /// Registers a prunable store (a cell or a map). Tracking is by weak
+    /// reference — dropping the store untracks it.
     pub fn track<S: Prunable>(&self, store: &S) {
-        self.shared.tracked.push(store.prune_weak());
+        self.collector.track(store);
     }
 
     /// Runs one pass synchronously on the calling thread; returns the
     /// number of versions reclaimed.
     pub fn run_pass(&self) -> u64 {
-        self.shared.pass()
+        self.collector.pass()
     }
 
     /// Counters so far.
     pub fn stats(&self) -> VacuumStats {
-        *self.shared.stats.lock()
+        self.collector.stats()
     }
 
     /// The registry this vacuum reclaims against.
     pub fn registry(&self) -> &ReaderRegistry {
-        &self.shared.registry
+        &self.collector.registry
     }
 
     /// Folds the vacuum's telemetry into an `osim-metrics` registry:
@@ -463,19 +477,18 @@ impl Vacuum {
         reg.gauge_set(
             "ostructs_vacuum_watermark_lag",
             &[],
-            self.shared.registry.watermark_lag() as f64,
+            self.registry().watermark_lag() as f64,
         );
         reg.hist_mut("ostructs_vacuum_pause_us", &[])
-            .merge(&self.shared.pause_us.lock());
+            .merge(&self.collector.pause_us.lock());
         reg.hist_mut("ostructs_vacuum_reader_pin_age_us", &[])
-            .merge(&self.shared.registry.pin_ages_us());
+            .merge(&self.registry().pin_ages_us());
     }
 
     /// Stops the background thread and joins it. Idempotent; also run by
     /// `Drop`.
     pub fn stop(&mut self) {
-        *self.shared.stop.lock() = true;
-        self.shared.wake.notify_all();
+        self.stop.take();
         if let Some(t) = self.thread.take() {
             let _ = t.join();
         }
@@ -488,16 +501,10 @@ impl Drop for Vacuum {
     }
 }
 
-/// Anything the vacuum can track: exposes a weak, type-erased [`Prune`]
+/// Anything a collector can track: exposes a weak, type-erased [`Prune`]
 /// handle.
 pub trait Prunable {
     fn prune_weak(&self) -> Weak<dyn Prune + Send + Sync>;
-}
-
-impl<T: Send + Sync + 'static> Prunable for crate::OCell<T> {
-    fn prune_weak(&self) -> Weak<dyn Prune + Send + Sync> {
-        self.prune_handle()
-    }
 }
 
 #[cfg(test)]

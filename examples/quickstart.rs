@@ -58,6 +58,6 @@ fn main() {
     println!(
         "100 chained tasks on 4 threads -> value 100; GC reclaimed {} versions in {} passes",
         rt.gc_stats().reclaimed,
-        rt.gc_stats().collections
+        rt.gc_stats().passes
     );
 }

@@ -118,10 +118,10 @@ fn warm_vacuum_pass_does_not_allocate() {
     );
     assert_eq!(allocs, 0, "a warm vacuum pass allocated");
 
-    // The task runtime's collector prunes through the same tracked list.
-    let rt = ORuntime::with_gc_interval(1, None);
+    // The task runtime's collections are passes of the same collector.
+    let rt = ORuntime::new(1);
     let map: OMap<u32, u64> = OMap::new();
-    rt.track_store(&map);
+    rt.track(&map);
     for _ in 0..4 {
         rewrite_and_collect(&rt, &map);
     }
