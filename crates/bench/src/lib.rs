@@ -6,7 +6,7 @@
 //! ablations at a size small enough for repeated sampling.
 //!
 //! Each bench is a `harness = false` binary: [`group`] prints a heading,
-//! and [`bench`] / [`bench_with_setup`] time a routine [`SAMPLES`] times
+//! and [`bench()`] / [`bench_with_setup`] time a routine [`SAMPLES`] times
 //! and print min/median/max wall time — enough to compare runs by hand;
 //! there is no statistical analysis or baseline persistence.
 

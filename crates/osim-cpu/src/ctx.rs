@@ -59,15 +59,6 @@ impl TaskCtx {
         self.tid
     }
 
-    /// A context identical to this one but with a different task id.
-    pub fn with_tid(&self, tid: TaskId) -> TaskCtx {
-        TaskCtx {
-            tid,
-            root_tag: Rc::new(Cell::new(false)),
-            ..self.clone()
-        }
-    }
-
     /// Current simulated time.
     pub fn now(&self) -> Cycle {
         self.h.now()

@@ -169,11 +169,6 @@ impl DeadlockReport {
         DeadlockReport { now, entries }
     }
 
-    /// Entries of a given class.
-    pub fn of_class(&self, class: WaitClass) -> impl Iterator<Item = &BlameEntry> {
-        self.entries.iter().filter(move |e| e.class == class)
-    }
-
     /// Links each blamed waiter to the last captured producer on its
     /// structure (when dependency-flow capture was armed): for a
     /// `never-produced` wait this names who *last* advanced the structure —

@@ -3,7 +3,7 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use osim_engine::{Cycle, EngineHists, EngineStats, Gate, RunError, ShakePolicy, Sim, SimHandle};
+use osim_engine::{Cycle, EngineStats, Gate, RunError, ShakePolicy, Sim};
 use osim_mem::{EventLog, Fault, FxHashMap, HierarchyCfg, MemSys};
 use osim_metrics::Histogram;
 use osim_uarch::{OManager, OManagerCfg};
@@ -277,19 +277,9 @@ impl Machine {
         TaskCtx::new(core, tid, Rc::clone(&self.state), self.sim.handle())
     }
 
-    /// Engine handle (for spawning bespoke simulation tasks).
-    pub fn handle(&self) -> SimHandle {
-        self.sim.handle()
-    }
-
     /// Engine-side counters (events dispatched, stale wakes skipped).
     pub fn engine_stats(&self) -> EngineStats {
         self.sim.stats()
-    }
-
-    /// Engine-side gate wait/fan-out histograms.
-    pub fn engine_hists(&self) -> EngineHists {
-        self.sim.hists()
     }
 
     /// Every layer's latency histograms, gathered into one snapshot
@@ -417,7 +407,7 @@ impl Machine {
         st.omgr.stats.reset();
         st.omgr.hists.reset();
         st.hist_run_quantum.reset();
-        self.sim.handle().reset_engine_hists();
+        self.sim.reset_hists();
         let dep_cap = self.cfg.capture.dep_edges;
         st.deps = EventLog::with_capacity(dep_cap);
         if st.sampler.every > 0 {

@@ -4,9 +4,8 @@
 //! who issued it, what it touched, when it started and finished, and —
 //! for operations that stalled — why ([`StallCause`]). Traces are how
 //! simulator results stop being a single opaque cycle count: [`summary`]
-//! regenerates per-op latency distributions and stall breakdowns,
-//! [`to_csv`] exports for external tooling, and `osim-report` turns them
-//! into Chrome trace-event JSON.
+//! regenerates per-op latency distributions and stall breakdowns, and
+//! `osim-report` turns them into Chrome trace-event JSON.
 //!
 //! Records land in [`crate::MachineState::trace`], an
 //! [`osim_mem::EventLog`] ring: the **most recent** `capacity` records are
@@ -43,7 +42,7 @@ pub enum OpKind {
 }
 
 impl OpKind {
-    /// Short stable name (CSV column value).
+    /// Short stable name (summary rows, Chrome trace event names).
     pub fn name(&self) -> &'static str {
         match self {
             OpKind::Work => "work",
@@ -55,11 +54,6 @@ impl OpKind {
             OpKind::VersionedStore => "vstore",
             OpKind::Unlock => "unlock",
         }
-    }
-
-    /// Parses [`OpKind::name`] output back into the kind.
-    pub fn from_name(name: &str) -> Option<OpKind> {
-        OpKind::ALL.into_iter().find(|k| k.name() == name)
     }
 
     /// All kinds, for summary iteration.
@@ -102,10 +96,6 @@ impl TraceRecord {
     pub fn stalled(&self) -> bool {
         self.stall.is_some()
     }
-
-    fn stall_name(&self) -> &'static str {
-        self.stall.map_or("none", |c| c.name())
-    }
 }
 
 /// Aggregates trace records per operation kind.
@@ -126,75 +116,6 @@ pub fn summary(records: &[TraceRecord]) -> TraceSummary {
         }
     }
     s
-}
-
-/// Writes trace records as CSV
-/// (`core,tid,kind,va,version,start,end,stall_cause`), one row per record
-/// in the order given.
-pub fn to_csv(records: &[TraceRecord], out: &mut impl std::io::Write) -> std::io::Result<()> {
-    writeln!(out, "core,tid,kind,va,version,start,end,stall_cause")?;
-    for r in records {
-        writeln!(
-            out,
-            "{},{},{},{:#x},{},{},{},{}",
-            r.core,
-            r.tid,
-            r.kind.name(),
-            r.va,
-            r.version,
-            r.start,
-            r.end,
-            r.stall_name()
-        )?;
-    }
-    Ok(())
-}
-
-/// Parses [`to_csv`] output back into records — the round-trip
-/// direction for external tooling and tests.
-pub fn parse_csv(text: &str) -> Result<Vec<TraceRecord>, String> {
-    let mut lines = text.lines();
-    let header = lines.next().ok_or("empty CSV")?;
-    if header != "core,tid,kind,va,version,start,end,stall_cause" {
-        return Err(format!("unexpected header: {header}"));
-    }
-    let mut out = Vec::new();
-    for (n, line) in lines.enumerate() {
-        let fields: Vec<&str> = line.split(',').collect();
-        if fields.len() != 8 {
-            return Err(format!("line {}: expected 8 fields", n + 2));
-        }
-        let parse_u64 = |s: &str, what: &str| -> Result<u64, String> {
-            s.parse()
-                .map_err(|_| format!("line {}: bad {what}: {s}", n + 2))
-        };
-        let va = fields[3]
-            .strip_prefix("0x")
-            .ok_or_else(|| format!("line {}: va not hex: {}", n + 2, fields[3]))
-            .and_then(|h| {
-                u32::from_str_radix(h, 16)
-                    .map_err(|_| format!("line {}: bad va: {}", n + 2, fields[3]))
-            })?;
-        let stall = match fields[7] {
-            "none" => None,
-            name => Some(
-                StallCause::from_name(name)
-                    .ok_or_else(|| format!("line {}: unknown stall cause: {name}", n + 2))?,
-            ),
-        };
-        out.push(TraceRecord {
-            core: parse_u64(fields[0], "core")? as usize,
-            tid: parse_u64(fields[1], "tid")? as u32,
-            kind: OpKind::from_name(fields[2])
-                .ok_or_else(|| format!("line {}: unknown kind: {}", n + 2, fields[2]))?,
-            va,
-            version: parse_u64(fields[4], "version")? as u32,
-            start: parse_u64(fields[5], "start")?,
-            end: parse_u64(fields[6], "end")?,
-            stall,
-        });
-    }
-    Ok(out)
 }
 
 /// Aggregate statistics for one operation kind.
@@ -316,44 +237,5 @@ mod tests {
         assert_eq!(s.of(OpKind::Cas).count, 0);
         assert_eq!(s.stalls_by_cause[StallCause::MissingVersion.index()], 1);
         assert_eq!(s.stalls_by_cause[StallCause::FreeListGc.index()], 0);
-    }
-
-    #[test]
-    fn csv_round_trips_through_parse() {
-        let records = [
-            rec(OpKind::Unlock, 5, 9, None),
-            rec(
-                OpKind::VersionedLockLoad,
-                9,
-                600,
-                Some(StallCause::LockedVersion),
-            ),
-        ];
-        let mut buf = Vec::new();
-        to_csv(&records, &mut buf).unwrap();
-        let text = String::from_utf8(buf).unwrap();
-        let mut lines = text.lines();
-        assert_eq!(
-            lines.next().unwrap(),
-            "core,tid,kind,va,version,start,end,stall_cause"
-        );
-        assert_eq!(lines.next().unwrap(), "0,1,unlock,0x1000,3,5,9,none");
-        assert_eq!(
-            lines.next().unwrap(),
-            "0,1,vlockload,0x1000,3,9,600,locked_version"
-        );
-        let parsed = parse_csv(&text).unwrap();
-        assert_eq!(parsed, records);
-    }
-
-    #[test]
-    fn parse_csv_rejects_malformed() {
-        assert!(parse_csv("").is_err());
-        assert!(parse_csv("bad,header\n").is_err());
-        let hdr = "core,tid,kind,va,version,start,end,stall_cause\n";
-        assert!(parse_csv(&format!("{hdr}1,2,3\n")).is_err());
-        assert!(parse_csv(&format!("{hdr}0,1,unlock,0x10,3,5,9,wat\n")).is_err());
-        assert!(parse_csv(&format!("{hdr}0,1,nope,0x10,3,5,9,none\n")).is_err());
-        assert!(parse_csv(&format!("{hdr}0,1,unlock,16,3,5,9,none\n")).is_err());
     }
 }

@@ -250,21 +250,3 @@ fn machine_capture_spans_every_layer() {
         "allocation events captured"
     );
 }
-
-#[test]
-fn csv_export_has_one_row_per_record() {
-    let mut m = machine(1);
-    m.enable_trace(100);
-    m.run_tasks(vec![task(move |ctx| async move {
-        let a = ctx.malloc(8).await;
-        ctx.store_u32(a, 1).await;
-        ctx.load_u32(a).await;
-    })])
-    .unwrap();
-    let st = m.state();
-    let st = st.borrow();
-    let mut buf = Vec::new();
-    trace::to_csv(&st.trace.records(), &mut buf).unwrap();
-    let text = String::from_utf8(buf).unwrap();
-    assert_eq!(text.lines().count(), 1 + st.trace.records().len());
-}

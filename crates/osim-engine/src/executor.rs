@@ -26,8 +26,8 @@ type BoxedTask = Pin<Box<dyn Future<Output = ()>>>;
 /// order every committed reference output was produced under. With
 /// [`Seeded`] each event instead draws its tie word from a splitmix64
 /// stream, which permutes same-cycle dispatch order while leaving the time
-/// order untouched. The stream is consumed once per [`Inner::schedule`]
-/// call, in schedule order, so a given seed produces one exact schedule:
+/// order untouched. The stream is consumed once per scheduled event, in
+/// schedule order, so a given seed produces one exact schedule:
 /// same seed ⇒ byte-identical run, regardless of host parallelism. The
 /// stress harness fans many seeds to exercise invariants across
 /// interleavings; see `osim-experiments stress`.
@@ -84,9 +84,9 @@ pub fn splitmix64(state: &mut u64) -> u64 {
 pub struct EngineStats {
     /// Events popped that resumed a live task (one per task poll).
     pub events_dispatched: u64,
-    /// Events that referenced an already-completed task when they were
-    /// removed — popped-and-skipped or dropped by a queue sweep. Each one
-    /// is queue space a dead task was still holding.
+    /// Events popped for an already-completed task. Each is skipped
+    /// without a poll and without moving the clock, so a dead event never
+    /// changes a run's end time.
     pub stale_events: u64,
 }
 
@@ -378,47 +378,7 @@ impl CalendarQueue {
         }
     }
 
-    /// Drops every event whose task is dead, preserving the order of the
-    /// survivors. Returns how many events were removed.
-    fn retain_live(&mut self, mut live: impl FnMut(TaskId) -> bool) -> u64 {
-        let mut removed = 0u64;
-        for idx in 0..WHEEL_SLOTS {
-            let b = &mut self.buckets[idx];
-            if b.events.is_empty() {
-                continue;
-            }
-            let mut w = 0;
-            for r in b.head..b.events.len() {
-                let ev = b.events[r];
-                if live(ev.2) {
-                    b.events[w] = ev;
-                    w += 1;
-                } else {
-                    removed += 1;
-                }
-            }
-            b.events.truncate(w);
-            b.head = 0;
-            if w == 0 {
-                self.occupied[idx / 64] &= !(1 << (idx % 64));
-            }
-        }
-        self.near_len -= removed as usize;
-        let before = self.overflow.len();
-        if before > 0 {
-            let kept: Vec<_> = self
-                .overflow
-                .drain()
-                .filter(|&Reverse((_, _, _, t))| live(t))
-                .collect();
-            removed += (before - kept.len()) as u64;
-            self.overflow = BinaryHeap::from(kept);
-        }
-        self.len -= removed as usize;
-        removed
-    }
-
-    #[inline]
+    #[cfg(test)]
     fn len(&self) -> usize {
         self.len
     }
@@ -434,11 +394,6 @@ impl CalendarQueue {
         self.overflow.clear();
     }
 }
-
-/// Sweep dead-task events only once at least this many have accumulated
-/// (and they make up at least half the queue) — keeps the amortized cost of
-/// eager cleanup near zero while still bounding queue growth.
-const SWEEP_MIN_DEAD: u64 = 64;
 
 pub(crate) struct Inner {
     now: Cycle,
@@ -456,13 +411,6 @@ pub(crate) struct Inner {
     /// Task currently being polled; leaf futures read this to learn who they
     /// belong to.
     current: Option<TaskId>,
-    /// Queued-event count per task (indexed like `tasks`); lets task
-    /// completion account its still-queued events as dead without touching
-    /// the queue.
-    pending: Vec<u32>,
-    /// Events in the queue whose task has already completed. Once enough
-    /// accumulate, the run loop sweeps them out (see [`SWEEP_MIN_DEAD`]).
-    dead_events: u64,
     stats: EngineStats,
     /// Gate wait/fan-out distributions (recorded by `gate.rs`).
     hists: EngineHists,
@@ -484,20 +432,11 @@ impl Inner {
             None => seq,
         };
         let at = at.max(self.now);
-        self.pending[task] += 1;
         self.queue.push(at, tie, seq, task);
     }
 
     pub(crate) fn now(&self) -> Cycle {
         self.now
-    }
-
-    /// Whether the run loop sweeps dead events before its next pop, given
-    /// `extra` events about to be queued beyond those already there.
-    #[inline]
-    fn sweep_due(&self, extra: u64) -> bool {
-        self.dead_events >= SWEEP_MIN_DEAD
-            && self.dead_events >= (self.queue.len() as u64 + extra) / 2
     }
 
     /// Resumes the current task at `at` without a queue round trip, when
@@ -515,11 +454,6 @@ impl Inner {
             return false;
         }
         let at = at.max(self.now);
-        // The round trip's loop top would not sweep either: `dead_events`
-        // only changes in the run loop, and during a poll the queue only
-        // grows, so the check that passed before this poll's pop still
-        // fails with this event counted in.
-        debug_assert!(!self.sweep_due(1), "sweep due inside a poll");
         if matches!(self.queue.min_cycle(), Some(next) if next <= at) {
             return false;
         }
@@ -551,46 +485,19 @@ impl Inner {
         }
     }
 
-    /// Drops every queued event that belongs to a completed task. Called
-    /// from the run loop between polls, when no task is checked out, so
-    /// `tasks[t].is_none()` means exactly "completed".
-    fn sweep_dead(&mut self) {
-        let tasks = &self.tasks;
-        let pending = &mut self.pending;
-        let removed = self.queue.retain_live(|t| {
-            if tasks[t].is_some() {
-                true
-            } else {
-                pending[t] -= 1;
-                false
-            }
-        });
-        self.stats.stale_events += removed;
-        self.dead_events -= removed;
-    }
-
+    /// Every live task not checked out for a poll, with its wait record.
     fn blocked_snapshot(&self) -> Vec<BlockedTask> {
         let mut out = Vec::new();
-        self.visit_blocked(|task, since, info| {
-            out.push(BlockedTask {
-                task,
-                since,
-                info: info.cloned(),
-            })
-        });
-        out
-    }
-
-    fn visit_blocked(&self, mut f: impl FnMut(TaskId, Option<Cycle>, Option<&WaitInfo>)) {
         for (task, t) in self.tasks.iter().enumerate() {
             if t.is_some() {
                 let (since, info) = match &self.wait_info[task] {
-                    Some((at, w)) => (Some(*at), Some(w)),
+                    Some((at, w)) => (Some(*at), Some(w.clone())),
                     None => (None, None),
                 };
-                f(task, since, info);
+                out.push(BlockedTask { task, since, info });
             }
         }
+        out
     }
 }
 
@@ -625,8 +532,6 @@ impl Sim {
                 tasks: Vec::new(),
                 live: 0,
                 current: None,
-                pending: Vec::new(),
-                dead_events: 0,
                 stats: EngineStats::default(),
                 hists: EngineHists::default(),
                 wait_info: Vec::new(),
@@ -636,7 +541,7 @@ impl Sim {
     }
 
     /// Returns a cloneable handle used by tasks to interact with simulated
-    /// time (sleep, spawn, gates).
+    /// time (sleep, gates, wait records, halt).
     pub fn handle(&self) -> SimHandle {
         SimHandle {
             inner: Rc::clone(&self.inner),
@@ -645,7 +550,14 @@ impl Sim {
 
     /// Spawns a task; it becomes runnable at the current simulated time.
     pub fn spawn(&self, fut: impl Future<Output = ()> + 'static) -> TaskId {
-        self.handle().spawn(fut)
+        let mut inner = self.inner.borrow_mut();
+        let id = inner.tasks.len();
+        inner.tasks.push(Some(Box::pin(fut)));
+        inner.wait_info.push(None);
+        inner.live += 1;
+        let now = inner.now;
+        inner.schedule(now, id);
+        id
     }
 
     /// Runs until every task has completed.
@@ -666,9 +578,6 @@ impl Sim {
                     inner.queue.clear();
                     return Err(RunError::Halted { now });
                 }
-                if inner.sweep_due(0) {
-                    inner.sweep_dead();
-                }
                 let (at, task) = match inner.queue.pop() {
                     Some(ev) => ev,
                     None => {
@@ -684,18 +593,17 @@ impl Sim {
                     }
                 };
                 debug_assert!(at >= inner.now, "time went backwards");
-                inner.now = at;
-                inner.pending[task] -= 1;
                 match inner.tasks[task].take() {
                     Some(f) => {
+                        inner.now = at;
                         inner.current = Some(task);
                         inner.stats.events_dispatched += 1;
                         (task, f)
                     }
-                    // Stale event for a task that already finished.
+                    // Stale event for a task that already finished: skipped
+                    // without moving the clock.
                     None => {
                         inner.stats.stale_events += 1;
-                        inner.dead_events -= 1;
                         continue;
                     }
                 }
@@ -708,9 +616,6 @@ impl Sim {
             if done {
                 inner.live -= 1;
                 inner.wait_info[task] = None;
-                // Any events the finished task still has queued are dead;
-                // account them so the sweep can reclaim the space.
-                inner.dead_events += inner.pending[task] as u64;
             } else {
                 inner.tasks[task] = Some(fut);
             }
@@ -732,6 +637,12 @@ impl Sim {
     pub fn hists(&self) -> EngineHists {
         self.inner.borrow().hists.clone()
     }
+
+    /// Clears the gate wait/fan-out histograms (used when a measurement
+    /// window starts after a warm-up phase).
+    pub fn reset_hists(&self) {
+        self.inner.borrow_mut().hists.reset();
+    }
 }
 
 /// A cloneable handle to the simulation, usable from inside tasks.
@@ -751,35 +662,6 @@ impl SimHandle {
         self.inner.borrow().live
     }
 
-    /// Dispatch-loop counters accumulated so far.
-    pub fn engine_stats(&self) -> EngineStats {
-        self.inner.borrow().stats
-    }
-
-    /// Snapshot of the gate wait/fan-out histograms accumulated so far.
-    pub fn engine_hists(&self) -> EngineHists {
-        self.inner.borrow().hists.clone()
-    }
-
-    /// Clears the gate wait/fan-out histograms (used when a measurement
-    /// window starts after a warm-up phase).
-    pub fn reset_engine_hists(&self) {
-        self.inner.borrow_mut().hists.reset();
-    }
-
-    /// Spawns a new task, runnable at the current simulated time.
-    pub fn spawn(&self, fut: impl Future<Output = ()> + 'static) -> TaskId {
-        let mut inner = self.inner.borrow_mut();
-        let id = inner.tasks.len();
-        inner.tasks.push(Some(Box::pin(fut)));
-        inner.wait_info.push(None);
-        inner.pending.push(0);
-        inner.live += 1;
-        let now = inner.now;
-        inner.schedule(now, id);
-        id
-    }
-
     /// Suspends the calling task for `cycles` simulated cycles.
     ///
     /// `sleep(0)` yields: the task is rescheduled at the current time behind
@@ -792,18 +674,6 @@ impl SimHandle {
             inner: &self.inner,
             until: None,
             duration: cycles,
-            armed: false,
-        }
-    }
-
-    /// Suspends the calling task until the given absolute cycle (no-op if it
-    /// is already in the past).
-    pub fn sleep_until(&self, at: Cycle) -> Sleep<'_> {
-        Sleep {
-            inner: &self.inner,
-            until: Some(at),
-            duration: 0,
-            armed: false,
         }
     }
 
@@ -836,32 +706,16 @@ impl SimHandle {
         self.inner.borrow_mut().halt = true;
     }
 
-    /// Visits every live-but-parked task and its wait record *by
-    /// reference* — the allocation-free counterpart of
-    /// [`parked_tasks`](Self::parked_tasks), for periodic monitors
-    /// (watchdog ticks) that only inspect the records.
-    pub fn visit_parked(&self, f: impl FnMut(TaskId, Option<Cycle>, Option<&WaitInfo>)) {
-        self.inner.borrow().visit_blocked(f);
-    }
-
-    /// Number of live-but-parked tasks (excluding the currently-polled
-    /// task, if any).
-    pub fn parked_count(&self) -> usize {
-        let mut n = 0;
-        self.visit_parked(|_, _, _| n += 1);
-        n
-    }
-
-    /// Snapshot of every live-but-parked task and its wait record, cloning
-    /// each [`WaitInfo`]. Meant for *terminal* diagnostics (a watchdog that
-    /// decided to fire, a deadlock dump); periodic monitors should use
-    /// [`visit_parked`](Self::visit_parked) instead.
+    /// Snapshot of every live-but-parked task (the currently-polled task
+    /// is checked out, so it is not listed) and its wait record, cloning
+    /// each [`WaitInfo`]. Meant for terminal diagnostics: a watchdog that
+    /// decided to fire, a deadlock dump.
     pub fn parked_tasks(&self) -> Vec<BlockedTask> {
         self.inner.borrow().blocked_snapshot()
     }
 }
 
-/// Future returned by [`SimHandle::sleep`] / [`SimHandle::sleep_until`].
+/// Future returned by [`SimHandle::sleep`].
 ///
 /// The first poll fixes the deadline. If the wake-up is strictly earlier
 /// than every queued event it resumes inline (see `Inner::resume_inline`)
@@ -875,10 +729,9 @@ impl SimHandle {
 /// making one costs no reference-count traffic.
 pub struct Sleep<'a> {
     inner: &'a RefCell<Inner>,
-    /// Absolute deadline; `None` means "relative `duration` from first poll".
+    /// Absolute deadline, set once the sleep is queued; `None` until then.
     until: Option<Cycle>,
     duration: Cycle,
-    armed: bool,
 }
 
 impl Future for Sleep<'_> {
@@ -887,27 +740,19 @@ impl Future for Sleep<'_> {
     fn poll(self: Pin<&mut Self>, _cx: &mut Context<'_>) -> Poll<()> {
         let this = self.get_mut();
         let mut inner = this.inner.borrow_mut();
-        if this.armed {
+        if let Some(deadline) = this.until {
             // Queued on the first poll; by now `now >= deadline` holds.
-            let deadline = match this.until {
-                Some(at) => at,
-                None => unreachable!("armed sleep has deadline"),
-            };
             return if inner.now >= deadline {
                 Poll::Ready(())
             } else {
                 Poll::Pending // spurious poll before the deadline
             };
         }
-        let deadline = match this.until {
-            Some(at) => at,
-            None => inner.now + this.duration,
-        };
+        let deadline = inner.now + this.duration;
         if inner.resume_inline(deadline) {
             return Poll::Ready(());
         }
         this.until = Some(deadline);
-        this.armed = true;
         let task = inner.current_task();
         inner.schedule(deadline, task);
         Poll::Pending
@@ -937,20 +782,6 @@ mod tests {
             assert_eq!(h.now(), 10);
         });
         assert_eq!(sim.run(), Ok(10));
-    }
-
-    #[test]
-    fn sleep_until_past_is_noop() {
-        let sim = Sim::new();
-        let h = sim.handle();
-        sim.spawn(async move {
-            h.sleep(5).await;
-            h.sleep_until(3).await;
-            assert_eq!(h.now(), 5);
-            h.sleep_until(9).await;
-            assert_eq!(h.now(), 9);
-        });
-        assert_eq!(sim.run(), Ok(9));
     }
 
     #[test]
@@ -1014,19 +845,19 @@ mod tests {
     }
 
     #[test]
-    fn dynamic_spawn_runs_at_current_time() {
+    fn spawn_after_a_run_starts_at_the_current_time() {
         let sim = Sim::new();
+        let h = sim.handle();
+        sim.spawn(async move {
+            h.sleep(12).await;
+        });
+        assert_eq!(sim.run(), Ok(12));
         let h = sim.handle();
         let hit = Rc::new(Cell::new(0u64));
         let hit2 = Rc::clone(&hit);
         sim.spawn(async move {
-            h.sleep(12).await;
-            let h2 = h.clone();
-            let hit3 = Rc::clone(&hit2);
-            h.spawn(async move {
-                h2.sleep(5).await;
-                hit3.set(h2.now());
-            });
+            h.sleep(5).await;
+            hit2.set(h.now());
         });
         assert_eq!(sim.run(), Ok(17));
         assert_eq!(hit.get(), 17);
@@ -1175,7 +1006,7 @@ mod tests {
     }
 
     #[test]
-    fn stale_events_are_counted_and_swept() {
+    fn stale_events_are_counted() {
         const WAITERS: u64 = 200;
         let sim = Sim::new();
         let h = sim.handle();
@@ -1207,6 +1038,32 @@ mod tests {
             "every post-completion wake is stale"
         );
         assert!(stats.events_dispatched > 0);
+    }
+
+    #[test]
+    fn dead_events_never_move_the_clock() {
+        // However many dead wakes are queued, the run ends at the last live
+        // event (the opener's sleep), not at the wakes' far-future cycle.
+        for waiters in [1u64, 63, 64, 200] {
+            let sim = Sim::new();
+            let h = sim.handle();
+            let gate = h.gate();
+            for _ in 0..waiters {
+                let gate = gate.clone();
+                let h = h.clone();
+                sim.spawn(async move {
+                    let ticket = gate.ticket();
+                    h.sleep(1).await;
+                    drop(ticket);
+                });
+            }
+            sim.spawn(async move {
+                gate.open_at(h.now() + 10_000);
+                h.sleep(2).await;
+            });
+            assert_eq!(sim.run(), Ok(2), "{waiters} dead wakes moved the clock");
+            assert_eq!(sim.stats().stale_events, waiters);
+        }
     }
 
     /// Polls `fut` once outside the run loop's bookkeeping.
@@ -1382,13 +1239,12 @@ mod tests {
     }
 
     #[test]
-    fn visit_parked_matches_snapshot() {
+    fn parked_tasks_lists_waiters_with_their_records() {
         let sim = Sim::new();
         let h = sim.handle();
         let probe = h.clone();
         let gate = h.gate();
-        type ParkedRow = (TaskId, Option<Cycle>, Option<WaitInfo>);
-        let seen: Rc<RefCell<Vec<ParkedRow>>> = Rc::default();
+        let seen: Rc<RefCell<Vec<BlockedTask>>> = Rc::default();
         let seen2 = Rc::clone(&seen);
         {
             let gate = gate.clone();
@@ -1407,24 +1263,17 @@ mod tests {
         }
         sim.spawn(async move {
             probe.sleep(10).await;
-            // Borrowed visit sees the parked task (the prober itself is
-            // checked out while being polled, so it is not reported).
-            assert_eq!(probe.parked_count(), 1);
-            probe.visit_parked(|task, since, info| {
-                seen2.borrow_mut().push((task, since, info.cloned()));
-            });
-            let snap = probe.parked_tasks();
-            assert_eq!(snap.len(), 1);
-            assert_eq!(snap[0].task, seen2.borrow()[0].0);
-            assert_eq!(snap[0].since, seen2.borrow()[0].1);
-            assert_eq!(snap[0].info, seen2.borrow()[0].2);
+            // The prober itself is checked out while being polled, so only
+            // the parked task is reported.
+            *seen2.borrow_mut() = probe.parked_tasks();
             gate.open();
         });
         sim.run().unwrap();
         let seen = seen.borrow();
         assert_eq!(seen.len(), 1);
-        assert_eq!(seen[0].1, Some(3));
-        assert_eq!(seen[0].2.as_ref().map(|w| w.label), Some(5));
+        assert_eq!(seen[0].task, 0);
+        assert_eq!(seen[0].since, Some(3));
+        assert_eq!(seen[0].info.as_ref().map(|w| w.label), Some(5));
     }
 
     /// One step of a queue-level program for the differential test below.
@@ -1443,8 +1292,6 @@ mod tests {
         /// Move `now` ahead by `delay` without a pop, as an inline resume
         /// does — only when that stays strictly before every queued event.
         Advance(u64),
-        /// Keep only the events of tasks whose bit is set in the mask.
-        RetainLive(u8),
         Clear,
     }
 
@@ -1474,10 +1321,10 @@ mod tests {
             // Inline resumes within the wheel and across epochs.
             (0..2 * wheel).prop_map(QueueOp::Advance),
             (wheel..40 * wheel).prop_map(QueueOp::Advance),
-            (any::<u8>(), 0..16u8).prop_map(|(mask, r)| if r == 0 {
+            (0..16u8).prop_map(|r| if r == 0 {
                 QueueOp::Clear
             } else {
-                QueueOp::RetainLive(mask)
+                QueueOp::Peek
             }),
         ]
     }
@@ -1490,9 +1337,8 @@ mod tests {
         /// same contract `Inner` keeps: pushes never target a cycle before
         /// `now`, which moves to each popped cycle and, by inline resume,
         /// ahead to any cycle strictly before every queued event. `Sim`
-        /// reaches its queue only through `push`, `pop`, `min_cycle`,
-        /// `len`, `retain_live` and `clear`, so this is the whole
-        /// equivalence.
+        /// reaches its queue only through `push`, `pop`, `min_cycle` and
+        /// `clear`, so this is the whole equivalence.
         #[test]
         fn calendar_queue_matches_binary_heap(
             shaken in proptest::prelude::any::<bool>(),
@@ -1525,15 +1371,6 @@ mod tests {
                         if heap.peek().is_none_or(|&Reverse((next, _, _, _))| at < next) {
                             now = at;
                         }
-                    }
-                    QueueOp::RetainLive(mask) => {
-                        let live = move |t: TaskId| (mask >> t) & 1 == 1;
-                        let before = heap.len();
-                        heap.retain(|&Reverse((_, _, _, t))| live(t));
-                        let removed = (before - heap.len()) as u64;
-                        proptest::prop_assert_eq!(
-                            cal.retain_live(live), removed, "retain diverged at op {}", i
-                        );
                     }
                     QueueOp::Clear => {
                         cal.clear();

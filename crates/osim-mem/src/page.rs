@@ -201,11 +201,6 @@ impl PageTable {
             }
         }
     }
-
-    /// Number of mapped pages.
-    pub fn mapped_pages(&self) -> usize {
-        self.entries.iter().filter(|e| e.is_some()).count()
-    }
 }
 
 #[cfg(test)]

@@ -44,11 +44,6 @@ impl PhysMem {
         Some(ppn)
     }
 
-    /// Number of physical pages allocated so far.
-    pub fn allocated_pages(&self) -> u32 {
-        self.next_ppn - 1
-    }
-
     #[inline]
     fn page(&self, pa: u32) -> &[u8; PAGE_SIZE as usize] {
         self.pages

@@ -17,7 +17,7 @@
 //!
 //! Timestamps are simulated cycles written into the `ts`/`dur` fields
 //! directly; `displayTimeUnit` is set so viewers render them compactly.
-//! Every event name passes through [`clean_name`], which clips overlong
+//! Every event name passes through `clean_name`, which clips overlong
 //! names and replaces non-printable characters — viewers choke on raw
 //! control bytes, and names here can embed formatted addresses.
 

@@ -35,7 +35,7 @@ pub struct OracleReport {
     pub gc_checks: u64,
     /// Total violations across all oracles.
     pub violations: u64,
-    /// First [`MAX_DETAILS`] violation messages, in discovery order.
+    /// First `MAX_DETAILS` (8) violation messages, in discovery order.
     pub details: Vec<String>,
 }
 
