@@ -232,12 +232,16 @@ struct Bucket {
 /// differential proptest in this module's tests checks. The invariants
 /// that make this hold:
 ///
-/// * `epoch` only moves forward, and bucket `i` holds events for exactly
-///   cycle `epoch * WHEEL_SLOTS + i`. Because `schedule` clamps times to
-///   `>= now`, a push targeting the current epoch can only land at or after
-///   the cursor. With shaking off (`tie == seq`, monotone) appends within a
-///   bucket already arrive sorted; with shaking on, `push` binary-searches
-///   the un-consumed tail so the bucket stays in `(tie, seq)` order.
+/// * Between [`clear`](Self::clear)s `epoch` only moves forward, and
+///   bucket `i` holds events for exactly cycle `epoch * WHEEL_SLOTS + i`.
+///   Pushes target cycles `>= now` (`schedule` clamps them), and the cursor
+///   never passes `now` while a push can follow: `now` moves to every
+///   popped live event, and a run that pops dead events until the queue is
+///   empty re-anchors it at `now` with `clear`. So a push targeting the
+///   current epoch can only land at or after the cursor. With shaking off
+///   (`tie == seq`, monotone) appends within a bucket already arrive
+///   sorted; with shaking on, `push` binary-searches the un-consumed tail
+///   so the bucket stays in `(tie, seq)` order.
 /// * The overflow heap only ever holds events of epochs *after* `epoch`
 ///   (current-epoch events go straight to their bucket), so near events
 ///   always sort before every overflow event and the two stores never have
@@ -247,7 +251,8 @@ struct Bucket {
 ///   pops in `(cycle, tie, seq)` order, so each bucket is filled sorted.
 struct CalendarQueue {
     epoch: u64,
-    /// Next bucket index to inspect; trails `now & WHEEL_MASK`.
+    /// Next bucket index to inspect: the last popped event's bucket, or
+    /// `now`'s after a `clear`.
     cursor: usize,
     /// Events currently in the near wheel.
     near_len: usize,
@@ -383,7 +388,11 @@ impl CalendarQueue {
         self.len
     }
 
-    fn clear(&mut self) {
+    /// Drops every event and anchors the wheel at `now`, so pushes at or
+    /// after `now` keep the pop order.
+    fn clear(&mut self, now: Cycle) {
+        self.epoch = now >> WHEEL_BITS;
+        self.cursor = (now & WHEEL_MASK) as usize;
         for b in &mut self.buckets {
             b.events.clear();
             b.head = 0;
@@ -575,13 +584,16 @@ impl Sim {
                     // Break the task<->handle Rc cycle so dropped Sims
                     // release their task closures even on halt.
                     inner.tasks.clear();
-                    inner.queue.clear();
+                    inner.queue.clear(now);
                     return Err(RunError::Halted { now });
                 }
                 let (at, task) = match inner.queue.pop() {
                     Some(ev) => ev,
                     None => {
                         let now = inner.now;
+                        // Dead events popped last may have left the wheel
+                        // ahead of `now`; later spawns push at `now`.
+                        inner.queue.clear(now);
                         if inner.live > 0 {
                             let blocked = inner.blocked_snapshot();
                             // Break the task<->handle Rc cycle so dropped Sims
@@ -1007,62 +1019,41 @@ mod tests {
 
     #[test]
     fn stale_events_are_counted() {
-        const WAITERS: u64 = 200;
-        let sim = Sim::new();
-        let h = sim.handle();
-        let gate = h.gate();
         // Each waiter takes a ticket, then leaves by another path (its
-        // sleep) before the far-future wake fires: every wake event is
-        // queued behind a task that completes long before it pops.
-        for _ in 0..WAITERS {
-            let gate = gate.clone();
-            let h = h.clone();
-            sim.spawn(async move {
-                let ticket = gate.ticket();
-                h.sleep(1).await;
-                drop(ticket); // abandoned: the task exits early
-            });
-        }
-        {
-            let h = h.clone();
-            sim.spawn(async move {
-                // Wakes every parked ticket at a far-future cycle.
-                gate.open_at(h.now() + 10_000);
-                h.sleep(2).await;
-            });
-        }
-        sim.run().unwrap();
-        let stats = sim.stats();
-        assert_eq!(
-            stats.stale_events, WAITERS,
-            "every post-completion wake is stale"
-        );
-        assert!(stats.events_dispatched > 0);
-    }
-
-    #[test]
-    fn dead_events_never_move_the_clock() {
-        // However many dead wakes are queued, the run ends at the last live
-        // event (the opener's sleep), not at the wakes' far-future cycle.
-        for waiters in [1u64, 63, 64, 200] {
-            let sim = Sim::new();
-            let h = sim.handle();
-            let gate = h.gate();
-            for _ in 0..waiters {
-                let gate = gate.clone();
-                let h = h.clone();
-                sim.spawn(async move {
-                    let ticket = gate.ticket();
-                    h.sleep(1).await;
-                    drop(ticket);
-                });
+        // sleep) before the opener's later wake fires: every wake event is
+        // queued behind a task that completes long before it pops. However
+        // many are queued, and whether they wake in the current wheel epoch
+        // or a later one, the run ends at the last live event (the
+        // opener's sleep), and a later run on the same `Sim` starts there.
+        for wake_in in [100, 10_000] {
+            for waiters in [1u64, 63, 64, 200] {
+                let sim = Sim::new();
+                let h = sim.handle();
+                let gate = h.gate();
+                for _ in 0..waiters {
+                    let gate = gate.clone();
+                    let h = h.clone();
+                    sim.spawn(async move {
+                        let ticket = gate.ticket();
+                        h.sleep(1).await;
+                        drop(ticket); // abandoned: the task exits early
+                    });
+                }
+                {
+                    let h = h.clone();
+                    sim.spawn(async move {
+                        gate.open_at(h.now() + wake_in);
+                        h.sleep(2).await;
+                    });
+                }
+                let case = format!("{waiters} dead wakes at +{wake_in}");
+                assert_eq!(sim.run(), Ok(2), "{case} moved the clock");
+                let stats = sim.stats();
+                assert_eq!(stats.stale_events, waiters, "{case}");
+                assert!(stats.events_dispatched > 0);
+                sim.spawn(async move { h.sleep(5).await });
+                assert_eq!(sim.run(), Ok(7), "{case}: next run misordered");
             }
-            sim.spawn(async move {
-                gate.open_at(h.now() + 10_000);
-                h.sleep(2).await;
-            });
-            assert_eq!(sim.run(), Ok(2), "{waiters} dead wakes moved the clock");
-            assert_eq!(sim.stats().stale_events, waiters);
         }
     }
 
@@ -1279,14 +1270,18 @@ mod tests {
     /// One step of a queue-level program for the differential test below.
     #[derive(Debug, Clone, Copy)]
     enum QueueOp {
-        /// Push an event for `task` at `delay` cycles after the last popped
-        /// cycle. `tie` is used only when shaking is on; FIFO ties are `seq`.
+        /// Push an event for `task` at `delay` cycles after `now`. `tie` is
+        /// used only when shaking is on; FIFO ties are `seq`.
         Push {
             delay: u64,
             tie: u64,
             task: TaskId,
         },
-        Pop,
+        /// Pop the next event; a live one moves `now` to its cycle, a dead
+        /// one (its task completed) leaves `now` where it was.
+        Pop {
+            live: bool,
+        },
         /// Check `min_cycle` against the reference heap's top.
         Peek,
         /// Move `now` ahead by `delay` without a pop, as an inline resume
@@ -1314,9 +1309,10 @@ mod tests {
             push(0..2 * wheel),
             // Far overflow, several epochs out.
             push(wheel..40 * wheel),
-            Just(QueueOp::Pop),
-            Just(QueueOp::Pop),
-            Just(QueueOp::Pop),
+            // One pop in four is a dead event's.
+            (0..4u8).prop_map(|r| QueueOp::Pop { live: r != 0 }),
+            (0..4u8).prop_map(|r| QueueOp::Pop { live: r != 0 }),
+            (0..4u8).prop_map(|r| QueueOp::Pop { live: r != 0 }),
             Just(QueueOp::Peek),
             // Inline resumes within the wheel and across epochs.
             (0..2 * wheel).prop_map(QueueOp::Advance),
@@ -1335,10 +1331,14 @@ mod tests {
         /// The calendar queue pops exactly what the reference
         /// `BinaryHeap<Reverse<(Cycle, u64, u64, TaskId)>>` pops, under the
         /// same contract `Inner` keeps: pushes never target a cycle before
-        /// `now`, which moves to each popped cycle and, by inline resume,
-        /// ahead to any cycle strictly before every queued event. `Sim`
-        /// reaches its queue only through `push`, `pop`, `min_cycle` and
-        /// `clear`, so this is the whole equivalence.
+        /// `now`, which moves to each popped live event's cycle and, by
+        /// inline resume, ahead to any cycle strictly before every queued
+        /// event. A dead pop leaves `now` behind, and no task runs until
+        /// the next live pop, so nothing pushes or resumes inline until
+        /// then, or until a pop finds the queue empty and `run` re-anchors
+        /// it with `clear(now)`. `Sim` reaches its queue only through
+        /// `push`, `pop`, `min_cycle` and `clear`, so this is the whole
+        /// equivalence.
         #[test]
         fn calendar_queue_matches_binary_heap(
             shaken in proptest::prelude::any::<bool>(),
@@ -1347,20 +1347,26 @@ mod tests {
             let mut cal = CalendarQueue::new(shaken);
             let mut heap: BinaryHeap<Reverse<(Cycle, u64, u64, TaskId)>> = BinaryHeap::new();
             let (mut now, mut seq): (Cycle, u64) = (0, 0);
+            // Set by a dead pop: no task is running, so nothing pushes.
+            let mut between_live = false;
             for (i, &op) in ops.iter().enumerate() {
                 match op {
+                    QueueOp::Push { .. } | QueueOp::Advance(_) if between_live => {}
                     QueueOp::Push { delay, tie, task } => {
                         let tie = if shaken { tie } else { seq };
                         cal.push(now + delay, tie, seq, task);
                         heap.push(Reverse((now + delay, tie, seq, task)));
                         seq += 1;
                     }
-                    QueueOp::Pop => {
+                    QueueOp::Pop { live } => {
                         let want = heap.pop().map(|Reverse((at, _, _, task))| (at, task));
                         proptest::prop_assert_eq!(cal.pop(), want, "pop diverged at op {}", i);
-                        if let Some((at, _)) = want {
-                            now = at;
+                        match want {
+                            Some((at, _)) if live => now = at,
+                            Some(_) => {}
+                            None => cal.clear(now),
                         }
+                        between_live = !live && want.is_some();
                     }
                     QueueOp::Peek => {
                         let want = heap.peek().map(|&Reverse((at, _, _, _))| at);
@@ -1373,8 +1379,9 @@ mod tests {
                         }
                     }
                     QueueOp::Clear => {
-                        cal.clear();
+                        cal.clear(now);
                         heap.clear();
+                        between_live = false;
                     }
                 }
                 proptest::prop_assert_eq!(cal.len(), heap.len(), "len diverged at op {}", i);
