@@ -49,10 +49,9 @@
 //!
 //! # Values
 //!
-//! Values are stored once as `Arc<V>`. [`OMap::get_arc`] and
-//! [`OMap::get_with`] read without cloning `V`; [`OMap::get`],
-//! [`OMap::snapshot`], and [`OMap::scan`] are thin cloning wrappers kept
-//! for the original API.
+//! Values are stored once as `Arc<V>`. [`OMap::get_arc`] reads without
+//! cloning `V`; [`OMap::get`], [`OMap::snapshot`], and [`OMap::scan`]
+//! are thin cloning wrappers kept for the original API.
 //!
 //! Consistency contract (the same one the paper's runtime rules give):
 //! writers use monotonically increasing versions (e.g. task ids), and a
@@ -413,12 +412,6 @@ impl<K: Ord + Hash + Clone, V> OMap<K, V> {
             .flatten()
     }
 
-    /// Borrowed visitation: applies `f` to the value of `key` at `cap`
-    /// without cloning or sharing it.
-    pub fn get_with<R>(&self, key: &K, cap: Version, f: impl FnOnce(&V) -> R) -> Option<R> {
-        self.get_arc(key, cap).map(|v| f(&v))
-    }
-
     /// Blocks until `key` has version `version` published, and returns
     /// the shared value at exactly that version (`None` = the version is
     /// a removal). The blocking analogue of [`OMap::get_arc`] for
@@ -603,9 +596,7 @@ mod tests {
         let a = m.get_arc(&1, 5).unwrap();
         let b = m.get_arc(&1, 5).unwrap();
         assert!(Arc::ptr_eq(&a, &b), "reads share one allocation");
-        let len = m.get_with(&1, 5, |s| s.len()).unwrap();
-        assert_eq!(len, 6);
-        assert_eq!(m.get_with(&2, 5, |s: &String| s.len()), None);
+        assert_eq!(m.get_arc(&2, 5), None);
     }
 
     #[test]

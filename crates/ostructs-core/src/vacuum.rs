@@ -17,15 +17,22 @@
 //! 1. Writers allocate versions from the registry's monotone
 //!    [`ReaderRegistry::next_version`] clock (or advance it past
 //!    externally chosen versions with [`ReaderRegistry::advance_to`]).
-//! 2. Readers call [`ReaderRegistry::pin`] *before* choosing a snapshot
-//!    cap and hold the returned [`ReaderGuard`] for the duration; the cap
-//!    is the guard's pinned version. Dropping the guard unpins.
-//! 3. A pass computes the watermark — the oldest pinned cap, or the
-//!    newest allocated version when no reader is live — and calls
-//!    [`crate::cell::Prune::prune_below`] on every tracked store.
-//!    `prune_below` keeps the newest version ≤ the boundary, so a reader
-//!    pinned exactly *at* the watermark still resolves every load. A
-//!    tracked cell is pruned whole on every pass; a tracked
+//! 2. Readers call [`ReaderRegistry::pin`] and hold the returned
+//!    [`ReaderGuard`] for the duration; the cap is the guard's pinned
+//!    version, the newest allocated one. A pin takes no lock: it reads
+//!    the clock, claims a free slot by writing the cap into it, and
+//!    reads the clock again, republishing the cap until the clock stood
+//!    still across its claim. Dropping the guard frees the slot with one
+//!    store.
+//! 3. A pass computes the watermark: it reads the clock, then scans the
+//!    slots, and takes the oldest cap it saw, bounded above by the newest
+//!    allocated version (the clock minus one). The bound is what makes a
+//!    pin the scan missed safe: that pin's clock re-check ran after the
+//!    scan's clock read, so its cap is at or above the bound. The pass
+//!    then calls [`crate::cell::Prune::prune_below`] on every tracked
+//!    store. `prune_below` keeps the newest version ≤ the boundary, so a
+//!    reader pinned exactly *at* the watermark still resolves every load.
+//!    A tracked cell is pruned whole on every pass; a tracked
 //!    [`crate::map::OMap`] visits only the cells on its per-shard dirty
 //!    queues (see the map's "Reclamation" notes): those its stores,
 //!    removes and cell creations queued, under a flag in each cell that
@@ -35,9 +42,9 @@
 //!    taken only to unlink a cell no snapshot can observe and no handle
 //!    holds. A warm pass allocates nothing.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{fence, AtomicU64, Ordering};
 use std::sync::mpsc::{self, RecvTimeoutError};
-use std::sync::{Arc, Weak};
+use std::sync::{Arc, OnceLock, Weak};
 use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
@@ -53,42 +60,80 @@ pub struct ReaderRegistry {
     inner: Arc<RegistryInner>,
 }
 
+/// A slot's value while no pin holds it; a pin's cap is stored below it.
+const FREE: u64 = u64::MAX;
+
+/// Pin slots per chunk.
+const CHUNK: usize = 32;
+
 struct RegistryInner {
     /// Monotone version clock: the next version a writer should use.
+    /// It starts at 1 and never moves back, so `clock - 1` cannot wrap.
     clock: AtomicU64,
-    pins: Mutex<Pins>,
+    /// Bumped by every [`ReaderRegistry::pin_at`] below the newest
+    /// allocated version; a watermark scan during which it moved is
+    /// repeated (see `pin_at`).
+    historical: AtomicU64,
+    /// The first chunk of pin slots; later chunks hang off its `next`.
+    slots: Chunk,
 }
 
-/// The live pins as a slab: a guard holds its slot's index, so pinning
-/// and unpinning reuse freed slots and allocate nothing once the slab has
-/// grown to the peak number of concurrent readers.
-struct Pins {
-    /// `(cap, pinned at)` per occupied slot; each pin carries its creation
-    /// instant so pin ages are observable while the guard is still parked.
-    slots: Vec<Option<(Version, Instant)>>,
-    /// Indices of the unoccupied slots.
-    free: Vec<usize>,
-    /// Completed pin lifetimes in microseconds, recorded at unpin.
-    completed_us: osim_metrics::Histogram,
+/// One pin slot on its own cache line, so readers pinning on different
+/// slots do not share a line.
+#[repr(align(64))]
+struct Slot(AtomicU64);
+
+/// A fixed run of pin slots and the link to the next run. Chunks are
+/// added when every slot is taken and never removed, so a pin and its
+/// drop allocate nothing once the registry has grown to the peak number
+/// of concurrent readers.
+struct Chunk {
+    slots: [Slot; CHUNK],
+    next: OnceLock<Box<Chunk>>,
 }
 
-impl Pins {
-    fn insert(&mut self, cap: Version, since: Instant) -> usize {
-        match self.free.pop() {
-            Some(slot) => {
-                self.slots[slot] = Some((cap, since));
-                slot
-            }
-            None => {
-                self.slots.push(Some((cap, since)));
-                self.slots.len() - 1
-            }
+impl Chunk {
+    fn new() -> Self {
+        Chunk {
+            slots: std::array::from_fn(|_| Slot(AtomicU64::new(FREE))),
+            next: OnceLock::new(),
         }
     }
+}
 
-    /// The oldest pinned cap, if any reader is live.
-    fn oldest(&self) -> Option<Version> {
-        self.slots.iter().flatten().map(|&(cap, _)| cap).min()
+impl RegistryInner {
+    /// Every slot of every chunk, in chunk order.
+    fn slots(&self) -> impl Iterator<Item = &AtomicU64> {
+        std::iter::successors(Some(&self.slots), |c| c.next.get().map(|b| &**b))
+            .flat_map(|c| c.slots.iter().map(|s| &s.0))
+    }
+
+    /// The caps of the live pins.
+    fn caps(&self) -> impl Iterator<Item = Version> + '_ {
+        self.slots()
+            .map(|s| s.load(Ordering::SeqCst))
+            .filter(|&v| v != FREE)
+    }
+
+    /// Claims the first free slot in chunk order by writing `cap` into
+    /// it, growing a chunk when every slot is taken.
+    fn claim(&self, cap: Version) -> &AtomicU64 {
+        let mut chunk = &self.slots;
+        loop {
+            for Slot(slot) in &chunk.slots {
+                if slot.load(Ordering::Relaxed) == FREE
+                    && slot
+                        .compare_exchange(FREE, cap, Ordering::SeqCst, Ordering::Relaxed)
+                        .is_ok()
+                {
+                    return slot;
+                }
+            }
+            chunk = chunk.next.get_or_init(|| Box::new(Chunk::new()));
+            // Pairs with the fence in `watermark`: a scan that did not
+            // see this chunk read the clock before any claim in it.
+            fence(Ordering::SeqCst);
+        }
     }
 }
 
@@ -113,11 +158,8 @@ impl ReaderRegistry {
         ReaderRegistry {
             inner: Arc::new(RegistryInner {
                 clock: AtomicU64::new(1),
-                pins: Mutex::new(Pins {
-                    slots: Vec::new(),
-                    free: Vec::new(),
-                    completed_us: osim_metrics::Histogram::new(),
-                }),
+                historical: AtomicU64::new(0),
+                slots: Chunk::new(),
             }),
         }
     }
@@ -152,82 +194,86 @@ impl ReaderRegistry {
     /// cap; the vacuum will not reclaim anything such a read could
     /// observe until the guard drops. Writers that allocate *after* the
     /// pin get versions above the cap, so the snapshot is stable.
-    pub fn pin(&self) -> ReaderGuard {
-        let since = Instant::now();
-        // Pin first, read the clock inside the lock: a concurrent vacuum
-        // computing the watermark serializes on the same mutex, so it can
-        // never observe "no readers" after this reader chose its cap.
-        let mut pins = self.inner.pins.lock();
-        let cap = self.inner.clock.load(Ordering::Relaxed).saturating_sub(1);
-        let slot = pins.insert(cap, since);
-        drop(pins);
-        ReaderGuard {
-            registry: self.clone(),
-            cap,
-            slot,
+    pub fn pin(&self) -> ReaderGuard<'_> {
+        let clock = &self.inner.clock;
+        let mut c = clock.load(Ordering::SeqCst);
+        let slot = self.inner.claim(c - 1);
+        // A scan that missed the claim read the clock before it; once the
+        // clock reads the same after the claim, that scan's bound (its
+        // clock minus one) is at most this cap.
+        loop {
+            let now = clock.load(Ordering::SeqCst);
+            if now == c {
+                return ReaderGuard { slot, cap: c - 1 };
+            }
+            c = now;
+            slot.store(c - 1, Ordering::SeqCst);
         }
     }
 
     /// Pins an explicit cap (for readers replaying a historical snapshot
-    /// they know is still live).
-    pub fn pin_at(&self, cap: Version) -> ReaderGuard {
-        let since = Instant::now();
-        let slot = self.inner.pins.lock().insert(cap, since);
-        ReaderGuard {
-            registry: self.clone(),
-            cap,
-            slot,
+    /// they know is still live, e.g. under another guard they drop once
+    /// this returns).
+    pub fn pin_at(&self, cap: Version) -> ReaderGuard<'_> {
+        let slot = self.inner.claim(cap.min(FREE - 1));
+        // A cap at or above the newest allocated version is covered by
+        // the watermark's bound, as in `pin`. A historical cap is not: a
+        // scan could read this slot before the claim and the caller's
+        // other guard after its drop. The bump makes such a scan repeat.
+        if cap < self.inner.clock.load(Ordering::SeqCst) - 1 {
+            self.inner.historical.fetch_add(1, Ordering::SeqCst);
         }
+        ReaderGuard { slot, cap }
     }
 
     /// Pins the first `pinned` of the `n` caps from `current() - 1` up
-    /// and moves the clock past all `n`, in one pin-lock critical
-    /// section: a watermark read can never see the clock moved past a
-    /// reserved cap that is not pinned yet. For a task runtime, whose
-    /// clock runs one ahead of its next task id; returns the first cap
-    /// and the guards in cap order.
-    pub(crate) fn reserve_pinned(&self, n: u64, pinned: u64) -> (Version, Vec<ReaderGuard>) {
-        let since = Instant::now();
-        let mut pins = self.inner.pins.lock();
-        let first = self.inner.clock.fetch_add(n, Ordering::Relaxed) - 1;
-        let slots: Vec<usize> = (first..first + pinned)
-            .map(|cap| pins.insert(cap, since))
-            .collect();
-        drop(pins);
+    /// and moves the clock past all `n`: the slots are claimed first and
+    /// the clock moved after, republishing the caps if it moved in
+    /// between, so a watermark read never sees the clock past a reserved
+    /// cap that is not pinned. For a task runtime, whose clock runs one
+    /// ahead of its next task id; returns the first cap and the guards in
+    /// cap order.
+    pub(crate) fn reserve_pinned(&self, n: u64, pinned: u64) -> (Version, Vec<ReaderGuard<'_>>) {
+        let clock = &self.inner.clock;
+        let mut c = clock.load(Ordering::SeqCst);
+        let slots: Vec<&AtomicU64> = (0..pinned).map(|i| self.inner.claim(c - 1 + i)).collect();
+        while let Err(now) = clock.compare_exchange(c, c + n, Ordering::SeqCst, Ordering::SeqCst) {
+            c = now;
+            for (cap, slot) in (c - 1..).zip(&slots) {
+                slot.store(cap, Ordering::SeqCst);
+            }
+        }
+        let first = c - 1;
         let guards = (first..)
             .zip(slots)
-            .map(|(cap, slot)| ReaderGuard {
-                registry: self.clone(),
-                cap,
-                slot,
-            })
+            .map(|(cap, slot)| ReaderGuard { slot, cap })
             .collect();
         (first, guards)
     }
 
-    /// The oldest pinned cap and the clock, read together under the pin
-    /// lock.
-    fn oldest_and_clock(&self) -> (Option<Version>, Version) {
-        let pins = self.inner.pins.lock();
-        (pins.oldest(), self.inner.clock.load(Ordering::Relaxed))
-    }
-
-    /// The reclamation boundary: the oldest pinned cap, or the newest
-    /// allocated version (`current() - 1`) when no reader is live — the
-    /// lowest cap a reader pinning after this call can get. Versions
-    /// strictly below the newest version ≤ this value are unreachable by
-    /// any current or future reader.
+    /// The reclamation boundary: the oldest pinned cap, bounded above by
+    /// the newest allocated version (`current() - 1`), the lowest cap a
+    /// reader pinning after this call can get. Versions strictly below
+    /// the newest version ≤ this value are unreachable by any current or
+    /// future reader.
     pub fn watermark(&self) -> Version {
-        match self.oldest_and_clock() {
-            (Some(oldest), _) => oldest,
-            (None, clock) => clock.saturating_sub(1),
+        let inner = &*self.inner;
+        loop {
+            let historical = inner.historical.load(Ordering::SeqCst);
+            let bound = inner.clock.load(Ordering::SeqCst) - 1;
+            // Pairs with the fence in `claim`: a chunk this scan does not
+            // see holds no pin older than the clock just read.
+            fence(Ordering::SeqCst);
+            let oldest = inner.caps().min().unwrap_or(FREE);
+            if inner.historical.load(Ordering::SeqCst) == historical {
+                return oldest.min(bound);
+            }
         }
     }
 
     /// Number of live reader guards.
     pub fn live_readers(&self) -> usize {
-        let pins = self.inner.pins.lock();
-        pins.slots.len() - pins.free.len()
+        self.inner.caps().count()
     }
 
     /// How far the version clock has run ahead of the oldest pinned cap:
@@ -235,44 +281,34 @@ impl ReaderRegistry {
     /// cap and writers keep allocating. The software analogue of
     /// Louvre-style version-table occupancy.
     pub fn watermark_lag(&self) -> u64 {
-        match self.oldest_and_clock() {
-            (Some(oldest), clock) => clock.saturating_sub(oldest),
-            (None, _) => 0,
-        }
+        let clock = self.inner.clock.load(Ordering::SeqCst);
+        self.inner
+            .caps()
+            .min()
+            .map_or(0, |oldest| clock.saturating_sub(oldest))
     }
 
-    /// Pin-age distribution in microseconds: completed pin lifetimes plus
-    /// the *current* age of every live pin, so a parked guard is visible
-    /// before it unpins.
-    pub fn pin_ages_us(&self) -> osim_metrics::Histogram {
-        let pins = self.inner.pins.lock();
-        let mut h = pins.completed_us.clone();
-        for &(_, since) in pins.slots.iter().flatten() {
-            h.record(since.elapsed().as_micros() as u64);
+    /// Pin-lag distribution in versions: for every live pin, how far the
+    /// clock has run past its cap, so a parked guard shows as the history
+    /// it holds back.
+    pub fn pin_lags(&self) -> osim_metrics::Histogram {
+        let clock = self.inner.clock.load(Ordering::SeqCst);
+        let mut h = osim_metrics::Histogram::new();
+        for cap in self.inner.caps() {
+            h.record(clock.saturating_sub(cap));
         }
         h
     }
-
-    fn unpin(&self, slot: usize) {
-        let now = Instant::now();
-        let mut pins = self.inner.pins.lock();
-        if let Some((_, since)) = pins.slots[slot].take() {
-            pins.free.push(slot);
-            let age = now.saturating_duration_since(since).as_micros() as u64;
-            pins.completed_us.record(age);
-        }
-    }
 }
 
-/// RAII pin on a snapshot cap; see [`ReaderRegistry::pin`].
-pub struct ReaderGuard {
-    registry: ReaderRegistry,
+/// RAII pin on a snapshot cap; see [`ReaderRegistry::pin`]. It borrows
+/// its registry slot, and dropping it frees the slot.
+pub struct ReaderGuard<'a> {
+    slot: &'a AtomicU64,
     cap: Version,
-    /// The registry slab slot this pin occupies.
-    slot: usize,
 }
 
-impl ReaderGuard {
+impl ReaderGuard<'_> {
     /// The pinned snapshot cap — use it as the version cap for every load
     /// performed under this guard.
     pub fn cap(&self) -> Version {
@@ -280,9 +316,9 @@ impl ReaderGuard {
     }
 }
 
-impl Drop for ReaderGuard {
+impl Drop for ReaderGuard<'_> {
     fn drop(&mut self) {
-        self.registry.unpin(self.slot);
+        self.slot.store(FREE, Ordering::Release);
     }
 }
 
@@ -463,8 +499,8 @@ impl Vacuum {
     /// `ostructs_vacuum_watermark_lag` (clock minus watermark — how much
     /// history a parked reader is holding back), the per-pass
     /// `ostructs_vacuum_pause_us` histogram, and the
-    /// `ostructs_vacuum_reader_pin_age_us` pin-age distribution (live pins
-    /// included).
+    /// `ostructs_vacuum_reader_pin_lag` histogram of each live pin's lag
+    /// behind the clock, in versions.
     pub fn fill_registry(&self, reg: &mut osim_metrics::Registry) {
         let stats = self.stats();
         reg.counter_add("ostructs_vacuum_passes_total", &[], stats.passes);
@@ -481,8 +517,8 @@ impl Vacuum {
         );
         reg.hist_mut("ostructs_vacuum_pause_us", &[])
             .merge(&self.collector.pause_us.lock());
-        reg.hist_mut("ostructs_vacuum_reader_pin_age_us", &[])
-            .merge(&self.registry().pin_ages_us());
+        reg.hist_mut("ostructs_vacuum_reader_pin_lag", &[])
+            .merge(&self.registry().pin_lags());
     }
 
     /// Stops the background thread and joins it. Idempotent; also run by
@@ -558,6 +594,53 @@ mod tests {
         m.insert(7, v2, v2).unwrap();
         m.prune_below(boundary);
         assert_eq!(m.get(7, pin.cap()), Some(v1));
+    }
+
+    #[test]
+    fn a_pin_above_the_clock_does_not_raise_the_watermark() {
+        // A pin at a cap the clock has not reached must not lift the
+        // boundary past the newest allocated version: a reader pinning
+        // after a pass read that boundary gets the newest allocated
+        // version as its cap, and the pass must keep its snapshot.
+        let reg = ReaderRegistry::new();
+        let m: crate::OMap<u32, u64> = crate::OMap::new();
+        let v1 = reg.next_version();
+        m.insert(7, v1, v1).unwrap();
+        let ahead = reg.pin_at(100);
+        let boundary = reg.watermark();
+        assert_eq!(boundary, v1, "bounded by the clock minus one");
+        let pin = reg.pin();
+        assert_eq!(pin.cap(), v1);
+        let v2 = reg.next_version();
+        m.insert(7, v2, v2).unwrap();
+        m.prune_below(boundary);
+        assert_eq!(m.get(7, pin.cap()), Some(v1));
+        drop((ahead, pin));
+    }
+
+    #[test]
+    fn pins_beyond_the_first_chunk_are_seen() {
+        // More live pins than one chunk holds: the registry links a new
+        // chunk, and the watermark and live count see pins in it.
+        let reg = ReaderRegistry::new();
+        let mut guards: Vec<_> = (0..CHUNK as u64 + 8)
+            .map(|_| {
+                reg.next_version();
+                reg.pin()
+            })
+            .collect();
+        assert_eq!(reg.live_readers(), CHUNK + 8);
+        assert_eq!(reg.watermark(), 1);
+        guards.drain(..CHUNK + 4);
+        assert_eq!(reg.live_readers(), 4);
+        assert_eq!(
+            reg.watermark(),
+            guards[0].cap(),
+            "oldest pin sits in chunk two"
+        );
+        drop(guards);
+        assert_eq!(reg.watermark(), reg.current() - 1);
+        assert_eq!(reg.live_readers(), 0);
     }
 
     #[test]
@@ -676,7 +759,6 @@ mod tests {
         for _ in 0..40 {
             reg.next_version();
         }
-        std::thread::sleep(Duration::from_millis(2));
         let mut m1 = osim_metrics::Registry::new();
         vac.fill_registry(&mut m1);
         let lag1 = m1.gauge("ostructs_vacuum_watermark_lag", &[]).unwrap();
@@ -684,10 +766,16 @@ mod tests {
             lag1 >= lag0 + 40.0,
             "parked guard must make the lag grow: {lag0} -> {lag1}"
         );
-        let ages = m1
-            .hist("ostructs_vacuum_reader_pin_age_us", &[])
-            .expect("pin-age histogram present");
-        assert!(ages.count() >= 1, "live pin must appear in the age hist");
+        // The clock stands at 46 and the parked cap at 5.
+        let lags = m1
+            .hist("ostructs_vacuum_reader_pin_lag", &[])
+            .expect("pin-lag histogram present");
+        let mut want = osim_metrics::Histogram::new();
+        want.record(41);
+        assert_eq!(
+            lags, &want,
+            "the parked pin's lag is the clock minus its cap"
+        );
         drop(parked);
         let mut m2 = osim_metrics::Registry::new();
         vac.fill_registry(&mut m2);
