@@ -41,7 +41,6 @@ pub fn plan(scale: &Scale, fig: u32, sample_every: u64) -> Vec<SweepJob> {
                 "analyze",
                 bench.name(),
                 format!("fig{fig}-capture"),
-                scale,
                 cfg,
                 move |m| bench.run_versioned(m, &s, true, 4),
             )

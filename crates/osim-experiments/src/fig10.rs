@@ -26,7 +26,6 @@ pub fn plan(scale: &Scale) -> Vec<SweepJob> {
                 "fig10",
                 bench.name(),
                 format!("{variant}+0cy"),
-                scale,
                 machine(scale, cores, None, 0),
                 move |m| bench.run_versioned(m, &s, true, 4),
             ));
@@ -35,7 +34,6 @@ pub fn plan(scale: &Scale) -> Vec<SweepJob> {
                     "fig10",
                     bench.name(),
                     format!("{variant}+{e}cy"),
-                    scale,
                     machine(scale, cores, None, e),
                     move |m| bench.run_versioned(m, &s, true, 4),
                 ));

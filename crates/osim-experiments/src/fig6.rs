@@ -30,7 +30,6 @@ pub fn plan(scale: &Scale) -> Vec<SweepJob> {
                 "fig6",
                 bench.name(),
                 format!("unversioned-{tag}"),
-                scale,
                 machine(scale, 1, None, 0),
                 move |m| bench.run_unversioned(m, &s, large, rpw),
             ));
@@ -38,7 +37,6 @@ pub fn plan(scale: &Scale) -> Vec<SweepJob> {
                 "fig6",
                 bench.name(),
                 format!("versioned-{tag}"),
-                scale,
                 machine(scale, CORES, None, 0),
                 move |m| bench.run_versioned(m, &s, large, rpw),
             ));
@@ -49,7 +47,6 @@ pub fn plan(scale: &Scale) -> Vec<SweepJob> {
             "fig6",
             bench.name(),
             "unversioned".to_string(),
-            scale,
             machine(scale, 1, None, 0),
             move |m| bench.run_unversioned(m, &s, false, 4),
         ));
@@ -57,7 +54,6 @@ pub fn plan(scale: &Scale) -> Vec<SweepJob> {
             "fig6",
             bench.name(),
             "versioned".to_string(),
-            scale,
             machine(scale, CORES, None, 0),
             move |m| bench.run_versioned(m, &s, false, 4),
         ));
@@ -68,7 +64,6 @@ pub fn plan(scale: &Scale) -> Vec<SweepJob> {
         "fig6",
         Bench::MatrixMul.name(),
         "unversioned-1c".to_string(),
-        scale,
         machine(scale, 1, None, 0),
         move |m| Bench::MatrixMul.run_unversioned(m, &s, false, 4),
     ));
@@ -76,7 +71,6 @@ pub fn plan(scale: &Scale) -> Vec<SweepJob> {
         "fig6",
         Bench::MatrixMul.name(),
         "versioned-1c".to_string(),
-        scale,
         machine(scale, 1, None, 0),
         move |m| Bench::MatrixMul.run_versioned(m, &s, false, 4),
     ));

@@ -23,7 +23,6 @@ pub fn plan(scale: &Scale) -> Vec<SweepJob> {
             "fig7",
             bench.name(),
             "versioned-1c".to_string(),
-            scale,
             machine(scale, 1, None, 0),
             move |m| bench.run_versioned(m, &s, true, 4),
         ));
@@ -32,7 +31,6 @@ pub fn plan(scale: &Scale) -> Vec<SweepJob> {
                 "fig7",
                 bench.name(),
                 format!("versioned-{cores}c"),
-                scale,
                 machine(scale, cores, None, 0),
                 move |m| bench.run_versioned(m, &s, true, 4),
             ));

@@ -40,7 +40,6 @@ pub fn plan(scale: &Scale) -> Vec<SweepJob> {
             "fig8",
             "Binary tree",
             format!("versioned-r{range}-1c"),
-            scale,
             machine(scale, 1, None, 0),
             move |m| btree::run_versioned(m, &cv),
         ));
@@ -49,7 +48,6 @@ pub fn plan(scale: &Scale) -> Vec<SweepJob> {
             "fig8",
             "Binary tree",
             format!("rwlock-r{range}-1c"),
-            scale,
             machine(scale, 1, None, 0),
             move |m| btree::run_rwlock(m, &cr),
         ));
@@ -59,7 +57,6 @@ pub fn plan(scale: &Scale) -> Vec<SweepJob> {
                 "fig8",
                 "Binary tree",
                 format!("versioned-r{range}-{cores}c"),
-                scale,
                 machine(scale, cores, None, 0),
                 move |m| btree::run_versioned(m, &cv),
             ));
@@ -68,7 +65,6 @@ pub fn plan(scale: &Scale) -> Vec<SweepJob> {
                 "fig8",
                 "Binary tree",
                 format!("rwlock-r{range}-{cores}c"),
-                scale,
                 machine(scale, cores, None, 0),
                 move |m| btree::run_rwlock(m, &cr),
             ));

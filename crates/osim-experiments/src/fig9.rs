@@ -27,7 +27,6 @@ pub fn plan(scale: &Scale) -> Vec<SweepJob> {
                     "fig9",
                     bench.name(),
                     format!("{variant}-{kb}kB"),
-                    scale,
                     machine(scale, cores, Some(kb), 0),
                     move |m| {
                         if versioned {

@@ -42,7 +42,7 @@ fn job(scale: &Scale, name: &'static str, tweak: impl Fn(&mut MachineCfg)) -> Sw
     let cfg = ds_cfg(scale);
     // The Fig. 1-faithful protocol (renaming every passed cell) supplies
     // the version churn this experiment is about.
-    SweepJob::new("gc", "Linked list", name.to_string(), scale, m, move |mc| {
+    SweepJob::new("gc", "Linked list", name.to_string(), m, move |mc| {
         linked_list::run_versioned_with(mc, &cfg, true)
     })
 }

@@ -9,8 +9,6 @@
 //!     [--host-chrome <path>]
 //! cargo run -p osim-experiments --release -- compare <a.json> <b.json>
 //!     [--json <path>]
-//! cargo run -p osim-experiments --release -- cache <stats|verify|clear>
-//!     [--cache <dir>] [--json]
 //!
 //! experiments:
 //!   config   Table II   — the simulated platform configuration
@@ -32,8 +30,6 @@
 //!                         live vacuum) and writes BENCH_ostructs.json
 //!   compare             — diff two `--json` report files: counters, stall
 //!                         causes, histograms, ranked regression attribution
-//!   cache               — run-cache maintenance: `stats`, `verify` (decode
-//!                         every entry with per-entry blame), `clear`
 //!   stress              — schedule-shaking robustness harness: every quick
 //!                         figure under `--seeds` seeded tie-break
 //!                         perturbations with the invariant oracles armed
@@ -87,30 +83,15 @@
 //! (usage errors exit 2), so CI can assert either direction without
 //! parsing; `--json` writes the machine-readable diff document.
 //!
-//! `--cache <dir>` arms the content-addressed run cache: every sweep job
-//! is keyed by a stable hash of everything that can affect its simulated
-//! result (figure/benchmark/variant, scale, machine geometry, `--inject`
-//! spec, `--shake-seed`, capture configuration, and the engine-semantics
-//! version), and completed results are stored under `<dir>` as one JSON
-//! entry per key. A warm rerun skips simulation entirely and reproduces
-//! stdout and `--json` byte-identically — host-only knobs (`--jobs`,
-//! `--progress`) are deliberately *not* part of the key.
-//! Corrupt or stale entries are detected, dropped, and re-run; a cache
-//! can slow an invocation down but never change or fail it. `--cache off`
-//! (the default) disables it. The cache is just its directory: every hit
-//! reads its entry file, as a rerun in a new process does. `perf
-//! --cache-bench` measures one cold and one warm sweep and writes
-//! `BENCH_cache.json`.
-//!
 //! `--metrics-out <path>` writes the Prometheus text of the instrumented
 //! layers the invocation drives (the sweep runner; the concurrent store
-//! under `perf --ostructs`; the run cache under `--cache`) to `<path>` once,
-//! when the invocation ends. Nothing is collected before then, so stdout
-//! and every compared artifact stay byte-identical with it given. See
-//! `EXPERIMENTS.md` § "Metrics file".
+//! under `perf --ostructs`) to `<path>` once, when the invocation ends.
+//! Nothing is collected before then, so stdout and every compared
+//! artifact stay byte-identical with it given. See `EXPERIMENTS.md`
+//! § "Metrics file".
 //!
-//! `--host-chrome <path>` records *host* wall-clock spans — worker jobs,
-//! vacuum passes, cache probes — and writes them as a Chrome trace-event
+//! `--host-chrome <path>` records *host* wall-clock spans — worker jobs
+//! and vacuum passes — and writes them as a Chrome trace-event
 //! document when the invocation ends (alongside the simulated-cycle
 //! `--chrome` export, which is unchanged).
 //!
@@ -128,8 +109,6 @@ use osim_report::json::Json;
 use osim_report::SimReport;
 
 mod analyze;
-mod cache_bench;
-mod cache_cmd;
 mod common;
 mod compare_cmd;
 #[cfg(test)]
@@ -140,11 +119,9 @@ mod fig7;
 mod fig8;
 mod fig9;
 mod gc;
-mod key;
 mod obsv;
 mod ostructs_perf;
 mod perf;
-mod runcache;
 mod runner;
 mod stress;
 mod trace_cmd;
@@ -189,30 +166,6 @@ fn reject_leftovers(args: &[String], positionals: usize) {
 fn main() {
     let mut args: Vec<String> = env::args().skip(1).collect();
 
-    // The `cache` subcommand is dispatched before general flag parsing:
-    // its `--json` is a boolean (print the document to stdout), unlike the
-    // experiments' `--json <path>`.
-    if args.first().map(String::as_str) == Some("cache") {
-        args.remove(0);
-        let dir = take_value(&mut args, "--cache")
-            .filter(|d| d != "off")
-            .unwrap_or_else(|| ".osim-cache".to_string());
-        let json = take_flag(&mut args, "--json");
-        reject_leftovers(&args, 1);
-        let action = args.first().map(String::as_str).unwrap_or("stats");
-        let dir = std::path::PathBuf::from(dir);
-        let code = match action {
-            "stats" => cache_cmd::stats(&dir, json),
-            "verify" => cache_cmd::verify(&dir, json),
-            "clear" => cache_cmd::clear(&dir, json),
-            other => {
-                eprintln!("cache action must be stats, verify or clear, got {other:?}");
-                2
-            }
-        };
-        std::process::exit(code);
-    }
-
     let json_path = take_value(&mut args, "--json");
     let chrome_path = take_value(&mut args, "--chrome");
     let sweep_json = take_value(&mut args, "--sweep-json");
@@ -220,8 +173,6 @@ fn main() {
     let host_chrome = take_value(&mut args, "--host-chrome");
     let progress = take_flag(&mut args, "--progress");
     let ostructs = take_flag(&mut args, "--ostructs");
-    let cache_bench = take_flag(&mut args, "--cache-bench");
-    let cache_flag = take_value(&mut args, "--cache").filter(|v| v != "off");
     let inject =
         take_value(&mut args, "--inject").map(|spec| match osim_uarch::FaultPlan::parse(&spec) {
             Ok(plan) => plan,
@@ -326,9 +277,6 @@ fn main() {
     }
 
     runner::set_progress(progress);
-    if let Some(dir) = &cache_flag {
-        runner::set_cache(Some(std::sync::Arc::new(runcache::RunCache::at_dir(dir))));
-    }
     let side_files = obsv::SideFiles::arm(host_chrome, metrics_out, cmd == "perf" && ostructs);
 
     let mut reports: Vec<SimReport> = Vec::new();
@@ -394,23 +342,6 @@ fn main() {
             exit_code = stress::run(&scale, scale_name, first_seed, seeds, fig_filter, jobs);
         }
         "perf" if ostructs => ostructs_perf::run(scale_name, reps, "BENCH_ostructs.json"),
-        "perf" if cache_bench => {
-            // The benchmark owns its cache (cleared first, both passes
-            // measured); an armed session cache would taint the
-            // cold pass, so `--cache <dir>` just redirects the scratch
-            // directory.
-            runner::set_cache(None);
-            let dir = cache_flag
-                .clone()
-                .unwrap_or_else(|| ".osim-cache-bench".to_string());
-            cache_bench::run(
-                &scale,
-                scale_name,
-                jobs,
-                std::path::Path::new(&dir),
-                "BENCH_cache.json",
-            );
-        }
         "perf" => perf::run(&scale, scale_name, jobs, reps, baseline, "BENCH_sweep.json"),
         "all" => {
             common::print_config();
@@ -429,29 +360,11 @@ fn main() {
                  [--stats] [--json <path>] [--chrome <path>] \
                  [--fig <6|7|9|10>] [--sample-every <cycles>] \
                  [--shake-seed <n>] [--seeds <n>] \
-                 [--progress] [--sweep-json <path>] [--ostructs] [--cache-bench] \
-                 [--cache <dir|off>] \
+                 [--progress] [--sweep-json <path>] [--ostructs] \
                  [--metrics-out <path>] [--host-chrome <path>] \
                  [--inject <spec>] [--baseline-ms <ms> [--baseline-ref <label>]]\n\
                  \n\
                  osim-experiments compare <a.json> <b.json> [--json <path>]\n\
-                 osim-experiments cache <stats|verify|clear> [--cache <dir>] [--json]\n\
-                 \n\
-                 --cache <dir>: content-addressed run cache. Completed sweep jobs\n\
-                 are stored under <dir> keyed by everything that affects their\n\
-                 simulated result; a warm rerun skips simulation and reproduces\n\
-                 stdout and --json byte-identically. Host-only knobs (--jobs,\n\
-                 --progress) do not affect the key. Corrupt entries are dropped\n\
-                 and re-run. Default: off.\n\
-                 \n\
-                 cache: maintenance for such a directory (default .osim-cache):\n\
-                 stats (entry counts, bytes), verify (decode every entry with\n\
-                 per-entry blame; exit 1 if any is bad), clear. --json prints\n\
-                 the machine-readable document instead.\n\
-                 \n\
-                 perf --cache-bench: one cold and one warm sweep over a scratch\n\
-                 cache directory; writes BENCH_cache.json with hit/miss counts,\n\
-                 per-entry read latency quantiles, and the warm speedup.\n\
                  \n\
                  stress: schedule-shaking robustness harness. Runs every quick\n\
                  figure under --seeds (default 25) seeded tie-break perturbations\n\
@@ -471,9 +384,9 @@ fn main() {
                  attribution per pair. Exit code 0 = identical, 1 = deltas.\n\
                  \n\
                  --metrics-out <path>: the instrumented layers' metrics (sweep\n\
-                 runner, store, cache) in Prometheus text, written at exit.\n\
+                 runner, store) in Prometheus text, written at exit.\n\
                  --host-chrome <path>: host wall-clock spans (worker jobs,\n\
-                 vacuum passes, cache probes) as a Chrome trace document.\n\
+                 vacuum passes) as a Chrome trace document.\n\
                  \n\
                  --progress: live sweep status line on stderr (jobs queued/\n\
                  running/done, ETA, per-worker state); stdout is untouched.\n\

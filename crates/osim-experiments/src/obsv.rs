@@ -2,17 +2,15 @@
 //!
 //! `--metrics-out <path>` writes the Prometheus text of one collector
 //! that folds every instrumented layer into a point-in-time
-//! [`Registry`]: the sweep runner (`osim_jobq_*`), the concurrent store's
-//! process-global hot-path counters (`osim_store_*`), and the armed
-//! `--cache` store (`osim_cache_*`). `--host-chrome <path>` writes the
-//! host wall-clock spans (jobs, vacuum passes, cache probes) as a Chrome
-//! trace document.
+//! [`Registry`]: the sweep runner (`osim_jobq_*`) and the concurrent
+//! store's process-global hot-path counters (`osim_store_*`).
+//! `--host-chrome <path>` writes the host wall-clock spans (jobs, vacuum
+//! passes) as a Chrome trace document.
 //!
 //! The collector reports only the work the invocation does. The figure
 //! workloads run on the *simulated* machine and never touch
 //! `ostructs-core`, so the store family is written only by an invocation
-//! that drives the store (`perf --ostructs`); the cache families (and
-//! `osim_jobq_cache_hits_total`) only when a cache is armed.
+//! that drives the store (`perf --ostructs`).
 //!
 //! [`SideFiles::flush`] writes both files at the end of `main`, which a
 //! failing `stress` also reaches, and in `compare` before it exits. With
@@ -27,9 +25,6 @@ fn collect(store: bool) -> Registry {
     crate::runner::fill_registry(&mut reg);
     if store {
         ostructs_core::fill_store_registry(&mut reg);
-    }
-    if let Some(cache) = crate::runner::cache() {
-        cache.fill_registry(&mut reg);
     }
     reg
 }

@@ -21,9 +21,9 @@ use crate::runner::{self, SweepRun};
 use crate::{fig10, fig6, fig7, fig8, fig9, gc};
 
 /// One figure of the sweep: name + plan entry point.
-pub(crate) type Fig = (&'static str, fn(&Scale) -> Vec<runner::SweepJob>);
+type Fig = (&'static str, fn(&Scale) -> Vec<runner::SweepJob>);
 
-pub(crate) const FIGS: [Fig; 6] = [
+const FIGS: [Fig; 6] = [
     ("fig6", fig6::plan),
     ("fig7", fig7::plan),
     ("fig8", fig8::plan),
@@ -32,7 +32,7 @@ pub(crate) const FIGS: [Fig; 6] = [
     ("gc", gc::plan),
 ];
 
-pub(crate) fn validate(runs: &[SweepRun]) -> u64 {
+fn validate(runs: &[SweepRun]) -> u64 {
     let mut cycles = 0;
     for run in runs {
         assert!(

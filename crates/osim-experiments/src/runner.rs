@@ -1,23 +1,15 @@
-//! Sweep execution: ordered fan-out of [`SweepJob`]s over worker threads,
-//! the run-cache probe, and one host-side record per job.
+//! Sweep execution: ordered fan-out of [`SweepJob`]s over worker threads
+//! and one host-side record per job.
 //!
 //! Callers first *plan* their work — a flat, ordered list of
-//! [`SweepJob`]s carrying the figure/benchmark/tag labels, the exact
-//! [`MachineCfg`] the renderer needs, and the [`CacheKey`] of the job's
-//! fully-rendered configuration (see [`crate::runcache`]) — and only then
-//! consume the results. [`run_jobs`]'s workers share one iterator over
+//! [`SweepJob`]s carrying the figure/benchmark/tag labels and the exact
+//! [`MachineCfg`] the renderer needs — and only then consume the
+//! results. [`run_jobs`]'s workers share one iterator over
 //! the plan: each pops the next job, runs it, and writes the result to
 //! the slot of its submission index. One worker runs the loop inline on
 //! the calling thread (the serial reference behaviour); more run it under
 //! [`std::thread::scope`]. Consuming the slots in order makes everything
 //! rendered from them byte-identical whatever the worker count.
-//!
-//! When an invocation arms a cache directory via `--cache`, each worker
-//! probes it before simulating: a hit decodes the stored schema-v5 entry
-//! back into a [`DsResult`] indistinguishable from a fresh run, so every
-//! rendered table and `--json` byte stays identical; a miss simulates and
-//! stores. A hit completes instantly: it adds no worker busy time and is
-//! left out of the progress line's ETA.
 //!
 //! Every finished job pushes one [`JobTiming`] into a process-wide record
 //! under one lock. The host-side views are functions over that record:
@@ -27,19 +19,15 @@
 //! observations that never reach stdout or `--json`.
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
 use osim_cpu::MachineCfg;
-use osim_metrics::trace::{host_trace_armed, host_trace_span};
+use osim_metrics::trace::host_trace_span;
 use osim_metrics::Registry;
 use osim_report::json::{obj, Json};
 use osim_report::{ReportScale, SimReport};
 use osim_workloads::harness::DsResult;
-
-use crate::common::Scale;
-use crate::key::CacheKey;
-use crate::runcache::{self, RunCache};
 
 /// One simulator run of a sweep: the closure that performs it plus the
 /// labels and machine configuration the renderer needs to report it.
@@ -52,34 +40,25 @@ pub struct SweepJob {
     pub tag: String,
     /// The machine configuration the run is launched with.
     pub cfg: MachineCfg,
-    /// Content hash of the fully-rendered job configuration.
-    pub key: CacheKey,
-    /// Report-form scale, needed to rebuild the embedded report on store.
-    rscale: ReportScale,
     /// Performs the run. Builds its machine from a clone of `cfg`.
     pub run: Box<dyn FnOnce() -> DsResult + Send>,
 }
 
 impl SweepJob {
-    /// A job running `f` on (a clone of) `cfg`, cacheable under the key of
-    /// its fully-rendered configuration.
+    /// A job running `f` on (a clone of) `cfg`.
     pub fn new(
         fig: &'static str,
         bench: &'static str,
         tag: String,
-        scale: &Scale,
         cfg: MachineCfg,
         f: impl FnOnce(MachineCfg) -> DsResult + Send + 'static,
     ) -> Self {
         let job_cfg = cfg.clone();
-        let key = runcache::job_key(fig, bench, &tag, &cfg, scale);
         SweepJob {
             fig,
             bench,
             tag,
             cfg,
-            key,
-            rscale: scale.report(),
             run: Box::new(move || f(job_cfg)),
         }
     }
@@ -124,38 +103,11 @@ impl SweepRun {
     }
 }
 
-fn cache_slot() -> MutexGuard<'static, Option<Arc<RunCache>>> {
-    static C: Mutex<Option<Arc<RunCache>>> = Mutex::new(None);
-    C.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// Arms (or disarms, with `None`) the invocation-wide run cache used by
-/// subsequent [`run_jobs`] batches.
-pub fn set_cache(cache: Option<Arc<RunCache>>) {
-    *cache_slot() = cache;
-}
-
-/// The currently armed run cache, if any.
-pub fn cache() -> Option<Arc<RunCache>> {
-    cache_slot().clone()
-}
-
 static PROGRESS: AtomicBool = AtomicBool::new(false);
 
 /// Arms (or disarms) the live stderr progress line for subsequent batches.
 pub fn set_progress(on: bool) {
     PROGRESS.store(on, Ordering::Relaxed);
-}
-
-/// How a job met the run cache.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Probe {
-    /// No cache was armed.
-    Off,
-    /// Served from the cache; nothing ran.
-    Hit,
-    /// Not in the cache: the job ran and its entry was stored.
-    Miss,
 }
 
 /// Host-side record of one job. Everything in here is wall-clock and
@@ -166,12 +118,10 @@ struct JobTiming {
     label: String,
     /// Milliseconds between batch submission and the job starting.
     queue_ms: f64,
-    /// Milliseconds the job ran for (cache-probe time for hits).
+    /// Milliseconds the job ran for.
     run_ms: f64,
     /// Worker index (0 for the inline path).
     worker: usize,
-    /// Whether the result came from the cache.
-    probe: Probe,
     /// Engine events the run dispatched.
     events_dispatched: u64,
     /// Stale wakeups the run skipped.
@@ -189,24 +139,16 @@ struct Record {
 }
 
 impl Record {
-    fn executed(&self) -> impl Iterator<Item = &JobTiming> {
-        self.jobs.iter().filter(|j| j.probe != Probe::Hit)
-    }
-
-    /// Per-worker busy time (ms), indexed by worker. Hits ran nothing.
+    /// Per-worker busy time (ms), indexed by worker.
     fn busy_ms(&self) -> Vec<f64> {
         let mut busy = Vec::new();
-        for j in self.executed() {
+        for j in &self.jobs {
             if busy.len() <= j.worker {
                 busy.resize(j.worker + 1, 0.0);
             }
             busy[j.worker] += j.run_ms;
         }
         busy
-    }
-
-    fn count(&self, probe: Probe) -> u64 {
-        self.jobs.iter().filter(|j| j.probe == probe).count() as u64
     }
 }
 
@@ -219,7 +161,7 @@ fn record() -> MutexGuard<'static, Record> {
     R.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// The `--sweep-json` document (`osim-sweep-telemetry-v1`) over every job
+/// The `--sweep-json` document (`osim-sweep-telemetry-v2`) over every job
 /// the process has run so far.
 pub fn sweep_doc(jobs_flag: usize) -> Json {
     let rec = record();
@@ -249,7 +191,6 @@ pub fn sweep_doc(jobs_flag: usize) -> Json {
                 ("queue_ms", Json::Num(j.queue_ms)),
                 ("run_ms", Json::Num(j.run_ms)),
                 ("worker", Json::from_u64(j.worker as u64)),
-                ("cache_hit", Json::Bool(j.probe == Probe::Hit)),
                 ("events_dispatched", Json::from_u64(j.events_dispatched)),
                 ("stale_events", Json::from_u64(j.stale_events)),
             ])
@@ -264,14 +205,12 @@ pub fn sweep_doc(jobs_flag: usize) -> Json {
     };
     let host_cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
     obj(vec![
-        ("schema", Json::Str("osim-sweep-telemetry-v1".to_string())),
+        ("schema", Json::Str("osim-sweep-telemetry-v2".to_string())),
         ("host_cpus", Json::from_u64(host_cpus as u64)),
         ("jobs_flag", Json::from_u64(jobs_flag as u64)),
         ("batches", Json::from_u64(rec.batches)),
         ("wall_ms", Json::Num(rec.wall_ms)),
         ("job_count", Json::from_u64(rec.jobs.len() as u64)),
-        ("cache_hits", Json::from_u64(rec.count(Probe::Hit))),
-        ("cache_misses", Json::from_u64(rec.count(Probe::Miss))),
         ("stale_event_rate", Json::Num(stale_rate)),
         ("workers", Json::Arr(workers)),
         ("jobs", Json::Arr(rows)),
@@ -279,16 +218,12 @@ pub fn sweep_doc(jobs_flag: usize) -> Json {
 }
 
 /// Renders the sweep's `osim_jobq_*` families into `reg`: every job the
-/// process has run. The cache-hit counter is written only once some job
-/// ran with a cache armed.
+/// process has run.
 pub fn fill_registry(reg: &mut Registry) {
     let rec = record();
     reg.counter_add("osim_jobq_jobs_total", &[], rec.jobs.len() as u64);
-    if rec.jobs.iter().any(|j| j.probe != Probe::Off) {
-        reg.counter_add("osim_jobq_cache_hits_total", &[], rec.count(Probe::Hit));
-    }
     let latency = reg.hist_mut("osim_jobq_job_latency_us", &[]);
-    for j in rec.executed() {
+    for j in &rec.jobs {
         latency.record((j.run_ms * 1e3) as u64);
     }
     for (i, busy) in rec.busy_ms().into_iter().enumerate() {
@@ -308,7 +243,6 @@ struct Batch {
     started: Instant,
     total: usize,
     done: AtomicUsize,
-    hits: AtomicUsize,
     /// What each worker is on (`None` = idle).
     current: Vec<Mutex<Option<String>>>,
 }
@@ -325,21 +259,10 @@ impl Batch {
         self.render();
     }
 
-    /// A hit is shown once under a `hit:` label, so the line reflects
-    /// that no simulation ran.
-    fn end(&self, worker: usize, hit: bool) {
+    fn end(&self, worker: usize) {
         self.done.fetch_add(1, Ordering::Relaxed);
-        if hit {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            if let Some(label) = self.slot(worker).as_mut() {
-                label.insert_str(0, "hit:");
-            }
-            self.render();
-        }
         *self.slot(worker) = None;
-        if !hit {
-            self.render();
-        }
+        self.render();
     }
 
     fn render(&self) {
@@ -348,7 +271,6 @@ impl Batch {
         }
         let total = self.total;
         let done = self.done.load(Ordering::Relaxed);
-        let hits = self.hits.load(Ordering::Relaxed);
         let mut running = 0usize;
         let mut states = String::new();
         for w in 0..self.current.len() {
@@ -362,31 +284,18 @@ impl Batch {
         }
         let queued = total.saturating_sub(done + running);
         let elapsed = self.started.elapsed().as_secs_f64();
-        // ETA extrapolates from *executed* jobs only: cache hits are
-        // effectively free, and folding them into the throughput estimate
-        // would make the remaining (possibly uncached) work look faster
-        // than it is.
-        let executed = done - hits;
         let remaining = total - done;
         let eta = if remaining == 0 {
             "0.0s".to_string()
-        } else if executed > 0 {
-            format!("{:.1}s", elapsed / executed as f64 * remaining as f64)
-        } else if hits > 0 {
-            // Everything so far was a hit; assume the rest will be too.
-            "~0s".to_string()
+        } else if done > 0 {
+            format!("{:.1}s", elapsed / done as f64 * remaining as f64)
         } else {
             "?".to_string()
-        };
-        let hit_note = if hits > 0 {
-            format!(" ({hits} hit)")
-        } else {
-            String::new()
         };
         // \r keeps it a single live line; \x1b[K clears the tail of a
         // longer previous render.
         eprint!(
-            "\r[sweep] {done}/{total} done{hit_note}, {running} running, {queued} queued, eta {eta} |{states}\x1b[K"
+            "\r[sweep] {done}/{total} done, {running} running, {queued} queued, eta {eta} |{states}\x1b[K"
         );
     }
 
@@ -394,79 +303,38 @@ impl Batch {
     fn close(&self) {
         if PROGRESS.load(Ordering::Relaxed) {
             let done = self.done.load(Ordering::Relaxed);
-            let hits = self.hits.load(Ordering::Relaxed);
             let elapsed = self.started.elapsed().as_secs_f64();
             eprintln!();
-            eprintln!(
-                "[sweep] done: {done} jobs in {elapsed:.1}s ({hits} cache hits, {} misses)",
-                done - hits
-            );
+            eprintln!("[sweep] done: {done} jobs in {elapsed:.1}s");
         }
     }
 }
 
-/// Runs (or cache-serves) one job and records it.
-fn exec(job: SweepJob, worker: usize, batch: &Batch, cache: Option<&RunCache>) -> SweepRun {
+/// Runs one job, times it and records it.
+fn exec(job: SweepJob, worker: usize, batch: &Batch) -> SweepRun {
     let queue_ms = batch.started.elapsed().as_secs_f64() * 1e3;
     let label = job.label();
     batch.begin(worker, &label);
     let started = Instant::now();
-    let hit = cache.and_then(|c| c.lookup(&job));
-    if cache.is_some() && host_trace_armed() {
-        let outcome = if hit.is_some() { "hit" } else { "miss" };
-        host_trace_span(
-            "cache",
-            &format!("probe:{outcome} {label}"),
-            worker as u64,
-            started,
-        );
-    }
-    let SweepJob {
-        fig,
-        bench,
-        tag,
-        cfg,
-        key,
-        rscale,
-        run,
-    } = job;
-    let (result, probe, run_started) = match hit {
-        Some(result) => (result, Probe::Hit, started),
-        None => {
-            let run_started = Instant::now();
-            let result = run();
-            host_trace_span("job", &label, worker as u64, run_started);
-            let probe = if cache.is_some() {
-                Probe::Miss
-            } else {
-                Probe::Off
-            };
-            (result, probe, run_started)
-        }
-    };
-    let run_ms = run_started.elapsed().as_secs_f64() * 1e3;
-    let out = SweepRun {
-        fig,
-        bench,
-        tag,
-        cfg,
-        result,
-    };
-    if let (Probe::Miss, Some(c)) = (probe, cache) {
-        c.store(&key, rscale, &out);
-    }
-    let timing = JobTiming {
+    let result = (job.run)();
+    host_trace_span("job", &label, worker as u64, started);
+    let run_ms = started.elapsed().as_secs_f64() * 1e3;
+    record().jobs.push(JobTiming {
         label,
         queue_ms,
         run_ms,
         worker,
-        probe,
-        events_dispatched: out.result.engine.events_dispatched,
-        stale_events: out.result.engine.stale_events,
-    };
-    record().jobs.push(timing);
-    batch.end(worker, probe == Probe::Hit);
-    out
+        events_dispatched: result.engine.events_dispatched,
+        stale_events: result.engine.stale_events,
+    });
+    batch.end(worker);
+    SweepRun {
+        fig: job.fig,
+        bench: job.bench,
+        tag: job.tag,
+        cfg: job.cfg,
+        result,
+    }
 }
 
 /// Runs a whole plan on up to `threads` workers, returning results in
@@ -485,10 +353,8 @@ pub fn run_jobs(jobs: Vec<SweepJob>, threads: usize) -> Vec<SweepRun> {
         started: Instant::now(),
         total: n,
         done: AtomicUsize::new(0),
-        hits: AtomicUsize::new(0),
         current: (0..workers).map(|_| Mutex::new(None)).collect(),
     };
-    let cache = cache();
     let pending = Mutex::new(jobs.into_iter().enumerate());
     let slots: Mutex<Vec<Option<SweepRun>>> = Mutex::new((0..n).map(|_| None).collect());
     let work = |worker: usize| loop {
@@ -499,7 +365,7 @@ pub fn run_jobs(jobs: Vec<SweepJob>, threads: usize) -> Vec<SweepRun> {
         let Some((idx, job)) = next else {
             return;
         };
-        let out = exec(job, worker, &batch, cache.as_deref());
+        let out = exec(job, worker, &batch);
         slots.lock().unwrap_or_else(PoisonError::into_inner)[idx] = Some(out);
     };
     if workers == 1 {
@@ -539,7 +405,7 @@ mod tests {
     use super::*;
     use osim_workloads::harness::DsCfg;
     use osim_workloads::linked_list;
-    use std::sync::Barrier;
+    use std::sync::{Arc, Barrier};
 
     /// `n` tiny linked-list jobs labelled `fig/Linked list/job<i>`; each
     /// runs `before` first.
@@ -548,7 +414,6 @@ mod tests {
         n: usize,
         before: impl Fn() + Clone + Send + 'static,
     ) -> Vec<SweepJob> {
-        let scale = Scale::tiny();
         (0..n)
             .map(|i| {
                 let cfg = MachineCfg::paper(1 + i % 2);
@@ -562,17 +427,10 @@ mod tests {
                     insert_only: false,
                 };
                 let before = before.clone();
-                SweepJob::new(
-                    fig,
-                    "Linked list",
-                    format!("job{i}"),
-                    &scale,
-                    cfg,
-                    move |m| {
-                        before();
-                        linked_list::run_versioned(m, &ds)
-                    },
-                )
+                SweepJob::new(fig, "Linked list", format!("job{i}"), cfg, move |m| {
+                    before();
+                    linked_list::run_versioned(m, &ds)
+                })
             })
             .collect()
     }
@@ -601,41 +459,6 @@ mod tests {
         let _g = batch_lock();
         assert_eq!(run_jobs(tiny_jobs("test", 2, || ()), 0).len(), 2);
         assert_eq!(run_jobs(Vec::new(), 8).len(), 0);
-    }
-
-    /// A warm batch is served from the cache: every job is a hit, and
-    /// hits add nothing to worker busy time.
-    #[test]
-    fn cache_hits_skip_execution_and_are_counted() {
-        let _g = batch_lock();
-        let dir = std::env::temp_dir().join(format!("osim-runner-hits-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let cache = Arc::new(RunCache::at_dir(&dir));
-        set_cache(Some(Arc::clone(&cache)));
-        let busy_before = record().busy_ms().iter().sum::<f64>();
-        let cold = run_jobs(tiny_jobs("cached", 4, || ()), 2);
-        let busy_cold = record().busy_ms().iter().sum::<f64>();
-        let warm = run_jobs(tiny_jobs("cached", 4, || ()), 2);
-        let busy_warm = record().busy_ms().iter().sum::<f64>();
-        set_cache(None);
-        let _ = std::fs::remove_dir_all(&dir);
-        for (c, w) in cold.iter().zip(&warm) {
-            assert_eq!(c.result.cycles, w.result.cycles, "{}", c.tag);
-        }
-        let probes: Vec<Probe> = record()
-            .jobs
-            .iter()
-            .filter(|j| j.label.starts_with("cached/"))
-            .map(|j| j.probe)
-            .collect();
-        assert_eq!(probes, [[Probe::Miss; 4], [Probe::Hit; 4]].concat());
-        let c = cache.counts();
-        assert_eq!((c.hits, c.misses, c.stores), (4, 4, 4));
-        let mut reg = Registry::new();
-        fill_registry(&mut reg);
-        assert!(reg.counter("osim_jobq_cache_hits_total", &[]) >= 4);
-        assert!(busy_cold > busy_before);
-        assert_eq!(busy_warm, busy_cold, "hits ran nothing");
     }
 
     /// `--metrics-out`, the record, `--sweep-json` and the host trace all

@@ -111,15 +111,19 @@ fn trace_chrome_export_is_loadable() {
 
 #[test]
 fn unknown_flags_and_stray_arguments_exit_2() {
-    let cases: [(&[&str], &str); 5] = [
+    let cases: [(&[&str], &str); 6] = [
         (
             &["config", "--scheduler", "heap", "--jbos", "4"],
             "--scheduler",
         ),
         (&["config", "--tiny", "--bogus"], "--bogus"),
         (&["fig6", "--tiny", "extra"], "extra"),
-        (&["cache", "stats", "--bogus"], "--bogus"),
-        (&["cache", "stats", "extra"], "extra"),
+        // Retired run-cache surface: each names what it no longer knows
+        // instead of running uncached. `cache` is no command, so its
+        // action is a stray argument.
+        (&["all", "--tiny", "--cache", "d"], "--cache"),
+        (&["perf", "--cache-bench"], "--cache-bench"),
+        (&["cache", "stats"], "stats"),
     ];
     for (args, culprit) in cases {
         let out = Command::new(env!("CARGO_BIN_EXE_osim-experiments"))
@@ -209,8 +213,8 @@ fn metrics_out_leaves_stdout_byte_identical() {
     let text = std::fs::read_to_string(&prom).expect("--metrics-out written");
     std::fs::remove_file(&prom).ok();
     assert_eq!(plain, armed, "stdout must not change with --metrics-out");
-    // A sweep with no --cache drives neither the store nor a cache.
-    for absent in ["osim_store_", "osim_jobq_cache_hits_total"] {
+    // A sweep drives neither the store nor a run cache.
+    for absent in ["osim_store_", "osim_jobq_cache_hits_total", "osim_cache_"] {
         assert!(
             !text.contains(absent),
             "{absent} in a sweep's file:\n{text}"

@@ -65,3 +65,8 @@ fn gc_tiny_output_is_byte_identical_across_jobs() {
 fn fig6_tiny_with_stats_and_faults_is_byte_identical_across_jobs() {
     assert_jobs_invisible(&["fig6", "--tiny", "--stats", "--inject", "chaos"]);
 }
+
+#[test]
+fn all_tiny_with_stats_is_byte_identical_across_jobs() {
+    assert_jobs_invisible(&["all", "--stats", "--tiny"]);
+}

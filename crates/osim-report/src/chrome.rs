@@ -300,9 +300,9 @@ pub fn chrome_trace(
 }
 
 /// Builds a Chrome trace-event document from *host* wall-clock spans (the
-/// `--host-chrome` export): one process per span category — worker jobs,
-/// vacuum passes, cache probes — with the span's `tid` (worker index) as
-/// the track. Timestamps are microseconds since the host trace was armed,
+/// `--host-chrome` export): one process per span category — worker jobs
+/// and vacuum passes — with the span's `tid` (worker index) as the
+/// track. Timestamps are microseconds since the host trace was armed,
 /// which Chrome's `ts` field expects natively, so the viewer shows real
 /// durations.
 pub fn host_trace_doc(spans: &[HostSpan]) -> Json {

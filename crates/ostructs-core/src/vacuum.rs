@@ -185,8 +185,12 @@ impl ReaderRegistry {
 
     /// Advances the clock to at least `version + 1`, for writers that
     /// choose versions externally (e.g. task ids). Never moves backwards.
+    /// The clock saturates at `Version::MAX`: `advance_to(Version::MAX)`
+    /// leaves `current() == Version::MAX`, not a wrapped clock.
     pub fn advance_to(&self, version: Version) {
-        self.inner.clock.fetch_max(version + 1, Ordering::Relaxed);
+        self.inner
+            .clock
+            .fetch_max(version.saturating_add(1), Ordering::Relaxed);
     }
 
     /// Pins the newest allocated version as a snapshot cap and returns
@@ -663,6 +667,10 @@ mod tests {
         assert_eq!(reg.current(), 101);
         reg.advance_to(50);
         assert_eq!(reg.current(), 101);
+        // The top of the version space saturates instead of wrapping.
+        let top = ReaderRegistry::new();
+        top.advance_to(u64::MAX);
+        assert_eq!(top.current(), u64::MAX);
     }
 
     #[test]
