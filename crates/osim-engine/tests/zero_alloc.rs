@@ -5,9 +5,8 @@
 //! metrics recording live: the engine's gate-wait/fan-out histograms are
 //! fed inline by every open, and `osim_metrics::Histogram` record/merge
 //! is additionally hammered directly inside the armed window — as is the
-//! observability plane's recording side (relaxed counter bumps, a shared
-//! pre-allocated histogram behind a mutex, and the disarmed host-trace
-//! fast path).
+//! observability plane's recording side (relaxed counter bumps and a
+//! shared pre-allocated histogram behind a mutex).
 //!
 //! The shared per-thread counting allocator is armed from inside the
 //! simulation after a warm-up window (slab slots claimed, wheel buckets
@@ -41,11 +40,9 @@ fn steady_state_gate_and_dispatch_are_allocation_free() {
     static TICKS: AtomicU64 = AtomicU64::new(0);
 
     // Shared as a collector on another thread would share it; allocated
-    // before the window arms. Warm the recording-side mutex and the
-    // disarmed host-trace path.
+    // before the window arms. Warm the recording-side mutex.
     let wait_hist = Arc::new(Mutex::new(Histogram::new()));
     wait_hist.lock().expect("hist lock").record(1);
-    let trace_t0 = std::time::Instant::now();
 
     let sim = Sim::new();
     let h = sim.handle();
@@ -92,12 +89,10 @@ fn steady_state_gate_and_dispatch_are_allocation_free() {
                     b.merge(a);
                 }
                 // The observability recording side, live inside the
-                // counted window: relaxed counter bump, shared
-                // pre-allocated histogram record, and the disarmed
-                // host-trace fast path (one relaxed load).
+                // counted window: relaxed counter bump and shared
+                // pre-allocated histogram record.
                 TICKS.fetch_add(1, Ordering::Relaxed);
                 wait_hist.lock().expect("hist lock").record(round);
-                osim_metrics::host_trace_span("job", "noop", 0, trace_t0);
                 h.sleep(1).await;
             }
         });

@@ -4,9 +4,7 @@
 //! ```text
 //! cargo run -p osim-experiments --release -- <experiment> [--full|--tiny]
 //!     [--scale <quick|tiny|full>] [--jobs <n>] [--stats] [--json <path>]
-//!     [--chrome <path>] [--progress]
-//!     [--sweep-json <path>] [--metrics-out <path>]
-//!     [--host-chrome <path>]
+//!     [--chrome <path>] [--progress] [--sweep-json <path>]
 //! cargo run -p osim-experiments --release -- compare <a.json> <b.json>
 //!     [--json <path>]
 //!
@@ -72,8 +70,10 @@
 //! and `--json` stay byte-identical with and without it. `--sweep-json
 //! <path>` writes the host-side sweep telemetry after the run: per-job
 //! queue wait and wall time, per-worker busy time and utilization, and
-//! stale-event rates. Both are wall-clock observations of the host and
-//! deliberately never enter the `SimReport` stream.
+//! stale-event rates. It is the sweep's one host-timing document (the
+//! store's is the `metrics` object of `perf --ostructs`'s
+//! `BENCH_ostructs.json`). Both are wall-clock observations of the host
+//! and deliberately never enter the `SimReport` stream.
 //!
 //! `compare <a.json> <b.json>` loads two report files (as written by
 //! `--json`), pairs runs by experiment/benchmark/variant, and prints a
@@ -82,18 +82,6 @@
 //! means byte-equivalent simulated results, 1 means deltas were found
 //! (usage errors exit 2), so CI can assert either direction without
 //! parsing; `--json` writes the machine-readable diff document.
-//!
-//! `--metrics-out <path>` writes the Prometheus text of the instrumented
-//! layers the invocation drives (the sweep runner; the concurrent store
-//! under `perf --ostructs`) to `<path>` once, when the invocation ends.
-//! Nothing is collected before then, so stdout and every compared
-//! artifact stay byte-identical with it given. See `EXPERIMENTS.md`
-//! § "Metrics file".
-//!
-//! `--host-chrome <path>` records *host* wall-clock spans — worker jobs
-//! and vacuum passes — and writes them as a Chrome trace-event
-//! document when the invocation ends (alongside the simulated-cycle
-//! `--chrome` export, which is unchanged).
 //!
 //! `--inject <spec>` applies a deterministic fault-injection plan
 //! ([`osim_uarch::FaultPlan::parse`]) to every machine the invocation
@@ -119,7 +107,6 @@ mod fig7;
 mod fig8;
 mod fig9;
 mod gc;
-mod obsv;
 mod ostructs_perf;
 mod perf;
 mod runner;
@@ -169,8 +156,6 @@ fn main() {
     let json_path = take_value(&mut args, "--json");
     let chrome_path = take_value(&mut args, "--chrome");
     let sweep_json = take_value(&mut args, "--sweep-json");
-    let metrics_out = take_value(&mut args, "--metrics-out");
-    let host_chrome = take_value(&mut args, "--host-chrome");
     let progress = take_flag(&mut args, "--progress");
     let ostructs = take_flag(&mut args, "--ostructs");
     let inject =
@@ -277,7 +262,6 @@ fn main() {
     }
 
     runner::set_progress(progress);
-    let side_files = obsv::SideFiles::arm(host_chrome, metrics_out, cmd == "perf" && ostructs);
 
     let mut reports: Vec<SimReport> = Vec::new();
     let mut chrome_doc: Option<Json> = None;
@@ -293,9 +277,7 @@ fn main() {
             );
             std::process::exit(2);
         }
-        let code = compare_cmd::run(&files[0], &files[1], json_path.as_deref());
-        side_files.flush();
-        std::process::exit(code);
+        std::process::exit(compare_cmd::run(&files[0], &files[1], json_path.as_deref()));
     }
 
     match cmd {
@@ -361,7 +343,6 @@ fn main() {
                  [--fig <6|7|9|10>] [--sample-every <cycles>] \
                  [--shake-seed <n>] [--seeds <n>] \
                  [--progress] [--sweep-json <path>] [--ostructs] \
-                 [--metrics-out <path>] [--host-chrome <path>] \
                  [--inject <spec>] [--baseline-ms <ms> [--baseline-ref <label>]]\n\
                  \n\
                  osim-experiments compare <a.json> <b.json> [--json <path>]\n\
@@ -370,8 +351,8 @@ fn main() {
                  figure under --seeds (default 25) seeded tie-break perturbations\n\
                  (--shake-seed pins the first seed), with the manager's invariant\n\
                  oracles armed. Prints a minimal repro line per violation; exit\n\
-                 0 = all invariants held, 1 = violations (--sweep-json,\n\
-                 --metrics-out and --host-chrome are written either way).\n\
+                 0 = all invariants held, 1 = violations (--sweep-json is\n\
+                 written either way).\n\
                  --fig <6|7|8|9|10|gc> restricts the figure set.\n\
                  \n\
                  --shake-seed <n>: for the other experiments, perturb same-cycle\n\
@@ -382,11 +363,6 @@ fn main() {
                  (experiment, benchmark, variant), diffs every counter, stall\n\
                  cause, and latency histogram, and prints a ranked regression\n\
                  attribution per pair. Exit code 0 = identical, 1 = deltas.\n\
-                 \n\
-                 --metrics-out <path>: the instrumented layers' metrics (sweep\n\
-                 runner, store) in Prometheus text, written at exit.\n\
-                 --host-chrome <path>: host wall-clock spans (worker jobs,\n\
-                 vacuum passes) as a Chrome trace document.\n\
                  \n\
                  --progress: live sweep status line on stderr (jobs queued/\n\
                  running/done, ETA, per-worker state); stdout is untouched.\n\
@@ -408,8 +384,6 @@ fn main() {
             std::process::exit(2);
         }
     }
-
-    side_files.flush();
 
     if let Some(path) = json_path {
         for r in &reports {

@@ -6,7 +6,8 @@
 //! multi-thread uncontended and hot-key reads, and a zipf-skewed 90/10
 //! read/write mix running over a live `ReaderRegistry` + `Vacuum` whose
 //! osim-metrics counters and pause histogram are merged into the
-//! document.
+//! document, together with the process-global `osim_store_*` counters
+//! and blocking-wait histogram.
 //!
 //! Like `BENCH_sweep.json`, every number here is host wall-clock: the
 //! committed file is a baseline for review to diff, stamped with the host
@@ -20,7 +21,7 @@ use osim_engine::splitmix64;
 use osim_report::json::{obj, Json};
 use ostructs_core::map::OMap;
 use ostructs_core::vacuum::{ReaderRegistry, Vacuum, VacuumCfg};
-use ostructs_core::OCell;
+use ostructs_core::{fill_store_registry, OCell};
 
 /// Versions preloaded per cell, and the lag behind the newest version
 /// that committed reads target (what a vacuumed store keeps live).
@@ -215,6 +216,7 @@ pub fn run(scale_name: &str, reps: usize, path: &str) {
         // Merge this run's vacuum counters + pause histogram into the doc.
         vac.fill_registry(&mut metrics);
     }
+    fill_store_registry(&mut metrics);
 
     let doc = obj(vec![
         ("schema", Json::Str("osim-bench-ostructs-v2".to_string())),

@@ -12,19 +12,16 @@
 //! rendered from them byte-identical whatever the worker count.
 //!
 //! Every finished job pushes one [`JobTiming`] into a process-wide record
-//! under one lock. The host-side views are functions over that record:
-//! [`sweep_doc`] (`--sweep-json`) and [`fill_registry`] (the
-//! `osim_jobq_*` families of `--metrics-out`); the `--progress` line on
-//! stderr paints the running batch's counts. All of them are wall-clock
-//! observations that never reach stdout or `--json`.
+//! under one lock, and [`sweep_doc`] (`--sweep-json`) is the one
+//! document over that record; the `--progress` line on stderr paints the
+//! running batch's counts. Both are wall-clock observations that never
+//! reach stdout or `--json`.
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
 use osim_cpu::MachineCfg;
-use osim_metrics::trace::host_trace_span;
-use osim_metrics::Registry;
 use osim_report::json::{obj, Json};
 use osim_report::{ReportScale, SimReport};
 use osim_workloads::harness::DsResult;
@@ -217,27 +214,6 @@ pub fn sweep_doc(jobs_flag: usize) -> Json {
     ])
 }
 
-/// Renders the sweep's `osim_jobq_*` families into `reg`: every job the
-/// process has run.
-pub fn fill_registry(reg: &mut Registry) {
-    let rec = record();
-    reg.counter_add("osim_jobq_jobs_total", &[], rec.jobs.len() as u64);
-    let latency = reg.hist_mut("osim_jobq_job_latency_us", &[]);
-    for j in &rec.jobs {
-        latency.record((j.run_ms * 1e3) as u64);
-    }
-    for (i, busy) in rec.busy_ms().into_iter().enumerate() {
-        let us = (busy * 1e3) as u64;
-        if us > 0 {
-            reg.counter_add(
-                "osim_jobq_worker_busy_us_total",
-                &[("worker", &i.to_string())],
-                us,
-            );
-        }
-    }
-}
-
 /// One in-flight batch: the counts `--progress` paints.
 struct Batch {
     started: Instant,
@@ -317,7 +293,6 @@ fn exec(job: SweepJob, worker: usize, batch: &Batch) -> SweepRun {
     batch.begin(worker, &label);
     let started = Instant::now();
     let result = (job.run)();
-    host_trace_span("job", &label, worker as u64, started);
     let run_ms = started.elapsed().as_secs_f64() * 1e3;
     record().jobs.push(JobTiming {
         label,
@@ -391,9 +366,9 @@ pub fn run_jobs(jobs: Vec<SweepJob>, threads: usize) -> Vec<SweepRun> {
         .collect()
 }
 
-/// Serializes the tests that run batches: the record and the
-/// `osim_jobq_*` counters are process-global, and the harness runs tests
-/// concurrently, so exact deltas need the process to themselves.
+/// Serializes the tests that run batches: the record is process-global,
+/// and the harness runs tests concurrently, so exact deltas need the
+/// process to themselves.
 #[cfg(test)]
 pub(crate) fn batch_lock() -> MutexGuard<'static, ()> {
     static L: Mutex<()> = Mutex::new(());
@@ -435,12 +410,6 @@ mod tests {
             .collect()
     }
 
-    fn jobs_total() -> u64 {
-        let mut reg = Registry::new();
-        fill_registry(&mut reg);
-        reg.counter("osim_jobq_jobs_total", &[])
-    }
-
     #[test]
     fn parallel_results_match_serial_in_order_and_value() {
         let _g = batch_lock();
@@ -461,19 +430,15 @@ mod tests {
         assert_eq!(run_jobs(Vec::new(), 8).len(), 0);
     }
 
-    /// `--metrics-out`, the record, `--sweep-json` and the host trace all
-    /// count the same jobs: each is a view over the one record per job.
+    /// The record and `--sweep-json` count the same jobs: the document is
+    /// a view over the one record per job.
     #[test]
     fn the_views_agree_on_one_batch() {
         let _g = batch_lock();
         let n = 6;
         let mine = |label: &str| label.starts_with("views/");
-        let before = jobs_total();
-        osim_metrics::host_trace_arm(true);
         let runs = run_jobs(tiny_jobs("views", n, || ()), 3);
-        osim_metrics::host_trace_arm(false);
         assert_eq!(runs.len(), n);
-        let metric = jobs_total() - before;
         let recorded = record().jobs.iter().filter(|j| mine(&j.label)).count();
         let doc = sweep_doc(3);
         let rows = doc
@@ -483,18 +448,7 @@ mod tests {
             .iter()
             .filter(|r| r.get("label").and_then(Json::as_str).is_some_and(mine))
             .count();
-        let spans = osim_metrics::host_trace_drain()
-            .into_iter()
-            .filter(|s| s.cat == "job" && mine(&s.name))
-            .count();
-        assert_eq!(
-            (metric, recorded, rows, spans),
-            (n as u64, n, n, n),
-            "(jobs_total delta, record, sweep rows, job spans)"
-        );
-        let mut reg = Registry::new();
-        fill_registry(&mut reg);
-        assert!(reg.hist("osim_jobq_job_latency_us", &[]).is_some());
+        assert_eq!((recorded, rows), (n, n), "(record, sweep rows)");
     }
 
     /// Every job is labelled with its true worker index, however many
@@ -513,14 +467,13 @@ mod tests {
             n,
         );
         assert_eq!(runs.len(), n);
-        let mut reg = Registry::new();
-        fill_registry(&mut reg);
+        let doc = sweep_doc(n);
+        let workers = doc.get("workers").and_then(Json::as_arr).expect("workers");
         for w in [0, 64, 69] {
-            let busy = reg.counter(
-                "osim_jobq_worker_busy_us_total",
-                &[("worker", &w.to_string())],
-            );
-            assert!(busy > 0, "worker {w} has no busy series");
+            let row = &workers[w];
+            assert_eq!(row.get("worker").and_then(Json::as_u64), Some(w as u64));
+            let busy = row.get("busy_ms").and_then(Json::as_f64).expect("busy_ms");
+            assert!(busy > 0.0, "worker {w} has no busy time");
         }
         let wide: Vec<usize> = record()
             .jobs

@@ -1,6 +1,6 @@
 //! End-to-end checks of the experiment driver's machine-readable outputs:
-//! the `--json` SimReport array, the `--chrome` trace-event document, the
-//! `--sweep-json` telemetry and the `--metrics-out` Prometheus file.
+//! the `--json` SimReport array, the `--chrome` trace-event document and
+//! the `--sweep-json` telemetry.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -111,7 +111,7 @@ fn trace_chrome_export_is_loadable() {
 
 #[test]
 fn unknown_flags_and_stray_arguments_exit_2() {
-    let cases: [(&[&str], &str); 6] = [
+    let cases: [(&[&str], &str); 8] = [
         (
             &["config", "--scheduler", "heap", "--jbos", "4"],
             "--scheduler",
@@ -124,6 +124,9 @@ fn unknown_flags_and_stray_arguments_exit_2() {
         (&["all", "--tiny", "--cache", "d"], "--cache"),
         (&["perf", "--cache-bench"], "--cache-bench"),
         (&["cache", "stats"], "stats"),
+        // Retired host-side views: `--sweep-json` is the one document.
+        (&["all", "--tiny", "--metrics-out", "x"], "--metrics-out"),
+        (&["all", "--tiny", "--host-chrome", "x"], "--host-chrome"),
     ];
     for (args, culprit) in cases {
         let out = Command::new(env!("CARGO_BIN_EXE_osim-experiments"))
@@ -142,18 +145,9 @@ fn unknown_flags_and_stray_arguments_exit_2() {
     run_bin(&["config", "--tiny", "--stats", "--jobs", "1"]);
 }
 
-/// Value of the unlabeled series `name` in a Prometheus exposition.
-fn series_value(text: &str, name: &str) -> f64 {
-    text.lines()
-        .find_map(|l| l.strip_prefix(name)?.strip_prefix(' '))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or_else(|| panic!("series {name} absent:\n{text}"))
-}
-
 #[test]
 fn stress_writes_its_sweep_json() {
     let path = out_path("stress_sweep.json");
-    let prom = out_path("stress.prom");
     let out = Command::new(env!("CARGO_BIN_EXE_osim-experiments"))
         .args([
             "stress",
@@ -165,8 +159,6 @@ fn stress_writes_its_sweep_json() {
             "--sweep-json",
         ])
         .arg(&path)
-        .arg("--metrics-out")
-        .arg(&prom)
         .output()
         .expect("spawn osim-experiments");
     assert!(out.status.success(), "stress failed: {:?}", out.status);
@@ -183,41 +175,45 @@ fn stress_writes_its_sweep_json() {
     let doc = parse(&text).expect("valid JSON");
     assert!(runs > 0);
     assert_eq!(doc.get("job_count").and_then(Json::as_u64), Some(runs));
-
-    let metrics = std::fs::read_to_string(&prom).expect("--metrics-out written");
-    std::fs::remove_file(&prom).ok();
-    for line in metrics.lines().filter(|l| !l.starts_with('#')) {
-        let (series, value) = line
-            .split_once(' ')
-            .unwrap_or_else(|| panic!("not `series value`: {line:?}"));
-        assert!(!series.is_empty(), "no series in {line:?}");
-        assert!(value.parse::<f64>().is_ok(), "bad value in {line:?}");
-    }
-    assert_eq!(series_value(&metrics, "osim_jobq_jobs_total"), runs as f64);
 }
 
 #[test]
-fn metrics_out_leaves_stdout_byte_identical() {
-    let prom = out_path("fig6.prom");
-    let run = |extra: &[&std::ffi::OsStr]| -> Vec<u8> {
+fn host_telemetry_leaves_stdout_byte_identical() {
+    let sweep = out_path("fig6_sweep.json");
+    let run = |tag: &str, extra: &[&std::ffi::OsStr]| -> (Vec<u8>, String) {
+        let json = out_path(&format!("fig6_{tag}.json"));
         let out = Command::new(env!("CARGO_BIN_EXE_osim-experiments"))
             .args(["fig6", "--stats", "--scale", "tiny", "--jobs", "1"])
+            .arg("--json")
+            .arg(&json)
             .args(extra)
             .output()
             .expect("spawn osim-experiments");
         assert!(out.status.success(), "fig6 failed: {:?}", out.status);
-        out.stdout
+        let reports = std::fs::read_to_string(&json).expect("--json written");
+        std::fs::remove_file(&json).ok();
+        (out.stdout, reports)
     };
-    let plain = run(&[]);
-    let armed = run(&["--metrics-out".as_ref(), prom.as_os_str()]);
-    let text = std::fs::read_to_string(&prom).expect("--metrics-out written");
-    std::fs::remove_file(&prom).ok();
-    assert_eq!(plain, armed, "stdout must not change with --metrics-out");
-    // A sweep drives neither the store nor a run cache.
-    for absent in ["osim_store_", "osim_jobq_cache_hits_total", "osim_cache_"] {
-        assert!(
-            !text.contains(absent),
-            "{absent} in a sweep's file:\n{text}"
-        );
-    }
+    let plain = run("plain", &[]);
+    let armed = run(
+        "armed",
+        &[
+            "--sweep-json".as_ref(),
+            sweep.as_os_str(),
+            "--progress".as_ref(),
+        ],
+    );
+    let text = std::fs::read_to_string(&sweep).expect("--sweep-json written");
+    std::fs::remove_file(&sweep).ok();
+    assert_eq!(
+        plain.0, armed.0,
+        "stdout must not change with host telemetry"
+    );
+    assert_eq!(
+        plain.1, armed.1,
+        "--json must not change with host telemetry"
+    );
+    let doc = parse(&text).expect("valid JSON");
+    let jobs = doc.get("job_count").and_then(Json::as_u64);
+    assert!(jobs.is_some_and(|n| n > 0), "job_count {jobs:?}");
 }

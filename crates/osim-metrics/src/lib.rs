@@ -7,12 +7,9 @@
 //!   merge, and monotone quantiles. The simulator layers record simulated
 //!   cycle durations into these, so the contents are deterministic and
 //!   safe to embed in byte-compared reports.
-//! * [`Registry`] — labeled counters/gauges/histograms with lossless
-//!   merge and a Prometheus-style text exposition writer (the
-//!   `--metrics-out` file of `osim-experiments`). Used host-side by the
-//!   parallel sweep pool.
-//! * [`trace`] — process-global host-thread span collection (disarmed by
-//!   default) feeding the `--host-chrome` wall-clock trace export.
+//! * [`Registry`] — labeled counters/gauges/histograms with a sorted
+//!   JSON writer. Used host-side by the concurrent store: its `to_json`
+//!   is the `metrics` object of `BENCH_ostructs.json`.
 //! * [`json`] — the hand-rolled JSON value model, writer, and parser
 //!   shared with `osim-report` (which re-exports it; the build
 //!   environment has no crates.io access, so serde is unavailable).
@@ -24,8 +21,6 @@
 pub mod hist;
 pub mod json;
 pub mod registry;
-pub mod trace;
 
 pub use hist::{Histogram, BUCKETS};
-pub use registry::{MetricKey, Registry};
-pub use trace::{host_trace_arm, host_trace_armed, host_trace_drain, host_trace_span, HostSpan};
+pub use registry::Registry;

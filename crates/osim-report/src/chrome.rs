@@ -25,7 +25,6 @@ use std::collections::BTreeMap;
 
 use osim_cpu::{DepEdge, Sample, TraceRecord};
 use osim_mem::{MemEvent, MemEventKind};
-use osim_metrics::HostSpan;
 use osim_uarch::{MvmEvent, MvmEventKind};
 
 use crate::json::{obj, Json};
@@ -295,46 +294,6 @@ pub fn chrome_trace(
 
     obj(vec![
         ("displayTimeUnit", Json::Str("ns".into())),
-        ("traceEvents", Json::Arr(events)),
-    ])
-}
-
-/// Builds a Chrome trace-event document from *host* wall-clock spans (the
-/// `--host-chrome` export): one process per span category — worker jobs
-/// and vacuum passes — with the span's `tid` (worker index) as the
-/// track. Timestamps are microseconds since the host trace was armed,
-/// which Chrome's `ts` field expects natively, so the viewer shows real
-/// durations.
-pub fn host_trace_doc(spans: &[HostSpan]) -> Json {
-    // Stable pid per category, in first-seen order.
-    let mut pids: BTreeMap<&str, u64> = BTreeMap::new();
-    for s in spans {
-        let next = pids.len() as u64;
-        pids.entry(s.cat).or_insert(next);
-    }
-    let mut events: Vec<Json> = Vec::new();
-    for (cat, pid) in &pids {
-        events.push(obj(vec![
-            ("name", Json::Str("process_name".into())),
-            ("ph", Json::Str("M".into())),
-            ("pid", Json::from_u64(*pid)),
-            ("tid", Json::from_u64(0)),
-            ("args", obj(vec![("name", Json::Str((*cat).into()))])),
-        ]));
-    }
-    for s in spans {
-        events.push(obj(vec![
-            ("name", Json::Str(clean_name(&s.name))),
-            ("cat", Json::Str(s.cat.into())),
-            ("ph", Json::Str("X".into())),
-            ("ts", Json::from_u64(s.start_us)),
-            ("dur", Json::from_u64(s.dur_us)),
-            ("pid", Json::from_u64(pids[s.cat])),
-            ("tid", Json::from_u64(s.tid)),
-        ]));
-    }
-    obj(vec![
-        ("displayTimeUnit", Json::Str("ms".into())),
         ("traceEvents", Json::Arr(events)),
     ])
 }
@@ -642,59 +601,6 @@ mod tests {
                 .and_then(Json::as_u64),
             Some(99)
         );
-    }
-
-    #[test]
-    fn host_trace_doc_groups_categories_into_processes() {
-        let spans = vec![
-            HostSpan {
-                cat: "job",
-                name: "fig7 s0".into(),
-                tid: 2,
-                start_us: 100,
-                dur_us: 50,
-            },
-            HostSpan {
-                cat: "vacuum",
-                name: "pass".into(),
-                tid: 0,
-                start_us: 120,
-                dur_us: 5,
-            },
-            HostSpan {
-                cat: "job",
-                name: "fig8 s1".into(),
-                tid: 3,
-                start_us: 160,
-                dur_us: 40,
-            },
-        ];
-        let doc = host_trace_doc(&spans);
-        let events = doc.get("traceEvents").and_then(Json::as_arr).unwrap();
-        // Two categories → two process_name metadata events.
-        let meta: Vec<_> = events
-            .iter()
-            .filter(|e| e.get("ph").and_then(Json::as_str) == Some("M"))
-            .collect();
-        assert_eq!(meta.len(), 2);
-        // Both job spans share a pid; the vacuum span uses a different one.
-        let pid_of = |name: &str| -> u64 {
-            events
-                .iter()
-                .find(|e| e.get("name").and_then(Json::as_str) == Some(name))
-                .and_then(|e| e.get("pid").and_then(Json::as_u64))
-                .unwrap()
-        };
-        assert_eq!(pid_of("fig7 s0"), pid_of("fig8 s1"));
-        assert_ne!(pid_of("fig7 s0"), pid_of("pass"));
-        // Span fields survive: the second job span sits on worker track 3.
-        let j = events
-            .iter()
-            .find(|e| e.get("name").and_then(Json::as_str) == Some("fig8 s1"))
-            .unwrap();
-        assert_eq!(j.get("tid").and_then(Json::as_u64), Some(3));
-        assert_eq!(j.get("ts").and_then(Json::as_u64), Some(160));
-        assert_eq!(j.get("dur").and_then(Json::as_u64), Some(40));
     }
 
     #[test]

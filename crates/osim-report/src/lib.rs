@@ -18,7 +18,7 @@ pub mod critpath;
 pub mod json;
 mod report;
 
-pub use chrome::{chrome_trace, host_trace_doc};
+pub use chrome::chrome_trace;
 pub use compare::{compare, Attribution, CounterDelta, HistDelta, ReportDiff};
 pub use critpath::{Contender, CoreWait, CritPath, Segment};
 pub use report::{

@@ -4,10 +4,10 @@
 //! Per-instance metrics (the vacuum's `fill_registry`) only cover objects
 //! the caller holds; this module aggregates what the *whole process* does
 //! to any cell or map — blocking condvar waits and shard-lock contention
-//! — so its readers (the `osim-bench` store workload, and the
-//! `--metrics-out` file of an `osim-experiments perf --ostructs` run,
-//! the one command that drives the store) can report it without
-//! threading a registry handle through every `OCell`. Recording is raw
+//! — so its readers (the `osim-bench` store workload, and the `metrics`
+//! object of the `BENCH_ostructs.json` that `osim-experiments perf
+//! --ostructs` writes) can report it without threading a registry handle
+//! through every `OCell`. Recording is raw
 //! relaxed atomics plus one pre-allocated histogram behind a mutex:
 //! nothing allocates, and an operation that never waits records nothing.
 
@@ -141,8 +141,10 @@ mod tests {
         let mut after = Registry::new();
         fill_store_registry(&mut after);
         assert!(after.counter("osim_store_lock_contention_total", &[]) >= total0 + 2);
-        assert!(!after
-            .to_prometheus()
-            .contains("osim_store_shard_contention_total"));
+        let json = after.to_json();
+        let counters = json.get("counters").and_then(|c| c.as_obj()).unwrap();
+        assert!(!counters
+            .iter()
+            .any(|(k, _)| k == "osim_store_shard_contention_total"));
     }
 }

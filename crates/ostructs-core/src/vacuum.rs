@@ -417,9 +417,6 @@ impl Collector {
         self.pause_us
             .lock()
             .record(started.elapsed().as_micros() as u64);
-        if osim_metrics::host_trace_armed() {
-            osim_metrics::host_trace_span("vacuum", "pass", 0, started);
-        }
         reclaimed
     }
 }
