@@ -32,7 +32,7 @@ pub mod rwlock;
 pub mod stats;
 pub mod trace;
 
-pub use capture::{CaptureCfg, DepEdge, Sample};
+pub use capture::DepEdge;
 pub use ctx::TaskCtx;
 pub use error::{BlameEntry, DeadlockReport, SimError, TaskFault, WaitClass, WatchdogReport};
 pub use machine::{Machine, MachineCfg, MachineState, PhaseReport};

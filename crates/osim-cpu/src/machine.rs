@@ -9,7 +9,7 @@ use osim_metrics::Histogram;
 use osim_uarch::{OManager, OManagerCfg};
 
 use crate::alloc::SimAlloc;
-use crate::capture::{CaptureCfg, DepEdge, Sample, SampleBase, Sampler};
+use crate::capture::DepEdge;
 use crate::ctx::TaskCtx;
 use crate::error::{DeadlockReport, SimError, TaskFault, WatchdogReport};
 use crate::runtime::{self, TaskFn};
@@ -40,10 +40,10 @@ pub struct MachineCfg {
     /// shake changes simulated interleavings — deterministically per seed —
     /// and is meant for the stress harness.
     pub shake: ShakePolicy,
-    /// Causal-observability capture (dependency edges + interval
-    /// telemetry). Default: everything off; capture is host-side
-    /// observation only and never changes simulated timing.
-    pub capture: CaptureCfg,
+    /// Ring capacity for captured producer→consumer dependency edges
+    /// (default 0 = capture off). Capture is host-side observation only
+    /// and never changes simulated timing.
+    pub dep_edges: usize,
 }
 
 impl MachineCfg {
@@ -60,7 +60,7 @@ impl MachineCfg {
             malloc_instrs: 40,
             watchdog_cycles: None,
             shake: ShakePolicy::default(),
-            capture: CaptureCfg::default(),
+            dep_edges: 0,
         }
     }
 }
@@ -81,14 +81,11 @@ pub struct MachineState {
     /// unless [`Machine::enable_trace`] arms it).
     pub trace: EventLog<TraceRecord>,
     /// Captured producer→consumer dependency edges (bounded ring;
-    /// disabled unless [`MachineCfg::capture`] arms it).
+    /// disabled unless [`MachineCfg::dep_edges`] arms it).
     pub deps: EventLog<DepEdge>,
-    /// Captured interval-telemetry samples (bounded ring).
-    pub timeseries: EventLog<Sample>,
     /// Simulated cycles each task ran from `TASK-BEGIN` to completion (the
     /// static scheduler's run-quantum lengths); reset with the other stats.
     pub hist_run_quantum: Histogram,
-    pub(crate) sampler: Sampler,
     pub(crate) issue_width: u64,
     pub(crate) malloc_instrs: u64,
     /// First architectural fault recorded by a task before it halted the
@@ -97,75 +94,10 @@ pub struct MachineState {
 }
 
 impl MachineState {
-    /// Per-operation choke point: stamps the hierarchy and page-table
-    /// clocks and advances interval telemetry. Host-side only — this runs
-    /// inside machine-state borrows the issuing core already holds and
-    /// never schedules simulation events.
+    /// Per-operation choke point: stamps the hierarchy clock that memory
+    /// events carry. Host-side only — it never schedules simulation events.
     pub(crate) fn tick(&mut self, now: Cycle) {
         self.ms.hier.set_clock(now);
-        self.ms.pt.set_clock(now);
-        if self.sampler.every != 0 && now >= self.sampler.next_at {
-            // Emit at the highest grid boundary ≤ now: a time step that
-            // jumps several epochs yields one sample covering the jump.
-            let boundary = (now / self.sampler.every) * self.sampler.every;
-            self.push_sample(boundary);
-            self.sampler.next_at = boundary + self.sampler.every;
-        }
-    }
-
-    /// Running counter totals the sampler diffs against.
-    fn sample_totals(&self) -> SampleBase {
-        let m = &self.ms.hier.stats;
-        SampleBase {
-            instructions: self.cpu.instructions,
-            stalls: self.cpu.stall_by_cause,
-            l1_hits: m.l1_hits(),
-            l1_misses: m.l1_read_misses.iter().sum::<u64>() + m.l1_write_misses.iter().sum::<u64>(),
-            l2_hits: m.l2_hits,
-            l2_misses: m.l2_misses,
-        }
-    }
-
-    fn push_sample(&mut self, at: Cycle) {
-        let cur = self.sample_totals();
-        let base = self.sampler.base;
-        self.timeseries.push(Sample {
-            at,
-            instructions: cur.instructions - base.instructions,
-            stalls: [
-                cur.stalls[0] - base.stalls[0],
-                cur.stalls[1] - base.stalls[1],
-                cur.stalls[2] - base.stalls[2],
-                cur.stalls[3] - base.stalls[3],
-            ],
-            free_blocks: u64::from(self.omgr.free_blocks()),
-            l1_hits: cur.l1_hits - base.l1_hits,
-            l1_misses: cur.l1_misses - base.l1_misses,
-            l2_hits: cur.l2_hits - base.l2_hits,
-            l2_misses: cur.l2_misses - base.l2_misses,
-        });
-        self.sampler.base = cur;
-    }
-
-    /// Flushes the final partial epoch at the end of a run phase, so the
-    /// timeseries covers the whole run even when it does not end on a
-    /// grid boundary. A no-op when nothing advanced since the last sample.
-    pub(crate) fn flush_sample(&mut self, now: Cycle) {
-        if self.sampler.every == 0 {
-            return;
-        }
-        let cur = self.sample_totals();
-        let base = self.sampler.base;
-        let changed = cur.instructions != base.instructions
-            || cur.stalls != base.stalls
-            || cur.l1_hits != base.l1_hits
-            || cur.l1_misses != base.l1_misses
-            || cur.l2_hits != base.l2_hits
-            || cur.l2_misses != base.l2_misses;
-        if changed {
-            self.push_sample(now);
-            self.sampler.next_at = (now / self.sampler.every + 1) * self.sampler.every;
-        }
     }
 }
 
@@ -214,21 +146,7 @@ impl Machine {
             cpu: CpuStats::for_cores(cfg.cores),
             gates: FxHashMap::default(),
             trace: EventLog::disabled(),
-            deps: EventLog::with_capacity(cfg.capture.dep_edges),
-            timeseries: if cfg.capture.sample_every > 0 {
-                EventLog::with_capacity(cfg.capture.samples)
-            } else {
-                EventLog::disabled()
-            },
-            sampler: Sampler {
-                every: if cfg.capture.samples > 0 {
-                    cfg.capture.sample_every
-                } else {
-                    0
-                },
-                next_at: cfg.capture.sample_every.max(1),
-                base: SampleBase::default(),
-            },
+            deps: EventLog::with_capacity(cfg.dep_edges),
             hist_run_quantum: Histogram::new(),
             issue_width: cfg.issue_width,
             malloc_instrs: cfg.malloc_instrs,
@@ -353,11 +271,7 @@ impl Machine {
             });
         }
         match self.sim.run() {
-            Ok(end) => {
-                // Close out the interval telemetry for this phase.
-                self.state.borrow_mut().flush_sample(end);
-                Ok(PhaseReport { start, end })
-            }
+            Ok(end) => Ok(PhaseReport { start, end }),
             Err(RunError::Deadlock { now, blocked }) => {
                 let mut report = DeadlockReport::build(now, blocked);
                 // When dependency capture is armed, name each blamed
@@ -392,13 +306,12 @@ impl Machine {
         st.trace = EventLog::with_capacity(capacity);
         st.ms.hier.events = EventLog::with_capacity(capacity);
         st.omgr.events = EventLog::with_capacity(capacity);
-        st.ms.pt.enable_walk_events(capacity);
     }
 
     /// Resets every statistics counter (cpu, memory, manager) — used
     /// between the warm-up and measurement phases of an experiment. Also
-    /// clears the capture rings and re-bases the interval sampler, so a
-    /// measurement phase starts with an empty causal record.
+    /// clears the dependency-edge ring, so a measurement phase starts with
+    /// an empty causal record.
     pub fn reset_stats(&self) {
         let mut st = self.state.borrow_mut();
         st.cpu.reset();
@@ -408,12 +321,7 @@ impl Machine {
         st.omgr.hists.reset();
         st.hist_run_quantum.reset();
         self.sim.reset_hists();
-        let dep_cap = self.cfg.capture.dep_edges;
-        st.deps = EventLog::with_capacity(dep_cap);
-        if st.sampler.every > 0 {
-            st.timeseries = EventLog::with_capacity(self.cfg.capture.samples);
-            st.sampler.base = SampleBase::default();
-        }
+        st.deps = EventLog::with_capacity(self.cfg.dep_edges);
     }
 }
 

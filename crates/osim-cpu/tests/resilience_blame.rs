@@ -5,7 +5,7 @@
 use std::cell::Cell;
 use std::rc::Rc;
 
-use osim_cpu::{task, CaptureCfg, Machine, MachineCfg, SimError, WaitClass};
+use osim_cpu::{task, Machine, MachineCfg, SimError, WaitClass};
 use osim_mem::Fault;
 use osim_uarch::FaultPlan;
 
@@ -47,7 +47,7 @@ fn blame_missing_version() {
 #[test]
 fn blame_names_the_producer_behind_a_real_wake() {
     let mut cfg = MachineCfg::paper(2);
-    cfg.capture = CaptureCfg::armed(64, 0, 0);
+    cfg.dep_edges = 64;
     let mut m = Machine::new(cfg);
     let root = {
         let st = m.state();

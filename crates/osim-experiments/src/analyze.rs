@@ -1,13 +1,12 @@
 //! `analyze`: run a figure's workload with causal capture armed and print
 //! the dependency critical-path / top-contender report.
 //!
-//! Capture (dependency edges + interval telemetry) is host-side
-//! observation, so every simulated cycle count here matches the same
+//! Dependency-edge capture is host-side observation, so every simulated cycle count here matches the same
 //! figure run without capture; what this command adds is the *why* —
 //! which producer→consumer chain the run's length hides, which structure
 //! everyone queued on, and how unevenly the waiting spread across cores.
 
-use osim_cpu::{CaptureCfg, MachineCfg, StallCause};
+use osim_cpu::{MachineCfg, StallCause};
 use osim_report::{CritPath, SimReport, TraceCounts};
 
 use crate::common::{checked_run, machine, pct, report_run, Bench, Scale};
@@ -15,8 +14,6 @@ use crate::runner::{SweepJob, SweepRun};
 
 /// Dependency-edge ring capacity for analysis runs.
 const DEP_RING: usize = 1 << 14;
-/// Interval-sample ring capacity for analysis runs.
-const SAMPLE_RING: usize = 1 << 12;
 
 /// The machine configuration at the chosen figure's characteristic point
 /// (32 cores; fig9 takes the smallest L1, fig10 the largest injected
@@ -30,13 +27,13 @@ fn fig_machine(scale: &Scale, fig: u32) -> MachineCfg {
 }
 
 /// The sweep in [`render`] order: one captured run per benchmark.
-pub fn plan(scale: &Scale, fig: u32, sample_every: u64) -> Vec<SweepJob> {
+pub fn plan(scale: &Scale, fig: u32) -> Vec<SweepJob> {
     let s = *scale;
     Bench::ALL
         .iter()
         .map(|&bench| {
             let mut cfg = fig_machine(scale, fig);
-            cfg.capture = CaptureCfg::armed(DEP_RING, sample_every, SAMPLE_RING);
+            cfg.dep_edges = DEP_RING;
             SweepJob::new(
                 "analyze",
                 bench.name(),
@@ -84,8 +81,8 @@ pub fn render(scale: &Scale, fig: u32, runs: &[SweepRun], out: &mut Vec<SimRepor
         );
     }
 
-    println!("\n| Benchmark | hot structure | waited | edges | cause | core-wait imb | samples |");
-    println!("|---|---|---|---|---|---|---|");
+    println!("\n| Benchmark | hot structure | waited | edges | cause | core-wait imb |");
+    println!("|---|---|---|---|---|---|");
     for (run, cp) in &analyzed {
         let hot = cp.contenders.first();
         let imb = match cp.per_core.len() {
@@ -101,14 +98,13 @@ pub fn render(scale: &Scale, fig: u32, runs: &[SweepRun], out: &mut Vec<SimRepor
             }
         };
         println!(
-            "| {} | {} | {} | {} | {} | {} | {} |",
+            "| {} | {} | {} | {} | {} | {} |",
             run.bench,
             hot.map_or("-".to_string(), |c| format!("{:#x}", c.va)),
             hot.map_or(0, |c| c.waited),
             hot.map_or(0, |c| c.edges),
             hot.map_or("-", |c| c.top_cause.name()),
             imb,
-            run.result.timeseries.len(),
         );
     }
     println!();
@@ -117,19 +113,16 @@ pub fn render(scale: &Scale, fig: u32, runs: &[SweepRun], out: &mut Vec<SimRepor
         let r = &run.result;
         let mut rep = report_run(run, scale);
         rep.critpath = Some(cp);
-        rep.timeseries = r.timeseries.clone();
         rep.trace = Some(TraceCounts {
             dep_edges: r.deps.len() as u64,
             dep_dropped: r.deps_dropped,
-            samples: r.timeseries.len() as u64,
-            samples_dropped: r.samples_dropped,
             ..TraceCounts::default()
         });
         out.push(rep);
     }
 }
 
-pub fn run(scale: &Scale, fig: u32, sample_every: u64, jobs: usize, out: &mut Vec<SimReport>) {
-    let runs = crate::runner::run_jobs(plan(scale, fig, sample_every), jobs);
+pub fn run(scale: &Scale, fig: u32, jobs: usize, out: &mut Vec<SimReport>) {
+    let runs = crate::runner::run_jobs(plan(scale, fig), jobs);
     render(scale, fig, &runs, out);
 }

@@ -8,7 +8,7 @@
 
 use std::fs;
 
-use osim_report::json::{obj, Json};
+use osim_metrics::json::{obj, Json};
 use osim_report::{compare, load_reports, ReportDiff, SimReport};
 
 /// Loads every report in `path` (object or array form) through the shared

@@ -19,7 +19,7 @@
 //!   trace               — per-operation latency/stall breakdown (tracer demo)
 //!   analyze             — causal analysis: dependency critical path and top
 //!                         contenders of a figure workload (`--fig <6|7|9|10>`,
-//!                         default 7; `--sample-every <cycles>` telemetry epoch)
+//!                         default 7)
 //!   all      everything above
 //!   perf                — host-speed benchmark; writes BENCH_sweep.json.
 //!                         With `--ostructs`, benchmarks the concurrent
@@ -93,7 +93,7 @@
 use std::env;
 use std::fs;
 
-use osim_report::json::Json;
+use osim_metrics::json::Json;
 use osim_report::SimReport;
 
 mod analyze;
@@ -213,16 +213,6 @@ fn main() {
         },
         None => 25,
     };
-    let sample_every = match take_value(&mut args, "--sample-every") {
-        Some(v) => match v.parse::<u64>() {
-            Ok(n) => n,
-            _ => {
-                eprintln!("--sample-every requires a cycle count, got {v:?}");
-                std::process::exit(2);
-            }
-        },
-        None => 2048,
-    };
     let reps = match take_value(&mut args, "--reps") {
         Some(v) => match v.parse::<usize>() {
             Ok(n) if n >= 1 => n,
@@ -300,7 +290,7 @@ fn main() {
                 },
                 None => 7,
             };
-            analyze::run(&scale, fig, sample_every, jobs, &mut reports)
+            analyze::run(&scale, fig, jobs, &mut reports)
         }
         "stress" => {
             let fig_filter = fig_flag.as_deref().map(|v| {
@@ -340,7 +330,7 @@ fn main() {
                 "usage: osim-experiments <config|fig6|fig7|fig8|fig9|fig10|gc|trace|analyze|all|perf|stress> \
                  [--full|--tiny] [--scale <quick|tiny|full>] [--jobs <n>] [--reps <n>] \
                  [--stats] [--json <path>] [--chrome <path>] \
-                 [--fig <6|7|9|10>] [--sample-every <cycles>] \
+                 [--fig <6|7|9|10>] \
                  [--shake-seed <n>] [--seeds <n>] \
                  [--progress] [--sweep-json <path>] [--ostructs] \
                  [--inject <spec>] [--baseline-ms <ms> [--baseline-ref <label>]]\n\
@@ -372,8 +362,8 @@ fn main() {
                  get their own document instead of the SimReport stream.\n\
                  \n\
                  analyze: runs the chosen figure's workload with dependency-flow\n\
-                 capture and interval telemetry armed, then prints the critical\n\
-                 path, its stall-cause split, and the top contended structures.\n\
+                 capture armed, then prints the critical path, its stall-cause\n\
+                 split, and the top contended structures.\n\
                  \n\
                  --inject <spec>: deterministic fault injection. <spec> is a preset\n\
                  (pool-pressure, pool-exhaustion, latency-jitter, coherence-delay,\n\

@@ -18,7 +18,7 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 use osim_engine::splitmix64;
-use osim_report::json::{obj, Json};
+use osim_metrics::json::{obj, Json};
 use ostructs_core::map::OMap;
 use ostructs_core::vacuum::{ReaderRegistry, Vacuum, VacuumCfg};
 use ostructs_core::{fill_store_registry, OCell};

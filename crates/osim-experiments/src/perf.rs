@@ -14,7 +14,7 @@
 
 use std::time::Instant;
 
-use osim_report::json::{obj, Json};
+use osim_metrics::json::{obj, Json};
 
 use crate::common::Scale;
 use crate::runner::{self, SweepRun};

@@ -22,7 +22,7 @@ use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
 use osim_cpu::MachineCfg;
-use osim_report::json::{obj, Json};
+use osim_metrics::json::{obj, Json};
 use osim_report::{ReportScale, SimReport};
 use osim_workloads::harness::DsResult;
 

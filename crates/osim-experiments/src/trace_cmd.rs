@@ -2,14 +2,14 @@
 //! latency/stall breakdown — the observability view behind the figures.
 //!
 //! Returns the run's Chrome trace-event document (built from the
-//! per-operation, memory-hierarchy, and version-manager capture streams)
-//! so the driver can write it out under `--chrome`.
+//! per-operation, memory-hierarchy, version-manager and dependency-edge
+//! capture streams) so the driver can write it out under `--chrome`.
 
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use osim_cpu::{task, CaptureCfg, Machine, MachineCfg};
-use osim_report::json::Json;
+use osim_cpu::{task, Machine, MachineCfg};
+use osim_metrics::json::Json;
 use osim_report::{chrome_trace, SimReport, TraceCounts};
 
 use crate::common::Scale;
@@ -20,9 +20,9 @@ pub fn run(scale: &Scale, out: &mut Vec<SimReport>) -> Json {
     mcfg.omgr.fault_plan = scale.inject;
     mcfg.omgr.oracles = scale.oracles;
     mcfg.shake = scale.shake;
-    // Arm causal capture too: flows/counters in the Chrome export, ring
+    // Arm dependency capture too: flow arrows in the Chrome export, ring
     // occupancy in the report. Observation only — timing is unchanged.
-    mcfg.capture = CaptureCfg::armed(1 << 14, 256, 1 << 12);
+    mcfg.dep_edges = 1 << 14;
     let mut m = Machine::new(mcfg.clone());
     m.enable_trace(1 << 20);
     let root = {
@@ -84,20 +84,10 @@ pub fn run(scale: &Scale, out: &mut Vec<SimReport>) -> Json {
         mem_dropped: st.ms.hier.events.dropped,
         mvm_events: mvm_events.len() as u64,
         mvm_dropped: st.omgr.events.dropped,
-        pt_walks: st.ms.pt.walk_event_len() as u64,
-        pt_dropped: st.ms.pt.walk_dropped(),
         dep_edges: st.deps.len() as u64,
         dep_dropped: st.deps.dropped,
-        samples: st.timeseries.len() as u64,
-        samples_dropped: st.timeseries.dropped,
     });
     out.push(rep);
 
-    chrome_trace(
-        &records,
-        &mem_events,
-        &mvm_events,
-        &st.deps.records(),
-        &st.timeseries.records(),
-    )
+    chrome_trace(&records, &mem_events, &mvm_events, &st.deps.records())
 }

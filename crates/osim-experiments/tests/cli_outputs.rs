@@ -5,7 +5,7 @@
 use std::path::PathBuf;
 use std::process::Command;
 
-use osim_report::json::{parse, Json};
+use osim_metrics::json::{parse, Json};
 use osim_report::SimReport;
 
 fn out_path(name: &str) -> PathBuf {
@@ -111,7 +111,7 @@ fn trace_chrome_export_is_loadable() {
 
 #[test]
 fn unknown_flags_and_stray_arguments_exit_2() {
-    let cases: [(&[&str], &str); 8] = [
+    let cases: [(&[&str], &str); 9] = [
         (
             &["config", "--scheduler", "heap", "--jbos", "4"],
             "--scheduler",
@@ -127,6 +127,11 @@ fn unknown_flags_and_stray_arguments_exit_2() {
         // Retired host-side views: `--sweep-json` is the one document.
         (&["all", "--tiny", "--metrics-out", "x"], "--metrics-out"),
         (&["all", "--tiny", "--host-chrome", "x"], "--host-chrome"),
+        // Retired interval sampler: analyze captures dependency edges only.
+        (
+            &["analyze", "--tiny", "--sample-every", "512"],
+            "--sample-every",
+        ),
     ];
     for (args, culprit) in cases {
         let out = Command::new(env!("CARGO_BIN_EXE_osim-experiments"))

@@ -43,7 +43,7 @@ pub use fault::Fault;
 pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet};
 pub use hierarchy::{AccessKind, AccessResult, Hierarchy, HierarchyCfg, Level};
 pub use inject::{FaultPlan, Injector, PoolShrink, SpecError};
-pub use page::{PageFlags, PageTable, WalkEvent, PAGE_SIZE};
+pub use page::{PageFlags, PageTable, PAGE_SIZE};
 pub use phys::PhysMem;
 pub use stats::{MemHists, MemStats};
 

@@ -9,9 +9,8 @@
 //!   to last traced operation);
 //! * **pid 2 "version manager"** — GC phases as duration events plus
 //!   free-list instants (carves, refill traps, watermark crossings);
-//! * **pid 3 "telemetry"** — counter (`ph: "C"`) tracks from the interval
-//!   sampler (instructions, stalls by cause, free blocks, cache hits),
-//!   plus cumulative per-core stalled-cycle counters on the core tracks;
+//! * cumulative per-core stalled-cycle counter (`ph: "C"`) tracks on the
+//!   core process, derived from the per-operation stall attribution;
 //! * dependency-flow edges as flow (`ph: "s"`/`"f"`) arrows from the
 //!   producing core's track to the woken consumer's.
 //!
@@ -23,16 +22,15 @@
 
 use std::collections::BTreeMap;
 
-use osim_cpu::{DepEdge, Sample, TraceRecord};
+use osim_cpu::{DepEdge, TraceRecord};
 use osim_mem::{MemEvent, MemEventKind};
 use osim_uarch::{MvmEvent, MvmEventKind};
 
-use crate::json::{obj, Json};
+use osim_metrics::json::{obj, Json};
 
 const PID_CORES: u64 = 0;
 const PID_TASKS: u64 = 1;
 const PID_MVM: u64 = 2;
-const PID_TELEMETRY: u64 = 3;
 
 /// Longest event name emitted (viewers render, but truncate, long names;
 /// a runaway formatted name would bloat the file for no display benefit).
@@ -54,14 +52,13 @@ fn clean_name(raw: &str) -> String {
 }
 
 /// Builds the full Chrome trace-event document from the capture streams
-/// of one traced run. `deps` and `samples` come from the causal-capture
-/// rings and may be empty (capture off).
+/// of one traced run. `deps` comes from the dependency-capture ring and
+/// may be empty (capture off).
 pub fn chrome_trace(
     ops: &[TraceRecord],
     mem: &[MemEvent],
     mvm: &[MvmEvent],
     deps: &[DepEdge],
-    samples: &[Sample],
 ) -> Json {
     let mut events: Vec<Json> = Vec::new();
 
@@ -76,7 +73,6 @@ pub fn chrome_trace(
         .chain(mem.iter().map(|e| e.cycle))
         .chain(mvm.iter().map(|e| e.cycle))
         .chain(deps.iter().map(|d| d.woken_at))
-        .chain(samples.iter().map(|s| s.at))
         .max()
         .unwrap_or(0);
 
@@ -84,7 +80,6 @@ pub fn chrome_trace(
         (PID_CORES, "cores"),
         (PID_TASKS, "tasks"),
         (PID_MVM, "version manager"),
-        (PID_TELEMETRY, "telemetry"),
     ] {
         events.push(obj(vec![
             ("name", Json::Str("process_name".into())),
@@ -281,17 +276,6 @@ pub fn chrome_trace(
         }
     }
 
-    // Interval-telemetry counter tracks, with a final flush sample at run
-    // end repeating the last values so the series span the whole trace.
-    for s in samples {
-        telemetry_counters(s, s.at, &mut events);
-    }
-    if let Some(last) = samples.last() {
-        if last.at < run_end {
-            telemetry_counters(last, run_end, &mut events);
-        }
-    }
-
     obj(vec![
         ("displayTimeUnit", Json::Str("ns".into())),
         ("traceEvents", Json::Arr(events)),
@@ -311,48 +295,6 @@ fn core_stall_counter(core: usize, ts: u64, value: u64) -> Json {
         ("tid", Json::from_u64(core as u64)),
         ("args", obj(vec![("value", Json::from_u64(value))])),
     ])
-}
-
-/// The five interval-telemetry counter events of one sample, stamped `ts`.
-fn telemetry_counters(s: &Sample, ts: u64, events: &mut Vec<Json>) {
-    let stall_series: Vec<(&str, Json)> = osim_cpu::StallCause::ALL
-        .iter()
-        .map(|c| (c.name(), Json::from_u64(s.stalls[c.index()])))
-        .collect();
-    for (name, args) in [
-        (
-            "instructions",
-            vec![("value", Json::from_u64(s.instructions))],
-        ),
-        ("stalls", stall_series),
-        (
-            "free_blocks",
-            vec![("value", Json::from_u64(s.free_blocks))],
-        ),
-        (
-            "l1",
-            vec![
-                ("hits", Json::from_u64(s.l1_hits)),
-                ("misses", Json::from_u64(s.l1_misses)),
-            ],
-        ),
-        (
-            "l2",
-            vec![
-                ("hits", Json::from_u64(s.l2_hits)),
-                ("misses", Json::from_u64(s.l2_misses)),
-            ],
-        ),
-    ] {
-        events.push(obj(vec![
-            ("name", Json::Str(clean_name(name))),
-            ("ph", Json::Str("C".into())),
-            ("ts", Json::from_u64(ts)),
-            ("pid", Json::from_u64(PID_TELEMETRY)),
-            ("tid", Json::from_u64(0)),
-            ("args", obj(args)),
-        ]));
-    }
 }
 
 fn gc_phase(start: u64, end: u64, boundary: u32, pending: u32, reclaimed: Option<u32>) -> Json {
@@ -435,7 +377,7 @@ mod tests {
                 kind: MvmEventKind::GcEnd { reclaimed: 10 },
             },
         ];
-        let doc = chrome_trace(&ops, &mem, &mvm, &[], &[]);
+        let doc = chrome_trace(&ops, &mem, &mvm, &[]);
         assert_eq!(
             doc.get("displayTimeUnit").and_then(Json::as_str),
             Some("ns")
@@ -497,17 +439,7 @@ mod tests {
             woken_at: 190,
             waited: 170,
         }];
-        let samples = vec![Sample {
-            at: 1000,
-            instructions: 42,
-            stalls: [5, 0, 0, 0],
-            free_blocks: 99,
-            l1_hits: 7,
-            l1_misses: 1,
-            l2_hits: 2,
-            l2_misses: 1,
-        }];
-        let doc = chrome_trace(&ops, &[], &[], &deps, &samples);
+        let doc = chrome_trace(&ops, &[], &[], &deps);
         let events = doc.get("traceEvents").and_then(Json::as_arr).unwrap();
         // The stalled op fed a cumulative per-core counter.
         let ctr = events
@@ -532,27 +464,13 @@ mod tests {
         assert_eq!(flows[1].get("ts").and_then(Json::as_u64), Some(190));
         assert_eq!(flows[1].get("tid").and_then(Json::as_u64), Some(1));
         assert_eq!(flows[0].get("id"), flows[1].get("id"));
-        // Sample counters landed on the telemetry process.
-        let free = events
-            .iter()
-            .find(|e| e.get("name").and_then(Json::as_str) == Some("free_blocks"))
-            .expect("free_blocks counter present");
-        assert_eq!(free.get("pid").and_then(Json::as_u64), Some(PID_TELEMETRY));
-        assert_eq!(
-            free.get("args")
-                .unwrap()
-                .get("value")
-                .and_then(Json::as_u64),
-            Some(99)
-        );
     }
 
     #[test]
     fn counter_tracks_flush_at_run_end() {
-        // The stalled op ends at 200 and the last telemetry sample sits at
-        // 1000, but a mem event stretches the run to 5000: every counter
-        // series must emit a final sample there or Perfetto renders it
-        // truncated.
+        // The stalled op ends at 200, but a mem event stretches the run to
+        // 5000: every counter series must emit a final sample there or
+        // Perfetto renders it truncated.
         let ops = vec![op(1, 2, 20, 200, Some(StallCause::MissingVersion))];
         let mem = vec![MemEvent {
             cycle: 5000,
@@ -564,43 +482,30 @@ mod tests {
                 latency: 120,
             },
         }];
-        let samples = vec![Sample {
-            at: 1000,
-            instructions: 42,
-            stalls: [5, 0, 0, 0],
-            free_blocks: 99,
-            l1_hits: 7,
-            l1_misses: 1,
-            l2_hits: 2,
-            l2_misses: 1,
-        }];
-        let doc = chrome_trace(&ops, &mem, &[], &[], &samples);
+        let doc = chrome_trace(&ops, &mem, &[], &[]);
         let events = doc.get("traceEvents").and_then(Json::as_arr).unwrap();
-        let series = |name: &str| -> Vec<u64> {
-            events
-                .iter()
-                .filter(|e| e.get("name").and_then(Json::as_str) == Some(name))
-                .map(|e| e.get("ts").and_then(Json::as_u64).unwrap())
-                .collect()
-        };
         // Each counter series ends with a flush sample at the run end,
         // repeating the last value.
-        let stall_ts = series("core 1 stalled cycles");
-        assert_eq!(stall_ts, vec![200, 5000]);
-        let free_ts = series("free_blocks");
-        assert_eq!(free_ts, vec![1000, 5000]);
-        let last_free = events
+        let stall: Vec<&Json> = events
             .iter()
-            .rfind(|e| e.get("name").and_then(Json::as_str) == Some("free_blocks"))
-            .unwrap();
-        assert_eq!(
-            last_free
-                .get("args")
-                .unwrap()
-                .get("value")
-                .and_then(Json::as_u64),
-            Some(99)
-        );
+            .filter(|e| e.get("name").and_then(Json::as_str) == Some("core 1 stalled cycles"))
+            .collect();
+        let ts: Vec<u64> = stall
+            .iter()
+            .map(|e| e.get("ts").and_then(Json::as_u64).unwrap())
+            .collect();
+        assert_eq!(ts, vec![200, 5000]);
+        let values: Vec<u64> = stall
+            .iter()
+            .map(|e| {
+                e.get("args")
+                    .unwrap()
+                    .get("value")
+                    .and_then(Json::as_u64)
+                    .unwrap()
+            })
+            .collect();
+        assert_eq!(values, vec![180, 180]);
     }
 
     #[test]
@@ -620,7 +525,7 @@ mod tests {
                 pending: 2,
             },
         }];
-        let doc = chrome_trace(&[], &[], &mvm, &[], &[]);
+        let doc = chrome_trace(&[], &[], &mvm, &[]);
         let events = doc.get("traceEvents").and_then(Json::as_arr).unwrap();
         let gc = events
             .iter()

@@ -12,8 +12,8 @@
 use osim_cpu::StallCause;
 use osim_metrics::Histogram;
 
-use crate::json::{obj, Json};
 use crate::report::SimReport;
+use osim_metrics::json::{obj, Json};
 
 /// One scalar counter that differs between the two runs.
 #[derive(Debug, Clone, PartialEq, Eq)]

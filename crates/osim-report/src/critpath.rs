@@ -1,6 +1,6 @@
 //! Critical-path analysis over captured dependency-flow edges.
 //!
-//! A run with capture armed ([`osim_cpu::CaptureCfg`]) records one
+//! A run with capture armed ([`osim_cpu::MachineCfg::dep_edges`]) records one
 //! [`DepEdge`] per satisfied blocked versioned load: who produced the
 //! awaited version, who consumed it, and when. Those edges form the run's
 //! task/version dependency DAG; this module extracts the longest
@@ -21,7 +21,7 @@ use std::collections::BTreeMap;
 
 use osim_cpu::{DepEdge, StallCause};
 
-use crate::json::{obj, Json};
+use osim_metrics::json::{obj, Json};
 
 /// Simulated cycle (mirrors `osim_engine::Cycle` without the dependency).
 type Cycle = u64;
@@ -231,7 +231,7 @@ impl CritPath {
         }
     }
 
-    /// Serializes to the `critpath` object of a schema-v4 report.
+    /// Serializes to the `critpath` object of a report.
     pub fn to_json(&self) -> Json {
         let segments: Vec<Json> = self
             .segments
@@ -492,7 +492,7 @@ mod tests {
         let back = CritPath::from_json(&p.to_json()).unwrap();
         assert_eq!(back, p);
         let text = p.to_json().to_pretty();
-        let reparsed = CritPath::from_json(&crate::json::parse(&text).unwrap()).unwrap();
+        let reparsed = CritPath::from_json(&osim_metrics::json::parse(&text).unwrap()).unwrap();
         assert_eq!(reparsed, p);
     }
 }

@@ -1,12 +1,12 @@
 //! The unified run report: one simulation's configuration, workload
 //! scale, and the statistics snapshot of every layer, as one JSON value.
 
-use osim_cpu::{CoreStats, CpuStats, EngineStats, MachineCfg, RunHists, Sample, StallCause};
+use osim_cpu::{CoreStats, CpuStats, EngineStats, MachineCfg, RunHists, StallCause};
 use osim_mem::MemStats;
 use osim_uarch::OStats;
 
 use crate::critpath::CritPath;
-use crate::json::{obj, Json};
+use osim_metrics::json::{obj, Json};
 
 /// Schema version stamped into every report (bump on breaking layout
 /// changes so downstream consumers can dispatch).
@@ -22,27 +22,27 @@ use crate::json::{obj, Json};
 /// dispatch order alone, so they are safe to include in byte-compared
 /// reports.
 ///
-/// v4: causal observability. `timeseries` — interval-telemetry samples
-/// (`[]` when the sampler was off): per-epoch instruction/stall deltas by
-/// cause, L1/L2 hit counters, and the MVM free-block gauge. `critpath` —
-/// the dependency critical-path analysis (`null` when edge capture was
-/// off): the longest producer→consumer chain as an exact compute/wait
-/// segment tiling, top contended structures, and per-core serialization.
-/// `trace` grows six counters for the new capture rings (`pt_walks`/
-/// `pt_dropped`, `dep_edges`/`dep_dropped`, `samples`/`samples_dropped`).
+/// v4: causal observability. `critpath` — the dependency critical-path
+/// analysis (`null` when edge capture was off): the longest
+/// producer→consumer chain as an exact compute/wait segment tiling, top
+/// contended structures, and per-core serialization. Also an array of
+/// interval-sampler epochs, and six `trace` counters for the new capture
+/// rings (dependency edges, page-table walks, samples).
 ///
 /// v5: fleet telemetry. `hist` — eight log-bucketed latency histograms
 /// spanning every layer (`gate_wait`, `wake_fanout`, `version_walk`,
 /// `gc_pause`, `l1_access` (L1 hits), `l2_access` (L1 misses),
 /// `coherence_delay`, `run_quantum`), each serialized sparsely as
 /// `{count, sum, min, max, buckets: [[index, n], ...]}`. All record
-/// simulated-cycle quantities, so the section is deterministic. The reader is forward-compatible: v4 documents
-/// still parse, with `hist` defaulting to empty.
-pub const SCHEMA_VERSION: u64 = 5;
-
-/// Oldest schema version [`SimReport::from_json`] still accepts. v4
-/// reports predate the `hist` section; everything else is unchanged.
-pub const MIN_SCHEMA_VERSION: u64 = 4;
+/// simulated-cycle quantities, so the section is deterministic.
+///
+/// v6: the interval sampler and the page-table walk ring are gone, and
+/// with them the per-epoch sample array and the four `trace` counters of
+/// those two rings; `trace` keeps eight counters.
+///
+/// [`SimReport::from_json`] accepts exactly this version: a document of
+/// any other schema is refused with a typed error, not half-read.
+pub const SCHEMA_VERSION: u64 = 6;
 
 /// Workload sizes of the run (mirrors the experiment harness's scale).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -76,18 +76,10 @@ pub struct TraceCounts {
     pub mvm_events: u64,
     /// Version-manager events overwritten.
     pub mvm_dropped: u64,
-    /// Page-table walk events retained.
-    pub pt_walks: u64,
-    /// Page-table walk events overwritten.
-    pub pt_dropped: u64,
     /// Dependency-flow edges retained.
     pub dep_edges: u64,
     /// Dependency-flow edges overwritten.
     pub dep_dropped: u64,
-    /// Interval-telemetry samples retained.
-    pub samples: u64,
-    /// Interval-telemetry samples overwritten.
-    pub samples_dropped: u64,
 }
 
 /// One simulation run, serializable to/from JSON.
@@ -135,13 +127,10 @@ pub struct SimReport {
     pub ostats: OStats,
     /// Engine dispatch-loop counters (deterministic).
     pub engine: EngineStats,
-    /// Latency histograms from every layer (empty on reports parsed from
-    /// pre-v5 documents).
+    /// Latency histograms from every layer.
     pub hists: RunHists,
     /// Trace-buffer occupancy, when tracing was enabled.
     pub trace: Option<TraceCounts>,
-    /// Interval-telemetry samples (empty when the sampler was off).
-    pub timeseries: Vec<Sample>,
     /// Dependency critical-path analysis, when edge capture was armed.
     pub critpath: Option<CritPath>,
 }
@@ -184,7 +173,6 @@ impl SimReport {
             engine,
             hists,
             trace: None,
-            timeseries: Vec::new(),
             critpath: None,
         }
     }
@@ -346,34 +334,10 @@ impl SimReport {
                 ("mem_dropped", Json::from_u64(t.mem_dropped)),
                 ("mvm_events", Json::from_u64(t.mvm_events)),
                 ("mvm_dropped", Json::from_u64(t.mvm_dropped)),
-                ("pt_walks", Json::from_u64(t.pt_walks)),
-                ("pt_dropped", Json::from_u64(t.pt_dropped)),
                 ("dep_edges", Json::from_u64(t.dep_edges)),
                 ("dep_dropped", Json::from_u64(t.dep_dropped)),
-                ("samples", Json::from_u64(t.samples)),
-                ("samples_dropped", Json::from_u64(t.samples_dropped)),
             ]),
         };
-        let timeseries: Vec<Json> = self
-            .timeseries
-            .iter()
-            .map(|s| {
-                let stalls: Vec<(&str, Json)> = StallCause::ALL
-                    .iter()
-                    .map(|c| (c.name(), Json::from_u64(s.stalls[c.index()])))
-                    .collect();
-                obj(vec![
-                    ("at", Json::from_u64(s.at)),
-                    ("instructions", Json::from_u64(s.instructions)),
-                    ("stalls", obj(stalls)),
-                    ("free_blocks", Json::from_u64(s.free_blocks)),
-                    ("l1_hits", Json::from_u64(s.l1_hits)),
-                    ("l1_misses", Json::from_u64(s.l1_misses)),
-                    ("l2_hits", Json::from_u64(s.l2_hits)),
-                    ("l2_misses", Json::from_u64(s.l2_misses)),
-                ])
-            })
-            .collect();
         let critpath = match &self.critpath {
             None => Json::Null,
             Some(p) => p.to_json(),
@@ -423,7 +387,6 @@ impl SimReport {
             ("engine", engine),
             ("hist", hist),
             ("trace", trace),
-            ("timeseries", Json::Arr(timeseries)),
             ("critpath", critpath),
         ])
     }
@@ -431,7 +394,7 @@ impl SimReport {
     /// Parses a report back from its JSON form, verifying the schema.
     pub fn from_json(v: &Json) -> Result<SimReport, String> {
         let schema = req_u64(v, "schema")?;
-        if !(MIN_SCHEMA_VERSION..=SCHEMA_VERSION).contains(&schema) {
+        if schema != SCHEMA_VERSION {
             return Err(format!("unsupported schema version {schema}"));
         }
         let config = v.get("config").ok_or("missing config")?;
@@ -513,18 +476,16 @@ impl SimReport {
             events_dispatched: req_u64(engine_v, "events_dispatched")?,
             stale_events: req_u64(engine_v, "stale_events")?,
         };
-        let mut hists = RunHists::default();
-        // v4 documents have no `hist` section; leave the default (empty).
-        if let Some(Json::Obj(members)) = v.get("hist") {
-            for (name, hv) in members {
-                let slot = hists
-                    .by_name_mut(name)
-                    .ok_or_else(|| format!("unknown histogram {name:?}"))?;
-                *slot = osim_metrics::Histogram::from_json(hv)
-                    .map_err(|e| format!("histogram {name:?}: {e}"))?;
-            }
-        } else if schema >= 5 {
+        let Some(Json::Obj(hist_members)) = v.get("hist") else {
             return Err("missing hist".into());
+        };
+        let mut hists = RunHists::default();
+        for (name, hv) in hist_members {
+            let slot = hists
+                .by_name_mut(name)
+                .ok_or_else(|| format!("unknown histogram {name:?}"))?;
+            *slot = osim_metrics::Histogram::from_json(hv)
+                .map_err(|e| format!("histogram {name:?}: {e}"))?;
         }
         let trace = match v.get("trace") {
             None | Some(Json::Null) => None,
@@ -535,36 +496,9 @@ impl SimReport {
                 mem_dropped: req_u64(t, "mem_dropped")?,
                 mvm_events: req_u64(t, "mvm_events")?,
                 mvm_dropped: req_u64(t, "mvm_dropped")?,
-                pt_walks: req_u64(t, "pt_walks")?,
-                pt_dropped: req_u64(t, "pt_dropped")?,
                 dep_edges: req_u64(t, "dep_edges")?,
                 dep_dropped: req_u64(t, "dep_dropped")?,
-                samples: req_u64(t, "samples")?,
-                samples_dropped: req_u64(t, "samples_dropped")?,
             }),
-        };
-        let timeseries = match v.get("timeseries").and_then(Json::as_arr) {
-            None => Vec::new(),
-            Some(rows) => rows
-                .iter()
-                .map(|s| {
-                    let stalls_v = s.get("stalls").ok_or("missing sample stalls")?;
-                    let mut stalls = [0u64; 4];
-                    for cause in StallCause::ALL {
-                        stalls[cause.index()] = req_u64(stalls_v, cause.name())?;
-                    }
-                    Ok(Sample {
-                        at: req_u64(s, "at")?,
-                        instructions: req_u64(s, "instructions")?,
-                        stalls,
-                        free_blocks: req_u64(s, "free_blocks")?,
-                        l1_hits: req_u64(s, "l1_hits")?,
-                        l1_misses: req_u64(s, "l1_misses")?,
-                        l2_hits: req_u64(s, "l2_hits")?,
-                        l2_misses: req_u64(s, "l2_misses")?,
-                    })
-                })
-                .collect::<Result<Vec<_>, String>>()?,
         };
         let critpath = match v.get("critpath") {
             None | Some(Json::Null) => None,
@@ -603,7 +537,6 @@ impl SimReport {
             engine,
             hists,
             trace,
-            timeseries,
             critpath,
         })
     }
@@ -617,7 +550,7 @@ impl SimReport {
 /// naming the offending element — never a panic. Both the `compare`
 /// subcommand and external tooling load report files through this.
 pub fn load_reports(text: &str) -> Result<Vec<SimReport>, String> {
-    let doc = crate::json::parse(text).map_err(|e| format!("invalid JSON: {e}"))?;
+    let doc = osim_metrics::json::parse(text).map_err(|e| format!("invalid JSON: {e}"))?;
     let elems: Vec<&Json> = match &doc {
         Json::Arr(items) => items.iter().collect(),
         other => vec![other],
@@ -723,35 +656,9 @@ pub(crate) mod tests_support {
             mem_dropped: 0,
             mvm_events: 7,
             mvm_dropped: 0,
-            pt_walks: 31,
-            pt_dropped: 2,
             dep_edges: 12,
             dep_dropped: 1,
-            samples: 4,
-            samples_dropped: 0,
         });
-        r.timeseries = vec![
-            Sample {
-                at: 1000,
-                instructions: 480,
-                stalls: [120, 0, 0, 0],
-                free_blocks: 200,
-                l1_hits: 300,
-                l1_misses: 12,
-                l2_hits: 8,
-                l2_misses: 4,
-            },
-            Sample {
-                at: 2000,
-                instructions: 520,
-                stalls: [0, 0, 0, 500],
-                free_blocks: 150,
-                l1_hits: 310,
-                l1_misses: 9,
-                l2_hits: 6,
-                l2_misses: 3,
-            },
-        ];
         r.critpath = Some(CritPath::build(
             &[osim_cpu::DepEdge {
                 va: 0x8000,
@@ -776,7 +683,7 @@ pub(crate) mod tests_support {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::json::parse;
+    use osim_metrics::json::parse;
 
     fn sample() -> SimReport {
         tests_support::sample_report()
@@ -804,7 +711,6 @@ mod tests {
         assert_eq!(back.hists, r.hists);
         assert_eq!(back.hists.gate_wait.count(), 2);
         assert_eq!(back.trace, r.trace);
-        assert_eq!(back.timeseries, r.timeseries);
         assert_eq!(back.critpath, r.critpath);
     }
 
@@ -839,30 +745,27 @@ mod tests {
 
     #[test]
     fn from_json_reports_missing_fields() {
-        let v = parse("{\"schema\": 4}").unwrap();
+        let v = parse(&format!("{{\"schema\": {SCHEMA_VERSION}}}")).unwrap();
         assert!(SimReport::from_json(&v).is_err());
     }
 
     #[test]
-    fn parses_v4_fixture_without_hist_section() {
-        // A schema-4 document produced by the pre-v5 binary: must still
-        // load, with the histograms defaulting to empty.
-        let text = include_str!("../tests/fixtures/report_v4.json");
-        let back = SimReport::from_json(&parse(text).unwrap()).unwrap();
-        back.validate().unwrap();
-        assert_eq!(back.experiment, "fig7");
-        assert_eq!(back.hists, RunHists::default());
-        assert!(back.hists.gate_wait.is_empty());
-        // Re-serializing stamps the current schema and an empty hist
-        // section, which must round-trip.
-        let v = back.to_json();
-        assert_eq!(v.get("schema").and_then(Json::as_u64), Some(SCHEMA_VERSION));
-        let again = SimReport::from_json(&v).unwrap();
-        assert_eq!(again.hists, back.hists);
+    fn schema_5_document_is_an_unsupported_version() {
+        // A schema-5 document carried interval samples and four more
+        // `trace` counters; the reader refuses it by version instead of
+        // half-reading it.
+        let mut v = sample().to_json();
+        if let Json::Obj(members) = &mut v {
+            members[0].1 = Json::from_u64(5);
+        }
+        assert_eq!(
+            SimReport::from_json(&v).unwrap_err(),
+            "unsupported schema version 5"
+        );
     }
 
     #[test]
-    fn v5_document_missing_hist_is_rejected() {
+    fn document_missing_hist_is_rejected() {
         let r = sample();
         let mut v = r.to_json();
         if let Json::Obj(members) = &mut v {
@@ -872,18 +775,12 @@ mod tests {
     }
 
     #[test]
-    fn absent_capture_serializes_as_empty_and_null() {
+    fn absent_critpath_serializes_as_null() {
         let mut r = sample();
-        r.timeseries.clear();
         r.critpath = None;
         let v = r.to_json();
-        assert_eq!(
-            v.get("timeseries").and_then(Json::as_arr).map(<[_]>::len),
-            Some(0)
-        );
         assert_eq!(v.get("critpath"), Some(&Json::Null));
         let back = SimReport::from_json(&v).unwrap();
-        assert!(back.timeseries.is_empty());
         assert_eq!(back.critpath, None);
     }
 }

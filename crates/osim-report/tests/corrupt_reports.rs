@@ -1,5 +1,5 @@
 //! Regression tests for the hardened report reader: mutated copies of the
-//! committed schema-v4 fixture — truncations, byte flips, type swaps,
+//! committed schema-v6 fixture — truncations, byte flips, type swaps,
 //! hostile nesting — must every one produce a typed error from
 //! [`load_reports`], never a panic, while the pristine fixture (and its
 //! array form) keeps loading.
@@ -8,7 +8,7 @@ use proptest::prelude::*;
 
 use osim_report::{load_reports, SimReport};
 
-const FIXTURE: &str = include_str!("fixtures/report_v4.json");
+const FIXTURE: &str = include_str!("fixtures/report_v6.json");
 
 #[test]
 fn pristine_fixture_loads_in_object_and_array_form() {
@@ -55,11 +55,11 @@ fn structural_corruptions_are_typed_errors() {
         ),
         (
             "schema field removed",
-            FIXTURE.replacen("\"schema\": 4,", "", 1),
+            FIXTURE.replacen("\"schema\": 6,", "", 1),
         ),
         (
             "schema from the future",
-            FIXTURE.replacen("\"schema\": 4,", "\"schema\": 9999,", 1),
+            FIXTURE.replacen("\"schema\": 6,", "\"schema\": 9999,", 1),
         ),
         (
             "cycles turned into a string",
@@ -116,10 +116,11 @@ proptest! {
 fn loaded_fixture_round_trips_through_current_schema() {
     let reports = load_reports(FIXTURE).expect("fixture loads");
     let rendered = reports[0].to_json().to_pretty();
-    let back = load_reports(&rendered).expect("re-rendered report loads");
+    // The fixture is what the writer emits today, byte for byte.
+    assert_eq!(rendered, FIXTURE);
+    let back: Vec<SimReport> = load_reports(&rendered).expect("re-rendered report loads");
     assert_eq!(back[0].cycles, reports[0].cycles);
     assert_eq!(back[0].experiment, reports[0].experiment);
-    // Rendering upgrades to the current schema version.
-    let v: Vec<SimReport> = back;
-    v[0].validate().expect("upgraded report validates");
+    assert_eq!(back[0].hists, reports[0].hists);
+    back[0].validate().expect("re-rendered report validates");
 }

@@ -6,9 +6,9 @@
 
 use proptest::prelude::*;
 
-use osim_cpu::{CpuStats, DepEdge, EngineStats, MachineCfg, RunHists, Sample, StallCause};
+use osim_cpu::{CpuStats, DepEdge, EngineStats, MachineCfg, RunHists, StallCause};
 use osim_mem::MemStats;
-use osim_report::json::parse;
+use osim_metrics::json::parse;
 use osim_report::{CritPath, ReportScale, Segment, SimReport, TraceCounts};
 use osim_uarch::OStats;
 
@@ -101,20 +101,10 @@ proptest! {
         prop_assert_eq!(waits, cp.wait_cycles());
     }
 
-    /// A current-schema report carrying a critical path and timeseries
-    /// round-trips `to_json` → text → `from_json` exactly.
+    /// A current-schema report carrying a critical path round-trips `to_json` → text → `from_json` exactly.
     #[test]
     fn capture_report_round_trips(
         edges in proptest::collection::vec(edge_strategy(2048), 0..20),
-        samples in proptest::collection::vec(
-            (
-                1u64..1 << 20,
-                0u64..1 << 20,
-                (0u64..1 << 16, 0u64..1 << 16, 0u64..1 << 16, 0u64..1 << 16),
-                0u64..4096,
-            ),
-            0..8,
-        ),
         cycles in 1u64..1 << 30,
     ) {
         let mut r = SimReport::new(
@@ -131,28 +121,13 @@ proptest! {
             RunHists::default(),
         );
         r.critpath = Some(CritPath::build(&edges, (0, cycles)));
-        r.timeseries = samples
-            .iter()
-            .map(|&(at, instructions, (s0, s1, s2, s3), free_blocks)| Sample {
-                at,
-                instructions,
-                stalls: [s0, s1, s2, s3],
-                free_blocks,
-                l1_hits: instructions / 2,
-                l1_misses: instructions / 7,
-                l2_hits: instructions / 11,
-                l2_misses: instructions / 13,
-            })
-            .collect();
         r.trace = Some(TraceCounts {
             dep_edges: edges.len() as u64,
-            samples: r.timeseries.len() as u64,
             ..TraceCounts::default()
         });
         let text = r.to_json().to_pretty();
         let back = SimReport::from_json(&parse(&text).expect("parses")).expect("valid");
         prop_assert_eq!(back.critpath, r.critpath);
-        prop_assert_eq!(back.timeseries, r.timeseries);
         prop_assert_eq!(back.trace, r.trace);
         prop_assert_eq!(back.cycles, r.cycles);
     }

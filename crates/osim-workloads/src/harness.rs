@@ -17,8 +17,7 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 use osim_cpu::{
-    task, CpuStats, DepEdge, EngineStats, Machine, MachineCfg, MachineState, RunHists, Sample,
-    TaskCtx,
+    task, CpuStats, DepEdge, EngineStats, Machine, MachineCfg, MachineState, RunHists, TaskCtx,
 };
 use osim_mem::MemStats;
 use osim_uarch::{OStats, OracleReport, Version};
@@ -206,10 +205,6 @@ pub struct DsResult {
     pub deps: Vec<DepEdge>,
     /// Edges overwritten in the bounded ring.
     pub deps_dropped: u64,
-    /// Interval-telemetry samples (empty unless the sampler was armed).
-    pub timeseries: Vec<Sample>,
-    /// Samples overwritten in the bounded ring.
-    pub samples_dropped: u64,
     /// `[start, end]` cycle window the captures cover (end = machine time
     /// at collection; start = end − measured cycles).
     pub window: (u64, u64),
@@ -242,8 +237,6 @@ pub fn collect(m: &Machine, cycles: u64, ok: bool, detail: String) -> DsResult {
         detail,
         deps: st.deps.records(),
         deps_dropped: st.deps.dropped,
-        timeseries: st.timeseries.records(),
-        samples_dropped: st.timeseries.dropped,
         window: (end.saturating_sub(cycles), end),
         oracle: st.omgr.oracle_report().cloned(),
     }
