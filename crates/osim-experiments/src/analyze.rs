@@ -113,6 +113,8 @@ pub fn render(scale: &Scale, fig: u32, runs: &[SweepRun], out: &mut Vec<SimRepor
         let r = &run.result;
         let mut rep = report_run(run, scale);
         rep.critpath = Some(cp);
+        // Only the dependency ring is armed: the op, memory and
+        // version-manager counts read 0 (see `TraceCounts`).
         rep.trace = Some(TraceCounts {
             dep_edges: r.deps.len() as u64,
             dep_dropped: r.deps_dropped,

@@ -59,9 +59,12 @@ pub struct ReportScale {
     pub lev_len: u64,
 }
 
-/// Capture-buffer occupancy for a traced run (absent when tracing was
-/// off — the counters would all read zero and be indistinguishable from
-/// "nothing happened").
+/// Capture-buffer occupancy for a run that armed at least one capture
+/// stream. A report whose run armed none carries no `TraceCounts`, since
+/// all-zero counters could not be told from "nothing happened". Once any
+/// stream is armed the object is present, and a stream the command did
+/// not arm reads 0: `trace` arms all four, `analyze` only the dependency
+/// edges.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct TraceCounts {
     /// Per-operation records retained.
@@ -129,7 +132,7 @@ pub struct SimReport {
     pub engine: EngineStats,
     /// Latency histograms from every layer.
     pub hists: RunHists,
-    /// Trace-buffer occupancy, when tracing was enabled.
+    /// Capture-buffer occupancy, when the run armed any capture stream.
     pub trace: Option<TraceCounts>,
     /// Dependency critical-path analysis, when edge capture was armed.
     pub critpath: Option<CritPath>,

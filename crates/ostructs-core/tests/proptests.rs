@@ -5,6 +5,7 @@
 //! woken.
 
 use std::collections::BTreeMap;
+use std::ops::RangeInclusive;
 use std::sync::mpsc;
 use std::thread;
 use std::time::{Duration, Instant};
@@ -91,15 +92,107 @@ enum Step {
 }
 
 fn step_strategy() -> impl Strategy<Value = Step> {
+    step_strategy_over(1..=39)
+}
+
+/// Cell steps whose versions, caps and boundaries all lie in `domain`.
+fn step_strategy_over(domain: RangeInclusive<u64>) -> impl Strategy<Value = Step> {
     prop_oneof![
-        (1u64..40, any::<u32>()).prop_map(|(v, val)| Step::Store { v, val }),
-        (1u64..40).prop_map(|v| Step::TryLoad { v }),
-        (1u64..40).prop_map(|cap| Step::TryLatest { cap }),
-        (1u64..40, 1u64..8).prop_map(|(cap, tid)| Step::LockLatest { cap, tid }),
-        (1u64..8, proptest::option::of(1u64..40))
+        (domain.clone(), any::<u32>()).prop_map(|(v, val)| Step::Store { v, val }),
+        domain.clone().prop_map(|v| Step::TryLoad { v }),
+        domain.clone().prop_map(|cap| Step::TryLatest { cap }),
+        (domain.clone(), 1u64..8).prop_map(|(cap, tid)| Step::LockLatest { cap, tid }),
+        (1u64..8, proptest::option::of(domain.clone()))
             .prop_map(|(tid, create)| Step::Unlock { tid, create }),
-        (1u64..40).prop_map(|boundary| Step::Prune { boundary }),
+        domain.prop_map(|boundary| Step::Prune { boundary }),
     ]
+}
+
+/// `steps` with every version redrawn against a running version clock,
+/// as a store's writers draw theirs: three stores in four take one of
+/// the next two versions, so they append above the newest one. Every
+/// other version (the remaining stores, caps, renames and boundaries)
+/// lands within a few versions of the newest, so most LOAD-LATEST caps
+/// reach the newest entry and the rest search below it.
+fn mostly_ascending(steps: Vec<Step>) -> Vec<Step> {
+    let near = |clock: u64, x: u64| (clock + 2).saturating_sub(x % 8).max(1);
+    let mut clock = 0;
+    steps
+        .into_iter()
+        .map(|step| match step {
+            Step::Store { v, val } => {
+                let v = if v % 4 != 0 {
+                    clock + 1 + v % 2
+                } else {
+                    near(clock, v)
+                };
+                clock = clock.max(v);
+                Step::Store { v, val }
+            }
+            Step::TryLoad { v } => Step::TryLoad { v: near(clock, v) },
+            Step::TryLatest { cap } => Step::TryLatest {
+                cap: near(clock, cap),
+            },
+            Step::LockLatest { cap, tid } => Step::LockLatest {
+                cap: near(clock, cap),
+                tid,
+            },
+            Step::Unlock { tid, create } => Step::Unlock {
+                tid,
+                create: create.map(|v| near(clock, v)),
+            },
+            Step::Prune { boundary } => Step::Prune {
+                boundary: near(clock, boundary),
+            },
+        })
+        .collect()
+}
+
+/// Runs `steps` on a cell and on the model: every non-blocking
+/// observation must agree, and so must the versions left by each prune.
+fn run_cell_steps(steps: Vec<Step>) {
+    let cell: OCell<u32> = OCell::new();
+    let mut model = Model::default();
+    for step in steps {
+        match step {
+            Step::Store { v, val } => {
+                prop_assert_eq!(cell.store_version(v, val), model.store(v, val));
+            }
+            Step::TryLoad { v } => {
+                prop_assert_eq!(cell.try_load_version(v), model.try_load(v));
+            }
+            Step::TryLatest { cap } => {
+                prop_assert_eq!(cell.try_load_latest(cap), model.try_latest(cap));
+            }
+            Step::LockLatest { cap, tid } => {
+                // Skip when it would block (absent/locked); the model
+                // mirrors the decision. A task that already holds a
+                // lock is refused, which the model also reports as None.
+                let would = model.try_latest(cap).is_some();
+                let got = if would {
+                    match cell.lock_load_latest(cap, tid) {
+                        Err(OError::AlreadyHolds(v)) => {
+                            prop_assert_eq!(model.held.get(&tid), Some(&v));
+                            None
+                        }
+                        got => Some(got.unwrap()),
+                    }
+                } else {
+                    None
+                };
+                prop_assert_eq!(got, model.try_lock_latest(cap, tid));
+            }
+            Step::Unlock { tid, create } => {
+                prop_assert_eq!(cell.unlock_version(tid, create), model.unlock(tid, create));
+            }
+            Step::Prune { boundary } => {
+                cell.prune_below(boundary);
+                model.prune_below(boundary);
+                let want: Vec<u64> = model.versions.keys().copied().collect();
+                prop_assert_eq!(cell.versions(), want);
+            }
+        }
+    }
 }
 
 #[derive(Debug, Clone)]
@@ -356,51 +449,25 @@ proptest! {
     /// arbitrary interleavings of the six operations.
     #[test]
     fn cell_matches_model(steps in proptest::collection::vec(step_strategy(), 1..120)) {
-        let cell: OCell<u32> = OCell::new();
-        let mut model = Model::default();
-        for step in steps {
-            match step {
-                Step::Store { v, val } => {
-                    prop_assert_eq!(cell.store_version(v, val), model.store(v, val));
-                }
-                Step::TryLoad { v } => {
-                    prop_assert_eq!(cell.try_load_version(v), model.try_load(v));
-                }
-                Step::TryLatest { cap } => {
-                    prop_assert_eq!(cell.try_load_latest(cap), model.try_latest(cap));
-                }
-                Step::LockLatest { cap, tid } => {
-                    // Skip when it would block (absent/locked); the model
-                    // mirrors the decision. A task that already holds a
-                    // lock is refused, which the model also reports as None.
-                    let would = model.try_latest(cap).is_some();
-                    let got = if would {
-                        match cell.lock_load_latest(cap, tid) {
-                            Err(OError::AlreadyHolds(v)) => {
-                                prop_assert_eq!(model.held.get(&tid), Some(&v));
-                                None
-                            }
-                            got => Some(got.unwrap()),
-                        }
-                    } else {
-                        None
-                    };
-                    prop_assert_eq!(got, model.try_lock_latest(cap, tid));
-                }
-                Step::Unlock { tid, create } => {
-                    prop_assert_eq!(
-                        cell.unlock_version(tid, create),
-                        model.unlock(tid, create)
-                    );
-                }
-                Step::Prune { boundary } => {
-                    cell.prune_below(boundary);
-                    model.prune_below(boundary);
-                    let want: Vec<u64> = model.versions.keys().copied().collect();
-                    prop_assert_eq!(cell.versions(), want);
-                }
-            }
-        }
+        run_cell_steps(steps);
+    }
+
+    /// The same at the top of the version domain, where a version one
+    /// past a cap would overflow.
+    #[test]
+    fn cell_matches_model_at_the_top_of_the_version_domain(
+        steps in proptest::collection::vec(step_strategy_over(u64::MAX - 40..=u64::MAX), 1..120),
+    ) {
+        run_cell_steps(steps);
+    }
+
+    /// The same when stores mostly append above the newest version, as
+    /// under a version clock, and caps mostly reach the newest version.
+    #[test]
+    fn cell_matches_model_on_mostly_ascending_stores(
+        steps in proptest::collection::vec(step_strategy(), 1..120).prop_map(mostly_ascending),
+    ) {
+        run_cell_steps(steps);
     }
 
     /// GC transparency: pruning below any boundary never changes what a

@@ -5,7 +5,9 @@
 //! different order than they were taken; `Vacuum::run_pass` over a map
 //! whose keys were rewritten, so the pass drains each shard's dirty
 //! queue, prunes, re-queues, settles and unlinks cells; and the same
-//! collection through `ORuntime::collect_now`.
+//! collection through `ORuntime::collect_now`. A warm insert allocates
+//! its value and nothing else: a cell's version storage keeps its
+//! capacity through a prune, and so does its shard's dirty queue.
 //!
 //! `ostructs-core` forbids `unsafe`, so the counting `#[global_allocator]`
 //! is the shared per-thread one of the zero-allocation guards. A test
@@ -13,7 +15,8 @@
 //! disarms it before the assertions. Every guarded operation runs on the
 //! arming thread (`run_pass` and `collect_now` prune on the calling
 //! thread, and the vacuum's background thread is never woken), and the
-//! count of allocations inside the window must be exactly zero.
+//! count of allocations inside the window must be exactly zero, or for
+//! inserts exactly the two that box each value.
 
 #[path = "support/counting_alloc.rs"]
 mod counting_alloc;
@@ -145,4 +148,45 @@ fn rewrite_and_collect(rt: &ORuntime, map: &OMap<u32, u64>) -> (u64, u64) {
     let before = rt.gc_stats().reclaimed;
     let ((), allocs) = counted(|| rt.collect_now());
     (rt.gc_stats().reclaimed - before, allocs)
+}
+
+/// Inserts every key `WRITES` times, each at the clock's next version.
+/// A cell left with one version by a pass then grows to `WRITES + 1`
+/// versions, so storage that a prune released would be allocated again.
+fn write_all(map: &OMap<u32, u64>, clock: &mut u64) {
+    const WRITES: u64 = 16;
+    for _ in 0..WRITES {
+        for k in 0..KEYS {
+            *clock += 1;
+            map.insert(k, *clock, *clock).unwrap();
+        }
+    }
+}
+
+#[test]
+fn warm_inserts_allocate_only_their_values() {
+    let map: OMap<u32, u64> = OMap::new();
+    let mut clock = 0;
+    // Each round grows every cell, and a pass at the newest version
+    // prunes it back to one version and settles it: the cells' version
+    // storage and the shards' queue buffers grow to their peak.
+    for _ in 0..4 {
+        write_all(&map, &mut clock);
+        map.prune_below(clock);
+    }
+    let before = clock;
+
+    let ((), allocs) = counted(|| write_all(&map, &mut clock));
+
+    let inserts = clock - before;
+    assert_eq!(inserts, 16 * u64::from(KEYS));
+    // Each insert boxes its value twice: `OMap::insert` wraps it in an
+    // `Arc<V>`, and `OCell::store_marking` wraps the cell's
+    // `Option<Arc<V>>` in the slot's `Arc`.
+    assert_eq!(
+        allocs,
+        2 * inserts,
+        "a warm insert allocated past its value"
+    );
+    assert_eq!(map.prune_below(clock), 16 * KEYS as usize);
 }
