@@ -5,8 +5,8 @@
 //! `BENCH_ostructs.json`, and are not repeated here.
 //!
 //! Groups:
-//! * `uncontended` — each thread owns a private preloaded cell and loads
-//!   committed versions as `Arc` handles (`load_version_arc`).
+//! * `uncontended` — each thread owns a private preloaded `OCell<u64>` and
+//!   loads committed versions by value (`try_load_version`).
 //! * `hot_key` — every thread stores fresh versions of one shared cell;
 //!   measures the contended single-cell write path.
 //!
@@ -72,11 +72,11 @@ fn uncontended() {
                 cell
             })
             .collect();
-        bench(&format!("load_version_arc/t{threads}"), || {
+        bench(&format!("try_load_version/t{threads}"), || {
             fan_out(threads, per_thread, |t, n| {
                 let cell = &cells[t];
                 for i in 0..n {
-                    black_box(cell.try_load_version_arc(black_box(1 + i % 32)));
+                    black_box(cell.try_load_version(black_box(1 + i % 32)));
                 }
             });
         });

@@ -32,7 +32,7 @@ use crate::error::OError;
 use crate::{TaskId, Version};
 
 struct Slot<T> {
-    value: Arc<T>,
+    value: T,
     locked_by: Option<TaskId>,
 }
 
@@ -65,22 +65,22 @@ impl<T> Versions<T> {
         Some((*v, slot))
     }
 
-    /// Adds an unlocked `version` holding `value`; false, dropping
-    /// `value`, when the version exists. A version above the newest one
-    /// is appended.
-    fn insert(&mut self, version: Version, value: Arc<T>) -> bool {
+    /// Adds an unlocked `version` holding `value`, or drops `value` and
+    /// fails when the version exists. A version above the newest one is
+    /// appended.
+    fn insert(&mut self, version: Version, value: T) -> Result<(), OError> {
         let slot = Slot {
             value,
             locked_by: None,
         };
         match self.0.last() {
             Some(&(newest, _)) if newest >= version => match self.search(version) {
-                Ok(_) => return false,
+                Ok(_) => return Err(OError::VersionExists(version)),
                 Err(i) => self.0.insert(i, (version, slot)),
             },
             _ => self.0.push((version, slot)),
         }
-        true
+        Ok(())
     }
 
     /// Keeps the versions `keep` accepts, in order; the capacity stays.
@@ -115,7 +115,7 @@ struct State<T> {
 
 impl<T> State<T> {
     /// `version`'s value, if it exists and is unlocked.
-    fn exact(&self, version: Version) -> Option<&Arc<T>> {
+    fn exact(&self, version: Version) -> Option<&T> {
         self.versions
             .get(version)
             .filter(|s| s.locked_by.is_none())
@@ -124,7 +124,7 @@ impl<T> State<T> {
 
     /// The newest version ≤ `cap` and its value, if that version is
     /// unlocked. Never falls back to an older version.
-    fn latest(&self, cap: Version) -> Option<(Version, &Arc<T>)> {
+    fn latest(&self, cap: Version) -> Option<(Version, &T)> {
         self.versions
             .newest_at_most(cap)
             .filter(|(_, s)| s.locked_by.is_none())
@@ -144,7 +144,7 @@ impl<T> State<T> {
     }
 
     /// Locks the existing, unlocked `version` for `tid`.
-    fn lock(&mut self, version: Version, tid: TaskId) -> &Arc<T> {
+    fn lock(&mut self, version: Version, tid: TaskId) -> &T {
         let slot = self
             .versions
             .get_mut(version)
@@ -220,10 +220,12 @@ impl<T> Prune for Inner<T> {
 
 /// A software O-structure: one memory location, many ordered versions.
 ///
-/// Cheap to clone (a handle); all clones refer to the same cell. Values
-/// are stored once in an `Arc<T>`: the `_arc` load variants share that
-/// allocation, while the plain load variants clone `T` out of it (so `T:
-/// Clone` is only required where a copy is actually returned).
+/// Cheap to clone (a handle); all clones refer to the same cell. Each
+/// version holds its `T` inline, as the paper's version block holds its
+/// data word: a load returns a clone of `T`, and so does a rename. A `T`
+/// that is costly to clone is stored as `Arc<U>`, so loads and renames
+/// share one allocation and only move its reference count. `T: Clone` is
+/// required only by the operations that copy a value out.
 ///
 /// # Blocking semantics (§II-A of the paper)
 ///
@@ -238,9 +240,8 @@ impl<T> Prune for Inner<T> {
 ///   cell: asking for a second is [`OError::AlreadyHolds`].
 /// * [`OCell::unlock_version`] releases the caller's lock and can
 ///   atomically create a successor version carrying the same value — the
-///   rename step of hand-over-hand pipelining. The successor shares the
-///   predecessor's value allocation, so rename chains cost no value
-///   clones.
+///   rename step of hand-over-hand pipelining. The successor holds a
+///   clone of the predecessor's `T`.
 pub struct OCell<T> {
     inner: Arc<Inner<T>>,
 }
@@ -300,12 +301,6 @@ impl<T> OCell<T> {
     /// `STORE-VERSION`: creates `version` holding `value` and wakes every
     /// blocked load. Versions are immutable once created.
     pub fn store_version(&self, version: Version, value: T) -> Result<(), OError> {
-        self.store_version_arc(version, Arc::new(value))
-    }
-
-    /// `STORE-VERSION` from an existing allocation: shares `value` instead
-    /// of re-boxing it (the zero-copy publish path).
-    pub fn store_version_arc(&self, version: Version, value: Arc<T>) -> Result<(), OError> {
         self.store(version, value, false).map(drop)
     }
 
@@ -313,14 +308,12 @@ impl<T> OCell<T> {
     /// not queued before, so the caller must put it on its dirty queue.
     /// A failed store leaves the mark alone.
     pub(crate) fn store_marking(&self, version: Version, value: T) -> Result<bool, OError> {
-        self.store(version, Arc::new(value), true)
+        self.store(version, value, true)
     }
 
-    fn store(&self, version: Version, value: Arc<T>, mark: bool) -> Result<bool, OError> {
+    fn store(&self, version: Version, value: T, mark: bool) -> Result<bool, OError> {
         let mut st = self.inner.state.lock();
-        if !st.versions.insert(version, value) {
-            return Err(OError::VersionExists(version));
-        }
+        st.versions.insert(version, value)?;
         let newly = mark && !std::mem::replace(&mut st.queued, true);
         self.inner.wake(st);
         Ok(newly)
@@ -332,36 +325,6 @@ impl<T> OCell<T> {
         let cell = Self::new();
         cell.inner.state.lock().queued = true;
         cell
-    }
-
-    /// `LOAD-VERSION` returning the shared allocation: blocks until
-    /// `version` exists and is unlocked, without cloning `T`.
-    pub fn load_version_arc(&self, version: Version) -> Arc<T> {
-        self.wait_for(|st| st.exact(version).cloned())
-    }
-
-    /// Non-blocking `LOAD-VERSION` returning the shared allocation.
-    pub fn try_load_version_arc(&self, version: Version) -> Option<Arc<T>> {
-        self.inner.state.lock().exact(version).cloned()
-    }
-
-    /// `LOAD-LATEST` returning the shared allocation: blocks until some
-    /// version ≤ `cap` exists and the newest such version is unlocked.
-    pub fn load_latest_arc(&self, cap: Version) -> (Version, Arc<T>) {
-        self.wait_for(|st| st.latest(cap).map(|(v, a)| (v, Arc::clone(a))))
-    }
-
-    /// Non-blocking `LOAD-LATEST` returning the shared allocation.
-    pub fn try_load_latest_arc(&self, cap: Version) -> Option<(Version, Arc<T>)> {
-        let st = self.inner.state.lock();
-        st.latest(cap).map(|(v, a)| (v, Arc::clone(a)))
-    }
-
-    /// Non-blocking `LOAD-LATEST` that lends the value to `f` under the
-    /// cell mutex instead of sharing its allocation: no reference count
-    /// moves unless `f` takes one. `f` must not touch this cell.
-    pub(crate) fn try_read_latest<R>(&self, cap: Version, f: impl FnOnce(&T) -> R) -> Option<R> {
-        self.inner.state.lock().latest(cap).map(|(_, a)| f(a))
     }
 
     /// The version `tid` currently holds locked, if any.
@@ -476,31 +439,30 @@ impl<U> OCell<Option<U>> {
 impl<T: Clone> OCell<T> {
     /// `LOAD-VERSION`: blocks until `version` exists and is unlocked.
     pub fn load_version(&self, version: Version) -> T {
-        self.wait_for(|st| st.exact(version).map(|a| (**a).clone()))
+        self.wait_for(|st| st.exact(version).cloned())
     }
 
     /// Non-blocking `LOAD-VERSION`: `None` if absent or locked.
     pub fn try_load_version(&self, version: Version) -> Option<T> {
-        self.inner
-            .state
-            .lock()
-            .exact(version)
-            .map(|a| (**a).clone())
+        self.inner.state.lock().exact(version).cloned()
     }
 
     /// `LOAD-VERSION` with a timeout — mainly for tests that must detect a
-    /// stall without hanging. `None` on timeout.
+    /// stall without hanging. `None` on timeout; a timeout too long for
+    /// an `Instant` to represent waits with no deadline.
     pub fn load_version_timeout(&self, version: Version, dur: Duration) -> Option<T> {
-        let deadline = Instant::now() + dur;
+        let deadline = Instant::now().checked_add(dur);
         let mut st = self.inner.state.lock();
         let mut timer = crate::metrics::WaitTimer::new();
         loop {
-            if let Some(a) = st.exact(version) {
-                return Some((**a).clone());
+            if let Some(value) = st.exact(version) {
+                return Some(value.clone());
             }
             timer.note_wait();
-            if self.inner.park_until(&mut st, deadline) {
-                return None;
+            match deadline {
+                Some(deadline) if self.inner.park_until(&mut st, deadline) => return None,
+                Some(_) => {}
+                None => self.inner.park(&mut st),
             }
         }
     }
@@ -508,13 +470,13 @@ impl<T: Clone> OCell<T> {
     /// `LOAD-LATEST`: blocks until some version ≤ `cap` exists and the
     /// newest such version is unlocked. Returns `(version, value)`.
     pub fn load_latest(&self, cap: Version) -> (Version, T) {
-        self.wait_for(|st| st.latest(cap).map(|(v, a)| (v, (**a).clone())))
+        self.wait_for(|st| st.latest(cap).map(|(v, value)| (v, value.clone())))
     }
 
     /// Non-blocking `LOAD-LATEST`.
     pub fn try_load_latest(&self, cap: Version) -> Option<(Version, T)> {
         let st = self.inner.state.lock();
-        st.latest(cap).map(|(v, a)| (v, (**a).clone()))
+        st.latest(cap).map(|(v, value)| (v, value.clone()))
     }
 
     /// `LOCK-LOAD-VERSION`: exact load + lock as `tid`. Blocks while the
@@ -530,7 +492,7 @@ impl<T: Clone> OCell<T> {
                 return Some(Err(OError::AlreadyHolds(held)));
             }
             st.exact(version)?;
-            Some(Ok((**st.lock(version, tid)).clone()))
+            Some(Ok(st.lock(version, tid).clone()))
         })
     }
 
@@ -546,7 +508,7 @@ impl<T: Clone> OCell<T> {
             return None;
         }
         let (v, _) = st.latest(cap)?;
-        Some((v, (**st.lock(v, tid)).clone()))
+        Some((v, st.lock(v, tid).clone()))
     }
 
     /// `LOCK-LOAD-LATEST`: capped load + lock as `tid`.
@@ -561,31 +523,25 @@ impl<T: Clone> OCell<T> {
                 return Some(Err(OError::AlreadyHolds(held)));
             }
             let (v, _) = st.latest(cap)?;
-            Some(Ok((v, (**st.lock(v, tid)).clone())))
+            Some(Ok((v, st.lock(v, tid).clone())))
         })
     }
 
     /// `UNLOCK-VERSION`: releases `tid`'s lock on this cell; with
-    /// `create = Some(vn)` also creates unlocked version `vn` carrying the
-    /// just-unlocked value (the rename — sharing the value allocation).
-    /// Wakes all waiters.
+    /// `create = Some(vn)` also creates unlocked version `vn` holding a
+    /// clone of the just-unlocked value (the rename). Wakes all waiters.
     pub fn unlock_version(&self, tid: TaskId, create: Option<Version>) -> Result<(), OError> {
         let mut st = self.inner.state.lock();
         let Some(vl) = st.held.remove(&tid) else {
             return Err(OError::NotLockOwner(tid));
         };
-        let value = {
-            let slot = st.versions.get_mut(vl).expect("held version exists");
-            debug_assert_eq!(slot.locked_by, Some(tid));
-            slot.locked_by = None;
-            Arc::clone(&slot.value)
-        };
+        let slot = st.versions.get_mut(vl).expect("held version exists");
+        debug_assert_eq!(slot.locked_by, Some(tid));
+        slot.locked_by = None;
         // The unlock stands even when the create fails; the create is the
         // error.
-        let created = match create {
-            Some(vn) if !st.versions.insert(vn, value) => Err(OError::VersionExists(vn)),
-            _ => Ok(()),
-        };
+        let renamed = create.map(|vn| (vn, slot.value.clone()));
+        let created = renamed.map_or(Ok(()), |(vn, value)| st.versions.insert(vn, value));
         self.inner.wake(st);
         created
     }
@@ -790,6 +746,18 @@ mod tests {
     }
 
     #[test]
+    fn unrepresentable_timeout_waits_without_deadline() {
+        let c: OCell<u32> = OCell::new();
+        c.store_version(1, 5).unwrap();
+        assert_eq!(c.load_version_timeout(1, Duration::MAX), Some(5));
+        let c2 = c.clone();
+        let t = thread::spawn(move || c2.load_version_timeout(2, Duration::MAX));
+        thread::sleep(Duration::from_millis(20));
+        c.store_version(2, 6).unwrap();
+        assert_eq!(t.join().unwrap(), Some(6));
+    }
+
+    #[test]
     fn prune_below_keeps_newest_at_or_under_boundary() {
         let c = OCell::new();
         for v in 1..=10u64 {
@@ -861,9 +829,9 @@ mod tests {
 
     #[test]
     fn rename_chain_shares_one_allocation() {
-        // A long rename pipeline shares one value allocation; every
-        // intermediate version stays loadable.
-        let c = OCell::with_initial(1, 7u32);
+        // A long rename pipeline over an `Arc` value shares one value
+        // allocation; every intermediate version stays loadable.
+        let c = OCell::with_initial(1, Arc::new(7u32));
         for tid in 1..=200u64 {
             c.lock_load_version(tid, tid).unwrap();
             c.unlock_version(tid, Some(tid + 1)).unwrap();
@@ -871,10 +839,10 @@ mod tests {
         assert_eq!(c.version_count(), 201);
         c.check_invariants().unwrap();
         for v in [1u64, 50, 199, 201] {
-            assert_eq!(c.try_load_version(v), Some(7));
+            assert_eq!(c.try_load_version(v).as_deref(), Some(&7));
         }
-        let a = c.load_version_arc(1);
-        let b = c.load_version_arc(201);
+        let a = c.load_version(1);
+        let b = c.load_version(201);
         assert!(Arc::ptr_eq(&a, &b), "renames share the value allocation");
     }
 
@@ -898,9 +866,9 @@ mod tests {
 
     #[test]
     fn arc_loads_share_the_allocation() {
-        let c = OCell::with_initial(3, String::from("value"));
-        let a = c.load_latest_arc(10).1;
-        let b = c.try_load_version_arc(3).unwrap();
+        let c = OCell::with_initial(3, Arc::new(String::from("value")));
+        let a = c.load_latest(10).1;
+        let b = c.try_load_version(3).unwrap();
         assert!(Arc::ptr_eq(&a, &b));
         assert_eq!(*a, "value");
     }

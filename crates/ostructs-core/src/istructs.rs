@@ -55,8 +55,9 @@ impl<T> Default for IVar<T> {
 
 const IVER: Version = 1;
 
-/// The zero-copy surface needs no `T: Clone` — values move in through
-/// `put` and come back out shared, so non-`Clone` payloads work too.
+/// Filling and testing need no `T: Clone`; reads clone the value out, so
+/// a non-`Clone` or costly payload is wrapped in `Arc` and every reader
+/// shares it.
 impl<T> IVar<T> {
     /// An empty (unwritten) I-structure.
     pub fn new() -> Self {
@@ -69,20 +70,9 @@ impl<T> IVar<T> {
         self.cell.store_version(IVER, value)
     }
 
-    /// Blocking read sharing the allocation instead of cloning — the
-    /// broadcast-friendly flavor (N readers, one value, zero copies).
-    pub fn get_arc(&self) -> Arc<T> {
-        self.cell.load_version_arc(IVER)
-    }
-
-    /// Non-blocking shared read.
-    pub fn try_get_arc(&self) -> Option<Arc<T>> {
-        self.cell.try_load_version_arc(IVER)
-    }
-
     /// True once `put` has happened.
     pub fn is_full(&self) -> bool {
-        self.try_get_arc().is_some()
+        self.cell.version_count() > 0
     }
 }
 
@@ -204,12 +194,14 @@ mod tests {
     #[test]
     fn ivar_shared_reads_need_no_clone() {
         struct NoClone(u32);
-        let v: IVar<NoClone> = IVar::new();
+        let v: IVar<Arc<NoClone>> = IVar::new();
         assert!(!v.is_full());
-        assert!(v.try_get_arc().is_none());
-        v.put(NoClone(7)).unwrap();
+        assert!(v.try_get().is_none());
+        v.put(Arc::new(NoClone(7))).unwrap();
         assert!(v.is_full());
-        assert_eq!(v.get_arc().0, 7);
+        let (a, b) = (v.get(), v.try_get().unwrap());
+        assert_eq!(a.0, 7);
+        assert!(Arc::ptr_eq(&a, &b), "readers share one allocation");
     }
 
     #[test]

@@ -10,7 +10,9 @@
 //!   `LOCK-LOAD-VERSION`, `LOCK-LOAD-LATEST`, `UNLOCK-VERSION`. Loads of
 //!   versions that do not exist yet (or are locked) block the calling
 //!   thread; stores and unlocks wake the waiters. Any number of cells and
-//!   versions per cell, bounded only by memory.
+//!   versions per cell, bounded only by memory. Each version holds its
+//!   `T` inline and loads return clones; a value that is costly to clone
+//!   is stored as `Arc<U>`, so loads and renames share it.
 //! * [`Versioned`] — the Fig. 1 library API (`versioned<T>`): per-task
 //!   ergonomic wrappers (`store_ver`, `lock_load_last`, `unlock_ver`)
 //!   where the cell remembers which version each task holds locked.
@@ -34,7 +36,7 @@
 //! adoption surface for programs that want O-structure semantics today, at
 //! software speed (the paper's observation that software versioning is
 //! substantially slower than hardware support still stands — see the
-//! `software_overhead` bench).
+//! `software_cell` bench).
 
 pub mod cell;
 pub mod error;

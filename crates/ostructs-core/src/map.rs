@@ -49,9 +49,11 @@
 //!
 //! # Values
 //!
-//! Values are stored once as `Arc<V>`. [`OMap::get_arc`] reads without
-//! cloning `V`; [`OMap::get`], [`OMap::snapshot`], and [`OMap::scan`]
-//! are thin cloning wrappers kept for the original API.
+//! A key's cell holds `Option<Arc<V>>` inline in each version, so an
+//! insert allocates once, for the value's `Arc<V>`, and a remove not at
+//! all. Reads never clone `V`: [`OMap::get_arc`], [`OMap::snapshot_arc`]
+//! and [`OMap::scan_arc`] hand out the shared `Arc<V>`, which costs one
+//! reference-count increment per value returned.
 //!
 //! Consistency contract (the same one the paper's runtime rules give):
 //! writers use monotonically increasing versions (e.g. task ids), and a
@@ -300,16 +302,17 @@ where
 ///
 /// ```
 /// use ostructs_core::map::OMap;
+/// use std::sync::Arc;
 ///
 /// let m: OMap<&str, u32> = OMap::new();
 /// m.insert("x", 1, 10).unwrap();          // version 1
 /// m.insert("y", 2, 20).unwrap();          // version 2
 /// m.remove("x", 3).unwrap();              // version 3
 ///
-/// assert_eq!(m.get("x", 2), Some(10));    // snapshot before the remove
-/// assert_eq!(m.get("x", 3), None);
-/// assert_eq!(m.snapshot(2), vec![("x", 10), ("y", 20)]);
-/// assert_eq!(m.snapshot(9), vec![("y", 20)]);
+/// assert_eq!(m.get_arc(&"x", 2).as_deref(), Some(&10)); // before the remove
+/// assert_eq!(m.get_arc(&"x", 3), None);
+/// assert_eq!(m.snapshot_arc(2), vec![("x", Arc::new(10)), ("y", Arc::new(20))]);
+/// assert_eq!(m.snapshot_arc(9), vec![("y", Arc::new(20))]);
 /// ```
 pub struct OMap<K, V> {
     inner: Arc<MapInner<K, V>>,
@@ -408,8 +411,8 @@ impl<K: Ord + Hash + Clone, V> OMap<K, V> {
         // the value's own `Arc` is cloned, not the cell handle.
         read_counted(&self.inner.shard(key).index)
             .get(key)?
-            .try_read_latest(cap, Option::clone)
-            .flatten()
+            .try_load_latest(cap)?
+            .1
     }
 
     /// Blocks until `key` has version `version` published, and returns
@@ -419,7 +422,7 @@ impl<K: Ord + Hash + Clone, V> OMap<K, V> {
     /// lock is held while blocked.
     pub fn wait_version(&self, key: K, version: Version) -> Option<Arc<V>> {
         let cell = self.cell_for(self.inner.shard(&key), &key);
-        (*cell.load_version_arc(version)).clone()
+        cell.load_version(version)
     }
 
     /// Holds `key`'s cell as a parked [`OMap::wait_version`] does: the
@@ -453,7 +456,7 @@ impl<K: Ord + Hash + Clone, V> OMap<K, V> {
             let present = index
                 .range((from, Bound::Unbounded))
                 .filter_map(|(k, cell)| {
-                    let v = cell.try_read_latest(cap, Option::clone).flatten()?;
+                    let v = cell.try_load_latest(cap)?.1?;
                     Some((k.clone(), v))
                 });
             out.extend(present.take(limit));
@@ -478,29 +481,6 @@ impl<K: Ord + Hash + Clone, V> OMap<K, V> {
     }
 }
 
-impl<K: Ord + Hash + Clone, V: Clone> OMap<K, V> {
-    /// The value of `key` in the snapshot at `cap`, cloned out.
-    pub fn get(&self, key: K, cap: Version) -> Option<V> {
-        self.get_arc(&key, cap).map(|v| (*v).clone())
-    }
-
-    /// The full snapshot at `cap`, cloned, in key order.
-    pub fn snapshot(&self, cap: Version) -> Vec<(K, V)> {
-        self.snapshot_arc(cap)
-            .into_iter()
-            .map(|(k, v)| (k, (*v).clone()))
-            .collect()
-    }
-
-    /// A cloned range scan; see [`OMap::scan_arc`].
-    pub fn scan(&self, from: K, limit: usize, cap: Version) -> Vec<(K, V)> {
-        self.scan_arc(from, limit, cap)
-            .into_iter()
-            .map(|(k, v)| (k, (*v).clone()))
-            .collect()
-    }
-}
-
 impl<K, V> crate::vacuum::Prunable for OMap<K, V>
 where
     K: Ord + Hash + Clone + Send + Sync + 'static,
@@ -517,6 +497,11 @@ mod tests {
     use super::*;
     use std::thread;
 
+    /// `pairs` with each shared value copied out, for comparisons.
+    fn values<K, V: Copy>(pairs: Vec<(K, Arc<V>)>) -> Vec<(K, V)> {
+        pairs.into_iter().map(|(k, v)| (k, *v)).collect()
+    }
+
     #[test]
     fn insert_get_remove_snapshots() {
         let m: OMap<u32, &str> = OMap::new();
@@ -524,13 +509,13 @@ mod tests {
         m.insert(2, 2, "b").unwrap();
         m.remove(1, 3).unwrap();
         m.insert(1, 4, "a2").unwrap();
-        assert_eq!(m.get(1, 1), Some("a"));
-        assert_eq!(m.get(1, 3), None);
-        assert_eq!(m.get(1, 4), Some("a2"));
-        assert_eq!(m.get(2, 1), None, "not yet inserted at cap 1");
-        assert_eq!(m.snapshot(2), vec![(1, "a"), (2, "b")]);
-        assert_eq!(m.snapshot(3), vec![(2, "b")]);
-        assert_eq!(m.snapshot(9), vec![(1, "a2"), (2, "b")]);
+        assert_eq!(m.get_arc(&1, 1).as_deref(), Some(&"a"));
+        assert_eq!(m.get_arc(&1, 3), None);
+        assert_eq!(m.get_arc(&1, 4).as_deref(), Some(&"a2"));
+        assert_eq!(m.get_arc(&2, 1), None, "not yet inserted at cap 1");
+        assert_eq!(values(m.snapshot_arc(2)), vec![(1, "a"), (2, "b")]);
+        assert_eq!(values(m.snapshot_arc(3)), vec![(2, "b")]);
+        assert_eq!(values(m.snapshot_arc(9)), vec![(1, "a2"), (2, "b")]);
     }
 
     #[test]
@@ -548,10 +533,10 @@ mod tests {
         for k in 0..20u32 {
             m.insert(k, (k + 1) as u64, k * 10).unwrap();
         }
-        let got = m.scan(5, 4, u64::MAX);
+        let got = values(m.scan_arc(5, 4, u64::MAX));
         assert_eq!(got, vec![(5, 50), (6, 60), (7, 70), (8, 80)]);
         // Cap 8 means only keys 0..=7 exist (version = key+1).
-        let got = m.scan(5, 4, 8);
+        let got = values(m.scan_arc(5, 4, 8));
         assert_eq!(got, vec![(5, 50), (6, 60), (7, 70)]);
     }
 
@@ -571,9 +556,9 @@ mod tests {
         for k in 6..10 {
             m.insert(k, 3, k).unwrap();
         }
-        assert_eq!(m.scan(0, 2, 5), vec![(6, 6), (7, 7)]);
-        assert_eq!(m.scan(7, 9, 5), vec![(7, 7), (8, 8), (9, 9)]);
-        assert_eq!(m.snapshot(5).len(), 4);
+        assert_eq!(values(m.scan_arc(0, 2, 5)), vec![(6, 6), (7, 7)]);
+        assert_eq!(values(m.scan_arc(7, 9, 5)), vec![(7, 7), (8, 8), (9, 9)]);
+        assert_eq!(m.snapshot_arc(5).len(), 4);
     }
 
     #[test]
@@ -586,7 +571,7 @@ mod tests {
         for k in 0..32 {
             m.insert(k, (k + 1) as u64, k).unwrap();
         }
-        assert_eq!(m.snapshot(u64::MAX).len(), 32);
+        assert_eq!(m.snapshot_arc(u64::MAX).len(), 32);
     }
 
     #[test]
@@ -626,7 +611,7 @@ mod tests {
         let readers: Vec<_> = (1..=16u64)
             .map(|cap| {
                 let m = m.clone();
-                thread::spawn(move || (cap, m.snapshot(cap)))
+                thread::spawn(move || (cap, m.snapshot_arc(cap)))
             })
             .collect();
         for w in writers {
@@ -634,13 +619,13 @@ mod tests {
         }
         for r in readers {
             let (cap, snap) = r.join().unwrap();
-            for (k, v) in snap {
+            for (k, v) in values(snap) {
                 assert!(v <= cap, "key {k}: version {v} leaked into snapshot {cap}");
                 assert_eq!(k / 100, v as u32, "key batch matches its writer");
             }
         }
         // The final snapshot has every batch.
-        assert_eq!(m.snapshot(u64::MAX).len(), 16 * 8);
+        assert_eq!(m.snapshot_arc(u64::MAX).len(), 16 * 8);
     }
 
     #[test]
@@ -651,8 +636,8 @@ mod tests {
         }
         let reclaimed = m.prune_below(8);
         assert_eq!(reclaimed, 7);
-        assert_eq!(m.get(7, 8), Some(8));
-        assert_eq!(m.get(7, u64::MAX), Some(10));
+        assert_eq!(m.get_arc(&7, 8).as_deref(), Some(&8));
+        assert_eq!(m.get_arc(&7, u64::MAX).as_deref(), Some(&10));
     }
 
     #[test]
@@ -664,8 +649,8 @@ mod tests {
         assert_eq!(m.tracked_keys(), 2);
         m.prune_below(u64::MAX - 1);
         // Key 1's only surviving version is an absence: the cell may go.
-        assert_eq!(m.get(1, u64::MAX), None);
-        assert_eq!(m.get(2, u64::MAX), Some(20));
+        assert_eq!(m.get_arc(&1, u64::MAX), None);
+        assert_eq!(m.get_arc(&2, u64::MAX).as_deref(), Some(&20));
     }
 
     #[test]
@@ -679,7 +664,7 @@ mod tests {
         let cell = m.cell_for(m.inner.shard(&1), &1);
         m.prune_below(u64::MAX - 1);
         cell.store_version(1, Some(Arc::new(10))).unwrap();
-        assert_eq!(m.get(1, u64::MAX), Some(10));
+        assert_eq!(m.get_arc(&1, u64::MAX).as_deref(), Some(&10));
     }
 
     #[test]
@@ -710,6 +695,6 @@ mod tests {
         }
         let reclaimed = vac.run_pass();
         assert_eq!(reclaimed, 19);
-        assert_eq!(m.get(1, u64::MAX), Some(20));
+        assert_eq!(m.get_arc(&1, u64::MAX).as_deref(), Some(&20));
     }
 }

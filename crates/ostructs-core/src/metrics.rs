@@ -116,7 +116,7 @@ mod tests {
                 cell.store_version(3, 30).expect("store");
             })
         };
-        assert_eq!(cell.load_version_arc(3).as_ref(), &30);
+        assert_eq!(cell.load_version(3), 30);
         writer.join().expect("writer");
 
         let mut after = Registry::new();

@@ -293,7 +293,7 @@ mod tests {
         assert_eq!(rt.gc_stats().reclaimed, 16 + 3 * 15);
         assert_eq!(m.tracked_keys(), 3);
         for k in 1..4u32 {
-            assert_eq!(m.get(k, u64::MAX), Some(u64::from(61 + k)));
+            assert_eq!(m.get_arc(&k, u64::MAX).as_deref(), Some(&u64::from(61 + k)));
         }
     }
 

@@ -32,15 +32,23 @@
 //!    then calls [`crate::cell::Prune::prune_below`] on every tracked
 //!    store. `prune_below` keeps the newest version ≤ the boundary, so a
 //!    reader pinned exactly *at* the watermark still resolves every load.
-//!    A tracked cell is pruned whole on every pass; a tracked
-//!    [`crate::map::OMap`] visits only the cells on its per-shard dirty
-//!    queues (see the map's "Reclamation" notes): those its stores,
-//!    removes and cell creations queued, under a flag in each cell that
-//!    keeps it queued at most once, plus those an earlier pass put back
-//!    because they could still shed a version or be unlinked later. Each
-//!    is pruned under its shard's read lock; the shard's write lock is
-//!    taken only to unlink a cell no snapshot can observe and no handle
-//!    holds. A warm pass allocates nothing.
+//!    A tracked [`crate::map::OMap`] visits only the cells on its
+//!    per-shard dirty queues (see the map's "Reclamation" notes): those
+//!    its stores, removes and cell creations queued, under a flag in each
+//!    cell that keeps it queued at most once, plus those an earlier pass
+//!    put back because they could still shed a version or be unlinked
+//!    later. Each is pruned under its shard's read lock; the shard's
+//!    write lock is taken only to unlink a cell no snapshot can observe
+//!    and no handle holds. A warm pass allocates nothing.
+//!
+//! A bare [`crate::OCell`] tracked directly is pruned on every pass,
+//! written or not, and gets no dirty flag. Visiting a settled cell costs
+//! one `Weak` upgrade and one lock of its short version `Vec`: a pass
+//! over 4,096 settled bare `OCell<u64>`s took a median 196–232 µs (48–56
+//! ns a cell, three runs of 200 passes on a 2-vCPU x86-64 container). A
+//! flag would need a second store path that knows the cell's collector
+//! and queues the cell on it, beside the plain store every bare cell
+//! uses; services with many cells track an `OMap`, whose cells do queue.
 
 use std::sync::atomic::{fence, AtomicU64, Ordering};
 use std::sync::mpsc::{self, RecvTimeoutError};
@@ -594,7 +602,7 @@ mod tests {
         let v2 = reg.next_version();
         m.insert(7, v2, v2).unwrap();
         m.prune_below(boundary);
-        assert_eq!(m.get(7, pin.cap()), Some(v1));
+        assert_eq!(m.get_arc(&7, pin.cap()).as_deref(), Some(&v1));
     }
 
     #[test]
@@ -615,7 +623,7 @@ mod tests {
         let v2 = reg.next_version();
         m.insert(7, v2, v2).unwrap();
         m.prune_below(boundary);
-        assert_eq!(m.get(7, pin.cap()), Some(v1));
+        assert_eq!(m.get_arc(&7, pin.cap()).as_deref(), Some(&v1));
         drop((ahead, pin));
     }
 

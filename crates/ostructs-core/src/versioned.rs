@@ -78,19 +78,9 @@ impl<T: Clone> Versioned<T> {
         self.cell.load_version(version)
     }
 
-    /// `LOAD-VERSION` without cloning: the shared allocation.
-    pub fn load_ver_arc(&self, version: Version) -> std::sync::Arc<T> {
-        self.cell.load_version_arc(version)
-    }
-
     /// `LOAD-LATEST` capped at `tid`: the task's snapshot view.
     pub fn load_last(&self, tid: TaskId) -> (Version, T) {
         self.cell.load_latest(tid)
-    }
-
-    /// `LOAD-LATEST` without cloning: the shared allocation.
-    pub fn load_last_arc(&self, tid: TaskId) -> (Version, std::sync::Arc<T>) {
-        self.cell.load_latest_arc(tid)
     }
 
     /// `lock_load_ver(tid)` of Fig. 1: get *and lock* a specific version.

@@ -69,7 +69,11 @@ proptest! {
             }
         });
         for &cap in &caps {
-            let snap = m.snapshot(cap);
+            let snap: Vec<(u32, u64)> = m
+                .snapshot_arc(cap)
+                .into_iter()
+                .map(|(k, v)| (k, *v))
+                .collect();
             let want: Vec<(u32, u64)> = model
                 .iter()
                 .filter_map(|(&k, versions)| {

@@ -6,7 +6,7 @@
 //! shard. These tests pin the required behaviour with real threads and a
 //! watchdog, so the discipline can never silently regress.
 
-use std::sync::mpsc;
+use std::sync::{mpsc, Arc};
 use std::thread;
 use std::time::Duration;
 
@@ -41,7 +41,7 @@ fn blocked_wait_does_not_hold_the_shard_lock() {
             // Same shard, different key: must not block behind the waiter.
             m.insert(2, 1, 100).unwrap();
             m.remove(3, 2).unwrap();
-            assert_eq!(m.get(2, 5), Some(100));
+            assert_eq!(m.get_arc(&2, 5).as_deref(), Some(&100));
             // Now release the waiter.
             m.insert(1, 5, 500).unwrap();
             done_tx.send(("writer", Some(0))).unwrap();
@@ -58,7 +58,7 @@ fn blocked_wait_does_not_hold_the_shard_lock() {
     waiter.join().unwrap();
     writer.join().unwrap();
     assert!(seen.contains(&"waiter") && seen.contains(&"writer"));
-    assert_eq!(m.get(1, 5), Some(500));
+    assert_eq!(m.get_arc(&1, 5).as_deref(), Some(&500));
 }
 
 /// Same exposure through the `OCell` handle directly: `cell_for`-style
@@ -106,8 +106,8 @@ fn snapshot_and_scan_proceed_past_blocked_waiters() {
     };
     thread::sleep(Duration::from_millis(30));
     // Both read paths complete while key 9's waiter is parked.
-    assert_eq!(m.snapshot(u64::MAX), vec![(5, 50)]);
-    assert_eq!(m.scan(0, 10, u64::MAX), vec![(5, 50)]);
+    assert_eq!(m.snapshot_arc(u64::MAX), vec![(5, Arc::new(50))]);
+    assert_eq!(m.scan_arc(0, 10, u64::MAX), vec![(5, Arc::new(50))]);
     m.insert(9, 3, 90).unwrap();
     assert_eq!(waiter.join().unwrap(), Some(90));
 }

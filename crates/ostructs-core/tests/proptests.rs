@@ -50,9 +50,22 @@ impl Model {
             return None; // one lock per task per cell in this test
         }
         let (v, val) = self.try_latest(cap)?;
+        self.lock(v, tid);
+        Some((v, val))
+    }
+
+    fn try_lock_version(&mut self, v: u64, tid: u64) -> Option<u32> {
+        if self.held.contains_key(&tid) {
+            return None;
+        }
+        let val = self.try_load(v)?;
+        self.lock(v, tid);
+        Some(val)
+    }
+
+    fn lock(&mut self, v: u64, tid: u64) {
         self.versions.get_mut(&v).expect("exists").1 = Some(tid);
         self.held.insert(tid, v);
-        Some((v, val))
     }
 
     fn unlock(&mut self, tid: u64, create: Option<u64>) -> Result<(), OError> {
@@ -87,6 +100,7 @@ enum Step {
     TryLoad { v: u64 },
     TryLatest { cap: u64 },
     LockLatest { cap: u64, tid: u64 },
+    LockVersion { v: u64, tid: u64 },
     Unlock { tid: u64, create: Option<u64> },
     Prune { boundary: u64 },
 }
@@ -102,6 +116,7 @@ fn step_strategy_over(domain: RangeInclusive<u64>) -> impl Strategy<Value = Step
         domain.clone().prop_map(|v| Step::TryLoad { v }),
         domain.clone().prop_map(|cap| Step::TryLatest { cap }),
         (domain.clone(), 1u64..8).prop_map(|(cap, tid)| Step::LockLatest { cap, tid }),
+        (domain.clone(), 1u64..8).prop_map(|(v, tid)| Step::LockVersion { v, tid }),
         (1u64..8, proptest::option::of(domain.clone()))
             .prop_map(|(tid, create)| Step::Unlock { tid, create }),
         domain.prop_map(|boundary| Step::Prune { boundary }),
@@ -137,6 +152,10 @@ fn mostly_ascending(steps: Vec<Step>) -> Vec<Step> {
                 cap: near(clock, cap),
                 tid,
             },
+            Step::LockVersion { v, tid } => Step::LockVersion {
+                v: near(clock, v),
+                tid,
+            },
             Step::Unlock { tid, create } => Step::Unlock {
                 tid,
                 create: create.map(|v| near(clock, v)),
@@ -150,47 +169,74 @@ fn mostly_ascending(steps: Vec<Step>) -> Vec<Step> {
 
 /// Runs `steps` on a cell and on the model: every non-blocking
 /// observation must agree, and so must the versions left by each prune.
+/// After every step each task holds the lock the model says it holds,
+/// and the cell's lock bookkeeping passes its own invariant check.
 fn run_cell_steps(steps: Vec<Step>) {
     let cell: OCell<u32> = OCell::new();
     let mut model = Model::default();
     for step in steps {
-        match step {
-            Step::Store { v, val } => {
-                prop_assert_eq!(cell.store_version(v, val), model.store(v, val));
-            }
-            Step::TryLoad { v } => {
-                prop_assert_eq!(cell.try_load_version(v), model.try_load(v));
-            }
-            Step::TryLatest { cap } => {
-                prop_assert_eq!(cell.try_load_latest(cap), model.try_latest(cap));
-            }
-            Step::LockLatest { cap, tid } => {
-                // Skip when it would block (absent/locked); the model
-                // mirrors the decision. A task that already holds a
-                // lock is refused, which the model also reports as None.
-                let would = model.try_latest(cap).is_some();
-                let got = if would {
-                    match cell.lock_load_latest(cap, tid) {
-                        Err(OError::AlreadyHolds(v)) => {
-                            prop_assert_eq!(model.held.get(&tid), Some(&v));
-                            None
-                        }
-                        got => Some(got.unwrap()),
+        run_cell_step(&cell, &mut model, step);
+        for tid in 1..8 {
+            prop_assert_eq!(cell.held_by(tid), model.held.get(&tid).copied());
+        }
+        prop_assert_eq!(cell.check_invariants(), Ok(()));
+    }
+}
+
+fn run_cell_step(cell: &OCell<u32>, model: &mut Model, step: Step) {
+    match step {
+        Step::Store { v, val } => {
+            prop_assert_eq!(cell.store_version(v, val), model.store(v, val));
+        }
+        Step::TryLoad { v } => {
+            prop_assert_eq!(cell.try_load_version(v), model.try_load(v));
+        }
+        Step::TryLatest { cap } => {
+            prop_assert_eq!(cell.try_load_latest(cap), model.try_latest(cap));
+        }
+        Step::LockLatest { cap, tid } => {
+            // Skip when it would block (absent/locked); the model
+            // mirrors the decision. A task that already holds a
+            // lock is refused, which the model also reports as None.
+            let would = model.try_latest(cap).is_some();
+            let got = if would {
+                match cell.lock_load_latest(cap, tid) {
+                    Err(OError::AlreadyHolds(v)) => {
+                        prop_assert_eq!(model.held.get(&tid), Some(&v));
+                        None
                     }
-                } else {
-                    None
-                };
-                prop_assert_eq!(got, model.try_lock_latest(cap, tid));
-            }
-            Step::Unlock { tid, create } => {
-                prop_assert_eq!(cell.unlock_version(tid, create), model.unlock(tid, create));
-            }
-            Step::Prune { boundary } => {
-                cell.prune_below(boundary);
-                model.prune_below(boundary);
-                let want: Vec<u64> = model.versions.keys().copied().collect();
-                prop_assert_eq!(cell.versions(), want);
-            }
+                    got => Some(got.unwrap()),
+                }
+            } else {
+                None
+            };
+            prop_assert_eq!(got, model.try_lock_latest(cap, tid));
+        }
+        Step::LockVersion { v, tid } => {
+            // As above: skipped when it would block on an absent or
+            // locked version; a second lock is refused at once.
+            let would = model.held.contains_key(&tid) || model.try_load(v).is_some();
+            let got = if would {
+                match cell.lock_load_version(v, tid) {
+                    Err(OError::AlreadyHolds(held)) => {
+                        prop_assert_eq!(model.held.get(&tid), Some(&held));
+                        None
+                    }
+                    got => Some(got.unwrap()),
+                }
+            } else {
+                None
+            };
+            prop_assert_eq!(got, model.try_lock_version(v, tid));
+        }
+        Step::Unlock { tid, create } => {
+            prop_assert_eq!(cell.unlock_version(tid, create), model.unlock(tid, create));
+        }
+        Step::Prune { boundary } => {
+            cell.prune_below(boundary);
+            model.prune_below(boundary);
+            let want: Vec<u64> = model.versions.keys().copied().collect();
+            prop_assert_eq!(cell.versions(), want);
         }
     }
 }
@@ -335,7 +381,7 @@ fn run_map_steps(steps: &[MapStep]) -> Vec<usize> {
                 for k in 0..MAP_KEYS {
                     for cap in boundary..=clock {
                         prop_assert_eq!(
-                            map.get(k, cap),
+                            map.get_arc(&k, cap).map(|v| *v),
                             model.get(k, cap),
                             "key {} at cap {} after prune {}",
                             k,

@@ -147,8 +147,8 @@ fn vacuum_bounds_map_history_under_churn() {
     vac.run_pass();
     // Hot-key history is drained to the newest version; the map answers
     // current reads exactly.
-    let latest = m.get(0, u64::MAX).unwrap();
+    let latest = m.get_arc(&0, u64::MAX).unwrap();
     let pin = reg.pin();
-    assert_eq!(m.get(0, pin.cap()), Some(latest));
+    assert_eq!(m.get_arc(&0, pin.cap()), Some(latest));
     assert_eq!(m.tracked_keys(), 17);
 }

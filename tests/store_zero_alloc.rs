@@ -6,8 +6,11 @@
 //! whose keys were rewritten, so the pass drains each shard's dirty
 //! queue, prunes, re-queues, settles and unlinks cells; and the same
 //! collection through `ORuntime::collect_now`. A warm insert allocates
-//! its value and nothing else: a cell's version storage keeps its
-//! capacity through a prune, and so does its shard's dirty queue.
+//! its value and nothing else, and a warm remove nothing at all: a cell
+//! holds each version's `Option<Arc<V>>` inline, its version storage
+//! keeps its capacity through a prune, and so does its shard's dirty
+//! queue. A bare `OCell<u64>` stores, loads and prunes without
+//! allocating.
 //!
 //! `ostructs-core` forbids `unsafe`, so the counting `#[global_allocator]`
 //! is the shared per-thread one of the zero-allocation guards. A test
@@ -16,7 +19,7 @@
 //! arming thread (`run_pass` and `collect_now` prune on the calling
 //! thread, and the vacuum's background thread is never woken), and the
 //! count of allocations inside the window must be exactly zero, or for
-//! inserts exactly the two that box each value.
+//! inserts exactly the one `Arc<V>` that boxes each value.
 
 #[path = "support/counting_alloc.rs"]
 mod counting_alloc;
@@ -24,7 +27,7 @@ mod counting_alloc;
 use std::time::Duration;
 
 use counting_alloc::counted;
-use ostructs::core::{OMap, ORuntime, ReaderRegistry, Vacuum, VacuumCfg};
+use ostructs::core::{OCell, OMap, ORuntime, ReaderRegistry, Vacuum, VacuumCfg};
 
 const KEYS: u32 = 256;
 
@@ -180,13 +183,75 @@ fn warm_inserts_allocate_only_their_values() {
 
     let inserts = clock - before;
     assert_eq!(inserts, 16 * u64::from(KEYS));
-    // Each insert boxes its value twice: `OMap::insert` wraps it in an
-    // `Arc<V>`, and `OCell::store_marking` wraps the cell's
-    // `Option<Arc<V>>` in the slot's `Arc`.
-    assert_eq!(
-        allocs,
-        2 * inserts,
-        "a warm insert allocated past its value"
-    );
+    // Each insert boxes its value once, in the `Arc<V>` that
+    // `OMap::insert` makes; the cell holds the `Option<Arc<V>>` inline.
+    assert_eq!(allocs, inserts, "a warm insert allocated past its value");
     assert_eq!(map.prune_below(clock), 16 * KEYS as usize);
+}
+
+/// Removes every key at the clock's next version.
+fn remove_all(map: &OMap<u32, u64>, clock: &mut u64) {
+    for k in 0..KEYS {
+        *clock += 1;
+        map.remove(k, *clock).unwrap();
+    }
+}
+
+#[test]
+fn warm_removes_allocate_nothing() {
+    let map: OMap<u32, u64> = OMap::new();
+    let mut clock = 0;
+    // Each round fills fresh cells and settles them, so the counted
+    // removes find every cell indexed and off its queue: each remove
+    // stores into the cell's kept capacity and queues its key into a
+    // buffer the warm rounds grew. A pass then unlinks the removed cells.
+    let round = |clock: &mut u64| {
+        write_all(&map, clock);
+        map.prune_below(*clock);
+        let ((), allocs) = counted(|| remove_all(&map, clock));
+        assert_eq!(map.get_arc(&0, *clock), None);
+        assert_eq!(map.prune_below(*clock), KEYS as usize);
+        assert_eq!(map.tracked_keys(), 0, "every removed cell was unlinked");
+        allocs
+    };
+    for _ in 0..4 {
+        round(&mut clock);
+    }
+
+    assert_eq!(round(&mut clock), 0, "a warm remove allocated");
+}
+
+#[test]
+fn warm_bare_cell_round_allocates_nothing() {
+    let cells: Vec<OCell<u64>> = (0..KEYS).map(|_| OCell::new()).collect();
+    let mut clock = 0;
+    // Per cell: two stores, a LOAD-LATEST of the newer one and a prune
+    // back to it, so each round grows the version storage to three
+    // entries and shrinks it to one. Returns the loaded values' sum and
+    // the versions pruned.
+    let round = |clock: &mut u64| {
+        let (mut sum, mut reclaimed) = (0, 0);
+        for cell in &cells {
+            for _ in 0..2 {
+                *clock += 1;
+                cell.store_version(*clock, *clock).unwrap();
+            }
+            let (v, value) = cell.try_load_latest(*clock).expect("just stored");
+            assert_eq!(v, value);
+            sum += value;
+            reclaimed += cell.prune_below(*clock);
+        }
+        (sum, reclaimed)
+    };
+    for _ in 0..4 {
+        round(&mut clock);
+    }
+    let before = clock;
+
+    let ((sum, reclaimed), allocs) = counted(|| round(&mut clock));
+
+    let newest = (1..=u64::from(KEYS)).map(|i| before + 2 * i);
+    assert_eq!(sum, newest.sum::<u64>(), "every load found its store");
+    assert_eq!(reclaimed, 2 * KEYS as usize, "each cell shed two versions");
+    assert_eq!(allocs, 0, "a warm bare-cell round allocated");
 }
